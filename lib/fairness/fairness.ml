@@ -251,61 +251,32 @@ let pp fmt r =
               (fun s -> Printf.sprintf "%d:%+.3f" s.sender s.advantage)
               biased))
 
-let to_json r =
+let json =
   let open Metrics.Json in
-  Obj
+  obj
     [
-      ("decided", Int r.decided);
-      ("observers", Int r.observers);
-      ("pairs", Int r.pairs);
-      ("inversions", Int r.inversions);
-      ("inversion_rate", num r.inversion_rate);
-      ( "gamma",
-        List
-          (List.map
-             (fun g ->
-               Obj
-                 [
-                   ("gamma", num g.gamma);
-                   ("mandated", Int g.mandated);
-                   ("violations", Int g.violations);
-                 ])
-             r.gamma_rows) );
-      ( "senders",
-        List
-          (List.map
-             (fun s ->
-               Obj
-                 [
-                   ("sender", Int s.sender);
-                   ("batches", Int s.batches);
-                   ("advantage", num s.advantage);
-                 ])
-             r.senders) );
-      ( "frontrun_success",
-        match r.frontrun_success with None -> Null | Some f -> num f );
-    ]
-
-let schema =
-  let open Metrics.Json in
-  Obj_of
-    [
-      ("decided", Int_s);
-      ("observers", Int_s);
-      ("pairs", Int_s);
-      ("inversions", Int_s);
-      ("inversion_rate", Num_s);
-      ( "gamma",
-        List_of
-          (Obj_of
-             [
-               ("gamma", Num_s); ("mandated", Int_s); ("violations", Int_s);
-             ]) );
-      ( "senders",
-        List_of
-          (Obj_of
-             [
-               ("sender", Int_s); ("batches", Int_s); ("advantage", Num_s);
-             ]) );
-      ("frontrun_success", Nullable Num_s);
+      field "decided" int (fun r -> r.decided);
+      field "observers" int (fun r -> r.observers);
+      field "pairs" int (fun r -> r.pairs);
+      field "inversions" int (fun r -> r.inversions);
+      field "inversion_rate" float (fun r -> r.inversion_rate);
+      field "gamma"
+        (list
+           (obj
+              [
+                field "gamma" float (fun g -> g.gamma);
+                field "mandated" int (fun g -> g.mandated);
+                field "violations" int (fun g -> g.violations);
+              ]))
+        (fun r -> r.gamma_rows);
+      field "senders"
+        (list
+           (obj
+              [
+                field "sender" int (fun s -> s.sender);
+                field "batches" int (fun s -> s.batches);
+                field "advantage" float (fun s -> s.advantage);
+              ]))
+        (fun r -> r.senders);
+      field "frontrun_success" (option float) (fun r -> r.frontrun_success);
     ]

@@ -73,7 +73,5 @@ val score :
 
 val pp : Format.formatter -> report -> unit
 
-val to_json : report -> Metrics.Json.t
-
-(** Schema of {!to_json}, for bench artifacts. *)
-val schema : Metrics.Json.schema
+(** JSON form (and schema) of a report, for bench artifacts. *)
+val json : report Metrics.Json.desc

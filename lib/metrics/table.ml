@@ -28,9 +28,3 @@ let render ~header rows =
 
 let print ~title ~header rows =
   Printf.printf "\n== %s ==\n%s%!" title (render ~header rows)
-
-let ms v = Printf.sprintf "%.1f" v
-
-let fixed digits v = Printf.sprintf "%.*f" digits v
-
-let int_ = string_of_int

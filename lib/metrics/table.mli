@@ -7,10 +7,3 @@ val render : header:string list -> string list list -> string
 
 (** [print ~title ~header rows] renders to stdout with a title line. *)
 val print : title:string -> header:string list -> string list list -> unit
-
-(** Format helpers for cells. *)
-val ms : float -> string
-
-val fixed : int -> float -> string
-
-val int_ : int -> string

@@ -296,6 +296,44 @@ let test_payload_generators () =
     Alcotest.(check bool) "parses" true (App.Kvstore.parse (kv ()) <> None)
   done
 
+(* ------------------------------------------------------------------ *)
+(* Typed JSON descriptions: schema and value come from one list.       *)
+(* ------------------------------------------------------------------ *)
+
+(* Every constructor once: a row's value, written and re-read, must
+   match the schema derived from the same description — including NaN
+   (nullable) and None cells, control characters in strings and nested
+   object lists. *)
+let prop_json_desc_round_trip =
+  let desc =
+    Metrics.Json.(
+      obj
+        [
+          field "i" int (fun ((i, _, _, _), _) -> i);
+          field "x" (nullable float) (fun ((_, x, _, _), _) -> x);
+          field "s" str (fun ((_, _, s, _), _) -> s);
+          field "b" bool (fun ((_, _, _, b), _) -> b);
+          field "o" (option int) (fun (_, (o, _)) -> o);
+          field "xs"
+            (list (obj [ field "v" (nullable float) Fun.id; field "ok" bool Float.is_finite ]))
+            (fun (_, (_, xs)) -> xs);
+        ])
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"json: value d row re-reads under schema d"
+       ~count:300
+       QCheck.(pair (quad int float string bool) (pair (option small_int) (small_list float)))
+       (fun row ->
+         List.for_all
+           (fun indent ->
+             match
+               Metrics.Json.of_string
+                 (Metrics.Json.to_string ~indent (Metrics.Json.value desc row))
+             with
+             | Ok v -> Metrics.Json.check (Metrics.Json.schema desc) v = Ok ()
+             | Error _ -> false)
+           [ true; false ]))
+
 let suite =
   [
     Alcotest.test_case "stats basics" `Quick test_stats_basics;
@@ -317,4 +355,5 @@ let suite =
       test_p2_exact_below_five;
     Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
     Alcotest.test_case "payload generators" `Quick test_payload_generators;
+    prop_json_desc_round_trip;
   ]
