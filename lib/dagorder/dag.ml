@@ -14,6 +14,7 @@ type vertex = {
   round : int;
   creator : int;
   refs : int list;
+  weak : (int * int) list;
   batches : Lyra.Types.batch list;
   reports : (string * int) list;
 }
@@ -142,7 +143,8 @@ let absorb_history t (a : vertex) =
                 && not (Hashtbl.mem t.pending_emit key)
               then Hashtbl.replace t.pending_emit key (b, v.round))
             v.batches;
-          List.iter (fun p -> visit (r - 1) p) v.refs
+          List.iter (fun p -> visit (r - 1) p) v.refs;
+          List.iter (fun (wr, wc) -> visit wr wc) v.weak
     end
   in
   visit a.round a.creator
@@ -236,6 +238,10 @@ let try_commits t =
   in
   scan (t.last_wave + 1) []
 
+let compare_rc (r1, c1) (r2, c2) =
+  let c = Int.compare r1 r2 in
+  if c <> 0 then c else Int.compare c1 c2
+
 let validate t (v : vertex) =
   if v.creator < 0 || v.creator >= t.n then
     invalid_arg "Dag.add: creator out of range";
@@ -250,20 +256,22 @@ let validate t (v : vertex) =
   end
   else if List.length refs < quorum t then
     invalid_arg "Dag.add: fewer than quorum refs";
-  { v with refs }
+  let weak = List.sort_uniq compare_rc v.weak in
+  List.iter
+    (fun (r, c) ->
+      if r < 0 || r >= v.round - 1 || c < 0 || c >= t.n then
+        invalid_arg "Dag.add: weak link out of range")
+    weak;
+  { v with refs; weak }
 
 let add t v =
   let v = validate t v in
   if mem t ~round:v.round ~creator:v.creator then `Duplicate
   else
     let missing =
-      if Int.equal v.round 0 then []
-      else
-        List.filter_map
-          (fun p ->
-            if mem t ~round:(v.round - 1) ~creator:p then None
-            else Some (v.round - 1, p))
-          v.refs
+      List.filter
+        (fun (round, creator) -> not (mem t ~round ~creator))
+        (List.map (fun p -> (v.round - 1, p)) v.refs @ v.weak)
     in
     if not (List.is_empty missing) then `Missing missing
     else begin

@@ -9,14 +9,20 @@
     of their insertion order. QCheck drives this module directly. *)
 
 (** One round-[round] vertex by [creator]. [refs] are the creators of
-    the round-[round−1] vertices it links (ignored at round 0);
-    [batches] are the payload batches the creator embeds; [reports]
+    the round-[round−1] vertices it links (ignored at round 0); [weak]
+    are DAG-Rider weak links — (round, creator) of older vertices
+    (round < [round−1]) the creator holds but its history does not yet
+    reach. Wave commits follow [refs] only; committed histories follow
+    both, so a replica whose vertices always arrive after the first
+    n−f of their round still gets its batches and receive reports
+    counted. [batches] are the payload batches the creator embeds; [reports]
     are [(batch key, creator-local first-receive µs)] pairs — the
     creator's receive-order testimony the linearizer aggregates. *)
 type vertex = {
   round : int;
   creator : int;
   refs : int list;
+  weak : (int * int) list;
   batches : Lyra.Types.batch list;
   reports : (string * int) list;
 }
@@ -45,7 +51,7 @@ val quorum : t -> int
 
 (** [add t v] inserts [v].
 
-    - [`Missing parents]: some referenced round-[v.round−1] vertices
+    - [`Missing parents]: some referenced vertices (strong or weak)
       are absent; nothing is mutated — re-add after they arrive.
     - [`Duplicate]: a vertex with [v]'s (round, creator) is already
       present (first copy wins).
@@ -53,7 +59,8 @@ val quorum : t -> int
       unlocked (possibly across several waves), in final linear order.
 
     Raises [Invalid_argument] on malformed vertices (out-of-range
-    creator, negative round, refs at round 0). *)
+    creator, negative round, refs at round 0, weak links not below
+    round [v.round−1]). *)
 val add :
   t -> vertex -> [ `Added of delivery list | `Duplicate | `Missing of (int * int) list ]
 

@@ -29,6 +29,7 @@ type msg =
 let vertex_wire_size (v : Dag.vertex) =
   64
   + (8 * List.length v.refs)
+  + (8 * List.length v.weak)
   + List.fold_left
       (fun acc (b : Lyra.Types.batch) ->
         acc + 64 + (32 * Array.length b.Lyra.Types.txs))
@@ -85,6 +86,10 @@ type t = {
   phases : Metrics.Phases.t;
   phase_marks : (int, int) Hashtbl.t;  (** own index → embed µs *)
   mutable fetch_armed : bool;
+  covered : (int * int, unit) Hashtbl.t;
+      (** vertices in the history of some own vertex *)
+  uncovered : (int * int, unit) Hashtbl.t;
+      (** inserted vertices not (yet) covered: weak-link candidates *)
 }
 
 (* The whole pipeline is [wave] (embed → wave commit of the own
@@ -202,6 +207,8 @@ let rec absorb t (v : Dag.vertex) =
   | `Added ds ->
       Hashtbl.remove t.pending (v.round, v.creator);
       Hashtbl.remove t.missing (v.round, v.creator);
+      if not (Hashtbl.mem t.covered (v.round, v.creator)) then
+        Hashtbl.replace t.uncovered (v.round, v.creator) ();
       List.iter (fun b -> observe_batch t b) v.batches;
       deliver t ds;
       retry_pending t
@@ -252,6 +259,39 @@ let pack_batches t =
   t.mempool_count <- List.length rest;
   batches
 
+(* Mark [(r, c)] and its whole (present) history as covered. *)
+let rec cover t (r, c) =
+  if not (Hashtbl.mem t.covered (r, c)) then
+    match Dag.find t.dag ~round:r ~creator:c with
+    | None -> ()
+    | Some v ->
+        Hashtbl.replace t.covered (r, c) ();
+        Hashtbl.remove t.uncovered (r, c);
+        List.iter (fun p -> cover t (r - 1, p)) v.refs;
+        List.iter (cover t) v.weak
+
+(* Weak links of a new round-[round] vertex: after covering its strong
+   parents' histories, every older vertex still uncovered, newest
+   first, skipping those an earlier weak link already reaches. When
+   rounds outpace the one-way delay the strong parents are always the
+   first n−f arrivals, and without these links a far replica's
+   vertices would never enter a committed history. *)
+let weak_links t ~round ~refs =
+  List.iter (fun c -> cover t (round - 1, c)) refs;
+  List.fold_left
+    (fun acc (rc, ()) ->
+      if fst rc >= round - 1 || Hashtbl.mem t.covered rc then acc
+      else begin
+        cover t rc;
+        rc :: acc
+      end)
+    []
+    (Sim.Det.sorted_bindings
+       ~cmp:(fun (r1, c1) (r2, c2) ->
+         let c = Int.compare r2 r1 in
+         if c <> 0 then c else Int.compare c1 c2)
+       t.uncovered)
+
 let rec create_vertex t ~round ~refs =
   let batches = pack_batches t in
   (* Own batches are observed like received ones, so the creator's own
@@ -263,7 +303,8 @@ let rec create_vertex t ~round ~refs =
       t.pending_reports
   in
   t.pending_reports <- [];
-  let v = { Dag.round; creator = t.id; refs; batches; reports } in
+  let weak = weak_links t ~round ~refs in
+  let v = { Dag.round; creator = t.id; refs; weak; batches; reports } in
   t.last_created_round <- round;
   t.timer_due <- false;
   ignore
@@ -297,7 +338,8 @@ let fetch_closure t ~round ~creator =
       | None -> ()
       | Some v ->
           acc := v :: !acc;
-          List.iter (fun p -> go (depth - 1) (r - 1) p) v.refs
+          List.iter (fun p -> go (depth - 1) (r - 1) p) v.refs;
+          List.iter (fun (wr, wc) -> go (depth - 1) wr wc) v.weak
     end
   in
   go closure_depth round creator;
@@ -375,6 +417,8 @@ let create config net ~id ?(clock_offset_us = 0) ?(on_observe = fun _ -> ())
       phases = Metrics.Phases.create phase_labels;
       phase_marks = Hashtbl.create 16;
       fetch_armed = false;
+      covered = Hashtbl.create 997;
+      uncovered = Hashtbl.create 64;
     }
   in
   Sim.Network.register net ~id (fun ~src body -> on_message t ~src body);
