@@ -20,7 +20,7 @@ val to_json : Finding.t list -> Metrics.Json.t
     summary line; JSON is the report object. *)
 val print : format -> out_channel -> Finding.t list -> unit
 
-(** [write_json_file ~file findings] validates the report against
-    {!schema}, writes it, reads it back and re-validates — so a CI
-    artifact is well-formed or the linter itself fails. *)
+(** [write_json_file ~file findings] writes the report, reads it back
+    and validates it against {!schema} — so a CI artifact is
+    well-formed or the linter itself fails ([Failure]). *)
 val write_json_file : file:string -> Finding.t list -> unit
