@@ -756,7 +756,7 @@ let propose_batch t txs =
           (fun tx -> { tx with Types.tx_id = tx.Types.tx_id ^ tag })
           txs
       in
-      let p = { Types.batch = make_batch txs' Types.Structural; st } in
+      let p = Types.proposal (make_batch txs' Types.Structural) st in
       (p, sign p)
     in
     let a, sig_a = variant ".a" and b, sig_b = variant ".b" in
@@ -770,7 +770,7 @@ let propose_batch t txs =
       Crypto.Vss.encrypt ~scheme:cfg.vss_scheme t.rng ~n:cfg.n
         ~threshold:(supermajority t) (batch_payload txs)
     in
-    let proposal = { Types.batch = make_batch txs (Types.Vss cipher); st } in
+    let proposal = Types.proposal (make_batch txs (Types.Vss cipher)) st in
     let sigma = sign proposal in
     for dst = 0 to cfg.n - 1 do
       send_body t ~dst
@@ -778,7 +778,7 @@ let propose_batch t txs =
     done
   end
   else begin
-    let proposal = { Types.batch = make_batch txs Types.Structural; st } in
+    let proposal = Types.proposal (make_batch txs Types.Structural) st in
     broadcast_body t (Types.Init { proposal; share = None; sigma = None })
   end
 

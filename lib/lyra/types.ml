@@ -25,9 +25,9 @@ let observable_txs batch =
   | Clear -> Some batch.txs
   | Vss _ | Structural -> None
 
-type proposal = { batch : batch; st : int option array }
+type proposal = { batch : batch; st : int option array; digest : string }
 
-let proposal_digest { batch; st } =
+let proposal batch st =
   let parts =
     Printf.sprintf "%d.%d.%d" batch.iid.proposer batch.iid.index
       batch.created_at
@@ -40,7 +40,9 @@ let proposal_digest { batch; st } =
            (function Some s -> string_of_int s | None -> "_")
            st)
   in
-  Crypto.Sha256.digest_list parts
+  { batch; st; digest = Crypto.Sha256.digest_list parts }
+
+let proposal_digest p = p.digest
 
 let requested_seq ~n ~f st =
   if not (Int.equal (Array.length st) n) then None

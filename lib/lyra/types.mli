@@ -51,12 +51,20 @@ type batch = {
 val observable_txs : batch -> tx array option
 
 (** The proposal travelling through one BOC instance: the cipher and
-    the predicted sequence numbers (None = blank, §IV-B1). *)
-type proposal = { batch : batch; st : int option array }
+    the predicted sequence numbers (None = blank, §IV-B1), plus their
+    digest. The type is private so that {!proposal} is the only way to
+    build one: the digest always matches the contents it was computed
+    from. [st] must not be mutated afterwards. *)
+type proposal = private { batch : batch; st : int option array; digest : string }
+
+(** [proposal batch st] hashes the proposal once. The digest covers the
+    instance id, [created_at], the tx ids (the cipher's {!Crypto.Vss.tag}
+    under [Vss]) and [st]. *)
+val proposal : batch -> int option array -> proposal
 
 (** Digest identifying a proposal; VVB votes refer to it so that an
     equivocating broadcaster cannot aggregate votes across different
-    proposals. *)
+    proposals. Computed once, by {!proposal}. *)
 val proposal_digest : proposal -> string
 
 (** Requested sequence number: the (n − f)-th smallest value of S_t

@@ -54,16 +54,14 @@ let make_world () =
 let tx = { Lyra.Types.tx_id = "t0"; payload = "p"; submitted_at = 0; origin = 1 }
 
 let proposal ?(tag = "") () =
-  {
-    Lyra.Types.batch =
-      {
-        iid;
-        txs = [| { tx with Lyra.Types.tx_id = "t0" ^ tag } |];
-        obf = Lyra.Types.Structural;
-        created_at = 900;
-      };
-    st = [| Some 1_000; Some 900; Some 1_100; Some 1_200 |];
-  }
+  Lyra.Types.proposal
+    {
+      iid;
+      txs = [| { tx with Lyra.Types.tx_id = "t0" ^ tag } |];
+      obf = Lyra.Types.Structural;
+      created_at = 900;
+    }
+    [| Some 1_000; Some 900; Some 1_100; Some 1_200 |]
 
 let sent_votes w =
   List.filter_map
