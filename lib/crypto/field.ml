@@ -85,17 +85,13 @@ let mulmod a b m =
   let rec go acc a b =
     if b = 0 then acc
     else
+      (* acc, a < m < 2^62, so acc + a and a*2 may exceed max_int:
+         compare against the distance to m to stay exact. *)
       let acc =
-        if b land 1 = 1 then
-          let s = acc + a in
-          if s >= m then s - m else s
+        if b land 1 = 1 then if acc >= m - a then acc - (m - a) else acc + a
         else acc
       in
-      let a2 =
-        let d = a * 2 in
-        (* a < m < 2^62 so a*2 may exceed 2^62: split to stay exact. *)
-        if a >= m - a then a - (m - a) else d
-      in
+      let a2 = if a >= m - a then a - (m - a) else a * 2 in
       go acc a2 (b lsr 1)
   in
   go 0 a b

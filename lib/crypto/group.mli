@@ -12,6 +12,12 @@ val p : int
 
 val q : int
 
+(** [mul_pm k c a b] is a·b mod (2^k + c), for k ∈ {60, 61}, 0 < c < 2^13
+    and 0 ≤ a, b < 2^k + c, by a limb multiply that folds through
+    2^k ≡ −c. Q = 2^60 + 2983 and P = 2^61 + 5967, so this is
+    {!Scalar.mul} (k = 60) and {!mul} (k = 61). Exposed for tests. *)
+val mul_pm : int -> int -> int -> int -> int
+
 (** Exponent field Z_Q. *)
 module Scalar : Field_intf.S
 

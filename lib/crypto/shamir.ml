@@ -45,14 +45,39 @@ module Make (F : Field_intf.S) = struct
         if F.equal x' x then acc else F.mul acc (F.div x' (F.sub x' x)))
       F.one xs
 
+  (* Σ y_i·λ_i with λ_i = num_i / den_i, num_i = ∏_{j≠i} x_j and
+     den_i = ∏_{j≠i} (x_j − x_i): the same values [lagrange_coefficient]
+     folds, but with every den_i inverted by one batch inversion (prefix
+     products) instead of k − 1 divisions per coefficient. *)
   let reconstruct shares =
-    let xs = List.map (fun s -> s.x) shares in
-    let distinct = List.sort_uniq F.compare xs in
-    if List.length distinct <> List.length xs then
+    let pts = Array.of_list shares in
+    let k = Array.length pts in
+    let xs = Array.map (fun s -> s.x) pts in
+    let distinct = List.sort_uniq F.compare (Array.to_list xs) in
+    if List.length distinct <> k then
       invalid_arg "Shamir.reconstruct: duplicate share coordinates";
-    List.fold_left
-      (fun acc s -> F.add acc (F.mul s.y (lagrange_coefficient xs s.x)))
-      F.zero shares
+    let num = Array.make k F.one and den = Array.make k F.one in
+    for i = 0 to k - 1 do
+      for j = 0 to k - 1 do
+        if j <> i then begin
+          num.(i) <- F.mul num.(i) xs.(j);
+          den.(i) <- F.mul den.(i) (F.sub xs.(j) xs.(i))
+        end
+      done
+    done;
+    (* prefix.(i) = den_0 ⋯ den_{i−1}; walking back from the inverse of
+       the full product, inv holds (den_0 ⋯ den_i)^{−1} at step i. *)
+    let prefix = Array.make (k + 1) F.one in
+    for i = 0 to k - 1 do
+      prefix.(i + 1) <- F.mul prefix.(i) den.(i)
+    done;
+    let inv = ref (F.inv prefix.(k)) and acc = ref F.zero in
+    for i = k - 1 downto 0 do
+      let lambda = F.mul num.(i) (F.mul !inv prefix.(i)) in
+      inv := F.mul !inv den.(i);
+      acc := F.add !acc (F.mul pts.(i).y lambda)
+    done;
+    !acc
 end
 
 include Make (Field)

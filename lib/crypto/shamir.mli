@@ -33,7 +33,9 @@ module type SCHEME = sig
   val reconstruct : share list -> elt
 
   (** [lagrange_coefficient xs x] is the Lagrange basis coefficient at 0
-      for point [x] among points [xs]. Exposed for tests. *)
+      for point [x] among points [xs], by k − 1 field divisions. It is
+      the reference that the batch-inverting [reconstruct] is tested
+      against. *)
   val lagrange_coefficient : elt list -> elt -> elt
 end
 

@@ -39,6 +39,9 @@ let test_mulmod_small () =
   Alcotest.(check int) "7*9 mod 13" 11 (Field.mulmod 7 9 13);
   Alcotest.(check int) "0*x" 0 (Field.mulmod 0 123456 997);
   Alcotest.(check int) "identity" 42 (Field.mulmod 42 1 1_000_000);
+  (* (−1)·(−2) = 2 for moduli whose running sums pass max_int *)
+  Alcotest.(check int) "m near 2^62" 2 (Field.mulmod (max_int - 1) (max_int - 2) max_int);
+  Alcotest.(check int) "m = group p" 2 (Field.mulmod (Group.p - 1) (Group.p - 2) Group.p);
   (* cross-check against native multiplication where it fits *)
   let r = Rng.create 5L in
   for _ = 1 to 1000 do
@@ -71,8 +74,56 @@ let test_group_generator_order () =
 let test_group_safe_prime () =
   Alcotest.(check int) "p = 2q+1" Group.p ((2 * Group.q) + 1)
 
+(* The pseudo-Mersenne products must equal the generic double-and-add
+   [Field.mulmod]: at the limb and fold boundaries, pairwise, and on
+   uniform operands. *)
+let boundaries m =
+  List.filter (fun x -> x < m)
+    [ 0; 1; 2; 1 lsl 30; (1 lsl 30) - 1; 1 lsl 31; (1 lsl 60) - 1; 1 lsl 60;
+      (1 lsl 60) + 2982; (1 lsl 61) - 1; 1 lsl 61; m - 2; m - 1 ]
+
+let check_boundaries name mul m () =
+  let bs = boundaries m in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          Alcotest.(check int) (Printf.sprintf "%s %d*%d" name a b) (Field.mulmod a b m) (mul a b))
+        bs)
+    bs
+
+let mul_prop name mul m =
+  let operand =
+    QCheck.make
+      QCheck.Gen.(oneof [ oneofl (boundaries m); (fun st -> Random.State.full_int st m) ])
+      ~print:string_of_int
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count:2000 (QCheck.pair operand operand) (fun (a, b) ->
+         Int.equal (mul a b) (Field.mulmod a b m)))
+
+let scalar_mul a b = Group.Scalar.(to_int (mul (of_int a) (of_int b)))
+
+let group_mul = Group.mul_pm 61 5967
+
+(* Group elements can only be built inside the subgroup, so Group.mul
+   itself is checked on random powers of g. *)
+let prop_group_mul_subgroup =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"Group.mul = mulmod p on subgroup elements" ~count:300
+       QCheck.(pair felt felt)
+       (fun (a, b) ->
+         let a = Group.commit (Group.Scalar.of_int (Field.to_int a))
+         and b = Group.commit (Group.Scalar.of_int (Field.to_int b)) in
+         Int.equal (Group.mul a b :> int) (Field.mulmod (a :> int) (b :> int) Group.p)))
+
 let suite =
   [
+    Alcotest.test_case "scalar mul boundaries" `Quick (check_boundaries "scalar" scalar_mul Group.q);
+    Alcotest.test_case "group mul boundaries" `Quick (check_boundaries "group" group_mul Group.p);
+    mul_prop "Scalar.mul = mulmod q" scalar_mul Group.q;
+    mul_prop "mul_pm 61 5967 = mulmod p" group_mul Group.p;
+    prop_group_mul_subgroup;
     Alcotest.test_case "constants" `Quick test_constants;
     Alcotest.test_case "of_int negative" `Quick test_of_int_negative;
     Alcotest.test_case "inv zero raises" `Quick test_inv_zero_raises;

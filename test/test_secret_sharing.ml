@@ -178,8 +178,34 @@ let test_commitment () =
   Alcotest.(check bool) "wrong randomizer" false
     (Commitment.verify c { opening with Commitment.randomizer = String.make 16 'x' })
 
+(* The batch-inverting reconstruct against the per-coefficient
+   Lagrange fold, on random subsets (any size, so also below the
+   threshold) in random order. *)
+let prop_reconstruct_is_lagrange (type e) name
+    (module F : Field_intf.S with type t = e)
+    (module S : Shamir.SCHEME with type elt = e) =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count:200 seed_gen (fun (s1, s2) ->
+         let r = Rng.create (Int64.of_int ((s1 * 4099) + s2 + 1)) in
+         let n = 1 + Rng.int r 16 in
+         let threshold = 1 + Rng.int r n in
+         let shares, _ = S.share r ~secret:(F.random r) ~threshold ~n in
+         let idx = Array.init n (fun i -> i) in
+         Rng.shuffle r idx;
+         let subset = List.init (1 + Rng.int r n) (fun i -> shares.(idx.(i))) in
+         let xs = List.map (fun (sh : S.share) -> sh.x) subset in
+         let reference =
+           List.fold_left
+             (fun acc (sh : S.share) -> F.add acc (F.mul sh.y (S.lagrange_coefficient xs sh.x)))
+             F.zero subset
+         in
+         F.equal reference (S.reconstruct subset)))
+
 let suite =
   [
+    prop_reconstruct_is_lagrange "shamir: reconstruct = lagrange fold" (module Field) (module Shamir);
+    prop_reconstruct_is_lagrange "feldman: reconstruct = lagrange fold" (module Group.Scalar)
+      (module Feldman.Sharing);
     Alcotest.test_case "shamir all shares" `Quick test_shamir_reconstruct_all;
     prop_shamir_any_subset;
     Alcotest.test_case "shamir below threshold" `Quick test_shamir_below_threshold_hides;
