@@ -318,13 +318,17 @@ let micro_run () =
   let payload = Crypto.Rng.bytes rng 1024 in
   let secret = Crypto.Group.Scalar.random rng in
   let a = Crypto.Field.random rng and b = Crypto.Field.random rng in
+  let sa = Crypto.Group.Scalar.random rng and sb = Crypto.Group.Scalar.random rng in
   let cipher, shares = Crypto.Vss.encrypt rng ~n:16 ~threshold:11 payload in
   let share_subset = Array.to_list (Array.sub shares 0 11) in
+  let key_shares = List.map (fun ds -> ds.Crypto.Vss.share) share_subset in
   let leaves = List.init 64 string_of_int in
   let tests =
     [
       Test.make ~name:"field.mul" (Staged.stage (fun () -> Crypto.Field.mul a b));
       Test.make ~name:"field.inv" (Staged.stage (fun () -> Crypto.Field.inv a));
+      Test.make ~name:"group.scalar.mul"
+        (Staged.stage (fun () -> Crypto.Group.Scalar.mul sa sb));
       Test.make ~name:"sha256.1kb"
         (Staged.stage (fun () -> Crypto.Sha256.digest payload));
       Test.make ~name:"schnorr.sign"
@@ -334,6 +338,8 @@ let micro_run () =
       Test.make ~name:"shamir.deal.16"
         (Staged.stage (fun () ->
              Crypto.Feldman.Sharing.share rng ~secret ~threshold:11 ~n:16));
+      Test.make ~name:"shamir.reconstruct.11"
+        (Staged.stage (fun () -> Crypto.Feldman.Sharing.reconstruct key_shares));
       Test.make ~name:"vss.encrypt.1kb.16"
         (Staged.stage (fun () ->
              Crypto.Vss.encrypt rng ~n:16 ~threshold:11 payload));
