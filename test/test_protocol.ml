@@ -65,6 +65,19 @@ let test_golden_pompe () =
   Alcotest.(check (float 1e-6)) "latency mean" 2692.355143
     (Metrics.Recorder.mean r.latency_ms)
 
+let test_golden_hotstuff () =
+  let r = run ~seed:7L "hotstuff" ~duration_us:2_000_000 in
+  Alcotest.(check int) "committed" 20 r.committed_txs;
+  Alcotest.(check int) "messages" 273 r.messages;
+  Alcotest.(check int) "bytes" 54600 r.bytes;
+  Alcotest.(check bool) "prefix safe" true r.prefix_safe;
+  Alcotest.(check int) "late accepts" 0 r.late_accepts;
+  Alcotest.(check (float 1e-9)) "decide rounds" 0.0 r.decide_rounds;
+  Alcotest.(check (float 1e-9)) "accept rate" 1.0 r.accept_rate;
+  Alcotest.(check int) "latency samples" 20 (Metrics.Recorder.count r.latency_ms);
+  Alcotest.(check (float 1e-6)) "latency mean" 466.341400
+    (Metrics.Recorder.mean r.latency_ms)
+
 let test_golden_dag () =
   let r = run ~seed:7L "dag" ~duration_us:2_000_000 in
   Alcotest.(check int) "committed" 28 r.committed_txs;
@@ -184,6 +197,7 @@ let suite =
     Alcotest.test_case "registry" `Quick test_registry;
     Alcotest.test_case "golden lyra" `Slow test_golden_lyra;
     Alcotest.test_case "golden pompe" `Slow test_golden_pompe;
+    Alcotest.test_case "golden hotstuff" `Slow test_golden_hotstuff;
     Alcotest.test_case "golden dag" `Slow test_golden_dag;
     Alcotest.test_case "seeded determinism" `Slow test_determinism;
     Alcotest.test_case "hotstuff baseline" `Slow test_hotstuff_baseline;
