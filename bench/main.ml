@@ -556,7 +556,8 @@ let fairness =
               let gst = P.default_warmup_us + (dur / 2) in
               scenario p ~n ~load:(Scenario.Closed 2)
                 ~adversary:
-                  (Sim.Adversary.targeted ~gst ~max_extra:120_000 ~victims:[ 1 ])
+                  (Sim.Adversary.Targeted
+                     { gst; max_extra = 120_000; victims = [ 1 ] })
                 ~duration_us:dur () );
         ]
         |> List.map (fun (scenario, f) -> (scenario, f ())))

@@ -1,6 +1,7 @@
 (* Command-line driver for the Lyra reproduction: run a cluster of any
-   registered protocol, replay the paper's experiments, or demo the
-   attacks. `lyra_cli --help`. *)
+   registered protocol by hand (plain, profiled, under faults, with the
+   workload engine, or scored for fairness). The paper's experiments
+   and attacks live in the bench (`bench/main.exe`). `lyra_cli --help`. *)
 
 open Cmdliner
 
@@ -232,114 +233,6 @@ let faults_cmd =
       const run $ seed_t $ n_t 4 $ duration_t $ clients_t $ protocol_t
       $ crash_t $ loss_t $ partition_t $ skew_t)
 
-let trials_arg default =
-  Arg.(value & opt int default & info [ "trials" ] ~docv:"K" ~doc:"Attack trials.")
-
-let frontrun_cmd =
-  let run trials =
-    List.iter
-      (fun protocol ->
-        let o = Attacks.Frontrun.run ~trials ~protocol () in
-        Format.printf "%-8s: %a@." protocol Attacks.Frontrun.pp_outcome o)
-      Attacks.Frontrun.protocols
-  in
-  let doc = "Replay the Fig. 1 triangle-inequality front-running attack." in
-  Cmd.v (Cmd.info "frontrun" ~doc) Term.(const run $ trials_arg 10)
-
-let sandwich_cmd =
-  let run trials =
-    List.iter
-      (fun protocol ->
-        let o = Attacks.Sandwich.run ~trials ~protocol () in
-        Format.printf "%-8s: %a@." protocol Attacks.Sandwich.pp_outcome o)
-      Attacks.Sandwich.protocols
-  in
-  let doc = "Replay the AMM sandwich (MEV) attack." in
-  Cmd.v (Cmd.info "sandwich" ~doc) Term.(const run $ trials_arg 5)
-
-let censor_cmd =
-  let run n =
-    let o = Attacks.Censorship.run ~n () in
-    Format.printf "%a@." Attacks.Censorship.pp_outcome o
-  in
-  let doc = "Measure Byzantine-leader censorship impact." in
-  Cmd.v (Cmd.info "censor" ~doc) Term.(const run $ n_t 7)
-
-let byz_cmd =
-  let run seed n behaviour =
-    let mis =
-      match behaviour with
-      | "silent" -> Some Lyra.Misbehavior.Silent
-      | "flood" -> Some (Lyra.Misbehavior.Flood { batches_per_sec = 4 })
-      | "future-seq" -> Some (Lyra.Misbehavior.Future_seq { offset_us = 40_000 })
-      | "low-status" -> Some Lyra.Misbehavior.Low_status
-      | "equivocate" -> Some Lyra.Misbehavior.Equivocate
-      | "stale-votes" -> Some (Lyra.Misbehavior.Stale_votes { delay_us = 1_000_000 })
-      | "none" -> None
-      | other -> failwith ("unknown behaviour " ^ other)
-    in
-    let f = Dbft.Quorums.max_faulty n in
-    print_result
-      (Harness.Scenario.run ~seed
-         (Protocol.Lyra_adapter.make
-            ~byz:(fun i -> if i < f then mis else None)
-            ())
-         ~n ~load:(Harness.Scenario.Closed 2) ~duration_us:3_000_000 ())
-  in
-  let behaviour_t =
-    Arg.(value & pos 0 string "none"
-         & info [] ~docv:"BEHAVIOUR"
-             ~doc:"none|silent|flood|future-seq|low-status|equivocate|stale-votes")
-  in
-  let doc = "Run Lyra with f Byzantine nodes of a given behaviour." in
-  Cmd.v (Cmd.info "byz" ~doc) Term.(const run $ seed_t $ n_t 16 $ behaviour_t)
-
-let lambda_cmd =
-  let run n =
-    List.iter
-      (fun lambda_ms ->
-        let r =
-          Harness.Scenario.run
-            (Protocol.Lyra_adapter.make
-               ~tweak:(fun c -> { c with Lyra.Config.lambda_us = lambda_ms * 1000 })
-               ())
-            ~n ~load:(Harness.Scenario.Closed 2) ~duration_us:3_000_000 ()
-        in
-        Format.printf "lambda=%2dms accept=%.3f tx/s=%.0f latency=%.0fms@."
-          lambda_ms r.accept_rate r.throughput_tps
-          (Metrics.Recorder.mean r.latency_ms))
-      [ 1; 2; 5; 10; 20; 50 ]
-  in
-  let doc = "Sweep the security parameter lambda (the §VI-B experiment)." in
-  Cmd.v (Cmd.info "lambda" ~doc) Term.(const run $ n_t 16)
-
-let batch_cmd =
-  let run n =
-    List.iter
-      (fun bs ->
-        let r =
-          Harness.Scenario.run
-            (Protocol.Lyra_adapter.make
-               ~tweak:(fun c ->
-                 {
-                   c with
-                   Lyra.Config.batch_size = bs;
-                   batch_timeout_us = 250_000;
-                   max_inflight = 16;
-                 })
-               ())
-            ~n ~load:(Harness.Scenario.Open_rate 4_000.0) ~duration_us:3_000_000 ()
-        in
-        Format.printf "batch=%4d tx/s=%.0f latency=%.0fms p95=%.0fms@." bs
-          r.throughput_tps
-          (Metrics.Recorder.mean r.latency_ms)
-          (if Metrics.Recorder.is_empty r.latency_ms then Float.nan
-           else Metrics.Recorder.percentile 95.0 r.latency_ms))
-      [ 100; 200; 400; 800; 1600; 3200 ]
-  in
-  let doc = "Sweep the batch size (the §VI-B experiment)." in
-  Cmd.v (Cmd.info "batch" ~doc) Term.(const run $ n_t 16)
-
 (* ------------------------------------------------------------------ *)
 (* workload: the open-loop engine (Workload.Engine) from the CLI —     *)
 (* modelled-client populations, optional flash crowd and MEV searchers.*)
@@ -522,13 +415,7 @@ let main =
       profile_cmd;
       workload_cmd;
       faults_cmd;
-      frontrun_cmd;
-      sandwich_cmd;
-      censor_cmd;
       fairness_cmd;
-      byz_cmd;
-      lambda_cmd;
-      batch_cmd;
     ]
 
 let () = exit (Cmd.eval main)

@@ -9,16 +9,6 @@ type outcome = {
   rows : (string * string * measurement) list;
 }
 
-let pp_m fmt m =
-  Format.fprintf fmt "%.0f/%.0fms reordered=%d" m.mean_ms m.worst_ms m.reordered
-
-let pp_outcome fmt o =
-  Format.fprintf fmt "n=%d f=%d |" o.n o.byzantine;
-  List.iter
-    (fun (protocol, label, m) ->
-      Format.fprintf fmt " %s/%s [%a]" protocol label pp_m m)
-    o.rows
-
 let victim_count = 24
 
 let victim_spacing_us = 350_000

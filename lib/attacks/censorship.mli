@@ -31,8 +31,6 @@ type outcome = {
           protocols. Lyra sweeps 0 and f Byzantine nodes. *)
 }
 
-val pp_outcome : Format.formatter -> outcome -> unit
-
 (** Protocols covered by {!run} ({!Protocol.Registry.names}). *)
 val protocols : string list
 

@@ -52,9 +52,9 @@ let exec_positions outputs =
 
 (* The attacker's node configuration per protocol: same batching knobs
    everywhere; Pompē additionally lets Mallory withhold her timestamp
-   for the victim's batch so the victim's 2f+1 quorum is dominated by
-   the distant Sydney clocks. *)
-let adapter = function
+   for the batches [withhold] picks, so the victim's 2f+1 quorum is
+   dominated by the distant Sydney clocks. *)
+let cluster ~withhold = function
   | "pompe" ->
       Protocol.Pompe_adapter.make
         ~tweak:(fun c ->
@@ -63,7 +63,7 @@ let adapter = function
           if id = 1 then
             Some
               (fun batch ~honest ->
-                if batch_has_victim batch then None else Some honest)
+                if withhold batch then None else Some honest)
           else None)
         ~regions ~clock_offsets:false ()
   | "lyra" ->
@@ -156,4 +156,6 @@ let aggregate ~trials run seed0 =
   }
 
 let run ?(seed = 100L) ~trials ~protocol () =
-  aggregate ~trials (run_trial (adapter protocol)) seed
+  aggregate ~trials
+    (run_trial (cluster ~withhold:batch_has_victim protocol))
+    seed

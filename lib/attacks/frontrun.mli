@@ -43,6 +43,15 @@ type outcome = {
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
+(** [cluster ~withhold protocol] is the attack cluster of [protocol] on
+    {!regions}, shared with {!Sandwich}: 8-transaction batches, a
+    10 ms batch timeout (20 ms rounds for the DAG), no clock offsets.
+    Under Pompē the Singapore attacker (node 1) withholds its
+    timestamp for every batch [withhold] picks. Raises
+    [Invalid_argument] on an unknown protocol. *)
+val cluster :
+  withhold:(Lyra.Types.batch -> bool) -> string -> (module Protocol.NODE)
+
 (** Protocols this attack can target ({!Protocol.Registry.names}). *)
 val protocols : string list
 

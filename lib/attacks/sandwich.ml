@@ -62,43 +62,16 @@ let attacker_profit pool =
   +. (float_of_int py *. (float_of_int (App.Amm.reserve_x pool)
                           /. float_of_int (App.Amm.reserve_y pool)))
 
-(* Per-protocol attacker configuration, as in {!Frontrun.adapter}; the
-   timestamp withholding only engages when the attack is on so the
-   baseline run measures the undisturbed protocol. *)
-let adapter ~attack_enabled = function
-  | "pompe" ->
-      Protocol.Pompe_adapter.make
-        ~tweak:(fun c ->
-          { c with Pompe.Config.batch_timeout_us = 10_000; batch_size = 8 })
-        ~respond_ts:(fun id ->
-          if id = 1 then
-            Some
-              (fun batch ~honest ->
-                if attack_enabled && batch_has_victim batch then None
-                else Some honest)
-          else None)
-        ~regions ~clock_offsets:false ()
-  | "lyra" ->
-      Protocol.Lyra_adapter.make
-        ~tweak:(fun c ->
-          { c with Lyra.Config.batch_timeout_us = 10_000; batch_size = 8 })
-        ~regions ~clock_offsets:false ()
-  | "hotstuff" ->
-      Protocol.Hotstuff_adapter.make
-        ~tweak:(fun c ->
-          { c with Hotstuff.Smr.batch_timeout_us = 10_000; batch_size = 8 })
-        ~regions ()
-  | "dag" ->
-      Protocol.Dagorder_adapter.make
-        ~tweak:(fun c ->
-          { c with Dagorder.Node.round_interval_us = 20_000; batch_size = 8 })
-        ~regions ~clock_offsets:false ()
-  | other -> invalid_arg ("Sandwich: unknown protocol " ^ other)
-
 let protocols = Protocol.Registry.names
 
 let run_trial ~protocol ~attack_enabled seed =
-  let (module P : Protocol.NODE) = adapter ~attack_enabled protocol in
+  (* The timestamp withholding only engages when the attack is on, so
+     the baseline run measures the undisturbed protocol. *)
+  let (module P : Protocol.NODE) =
+    Frontrun.cluster
+      ~withhold:(fun b -> attack_enabled && batch_has_victim b)
+      protocol
+  in
   let engine = Sim.Engine.create ~seed () in
   let net = P.make_net engine ~n ~jitter:0.01 () in
   let pool = make_pool () in

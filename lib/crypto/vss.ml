@@ -51,8 +51,6 @@ let encrypt ?(scheme = Hashed) rng ~n ~threshold payload =
   in
   (cipher, Array.mapi (fun holder share -> { holder; share }) shares)
 
-let partial_decrypt dshares i = dshares.(i)
-
 let verify_share cipher ds =
   ds.holder >= 0 && ds.holder < cipher.n
   && Scalar.equal ds.share.Feldman.Sharing.x (Scalar.of_int (ds.holder + 1))

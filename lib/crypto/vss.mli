@@ -45,10 +45,6 @@ val encrypt :
   string ->
   cipher * decryption_share array
 
-(** [partial_decrypt shares i] is process [i]'s reveal (the paper's
-    [vss-partial-decrypt]). *)
-val partial_decrypt : decryption_share array -> int -> decryption_share
-
 (** [verify_share cipher ds] checks a revealed share against the
     cipher's commitments, rejecting Byzantine garbage. *)
 val verify_share : cipher -> decryption_share -> bool

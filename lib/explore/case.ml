@@ -6,7 +6,7 @@ type t = {
   duration_us : int;
   clients : int;
   faults : Sim.Faults.plan;
-  adversary : Sim.Adversary.spec option;
+  adversary : Sim.Adversary.t option;
   perturb : Sim.Perturb.t;
 }
 
@@ -27,7 +27,7 @@ let label t =
     (if Sim.Faults.is_none t.faults then "" else ", faulty")
     (match t.adversary with
     | None -> ""
-    | Some spec -> ", " ^ Sim.Adversary.spec_label spec)
+    | Some a -> ", " ^ Sim.Adversary.label a)
   |> fun s -> if Int.equal extras 0 then s ^ " [clean schedule]" else s
 
 let run t =
@@ -38,7 +38,7 @@ let run t =
            t.knob)
   | Some p ->
       Harness.Scenario.run ~seed:t.seed ~faults:t.faults
-        ?adversary:(Option.map Sim.Adversary.of_spec t.adversary)
+        ?adversary:t.adversary
         ~perturb:t.perturb p ~n:t.n
         ~load:(Harness.Scenario.Closed t.clients)
         ~duration_us:t.duration_us ()
@@ -455,7 +455,7 @@ let of_json v =
        with out-of-range nodes or inverted windows is a user error. *)
     (try
        Sim.Faults.validate t.faults ~n:t.n;
-       Option.iter (fun s -> Sim.Adversary.validate_spec s ~n:t.n) t.adversary;
+       Option.iter (fun a -> Sim.Adversary.validate a ~n:t.n) t.adversary;
        Sim.Perturb.validate t.perturb ~n:t.n;
        Ok t
      with Invalid_argument msg -> Error msg)

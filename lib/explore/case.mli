@@ -12,7 +12,7 @@ type t = {
   duration_us : int;  (** measurement window (warm-up is the protocol's) *)
   clients : int;  (** closed-loop clients per node *)
   faults : Sim.Faults.plan;
-  adversary : Sim.Adversary.spec option;
+  adversary : Sim.Adversary.t option;
       (** pre-GST message-delay policy, as replayable pure data *)
   perturb : Sim.Perturb.t;
 }
@@ -24,7 +24,7 @@ val make :
   ?duration_us:int ->
   ?clients:int ->
   ?faults:Sim.Faults.plan ->
-  ?adversary:Sim.Adversary.spec ->
+  ?adversary:Sim.Adversary.t ->
   ?perturb:Sim.Perturb.t ->
   string ->
   t

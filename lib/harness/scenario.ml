@@ -17,7 +17,6 @@ type result = {
   dup_msgs : int;
   stall_windows : (int * int) list;
   first_violation : Invariant_monitor.violation option;
-  trace_dropped : int;
   phases : (string * Metrics.Recorder.t) list;
   profile : Sim.Profile.t option;
   honest_logs : (string * string) list array;
@@ -51,8 +50,6 @@ let pp_result fmt r =
   (match r.first_violation with
   | None -> ()
   | Some v -> Format.fprintf fmt ", VIOLATION(%a)" Invariant_monitor.pp_violation v);
-  if r.trace_dropped > 0 then
-    Format.fprintf fmt ", trace_dropped=%d" r.trace_dropped;
   match r.mev with
   | None -> ()
   | Some m ->
@@ -86,8 +83,8 @@ let prefix_safe logs =
    measurement window. *)
 let make_recorders ~n = (Metrics.Recorder.create (), Array.make n 0, ref 0)
 
-let run ?(seed = 1L) ?warmup_us ?(jitter = 0.01) ?(ns_per_byte = wan_ns_per_byte)
-    ?(faults = Sim.Faults.none) ?adversary ?perturb ?trace ?dissemination
+let run ?(seed = 1L) ?warmup_us ?(ns_per_byte = wan_ns_per_byte)
+    ?(faults = Sim.Faults.none) ?adversary ?perturb ?dissemination
     ?profile_bucket_us ?workload (module P : Protocol.NODE) ~n ~load
     ~duration_us () =
   let warmup_us =
@@ -95,8 +92,8 @@ let run ?(seed = 1L) ?warmup_us ?(jitter = 0.01) ?(ns_per_byte = wan_ns_per_byte
   in
   let engine = Sim.Engine.create ~seed () in
   let net =
-    P.make_net engine ~n ~jitter ~ns_per_byte ~faults ?adversary ?perturb
-      ?trace ?dissemination ()
+    P.make_net engine ~n ~jitter:0.01 ~ns_per_byte ~faults ?adversary ?perturb
+      ?dissemination ()
   in
   let rng = Sim.Engine.rng engine in
   let latency_rec, _, committed = make_recorders ~n in
@@ -421,8 +418,6 @@ let run ?(seed = 1L) ?warmup_us ?(jitter = 0.01) ?(ns_per_byte = wan_ns_per_byte
     dup_msgs = P.net_dup net;
     stall_windows = Invariant_monitor.stall_windows monitor;
     first_violation = Invariant_monitor.first_violation monitor;
-    trace_dropped =
-      (match trace with None -> 0 | Some tr -> Sim.Trace.dropped tr);
     phases;
     profile;
     honest_logs;

@@ -30,7 +30,6 @@ type result = {
       (** in-window periods with no cluster-wide commit progress *)
   first_violation : Invariant_monitor.violation option;
       (** first continuous-monitor violation; must be [None] *)
-  trace_dropped : int;  (** events evicted from the supplied trace *)
   phases : (string * Metrics.Recorder.t) list;
       (** per-phase latency breakdown (ms) of honest nodes' own
           batches within the measurement window, in pipeline order —
@@ -87,16 +86,15 @@ val phase_table : result -> string
 (** [run (module P) ~n ~load ~duration_us ()] — the one generic driver:
     protocol choice is the adapter module (see {!Protocol.Registry} and
     the [?tweak]/[?byz]/[?censor] knobs on the adapter constructors).
-    [warmup_us] defaults to the protocol's [default_warmup_us];
-    [jitter] is the relative link jitter (default 0.01). [faults]
-    executes a {!Sim.Faults} plan on the run; [adversary] attaches a
-    pre-GST delay policy ({!Sim.Adversary}); an {!Invariant_monitor}
-    always observes honest commits continuously, and its verdict lands
-    in [first_violation]/[stall_windows]. [trace] is handed to the
-    network for fault-event recording; its eviction count is surfaced
-    as [trace_dropped]. [profile_bucket_us] attaches a {!Sim.Profile}
-    to the run (opt-in: sampling adds engine events, though never
-    changes protocol behaviour); it lands in [profile]. [perturb]
+    [warmup_us] defaults to the protocol's [default_warmup_us]; links
+    carry a fixed relative jitter of 0.01. [faults] executes a
+    {!Sim.Faults} plan on the run; [adversary] attaches a pre-GST delay
+    policy ({!Sim.Adversary}); an {!Invariant_monitor} always observes
+    honest commits continuously, and its verdict lands in
+    [first_violation]/[stall_windows]. [profile_bucket_us] attaches a
+    {!Sim.Profile} to the run (opt-in: sampling adds engine events,
+    though never changes protocol behaviour); it lands in [profile].
+    [perturb]
     injects deterministic extra wire delays ({!Sim.Perturb}) — the
     schedule-space explorer's lever; omitted or empty, the run is
     bit-identical to an unperturbed one. [workload] attaches an
@@ -107,12 +105,10 @@ val phase_table : result -> string
 val run :
   ?seed:int64 ->
   ?warmup_us:int ->
-  ?jitter:float ->
   ?ns_per_byte:int ->
   ?faults:Sim.Faults.plan ->
   ?adversary:Sim.Adversary.t ->
   ?perturb:Sim.Perturb.t ->
-  ?trace:Sim.Trace.t ->
   ?dissemination:Sim.Network.dissemination ->
   ?profile_bucket_us:int ->
   ?workload:Workload.Engine.spec ->

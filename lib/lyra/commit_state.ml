@@ -153,8 +153,6 @@ let accepted_root t =
       t.root_cache <- Some r;
       r
 
-let accepted_all t = Sim.Det.sorted_bindings ~cmp:Types.iid_compare t.accepted
-
 let accepted_count t = Hashtbl.length t.accepted
 
 let version t = t.version

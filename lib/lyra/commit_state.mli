@@ -61,11 +61,6 @@ val accepted_recent : t -> (Types.iid * int) list
 (** Merkle root over all accepted entries, in commit order. *)
 val accepted_root : t -> string
 
-(** Every accepted (iid, seq) pair so far — committed or not — in iid
-    order. Safety oracles read this to check decided sequence numbers
-    against their admissible bounds. *)
-val accepted_all : t -> (Types.iid * int) list
-
 (** Total accepted so far (committed or not). *)
 val accepted_count : t -> int
 

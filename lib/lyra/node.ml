@@ -134,12 +134,6 @@ let mempool_size t = t.mempool_count
 
 let late_accepts t = t.late_accepts
 
-(* Oracle-facing: the lowest sequence number this node's validation
-   window would currently admit (Alg. 4 line 52 reads seq_obs - L). *)
-let predicted_low t = Ordering_clock.peek t.clock - Config.l_us t.config
-
-let accepted_seqs t = Commit_state.accepted_all t.commit
-
 let synced_entries t = t.synced_entries
 
 let syncs_started t = t.syncs_started

@@ -68,14 +68,6 @@ val mempool_size : t -> int
     must stay 0 for SMR-Safety (watched by the test suite). *)
 val late_accepts : t -> int
 
-(** Lowest sequence number this node's acceptance window currently
-    admits ([peek - L]); decided seqs below it indicate a broken
-    window check (the explorer's no-decided-below-predicted oracle). *)
-val predicted_low : t -> int
-
-(** Every (iid, seq) this node has accepted so far, in iid order. *)
-val accepted_seqs : t -> (Types.iid * int) list
-
 (** Outputs learned through a committed-log sync (crash recovery /
     lossy-link repair) rather than a local commit. 0 on healthy runs. *)
 val synced_entries : t -> int

@@ -1,69 +1,44 @@
-type t = {
-  gst : int;
-  policy : Crypto.Rng.t -> now:int -> src:int -> dst:int -> int;
-}
-
-let extra_delay t rng ~now ~src ~dst = t.policy rng ~now ~src ~dst
-
-let gst t = t.gst
-
-let none = { gst = 0; policy = (fun _ ~now:_ ~src:_ ~dst:_ -> 0) }
-
-let pre_gst ~gst ~max_extra =
-  let policy rng ~now ~src:_ ~dst:_ =
-    if now >= gst then 0
-    else
-      let extra = Crypto.Rng.int rng (max_extra + 1) in
-      (* Cap so that nothing outlives GST by more than max_extra. *)
-      min extra (gst + max_extra - now)
-  in
-  { gst; policy }
-
-let targeted ~gst ~max_extra ~victims =
-  let victim = Array.make (1 + List.fold_left max 0 victims) false in
-  List.iter (fun v -> victim.(v) <- true) victims;
-  let is_victim i = i < Array.length victim && victim.(i) in
-  let policy rng ~now ~src ~dst =
-    if now >= gst || not (is_victim src || is_victim dst) then 0
-    else min (Crypto.Rng.int rng (max_extra + 1)) (gst + max_extra - now)
-  in
-  { gst; policy }
-
-let custom policy = { gst = 0; policy }
-
-(* Pure-data form of the built-in policies, for repro artifacts: the
-   closure in [t] cannot round-trip through JSON, a spec can. [custom]
-   policies are deliberately unrepresentable. *)
-type spec =
+type t =
   | Pre_gst of { gst : int; max_extra : int }
   | Targeted of { gst : int; max_extra : int; victims : int list }
 
-let of_spec = function
-  | Pre_gst { gst; max_extra } -> pre_gst ~gst ~max_extra
-  | Targeted { gst; max_extra; victims } -> targeted ~gst ~max_extra ~victims
+(* Uniform in [0, max_extra], capped so that nothing outlives GST by
+   more than max_extra. *)
+let draw rng ~now ~gst ~max_extra =
+  min (Crypto.Rng.int rng (max_extra + 1)) (gst + max_extra - now)
 
-let validate_spec spec ~n =
+let extra_delay t rng ~now ~src ~dst =
+  match t with
+  | Pre_gst { gst; max_extra } ->
+      if now >= gst then 0 else draw rng ~now ~gst ~max_extra
+  | Targeted { gst; max_extra; victims } ->
+      let hit = List.mem src victims || List.mem dst victims in
+      if now >= gst || not hit then 0 else draw rng ~now ~gst ~max_extra
+
+let gst (Pre_gst { gst; _ } | Targeted { gst; _ }) = gst
+
+let validate t ~n =
   let common ctx ~gst ~max_extra =
-    if gst < 0 then invalid_arg ("Adversary.validate_spec: " ^ ctx ^ " gst negative");
+    if gst < 0 then invalid_arg ("Adversary.validate: " ^ ctx ^ " gst negative");
     if max_extra < 0 then
-      invalid_arg ("Adversary.validate_spec: " ^ ctx ^ " max_extra negative")
+      invalid_arg ("Adversary.validate: " ^ ctx ^ " max_extra negative")
   in
-  match spec with
+  match t with
   | Pre_gst { gst; max_extra } -> common "pre-gst" ~gst ~max_extra
   | Targeted { gst; max_extra; victims } ->
       common "targeted" ~gst ~max_extra;
       (match victims with
-      | [] -> invalid_arg "Adversary.validate_spec: targeted with no victims"
+      | [] -> invalid_arg "Adversary.validate: targeted with no victims"
       | _ -> ());
       List.iter
         (fun v ->
           if v < 0 || v >= n then
             invalid_arg
-              (Printf.sprintf
-                 "Adversary.validate_spec: victim %d out of [0,%d)" v n))
+              (Printf.sprintf "Adversary.validate: victim %d out of [0,%d)" v
+                 n))
         victims
 
-let spec_label = function
+let label = function
   | Pre_gst { gst; max_extra } ->
       Printf.sprintf "pre-gst(gst=%dus,max=%dus)" gst max_extra
   | Targeted { gst; max_extra; victims } ->

@@ -4,48 +4,30 @@
     message arbitrarily; after GST every message between correct
     processes arrives within Δ. The adversary here adds extra delay on
     top of the link latency; it never drops messages (channels are
-    reliable). *)
+    reliable). A policy is pure data, so explorer repro artifacts carry
+    it through a JSON round-trip. *)
 
-type t
+type t =
+  | Pre_gst of { gst : int; max_extra : int }
+      (** delays every message sent before [gst] by a uniform amount in
+          [\[0, max_extra\]], truncated so that delivery never happens
+          after [gst + max_extra] *)
+  | Targeted of { gst : int; max_extra : int; victims : int list }
+      (** the same delay, but only on messages to or from a victim *)
 
 (** [extra_delay t rng ~now ~src ~dst] is the additional delay (µs) the
-    adversary imposes on a message sent at [now]. *)
+    adversary imposes on a message sent at [now]. It draws from [rng]
+    only for a message it delays: none at or after GST, and none
+    between two non-victims of a [Targeted] policy. *)
 val extra_delay : t -> Crypto.Rng.t -> now:int -> src:int -> dst:int -> int
 
-(** No interference; GST = 0. *)
-val none : t
-
-(** [pre_gst ~gst ~max_extra] delays every message sent before [gst] by
-    a uniform amount in [\[0, max_extra\]], truncated so that delivery
-    never happens after [gst + max_extra]. *)
-val pre_gst : gst:int -> max_extra:int -> t
-
-(** [targeted ~gst ~max_extra ~victims] only delays messages to or from
-    the victim processes before [gst]. *)
-val targeted : gst:int -> max_extra:int -> victims:int list -> t
-
-(** [custom f] wraps an arbitrary policy. *)
-val custom : (Crypto.Rng.t -> now:int -> src:int -> dst:int -> int) -> t
-
-(** The adversary's GST (0 for {!none}); used by experiments that
-    measure post-GST behaviour. *)
+(** The adversary's GST; used by experiments that measure post-GST
+    behaviour. *)
 val gst : t -> int
 
-(** Pure-data form of the built-in policies, so explorer repro
-    artifacts can carry the full adversary through a JSON round-trip
-    ([t] holds a closure and cannot). {!custom} policies have no spec
-    on purpose — anything serialized must be reconstructible. *)
-type spec =
-  | Pre_gst of { gst : int; max_extra : int }
-  | Targeted of { gst : int; max_extra : int; victims : int list }
-
-(** Reconstruct the policy a spec describes (same parameters as
-    {!pre_gst} / {!targeted}). *)
-val of_spec : spec -> t
-
-(** [validate_spec spec ~n] raises [Invalid_argument] on out-of-range
-    victims, negative times, or an empty victim list. *)
-val validate_spec : spec -> n:int -> unit
+(** [validate t ~n] raises [Invalid_argument] on out-of-range victims,
+    negative times, or an empty victim list. *)
+val validate : t -> n:int -> unit
 
 (** One-line human-readable description, for sweep logs. *)
-val spec_label : spec -> string
+val label : t -> string

@@ -10,5 +10,3 @@ let sorted_bindings ~cmp tbl =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   in
   List.sort (fun (ka, _) (kb, _) -> cmp ka kb) all
-
-let sorted_keys ~cmp tbl = List.map fst (sorted_bindings ~cmp tbl)

@@ -14,6 +14,3 @@
     callers that rely on one-binding-per-key must use
     [Hashtbl.replace] consistently. *)
 val sorted_bindings : cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
-
-(** [sorted_keys ~cmp tbl] = [List.map fst (sorted_bindings ~cmp tbl)]. *)
-val sorted_keys : cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list

@@ -17,7 +17,8 @@ let uniform ~lo ~hi =
     sample = (fun rng ~src:_ ~dst:_ -> lo + Crypto.Rng.int rng (hi - lo + 1));
   }
 
-let jittered ?(jitter = 0.05) ?(floor_us = 50) base =
+let regional ?(jitter = 0.05) ?(floor_us = 50) regions =
+  let base ~src ~dst = Regions.one_way_us regions.(src) regions.(dst) in
   let sample rng ~src ~dst =
     let b = base ~src ~dst in
     let sigma = jitter *. float_of_int b in
@@ -25,11 +26,3 @@ let jittered ?(jitter = 0.05) ?(floor_us = 50) base =
     max floor_us (int_of_float v)
   in
   { base; sample }
-
-let regional ?jitter ?floor_us regions =
-  let base ~src ~dst = Regions.one_way_us regions.(src) regions.(dst) in
-  jittered ?jitter ?floor_us base
-
-let of_matrix ?jitter ?floor_us m =
-  let base ~src ~dst = m.(src).(dst) in
-  jittered ?jitter ?floor_us base

@@ -21,10 +21,6 @@ val uniform : lo:int -> hi:int -> t
     (default 50). *)
 val regional : ?jitter:float -> ?floor_us:int -> Regions.t array -> t
 
-(** [of_matrix m] uses explicit per-pair base delays (µs) with the same
-    jitter treatment as {!regional}. *)
-val of_matrix : ?jitter:float -> ?floor_us:int -> int array array -> t
-
 (** [base_us t ~src ~dst] is the jitter-free base delay, used by nodes
     that reason about expected distances. *)
 val base_us : t -> src:int -> dst:int -> int

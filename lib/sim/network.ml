@@ -10,7 +10,7 @@ type 'msg t = {
   engine : Engine.t;
   n : int;
   latency : Latency.t;
-  adversary : Adversary.t;
+  adversary : Adversary.t option;
   cost : dst:int -> 'msg -> int;
   size : 'msg -> int;
   ns_per_byte : int;
@@ -107,7 +107,7 @@ let build_neighbors rng ~n ~fanout =
       |> List.filter (Hashtbl.mem chosen)
       |> Array.of_list)
 
-let create engine ~n ~latency ?(adversary = Adversary.none) ?(ns_per_byte = 8)
+let create engine ~n ~latency ?adversary ?(ns_per_byte = 8)
     ?(cores = 8) ?(faults = Faults.none) ?(perturb = Perturb.none)
     ?trace:trace_sink ?(dissemination = All_to_all) ~cost ~size () =
   Faults.validate faults ~n;
@@ -246,7 +246,9 @@ and schedule_delivery t ~src ~dst ~perturb_us ~rx msg =
      sampled latency; the inflation query is pure, so fault-free plans
      cost two empty-list folds here and nothing else. *)
   let extra =
-    Adversary.extra_delay t.adversary t.link_rng ~now ~src ~dst
+    (match t.adversary with
+    | None -> 0
+    | Some a -> Adversary.extra_delay a t.link_rng ~now ~src ~dst)
     + Faults.inflation_us t.faults ~now ~src ~dst
   in
   let inc = t.incarnation.(dst) in

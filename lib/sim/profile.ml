@@ -52,10 +52,6 @@ let bucket_us t = t.bucket_us
 
 let samples t = t.samples
 
-let cpu_timeline t i = t.cpu_tl.(i)
-
-let nic_timeline t i = t.nic_tl.(i)
-
 let cpu_backlog t i = t.cpu_backlog.(i)
 
 let nic_backlog t i = t.nic_backlog.(i)

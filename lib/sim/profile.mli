@@ -32,10 +32,6 @@ val bucket_us : t -> int
 (** Number of backlog sampling rounds taken so far. *)
 val samples : t -> int
 
-val cpu_timeline : t -> int -> Metrics.Timeline.t
-
-val nic_timeline : t -> int -> Metrics.Timeline.t
-
 val cpu_backlog : t -> int -> Metrics.Recorder.t
 
 val nic_backlog : t -> int -> Metrics.Recorder.t

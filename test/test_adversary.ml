@@ -270,10 +270,7 @@ let attacked_run ?(seed = 21L) protocol =
       |> delay_inflate ~from_us:400_000 ~until_us:1_000_000 ~a:[ 0; 1 ]
            ~b:[ 3 ] ~extra_us:20_000)
   in
-  let adversary =
-    Sim.Adversary.of_spec
-      (Sim.Adversary.Pre_gst { gst = 500_000; max_extra = 50_000 })
-  in
+  let adversary = Sim.Adversary.Pre_gst { gst = 500_000; max_extra = 50_000 } in
   Testutil.run_scenario ~seed ~faults ~adversary ~duration_us protocol
 
 let test_attacked_determinism protocol () =

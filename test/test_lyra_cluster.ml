@@ -163,7 +163,9 @@ let test_future_seq_bounded_by_lambda () =
 let test_pre_gst_asynchrony_safe () =
   (* Messages are adversarially delayed up to 1.5 s before GST = 2 s;
      safety must hold throughout, liveness resumes after GST. *)
-  let adversary = Sim.Adversary.pre_gst ~gst:2_000_000 ~max_extra:1_500_000 in
+  let adversary =
+    Sim.Adversary.Pre_gst { gst = 2_000_000; max_extra = 1_500_000 }
+  in
   let c = make_cluster ~adversary 4 in
   (* SMR-Liveness presumes correct processes continuously input their
      transactions (Lemma 8): keep submitting through and past GST. *)

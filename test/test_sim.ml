@@ -286,7 +286,7 @@ let test_regions () =
 
 let test_adversary_pre_gst () =
   let rng = Crypto.Rng.create 4L in
-  let adv = Sim.Adversary.pre_gst ~gst:1_000 ~max_extra:500 in
+  let adv = Sim.Adversary.Pre_gst { gst = 1_000; max_extra = 500 } in
   Alcotest.(check int) "gst" 1_000 (Sim.Adversary.gst adv);
   for _ = 1 to 100 do
     let d = Sim.Adversary.extra_delay adv rng ~now:100 ~src:0 ~dst:1 in
@@ -297,7 +297,9 @@ let test_adversary_pre_gst () =
 
 let test_adversary_targeted () =
   let rng = Crypto.Rng.create 4L in
-  let adv = Sim.Adversary.targeted ~gst:1_000 ~max_extra:500 ~victims:[ 2 ] in
+  let adv =
+    Sim.Adversary.Targeted { gst = 1_000; max_extra = 500; victims = [ 2 ] }
+  in
   Alcotest.(check int) "non-victim" 0
     (Sim.Adversary.extra_delay adv rng ~now:0 ~src:0 ~dst:1);
   let hit = ref false in
