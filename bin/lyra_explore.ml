@@ -79,12 +79,6 @@ let pairs_of ~protocol ~knob =
       | None -> Error (Printf.sprintf "unknown knob %s/%s" p k)
       | Some _ -> Ok (Some [ (p, k) ]))
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  output_char oc '\n';
-  close_out oc
-
 let print_findings findings =
   List.iter
     (fun f -> log (Format.asprintf "  %a" Harness.Oracle.pp_finding f))
@@ -118,7 +112,7 @@ let sweep seed n runs duration clients protocol knob no_faults out shrink_budget
                (if Int.equal shrink_attempts 1 then "" else "s")
                (Explore.Case.label minimal.case));
           print_findings minimal.findings;
-          write_file out (Explore.Case.to_string minimal.case);
+          Metrics.Json.write_file ~file:out Explore.Case.desc minimal.case;
           log (Printf.sprintf "repro written to %s" out);
           1)
 

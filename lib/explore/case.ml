@@ -66,7 +66,7 @@ let check t result =
     ~liveness:(liveness t) result
 
 (* ------------------------------------------------------------------ *)
-(* Repro-artifact serialization (Metrics.Json).                        *)
+(* Repro artifact: writer, reader and schema from one description.    *)
 (* ------------------------------------------------------------------ *)
 
 (* Version 2 added the attack vocabulary: eclipses / inflations inside
@@ -75,393 +75,175 @@ let check t result =
    the checked-in repro corpus must keep replaying. *)
 let version = 2
 
-let opt_int = function None -> Metrics.Json.Null | Some i -> Metrics.Json.Int i
+module J = Metrics.Json
 
-let perturb_op_to_json (op : Sim.Perturb.op) =
-  match op with
-  | Sim.Perturb.Delay_nth d ->
-      Metrics.Json.Obj
-        [
-          ("op", Metrics.Json.Str "delay-nth");
-          ("nth", Metrics.Json.Int d.nth);
-          ("extra_us", Metrics.Json.Int d.extra_us);
-        ]
-  | Sim.Perturb.Delay_window w ->
-      Metrics.Json.Obj
-        [
-          ("op", Metrics.Json.Str "delay-window");
-          ("from_us", Metrics.Json.Int w.from_us);
-          ("until_us", Metrics.Json.Int w.until_us);
-          ("src", opt_int w.src);
-          ("dst", opt_int w.dst);
-          ("extra_us", Metrics.Json.Int w.extra_us);
-        ]
-  | Sim.Perturb.Reverse_window w ->
-      Metrics.Json.Obj
-        [
-          ("op", Metrics.Json.Str "reverse-window");
-          ("from_us", Metrics.Json.Int w.from_us);
-          ("until_us", Metrics.Json.Int w.until_us);
-          ("src", opt_int w.src);
-          ("dst", opt_int w.dst);
-        ]
+let node = J.(option int)
 
-let faults_to_json (p : Sim.Faults.plan) =
-  Metrics.Json.Obj
-    [
-      ( "losses",
-        Metrics.Json.List
-          (List.map
-             (fun (l : Sim.Faults.loss_window) ->
-               Metrics.Json.Obj
-                 [
-                   ("from_us", Metrics.Json.Int l.l_from_us);
-                   ("until_us", Metrics.Json.Int l.l_until_us);
-                   ("src", opt_int l.l_src);
-                   ("dst", opt_int l.l_dst);
-                   ("drop_p", Metrics.Json.num l.l_drop_p);
-                   ("dup_p", Metrics.Json.num l.l_dup_p);
-                 ])
-             p.losses) );
-      ( "partitions",
-        Metrics.Json.List
-          (List.map
-             (fun (pt : Sim.Faults.partition) ->
-               Metrics.Json.Obj
-                 [
-                   ("from_us", Metrics.Json.Int pt.p_from_us);
-                   ("heal_us", Metrics.Json.Int pt.p_heal_us);
-                   ( "island",
-                     Metrics.Json.List
-                       (List.map (fun i -> Metrics.Json.Int i) pt.p_island) );
-                 ])
-             p.partitions) );
-      ( "crashes",
-        Metrics.Json.List
-          (List.map
-             (fun (c : Sim.Faults.crash) ->
-               Metrics.Json.Obj
-                 [
-                   ("node", Metrics.Json.Int c.c_node);
-                   ("at_us", Metrics.Json.Int c.c_at_us);
-                   ("recover_us", opt_int c.c_recover_us);
-                 ])
-             p.crashes) );
-      ( "skews",
-        Metrics.Json.List
-          (List.map
-             (fun (node, skew_us) ->
-               Metrics.Json.Obj
-                 [
-                   ("node", Metrics.Json.Int node);
-                   ("skew_us", Metrics.Json.Int skew_us);
-                 ])
-             p.skews_us) );
-      ( "eclipses",
-        Metrics.Json.List
-          (List.map
-             (fun (e : Sim.Faults.eclipse) ->
-               Metrics.Json.Obj
-                 [
-                   ("victim", Metrics.Json.Int e.e_victim);
-                   ("from_us", Metrics.Json.Int e.e_from_us);
-                   ("until_us", Metrics.Json.Int e.e_until_us);
-                   ( "owned",
-                     Metrics.Json.List
-                       (List.map (fun i -> Metrics.Json.Int i) e.e_owned) );
-                   ( "diverse",
-                     Metrics.Json.List
-                       (List.map (fun i -> Metrics.Json.Int i) e.e_diverse) );
-                   ("delay_us", opt_int e.e_delay_us);
-                 ])
-             p.eclipses) );
-      ( "inflations",
-        Metrics.Json.List
-          (List.map
-             (fun (d : Sim.Faults.delay_inflate) ->
-               Metrics.Json.Obj
-                 [
-                   ("from_us", Metrics.Json.Int d.d_from_us);
-                   ("until_us", Metrics.Json.Int d.d_until_us);
-                   ( "a",
-                     Metrics.Json.List
-                       (List.map (fun i -> Metrics.Json.Int i) d.d_a) );
-                   ( "b",
-                     Metrics.Json.List
-                       (List.map (fun i -> Metrics.Json.Int i) d.d_b) );
-                   ("extra_us", Metrics.Json.Int d.d_extra_us);
-                 ])
-             p.inflations) );
-    ]
+(* The description names shadow Sim.Faults' plan builders. *)
+let plan =
+  let open Sim.Faults in
+  let open J in
+  let loss =
+    record (fun l_from_us l_until_us l_src l_dst l_drop_p l_dup_p ->
+        { l_from_us; l_until_us; l_src; l_dst; l_drop_p; l_dup_p })
+    |> mem "from_us" int (fun l -> l.l_from_us)
+    |> mem "until_us" int (fun l -> l.l_until_us)
+    |> mem "src" node (fun l -> l.l_src)
+    |> mem "dst" node (fun l -> l.l_dst)
+    |> mem "drop_p" float (fun l -> l.l_drop_p)
+    |> mem "dup_p" float (fun l -> l.l_dup_p)
+    |> seal
+  in
+  let partition =
+    record (fun p_from_us p_heal_us p_island -> { p_from_us; p_heal_us; p_island })
+    |> mem "from_us" int (fun p -> p.p_from_us)
+    |> mem "heal_us" int (fun p -> p.p_heal_us)
+    |> mem "island" (list int) (fun p -> p.p_island)
+    |> seal
+  in
+  let crash =
+    record (fun c_node c_at_us c_recover_us -> { c_node; c_at_us; c_recover_us })
+    |> mem "node" int (fun c -> c.c_node)
+    |> mem "at_us" int (fun c -> c.c_at_us)
+    |> mem "recover_us" node (fun c -> c.c_recover_us)
+    |> seal
+  in
+  let skew =
+    record (fun node skew_us -> (node, skew_us))
+    |> mem "node" int fst |> mem "skew_us" int snd |> seal
+  in
+  let eclipse =
+    record (fun e_victim e_from_us e_until_us e_owned e_diverse e_delay_us ->
+        { e_victim; e_from_us; e_until_us; e_owned; e_diverse; e_delay_us })
+    |> mem "victim" int (fun e -> e.e_victim)
+    |> mem "from_us" int (fun e -> e.e_from_us)
+    |> mem "until_us" int (fun e -> e.e_until_us)
+    |> mem "owned" (list int) (fun e -> e.e_owned)
+    |> mem "diverse" (list int) (fun e -> e.e_diverse)
+    |> mem "delay_us" node (fun e -> e.e_delay_us)
+    |> seal
+  in
+  let inflation =
+    record (fun d_from_us d_until_us d_a d_b d_extra_us ->
+        { d_from_us; d_until_us; d_a; d_b; d_extra_us })
+    |> mem "from_us" int (fun d -> d.d_from_us)
+    |> mem "until_us" int (fun d -> d.d_until_us)
+    |> mem "a" (list int) (fun d -> d.d_a)
+    |> mem "b" (list int) (fun d -> d.d_b)
+    |> mem "extra_us" int (fun d -> d.d_extra_us)
+    |> seal
+  in
+  record (fun losses partitions crashes skews_us eclipses inflations ->
+      { losses; partitions; crashes; skews_us; eclipses; inflations })
+  |> mem "losses" (list loss) (fun p -> p.losses)
+  |> mem "partitions" (list partition) (fun p -> p.partitions)
+  |> mem "crashes" (list crash) (fun p -> p.crashes)
+  |> mem "skews" (list skew) (fun p -> p.skews_us)
+  |> mem "eclipses" ~default:[] (list eclipse) (fun p -> p.eclipses)
+  |> mem "inflations" ~default:[] (list inflation) (fun p -> p.inflations)
+  |> seal
 
-let adversary_to_json = function
-  | None -> Metrics.Json.Null
-  | Some (Sim.Adversary.Pre_gst { gst; max_extra }) ->
-      Metrics.Json.Obj
-        [
-          ("kind", Metrics.Json.Str "pre-gst");
-          ("gst_us", Metrics.Json.Int gst);
-          ("max_extra_us", Metrics.Json.Int max_extra);
-        ]
-  | Some (Sim.Adversary.Targeted { gst; max_extra; victims }) ->
-      Metrics.Json.Obj
-        [
-          ("kind", Metrics.Json.Str "targeted");
-          ("gst_us", Metrics.Json.Int gst);
-          ("max_extra_us", Metrics.Json.Int max_extra);
-          ( "victims",
-            Metrics.Json.List (List.map (fun i -> Metrics.Json.Int i) victims)
-          );
-        ]
-
-let to_json t =
-  Metrics.Json.Obj
-    [
-      ("version", Metrics.Json.Int version);
-      ("protocol", Metrics.Json.Str t.protocol);
-      ("knob", Metrics.Json.Str t.knob);
-      ("n", Metrics.Json.Int t.n);
-      ("seed", Metrics.Json.Int (Int64.to_int t.seed));
-      ("duration_us", Metrics.Json.Int t.duration_us);
-      ("clients", Metrics.Json.Int t.clients);
-      ("faults", faults_to_json t.faults);
-      ("adversary", adversary_to_json t.adversary);
-      ("perturb", Metrics.Json.List (List.map perturb_op_to_json t.perturb));
-    ]
-
-(* Hand-rolled result-typed parsing: the op objects are tagged unions,
-   which the structural schema checker cannot express. *)
-let ( let* ) r f = Result.bind r f
-
-let field name v =
-  match Metrics.Json.member name v with
-  | Some x -> Ok x
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let as_int name v =
-  let* x = field name v in
-  match x with
-  | Metrics.Json.Int i -> Ok i
-  | _ -> Error (Printf.sprintf "field %S: expected int" name)
-
-let as_str name v =
-  let* x = field name v in
-  match x with
-  | Metrics.Json.Str s -> Ok s
-  | _ -> Error (Printf.sprintf "field %S: expected string" name)
-
-let as_num name v =
-  let* x = field name v in
-  match x with
-  | Metrics.Json.Float f -> Ok f
-  | Metrics.Json.Int i -> Ok (float_of_int i)
-  | _ -> Error (Printf.sprintf "field %S: expected number" name)
-
-let as_opt_int name v =
-  let* x = field name v in
-  match x with
-  | Metrics.Json.Null -> Ok None
-  | Metrics.Json.Int i -> Ok (Some i)
-  | _ -> Error (Printf.sprintf "field %S: expected int or null" name)
-
-let as_list name v =
-  let* x = field name v in
-  match x with
-  | Metrics.Json.List l -> Ok l
-  | _ -> Error (Printf.sprintf "field %S: expected list" name)
-
-(* Fields that version 1 did not have: absent reads as empty. *)
-let as_list_default name v =
-  match Metrics.Json.member name v with
-  | None -> Ok []
-  | Some (Metrics.Json.List l) -> Ok l
-  | Some _ -> Error (Printf.sprintf "field %S: expected list" name)
-
-let map_result f l =
-  List.fold_right
-    (fun x acc ->
-      let* acc = acc in
-      let* y = f x in
-      Ok (y :: acc))
-    l (Ok [])
-
-let as_int_list name v =
-  let* l = as_list name v in
-  map_result
+let perturb_op =
+  let open Sim.Perturb in
+  let open J in
+  let nth = function Delay_nth d -> d.nth | Delay_window _ | Reverse_window _ -> 0 in
+  let extra_us = function
+    | Delay_nth { extra_us; _ } | Delay_window { extra_us; _ } -> extra_us
+    | Reverse_window _ -> 0
+  in
+  (* The two window ops share their first four members. *)
+  let win f = function
+    | Delay_window { from_us; until_us; src; dst; _ }
+    | Reverse_window { from_us; until_us; src; dst } ->
+        f from_us until_us src dst
+    | Delay_nth _ -> f 0 0 None None
+  in
+  let window r =
+    r
+    |> mem "from_us" int (win (fun from _ _ _ -> from))
+    |> mem "until_us" int (win (fun _ until _ _ -> until))
+    |> mem "src" node (win (fun _ _ src _ -> src))
+    |> mem "dst" node (win (fun _ _ _ dst -> dst))
+  in
+  tagged "op"
     (function
-      | Metrics.Json.Int i -> Ok i
-      | _ -> Error (Printf.sprintf "field %S: expected int elements" name))
-    l
+      | Delay_nth _ -> "delay-nth"
+      | Delay_window _ -> "delay-window"
+      | Reverse_window _ -> "reverse-window")
+    [
+      ( "delay-nth",
+        record (fun nth extra_us -> Delay_nth { nth; extra_us })
+        |> mem "nth" int nth |> mem "extra_us" int extra_us |> seal );
+      ( "delay-window",
+        record (fun from_us until_us src dst extra_us ->
+            Delay_window { from_us; until_us; src; dst; extra_us })
+        |> window |> mem "extra_us" int extra_us |> seal );
+      ( "reverse-window",
+        record (fun from_us until_us src dst -> Reverse_window { from_us; until_us; src; dst })
+        |> window |> seal );
+    ]
 
-let perturb_op_of_json v =
-  let* op = as_str "op" v in
-  match op with
-  | "delay-nth" ->
-      let* nth = as_int "nth" v in
-      let* extra_us = as_int "extra_us" v in
-      Ok (Sim.Perturb.Delay_nth { nth; extra_us })
-  | "delay-window" ->
-      let* from_us = as_int "from_us" v in
-      let* until_us = as_int "until_us" v in
-      let* src = as_opt_int "src" v in
-      let* dst = as_opt_int "dst" v in
-      let* extra_us = as_int "extra_us" v in
-      Ok (Sim.Perturb.Delay_window { from_us; until_us; src; dst; extra_us })
-  | "reverse-window" ->
-      let* from_us = as_int "from_us" v in
-      let* until_us = as_int "until_us" v in
-      let* src = as_opt_int "src" v in
-      let* dst = as_opt_int "dst" v in
-      Ok (Sim.Perturb.Reverse_window { from_us; until_us; src; dst })
-  | other -> Error (Printf.sprintf "unknown perturbation op %S" other)
+let adversary =
+  let open Sim.Adversary in
+  let open J in
+  let gst = function Pre_gst { gst; _ } | Targeted { gst; _ } -> gst in
+  let max_extra = function Pre_gst { max_extra; _ } | Targeted { max_extra; _ } -> max_extra in
+  let bound r = r |> mem "gst_us" int gst |> mem "max_extra_us" int max_extra in
+  tagged "kind"
+    (function Pre_gst _ -> "pre-gst" | Targeted _ -> "targeted")
+    [
+      ("pre-gst", record (fun gst max_extra -> Pre_gst { gst; max_extra }) |> bound |> seal);
+      ( "targeted",
+        record (fun gst max_extra victims -> Targeted { gst; max_extra; victims })
+        |> bound
+        |> mem "victims" (list int) (function Targeted a -> a.victims | Pre_gst _ -> [])
+        |> seal );
+    ]
 
-let faults_of_json v =
-  let* losses = as_list "losses" v in
-  let* losses =
-    map_result
-      (fun l ->
-        let* l_from_us = as_int "from_us" l in
-        let* l_until_us = as_int "until_us" l in
-        let* l_src = as_opt_int "src" l in
-        let* l_dst = as_opt_int "dst" l in
-        let* l_drop_p = as_num "drop_p" l in
-        let* l_dup_p = as_num "dup_p" l in
-        Ok
-          {
-            Sim.Faults.l_from_us;
-            l_until_us;
-            l_src;
-            l_dst;
-            l_drop_p;
-            l_dup_p;
-          })
-      losses
-  in
-  let* partitions = as_list "partitions" v in
-  let* partitions =
-    map_result
-      (fun p ->
-        let* p_from_us = as_int "from_us" p in
-        let* p_heal_us = as_int "heal_us" p in
-        let* island = as_list "island" p in
-        let* p_island =
-          map_result
-            (function
-              | Metrics.Json.Int i -> Ok i
-              | _ -> Error "island: expected int")
-            island
-        in
-        Ok { Sim.Faults.p_from_us; p_heal_us; p_island })
-      partitions
-  in
-  let* crashes = as_list "crashes" v in
-  let* crashes =
-    map_result
-      (fun c ->
-        let* c_node = as_int "node" c in
-        let* c_at_us = as_int "at_us" c in
-        let* c_recover_us = as_opt_int "recover_us" c in
-        Ok { Sim.Faults.c_node; c_at_us; c_recover_us })
-      crashes
-  in
-  let* skews = as_list "skews" v in
-  let* skews_us =
-    map_result
-      (fun s ->
-        let* node = as_int "node" s in
-        let* skew_us = as_int "skew_us" s in
-        Ok (node, skew_us))
-      skews
-  in
-  let* eclipses = as_list_default "eclipses" v in
-  let* eclipses =
-    map_result
-      (fun e ->
-        let* e_victim = as_int "victim" e in
-        let* e_from_us = as_int "from_us" e in
-        let* e_until_us = as_int "until_us" e in
-        let* e_owned = as_int_list "owned" e in
-        let* e_diverse = as_int_list "diverse" e in
-        let* e_delay_us = as_opt_int "delay_us" e in
-        Ok
-          {
-            Sim.Faults.e_victim;
-            e_from_us;
-            e_until_us;
-            e_owned;
-            e_diverse;
-            e_delay_us;
-          })
-      eclipses
-  in
-  let* inflations = as_list_default "inflations" v in
-  let* inflations =
-    map_result
-      (fun d ->
-        let* d_from_us = as_int "from_us" d in
-        let* d_until_us = as_int "until_us" d in
-        let* d_a = as_int_list "a" d in
-        let* d_b = as_int_list "b" d in
-        let* d_extra_us = as_int "extra_us" d in
-        Ok { Sim.Faults.d_from_us; d_until_us; d_a; d_b; d_extra_us })
-      inflations
-  in
-  Ok { Sim.Faults.losses; partitions; crashes; skews_us; eclipses; inflations }
-
-let adversary_of_json v =
-  match Metrics.Json.member "adversary" v with
-  | None | Some Metrics.Json.Null -> Ok None
-  | Some a -> (
-      let* kind = as_str "kind" a in
-      let* gst = as_int "gst_us" a in
-      let* max_extra = as_int "max_extra_us" a in
-      match kind with
-      | "pre-gst" -> Ok (Some (Sim.Adversary.Pre_gst { gst; max_extra }))
-      | "targeted" ->
-          let* victims = as_int_list "victims" a in
-          Ok (Some (Sim.Adversary.Targeted { gst; max_extra; victims }))
-      | other -> Error (Printf.sprintf "unknown adversary kind %S" other))
-
-let of_json v =
-  let* version_read = as_int "version" v in
-  if version_read < 1 || version_read > version then
-    Error (Printf.sprintf "unsupported repro version %d" version_read)
+(* Fail on load, not deep inside a replay: an unknown knob, out-of-range
+   nodes or inverted windows in a hand-edited artifact are user errors.
+   [desc] checks the ranges of the scalar members. *)
+let validate t =
+  if Option.is_none (Knobs.make ~protocol:t.protocol ~knob:t.knob) then
+    Error (Printf.sprintf "unknown knob %s/%s" t.protocol t.knob)
   else
-    let* protocol = as_str "protocol" v in
-    let* knob = as_str "knob" v in
-    let* n = as_int "n" v in
-    let* seed = as_int "seed" v in
-    let* duration_us = as_int "duration_us" v in
-    let* clients = as_int "clients" v in
-    let* faults_v = field "faults" v in
-    let* faults = faults_of_json faults_v in
-    let* adversary = adversary_of_json v in
-    let* perturb_l = as_list "perturb" v in
-    let* perturb = map_result perturb_op_of_json perturb_l in
-    let t =
-      {
-        protocol;
-        knob;
-        n;
-        seed = Int64.of_int seed;
-        duration_us;
-        clients;
-        faults;
-        adversary;
-        perturb;
-      }
-    in
-    (* Fail on load, not deep inside a replay: a hand-edited artifact
-       with out-of-range nodes or inverted windows is a user error. *)
-    (try
-       Sim.Faults.validate t.faults ~n:t.n;
-       Option.iter (fun a -> Sim.Adversary.validate a ~n:t.n) t.adversary;
-       Sim.Perturb.validate t.perturb ~n:t.n;
-       Ok t
-     with Invalid_argument msg -> Error msg)
+    try
+      Sim.Faults.validate t.faults ~n:t.n;
+      Option.iter (fun a -> Sim.Adversary.validate a ~n:t.n) t.adversary;
+      Sim.Perturb.validate t.perturb ~n:t.n;
+      Ok t
+    with Invalid_argument msg -> Error msg
 
-let to_string t = Metrics.Json.to_string (to_json t)
+let desc =
+  let within ?(hi = max_int) lo =
+    J.conv Fun.id
+      (fun v ->
+        if v < lo then Error (Printf.sprintf "%d is below %d" v lo)
+        else if v > hi then Error (Printf.sprintf "%d is above %d" v hi)
+        else Ok v)
+      J.int
+  in
+  J.(
+    record
+      (fun _version protocol knob n seed duration_us clients faults adversary perturb ->
+        { protocol; knob; n; seed; duration_us; clients; faults; adversary; perturb })
+    |> mem "version" (within 1 ~hi:version) (fun _ -> version)
+    |> mem "protocol" str (fun t -> t.protocol)
+    |> mem "knob" str (fun t -> t.knob)
+    |> mem "n" (within 1) (fun t -> t.n)
+    |> mem "seed" (conv Int64.to_int (fun s -> Ok (Int64.of_int s)) int) (fun t -> t.seed)
+    |> mem "duration_us" (within 1) (fun t -> t.duration_us)
+    |> mem "clients" (within 0) (fun t -> t.clients)
+    |> mem "faults" plan (fun t -> t.faults)
+    |> mem "adversary" ~default:None (option adversary) (fun t -> t.adversary)
+    |> mem "perturb" (list perturb_op) (fun t -> t.perturb)
+    |> seal
+    |> conv Fun.id validate)
 
-let of_string s =
-  let* v = Metrics.Json.of_string s in
-  of_json v
+let to_json = J.value desc
+
+let of_json = J.read desc
+
+let to_string t = J.to_string (to_json t)
+
+let of_string s = Result.bind (J.of_string s) of_json

@@ -51,10 +51,18 @@ val check : t -> Harness.Scenario.result -> Harness.Oracle.finding list
     still load with those empty. *)
 val version : int
 
+(** The artifact's one description: {!to_json}, {!of_json} and the
+    schema that {!Metrics.Json.write_file} checks all derive from it.
+    Reading rejects [n < 1], [duration_us <= 0], [clients < 0], a
+    protocol/knob pair {!Knobs.make} does not know, and whatever
+    {!Sim.Faults.validate}, {!Sim.Adversary.validate} and
+    {!Sim.Perturb.validate} reject. *)
+val desc : t Metrics.Json.desc
+
 val to_json : t -> Metrics.Json.t
 
-(** Parses and validates (node ranges, window sanity); [Error] carries
-    a human-readable cause. *)
+(** Parses and validates (see {!desc}); [Error] carries the JSON path
+    and a human-readable cause, and no input raises. *)
 val of_json : Metrics.Json.t -> (t, string) result
 
 (** JSON round-trip as text; [of_string] composes parser and

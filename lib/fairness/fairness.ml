@@ -88,13 +88,16 @@ let inversions ~decided ~received =
   let k = Array.length ranks in
   (count_inversions ranks, k * (k - 1) / 2)
 
-let default_gammas = [ 0.55; 0.67; 0.75; 0.9; 1.0 ]
+(* The γ thresholds reported, ascending. *)
+let gammas = [ 0.55; 0.67; 0.75; 0.9; 1.0 ]
+
+(* γ-batch-order pairs are at most this many decided positions apart. *)
+let max_lag = 64
 
 (* Lower median of a sorted float array. *)
 let median_sorted (a : float array) = a.((Array.length a - 1) / 2)
 
-let score ?(gammas = default_gammas) ?(max_lag = 64) ?frontrun_success
-    ~decided ~received () =
+let score ?frontrun_success ~decided ~received () =
   let drank = decided_ranks decided in
   (* Decided keys, first occurrence only, in decided order. *)
   let dec =
@@ -136,7 +139,6 @@ let score ?(gammas = default_gammas) ?(max_lag = 64) ?frontrun_success
       received
   in
   (* γ-batch-order violations over decided pairs within [max_lag]. *)
-  let gammas = List.sort_uniq Float.compare gammas in
   let counters = List.map (fun g -> (g, ref 0, ref 0)) gammas in
   for i = 0 to k - 1 do
     let hi = min (k - 1) (i + max_lag) in

@@ -53,18 +53,14 @@ val count_inversions : int array -> int
     (unknown and repeated keys dropped) and inversions counted. *)
 val inversions : decided:string list -> received:string list -> int * int
 
-val default_gammas : float list
-
 (** [score ~decided ~received ()] computes the full report.
 
     [received] carries one [(key, first-seen µs)] log per observer in
-    arrival order; only the order is used. [max_lag] bounds the decided
-    distance of the pairs entering the γ-batch-order counts (the
-    Kendall inversion count is always exact over all pairs), keeping
-    the pass O(decided · max_lag · observers). *)
+    arrival order; only the order is used. The γ-batch-order counts
+    cover γ = 0.55, 0.67, 0.75, 0.9 and 1.0, over pairs at most 64
+    decided positions apart (the Kendall inversion count is always
+    exact over all pairs), keeping the pass O(decided · 64 · observers). *)
 val score :
-  ?gammas:float list ->
-  ?max_lag:int ->
   ?frontrun_success:float ->
   decided:string list ->
   received:(string * int) list array ->

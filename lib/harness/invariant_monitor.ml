@@ -17,8 +17,6 @@ type t = {
   counts : int array;  (* batches committed per node *)
   mutable first_violation : violation option;
   mutable violations : int;
-  check_interval_us : int;
-  stall_after_us : int;
   from_us : int;
   until_us : int;
   mutable last_progress_us : int;
@@ -26,8 +24,13 @@ type t = {
   mutable stalls_rev : (int * int) list;
 }
 
-let create engine ~n ~faults ?(check_interval_us = 100_000)
-    ?(stall_after_us = 1_000_000) ~from_us ~until_us () =
+(* The watchdog ticks every [check_interval_us]; a stall opens after
+   [stall_after_us] without cluster-wide progress. *)
+let check_interval_us = 100_000
+
+let stall_after_us = 1_000_000
+
+let create engine ~n ~faults ~from_us ~until_us () =
   {
     engine;
     faults;
@@ -36,8 +39,6 @@ let create engine ~n ~faults ?(check_interval_us = 100_000)
     counts = Array.make n 0;
     first_violation = None;
     violations = 0;
-    check_interval_us;
-    stall_after_us;
     from_us;
     until_us;
     last_progress_us = from_us;
@@ -86,7 +87,7 @@ let on_commit t ~node ~key =
 
 let tick t =
   let now = Sim.Engine.now t.engine in
-  let stalled = now - t.last_progress_us > t.stall_after_us in
+  let stalled = now - t.last_progress_us > stall_after_us in
   match (t.stall_open, stalled) with
   | None, true -> t.stall_open <- Some t.last_progress_us
   | Some started, false ->
@@ -103,10 +104,10 @@ let start t =
       ignore
         (Sim.Engine.schedule_at t.engine ~time (fun () ->
              tick t;
-             arm (time + t.check_interval_us))
+             arm (time + check_interval_us))
           : Sim.Engine.timer)
   in
-  arm (t.from_us + t.check_interval_us)
+  arm (t.from_us + check_interval_us)
 
 let finalize t =
   (match t.stall_open with
@@ -115,7 +116,7 @@ let finalize t =
       t.stall_open <- None
   | None ->
       let now = Sim.Engine.now t.engine in
-      if now - t.last_progress_us > t.stall_after_us then
+      if now - t.last_progress_us > stall_after_us then
         t.stalls_rev <- (t.last_progress_us, now) :: t.stalls_rev)
 
 let first_violation t = t.first_violation

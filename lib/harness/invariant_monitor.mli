@@ -14,7 +14,7 @@
       A violation carries the fault events active at that instant.
     - {b liveness}: a watchdog ticks through the observation window and
       records [(start, end)] stall windows during which no node in the
-      cluster committed anything for more than [stall_after_us].
+      cluster committed anything for more than 1 s.
       Stalls are measurements, not violations — a partition is
       *expected* to stall consensus; the point is to see it. *)
 
@@ -29,9 +29,8 @@ type violation = {
 type t
 
 (** [create engine ~n ~faults ~from_us ~until_us ()] — the watchdog
-    observes \[[from_us], [until_us]\] (ticks every
-    [check_interval_us], default 100 ms; a stall opens after
-    [stall_after_us] without cluster-wide progress, default 1 s).
+    observes \[[from_us], [until_us]\] (ticks every 100 ms; a stall
+    opens after 1 s without cluster-wide progress).
     Commit checking is active from the first {!on_commit} regardless of
     the window. The monitor only reads engine time and never touches
     the RNG, so attaching it cannot perturb a run. *)
@@ -39,8 +38,6 @@ val create :
   Sim.Engine.t ->
   n:int ->
   faults:Sim.Faults.plan ->
-  ?check_interval_us:int ->
-  ?stall_after_us:int ->
   from_us:int ->
   until_us:int ->
   unit ->

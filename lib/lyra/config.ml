@@ -7,17 +7,11 @@ type t = {
   max_inflight : int;
   status_interval_us : int;
   warmup_proposals : int;
-  warmup_spacing_us : int;
-  ewma_alpha : float;
   real_crypto : bool;
   vss_scheme : Crypto.Vss.scheme;
   max_rounds : int;
   tx_size : int;
   clock_offset_max_us : int;
-  future_bound_us : int;
-  sync_patience_us : int;
-  sync_batch : int;
-  isolation_gap_us : int;
   retransmit_after_us : int;
   retransmit_interval_us : int;
   skip_window_check : bool;
@@ -33,21 +27,27 @@ let default ~n =
     max_inflight = 8;
     status_interval_us = 25_000;
     warmup_proposals = 4;
-    warmup_spacing_us = 120_000;
-    ewma_alpha = 0.3;
     real_crypto = false;
     vss_scheme = Crypto.Vss.Hashed;
     max_rounds = 64;
     tx_size = 32;
     clock_offset_max_us = 2_000;
-    future_bound_us = 1_000_000;
-    sync_patience_us = 1_000_000;
-    sync_batch = 64;
-    isolation_gap_us = 250_000;
     retransmit_after_us = 2_000_000;
     retransmit_interval_us = 500_000;
     skip_window_check = false;
   }
+
+let warmup_spacing_us = 120_000
+
+let ewma_alpha = 0.3
+
+let future_bound_us = 1_000_000
+
+let sync_patience_us = 1_000_000
+
+let sync_batch = 64
+
+let isolation_gap_us = 250_000
 
 let l_us t = 3 * t.delta_us
 

@@ -9,27 +9,11 @@ type t = {
   max_inflight : int;  (** cap on a node's undecided own proposals *)
   status_interval_us : int;  (** heartbeat period for commit gossip *)
   warmup_proposals : int;  (** distance-measurement proposals (§IV-B1) *)
-  warmup_spacing_us : int;
-  ewma_alpha : float;  (** smoothing of distance estimates d_ij *)
   real_crypto : bool;  (** run signatures/VSS for real, or charge costs only *)
   vss_scheme : Crypto.Vss.scheme;  (** payload obfuscation scheme *)
   max_rounds : int;  (** per-instance round bound (safety net) *)
   tx_size : int;  (** bytes per transaction payload (32 in the paper) *)
   clock_offset_max_us : int;  (** spread of unsynchronized node clocks *)
-  future_bound_us : int;  (** reject requested seqs this far in the future
-                              (§VI-D memory-exhaustion mitigation) *)
-  sync_patience_us : int;
-      (** lag (vs the f+1-th highest peer output count) with no local
-          progress for this long triggers an output-log sync pull;
-          generous enough that healthy commit gaps never trip it *)
-  sync_batch : int;  (** max entries per [Sync_resp] *)
-  isolation_gap_us : int;
-      (** a node that has not heard from a quorum within this window
-          was cut off (crash or minority partition); it enters a
-          probation in which any observed lag starts a sync pull
-          immediately, before a stale commit boundary can emit
-          out-of-order. Healthy heartbeats arrive every 25 ms, so the
-          default (250 ms) never trips on a live cluster *)
   retransmit_after_us : int;
       (** instances still undecided after this long get a periodic
           [Nudge] + state rebroadcast (lossy-link repair) *)
@@ -45,6 +29,33 @@ type t = {
 
 (** [default ~n] — paper defaults: λ = 5 ms, Δ = 160 ms, batch 800. *)
 val default : n:int -> t
+
+(** {2 Fixed protocol constants} *)
+
+(** Spacing of the distance-measurement proposals (§IV-B1): 120 ms. *)
+val warmup_spacing_us : int
+
+(** Smoothing of the distance estimates d_ij: 0.3. *)
+val ewma_alpha : float
+
+(** Requested seqs this far in the future are rejected (§VI-D
+    memory-exhaustion mitigation): 1 s. *)
+val future_bound_us : int
+
+(** Lag (vs the f+1-th highest peer output count) with no local
+    progress for this long triggers an output-log sync pull: 1 s,
+    generous enough that healthy commit gaps never trip it. *)
+val sync_patience_us : int
+
+(** Max entries per [Sync_resp]: 64. *)
+val sync_batch : int
+
+(** A node that has not heard from a quorum within this window (250 ms)
+    was cut off (crash or minority partition); it enters a probation in
+    which any observed lag starts a sync pull immediately, before a
+    stale commit boundary can emit out-of-order. Healthy heartbeats
+    arrive every 25 ms, so this never trips on a live cluster. *)
+val isolation_gap_us : int
 
 (** Maximum BOC latency L = 3Δ (Alg. 4 line 52), the acceptance
     window. *)

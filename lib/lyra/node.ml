@@ -474,7 +474,7 @@ let validate t (proposal : Types.proposal) ~seq_obs =
                guard — deliberately unsound, explorer self-test only. *)
             cfg.skip_window_check
             || (s > seq_obs - Config.l_us cfg
-               && s < seq_obs + cfg.future_bound_us))
+               && s < seq_obs + Config.future_bound_us))
   in
   (* A slow INIT can arrive after the instance already decided from the
      other processes' messages; booking it as pending then would leave a
@@ -900,7 +900,7 @@ let sync_tick t =
     else
       match t.lag_since with
       | Some (since, count) when Int.equal count t.output_count ->
-          if now - since > t.config.sync_patience_us then begin
+          if now - since > Config.sync_patience_us then begin
             t.sync_active <- true;
             t.syncs_started <- t.syncs_started + 1;
             send_sync_req t
@@ -910,7 +910,7 @@ let sync_tick t =
 
 let on_sync_req t ~src ~from_count =
   if from_count >= 0 && from_count < t.output_count then begin
-    let upto = min t.output_count (from_count + t.config.sync_batch) in
+    let upto = min t.output_count (from_count + Config.sync_batch) in
     (* outputs_rev is newest first; walk down collecting the slice
        [from_count, upto) in ascending order. *)
     let rec collect acc idx = function
@@ -1153,11 +1153,11 @@ let isolation_check t ~src ~now =
   let heard = ref 0 in
   Array.iteri
     (fun i at ->
-      if Int.equal i t.id || now - at <= t.config.isolation_gap_us then
+      if Int.equal i t.id || now - at <= Config.isolation_gap_us then
         incr heard)
     t.last_rx;
   if !heard < Config.quorum t.config then
-    t.probation_until <- now + t.config.isolation_gap_us
+    t.probation_until <- now + Config.isolation_gap_us
 
 let on_message t ~src (msg : Types.msg) =
   let now = Sim.Engine.now t.engine in
@@ -1218,11 +1218,11 @@ let warmup t =
   (* Per-node jitter: synchronized warm-up bursts across the whole
      cluster would bias the distance measurements with self-inflicted
      queueing that is absent at client time. *)
-  let jitter = Crypto.Rng.int t.rng (max 1 (t.config.warmup_spacing_us / 2)) in
+  let jitter = Crypto.Rng.int t.rng (max 1 (Config.warmup_spacing_us / 2)) in
   for k = 0 to t.config.warmup_proposals - 1 do
     ignore
       (Sim.Engine.schedule t.engine
-         ~delay:((k * t.config.warmup_spacing_us) + jitter)
+         ~delay:((k * Config.warmup_spacing_us) + jitter)
          (fun () ->
            if not (Sim.Network.is_crashed t.net t.id) then
              propose_batch t (fresh_txs t 1))
@@ -1247,7 +1247,7 @@ let start t =
         warmup t;
         ignore
           (Sim.Engine.schedule t.engine
-             ~delay:(t.config.warmup_proposals * t.config.warmup_spacing_us)
+             ~delay:(t.config.warmup_proposals * Config.warmup_spacing_us)
              (fun () -> flood_loop t batches_per_sec)
             : Sim.Engine.timer)
     | _ ->
@@ -1269,7 +1269,7 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
       engine;
       clock = Ordering_clock.create engine ~offset_us:clock_offset_us;
       predictor =
-        Predictor.create ~n:config.Config.n ~alpha:config.Config.ewma_alpha
+        Predictor.create ~n:config.Config.n ~alpha:Config.ewma_alpha
           ~self:id;
       commit = Commit_state.create ~n:config.Config.n ~f:(Dbft.Quorums.max_faulty config.Config.n);
       keys;
@@ -1326,7 +1326,7 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
      and the lag becomes visible — probation makes that immediate. *)
   Sim.Network.on_recover net ~id (fun () ->
       t.probation_until <-
-        Sim.Engine.now engine + config.Config.isolation_gap_us;
+        Sim.Engine.now engine + Config.isolation_gap_us;
       maybe_propose t);
   t
 

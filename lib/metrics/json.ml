@@ -176,59 +176,43 @@ let of_string s =
         | Some f -> Float f
         | None -> fail "bad number")
   in
-  let rec parse_value () =
+  (* [sequence close item] — the items of an array or object after its
+     opening bracket, up to [close]. *)
+  let sequence close item =
+    advance ();
+    skip_ws ();
+    if peek () = Some close then begin
+      advance ();
+      []
+    end
+    else
+      let rec items acc =
+        let v = item () in
+        skip_ws ();
+        match peek () with
+        | Some ',' ->
+            advance ();
+            items (v :: acc)
+        | Some c when Char.equal c close ->
+            advance ();
+            List.rev (v :: acc)
+        | _ -> fail (Printf.sprintf "expected ',' or '%c'" close)
+      in
+      items []
+  in
+  let rec member () =
+    skip_ws ();
+    let k = parse_string () in
+    skip_ws ();
+    expect ':';
+    (k, parse_value ())
+  and parse_value () =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
     | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec fields acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                fields ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          Obj (fields [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else begin
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          List (items [])
-        end
+    | Some '{' -> Obj (sequence '}' member)
+    | Some '[' -> List (sequence ']' parse_value)
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
     | Some 'n' -> literal "null" Null
@@ -257,6 +241,12 @@ type schema =
   | Nullable of schema
   | List_of of schema
   | Obj_of of (string * schema) list  (** exactly these keys, any order *)
+  | Tagged of string * (string * schema) list
+      (** the string member names the case *)
+
+let rec first_error f = function
+  | [] -> Ok ()
+  | x :: rest -> Result.bind (f x) (fun () -> first_error f rest)
 
 let rec validate schema v ~path =
   let err want =
@@ -270,49 +260,42 @@ let rec validate schema v ~path =
   | Nullable _, Null -> Ok ()
   | Nullable inner, v -> validate inner v ~path
   | List_of inner, List items ->
-      let rec go i = function
-        | [] -> Ok ()
-        | x :: rest -> (
-            match validate inner x ~path:(Printf.sprintf "%s[%d]" path i) with
-            | Ok () -> go (i + 1) rest
-            | Error _ as e -> e)
-      in
-      go 0 items
-  | Obj_of spec, Obj fields ->
-      let keys = List.map fst fields in
-      let missing = List.filter (fun (k, _) -> not (List.mem k keys)) spec in
-      let extra =
-        List.filter (fun k -> not (List.exists (fun (k', _) -> String.equal k k') spec)) keys
-      in
-      if missing <> [] then
-        Error (Printf.sprintf "%s: missing key %S" path (fst (List.hd missing)))
-      else if extra <> [] then
-        Error (Printf.sprintf "%s: unexpected key %S" path (List.hd extra))
-      else
-        let rec go = function
-          | [] -> Ok ()
-          | (k, inner) :: rest -> (
-              match
-                validate inner (List.assoc k fields) ~path:(path ^ "." ^ k)
-              with
-              | Ok () -> go rest
-              | Error _ as e -> e)
-        in
-        go spec
+      first_error
+        (fun (i, x) -> validate inner x ~path:(Printf.sprintf "%s[%d]" path i))
+        (List.mapi (fun i x -> (i, x)) items)
+  | Obj_of spec, Obj fields -> (
+      let known k = List.exists (fun (k', _) -> String.equal k k') in
+      match
+        ( List.find_opt (fun (k, _) -> not (known k fields)) spec,
+          List.find_opt (fun (k, _) -> not (known k spec)) fields )
+      with
+      | Some (k, _), _ -> Error (Printf.sprintf "%s: missing key %S" path k)
+      | None, Some (k, _) -> Error (Printf.sprintf "%s: unexpected key %S" path k)
+      | None, None ->
+          first_error
+            (fun (k, inner) -> validate inner (List.assoc k fields) ~path:(path ^ "." ^ k))
+            spec)
+  | Tagged (key, cases), Obj fields -> (
+      match List.assoc_opt key fields with
+      | Some (Str tag) when List.mem_assoc tag cases ->
+          validate (List.assoc tag cases) v ~path
+      | _ -> err (Printf.sprintf "a known %S tag" key))
   | Bool_s, _ -> err "bool"
   | Int_s, _ -> err "int"
   | Num_s, _ -> err "number"
   | Str_s, _ -> err "string"
   | List_of _, _ -> err "array"
-  | Obj_of _, _ -> err "object"
+  | (Obj_of _ | Tagged _), _ -> err "object"
 
 let check schema v = validate schema v ~path:""
 
 (* ------------------------------------------------------------------ *)
-(* Typed descriptions: schema and value from one definition.           *)
+(* Typed descriptions: schema, writer and reader from one definition.  *)
+(* A reader's error starts with the path below the value it read       *)
+(* (".key", "[i]") followed by ": cause"; [read] roots it at "$".      *)
 (* ------------------------------------------------------------------ *)
 
-type 'a desc = { schema : schema; render : 'a -> t }
+type 'a desc = { schema : schema; render : 'a -> t; read : t -> ('a, string) result }
 
 type 'a field = { key : string; fschema : schema; get : 'a -> t }
 
@@ -320,32 +303,108 @@ let schema d = d.schema
 
 let value d x = d.render x
 
-let int = { schema = Int_s; render = (fun i -> Int i) }
+let read d v = Result.map_error (fun e -> "$" ^ e) (d.read v)
 
-let float = { schema = Num_s; render = num }
+let leaf schema want render of_t =
+  let read v = Option.to_result ~none:(": expected " ^ want) (of_t v) in
+  { schema; render; read }
 
-let str = { schema = Str_s; render = (fun s -> Str s) }
+let int = leaf Int_s "int" (fun i -> Int i) (function Int i -> Some i | _ -> None)
 
-let bool = { schema = Bool_s; render = (fun b -> Bool b) }
+let float =
+  leaf Num_s "number" num (function Float x -> Some x | Int i -> Some (float_of_int i) | _ -> None)
 
-let nullable d = { d with schema = Nullable d.schema }
+let str = leaf Str_s "string" (fun s -> Str s) (function Str s -> Some s | _ -> None)
+
+let bool = leaf Bool_s "bool" (fun b -> Bool b) (function Bool b -> Some b | _ -> None)
+
+(* [num] writes NaN as null, so null reads back as whatever [d] makes
+   of NaN: NaN for [float], an error for the other leaves. *)
+let nullable d =
+  let read = function Null -> d.read (Float Float.nan) | v -> d.read v in
+  { d with schema = Nullable d.schema; read }
 
 let option d =
   {
     schema = Nullable d.schema;
     render = (function None -> Null | Some x -> d.render x);
+    read = (function Null -> Ok None | v -> Result.map Option.some (d.read v));
   }
 
 let list d =
-  { schema = List_of d.schema; render = (fun xs -> List (List.map d.render xs)) }
+  let rec read_all i acc = function
+    | [] -> Ok (List.rev acc)
+    | v :: rest -> (
+        match d.read v with
+        | Ok x -> read_all (i + 1) (x :: acc) rest
+        | Error e -> Error (Printf.sprintf "[%d]%s" i e))
+  in
+  {
+    schema = List_of d.schema;
+    render = (fun xs -> List (List.map d.render xs));
+    read = (function List vs -> read_all 0 [] vs | _ -> Error ": expected array");
+  }
 
 let obj fields =
   {
     schema = Obj_of (List.map (fun f -> (f.key, f.fschema)) fields);
     render = (fun x -> Obj (List.map (fun f -> (f.key, f.get x)) fields));
+    read = (fun _ -> Error ": write-only description");
   }
 
 let field key d get = { key; fschema = d.schema; get = (fun x -> d.render (get x)) }
+
+(* Fields accumulate in reverse; [build] applies the constructor to the
+   members read so far, in declaration order. *)
+type ('r, 'k) record = {
+  fields : 'r field list;
+  build : (string * t) list -> ('k, string) result;
+}
+
+let record ctor = { fields = []; build = (fun _ -> Ok ctor) }
+
+let mem ?default key d get r =
+  let read_mem members =
+    match (List.assoc_opt key members, default) with
+    | Some v, _ -> Result.map_error (fun e -> "." ^ key ^ e) (d.read v)
+    | None, Some x -> Ok x
+    | None, None -> Error (Printf.sprintf ": missing key %S" key)
+  in
+  {
+    fields = field key d get :: r.fields;
+    build =
+      (fun members ->
+        Result.bind (r.build members) (fun k -> Result.map k (read_mem members)));
+  }
+
+let seal r =
+  {
+    (obj (List.rev r.fields)) with
+    read = (function Obj members -> r.build members | _ -> Error ": expected object");
+  }
+
+let tagged key tag cases =
+  let with_tag = function Obj_of spec -> Obj_of ((key, Str_s) :: spec) | s -> s in
+  {
+    schema = Tagged (key, List.map (fun (name, d) -> (name, with_tag d.schema)) cases);
+    render =
+      (fun x ->
+        match (List.assoc (tag x) cases).render x with
+        | Obj members -> Obj ((key, Str (tag x)) :: members)
+        | v -> v);
+    read =
+      (fun v ->
+        match member key v with
+        | Some (Str name) when List.mem_assoc name cases -> (List.assoc name cases).read v
+        | _ -> Error (Printf.sprintf ": expected a known %S tag" key));
+  }
+
+let conv write of_a d =
+  {
+    schema = d.schema;
+    render = (fun x -> d.render (write x));
+    read = (fun v -> Result.bind (d.read v) (fun a -> Result.map_error (( ^ ) ": ") (of_a a)));
+  }
 
 let write_file ~file d x =
   Out_channel.with_open_text file (fun oc -> output_string oc (to_string (d.render x)));

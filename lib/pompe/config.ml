@@ -9,10 +9,6 @@ type t = {
   real_crypto : bool;
   tx_size : int;
   clock_offset_max_us : int;
-  fetch_base_us : int;
-  fetch_retry_max : int;
-  order_retry_us : int;
-  order_retry_max : int;
 }
 
 let default ~n =
@@ -27,11 +23,15 @@ let default ~n =
     real_crypto = false;
     tx_size = 32;
     clock_offset_max_us = 2_000;
-    fetch_base_us = 200_000;
-    fetch_retry_max = 10;
-    order_retry_us = 1_000_000;
-    order_retry_max = 8;
   }
+
+let fetch_base_us = 200_000
+
+let fetch_retry_max = 10
+
+let order_retry_us = 1_000_000
+
+let order_retry_max = 8
 
 let f t = Dbft.Quorums.max_faulty t.n
 

@@ -13,13 +13,23 @@ type t = {
   real_crypto : bool;
   tx_size : int;
   clock_offset_max_us : int;
-  fetch_base_us : int;  (** first payload-fetch backoff step *)
-  fetch_retry_max : int;  (** payload fetch attempts before giving up *)
-  order_retry_us : int;  (** first Order_req re-broadcast delay *)
-  order_retry_max : int;  (** ordering-phase retries before giving up *)
 }
 
 val default : n:int -> t
+
+(** {2 Fixed retry constants} *)
+
+(** First payload-fetch backoff step: 200 ms. *)
+val fetch_base_us : int
+
+(** Payload fetch attempts before giving up: 10. *)
+val fetch_retry_max : int
+
+(** First Order_req re-broadcast delay: 1 s. *)
+val order_retry_us : int
+
+(** Ordering-phase retries before giving up: 8. *)
+val order_retry_max : int
 
 val f : t -> int
 

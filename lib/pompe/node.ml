@@ -110,15 +110,15 @@ let fetch_payload t iid now =
   match Hashtbl.find_opt t.payload_waits iid with
   | None ->
       Hashtbl.replace t.payload_waits iid
-        { attempts = 1; next_at = now + t.config.fetch_base_us };
+        { attempts = 1; next_at = now + Config.fetch_base_us };
       send t ~dst:iid.Lyra.Types.proposer (Types.Order_fetch { iid });
       false
   | Some w ->
-      if w.attempts >= t.config.fetch_retry_max then true
+      if w.attempts >= Config.fetch_retry_max then true
       else begin
         if now >= w.next_at then begin
           w.attempts <- w.attempts + 1;
-          w.next_at <- now + (t.config.fetch_base_us lsl min 6 w.attempts);
+          w.next_at <- now + (Config.fetch_base_us lsl min 6 w.attempts);
           send t ~dst:iid.Lyra.Types.proposer (Types.Order_fetch { iid })
         end;
         false
@@ -339,12 +339,12 @@ and propose_batch t txs =
    (generous enough never to fire on a healthy run), then give up and
    free the slot. *)
 and arm_order_retry t index batch attempt =
-  let delay = t.config.order_retry_us * (1 lsl min 4 (attempt - 1)) in
+  let delay = Config.order_retry_us * (1 lsl min 4 (attempt - 1)) in
   ignore
     (Sim.Engine.schedule t.engine ~delay (fun () ->
          match Hashtbl.find_opt t.collects index with
          | Some col when not col.done_ ->
-             if attempt >= t.config.order_retry_max then begin
+             if attempt >= Config.order_retry_max then begin
                col.done_ <- true;
                t.order_giveups <- t.order_giveups + 1;
                t.inflight <- max 0 (t.inflight - 1);

@@ -17,7 +17,10 @@ let uniform ~lo ~hi =
     sample = (fun rng ~src:_ ~dst:_ -> lo + Crypto.Rng.int rng (hi - lo + 1));
   }
 
-let regional ?(jitter = 0.05) ?(floor_us = 50) regions =
+(* No sampled link delay drops below this, however wide the jitter. *)
+let floor_us = 50
+
+let regional ?(jitter = 0.05) regions =
   let base ~src ~dst = Regions.one_way_us regions.(src) regions.(dst) in
   let sample rng ~src ~dst =
     let b = base ~src ~dst in

@@ -17,9 +17,8 @@ val uniform : lo:int -> hi:int -> t
 
 (** [regional regions] derives delays from the region of each endpoint
     (see {!Regions.one_way_us}), plus truncated-Gaussian jitter of
-    relative width [jitter] (default 0.05) and at least [floor_us]
-    (default 50). *)
-val regional : ?jitter:float -> ?floor_us:int -> Regions.t array -> t
+    relative width [jitter] (default 0.05), and at least 50 µs. *)
+val regional : ?jitter:float -> Regions.t array -> t
 
 (** [base_us t ~src ~dst] is the jitter-free base delay, used by nodes
     that reason about expected distances. *)

@@ -89,34 +89,3 @@ let validate t ~n =
           Option.iter (node "reverse src") w.src;
           Option.iter (node "reverse dst") w.dst)
     t
-
-let endpoint_to_string = function None -> "*" | Some id -> string_of_int id
-
-let op_to_string = function
-  | Delay_nth d -> Printf.sprintf "delay-nth(%d,+%dus)" d.nth d.extra_us
-  | Delay_window w ->
-      Printf.sprintf "delay[%d,%d)%s->%s(+%dus)" w.from_us w.until_us
-        (endpoint_to_string w.src) (endpoint_to_string w.dst) w.extra_us
-  | Reverse_window w ->
-      Printf.sprintf "reverse[%d,%d)%s->%s" w.from_us w.until_us
-        (endpoint_to_string w.src) (endpoint_to_string w.dst)
-
-let to_string t = String.concat "; " (List.map op_to_string t)
-
-let op_equal a b =
-  match (a, b) with
-  | Delay_nth x, Delay_nth y -> Int.equal x.nth y.nth && Int.equal x.extra_us y.extra_us
-  | Delay_window x, Delay_window y ->
-      Int.equal x.from_us y.from_us
-      && Int.equal x.until_us y.until_us
-      && Option.equal Int.equal x.src y.src
-      && Option.equal Int.equal x.dst y.dst
-      && Int.equal x.extra_us y.extra_us
-  | Reverse_window x, Reverse_window y ->
-      Int.equal x.from_us y.from_us
-      && Int.equal x.until_us y.until_us
-      && Option.equal Int.equal x.src y.src
-      && Option.equal Int.equal x.dst y.dst
-  | (Delay_nth _ | Delay_window _ | Reverse_window _), _ -> false
-
-let equal a b = List.equal op_equal a b

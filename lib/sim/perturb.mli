@@ -53,12 +53,3 @@ val extra_us : t -> now:int -> src:int -> dst:int -> nth:int -> int
 (** Raises [Invalid_argument] on negative delays/indices, empty windows
     or out-of-range endpoints. *)
 val validate : t -> n:int -> unit
-
-val op_to_string : op -> string
-
-(** Human-readable rendering, e.g. for shrink logs and repro files. *)
-val to_string : t -> string
-
-val op_equal : op -> op -> bool
-
-val equal : t -> t -> bool

@@ -334,6 +334,54 @@ let prop_json_desc_round_trip =
              | Error _ -> false)
            [ true; false ]))
 
+(* Readable descriptions: a record reads back what it renders (NaN in a
+   nullable float included), a missing member falls back to its default
+   or fails with its path, and a tagged union dispatches on its tag. *)
+let test_json_desc_reads () =
+  let open Metrics.Json in
+  let pt =
+    record (fun on x tags -> (on, x, tags))
+    |> mem "on" bool (fun (on, _, _) -> on)
+    |> mem "x" (nullable float) (fun (_, x, _) -> x)
+    |> mem "tags" ~default:[] (list str) (fun (_, _, tags) -> tags)
+    |> seal
+  in
+  let at = function `Dot p | `Span (p, _) -> p in
+  let shape =
+    tagged "kind"
+      (function `Dot _ -> "dot" | `Span _ -> "span")
+      [
+        ("dot", record (fun p -> `Dot p) |> mem "at" pt at |> seal);
+        ( "span",
+          record (fun p n -> `Span (p, n))
+          |> mem "at" pt at
+          |> mem "n" (conv Int64.to_int (fun i -> Ok (Int64.of_int i)) int)
+               (function `Span (_, n) -> n | `Dot _ -> 0L)
+          |> seal );
+      ]
+  in
+  let expect_error label want v =
+    match read shape v with
+    | Ok _ -> Alcotest.failf "%s: accepted" label
+    | Error e -> Alcotest.(check string) label want e
+  in
+  let span = `Span ((true, Float.nan, [ "a"; "b" ]), 7L) in
+  let v = value shape span in
+  Alcotest.(check bool) "schema" true (check (schema shape) v = Ok ());
+  (match read shape v with
+  | Ok (`Span ((true, x, [ "a"; "b" ]), 7L)) when Float.is_nan x -> ()
+  | Ok _ | Error _ -> Alcotest.fail "span did not read back");
+  let dot members = Obj [ ("kind", Str "dot"); ("at", Obj members) ] in
+  (match read shape (dot [ ("on", Bool false); ("x", Int 2) ]) with
+  | Ok (`Dot (false, 2.0, [])) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "default member did not apply");
+  expect_error "missing member" {|$.at: missing key "x"|} (dot [ ("on", Bool true) ]);
+  expect_error "wrong leaf" "$.at.on: expected bool" (dot [ ("on", Int 1); ("x", Int 2) ]);
+  expect_error "unknown tag" {|$: expected a known "kind" tag|}
+    (Obj [ ("kind", Str "arc") ]);
+  expect_error "nested list" "$.at.tags[1]: expected string"
+    (dot [ ("on", Bool true); ("x", Int 2); ("tags", List [ Str "a"; Int 3 ]) ])
+
 let suite =
   [
     Alcotest.test_case "stats basics" `Quick test_stats_basics;
@@ -356,4 +404,5 @@ let suite =
     Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
     Alcotest.test_case "payload generators" `Quick test_payload_generators;
     prop_json_desc_round_trip;
+    Alcotest.test_case "json: readable descriptions" `Quick test_json_desc_reads;
   ]
