@@ -119,6 +119,13 @@ val run :
   unit ->
   result
 
+(** [content_digests logs] pairs each committed entry with its
+    content digest: the Merkle root of its ["tx_id:payload"] strings,
+    as in [result.honest_logs]. Entries that share a key and carry
+    the same transactions are hashed once. *)
+val content_digests :
+  Protocol.committed list array -> (string * string) list array
+
 (** Effective WAN line rate used by the experiments (ns per byte;
     ≈ 200 Mb/s per node, a realistic cross-continent TCP ceiling). *)
 val wan_ns_per_byte : int

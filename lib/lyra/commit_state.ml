@@ -7,9 +7,8 @@ type t = {
   mutable pending_commit : (int * Types.iid) list;  (** ascending (seq, iid) *)
   mutable committed_value : int;
   mutable taken_upto : int;  (** max seq actually appended to the log *)
-  mutable all_leaves : string list;  (** reversed commit-order digests *)
-  mutable leaf_count : int;
-  mutable root_cache : string option;  (** invalidated when leaves change *)
+  leaves : Crypto.Merkle.Acc.t;  (** committed entries, commit order *)
+  scratch : int array;  (** [quorum_low]'s selection buffer *)
   mutable prefix_dirty : bool;
   mutable locked_cache : int;
   mutable stable_cache : int;
@@ -26,9 +25,8 @@ let create ~n ~f =
     pending_commit = [];
     committed_value = 0;
     taken_upto = 0;
-    all_leaves = [];
-    leaf_count = 0;
-    root_cache = None;
+    leaves = Crypto.Merkle.Acc.create ();
+    scratch = Array.make n 0;
     prefix_dirty = true;
     locked_cache = 0;
     stable_cache = 0;
@@ -41,14 +39,11 @@ let peer_status t ~peer ~locked ~min_pending =
   t.s.(peer) <- min_pending;
   t.prefix_dirty <- true
 
-(* The (2f+1)-th highest entry of an array: sort descending and take
-   index 2f. With at most f Byzantine peers, at least f+1 of the 2f+1
-   highest are from correct processes, so the result is bounded by a
-   correct process's report. *)
-let quorum_low t a =
-  let sorted = Array.copy a in
-  Array.sort (fun x y -> Int.compare y x) sorted;
-  sorted.((2 * t.f) + 1 - 1)
+(* The (2f+1)-th highest entry of an array (index 2f, descending).
+   With at most f Byzantine peers, at least f+1 of the 2f+1 highest
+   are from correct processes, so the result is bounded by a correct
+   process's report. *)
+let quorum_low t a = Order_stat.kth_largest ~scratch:t.scratch a (2 * t.f)
 
 (* locked/stable are recomputed lazily: statuses arrive with every
    message, but the prefixes are only needed when a commit is actually
@@ -96,6 +91,11 @@ let committed t =
   in
   walk t.committed_value t.pending_commit
 
+let append_leaf t iid ~seq =
+  Crypto.Merkle.Acc.add t.leaves
+    (Printf.sprintf "%d.%d.%d" iid.Types.proposer iid.Types.index seq);
+  t.version <- t.version + 1
+
 let take_committable t =
   let boundary = committed t in
   t.committed_value <- max t.committed_value boundary;
@@ -107,14 +107,8 @@ let take_committable t =
   t.pending_commit <- remaining;
   List.iter
     (fun (iid, seq) ->
-      let leaf =
-        Printf.sprintf "%d.%d.%d" iid.Types.proposer iid.Types.index seq
-      in
       t.taken_upto <- max t.taken_upto seq;
-      t.all_leaves <- leaf :: t.all_leaves;
-      t.leaf_count <- t.leaf_count + 1;
-      t.root_cache <- None;
-      t.version <- t.version + 1)
+      append_leaf t iid ~seq)
     taken;
   taken
 
@@ -130,13 +124,7 @@ let note_committed t iid ~seq =
     if in_pending then
       t.pending_commit <-
         List.filter (fun (_, i) -> not (Types.iid_equal i iid)) t.pending_commit;
-    let leaf =
-      Printf.sprintf "%d.%d.%d" iid.Types.proposer iid.Types.index seq
-    in
-    t.all_leaves <- leaf :: t.all_leaves;
-    t.leaf_count <- t.leaf_count + 1;
-    t.root_cache <- None;
-    t.version <- t.version + 1
+    append_leaf t iid ~seq
   end;
   t.taken_upto <- max t.taken_upto seq;
   t.committed_value <- max t.committed_value seq
@@ -145,13 +133,7 @@ let taken_upto t = t.taken_upto
 
 let accepted_recent t = List.map (fun (seq, iid) -> (iid, seq)) t.pending_commit
 
-let accepted_root t =
-  match t.root_cache with
-  | Some r -> r
-  | None ->
-      let r = Crypto.Merkle.root_of_leaves (List.rev t.all_leaves) in
-      t.root_cache <- Some r;
-      r
+let accepted_root t = Crypto.Merkle.Acc.root t.leaves
 
 let accepted_count t = Hashtbl.length t.accepted
 

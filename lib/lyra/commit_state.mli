@@ -58,7 +58,10 @@ val note_committed : t -> Types.iid -> seq:int -> unit
     window of A; older prefixes are summarized by {!accepted_root}). *)
 val accepted_recent : t -> (Types.iid * int) list
 
-(** Merkle root over all accepted entries, in commit order. *)
+(** Merkle root over all committed entries, in commit order: the
+    [Merkle.root_of_leaves] of their ["proposer.index.seq"] strings,
+    kept append-only: O(1) hashes per commit amortized, O(log n) per
+    read after a commit. *)
 val accepted_root : t -> string
 
 (** Total accepted so far (committed or not). *)

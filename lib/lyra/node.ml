@@ -87,7 +87,7 @@ type t = {
   mutable min_pending_cache : int;
   mutable gossip_cache : (int * (Types.iid * int) list * string) option;
   peer_committed : int array;  (** emitted-output counts claimed in statuses *)
-  last_rx : int array;  (** per-peer time of last received message *)
+  isolation : Isolation.t;
   mutable probation_until : int;  (** heightened lag sensitivity window *)
   mutable sync_active : bool;  (** output emission paused, pulling the log *)
   mutable sync_req_at : int;
@@ -178,10 +178,13 @@ let min_pending_value t =
   if t.min_pending_dirty then begin
     t.min_pending_dirty <- false;
     t.min_pending_cache <-
-      List.fold_left
-        (fun acc (_, e) -> if e.kind = Validated then min acc e.p_seq else acc)
-        Types.no_pending
-        (Sim.Det.sorted_bindings ~cmp:Types.iid_compare t.pending)
+      (if Hashtbl.length t.pending = 0 then Types.no_pending
+       else
+         List.fold_left
+           (fun acc (_, e) ->
+             if e.kind = Validated then min acc e.p_seq else acc)
+           Types.no_pending
+           (Sim.Det.sorted_bindings ~cmp:Types.iid_compare t.pending))
   end;
   t.min_pending_cache
 
@@ -414,7 +417,11 @@ let pending_blocks_commit t boundary =
 
 let try_commit t =
   let boundary = Commit_state.committed t.commit in
-  if boundary > 0 && not (pending_blocks_commit t boundary) then begin
+  (* An empty pending set blocks nothing: skip its sort. *)
+  if
+    boundary > 0
+    && (Hashtbl.length t.pending = 0 || not (pending_blocks_commit t boundary))
+  then begin
     let taken = Commit_state.take_committable t.commit in
     List.iter
       (fun (iid, seq) ->
@@ -1149,14 +1156,7 @@ let absorb_status t ~src (status : Types.status) =
    so the window misses nothing. On healthy runs every peer heartbeats
    every 25 ms and the quorum check never fails. *)
 let isolation_check t ~src ~now =
-  t.last_rx.(src) <- now;
-  let heard = ref 0 in
-  Array.iteri
-    (fun i at ->
-      if Int.equal i t.id || now - at <= Config.isolation_gap_us then
-        incr heard)
-    t.last_rx;
-  if !heard < Config.quorum t.config then
+  if not (Isolation.receive t.isolation ~src ~now) then
     t.probation_until <- now + Config.isolation_gap_us
 
 let on_message t ~src (msg : Types.msg) =
@@ -1300,7 +1300,8 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
       min_pending_cache = Types.no_pending;
       gossip_cache = None;
       peer_committed = Array.make config.Config.n 0;
-      last_rx = Array.make config.Config.n 0;
+      isolation =
+        Isolation.create ~n:config.Config.n ~id ~quorum:(Config.quorum config);
       probation_until = 0;
       sync_active = false;
       sync_req_at = 0;

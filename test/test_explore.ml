@@ -308,6 +308,57 @@ let test_disabled_perturb_bit_identical () =
 (* Oracle verdicts.                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The content digest is memoised per key, but an equivocation that
+   commits different payloads under one key must still get its own
+   digest, and prefix agreement must flag it. *)
+let test_content_digest_memo () =
+  let committed key payloads =
+    {
+      Protocol.key;
+      txs =
+        Array.of_list
+          (List.mapi
+             (fun i payload ->
+               {
+                 Lyra.Types.tx_id = Printf.sprintf "t%d" i;
+                 payload;
+                 submitted_at = 0;
+                 origin = 0;
+               })
+             payloads);
+      seq = 1;
+      output_at = 0;
+    }
+  in
+  let fresh key payloads =
+    snd (List.hd (Harness.Scenario.content_digests [| [ committed key payloads ] |]).(0))
+  in
+  let logs =
+    Harness.Scenario.content_digests
+      [|
+        [ committed "0.0" [ "a"; "b" ]; committed "1.0" [ "c" ] ];
+        [ committed "0.0" [ "a"; "b" ]; committed "1.0" [ "c" ] ];
+        [ committed "0.0" [ "a"; "x" ] ];
+      |]
+  in
+  let digest node i = snd (List.nth logs.(node) i) in
+  Alcotest.(check string) "equal batches share a digest" (digest 0 0) (digest 1 0);
+  Alcotest.(check string) "memo = fresh digest" (fresh "0.0" [ "a"; "b" ]) (digest 1 0);
+  Alcotest.(check string) "split payload = its fresh digest"
+    (fresh "0.0" [ "a"; "x" ]) (digest 2 0);
+  Alcotest.(check bool) "split payload digest differs" false
+    (String.equal (digest 0 0) (digest 2 0));
+  let run = Testutil.run_scenario ~seed:13L "lyra" ~duration_us:500_000 in
+  Alcotest.(check (list string)) "equal logs agree" []
+    (oracle_names
+       (Option.to_list
+          (Harness.Oracle.prefix_agreement
+             { run with honest_logs = Array.sub logs 0 2 })));
+  Alcotest.(check (list string)) "equivocation flagged" [ "prefix-agreement" ]
+    (oracle_names
+       (Option.to_list
+          (Harness.Oracle.prefix_agreement { run with honest_logs = logs })))
+
 let test_oracles_clean_on_healthy () =
   List.iter
     (fun protocol ->
@@ -525,6 +576,7 @@ let suite =
     prop_case_requires_members;
     Alcotest.test_case "disabled perturbation is free" `Quick
       test_disabled_perturb_bit_identical;
+    Alcotest.test_case "content digest memo" `Quick test_content_digest_memo;
     Alcotest.test_case "oracles clean on healthy protocols" `Quick
       test_oracles_clean_on_healthy;
     Alcotest.test_case "oracles clean under sound perturbation" `Quick

@@ -234,6 +234,53 @@ let test_misbehavior_labels () =
   Alcotest.(check string) "flood" "flood(4/s)"
     (Lyra.Misbehavior.to_string (Lyra.Misbehavior.Flood { batches_per_sec = 4 }))
 
+(* The isolation check against the full last_rx scan it replaces, over
+   receive runs where peers crash and recover and the whole cluster
+   sometimes goes quiet for longer than the gap. The probation window
+   must open at exactly the same messages. n = 1 has quorum 1, where
+   the check can never fail. *)
+let prop_isolation_matches_scan =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"isolation = full last_rx scan" ~count:300
+       QCheck.(triple (int_range 1 20) (int_bound 1_000) (int_bound 100_000))
+       (fun (n, id, seed) ->
+         let id = id mod n in
+         let quorum = Dbft.Quorums.quorum n in
+         let gap = Lyra.Config.isolation_gap_us in
+         let iso = Lyra.Isolation.create ~n ~id ~quorum in
+         let last_rx = Array.make n 0 in
+         let scan_fails ~now =
+           let heard = ref 0 in
+           Array.iteri
+             (fun i at -> if i = id || now - at <= gap then incr heard)
+             last_rx;
+           !heard < quorum
+         in
+         let rng = Crypto.Rng.create (Int64.of_int (seed + 1)) in
+         let crashed = Array.make n false in
+         let now = ref 0 in
+         let by_scan = ref 0 and by_iso = ref 0 in
+         List.for_all
+           (fun _ ->
+             if Crypto.Rng.int rng 25 = 0 then begin
+               let p = Crypto.Rng.int rng n in
+               crashed.(p) <- not crashed.(p)
+             end;
+             now :=
+               !now
+               + (if Crypto.Rng.int rng 40 = 0 then Crypto.Rng.int rng (2 * gap)
+                  else Crypto.Rng.int rng 30_000);
+             let src = Crypto.Rng.int rng n in
+             if crashed.(src) then true
+             else begin
+               last_rx.(src) <- !now;
+               if scan_fails ~now:!now then by_scan := !now + gap;
+               if not (Lyra.Isolation.receive iso ~src ~now:!now) then
+                 by_iso := !now + gap;
+               !by_scan = !by_iso
+             end)
+           (List.init 400 Fun.id)))
+
 let suite =
   [
     Alcotest.test_case "clock monotone" `Quick test_clock_monotone;
@@ -255,4 +302,5 @@ let suite =
     Alcotest.test_case "commit version" `Quick test_commit_state_version_bumps;
     Alcotest.test_case "commit locked monotone" `Quick test_commit_state_locked_monotone;
     Alcotest.test_case "misbehavior labels" `Quick test_misbehavior_labels;
+    prop_isolation_matches_scan;
   ]
