@@ -509,16 +509,7 @@ let mev =
 (* timestamp-ordered protocols (lyra, dag) should invert least.        *)
 (* ------------------------------------------------------------------ *)
 
-let amm_market = { Workload.Engine.reserve_x = 50_000_000; reserve_y = 50_000_000 }
-
-let searchers k =
-  {
-    Workload.Engine.searchers = k;
-    observe_delay_us = 3_000;
-    back_delay_us = 2_000;
-    front_fraction = 0.5;
-    min_victim_amount = 10_000;
-  }
+let searchers k = { Workload.Engine.default_searcher with searchers = k }
 
 let amm_users scale =
   {
@@ -533,7 +524,8 @@ let fairness =
   let n = 4 in
   let extra = function "lyra" | "dag" -> 0 | _ -> 3_000_000 in
   let wl_spec =
-    Workload.Engine.spec ~market:amm_market ~searcher:(searchers 2)
+    Workload.Engine.spec ~market:Workload.Engine.default_market
+      ~searcher:(searchers 2)
       [ amm_users 1.0 ]
   in
   let run () =
@@ -628,7 +620,8 @@ let workload =
        the searchers' extraction. Fair ordering should crush it. *)
     let scale = if !smoke then 1.0 else 4.0 in
     let wl_spec =
-      Workload.Engine.spec ~market:amm_market ~searcher:(searchers 3)
+      Workload.Engine.spec ~market:Workload.Engine.default_market
+        ~searcher:(searchers 3)
         [
           {
             Workload.Engine.name = "kv-flash";

@@ -264,22 +264,14 @@ let workload_cmd =
         };
       ]
     in
-    let market =
-      { Workload.Engine.reserve_x = 50_000_000; reserve_y = 50_000_000 }
-    in
     let searcher =
       if searchers <= 0 then None
-      else
-        Some
-          {
-            Workload.Engine.searchers;
-            observe_delay_us = 3_000;
-            back_delay_us = 2_000;
-            front_fraction = 0.5;
-            min_victim_amount = 10_000;
-          }
+      else Some { Workload.Engine.default_searcher with searchers }
     in
-    let wl = Workload.Engine.spec ~market ?searcher streams in
+    let wl =
+      Workload.Engine.spec ~market:Workload.Engine.default_market ?searcher
+        streams
+    in
     let duration_us = int_of_float (duration *. 1e6) in
     let r =
       Harness.Scenario.run ~seed (adapter protocol) ~n
@@ -351,17 +343,8 @@ let fairness_cmd =
       if searchers <= 0 then None
       else
         Some
-          (Workload.Engine.spec
-             ~market:
-               { Workload.Engine.reserve_x = 50_000_000; reserve_y = 50_000_000 }
-             ~searcher:
-               {
-                 Workload.Engine.searchers;
-                 observe_delay_us = 3_000;
-                 back_delay_us = 2_000;
-                 front_fraction = 0.5;
-                 min_victim_amount = 10_000;
-               }
+          (Workload.Engine.spec ~market:Workload.Engine.default_market
+             ~searcher:{ Workload.Engine.default_searcher with searchers }
              [
                {
                  Workload.Engine.name = "amm-users";

@@ -70,10 +70,8 @@ type t = {
   mutable started : bool;
   mutable last_created_round : int;  (** −1 before the genesis vertex *)
   mutable timer_due : bool;  (** round pacing elapsed since last vertex *)
-  mutable mempool : Lyra.Types.tx list;  (** newest first *)
-  mutable mempool_count : int;
+  mempool : Lyra.Mempool.t;
   mutable next_index : int;
-  mutable tx_counter : int;
   mutable next_seq : int;
   mutable own_emitted : int;
   mutable outputs_rev : output list;
@@ -99,7 +97,7 @@ let phase_labels = [ "wave"; "e2e" ]
 
 let output_log t = List.rev t.outputs_rev
 
-let mempool_size t = t.mempool_count
+let mempool_size t = Lyra.Mempool.length t.mempool
 
 let own_emitted t = t.own_emitted
 
@@ -112,11 +110,6 @@ let phases t = t.phases
 let crashed t = Sim.Network.is_crashed t.net t.id
 
 let local_now t = Sim.Engine.now t.engine + t.clock_offset_us
-
-let trace_phase t detail =
-  match Sim.Network.trace_sink t.net with
-  | Some tr -> Sim.Trace.record tr ~node:t.id Sim.Trace.Phase detail
-  | None -> ()
 
 (* First sighting of a batch: testify to its local receive time in the
    next own vertex, and surface it to the harness tap. *)
@@ -149,7 +142,8 @@ let deliver t (ds : Dag.delivery list) =
                ~until_us:out.output_at;
              Metrics.Phases.record_span_us t.phases "e2e" ~from_us
                ~until_us:out.output_at;
-             trace_phase t (Sim.Trace.Span { span = "e2e"; from_us });
+             Sim.Network.trace_phase t.net ~node:t.id
+               (Sim.Trace.Span { span = "e2e"; from_us });
              Hashtbl.remove t.phase_marks d.batch.Lyra.Types.iid.Lyra.Types.index
          | None -> ()
        end);
@@ -229,17 +223,11 @@ let broadcast t body = Sim.Network.broadcast t.net ~src:t.id body
 
 (* Pack the mempool into fresh own batches for the next vertex. *)
 let pack_batches t =
-  let rec split k acc rest =
-    if Int.equal k 0 then (List.rev acc, rest)
+  let rec go budget acc =
+    if Int.equal budget 0 || Int.equal (Lyra.Mempool.length t.mempool) 0 then
+      List.rev acc
     else
-      match rest with
-      | [] -> (List.rev acc, [])
-      | x :: tl -> split (k - 1) (x :: acc) tl
-  in
-  let rec go budget txs acc =
-    if Int.equal budget 0 || List.is_empty txs then (List.rev acc, txs)
-    else
-      let batch_txs, rest = split t.config.batch_size [] txs in
+      let batch_txs = Lyra.Mempool.take t.mempool t.config.batch_size in
       let index = t.next_index in
       t.next_index <- index + 1;
       let batch =
@@ -251,13 +239,11 @@ let pack_batches t =
         }
       in
       Hashtbl.replace t.phase_marks index (Sim.Engine.now t.engine);
-      trace_phase t (Sim.Trace.Mark { mark = "propose"; proposer = t.id; index });
-      go (budget - 1) rest (batch :: acc)
+      Sim.Network.trace_phase t.net ~node:t.id
+        (Sim.Trace.Mark { mark = "propose"; proposer = t.id; index });
+      go (budget - 1) (batch :: acc)
   in
-  let batches, rest = go t.config.max_batches_per_vertex (List.rev t.mempool) [] in
-  t.mempool <- List.rev rest;
-  t.mempool_count <- List.length rest;
-  batches
+  go t.config.max_batches_per_vertex []
 
 (* Mark [(r, c)] and its whole (present) history as covered. *)
 let rec cover t (r, c) =
@@ -363,19 +349,7 @@ let on_message t ~src body =
       List.iter (fun v -> absorb t v) vs;
       try_advance t
 
-let submit t ~payload =
-  t.tx_counter <- t.tx_counter + 1;
-  let tx =
-    {
-      Lyra.Types.tx_id = Printf.sprintf "d%d-%d" t.id t.tx_counter;
-      payload;
-      submitted_at = Sim.Engine.now t.engine;
-      origin = t.id;
-    }
-  in
-  t.mempool <- tx :: t.mempool;
-  t.mempool_count <- t.mempool_count + 1;
-  tx.Lyra.Types.tx_id
+let submit t ~payload = Lyra.Mempool.add t.mempool ~payload
 
 let start t =
   if not t.started then begin
@@ -402,10 +376,8 @@ let create config net ~id ?(clock_offset_us = 0) ?(on_observe = fun _ -> ())
       started = false;
       last_created_round = -1;
       timer_due = false;
-      mempool = [];
-      mempool_count = 0;
+      mempool = Lyra.Mempool.create engine ~node:id ~prefix:"d";
       next_index = 0;
-      tx_counter = 0;
       next_seq = 0;
       own_emitted = 0;
       outputs_rev = [];

@@ -68,7 +68,6 @@ type 'cmd t = {
   catchup_inflight : (string, unit) Hashtbl.t;  (** block ids requested *)
   mutable resync_target : 'cmd block option;
       (** highest block whose commit stalled on a missing ancestor *)
-  mutable catchups_sent : int;
 }
 
 let view t = t.view_no
@@ -76,8 +75,6 @@ let view t = t.view_no
 let committed_height t = t.last_committed
 
 let blocks_proposed t = t.blocks_proposed
-
-let catchups_sent t = t.catchups_sent
 
 let pending_count t = t.pending_n
 
@@ -113,7 +110,6 @@ let request_catchup t ~from ~missing =
     Hashtbl.replace t.catchup_inflight missing ();
     t.tr.tr_schedule ~delay_us:(2 * t.delta_us) (fun () ->
         if Option.is_none (find_block t missing) then begin
-          t.catchups_sent <- t.catchups_sent + 1;
           send t ~dst:from (Catchup_req { missing; have = t.last_committed });
           t.tr.tr_schedule ~delay_us:(8 * t.delta_us) (fun () ->
               Hashtbl.remove t.catchup_inflight missing)
@@ -395,7 +391,6 @@ let create tr ~id ~delta_us ~block_capacity ~cmd_id ~on_commit () =
       started = false;
       catchup_inflight = Hashtbl.create 8;
       resync_target = None;
-      catchups_sent = 0;
     }
   in
   Hashtbl.replace t.blocks genesis_id

@@ -82,8 +82,4 @@ val committed_height : 'cmd t -> int
 (** Number of blocks this replica proposed. *)
 val blocks_proposed : 'cmd t -> int
 
-(** Catch-up requests actually sent (0 on a reliable network: a commit
-    never stalls, so the deferred requests all get cancelled). *)
-val catchups_sent : 'cmd t -> int
-
 val pending_count : 'cmd t -> int

@@ -76,11 +76,8 @@ type t = {
   mutable outputs_rev : output list;
   mutable next_seq : int;
   mutable own_committed : int;
-  mutable mempool : Lyra.Types.tx list;
-  mutable mempool_count : int;
-  mutable batch_timer_armed : bool;
+  mempool : Lyra.Mempool.t;
   mutable next_index : int;
-  mutable tx_counter : int;
   mutable started : bool;
   phases : Metrics.Phases.t;
   phase_marks : (int, int) Hashtbl.t;  (** own index → propose µs *)
@@ -92,8 +89,6 @@ type t = {
    the [e2e] column. *)
 let phase_labels = [ "consensus"; "e2e" ]
 
-let id t = t.id
-
 let output_log t = List.rev t.outputs_rev
 
 let committed_height t =
@@ -101,16 +96,11 @@ let committed_height t =
 
 let own_committed t = t.own_committed
 
-let mempool_size t = t.mempool_count
+let mempool_size t = Lyra.Mempool.length t.mempool
 
 let broadcast t body = Sim.Network.broadcast t.net ~src:t.id body
 
 let phases t = t.phases
-
-let trace_phase t detail =
-  match Sim.Network.trace_sink t.net with
-  | Some tr -> Sim.Trace.record tr ~node:t.id Sim.Trace.Phase detail
-  | None -> ()
 
 let on_commit t ~height:_ cmds =
   List.iter
@@ -127,7 +117,8 @@ let on_commit t ~height:_ cmds =
                ~until_us:out.output_at;
              Metrics.Phases.record_span_us t.phases "e2e" ~from_us
                ~until_us:out.output_at;
-             trace_phase t (Sim.Trace.Span { span = "e2e"; from_us });
+             Sim.Network.trace_phase t.net ~node:t.id
+               (Sim.Trace.Span { span = "e2e"; from_us });
              Hashtbl.remove t.phase_marks batch.iid.Lyra.Types.index
          | None -> ()
        end);
@@ -164,59 +155,20 @@ let propose_batch t txs =
     }
   in
   Hashtbl.replace t.phase_marks index (Sim.Engine.now t.engine);
-  trace_phase t (Sim.Trace.Mark { mark = "propose"; proposer = t.id; index });
+  Sim.Network.trace_phase t.net ~node:t.id
+    (Sim.Trace.Mark { mark = "propose"; proposer = t.id; index });
   broadcast t (Gossip { batch })
 
-let rec maybe_propose t =
-  if t.started && not (Sim.Network.is_crashed t.net t.id) then
-    if t.mempool_count >= t.config.batch_size then begin
-      let txs = List.rev t.mempool in
-      let rec split k acc rest =
-        if k = 0 then (List.rev acc, rest)
-        else
-          match rest with
-          | [] -> (List.rev acc, [])
-          | x :: tl -> split (k - 1) (x :: acc) tl
-      in
-      let batch_txs, rest = split t.config.batch_size [] txs in
-      t.mempool <- List.rev rest;
-      t.mempool_count <- t.mempool_count - List.length batch_txs;
-      propose_batch t batch_txs;
-      maybe_propose t
-    end
-    else if t.mempool_count > 0 && not t.batch_timer_armed then begin
-      t.batch_timer_armed <- true;
-      ignore
-        (Sim.Engine.schedule t.engine ~delay:t.config.batch_timeout_us
-           (fun () ->
-             t.batch_timer_armed <- false;
-             if t.mempool_count > 0 then
-               if Sim.Network.is_crashed t.net t.id then
-                 (* Hold the transactions; the recovery hook re-enters. *)
-                 maybe_propose t
-               else begin
-                 let txs = List.rev t.mempool in
-                 t.mempool <- [];
-                 t.mempool_count <- 0;
-                 propose_batch t txs
-               end)
-          : Sim.Engine.timer)
-    end
+let maybe_propose t =
+  Lyra.Mempool.flush t.mempool ~batch_size:t.config.batch_size
+    ~timeout_us:t.config.batch_timeout_us
+    ~ready:(fun () -> t.started && not (Sim.Network.is_crashed t.net t.id))
+    ~propose:(propose_batch t)
 
 let submit t ~payload =
-  t.tx_counter <- t.tx_counter + 1;
-  let tx =
-    {
-      Lyra.Types.tx_id = Printf.sprintf "h%d-%d" t.id t.tx_counter;
-      payload;
-      submitted_at = Sim.Engine.now t.engine;
-      origin = t.id;
-    }
-  in
-  t.mempool <- tx :: t.mempool;
-  t.mempool_count <- t.mempool_count + 1;
+  let tx_id = Lyra.Mempool.add t.mempool ~payload in
   maybe_propose t;
-  tx.Lyra.Types.tx_id
+  tx_id
 
 let start t =
   if not t.started then begin
@@ -240,11 +192,8 @@ let create config net ~id ?(on_observe = fun _ -> ())
       outputs_rev = [];
       next_seq = 0;
       own_committed = 0;
-      mempool = [];
-      mempool_count = 0;
-      batch_timer_armed = false;
+      mempool = Lyra.Mempool.create engine ~node:id ~prefix:"h";
       next_index = 0;
-      tx_counter = 0;
       started = false;
       phases = Metrics.Phases.create phase_labels;
       phase_marks = Hashtbl.create 16;

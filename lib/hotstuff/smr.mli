@@ -47,8 +47,6 @@ val create :
   unit ->
   t
 
-val id : t -> int
-
 (** Launch the HotStuff replica (every node must be started). *)
 val start : t -> unit
 
@@ -65,7 +63,7 @@ val committed_height : t -> int
 (** Batches proposed by this replica that have committed. *)
 val own_committed : t -> int
 
-(** Transactions waiting to be batched. *)
+(** Transactions waiting to be batched in the {!Lyra.Mempool}. *)
 val mempool_size : t -> int
 
 (** Per-phase latency breakdown of this replica's own batches (ms).

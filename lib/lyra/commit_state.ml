@@ -138,5 +138,3 @@ let accepted_root t = Crypto.Merkle.Acc.root t.leaves
 let accepted_count t = Hashtbl.length t.accepted
 
 let version t = t.version
-
-let uncommitted_count t = List.length t.pending_commit

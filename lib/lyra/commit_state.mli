@@ -70,6 +70,3 @@ val accepted_count : t -> int
 (** Monotone counter bumped whenever the accepted set changes (accept
     or commit); lets receivers skip re-processing unchanged gossip. *)
 val version : t -> int
-
-(** Entries accepted but not yet committed (diagnostics). *)
-val uncommitted_count : t -> int

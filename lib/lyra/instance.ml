@@ -97,8 +97,6 @@ let create env iid =
     halted = false;
   }
 
-let iid t = t.iid
-
 let decided t = t.decided
 
 let decision_round t = t.decision_round
@@ -524,14 +522,3 @@ let force_decide t ~value proposal =
     t.halted <- true;
     t.env.on_decide ~value ~round:t.current proposal
   end
-
-let debug_state t =
-  let rs = round_state t t.current in
-  let aux_n = Array.fold_left (fun a x -> if x <> None then a + 1 else a) 0 rs.aux in
-  Printf.sprintf
-    "round=%d est=%d decided=%s bin1(r1)=%b bin0(r1)=%b v1buckets=%d v0=%d sent1=%b sent0=%b aux(cur)=%d timer=%b auxsent=%b init=%b halted=%b"
-    t.current t.est
-    (match t.decided with Some v -> string_of_int v | None -> "-")
-    t.delivered1 t.delivered0 (Hashtbl.length t.vote1) t.vote0_count
-    t.sent_vote1 t.sent_vote0 aux_n rs.timer_fired rs.aux_sent t.init_seen
-    t.halted

@@ -56,8 +56,6 @@ type t
 
 val create : env -> Types.iid -> t
 
-val iid : t -> Types.iid
-
 (** Message entry points, dispatched by the node. *)
 
 val on_init :
@@ -106,6 +104,3 @@ val poke : t -> unit
     band (f+1 Decided notices, or a committed-log sync). Fires
     [on_decide] exactly once; no-op if already decided. *)
 val force_decide : t -> value:int -> Types.proposal option -> unit
-
-(** One-line internal state dump for debugging stalled instances. *)
-val debug_state : t -> string

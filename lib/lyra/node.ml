@@ -76,12 +76,9 @@ type t = {
   outbox : Types.iid Queue.t;  (** commit order; emitted when revealed *)
   mutable outputs_rev : output list;
   mutable output_count : int;
-  mutable mempool : Types.tx list;  (** reversed *)
-  mutable mempool_count : int;
-  mutable batch_timer_armed : bool;
+  mempool : Mempool.t;
   mutable next_index : int;
   mutable inflight : int;
-  mutable tx_counter : int;
   mutable started : bool;
   mutable min_pending_dirty : bool;
   mutable min_pending_cache : int;
@@ -96,7 +93,6 @@ type t = {
   mutable syncs_started : int;
   decided_votes : (Types.iid, decided_tally) Hashtbl.t;
   inst_created : (Types.iid, int) Hashtbl.t;  (** engine time of first contact *)
-  mutable retransmits : int;
   mutable late_accepts : int;
   mutable own_accepted : int;
   mutable own_rejected : int;
@@ -104,7 +100,6 @@ type t = {
   boc_latency : Metrics.Recorder.t;
   phases : Metrics.Phases.t;
   phase_marks : (int, phase_marks) Hashtbl.t;  (** own index → marks *)
-  mutable proposals_made : int;
 }
 
 (* The latency anatomy of an own batch, as phase spans (ms):
@@ -116,11 +111,7 @@ type t = {
 let phase_labels =
   [ "vvb_deliver"; "dbft_decide"; "boc_decide"; "accept_wait"; "reveal"; "e2e" ]
 
-let id t = t.id
-
 let config t = t.config
-
-let proposals_made t = t.proposals_made
 
 let output_log t = List.rev t.outputs_rev
 
@@ -130,7 +121,7 @@ let committed_seq t = Commit_state.committed t.commit
 
 let pending_count t = Hashtbl.length t.pending
 
-let mempool_size t = t.mempool_count
+let mempool_size t = Mempool.length t.mempool
 
 let late_accepts t = t.late_accepts
 
@@ -138,22 +129,11 @@ let synced_entries t = t.synced_entries
 
 let syncs_started t = t.syncs_started
 
-let retransmits t = t.retransmits
-
 let decide_rounds t = t.decide_rounds
 
 let boc_latency t = t.boc_latency
 
 let phases t = t.phases
-
-(* Structured trace spans for the Phase category. Phase records are
-   per-batch milestones, not per-message, so eagerly building the
-   detail variant costs nothing measurable; [Trace.record] itself
-   drops it when the category is off. *)
-let trace_phase t detail =
-  match Sim.Network.trace_sink t.net with
-  | Some tr -> Sim.Trace.record tr ~node:t.id Sim.Trace.Phase detail
-  | None -> ()
 
 let own_accepted t = t.own_accepted
 
@@ -269,6 +249,13 @@ let reveal_complete t iid =
   | None -> false
   | Some r -> r.count >= supermajority t
 
+(* Append one entry to the output log and announce it. *)
+let emit t batch seq =
+  let out = { batch; seq; output_at = Sim.Engine.now t.engine } in
+  t.outputs_rev <- out :: t.outputs_rev;
+  t.output_count <- t.output_count + 1;
+  t.on_output out
+
 (* Emit revealed batches in commit order only: the head of the outbox
    must be decryptable before anything behind it is output. While an
    output-log sync is in flight, emission pauses entirely: entries
@@ -299,29 +286,20 @@ let rec drain_outbox t =
             if decrypted then begin
               rec_.emitted <- true;
               ignore (Queue.pop t.outbox : Types.iid);
-              let out =
-                {
-                  batch = rec_.c_batch;
-                  seq = rec_.c_seq;
-                  output_at = Sim.Engine.now t.engine;
-                }
-              in
-              t.outputs_rev <- out :: t.outputs_rev;
-              t.output_count <- t.output_count + 1;
               (if Int.equal iid.Types.proposer t.id then
                  match Hashtbl.find_opt t.phase_marks iid.Types.index with
                  | Some m ->
-                     let now = out.output_at in
+                     let now = Sim.Engine.now t.engine in
                      if m.k_reveal >= 0 then
                        Metrics.Phases.record_span_us t.phases "reveal"
                          ~from_us:m.k_reveal ~until_us:now;
                      Metrics.Phases.record_span_us t.phases "e2e"
                        ~from_us:m.k_propose ~until_us:now;
-                     trace_phase t
+                     Sim.Network.trace_phase t.net ~node:t.id
                        (Sim.Trace.Span { span = "e2e"; from_us = m.k_propose });
                      Hashtbl.remove t.phase_marks iid.Types.index
                  | None -> ());
-              t.on_output out;
+              emit t rec_.c_batch rec_.c_seq;
               drain_outbox t
             end
           end)
@@ -367,7 +345,6 @@ let pending_blocks_commit t boundary =
       && not (Sim.Network.is_crashed t.net t.id)
     then begin
       e.nudged_at <- now;
-      t.retransmits <- t.retransmits + 1;
       broadcast_body t (Types.Nudge { iid })
     end
   in
@@ -512,15 +489,110 @@ let validate t (proposal : Types.proposal) ~seq_obs =
   ok
 
 (* ------------------------------------------------------------------ *)
-(* Instance management.                                                *)
+(* Proposing (ordered-propose, Alg. 2).                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Forward declaration: re-proposal of rejected client batches needs
-   maybe_propose, defined later. Assigned exactly once at module init
-   and never mutated after; it carries no per-run state, so sharing it
-   across node instances is sound. lint: allow D102 *)
-let reproposal_hook : (t -> Types.tx list -> unit) ref =
-  ref (fun _ _ -> ())
+let fresh_txs t k =
+  List.init k (fun _ ->
+      Mempool.tx t.mempool ~prefix:"w"
+        ~payload:(String.make t.config.tx_size '\x00'))
+
+let batch_payload txs =
+  String.concat "" (Array.to_list (Array.map (fun tx -> tx.Types.payload) txs))
+
+let propose_batch t txs =
+  let cfg = t.config in
+  let index = t.next_index in
+  t.next_index <- index + 1;
+  let iid = { Types.proposer = t.id; index } in
+  (* The reference sequence number is the moment the INIT actually
+     leaves this node: under load the egress NIC has a backlog, and
+     timestamping at enqueue time would shift every receiver's
+     perceived time by that backlog, breaking the λ check. *)
+  let s_ref =
+    Ordering_clock.read t.clock
+    + Sim.Cpu.backlog_us (Sim.Network.nic t.net t.id)
+  in
+  Hashtbl.replace t.own_sref index s_ref;
+  Hashtbl.replace t.phase_marks index
+    {
+      k_propose = Sim.Engine.now t.engine;
+      k_deliver = -1;
+      k_decide = -1;
+      k_reveal = -1;
+    };
+  Sim.Network.trace_phase t.net ~node:t.id
+    (Sim.Trace.Mark { mark = "propose"; proposer = t.id; index });
+  let st = Predictor.predict t.predictor ~s_ref in
+  let st =
+    match t.misbehavior with
+    | Some (Misbehavior.Future_seq { offset_us }) ->
+        Array.map (Option.map (fun s -> s + offset_us)) st
+    | _ -> st
+  in
+  t.inflight <- t.inflight + 1;
+  let txs = Array.of_list txs in
+  let make_batch txs obf = { Types.iid; txs; obf; created_at = s_ref } in
+  let sign proposal =
+    if cfg.real_crypto then
+      Option.map
+        (fun kp -> Crypto.Schnorr.sign kp (Types.proposal_digest proposal))
+        t.keys
+    else None
+  in
+  if is_byz t Misbehavior.Equivocate then begin
+    (* Two proposals under one instance id, split across the network.
+       VVB-Unicity prevents both from being delivered with 1. *)
+    let variant tag =
+      let txs' =
+        Array.map
+          (fun tx -> { tx with Types.tx_id = tx.Types.tx_id ^ tag })
+          txs
+      in
+      let p = Types.proposal (make_batch txs' Types.Structural) st in
+      (p, sign p)
+    in
+    let a, sig_a = variant ".a" and b, sig_b = variant ".b" in
+    for dst = 0 to cfg.n - 1 do
+      let proposal, sigma = if dst < cfg.n / 2 then (a, sig_a) else (b, sig_b) in
+      send_body t ~dst (Types.Init { proposal; share = None; sigma })
+    done
+  end
+  else if cfg.real_crypto then begin
+    let cipher, dshares =
+      Crypto.Vss.encrypt ~scheme:cfg.vss_scheme t.rng ~n:cfg.n
+        ~threshold:(supermajority t) (batch_payload txs)
+    in
+    let proposal = Types.proposal (make_batch txs (Types.Vss cipher)) st in
+    let sigma = sign proposal in
+    for dst = 0 to cfg.n - 1 do
+      send_body t ~dst
+        (Types.Init { proposal; share = Some dshares.(dst); sigma })
+    done
+  end
+  else begin
+    let proposal = Types.proposal (make_batch txs Types.Structural) st in
+    broadcast_body t (Types.Init { proposal; share = None; sigma = None })
+  end
+
+(* A crashed node holds its transactions; the recovery hook re-enters. *)
+let maybe_propose t =
+  Mempool.flush t.mempool ~batch_size:t.config.batch_size
+    ~timeout_us:t.config.batch_timeout_us
+    ~ready:(fun () ->
+      t.started
+      && (not (Sim.Network.is_crashed t.net t.id))
+      && t.inflight < t.config.max_inflight)
+    ~propose:(propose_batch t)
+
+let submit t ~payload =
+  let tx_id = Mempool.add t.mempool ~payload in
+  maybe_propose t;
+  tx_id
+
+(* ------------------------------------------------------------------ *)
+(* Instance management.                                                *)
+(* ------------------------------------------------------------------ *)
 
 let on_decide t iid ~value ~round proposal =
   (match Hashtbl.find_opt t.pending iid with
@@ -549,7 +621,10 @@ let on_decide t iid ~value ~round proposal =
                  |> List.filter (fun (tx : Types.tx) ->
                         String.length tx.tx_id > 0 && tx.tx_id.[0] = 'c')
                in
-               if live <> [] then !reproposal_hook t live
+               if live <> [] then begin
+                 Mempool.requeue t.mempool live;
+                 maybe_propose t
+               end
            | None -> ())
        | None -> ()
      end;
@@ -567,7 +642,7 @@ let on_decide t iid ~value ~round proposal =
              ~from_us:m.k_deliver ~until_us:now;
          Metrics.Phases.record_span_us t.phases "boc_decide"
            ~from_us:m.k_propose ~until_us:now;
-         trace_phase t
+         Sim.Network.trace_phase t.net ~node:t.id
            (Sim.Trace.Span { span = "boc_decide"; from_us = m.k_propose })
      | Some _ when value = 0 ->
          (* Rejected: the pipeline ends here; its marks never complete. *)
@@ -692,164 +767,6 @@ let instance_of t iid =
       inst
 
 (* ------------------------------------------------------------------ *)
-(* Proposing (ordered-propose, Alg. 2).                                *)
-(* ------------------------------------------------------------------ *)
-
-let fresh_txs t k =
-  List.init k (fun _ ->
-      t.tx_counter <- t.tx_counter + 1;
-      {
-        Types.tx_id = Printf.sprintf "w%d-%d" t.id t.tx_counter;
-        payload = String.make t.config.tx_size '\x00';
-        submitted_at = Sim.Engine.now t.engine;
-        origin = t.id;
-      })
-
-let batch_payload txs =
-  String.concat "" (Array.to_list (Array.map (fun tx -> tx.Types.payload) txs))
-
-let propose_batch t txs =
-  let cfg = t.config in
-  let index = t.next_index in
-  t.next_index <- index + 1;
-  t.proposals_made <- t.proposals_made + 1;
-  let iid = { Types.proposer = t.id; index } in
-  (* The reference sequence number is the moment the INIT actually
-     leaves this node: under load the egress NIC has a backlog, and
-     timestamping at enqueue time would shift every receiver's
-     perceived time by that backlog, breaking the λ check. *)
-  let s_ref =
-    Ordering_clock.read t.clock
-    + Sim.Cpu.backlog_us (Sim.Network.nic t.net t.id)
-  in
-  Hashtbl.replace t.own_sref index s_ref;
-  Hashtbl.replace t.phase_marks index
-    {
-      k_propose = Sim.Engine.now t.engine;
-      k_deliver = -1;
-      k_decide = -1;
-      k_reveal = -1;
-    };
-  trace_phase t (Sim.Trace.Mark { mark = "propose"; proposer = t.id; index });
-  let st = Predictor.predict t.predictor ~s_ref in
-  let st =
-    match t.misbehavior with
-    | Some (Misbehavior.Future_seq { offset_us }) ->
-        Array.map (Option.map (fun s -> s + offset_us)) st
-    | _ -> st
-  in
-  t.inflight <- t.inflight + 1;
-  let txs = Array.of_list txs in
-  let make_batch txs obf = { Types.iid; txs; obf; created_at = s_ref } in
-  let sign proposal =
-    if cfg.real_crypto then
-      Option.map
-        (fun kp -> Crypto.Schnorr.sign kp (Types.proposal_digest proposal))
-        t.keys
-    else None
-  in
-  if is_byz t Misbehavior.Equivocate then begin
-    (* Two proposals under one instance id, split across the network.
-       VVB-Unicity prevents both from being delivered with 1. *)
-    let variant tag =
-      let txs' =
-        Array.map
-          (fun tx -> { tx with Types.tx_id = tx.Types.tx_id ^ tag })
-          txs
-      in
-      let p = Types.proposal (make_batch txs' Types.Structural) st in
-      (p, sign p)
-    in
-    let a, sig_a = variant ".a" and b, sig_b = variant ".b" in
-    for dst = 0 to cfg.n - 1 do
-      let proposal, sigma = if dst < cfg.n / 2 then (a, sig_a) else (b, sig_b) in
-      send_body t ~dst (Types.Init { proposal; share = None; sigma })
-    done
-  end
-  else if cfg.real_crypto then begin
-    let cipher, dshares =
-      Crypto.Vss.encrypt ~scheme:cfg.vss_scheme t.rng ~n:cfg.n
-        ~threshold:(supermajority t) (batch_payload txs)
-    in
-    let proposal = Types.proposal (make_batch txs (Types.Vss cipher)) st in
-    let sigma = sign proposal in
-    for dst = 0 to cfg.n - 1 do
-      send_body t ~dst
-        (Types.Init { proposal; share = Some dshares.(dst); sigma })
-    done
-  end
-  else begin
-    let proposal = Types.proposal (make_batch txs Types.Structural) st in
-    broadcast_body t (Types.Init { proposal; share = None; sigma = None })
-  end
-
-let rec maybe_propose t =
-  if
-    t.started
-    && (not (Sim.Network.is_crashed t.net t.id))
-    && t.inflight < t.config.max_inflight
-  then begin
-    if t.mempool_count >= t.config.batch_size then begin
-      let txs = List.rev t.mempool in
-      let rec split k acc rest =
-        if k = 0 then (List.rev acc, rest)
-        else
-          match rest with
-          | [] -> (List.rev acc, [])
-          | x :: tl -> split (k - 1) (x :: acc) tl
-      in
-      let batch, rest = split t.config.batch_size [] txs in
-      t.mempool <- List.rev rest;
-      t.mempool_count <- t.mempool_count - List.length batch;
-      propose_batch t batch;
-      maybe_propose t
-    end
-    else if t.mempool_count > 0 && not t.batch_timer_armed then begin
-      t.batch_timer_armed <- true;
-      ignore
-        (Sim.Engine.schedule t.engine ~delay:t.config.batch_timeout_us
-           (fun () ->
-             t.batch_timer_armed <- false;
-             (* A crashed node holds its transactions; the recovery
-                hook re-enters maybe_propose. *)
-             if
-               t.mempool_count > 0
-               && t.inflight < t.config.max_inflight
-               && not (Sim.Network.is_crashed t.net t.id)
-             then begin
-               let txs = List.rev t.mempool in
-               t.mempool <- [];
-               t.mempool_count <- 0;
-               propose_batch t txs
-             end;
-             maybe_propose t)
-          : Sim.Engine.timer)
-    end
-  end
-
-let () =
-  reproposal_hook :=
-    fun t txs ->
-      t.mempool <- List.rev_append txs t.mempool;
-      t.mempool_count <- t.mempool_count + List.length txs;
-      maybe_propose t
-
-let submit t ~payload =
-  t.tx_counter <- t.tx_counter + 1;
-  let tx =
-    {
-      Types.tx_id = Printf.sprintf "c%d-%d" t.id t.tx_counter;
-      payload;
-      submitted_at = Sim.Engine.now t.engine;
-      origin = t.id;
-    }
-  in
-  t.mempool <- tx :: t.mempool;
-  t.mempool_count <- t.mempool_count + 1;
-  maybe_propose t;
-  tx.Types.tx_id
-
-(* ------------------------------------------------------------------ *)
 (* Crash recovery: output-log sync.                                    *)
 (*                                                                     *)
 (* A node that was crashed (or starved by a lossy link) misses both    *)
@@ -971,12 +888,7 @@ let on_sync_resp t ~src:_ ~from_count ~upto entries =
                  reveal pipeline; its phase marks can never complete. *)
               if Int.equal iid.Types.proposer t.id then
                 Hashtbl.remove t.phase_marks iid.Types.index;
-              let out =
-                { batch; seq; output_at = Sim.Engine.now t.engine }
-              in
-              t.outputs_rev <- out :: t.outputs_rev;
-              t.output_count <- t.output_count + 1;
-              t.on_output out
+              emit t batch seq
         end)
       entries;
     if t.output_count >= upto then begin
@@ -1063,7 +975,6 @@ let rec retransmit_loop t =
          if Instance.decided inst = None && not (Instance.halted inst) then
            match Hashtbl.find_opt t.inst_created iid with
            | Some at when now - at > t.config.retransmit_after_us ->
-               t.retransmits <- t.retransmits + 1;
                Instance.poke inst;
                broadcast_body t (Types.Nudge { iid })
            | _ -> ())
@@ -1289,12 +1200,9 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
       outbox = Queue.create ();
       outputs_rev = [];
       output_count = 0;
-      mempool = [];
-      mempool_count = 0;
-      batch_timer_armed = false;
+      mempool = Mempool.create engine ~node:id ~prefix:"c";
       next_index = 0;
       inflight = 0;
-      tx_counter = 0;
       started = false;
       min_pending_dirty = true;
       min_pending_cache = Types.no_pending;
@@ -1310,7 +1218,6 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
       syncs_started = 0;
       decided_votes = Hashtbl.create 8;
       inst_created = Hashtbl.create 64;
-      retransmits = 0;
       late_accepts = 0;
       own_accepted = 0;
       own_rejected = 0;
@@ -1318,7 +1225,6 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
       boc_latency = Metrics.Recorder.create ();
       phases = Metrics.Phases.create phase_labels;
       phase_marks = Hashtbl.create 16;
-      proposals_made = 0;
     }
   in
   Sim.Network.register net ~id (fun ~src msg -> on_message t ~src msg);
@@ -1330,34 +1236,3 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
         Sim.Engine.now engine + Config.isolation_gap_us;
       maybe_propose t);
   t
-
-let undecided t =
-  Sim.Det.sorted_bindings ~cmp:Types.iid_compare t.instances
-  |> List.filter_map (fun (iid, inst) ->
-         if Instance.decided inst = None then
-           Some (iid, Instance.decision_round inst)
-         else None)
-
-let commit_diagnostics t =
-  ( Commit_state.locked t.commit,
-    Commit_state.stable t.commit,
-    Commit_state.committed t.commit,
-    Commit_state.uncommitted_count t.commit,
-    min_pending_value t )
-
-let pending_entries t =
-  Sim.Det.sorted_bindings ~cmp:Types.iid_compare t.pending
-  |> List.map (fun (iid, e) ->
-         let decided, round =
-           match Hashtbl.find_opt t.instances iid with
-           | Some inst ->
-               ( Instance.decided inst,
-                 (match Instance.decision_round inst with
-                 | Some r -> r
-                 | None -> -1) )
-           | None -> (None, -99)
-         in
-         (iid, e.p_seq, e.kind = Validated, decided, round))
-
-let instance_debug t iid =
-  Option.map Instance.debug_state (Hashtbl.find_opt t.instances iid)

@@ -48,10 +48,6 @@ val config : t -> Config.t
     accounting. *)
 val submit : t -> payload:string -> string
 
-(** Number of warm-up proposals plus client batches this node has
-    proposed. *)
-val proposals_made : t -> int
-
 (** The committed, revealed output log, oldest first. *)
 val output_log : t -> output list
 
@@ -62,6 +58,7 @@ val committed_seq : t -> int
 
 val pending_count : t -> int
 
+(** Client transactions waiting in the {!Mempool}. *)
 val mempool_size : t -> int
 
 (** Decisions that arrived after their prefix was already committed —
@@ -74,10 +71,6 @@ val synced_entries : t -> int
 
 (** Sync pulls initiated. 0 on healthy runs. *)
 val syncs_started : t -> int
-
-(** Undecided-instance retransmission sweeps that fired (Nudge + state
-    rebroadcast). 0 on healthy runs. *)
-val retransmits : t -> int
 
 (** Per-decision round numbers (1 = optimal good case). *)
 val decide_rounds : t -> Metrics.Recorder.t
@@ -100,20 +93,3 @@ val own_rejected : t -> int
 
 (** Distances known to the predictor (n after warm-up). *)
 val distances_known : t -> int
-
-val id : t -> int
-
-(** Debug: undecided instances as (iid, current round) — empty once the
-    network quiesces. *)
-val undecided : t -> (Types.iid * int option) list
-
-(** Diagnostics: (locked, stable, committed, uncommitted accepted,
-    min-pending) of the Commit protocol at this node. *)
-val commit_diagnostics : t -> int * int * int * int * int
-
-(** Diagnostics: pending entries as (iid, seq, validated?, instance
-    decided?, instance round). *)
-val pending_entries : t -> (Types.iid * int * bool * int option * int) list
-
-(** Debug dump of one instance's internal state, if it exists here. *)
-val instance_debug : t -> Types.iid -> string option

@@ -39,7 +39,6 @@ type t = {
   seqs : (Lyra.Types.iid, int) Hashtbl.t;
   ts_sent : (Lyra.Types.iid, int) Hashtbl.t;  (** idempotent re-response *)
   payload_waits : (Lyra.Types.iid, fetch_wait) Hashtbl.t;
-  mutable payload_giveups : int;
   mutable order_giveups : int;
   mutable exec_buffer : (int * Lyra.Types.iid) list;  (** ascending *)
   mutable max_committed_seq : int;
@@ -48,12 +47,9 @@ type t = {
           behind wall clock the ordering+consensus pipeline runs *)
   mutable outputs_rev : output list;
   mutable output_n : int;
-  mutable mempool : Lyra.Types.tx list;
-  mutable mempool_count : int;
-  mutable batch_timer_armed : bool;
+  mempool : Lyra.Mempool.t;
   mutable next_index : int;
   mutable inflight : int;
-  mutable tx_counter : int;
   mutable sequenced : int;
   mutable started : bool;
   phases : Metrics.Phases.t;
@@ -67,8 +63,6 @@ type t = {
    [e2e] (propose → output). *)
 let phase_labels = [ "order"; "consensus"; "stable_exec"; "e2e" ]
 
-let id t = t.id
-
 let output_log t = List.rev t.outputs_rev
 
 let sequenced_count t = t.sequenced
@@ -76,9 +70,7 @@ let sequenced_count t = t.sequenced
 let committed_height t =
   match t.replica with Some r -> Hotstuff.Replica.committed_height r | None -> 0
 
-let mempool_size t = t.mempool_count
-
-let payload_giveups t = t.payload_giveups
+let mempool_size t = Lyra.Mempool.length t.mempool
 
 let order_giveups t = t.order_giveups
 
@@ -87,11 +79,6 @@ let broadcast t body = Sim.Network.broadcast t.net ~src:t.id body
 let send t ~dst body = Sim.Network.send t.net ~src:t.id ~dst body
 
 let phases t = t.phases
-
-let trace_phase t detail =
-  match Sim.Network.trace_sink t.net with
-  | Some tr -> Sim.Trace.record tr ~node:t.id Sim.Trace.Phase detail
-  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Stable execution: committed batches run in sequence order once no  *)
@@ -163,7 +150,7 @@ let flush_exec t =
                          ~from_us:m.q_commit ~until_us:out.output_at;
                      Metrics.Phases.record_span_us t.phases "e2e"
                        ~from_us:m.q_propose ~until_us:out.output_at;
-                     trace_phase t
+                     Sim.Network.trace_phase t.net ~node:t.id
                        (Sim.Trace.Span { span = "e2e"; from_us = m.q_propose });
                      Hashtbl.remove t.phase_marks iid.Lyra.Types.index
                  | None -> ());
@@ -172,10 +159,9 @@ let flush_exec t =
           | None ->
               (* Payload not yet received: fetch it (bounded); on
                  give-up skip the entry so one unrecoverable payload
-                 cannot stall execution forever — the hole is counted
-                 and visible to the invariant monitor. *)
+                 cannot stall execution forever — the hole is visible
+                 to the invariant monitor. *)
               if fetch_payload t iid (Sim.Engine.now t.engine) then begin
-                t.payload_giveups <- t.payload_giveups + 1;
                 Hashtbl.remove t.payload_waits iid;
                 go rest
               end
@@ -269,44 +255,15 @@ let on_order_fetch t ~src iid =
     | Some batch -> send t ~dst:src (Types.Order_req { batch })
     | None -> ()
 
+(* A crashed node holds its transactions; the recovery hook re-enters. *)
 let rec maybe_propose t =
-  if
-    t.started
-    && (not (Sim.Network.is_crashed t.net t.id))
-    && t.inflight < t.config.max_inflight
-  then begin
-    if t.mempool_count >= t.config.batch_size then begin
-      let txs = List.rev t.mempool in
-      let rec split k acc rest =
-        if k = 0 then (List.rev acc, rest)
-        else
-          match rest with
-          | [] -> (List.rev acc, [])
-          | x :: tl -> split (k - 1) (x :: acc) tl
-      in
-      let batch_txs, rest = split t.config.batch_size [] txs in
-      t.mempool <- List.rev rest;
-      t.mempool_count <- t.mempool_count - List.length batch_txs;
-      propose_batch t batch_txs;
-      maybe_propose t
-    end
-    else if t.mempool_count > 0 && not t.batch_timer_armed then begin
-      t.batch_timer_armed <- true;
-      ignore
-        (Sim.Engine.schedule t.engine ~delay:t.config.batch_timeout_us
-           (fun () ->
-             t.batch_timer_armed <- false;
-             if t.mempool_count > 0 && t.inflight < t.config.max_inflight
-             then begin
-               let txs = List.rev t.mempool in
-               t.mempool <- [];
-               t.mempool_count <- 0;
-               propose_batch t txs
-             end;
-             maybe_propose t)
-          : Sim.Engine.timer)
-    end
-  end
+  Lyra.Mempool.flush t.mempool ~batch_size:t.config.batch_size
+    ~timeout_us:t.config.batch_timeout_us
+    ~ready:(fun () ->
+      t.started
+      && (not (Sim.Network.is_crashed t.net t.id))
+      && t.inflight < t.config.max_inflight)
+    ~propose:(propose_batch t)
 
 and propose_batch t txs =
   let index = t.next_index in
@@ -330,7 +287,8 @@ and propose_batch t txs =
     };
   Hashtbl.replace t.phase_marks index
     { q_propose = Sim.Engine.now t.engine; q_seq = -1; q_commit = -1 };
-  trace_phase t (Sim.Trace.Mark { mark = "propose"; proposer = t.id; index });
+  Sim.Network.trace_phase t.net ~node:t.id
+    (Sim.Trace.Mark { mark = "propose"; proposer = t.id; index });
   broadcast t (Types.Order_req { batch });
   arm_order_retry t index batch 1
 
@@ -382,7 +340,7 @@ let on_ts_resp t ~src iid ts sigma =
                   m.q_seq <- now;
                   Metrics.Phases.record_span_us t.phases "order"
                     ~from_us:m.q_propose ~until_us:now;
-                  trace_phase t
+                  Sim.Network.trace_phase t.net ~node:t.id
                     (Sim.Trace.Span { span = "order"; from_us = m.q_propose })
               | _ -> ());
               let seq = median_seq col.proofs in
@@ -418,19 +376,9 @@ let on_message t ~src body =
       | None -> ())
 
 let submit t ~payload =
-  t.tx_counter <- t.tx_counter + 1;
-  let tx =
-    {
-      Lyra.Types.tx_id = Printf.sprintf "p%d-%d" t.id t.tx_counter;
-      payload;
-      submitted_at = Sim.Engine.now t.engine;
-      origin = t.id;
-    }
-  in
-  t.mempool <- tx :: t.mempool;
-  t.mempool_count <- t.mempool_count + 1;
+  let tx_id = Lyra.Mempool.add t.mempool ~payload in
   maybe_propose t;
-  tx.Lyra.Types.tx_id
+  tx_id
 
 let rec flush_loop t =
   flush_exec t;
@@ -475,19 +423,15 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
       seqs = Hashtbl.create 128;
       ts_sent = Hashtbl.create 128;
       payload_waits = Hashtbl.create 8;
-      payload_giveups = 0;
       order_giveups = 0;
       exec_buffer = [];
       max_committed_seq = 0;
       max_commit_lag_us = 0;
       outputs_rev = [];
       output_n = 0;
-      mempool = [];
-      mempool_count = 0;
-      batch_timer_armed = false;
+      mempool = Lyra.Mempool.create engine ~node:id ~prefix:"p";
       next_index = 0;
       inflight = 0;
-      tx_counter = 0;
       sequenced = 0;
       started = false;
       phases = Metrics.Phases.create phase_labels;

@@ -46,15 +46,11 @@ val sequenced_count : t -> int
 
 val committed_height : t -> int
 
-(** Committed batches skipped because their payload could not be
-    fetched within the retry budget (lossy-link give-ups; 0 on a
-    healthy network). *)
-val payload_giveups : t -> int
-
 (** Own batches abandoned in the ordering phase after exhausting
     Order_req retries (e.g. the cluster was partitioned away). *)
 val order_giveups : t -> int
 
+(** Client transactions waiting in the {!Lyra.Mempool}. *)
 val mempool_size : t -> int
 
 (** Per-phase latency breakdown of this node's own batches (ms):
@@ -63,5 +59,3 @@ val mempool_size : t -> int
     (commit → stable-execution output — the wait that dominates
     Pompē's latency gap versus Lyra), [e2e] (propose → output). *)
 val phases : t -> Metrics.Phases.t
-
-val id : t -> int

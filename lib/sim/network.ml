@@ -62,13 +62,18 @@ type 'msg t = {
 }
 
 (* The detail payload is built at the call site but only matters when
-   the Fault category is on; fault events are rare (drops, crashes), so
-   no [enabled] pre-check is needed here — [Trace.record] itself is one
-   bitmask test when the category is off. *)
-let trace_fault t ~node detail =
+   its category is on; fault events and phase milestones are rare
+   (drops, crashes, one per batch), so no [enabled] pre-check is needed
+   here — [Trace.record] itself is one bitmask test when the category
+   is off. *)
+let trace_to t ~node category detail =
   match t.trace with
   | None -> ()
-  | Some tr -> Trace.record tr ~node Trace.Fault detail
+  | Some tr -> Trace.record tr ~node category detail
+
+let trace_fault t ~node detail = trace_to t ~node Trace.Fault detail
+
+let trace_phase t ~node detail = trace_to t ~node Trace.Phase detail
 
 let crash t id =
   if not t.crashed.(id) then begin
@@ -376,8 +381,6 @@ let n t = t.n
 let cpu t i = t.cpus.(i)
 
 let nic t i = t.nics.(i)
-
-let trace_sink t = t.trace
 
 let messages_sent t = t.sent
 

@@ -121,9 +121,10 @@ val cpu : 'msg t -> int -> Cpu.t
 (** Egress NIC of a node (service times are transmission times). *)
 val nic : 'msg t -> int -> Cpu.t
 
-(** The trace installed at creation, if any — protocols record their
-    {!Trace.Phase} milestones into the same sink. *)
-val trace_sink : 'msg t -> Trace.t option
+(** [trace_phase t ~node detail] records a protocol's {!Trace.Phase}
+    milestone into the trace installed at creation, if any, so one
+    trace interleaves transport faults with pipeline progress. *)
+val trace_phase : 'msg t -> node:int -> Trace.detail -> unit
 
 (** Total messages handed to the transport so far. *)
 val messages_sent : 'msg t -> int

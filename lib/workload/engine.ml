@@ -56,6 +56,17 @@ type spec = {
 
 let default_latency_cap = 8192
 
+let default_market = { reserve_x = 50_000_000; reserve_y = 50_000_000 }
+
+let default_searcher =
+  {
+    searchers = 1;
+    observe_delay_us = 3_000;
+    back_delay_us = 2_000;
+    front_fraction = 0.5;
+    min_victim_amount = 10_000;
+  }
+
 let spec ?market ?searcher ?(latency_cap = default_latency_cap) streams =
   if latency_cap < 8 then invalid_arg "Engine.spec: latency_cap must be >= 8";
   List.iter

@@ -67,6 +67,14 @@ type spec = {
 
 val default_latency_cap : int
 
+(** The AMM pool of the MEV experiments: 50 M / 50 M reserves. *)
+val default_market : market
+
+(** The searcher of the MEV experiments: 3 ms observation lag, 2 ms
+    front-to-back gap, half-size front-runs, victims of at least
+    10 000. One searcher; set [searchers] per run. *)
+val default_searcher : searcher_spec
+
 (** Validating constructor. Raises [Invalid_argument] on non-positive
     populations/rates or [latency_cap < 8]. *)
 val spec :

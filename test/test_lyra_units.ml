@@ -1,5 +1,6 @@
 (* Unit tests of Lyra's building blocks: ordering clock, predictor,
-   requested sequence numbers, commit-state prefix math, types. *)
+   requested sequence numbers, commit-state prefix math, types, and the
+   mempool shared by every protocol. *)
 
 let test_clock_monotone () =
   let e = Sim.Engine.create () in
@@ -281,6 +282,178 @@ let prop_isolation_matches_scan =
              end)
            (List.init 400 Fun.id)))
 
+(* The mempool against the per-node copy every protocol used to carry:
+   a newest-first list with a count, batches cut by rev/split/rev and
+   rejected transactions requeued with rev_append. Random add/tx/take/
+   requeue runs must mint the same ids and hand out the same batches in
+   the same order. *)
+module Ref_mempool = struct
+  type t = {
+    node : int;
+    mutable mempool : string list;  (** ids, newest first *)
+    mutable count : int;
+    mutable counter : int;
+  }
+
+  let create node = { node; mempool = []; count = 0; counter = 0 }
+
+  let tx t ~prefix =
+    t.counter <- t.counter + 1;
+    Printf.sprintf "%s%d-%d" prefix t.node t.counter
+
+  let add t =
+    let id = tx t ~prefix:"c" in
+    t.mempool <- id :: t.mempool;
+    t.count <- t.count + 1;
+    id
+
+  let take t k =
+    let rec split k acc rest =
+      if k = 0 then (List.rev acc, rest)
+      else
+        match rest with
+        | [] -> (List.rev acc, [])
+        | x :: tl -> split (k - 1) (x :: acc) tl
+    in
+    let batch, rest = split k [] (List.rev t.mempool) in
+    t.mempool <- List.rev rest;
+    t.count <- t.count - List.length batch;
+    batch
+
+  let requeue t ids =
+    t.mempool <- List.rev_append ids t.mempool;
+    t.count <- t.count + List.length ids
+end
+
+type mempool_op = Add | Mint | Take of int | Requeue of int
+
+let mempool_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, return Add);
+        (1, return Mint);
+        (2, map (fun k -> Take k) (int_bound 6));
+        (2, map (fun k -> Requeue k) (int_bound 4));
+      ])
+
+let show_mempool_op = function
+  | Add -> "add"
+  | Mint -> "tx"
+  | Take k -> Printf.sprintf "take %d" k
+  | Requeue k -> Printf.sprintf "requeue %d" k
+
+let prop_mempool_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"mempool = per-node list reference" ~count:300
+       (QCheck.make
+          ~print:(fun ops -> String.concat "; " (List.map show_mempool_op ops))
+          QCheck.Gen.(list_size (int_bound 80) mempool_op_gen))
+       (fun ops ->
+         let m =
+           Lyra.Mempool.create (Sim.Engine.create ()) ~node:3 ~prefix:"c"
+         in
+         let r = Ref_mempool.create 3 in
+         let ids = List.map (fun (tx : Lyra.Types.tx) -> tx.tx_id) in
+         (* Transactions out of both queues (taken or minted), waiting
+            to be requeued; the same ids on both sides. *)
+         let spare = ref [] in
+         let split_spare k =
+           let rec go k acc = function
+             | x :: rest when k > 0 -> go (k - 1) (x :: acc) rest
+             | rest -> (List.rev acc, rest)
+           in
+           let back, rest = go k [] !spare in
+           spare := rest;
+           back
+         in
+         let step op =
+           (match op with
+           | Add ->
+               String.equal (Lyra.Mempool.add m ~payload:"x") (Ref_mempool.add r)
+           | Mint ->
+               let tx = Lyra.Mempool.tx m ~prefix:"w" ~payload:"" in
+               spare := !spare @ [ tx ];
+               String.equal tx.tx_id (Ref_mempool.tx r ~prefix:"w")
+           | Take k ->
+               let got = Lyra.Mempool.take m k in
+               spare := !spare @ got;
+               List.equal String.equal (ids got) (Ref_mempool.take r k)
+           | Requeue k ->
+               let back = split_spare k in
+               Lyra.Mempool.requeue m back;
+               Ref_mempool.requeue r (ids back);
+               true)
+           && Int.equal (Lyra.Mempool.length m) r.count
+         in
+         List.for_all step ops
+         && List.equal String.equal
+              (ids (Lyra.Mempool.take m max_int))
+              (Ref_mempool.take r r.count)))
+
+(* The size-or-timeout policy on a live engine: full batches go out at
+   once, a partial one after the timeout, one timer at a time, a timer
+   that fires while not ready proposes nothing until the next flush
+   re-arms it, and late arrivals ride the armed timer's batch. *)
+let test_mempool_flush_policy () =
+  let e = Sim.Engine.create () in
+  let m = Lyra.Mempool.create e ~node:0 ~prefix:"c" in
+  let ready = ref true in
+  let proposed = ref [] in
+  let flush () =
+    Lyra.Mempool.flush m ~batch_size:3 ~timeout_us:10_000
+      ~ready:(fun () -> !ready)
+      ~propose:(fun txs ->
+        proposed :=
+          (Sim.Engine.now e, List.map (fun (tx : Lyra.Types.tx) -> tx.tx_id) txs)
+          :: !proposed)
+  in
+  let add k =
+    for _ = 1 to k do
+      ignore (Lyra.Mempool.add m ~payload:"x" : string)
+    done
+  in
+  let proposals = Alcotest.(list (pair int (list string))) in
+  let take_proposed () =
+    let p = List.rev !proposed in
+    proposed := [];
+    p
+  in
+  add 6;
+  flush ();
+  Alcotest.check proposals "two full batches at once"
+    [ (0, [ "c0-1"; "c0-2"; "c0-3" ]); (0, [ "c0-4"; "c0-5"; "c0-6" ]) ]
+    (take_proposed ());
+  Alcotest.(check int) "nothing left, no timer" 0 (Sim.Engine.pending e);
+  add 1;
+  flush ();
+  Alcotest.(check int) "partial batch queued" 1 (Lyra.Mempool.length m);
+  Alcotest.(check int) "one timer armed" 1 (Sim.Engine.pending e);
+  Sim.Engine.run e ~until:5_000;
+  add 1;
+  flush ();
+  Alcotest.(check int) "still one timer" 1 (Sim.Engine.pending e);
+  Sim.Engine.run e ~until:9_999;
+  Alcotest.check proposals "nothing before the timeout" [] (take_proposed ());
+  Sim.Engine.run e ~until:10_000;
+  Alcotest.check proposals "partial batch after the timeout, late add included"
+    [ (10_000, [ "c0-7"; "c0-8" ]) ]
+    (take_proposed ());
+  Alcotest.(check int) "no timer left" 0 (Sim.Engine.pending e);
+  add 1;
+  flush ();
+  ready := false;
+  Sim.Engine.run e ~until:30_000;
+  Alcotest.check proposals "not ready: held" [] (take_proposed ());
+  Alcotest.(check int) "held tx queued" 1 (Lyra.Mempool.length m);
+  Alcotest.(check int) "not re-armed while not ready" 0 (Sim.Engine.pending e);
+  ready := true;
+  flush ();
+  Sim.Engine.run e ~until:40_000;
+  Alcotest.check proposals "re-armed by the next flush"
+    [ (40_000, [ "c0-9" ]) ]
+    (take_proposed ())
+
 let suite =
   [
     Alcotest.test_case "clock monotone" `Quick test_clock_monotone;
@@ -303,4 +476,6 @@ let suite =
     Alcotest.test_case "commit locked monotone" `Quick test_commit_state_locked_monotone;
     Alcotest.test_case "misbehavior labels" `Quick test_misbehavior_labels;
     prop_isolation_matches_scan;
+    prop_mempool_matches_reference;
+    Alcotest.test_case "mempool flush policy" `Quick test_mempool_flush_policy;
   ]

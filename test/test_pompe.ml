@@ -2,14 +2,14 @@
    execution, censorship hooks, timestamp withholding. *)
 
 let make_cluster ?(seed = 31L) ?(censors = []) ?respond_ts_for
-    ?(on_observe = fun _ _ -> ()) n =
+    ?(on_observe = fun _ _ -> ()) ?faults n =
   let engine = Sim.Engine.create ~seed () in
   let cfg =
     { (Pompe.Config.default ~n) with batch_size = 5; batch_timeout_us = 20_000 }
   in
   let latency = Sim.Latency.regional ~jitter:0.01 (Sim.Regions.paper_placement n) in
   let net =
-    Sim.Network.create engine ~n ~latency
+    Sim.Network.create engine ~n ~latency ?faults
       ~cost:(fun ~dst:_ b -> Pompe.Types.msg_cost Sim.Costs.default ~n b)
       ~size:Pompe.Types.msg_size ()
   in
@@ -146,6 +146,28 @@ let test_cmd_encoding () =
   Alcotest.(check string) "id" "3.9" (Pompe.Types.cmd_id cmd);
   Alcotest.(check int) "size grows with proofs" (64 + 288) (Pompe.Types.cmd_size cmd)
 
+(* A crashed node holds its client transactions until it recovers, like
+   every other protocol, instead of letting its batch timer propose
+   them into a dead NIC; the recovery hook proposes them and they
+   commit. *)
+let test_crashed_node_holds_mempool () =
+  let faults =
+    Sim.Faults.(none |> crash ~node:1 ~at_us:10_000 ~recover_us:2_000_000)
+  in
+  let engine, nodes = make_cluster ~faults 4 in
+  let tx_id = Pompe.Node.submit nodes.(1) ~payload:(String.make 32 'k') in
+  Sim.Engine.run engine ~until:100_000;
+  Alcotest.(check int) "held while crashed" 1 (Pompe.Node.mempool_size nodes.(1));
+  Sim.Engine.run engine ~until:10_000_000;
+  Alcotest.(check int) "proposed on recovery" 0 (Pompe.Node.mempool_size nodes.(1));
+  Alcotest.(check bool) "committed after recovery" true
+    (List.exists
+       (fun (o : Pompe.Node.output) ->
+         Array.exists
+           (fun (tx : Lyra.Types.tx) -> String.equal tx.tx_id tx_id)
+           o.batch.Lyra.Types.txs)
+       (Pompe.Node.output_log nodes.(0)))
+
 let suite =
   [
     Alcotest.test_case "median sequencing" `Quick test_median_seq;
@@ -156,4 +178,6 @@ let suite =
     Alcotest.test_case "sequenced count" `Quick test_sequenced_count;
     Alcotest.test_case "censorship safety" `Slow test_censor_does_not_break_safety;
     Alcotest.test_case "cmd encoding" `Quick test_cmd_encoding;
+    Alcotest.test_case "crashed node holds mempool" `Quick
+      test_crashed_node_holds_mempool;
   ]
