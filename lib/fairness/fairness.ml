@@ -54,37 +54,52 @@ let count_inversions (a : int array) =
   sort 0 n;
   !inv
 
-(* First decided rank of each key; later duplicates (a protocol bug,
-   but scoring must not crash on one) keep the first rank. *)
+(* Decided keys, first occurrence only, in decided order, and the rank
+   of each key: its index in that array. A repeated decided key (a
+   protocol bug, but scoring must not crash on one) keeps its first
+   rank. *)
 let decided_ranks decided =
-  let tbl = Hashtbl.create 257 in
-  List.iteri
-    (fun i key -> if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key i)
-    decided;
-  tbl
-
-(* One observer's receive log projected onto decided ranks: unknown
-   keys are invisible to the decided order and repeats (the tap dedups,
-   this is defensive) keep the first sighting. *)
-let projected_ranks drank received =
-  let seen = Hashtbl.create 257 in
+  let rank = Hashtbl.create 257 in
   let rev =
     List.fold_left
       (fun acc key ->
-        if Hashtbl.mem seen key then acc
+        if Hashtbl.mem rank key then acc
         else begin
-          Hashtbl.replace seen key ();
-          match Hashtbl.find_opt drank key with
-          | Some r -> r :: acc
-          | None -> acc
+          Hashtbl.add rank key (Hashtbl.length rank);
+          key :: acc
         end)
-      [] received
+      [] decided
   in
-  Array.of_list (List.rev rev)
+  (Array.of_list (List.rev rev), rank)
+
+(* One observer's receive log projected onto decided ranks: [pos.(r)]
+   is decided key r's position among the observer's first sightings of
+   decided keys, or -1 when it never saw r; [seen] counts the sighted
+   keys. Unknown keys are invisible to the decided order and repeats
+   (the tap dedups, this is defensive) keep the first sighting. *)
+let project rank k key log =
+  let pos = Array.make k (-1) in
+  let seen =
+    List.fold_left
+      (fun seen entry ->
+        match Hashtbl.find_opt rank (key entry) with
+        | Some r when pos.(r) < 0 ->
+            pos.(r) <- seen;
+            seen + 1
+        | _ -> seen)
+      0 log
+  in
+  (pos, seen)
+
+(* The decided ranks of a projection in receive order. *)
+let receive_order (pos, seen) =
+  let ranks = Array.make seen 0 in
+  Array.iteri (fun r p -> if p >= 0 then ranks.(p) <- r) pos;
+  ranks
 
 let inversions ~decided ~received =
-  let drank = decided_ranks decided in
-  let ranks = projected_ranks drank received in
+  let dec, rank = decided_ranks decided in
+  let ranks = receive_order (project rank (Array.length dec) Fun.id received) in
   let k = Array.length ranks in
   (count_inversions ranks, k * (k - 1) / 2)
 
@@ -98,61 +113,33 @@ let max_lag = 64
 let median_sorted (a : float array) = a.((Array.length a - 1) / 2)
 
 let score ?frontrun_success ~decided ~received () =
-  let drank = decided_ranks decided in
-  (* Decided keys, first occurrence only, in decided order. *)
-  let dec =
-    let seen = Hashtbl.create 257 in
-    Array.of_list
-      (List.filter
-         (fun key ->
-           if Hashtbl.mem seen key then false
-           else begin
-             Hashtbl.replace seen key ();
-             true
-           end)
-         decided)
-  in
+  let dec, rank = decided_ranks decided in
   let k = Array.length dec in
   let m = Array.length received in
+  (* Every pass below reads this one projection per observer. *)
+  let proj = Array.map (project rank k fst) received in
   (* Kendall inversions, exact over all pairs, per observer. *)
   let inv = ref 0 and pairs = ref 0 in
   Array.iter
-    (fun log ->
-      let ranks = projected_ranks drank (List.map fst log) in
-      let kk = Array.length ranks in
-      inv := !inv + count_inversions ranks;
-      pairs := !pairs + (kk * (kk - 1) / 2))
-    received;
-  (* Per-observer raw receive position of each decided key (relative
-     order is all the pairwise pass needs), and the per-observer
-     normalized position of each decided key for the advantage pass. *)
-  let opos =
-    Array.map
-      (fun log ->
-        let tbl = Hashtbl.create 257 in
-        List.iteri
-          (fun i (key, _t) ->
-            if Hashtbl.mem drank key && not (Hashtbl.mem tbl key) then
-              Hashtbl.add tbl key i)
-          log;
-        tbl)
-      received
-  in
+    (fun ((_, seen) as p) ->
+      inv := !inv + count_inversions (receive_order p);
+      pairs := !pairs + (seen * (seen - 1) / 2))
+    proj;
+  let pos = Array.map fst proj in
   (* γ-batch-order violations over decided pairs within [max_lag]. *)
   let counters = List.map (fun g -> (g, ref 0, ref 0)) gammas in
   for i = 0 to k - 1 do
     let hi = min (k - 1) (i + max_lag) in
     for j = i + 1 to hi do
-      let a = dec.(i) and b = dec.(j) in
       let both = ref 0 and b_first = ref 0 in
-      Array.iter
-        (fun tbl ->
-          match (Hashtbl.find_opt tbl a, Hashtbl.find_opt tbl b) with
-          | Some ra, Some rb ->
-              incr both;
-              if rb < ra then incr b_first
-          | _ -> ())
-        opos;
+      for o = 0 to m - 1 do
+        let p = pos.(o) in
+        let ra = p.(i) and rb = p.(j) in
+        if ra >= 0 && rb >= 0 then begin
+          incr both;
+          if rb < ra then incr b_first
+        end
+      done;
       let both = !both and b_first = !b_first in
       let a_first = both - b_first in
       if both > 0 then
@@ -181,36 +168,29 @@ let score ?frontrun_success ~decided ~received () =
   let norm pos len =
     if len <= 1 then 0.0 else float_of_int pos /. float_of_int (len - 1)
   in
-  let recv_norms : (string, float list ref) Hashtbl.t = Hashtbl.create 257 in
-  Array.iter
-    (fun log ->
-      let ks = projected_ranks drank (List.map fst log) in
-      (* ks holds decided ranks in receive order; its index is the
-         observer-local receive position among decided keys *)
-      let len = Array.length ks in
-      Array.iteri
-        (fun pos r ->
-          let key = dec.(r) in
-          match Hashtbl.find_opt recv_norms key with
-          | Some l -> l := norm pos len :: !l
-          | None -> Hashtbl.replace recv_norms key (ref [ norm pos len ]))
-        ks)
-    received;
+  let norms = Array.make m 0.0 in
   let sender_acc : (int, (float * int) ref) Hashtbl.t = Hashtbl.create 64 in
   Array.iteri
-    (fun i key ->
-      match Hashtbl.find_opt recv_norms key with
-      | None -> ()
-      | Some l ->
-          let prs = Array.of_list !l in
-          Array.sort Float.compare prs;
-          let adv = median_sorted prs -. norm i k in
-          let sender = sender_of_key key in
-          (match Hashtbl.find_opt sender_acc sender with
-          | Some r ->
-              let s, c = !r in
-              r := (s +. adv, c + 1)
-          | None -> Hashtbl.replace sender_acc sender (ref (adv, 1))))
+    (fun r key ->
+      let c = ref 0 in
+      Array.iter
+        (fun (p, seen) ->
+          if p.(r) >= 0 then begin
+            norms.(!c) <- norm p.(r) seen;
+            incr c
+          end)
+        proj;
+      if !c > 0 then begin
+        let prs = Array.sub norms 0 !c in
+        Array.sort Float.compare prs;
+        let adv = median_sorted prs -. norm r k in
+        let sender = sender_of_key key in
+        match Hashtbl.find_opt sender_acc sender with
+        | Some acc ->
+            let s, c = !acc in
+            acc := (s +. adv, c + 1)
+        | None -> Hashtbl.replace sender_acc sender (ref (adv, 1))
+      end)
     dec;
   let senders =
     List.map

@@ -50,7 +50,8 @@ val count_inversions : int array -> int
 
 (** [inversions ~decided ~received] is [(inversions, pairs)] for one
     observer: [received] keys are projected onto their decided ranks
-    (unknown and repeated keys dropped) and inversions counted. *)
+    (unknown and repeated keys dropped) and inversions counted. A key
+    repeated in [decided] keeps the rank of its first occurrence. *)
 val inversions : decided:string list -> received:string list -> int * int
 
 (** [score ~decided ~received ()] computes the full report.

@@ -52,16 +52,12 @@ type 'cmd t = {
   blocks : (string, 'cmd block) Hashtbl.t;
   votes : (string, bool array * int ref) Hashtbl.t;
   new_views : (int, (bool array * int ref) * qc ref) Hashtbl.t;
-  mutable pending : 'cmd list;  (** reversed queue *)
-  mutable pending_n : int;
-  seen_cmds : (string, unit) Hashtbl.t;  (** committed or queued here *)
-  done_cmds : (string, unit) Hashtbl.t;  (** delivered to on_commit *)
+  pool : 'cmd Cmd_pool.t;
   mutable view_no : int;
   mutable vheight : int;
   mutable high_qc : qc;
   mutable locked_qc : qc;
   mutable last_committed : int;
-  mutable committed_ids : (string, unit) Hashtbl.t;
   mutable proposed_in : int;  (** last view this replica proposed in *)
   mutable blocks_proposed : int;
   mutable started : bool;
@@ -76,7 +72,7 @@ let committed_height t = t.last_committed
 
 let blocks_proposed t = t.blocks_proposed
 
-let pending_count t = t.pending_n
+let pending_count t = Cmd_pool.live t.pool
 
 let leader t v = v mod t.n
 
@@ -145,26 +141,11 @@ let commit_chain t b =
         (fun blk ->
           if blk.height > t.last_committed then begin
             t.last_committed <- blk.height;
-            Hashtbl.replace t.committed_ids blk.b_id ();
             (* Different leaders may include the same command before
                learning it committed; deliver each command once. *)
             let fresh =
-              List.filter
-                (fun c -> not (Hashtbl.mem t.done_cmds (t.cmd_id c)))
-                blk.cmds
+              List.filter (fun c -> Cmd_pool.commit t.pool (t.cmd_id c)) blk.cmds
             in
-            List.iter
-              (fun c ->
-                let id = t.cmd_id c in
-                Hashtbl.replace t.done_cmds id ();
-                Hashtbl.replace t.seen_cmds id ())
-              fresh;
-            let ids = List.map t.cmd_id blk.cmds in
-            if ids <> [] then begin
-              t.pending <-
-                List.filter (fun c -> not (List.mem (t.cmd_id c) ids)) t.pending;
-              t.pending_n <- List.length t.pending
-            end;
             if fresh <> [] then t.on_commit ~height:blk.height fresh
           end)
         chain;
@@ -233,19 +214,10 @@ and maybe_propose t =
     if Int.equal t.high_qc.q_height (v - 1) || quorum_newviews then begin
       t.proposed_in <- v;
       t.blocks_proposed <- t.blocks_proposed + 1;
-      let cmds, rest =
-        let rec split k acc = function
-          | x :: tl when k > 0 -> split (k - 1) (x :: acc) tl
-          | rest -> (acc, rest)
-        in
-        split t.block_capacity [] (List.rev t.pending)
-      in
-      t.pending <- List.rev rest;
-      t.pending_n <- List.length rest;
+      let taken = Cmd_pool.take t.pool t.block_capacity in
+      let cmds = List.map snd taken in
       let parent = t.high_qc.q_block in
-      let b_id =
-        block_id ~height:v ~parent ~proposer:t.id (List.map t.cmd_id cmds)
-      in
+      let b_id = block_id ~height:v ~parent ~proposer:t.id (List.map fst taken) in
       let b =
         { b_id; height = v; parent; justify = t.high_qc; cmds; proposer = t.id }
       in
@@ -376,16 +348,12 @@ let create tr ~id ~delta_us ~block_capacity ~cmd_id ~on_commit () =
       blocks = Hashtbl.create 256;
       votes = Hashtbl.create 256;
       new_views = Hashtbl.create 16;
-      pending = [];
-      pending_n = 0;
-      seen_cmds = Hashtbl.create 256;
-      done_cmds = Hashtbl.create 256;
+      pool = Cmd_pool.create ();
       view_no = 0;
       vheight = 0;
       high_qc = genesis_qc;
       locked_qc = genesis_qc;
       last_committed = 0;
-      committed_ids = Hashtbl.create 256;
       proposed_in = 0;
       blocks_proposed = 0;
       started = false;
@@ -412,13 +380,7 @@ let start t =
     maybe_propose t
   end
 
-let submit t cmd =
-  if not (Hashtbl.mem t.seen_cmds (t.cmd_id cmd)) then begin
-    Hashtbl.replace t.seen_cmds (t.cmd_id cmd) ();
-    t.pending <- cmd :: t.pending;
-    t.pending_n <- t.pending_n + 1;
-    maybe_propose t
-  end
+let submit t cmd = if Cmd_pool.submit t.pool (t.cmd_id cmd) cmd then maybe_propose t
 
 let network_transport net ~id =
   {

@@ -123,6 +123,227 @@ let prop_gamma_monotone =
       && r.inversions <= r.pairs)
 
 (* ------------------------------------------------------------------ *)
+(* A repeated decided key keeps its first rank and scoring survives   *)
+(* it: ranks index the deduplicated decided order.                     *)
+(* ------------------------------------------------------------------ *)
+
+let test_repeated_decided_key () =
+  let decided = [ "0/0"; "1/0"; "0/0"; "2/0" ] in
+  let received = [ "2/0"; "0/0"; "1/0" ] in
+  Alcotest.(check (pair int int))
+    "inversions over the deduplicated order" (2, 3)
+    (Fairness.inversions ~decided ~received);
+  let r =
+    Fairness.score ~decided
+      ~received:[| List.map (fun k -> (k, 0)) received; [ ("0/0", 0) ] |]
+      ()
+  in
+  Alcotest.(check int) "decided keys" 3 r.decided;
+  Alcotest.(check (pair int int)) "inversions/pairs" (2, 3) (r.inversions, r.pairs);
+  Alcotest.(check (list int)) "one batch per sender" [ 1; 1; 1 ]
+    (List.map (fun (s : Fairness.sender_row) -> s.batches) r.senders)
+
+(* ------------------------------------------------------------------ *)
+(* Equivalence with the string-table scorer that the per-observer     *)
+(* int-array projection replaced. The reference is that code as it     *)
+(* was, except that decided ranks index the deduplicated order (the    *)
+(* repeated-key crash fix above).                                      *)
+(* ------------------------------------------------------------------ *)
+
+module Reference = struct
+  let decided_ranks decided =
+    let tbl = Hashtbl.create 257 in
+    List.iter
+      (fun key ->
+        if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key (Hashtbl.length tbl))
+      decided;
+    tbl
+
+  let projected_ranks drank received =
+    let seen = Hashtbl.create 257 in
+    let rev =
+      List.fold_left
+        (fun acc key ->
+          if Hashtbl.mem seen key then acc
+          else begin
+            Hashtbl.replace seen key ();
+            match Hashtbl.find_opt drank key with
+            | Some r -> r :: acc
+            | None -> acc
+          end)
+        [] received
+    in
+    Array.of_list (List.rev rev)
+
+  let gammas = [ 0.55; 0.67; 0.75; 0.9; 1.0 ]
+
+  let score ?frontrun_success ~decided ~received () : Fairness.report =
+    let drank = decided_ranks decided in
+    let dec =
+      let seen = Hashtbl.create 257 in
+      Array.of_list
+        (List.filter
+           (fun key ->
+             if Hashtbl.mem seen key then false
+             else begin
+               Hashtbl.replace seen key ();
+               true
+             end)
+           decided)
+    in
+    let k = Array.length dec in
+    let m = Array.length received in
+    let inv = ref 0 and pairs = ref 0 in
+    Array.iter
+      (fun log ->
+        let ranks = projected_ranks drank (List.map fst log) in
+        let kk = Array.length ranks in
+        inv := !inv + Fairness.count_inversions ranks;
+        pairs := !pairs + (kk * (kk - 1) / 2))
+      received;
+    let opos =
+      Array.map
+        (fun log ->
+          let tbl = Hashtbl.create 257 in
+          List.iteri
+            (fun i (key, _t) ->
+              if Hashtbl.mem drank key && not (Hashtbl.mem tbl key) then
+                Hashtbl.add tbl key i)
+            log;
+          tbl)
+        received
+    in
+    let counters = List.map (fun g -> (g, ref 0, ref 0)) gammas in
+    for i = 0 to k - 1 do
+      let hi = min (k - 1) (i + 64) in
+      for j = i + 1 to hi do
+        let a = dec.(i) and b = dec.(j) in
+        let both = ref 0 and b_first = ref 0 in
+        Array.iter
+          (fun tbl ->
+            match (Hashtbl.find_opt tbl a, Hashtbl.find_opt tbl b) with
+            | Some ra, Some rb ->
+                incr both;
+                if rb < ra then incr b_first
+            | _ -> ())
+          opos;
+        let both = !both and b_first = !b_first in
+        let a_first = both - b_first in
+        if both > 0 then
+          List.iter
+            (fun (g, mandated, viol) ->
+              let super x =
+                2 * x > both && float_of_int x >= g *. float_of_int both
+              in
+              if super a_first || super b_first then begin
+                incr mandated;
+                if super b_first then incr viol
+              end)
+            counters
+      done
+    done;
+    let gamma_rows =
+      List.map
+        (fun (gamma, mandated, viol) ->
+          { Fairness.gamma; mandated = !mandated; violations = !viol })
+        counters
+    in
+    let norm pos len =
+      if len <= 1 then 0.0 else float_of_int pos /. float_of_int (len - 1)
+    in
+    let recv_norms : (string, float list ref) Hashtbl.t = Hashtbl.create 257 in
+    Array.iter
+      (fun log ->
+        let ks = projected_ranks drank (List.map fst log) in
+        let len = Array.length ks in
+        Array.iteri
+          (fun pos r ->
+            let key = dec.(r) in
+            match Hashtbl.find_opt recv_norms key with
+            | Some l -> l := norm pos len :: !l
+            | None -> Hashtbl.replace recv_norms key (ref [ norm pos len ]))
+          ks)
+      received;
+    let sender_acc : (int, (float * int) ref) Hashtbl.t = Hashtbl.create 64 in
+    Array.iteri
+      (fun i key ->
+        match Hashtbl.find_opt recv_norms key with
+        | None -> ()
+        | Some l ->
+            let prs = Array.of_list !l in
+            Array.sort Float.compare prs;
+            let adv = prs.((Array.length prs - 1) / 2) -. norm i k in
+            let sender = Fairness.sender_of_key key in
+            (match Hashtbl.find_opt sender_acc sender with
+            | Some r ->
+                let s, c = !r in
+                r := (s +. adv, c + 1)
+            | None -> Hashtbl.replace sender_acc sender (ref (adv, 1))))
+      dec;
+    let senders =
+      List.map
+        (fun (sender, r) ->
+          let s, c = !r in
+          { Fairness.sender; batches = c; advantage = s /. float_of_int c })
+        (Sim.Det.sorted_bindings ~cmp:Int.compare sender_acc)
+    in
+    {
+      decided = k;
+      observers = m;
+      pairs = !pairs;
+      inversions = !inv;
+      inversion_rate =
+        (if !pairs > 0 then float_of_int !inv /. float_of_int !pairs else 0.0);
+      gamma_rows;
+      senders;
+      frontrun_success;
+    }
+end
+
+(* A decided log of up to 200 keys over a few senders, some repeated;
+   observers each see a locally jittered copy of it, missing some keys,
+   seeing some twice and seeing strangers nobody decided. *)
+let gen_scoring_input rng =
+  let k = Crypto.Rng.int rng 201 in
+  let senders = 1 + Crypto.Rng.int rng 6 in
+  let keys = Array.init k (fun i -> key (i mod senders) (i / senders)) in
+  let decided =
+    Array.to_list keys
+    |> List.concat_map (fun key ->
+           if Crypto.Rng.int rng 20 = 0 then [ key; keys.(Crypto.Rng.int rng k) ]
+           else [ key ])
+  in
+  let jitter = 1 + Crypto.Rng.int rng 40 in
+  let observer () =
+    Array.to_list keys
+    |> List.filter (fun _ -> Crypto.Rng.int rng 6 > 0)
+    |> List.mapi (fun i key -> (i + Crypto.Rng.int rng jitter, key))
+    |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.concat_map (fun (_, key) ->
+           match Crypto.Rng.int rng 12 with
+           | 0 -> [ key; key ]
+           | 1 -> [ Printf.sprintf "stranger/%d" (Crypto.Rng.int rng 5); key ]
+           | _ -> [ key ])
+    |> List.mapi (fun i key -> (key, i * 100))
+  in
+  let received = Array.init (Crypto.Rng.int rng 8) (fun _ -> observer ()) in
+  (decided, received)
+
+let prop_score_matches_reference =
+  QCheck.Test.make
+    ~name:"score: int-array projection = string-table reference, bit for bit"
+    ~count:300
+    QCheck.(int_bound 0xFF_FFFF)
+    (fun seed ->
+      let rng = Crypto.Rng.create (Int64.of_int seed) in
+      let decided, received = gen_scoring_input rng in
+      let frontrun_success =
+        if seed mod 2 = 0 then Some (float_of_int (seed mod 100) /. 100.) else None
+      in
+      Fairness.score ?frontrun_success ~decided ~received ()
+      = Reference.score ?frontrun_success ~decided ~received ())
+
+(* ------------------------------------------------------------------ *)
 (* Live runs: the whole report reproduces bit-identically from the     *)
 (* same seed, for every registered protocol.                           *)
 (* ------------------------------------------------------------------ *)
@@ -215,6 +436,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_inversion_symmetric;
     QCheck_alcotest.to_alcotest prop_projection;
     QCheck_alcotest.to_alcotest prop_gamma_monotone;
+    Alcotest.test_case "repeated decided key" `Quick test_repeated_decided_key;
+    QCheck_alcotest.to_alcotest prop_score_matches_reference;
     Alcotest.test_case "seeded report reproducibility" `Slow
       test_report_deterministic;
     Alcotest.test_case "scorecard: lyra/dag beat hotstuff under sandwich"

@@ -1,7 +1,10 @@
 (* Chained HotStuff: agreement, dedup, three-chain commit, leader
-   rotation and timeout-driven view change under crashes. *)
+   rotation, timeout-driven view change under crashes, block command
+   order, and the command pool against the list code it replaced. *)
 
-let make_cluster ?(seed = 21L) ?(delta_us = 40_000) ?(capacity = 10) n =
+(* [submit] commands reach every replica before it starts. *)
+let make_cluster ?(seed = 21L) ?(delta_us = 40_000) ?(capacity = 10)
+    ?(submit = []) n =
   let engine = Sim.Engine.create ~seed () in
   let net =
     Sim.Network.create engine ~n
@@ -24,6 +27,7 @@ let make_cluster ?(seed = 21L) ?(delta_us = 40_000) ?(capacity = 10) n =
     (fun id r ->
       Sim.Network.register net ~id (fun ~src m -> Hotstuff.Replica.handle r ~src m))
     replicas;
+  Array.iter (fun r -> List.iter (Hotstuff.Replica.submit r) submit) replicas;
   Array.iter Hotstuff.Replica.start replicas;
   (engine, net, replicas, commits)
 
@@ -105,6 +109,111 @@ let test_pending_tracked () =
     (fun r -> Alcotest.(check int) "pending drained" 0 (Hotstuff.Replica.pending_count r))
     replicas
 
+(* A leader takes its oldest pending commands and lists them
+   newest-first in the block; the seed-7 goldens do not pin this
+   order, the smoke fairness rows for hotstuff do. *)
+let test_block_order_newest_first () =
+  let engine, _, _, commits = make_cluster ~submit:[ "c1"; "c2"; "c3" ] 4 in
+  Sim.Engine.run engine ~until:3_000_000;
+  Array.iter
+    (fun c -> Alcotest.(check (list string)) "newest first" [ "c3"; "c2"; "c1" ] c)
+    commits
+
+(* The list code the command pool replaced: a reversed pending list
+   cut by [split] on proposal and filtered by [List.mem] on commit,
+   with seen/committed id tables. *)
+module Reference = struct
+  type t = {
+    mutable pending : string list;  (** reversed queue *)
+    seen : (string, unit) Hashtbl.t;
+    done_ : (string, unit) Hashtbl.t;
+  }
+
+  let create () = { pending = []; seen = Hashtbl.create 16; done_ = Hashtbl.create 16 }
+
+  let submit t id =
+    if Hashtbl.mem t.seen id then false
+    else begin
+      Hashtbl.replace t.seen id ();
+      t.pending <- id :: t.pending;
+      true
+    end
+
+  let commit t ids =
+    let fresh = List.filter (fun id -> not (Hashtbl.mem t.done_ id)) ids in
+    List.iter
+      (fun id ->
+        Hashtbl.replace t.done_ id ();
+        Hashtbl.replace t.seen id ())
+      fresh;
+    if ids <> [] then t.pending <- List.filter (fun c -> not (List.mem c ids)) t.pending;
+    fresh
+
+  let take t k =
+    let cmds, rest =
+      let rec split k acc = function
+        | x :: tl when k > 0 -> split (k - 1) (x :: acc) tl
+        | rest -> (acc, rest)
+      in
+      split k [] (List.rev t.pending)
+    in
+    t.pending <- List.rev rest;
+    cmds
+
+  let live t = List.length t.pending
+end
+
+type pool_op = Submit of int | Commit of int list | Take of int
+
+let gen_pool_ops =
+  let open QCheck.Gen in
+  let id = int_bound 40 in
+  list_size (int_range 0 300)
+    (frequency
+       [
+         (5, map (fun i -> Submit i) id);
+         (3, map (fun l -> Commit (List.sort_uniq Int.compare l)) (list_size (int_range 0 6) id));
+         (2, map (fun k -> Take k) (int_range 1 6));
+       ])
+
+let print_pool_op = function
+  | Submit i -> Printf.sprintf "Submit %d" i
+  | Commit l -> Printf.sprintf "Commit [%s]" (String.concat ";" (List.map string_of_int l))
+  | Take k -> Printf.sprintf "Take %d" k
+
+(* Commands are ints named "c<i>"; a commit block is handled the way
+   [Replica] does it, one [Cmd_pool.commit] per command in order. *)
+let prop_pool_matches_reference =
+  QCheck.Test.make ~name:"cmd pool = reversed-list reference; queue ≤ 2·live"
+    ~count:500
+    (QCheck.make gen_pool_ops ~print:(fun ops ->
+         String.concat ", " (List.map print_pool_op ops)))
+    (fun ops ->
+      let pool = Hotstuff.Cmd_pool.create () and reference = Reference.create () in
+      let name i = Printf.sprintf "c%d" i in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Submit i ->
+                Bool.equal
+                  (Hotstuff.Cmd_pool.submit pool (name i) i)
+                  (Reference.submit reference (name i))
+            | Commit l ->
+                let ids = List.map name l in
+                List.filter (Hotstuff.Cmd_pool.commit pool) ids
+                = Reference.commit reference ids
+            | Take k ->
+                let taken = Hotstuff.Cmd_pool.take pool k in
+                List.for_all (fun (id, c) -> String.equal id (name c)) taken
+                && List.map fst taken = Reference.take reference k
+          in
+          let live = Hotstuff.Cmd_pool.live pool in
+          same
+          && live = Reference.live reference
+          && Hotstuff.Cmd_pool.queue_length pool <= 2 * live)
+        ops)
+
 let test_msg_sizes () =
   let qc = { Hotstuff.Replica.q_block = "x"; q_height = 1; voters = [ 0; 1; 2 ] } in
   let block =
@@ -131,4 +240,6 @@ let suite =
     Alcotest.test_case "crash leader progress" `Slow test_crash_leader_progress;
     Alcotest.test_case "pending drained" `Quick test_pending_tracked;
     Alcotest.test_case "msg sizes" `Quick test_msg_sizes;
+    Alcotest.test_case "block order newest-first" `Quick test_block_order_newest_first;
+    QCheck_alcotest.to_alcotest prop_pool_matches_reference;
   ]
