@@ -322,6 +322,19 @@ let micro_run () =
   let cipher, shares = Crypto.Vss.encrypt rng ~n:16 ~threshold:11 payload in
   let share_subset = Array.to_list (Array.sub shares 0 11) in
   let key_shares = List.map (fun ds -> ds.Crypto.Vss.share) share_subset in
+  (* A quorum certificate at n = 16 and a cache that has already
+     verified it: what every relay of the certificate costs a node. *)
+  let pairs, dir = Crypto.Keys.setup rng 16 in
+  let digest = Crypto.Sha256.digest msg in
+  let dir_signature = Crypto.Schnorr.sign pairs.(0) digest in
+  let cert =
+    Option.get
+      (Crypto.Threshold.combine ~threshold:11
+         (Array.to_list
+            (Array.map (fun kp -> Crypto.Threshold.share_sign kp digest) pairs)))
+  in
+  let cache = Crypto.Verify_cache.create () in
+  assert (Crypto.Verify_cache.verify_combined cache ~dir ~threshold:11 digest cert);
   let leaves = List.init 64 string_of_int in
   (* One run grows an accumulator to [k] leaves, reading the root after
      every append; reported per append + read, i.e. divided by [k]. *)
@@ -350,6 +363,13 @@ let micro_run () =
         (Staged.stage (fun () -> Crypto.Schnorr.sign kp msg));
       Test.make ~name:"schnorr.verify"
         (Staged.stage (fun () -> Crypto.Schnorr.verify ~pk:kp.pk msg signature));
+      Test.make ~name:"schnorr.verify_by"
+        (Staged.stage (fun () ->
+             Crypto.Schnorr.verify_by ~dir ~signer:0 digest dir_signature));
+      Test.make ~name:"verify_cache.combined.11"
+        (Staged.stage (fun () ->
+             Crypto.Verify_cache.verify_combined cache ~dir ~threshold:11 digest
+               cert));
       Test.make ~name:"shamir.deal.16"
         (Staged.stage (fun () ->
              Crypto.Feldman.Sharing.share rng ~secret ~threshold:11 ~n:16));

@@ -56,6 +56,37 @@ let pow b e =
   in
   go one b e
 
+(* Fixed-base table with 4-bit windows: entry 16·i + d is b^(d·16^i),
+   so one row per nibble of a 64-bit exponent covers every non-negative
+   int. A power is then one multiply per non-zero nibble (≤ 16) instead
+   of a square and a multiply per bit. *)
+type table = t array
+
+let table b =
+  let tbl = Array.make 256 one in
+  let base = ref b in
+  for i = 0 to 15 do
+    let row = 16 * i in
+    for d = 1 to 15 do
+      tbl.(row + d) <- mul tbl.(row + d - 1) !base
+    done;
+    base := mul tbl.(row + 15) !base
+  done;
+  tbl
+
+let pow_table tbl e =
+  if e < 0 then invalid_arg "Field.pow_table: negative exponent";
+  let rec go acc row e =
+    if e = 0 then acc
+    else
+      let d = e land 15 in
+      let acc = if d = 0 then acc else mul acc tbl.(row + d) in
+      go acc (row + 16) (e lsr 4)
+  in
+  go one 0 e
+
+let g_table = table g
+
 let inv x =
   if x = 0 then raise Division_by_zero;
   pow x (p - 2)

@@ -44,6 +44,18 @@ val mul : t -> t -> t
 (** [pow b e] is b^e mod p for a non-negative exponent [e]. *)
 val pow : t -> int -> t
 
+(** A precomputed fixed-base table (4-bit windows, 256 elements). *)
+type table
+
+(** [table b] precomputes the powers of [b] that {!pow_table} reads. *)
+val table : t -> table
+
+(** [pow_table (table b) e] is [pow b e], in at most 16 multiplies. *)
+val pow_table : table -> int -> t
+
+(** [table g], built once at module initialization. *)
+val g_table : table
+
 (** [inv x] is the multiplicative inverse; raises [Division_by_zero] on
     [zero]. *)
 val inv : t -> t

@@ -21,5 +21,9 @@ val setup : Rng.t -> int -> keypair array * directory
 (** [public_key dir i] is the public key of process [i]. *)
 val public_key : directory -> int -> Field.t
 
+(** [public_table dir i] is [Field.table (public_key dir i)], built on
+    first use and kept for the directory's lifetime. *)
+val public_table : directory -> int -> Field.table
+
 (** Number of registered processes. *)
 val size : directory -> int

@@ -11,27 +11,29 @@ let hash_to_exp parts =
   done;
   !v land max_int mod q
 
+let challenge r msg = hash_to_exp [ "chal"; Field.to_bytes r; msg ]
+
 let sign (kp : Keys.keypair) msg =
   (* Deterministic nonce; a zero nonce would leak nothing here but is
      degenerate, so it is nudged to 1. *)
   let k = hash_to_exp [ "nonce"; string_of_int kp.sk; msg ] in
   let k = if k = 0 then 1 else k in
-  let r = Field.pow Field.g k in
-  let e = hash_to_exp [ "chal"; Field.to_bytes r; msg ] in
-  let s = (k + Field.mulmod e kp.sk q) mod q in
+  let r = Field.pow_table Field.g_table k in
+  let s = (k + Field.mulmod (challenge r msg) kp.sk q) mod q in
   { r; s }
 
-let verify ~pk msg { r; s } =
-  s >= 0 && s < q
-  &&
-  let e = hash_to_exp [ "chal"; Field.to_bytes r; msg ] in
-  Field.equal (Field.pow Field.g s) (Field.mul r (Field.pow pk e))
+(* g^s = r · pk^e, with pk^e supplied by the caller: a plain power for
+   an arbitrary key, a table lookup for a directory member. *)
+let holds s r pk_e =
+  Field.equal (Field.pow_table Field.g_table s) (Field.mul r pk_e)
 
-let verify_by ~dir ~signer msg sg =
+let verify ~pk msg { r; s } =
+  s >= 0 && s < q && holds s r (Field.pow pk (challenge r msg))
+
+let verify_by ~dir ~signer msg { r; s } =
   signer >= 0
   && signer < Keys.size dir
-  && verify ~pk:(Keys.public_key dir signer) msg sg
-
-let to_string { r; s } = Field.to_bytes r ^ Field.to_bytes (Field.of_int s)
+  && s >= 0 && s < q
+  && holds s r (Field.pow_table (Keys.public_table dir signer) (challenge r msg))
 
 let equal a b = Field.equal a.r b.r && a.s = b.s

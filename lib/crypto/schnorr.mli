@@ -18,7 +18,4 @@ val verify : pk:Field.t -> string -> signature -> bool
     i.e. the paper's [public-verify(m, σ, j)]. *)
 val verify_by : dir:Keys.directory -> signer:int -> string -> signature -> bool
 
-(** Wire encoding, used when hashing signatures into transcripts. *)
-val to_string : signature -> string
-
 val equal : signature -> signature -> bool

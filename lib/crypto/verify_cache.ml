@@ -5,61 +5,126 @@
    proposal signature rides every retransmission. The cache
    deduplicates by the full verification input (pubkey, msg, sig), so
    each distinct triple costs one [Schnorr.verify] per node for the
-   lifetime of the node instead of one per arrival.
+   lifetime of its entry instead of one per arrival.
+
+   The table is keyed by the message (a 32-byte digest on the hot
+   paths); each message owns a short bucket of (pk, r, s, verdict)
+   entries matched by integer equality on the exact signature fields.
+   A hit hashes the message once and allocates nothing. Matching [s]
+   exactly, not mod p, matters: (r, s + p) is a different signature
+   from (r, s), and [Schnorr.verify] rejects it.
 
    The cache is an explicit value threaded through each node (never a
    module-global), so concurrent simulated nodes stay independent and
    a seeded run is reproducible: lookups consume no randomness and the
    table is never traversed, only probed. Verification results are
-   pure, so memoization is observationally equivalent to direct
-   verification — pinned by a QCheck property in test_crypto.ml. *)
+   pure, so memoization — and forgetting, when the table is reset at
+   its bound — is observationally equivalent to direct verification,
+   pinned by QCheck properties in test_signatures.ml. *)
+
+module Msg_table = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+
+  let hash = String.hash
+end)
+
+type entry = { pk : int; r : int; s : int; ok : bool }
 
 type t = {
-  table : (string, bool) Hashtbl.t;
+  table : entry list Msg_table.t;
   mutable hits : int;
   mutable misses : int;
 }
 
-let create () = { table = Hashtbl.create 256; hits = 0; misses = 0 }
+(* Distinct messages held before the table is emptied. A node needs a
+   certificate's shares only while its instance is in flight, far fewer
+   than this many digests. *)
+let max_messages = 4096
+
+(* Entries kept per message: the proposer's signature and one share per
+   signer at n = 100 fit, and a sender forging variants of one message
+   cannot grow a bucket past it (their verdicts are computed, not
+   stored). *)
+let max_entries = 256
+
+let create () = { table = Msg_table.create 256; hits = 0; misses = 0 }
 
 let hits t = t.hits
 
 let misses t = t.misses
 
-(* Keys are length-prefixed so (pk, msg, sig) triples never collide
-   across field boundaries. *)
-let key ~pk msg (sg : Schnorr.signature) =
-  let sigs = Schnorr.to_string sg in
-  Printf.sprintf "%d|%d:%s%s" (Field.to_int pk) (String.length msg) msg sigs
+let size t = Msg_table.length t.table
+
+let rec find pk r s = function
+  | [] -> raise_notrace Not_found
+  | e :: rest ->
+      if Int.equal e.pk pk && Int.equal e.r r && Int.equal e.s s then e.ok
+      else find pk r s rest
+
+(* The cached verdict for (pk, msg, sg); raises [Not_found] on a miss. *)
+let cached t ~pk msg (sg : Schnorr.signature) =
+  let ok = find pk (Field.to_int sg.r) sg.s (Msg_table.find t.table msg) in
+  t.hits <- t.hits + 1;
+  ok
+
+let store t ~pk msg (sg : Schnorr.signature) ok =
+  t.misses <- t.misses + 1;
+  let bucket =
+    match Msg_table.find_opt t.table msg with
+    | Some bucket -> bucket
+    | None ->
+        if Msg_table.length t.table >= max_messages then Msg_table.reset t.table;
+        []
+  in
+  if List.compare_length_with bucket max_entries < 0 then
+    Msg_table.replace t.table msg
+      ({ pk; r = Field.to_int sg.r; s = sg.s; ok } :: bucket);
+  ok
 
 let verify t ~pk msg sg =
-  let k = key ~pk msg sg in
-  match Hashtbl.find_opt t.table k with
-  | Some ok ->
-      t.hits <- t.hits + 1;
-      ok
-  | None ->
-      t.misses <- t.misses + 1;
-      let ok = Schnorr.verify ~pk msg sg in
-      Hashtbl.replace t.table k ok;
-      ok
+  let pk_int = Field.to_int pk in
+  match cached t ~pk:pk_int msg sg with
+  | ok -> ok
+  | exception Not_found -> store t ~pk:pk_int msg sg (Schnorr.verify ~pk msg sg)
 
 let verify_by t ~dir ~signer msg sg =
-  verify t ~pk:(Keys.public_key dir signer) msg sg
+  signer >= 0
+  && signer < Keys.size dir
+  &&
+  let pk = Field.to_int (Keys.public_key dir signer) in
+  match cached t ~pk msg sg with
+  | ok -> ok
+  | exception Not_found ->
+      store t ~pk msg sg (Schnorr.verify_by ~dir ~signer msg sg)
 
 let share_verify t ~dir msg (sh : Threshold.share) =
   verify_by t ~dir ~signer:sh.signer msg sh.sigma
+
+let rec ascending (shares : Threshold.share array) i =
+  i + 1 >= Array.length shares
+  || shares.(i).signer < shares.(i + 1).signer && ascending shares (i + 1)
+
+let rec all_valid t ~dir msg shares i =
+  i >= Array.length shares
+  || share_verify t ~dir msg shares.(i) && all_valid t ~dir msg shares (i + 1)
 
 (* Batch entry point for quorum certificates: same acceptance predicate
    as [Threshold.verify_combined] (>= threshold distinct signers, every
    distinct share valid), with each share going through the cache. A
    certificate assembled from shares this node already verified one by
-   one costs no crypto at all. *)
+   one costs no crypto at all. [Threshold.combine] emits shares in
+   strictly ascending signer order, which already is the deduplicated
+   list, so that case skips the sort and allocates nothing. *)
 let verify_combined t ~dir ~threshold msg (c : Threshold.combined) =
-  let distinct =
-    Array.to_list c.shares
-    |> List.sort_uniq (fun (a : Threshold.share) b ->
-           Int.compare a.signer b.signer)
-  in
-  List.length distinct >= threshold
-  && List.for_all (share_verify t ~dir msg) distinct
+  if ascending c.shares 0 then
+    Array.length c.shares >= threshold && all_valid t ~dir msg c.shares 0
+  else
+    let distinct =
+      Array.to_list c.shares
+      |> List.sort_uniq (fun (a : Threshold.share) b ->
+             Int.compare a.signer b.signer)
+    in
+    List.length distinct >= threshold
+    && List.for_all (share_verify t ~dir msg) distinct

@@ -117,6 +117,43 @@ let prop_group_mul_subgroup =
          and b = Group.commit (Group.Scalar.of_int (Field.to_int b)) in
          Int.equal (Group.mul a b :> int) (Field.mulmod (a :> int) (b :> int) Group.p)))
 
+(* The fixed-base table must give Field.pow's answer at the edge bases
+   and at every exponent width a caller can pass, the top nibble
+   included. *)
+let prop_pow_table =
+  let base =
+    QCheck.make
+      QCheck.Gen.(
+        oneof
+          [
+            oneofl [ Field.zero; Field.one; Field.of_int (Field.p - 1); Field.g ];
+            (fun st -> Field.of_int (Random.State.full_int st Field.p));
+          ])
+      ~print:(fun x -> string_of_int (Field.to_int x))
+  in
+  let exponent =
+    QCheck.make
+      QCheck.Gen.(
+        oneof
+          [
+            oneofl [ 0; 1; Field.p - 2; (1 lsl 61) - 1; max_int ];
+            (fun st -> Random.State.full_int st max_int);
+          ])
+      ~print:string_of_int
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"pow_table (table b) e = pow b e" ~count:1000
+       (QCheck.pair base exponent) (fun (b, e) ->
+         let expected = Field.pow b e in
+         Field.equal (Field.pow_table (Field.table b) e) expected
+         && ((not (Field.equal b Field.g))
+            || Field.equal (Field.pow_table Field.g_table e) expected)))
+
+let test_pow_table_negative () =
+  Alcotest.check_raises "negative exponent"
+    (Invalid_argument "Field.pow_table: negative exponent") (fun () ->
+      ignore (Field.pow_table Field.g_table (-1)))
+
 let suite =
   [
     Alcotest.test_case "scalar mul boundaries" `Quick (check_boundaries "scalar" scalar_mul Group.q);
@@ -147,4 +184,6 @@ let suite =
         Field.equal a Field.zero || Field.equal Field.one (Field.mul a (Field.inv a)));
     prop "pow homomorphism" (fun (a, _, _) ->
         Field.equal (Field.mul (Field.pow a 5) (Field.pow a 7)) (Field.pow a 12));
+    prop_pow_table;
+    Alcotest.test_case "pow_table negative" `Quick test_pow_table_negative;
   ]

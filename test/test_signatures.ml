@@ -87,11 +87,18 @@ let test_threshold_forged_share () =
 
 (* Cached verify must be observationally equal to direct verify on an
    arbitrary mix of valid, cross-signed, and tampered signatures — the
-   cache may only change *when* work happens, never the answer. *)
+   cache may only change *when* work happens, never the answer. Messages
+   come from a small pool so a twisted signature often follows the
+   honest one it twists: [s ± p] is [s] mod p, so a cache keyed on the
+   reduced [s] would hand it the honest verdict. *)
 let prop_cache_observational_equality =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"verify cache ≡ direct verify" ~count:100
-       QCheck.(list (triple (int_bound 3) small_string (int_bound 2)))
+    (QCheck.Test.make ~name:"verify cache ≡ direct verify" ~count:200
+       QCheck.(
+         list
+           (triple (int_bound 3)
+              (oneof [ small_string; oneofl [ ""; "a"; "b" ] ])
+              (int_bound 4)))
        (fun cases ->
          let pairs, _dir = Keys.setup rng 4 in
          let cache = Verify_cache.create () in
@@ -99,17 +106,162 @@ let prop_cache_observational_equality =
            (fun (signer, msg, twist) ->
              let kp = pairs.(signer) in
              let sg = Schnorr.sign kp msg in
-             (* 0: honest; 1: tampered signature; 2: wrong key *)
+             (* 0: honest; 1: tampered signature; 2: wrong key;
+                3, 4: s shifted by ±p (negative for 4) *)
              let pk, sg =
                match twist with
                | 1 -> (kp.Keys.pk, { sg with Schnorr.s = sg.Schnorr.s + 1 })
                | 2 -> (pairs.((signer + 1) mod 4).Keys.pk, sg)
+               | 3 -> (kp.Keys.pk, { sg with Schnorr.s = sg.Schnorr.s + Field.p })
+               | 4 -> (kp.Keys.pk, { sg with Schnorr.s = sg.Schnorr.s - Field.p })
                | _ -> (kp.Keys.pk, sg)
              in
              Bool.equal
                (Verify_cache.verify cache ~pk msg sg)
                (Schnorr.verify ~pk msg sg))
            cases))
+
+(* Twists shared by the directory and certificate properties. [s + q]
+   still satisfies g^s = r · pk^e (g has order dividing q = p − 1), so
+   only the range check rejects it. *)
+let twist_signature msg (sg : Schnorr.signature) = function
+  | 1 -> (msg, { sg with s = sg.s + 1 })
+  | 2 -> (msg, { sg with s = sg.s + Field.p })
+  | 3 -> (msg, { sg with s = sg.s - Field.p })
+  | 4 -> (msg, { sg with r = Field.mul sg.r Field.g })
+  | 5 -> (msg ^ "!", sg)
+  | 6 -> (msg, { sg with s = sg.s + Field.p - 1 })
+  | _ -> (msg, sg)
+
+(* The directory path (per-key fixed-base tables) answers exactly as a
+   plain verify against the looked-up key, and rejects an unknown
+   signer; so does the cache in front of it. *)
+let prop_verify_by_equals_verify =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"verify_by ≡ verify ~pk:(public_key dir signer)"
+       ~count:200
+       QCheck.(
+         list
+           (quad (int_range (-1) 5) (int_bound 3) (oneofl [ "m"; "n" ])
+              (int_bound 7)))
+       (fun cases ->
+         let pairs, dir = Keys.setup rng 4 in
+         let cache = Verify_cache.create () in
+         List.for_all
+           (fun (claimed, key, msg, twist) ->
+             let msg, sg = twist_signature msg (Schnorr.sign pairs.(key) msg) twist in
+             let expected =
+               claimed >= 0 && claimed < 4
+               && Schnorr.verify ~pk:(Keys.public_key dir claimed) msg sg
+             in
+             Bool.equal (Schnorr.verify_by ~dir ~signer:claimed msg sg) expected
+             && Bool.equal
+                  (Verify_cache.verify_by cache ~dir ~signer:claimed msg sg)
+                  expected)
+           cases))
+
+(* Certificates built by hand, not by [Threshold.combine]: 3 to 7
+   honest distinct signers plus up to three extra shares that may
+   duplicate a signer, name an unknown one, be signed by the wrong key
+   or over another message, or be tampered with; checked against the
+   certificate's message or the other one, sorted by signer (the
+   cache's no-sort path when no signer repeats) or as built. One cache sees the whole
+   sequence. *)
+let prop_cache_combined_equality =
+  let cert_gen =
+    QCheck.Gen.(
+      let* k = int_range 3 7 in
+      let* offset = int_bound 6 in
+      let* extras =
+        list_size (int_range 0 3)
+          (pair (int_range (-1) 8)
+             (frequency [ (2, return 0); (5, int_range 1 6); (1, return 7) ]))
+      in
+      let* msg = oneofl [ "d0"; "d1" ] in
+      let* checked_msg = frequency [ (3, return msg); (1, oneofl [ "d0"; "d1" ]) ] in
+      let+ sorted = bool in
+      (List.init k (fun j -> ((offset + j) mod 7, 0)) @ extras, msg, sorted, checked_msg))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"cached verify_combined ≡ Threshold.verify_combined"
+       ~count:200
+       (QCheck.make QCheck.Gen.(list_size (int_range 1 8) cert_gen))
+       (fun certs ->
+         let pairs, dir = Keys.setup rng 7 in
+         let cache = Verify_cache.create () in
+         List.for_all
+           (fun (spec, msg, sorted, checked_msg) ->
+             let share (signer, twist) =
+               (* twist 5: over another message; 7: by the next key *)
+               let key = (abs signer + if twist = 7 then 1 else 0) mod 7 in
+               let signed = if twist = 5 then msg ^ "!" else msg in
+               let _, sigma =
+                 twist_signature signed (Schnorr.sign pairs.(key) signed) twist
+               in
+               { Threshold.signer; sigma }
+             in
+             let shares = List.map share spec in
+             let shares =
+               if sorted then
+                 List.stable_sort
+                   (fun (a : Threshold.share) b -> Int.compare a.signer b.signer)
+                   shares
+               else shares
+             in
+             let c = { Threshold.shares = Array.of_list shares } in
+             Bool.equal
+               (Verify_cache.verify_combined cache ~dir ~threshold:5 checked_msg c)
+               (Threshold.verify_combined ~dir ~threshold:5 checked_msg c))
+           certs))
+
+(* 10 000 distinct messages: the table never holds more than its bound,
+   and answers stay exact across every reset, for honest signatures,
+   s + p twists and re-probes of messages long since forgotten. *)
+let test_cache_bounded () =
+  let pairs, dir = Keys.setup rng 4 in
+  let cache = Verify_cache.create () in
+  let signed i =
+    let msg = "msg-" ^ string_of_int i in
+    let sg = Schnorr.sign pairs.(i mod 4) msg in
+    (msg, if i mod 3 = 0 then { sg with Schnorr.s = sg.Schnorr.s + Field.p } else sg)
+  in
+  let check i =
+    let msg, sg = signed i in
+    let signer = i mod 4 in
+    Alcotest.(check bool)
+      (Printf.sprintf "message %d" i)
+      (Schnorr.verify ~pk:(Keys.public_key dir signer) msg sg)
+      (Verify_cache.verify_by cache ~dir ~signer msg sg)
+  in
+  for i = 0 to 9_999 do
+    check i;
+    if i >= 5_000 then check (i - 5_000);
+    if Verify_cache.size cache > Verify_cache.max_messages then
+      Alcotest.failf "%d messages held after %d, bound %d" (Verify_cache.size cache) i
+        Verify_cache.max_messages
+  done;
+  (* Every re-probe missed: each old message had been forgotten. *)
+  Alcotest.(check int) "re-probes re-verified" 15_000 (Verify_cache.misses cache)
+
+(* Forged variants of one message fill its bucket and no more: probing
+   them all twice stores the first [max_entries] verdicts only, and
+   every answer is still exact. *)
+let test_cache_bucket_bounded () =
+  let kp = Keys.generate rng ~id:0 in
+  let cache = Verify_cache.create () in
+  let sg = Schnorr.sign kp "m" in
+  let variants = Verify_cache.max_entries + 50 in
+  for _ = 1 to 2 do
+    for i = 0 to variants - 1 do
+      let forged = { sg with Schnorr.s = sg.Schnorr.s + i } in
+      Alcotest.(check bool)
+        (Printf.sprintf "variant %d" i)
+        (Schnorr.verify ~pk:kp.pk "m" forged)
+        (Verify_cache.verify cache ~pk:kp.pk "m" forged)
+    done
+  done;
+  Alcotest.(check int) "hits" Verify_cache.max_entries (Verify_cache.hits cache);
+  Alcotest.(check int) "misses" (variants + 50) (Verify_cache.misses cache)
 
 let test_cache_hits_and_misses () =
   let kp = Keys.generate rng ~id:0 in
@@ -200,4 +352,8 @@ let suite =
       test_cache_combined_amortizes;
     Alcotest.test_case "cache seeded determinism" `Quick
       test_cache_seeded_determinism;
+    prop_verify_by_equals_verify;
+    prop_cache_combined_equality;
+    Alcotest.test_case "cache bounded" `Quick test_cache_bounded;
+    Alcotest.test_case "cache bucket bounded" `Quick test_cache_bucket_bounded;
   ]
