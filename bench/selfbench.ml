@@ -161,6 +161,10 @@ type simspeed = {
   engine_events : int;
   engine_s : float;
   engine_eps : float;
+  (* Minor-heap words allocated per executed storm event: what the
+     per-message path costs the GC. Host- and build-dependent (compiler
+     version, flags), so reported, never gated. *)
+  words_per_event : float;
   deliveries : int;
   by_kind : (string * int) list;
   rss : int;
@@ -224,7 +228,9 @@ let simspeed_run () =
     ignore (Sim.Engine.schedule engine ~delay:(1 + i) tick : Sim.Engine.timer)
   done;
   let t0 = now_wall () in
+  let w0 = Gc.minor_words () in
   Sim.Engine.run_until_idle engine;
+  let words = Gc.minor_words () -. w0 in
   let engine_s = now_wall () -. t0 in
   let engine_events = Sim.Engine.events_executed engine in
   {
@@ -239,6 +245,7 @@ let simspeed_run () =
     engine_events;
     engine_s;
     engine_eps = float_of_int engine_events /. engine_s;
+    words_per_event = words /. float_of_int (max 1 engine_events);
     deliveries = !received;
     by_kind = Sim.Engine.executed_by_kind engine;
     rss = peak_rss_kb ();
@@ -264,6 +271,8 @@ let simspeed =
       both "events" "engine events" J.int istr (fun s -> s.engine_events);
       json "wall_s" J.float (fun s -> s.engine_s);
       both "events_per_sec" "engine events/s" J.float f0 (fun s -> s.engine_eps);
+      both "minor_words_per_event" "minor words/event (host/build-dependent)"
+        J.float (Printf.sprintf "%.1f") (fun s -> s.words_per_event);
       both "deliveries" "deliveries" J.int istr (fun s -> s.deliveries);
       json "by_kind"
         (J.list (J.obj [ J.field "kind" J.str fst; J.field "count" J.int snd ]))

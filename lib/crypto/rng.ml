@@ -1,26 +1,35 @@
-type t = { mutable state : int64 }
+(* The state lives in an 8-byte buffer rather than a mutable [int64]
+   field: the bytes primitives read and write it unboxed, so a draw
+   allocates nothing (a mutable [int64] field boxes every update). *)
+type t = Bytes.t
 
-let create seed = { state = seed }
+let create seed =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_ne b 0 seed;
+  b
 
-let copy t = { state = t.state }
+let copy t = Bytes.copy t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] advance t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  s
+
+let next_int64 t = mix (advance t)
 
 let split t =
   let seed = next_int64 t in
   (* A second mix decorrelates the child stream from the parent's. *)
-  { state = mix seed }
+  create (mix seed)
 
-let int64_nonneg t = Int64.to_int (next_int64 t) land max_int
+let int64_nonneg t = Int64.to_int (mix (advance t)) land max_int
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -32,10 +41,11 @@ let int t bound =
   in
   draw ()
 
+let bits53 t = Int64.to_int (Int64.shift_right_logical (mix (advance t)) 11)
+
 let float t =
   (* 53 random bits scaled into [0, 1). *)
-  let bits = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11) in
-  float_of_int bits /. 9007199254740992.0
+  float_of_int (bits53 t) /. 9007199254740992.0
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 

@@ -27,6 +27,12 @@ val int : t -> int -> int
 (** [int64_nonneg t] is uniform over non-negative 63-bit integers. *)
 val int64_nonneg : t -> int
 
+(** [bits53 t] is the top 53 bits of the next output, as a non-negative
+    int: [float t] is [float_of_int (bits53 t) /. 2{^53}]. It allocates
+    nothing, so a hot loop can scale it in place and keep its floats
+    unboxed. *)
+val bits53 : t -> int
+
 (** [float t] is uniform in [\[0, 1)]. *)
 val float : t -> float
 

@@ -17,6 +17,56 @@
 (* Hashtbl entry points whose visit order is unspecified. *)
 let d001_traversals = [ "iter"; "fold"; "to_seq"; "to_seq_keys"; "to_seq_values" ]
 
+(* Names of the modules bound to [Hashtbl.Make (...)] (or [MakeSeeded])
+   anywhere in [structures], nested modules included. Their traversals
+   are as unordered as [Hashtbl]'s own. Matching is by name: a use
+   [P.M.iter] is flagged when [M] is such a name, whatever [P] is, so a
+   table defined in one unit is caught where another unit walks it. *)
+let hashtbl_instances structures =
+  let rec unwrap (me : Parsetree.module_expr) =
+    match me.Parsetree.pmod_desc with
+    | Parsetree.Pmod_constraint (me, _) -> unwrap me
+    | d -> d
+  in
+  let is_make = function
+    | Longident.Ldot (Longident.Lident "Hashtbl", ("Make" | "MakeSeeded"))
+    | Longident.Ldot
+        (Longident.Ldot (Longident.Lident "Stdlib", "Hashtbl"), ("Make" | "MakeSeeded"))
+      ->
+        true
+    | _ -> false
+  in
+  let rec of_items acc items =
+    List.fold_left
+      (fun acc (item : Parsetree.structure_item) ->
+        match item.Parsetree.pstr_desc with
+        | Parsetree.Pstr_module mb -> of_binding acc mb
+        | Parsetree.Pstr_recmodule mbs -> List.fold_left of_binding acc mbs
+        | _ -> acc)
+      acc items
+  and of_binding acc (mb : Parsetree.module_binding) =
+    match (mb.Parsetree.pmb_name.Asttypes.txt, unwrap mb.Parsetree.pmb_expr) with
+    | Some name, Parsetree.Pmod_apply (f, _) -> (
+        match unwrap f with
+        | Parsetree.Pmod_ident { txt; _ } when is_make txt -> name :: acc
+        | _ -> acc)
+    | _, Parsetree.Pmod_structure items -> of_items acc items
+    | _ -> acc
+  in
+  List.fold_left of_items [] structures |> List.sort_uniq String.compare
+
+(* [lid] walks a hash table in unspecified order: [Hashtbl.f] or
+   [M.f] for a [Hashtbl.Make] instance [M] named in [tables], with [f]
+   one of [d001_traversals]. Returns the module name as written. *)
+let unordered_traversal ~tables lid =
+  match lid with
+  | Longident.Ldot (Longident.Lident "Hashtbl", f) when List.mem f d001_traversals ->
+      Some ("Hashtbl", f)
+  | Longident.Ldot ((Longident.Lident m | Longident.Ldot (_, m)), f)
+    when List.mem f d001_traversals && List.mem m tables ->
+      Some (m, f)
+  | _ -> None
+
 (* Host time sources. *)
 let d002_clocks = [ ("Unix", "gettimeofday"); ("Unix", "time"); ("Unix", "times"); ("Sys", "time") ]
 
@@ -73,6 +123,7 @@ type unit_info = {
 
 type t = {
   units : unit_info list;  (** sorted by path *)
+  tables : string list;  (** [hashtbl_instances] of every unit *)
   lib_units : (string, (string, unit_info) Hashtbl.t) Hashtbl.t;
       (** lib name -> module name -> unit *)
 }
@@ -339,22 +390,21 @@ let resolve_type t u parts =
 (* Pass 2: per-def bodies — direct sources, global touches, edges.     *)
 (* ------------------------------------------------------------------ *)
 
-let classify_source path lid =
-  match lid with
-  | Longident.Ldot (Longident.Lident "Hashtbl", f) when List.mem f d001_traversals ->
-      Some (Unordered_traversal, "Hashtbl." ^ f)
-  | Longident.Ldot (Longident.Lident m, f) when List.mem (m, f) d002_clocks ->
+let classify_source ~tables path lid =
+  match (unordered_traversal ~tables lid, lid) with
+  | Some (m, f), _ -> Some (Unordered_traversal, m ^ "." ^ f)
+  | None, Longident.Ldot (Longident.Lident m, f) when List.mem (m, f) d002_clocks ->
       Some (Wall_clock, m ^ "." ^ f)
-  | Longident.Ldot (Longident.Lident "Random", f)
+  | None, Longident.Ldot (Longident.Lident "Random", f)
     when List.mem f d002_random && not (Config.is_rng_module path) ->
       Some (Ambient_entropy, "Random." ^ f)
-  | _ -> None
+  | None, _ -> None
 
 let scan_body t u (d : def) (body : Parsetree.expression) =
   let seen_calls = Hashtbl.create 8 in
   let seen_globals = Hashtbl.create 4 in
   let on_ident lid loc =
-    (match classify_source u.u_path lid with
+    (match classify_source ~tables:t.tables u.u_path lid with
     | Some (s_kind, s_what) ->
         d.d_sources <- { s_kind; s_what; s_line = line_of loc } :: d.d_sources
     | None -> ());
@@ -453,6 +503,7 @@ let build files =
           in
           Hashtbl.replace mods u.u_module u)
     units;
-  let t = { units; lib_units } in
+  let tables = hashtbl_instances (List.map (fun u -> u.u_structure) units) in
+  let t = { units; tables; lib_units } in
   List.iter (fun u -> scan_unit t u) units;
   t

@@ -9,6 +9,16 @@
 val d001_traversals : string list
 (** [Hashtbl] entry points with unspecified visit order. *)
 
+val hashtbl_instances : Parsetree.structure list -> string list
+(** Names of the modules bound to [Hashtbl.Make (...)] or
+    [Hashtbl.MakeSeeded (...)] in the given structures, nested modules
+    included; sorted, without duplicates. *)
+
+val unordered_traversal : tables:string list -> Longident.t -> (string * string) option
+(** [unordered_traversal ~tables lid] is [Some (m, f)] when [lid] is
+    [Hashtbl.f], or [P.m.f] / [m.f] with [m] in [tables], and [f] is
+    one of {!d001_traversals}. Instances are matched by name. *)
+
 val d002_clocks : (string * string) list
 (** Host time sources, as [(module, function)]. *)
 

@@ -55,7 +55,7 @@ let defines_compare structure =
 
 (* Raw per-file findings: no inline/allowlist filtering here — the
    caller owns suppression (and its bookkeeping). *)
-let file_findings ~rules ~path structure =
+let file_findings ~rules ~tables ~path structure =
   let traversal_banned = Config.unordered_traversal_banned path in
   let deterministic = Config.is_deterministic path in
   let in_lib = Config.in_lib path in
@@ -67,13 +67,20 @@ let file_findings ~rules ~path structure =
       findings := Finding.make rule ~file:path ~line message :: !findings
   in
   let check_ident lid loc =
+    (if traversal_banned then
+       match Callgraph.unordered_traversal ~tables lid with
+       | Some ("Hashtbl", f) ->
+           emit Rules.D001 loc
+             (Printf.sprintf
+                "Hashtbl.%s visits bindings in unspecified order; use Sim.Det.sorted_bindings (or collect, sort by key, then fold)"
+                f)
+       | Some (m, f) ->
+           emit Rules.D001 loc
+             (Printf.sprintf
+                "%s.%s visits bindings in unspecified order (%s is a Hashtbl.Make instance); keep an ordered Map/Set alongside, or collect, sort by key, then fold"
+                m f m)
+       | None -> ());
     match lid with
-    | Longident.Ldot (Longident.Lident "Hashtbl", f)
-      when traversal_banned && List.mem f Callgraph.d001_traversals ->
-        emit Rules.D001 loc
-          (Printf.sprintf
-             "Hashtbl.%s visits bindings in unspecified order; use Sim.Det.sorted_bindings (or collect, sort by key, then fold)"
-             f)
     | Longident.Ldot (Longident.Lident m, f) when List.mem (m, f) Callgraph.d002_clocks ->
         emit Rules.D002 loc
           (Printf.sprintf "%s.%s reads the host wall clock; simulated time is Sim.Engine.now" m f)
@@ -145,7 +152,7 @@ let file_findings ~rules ~path structure =
 let scan_source ~rules ~path source =
   let structure = parse_implementation ~path source in
   let inline = Config.inline_allows source in
-  file_findings ~rules ~path structure
+  file_findings ~rules ~tables:(Callgraph.hashtbl_instances [ structure ]) ~path structure
   |> List.filter (fun (f : finding) ->
          not (Config.inline_allowed inline ~rule:f.rule ~line:f.line))
   |> List.sort Finding.compare
@@ -190,10 +197,14 @@ let scan_project ~rules ?(allowlist = []) ?(extra = []) files =
         in
         go 0
   in
-  (* Per-file rules + externally computed findings (S002). *)
+  (* Per-file rules + externally computed findings (S002). A table
+     instance defined in one file is checked wherever it is walked. *)
+  let tables = Callgraph.hashtbl_instances (List.map (fun (_, _, s) -> s) parsed) in
   let base =
     extra
-    @ List.concat_map (fun (path, _, structure) -> file_findings ~rules ~path structure) parsed
+    @ List.concat_map
+        (fun (path, _, structure) -> file_findings ~rules ~tables ~path structure)
+        parsed
   in
   (* Interprocedural rules over the shared call graph. *)
   let wants r = List.mem r rules in

@@ -3,7 +3,7 @@ type t = {
   f : int;
   r : int array;  (** locked_j per peer (monotone) *)
   s : int array;  (** min_pending_j per peer *)
-  accepted : (Types.iid, int) Hashtbl.t;
+  accepted : int Types.Iid_tbl.t;
   mutable pending_commit : (int * Types.iid) list;  (** ascending (seq, iid) *)
   mutable committed_value : int;
   mutable taken_upto : int;  (** max seq actually appended to the log *)
@@ -21,7 +21,7 @@ let create ~n ~f =
     f;
     r = Array.make n 0;
     s = Array.make n 0;
-    accepted = Hashtbl.create 64;
+    accepted = Types.Iid_tbl.create 64;
     pending_commit = [];
     committed_value = 0;
     taken_upto = 0;
@@ -67,8 +67,8 @@ let entry_compare (s1, i1) (s2, i2) =
   match Int.compare s1 s2 with 0 -> Types.iid_compare i1 i2 | c -> c
 
 let add_accepted t iid ~seq =
-  if not (Hashtbl.mem t.accepted iid) then begin
-    Hashtbl.replace t.accepted iid seq;
+  if not (Types.Iid_tbl.mem t.accepted iid) then begin
+    Types.Iid_tbl.replace t.accepted iid seq;
     t.version <- t.version + 1;
     let rec insert = function
       | [] -> [ (seq, iid) ]
@@ -79,7 +79,7 @@ let add_accepted t iid ~seq =
     t.pending_commit <- insert t.pending_commit
   end
 
-let is_accepted t iid = Hashtbl.mem t.accepted iid
+let is_accepted t iid = Types.Iid_tbl.mem t.accepted iid
 
 let committed t =
   let s = stable t in
@@ -113,14 +113,14 @@ let take_committable t =
   taken
 
 let note_committed t iid ~seq =
-  let was_accepted = Hashtbl.mem t.accepted iid in
+  let was_accepted = Types.Iid_tbl.mem t.accepted iid in
   let in_pending =
     List.exists (fun (_, i) -> Types.iid_equal i iid) t.pending_commit
   in
   (* Append the leaf only if [take_committable] has not already done so
      for this entry (accepted and no longer pending = already taken). *)
   if (not was_accepted) || in_pending then begin
-    if not was_accepted then Hashtbl.replace t.accepted iid seq;
+    if not was_accepted then Types.Iid_tbl.replace t.accepted iid seq;
     if in_pending then
       t.pending_commit <-
         List.filter (fun (_, i) -> not (Types.iid_equal i iid)) t.pending_commit;
@@ -135,6 +135,6 @@ let accepted_recent t = List.map (fun (seq, iid) -> (iid, seq)) t.pending_commit
 
 let accepted_root t = Crypto.Merkle.Acc.root t.leaves
 
-let accepted_count t = Hashtbl.length t.accepted
+let accepted_count t = Types.Iid_tbl.length t.accepted
 
 let version t = t.version

@@ -33,6 +33,7 @@ type round_state = {
   mutable bin1 : bool;  (** rounds ≥ 2: mirror of bv deliveries *)
   mutable bin0 : bool;
   aux : int list option array;
+  mutable aux_count : int;  (** filled [aux] slots *)
   mutable coord_value : int option;
   mutable coord_sent : bool;
   mutable timer_started : bool;
@@ -61,7 +62,7 @@ type t = {
       (** kept for lossy-link retransmission ({!poke}) *)
   mutable expire_started : bool;
   (* --- DBFT rounds --- *)
-  rounds : (int, round_state) Hashtbl.t;
+  rounds : round_state Types.Int_tbl.t;
   mutable current : int;
   mutable est : int;
   mutable started : bool;
@@ -88,7 +89,7 @@ let create env iid =
     deliver_sent = false;
     deliver_proof = None;
     expire_started = false;
-    rounds = Hashtbl.create 4;
+    rounds = Types.Int_tbl.create 4;
     current = 1;
     est = 0;
     started = false;
@@ -114,7 +115,7 @@ let my_digest t = Option.map Types.proposal_digest t.proposal
 (* ------------------------------------------------------------------ *)
 
 let rec round_state t r =
-  match Hashtbl.find_opt t.rounds r with
+  match Types.Int_tbl.find_opt t.rounds r with
   | Some rs -> rs
   | None ->
       let bv =
@@ -137,6 +138,7 @@ let rec round_state t r =
           bin1 = false;
           bin0 = false;
           aux = Array.make t.env.n None;
+          aux_count = 0;
           coord_value = None;
           coord_sent = false;
           timer_started = false;
@@ -145,7 +147,7 @@ let rec round_state t r =
           activity = false;
         }
       in
-      Hashtbl.replace t.rounds r rs;
+      Types.Int_tbl.replace t.rounds r rs;
       rs
 
 let bin_has t r b =
@@ -154,7 +156,13 @@ let bin_has t r b =
     let rs = round_state t r in
     if b = 1 then rs.bin1 else rs.bin0
 
-let bin_values t r = List.filter (bin_has t r) [ 0; 1 ]
+(* [List.filter (bin_has t r) [ 0; 1 ]], answered with constant lists. *)
+let bin_values t r =
+  match (bin_has t r 0, bin_has t r 1) with
+  | true, true -> [ 0; 1 ]
+  | true, false -> [ 0 ]
+  | false, true -> [ 1 ]
+  | false, false -> []
 
 let coordinator t r = r mod t.env.n
 
@@ -196,12 +204,15 @@ and try_advance t r =
       in
       t.env.broadcast (Types.Aux { iid = t.iid; round = r; values = e })
     end;
-    (* Decision: a quorum of AUX sets all inside bin_values (43–49). *)
-    let auxs = Array.to_list rs.aux |> List.filter_map (fun x -> x) in
+    (* Decision: a quorum of AUX sets all inside bin_values (43–49).
+       Fewer than n − f AUX sets cannot hold such a quorum, so the list
+       is only built once enough have arrived. *)
+    let need = t.env.n - t.env.f in
     match
-      Dbft.Quorums.aux_union
-        ~need:(t.env.n - t.env.f)
-        ~in_bin:(bin_has t r) auxs
+      if rs.aux_count < need then None
+      else
+        Dbft.Quorums.aux_union ~need ~in_bin:(bin_has t r)
+          (Array.to_list rs.aux |> List.filter_map (fun x -> x))
     with
     | None -> ()
     | Some union ->
@@ -447,6 +458,7 @@ let on_aux t ~src ~round ~values =
     let rs = round_state t round in
     if rs.aux.(src) = None then begin
       rs.aux.(src) <- Some values;
+      rs.aux_count <- rs.aux_count + 1;
       try_advance t round
     end
   end

@@ -66,13 +66,18 @@ type t = {
   misbehavior : Misbehavior.t option;
   on_observe : Types.batch -> unit;
   on_output : output -> unit;
-  instances : (Types.iid, Instance.t) Hashtbl.t;
-  own_sref : (int, int) Hashtbl.t;  (** proposal index → s_ref *)
-  pending : (Types.iid, pending_entry) Hashtbl.t;
-  claims : (Types.iid, claim) Hashtbl.t;  (** gossip witnesses per instance *)
-  shares_held : (Types.iid, Crypto.Vss.decryption_share) Hashtbl.t;
-  reveals : (Types.iid, reveal_state) Hashtbl.t;
-  records : (Types.iid, commit_record) Hashtbl.t;
+  instances : Instance.t Types.Iid_tbl.t;
+  (* Instances possibly still undecided, for the retransmission sweep:
+     added at creation, removed on decision and, lazily, once halted. *)
+  mutable unsettled : Types.Iid_set.t;
+  own_sref : int Types.Int_tbl.t;  (** proposal index → s_ref *)
+  (* Ordered by iid, so the commit check and min-pending walk it in the
+     order a sort of the bindings would give. *)
+  mutable pending : pending_entry Types.Iid_map.t;
+  claims : claim Types.Iid_tbl.t;  (** gossip witnesses per instance *)
+  shares_held : Crypto.Vss.decryption_share Types.Iid_tbl.t;
+  reveals : reveal_state Types.Iid_tbl.t;
+  records : commit_record Types.Iid_tbl.t;
   outbox : Types.iid Queue.t;  (** commit order; emitted when revealed *)
   mutable outputs_rev : output list;
   mutable output_count : int;
@@ -91,15 +96,15 @@ type t = {
   mutable lag_since : (int * int) option;  (** (since_us, output_count then) *)
   mutable synced_entries : int;
   mutable syncs_started : int;
-  decided_votes : (Types.iid, decided_tally) Hashtbl.t;
-  inst_created : (Types.iid, int) Hashtbl.t;  (** engine time of first contact *)
+  decided_votes : decided_tally Types.Iid_tbl.t;
+  inst_created : int Types.Iid_tbl.t;  (** engine time of first contact *)
   mutable late_accepts : int;
   mutable own_accepted : int;
   mutable own_rejected : int;
   decide_rounds : Metrics.Recorder.t;
   boc_latency : Metrics.Recorder.t;
   phases : Metrics.Phases.t;
-  phase_marks : (int, phase_marks) Hashtbl.t;  (** own index → marks *)
+  phase_marks : phase_marks Types.Int_tbl.t;  (** own index → marks *)
 }
 
 (* The latency anatomy of an own batch, as phase spans (ms):
@@ -119,7 +124,7 @@ let accepted_count t = Commit_state.accepted_count t.commit
 
 let committed_seq t = Commit_state.committed t.commit
 
-let pending_count t = Hashtbl.length t.pending
+let pending_count t = Types.Iid_map.cardinal t.pending
 
 let mempool_size t = Mempool.length t.mempool
 
@@ -158,13 +163,9 @@ let min_pending_value t =
   if t.min_pending_dirty then begin
     t.min_pending_dirty <- false;
     t.min_pending_cache <-
-      (if Hashtbl.length t.pending = 0 then Types.no_pending
-       else
-         List.fold_left
-           (fun acc (_, e) ->
-             if e.kind = Validated then min acc e.p_seq else acc)
-           Types.no_pending
-           (Sim.Det.sorted_bindings ~cmp:Types.iid_compare t.pending))
+      Types.Iid_map.fold
+        (fun _ e acc -> if e.kind = Validated then min acc e.p_seq else acc)
+        t.pending Types.no_pending
   end;
   t.min_pending_cache
 
@@ -235,17 +236,17 @@ let send_body t ~dst body =
 (* ------------------------------------------------------------------ *)
 
 let reveal_state t iid =
-  match Hashtbl.find_opt t.reveals iid with
+  match Types.Iid_tbl.find_opt t.reveals iid with
   | Some r -> r
   | None ->
       let r =
         { senders = Array.make t.config.n false; count = 0; vss_shares = [] }
       in
-      Hashtbl.replace t.reveals iid r;
+      Types.Iid_tbl.replace t.reveals iid r;
       r
 
 let reveal_complete t iid =
-  match Hashtbl.find_opt t.reveals iid with
+  match Types.Iid_tbl.find_opt t.reveals iid with
   | None -> false
   | Some r -> r.count >= supermajority t
 
@@ -267,7 +268,7 @@ let rec drain_outbox t =
   match Queue.peek_opt t.outbox with
   | None -> ()
   | Some iid -> (
-      match Hashtbl.find_opt t.records iid with
+      match Types.Iid_tbl.find_opt t.records iid with
       | None -> ()
       | Some rec_ when rec_.emitted ->
           ignore (Queue.pop t.outbox : Types.iid);
@@ -287,7 +288,7 @@ let rec drain_outbox t =
               rec_.emitted <- true;
               ignore (Queue.pop t.outbox : Types.iid);
               (if Int.equal iid.Types.proposer t.id then
-                 match Hashtbl.find_opt t.phase_marks iid.Types.index with
+                 match Types.Int_tbl.find_opt t.phase_marks iid.Types.index with
                  | Some m ->
                      let now = Sim.Engine.now t.engine in
                      if m.k_reveal >= 0 then
@@ -297,7 +298,7 @@ let rec drain_outbox t =
                        ~from_us:m.k_propose ~until_us:now;
                      Sim.Network.trace_phase t.net ~node:t.id
                        (Sim.Trace.Span { span = "e2e"; from_us = m.k_propose });
-                     Hashtbl.remove t.phase_marks iid.Types.index
+                     Types.Int_tbl.remove t.phase_marks iid.Types.index
                  | None -> ());
               emit t rec_.c_batch rec_.c_seq;
               drain_outbox t
@@ -314,7 +315,7 @@ let on_reveal t ~src iid share =
           Int.equal s.Crypto.Vss.holder src
           &&
           (* Check against the cipher's commitments when we have it. *)
-          match Hashtbl.find_opt t.records iid with
+          match Types.Iid_tbl.find_opt t.records iid with
           | Some { c_batch = { obf = Types.Vss cipher; _ }; _ } ->
               Crypto.Vss.verify_share cipher s
           | _ -> true)
@@ -348,8 +349,8 @@ let pending_blocks_commit t boundary =
       broadcast_body t (Types.Nudge { iid })
     end
   in
-  List.iter
-    (fun (iid, e) ->
+  Types.Iid_map.iter
+    (fun iid e ->
       if e.p_seq <= boundary then
         match e.kind with
         | Validated -> blocking := true
@@ -368,8 +369,8 @@ let pending_blocks_commit t boundary =
                an honest answer both corroborates (the notice creates
                a local instance) and progresses the repair. *)
             let corroborated =
-              Hashtbl.mem t.instances iid
-              || (match Hashtbl.find_opt t.claims iid with
+              Types.Iid_tbl.mem t.instances iid
+              || (match Types.Iid_tbl.find_opt t.claims iid with
                  | Some c -> c.cl_count > Config.f t.config
                  | None -> false)
             in
@@ -378,7 +379,7 @@ let pending_blocks_commit t boundary =
               nudge_if_due iid e
             end
             else if now - e.added_at > expiry then begin
-              (match Hashtbl.find_opt t.claims iid with
+              (match Types.Iid_tbl.find_opt t.claims iid with
               | Some c -> c.cl_lapsed <- true
               | None -> ());
               expired := iid :: !expired
@@ -387,35 +388,39 @@ let pending_blocks_commit t boundary =
               blocking := true;
               nudge_if_due iid e
             end)
-    (Sim.Det.sorted_bindings ~cmp:Types.iid_compare t.pending);
-  if !expired <> [] then t.min_pending_dirty <- true;
-  List.iter (Hashtbl.remove t.pending) !expired;
+    t.pending;
+  if !expired <> [] then begin
+    t.min_pending_dirty <- true;
+    t.pending <-
+      List.fold_left (fun m iid -> Types.Iid_map.remove iid m) t.pending !expired
+  end;
   !blocking
 
 let try_commit t =
   let boundary = Commit_state.committed t.commit in
-  (* An empty pending set blocks nothing: skip its sort. *)
+  (* An empty pending set blocks nothing: skip its walk. *)
   if
     boundary > 0
-    && (Hashtbl.length t.pending = 0 || not (pending_blocks_commit t boundary))
+    && (Types.Iid_map.is_empty t.pending
+       || not (pending_blocks_commit t boundary))
   then begin
     let taken = Commit_state.take_committable t.commit in
     List.iter
       (fun (iid, seq) ->
-        match Hashtbl.find_opt t.instances iid with
+        match Types.Iid_tbl.find_opt t.instances iid with
         | None -> ()
         (* A record can already exist when the entry arrived through an
            output-log sync; it was emitted there — don't re-queue it. *)
-        | Some _ when Hashtbl.mem t.records iid -> ()
+        | Some _ when Types.Iid_tbl.mem t.records iid -> ()
         | Some inst -> (
             match Instance.proposal inst with
             | None -> ()
             | Some proposal ->
-                Hashtbl.replace t.records iid
+                Types.Iid_tbl.replace t.records iid
                   { c_batch = proposal.Types.batch; c_seq = seq; emitted = false };
                 Queue.push iid t.outbox;
                 (if Int.equal iid.Types.proposer t.id then
-                   match Hashtbl.find_opt t.phase_marks iid.Types.index with
+                   match Types.Int_tbl.find_opt t.phase_marks iid.Types.index with
                    | Some m when m.k_decide >= 0 && m.k_reveal < 0 ->
                        let now = Sim.Engine.now t.engine in
                        m.k_reveal <- now;
@@ -425,7 +430,7 @@ let try_commit t =
                 (* Broadcast our decryption share (line 95). *)
                 let share =
                   if t.config.real_crypto then
-                    Hashtbl.find_opt t.shares_held iid
+                    Types.Iid_tbl.find_opt t.shares_held iid
                   else None
                 in
                 broadcast_body t (Types.Reveal { iid; share })))
@@ -439,7 +444,8 @@ let try_commit t =
 
 let validate t (proposal : Types.proposal) ~seq_obs =
   let cfg = t.config in
-  let n = cfg.n and fv = f t in
+  let n = cfg.n in
+  let requested = Types.requested_seq ~n ~f:(f t) proposal.st in
   let ok =
     Int.equal (Array.length proposal.st) n
     && Array.length proposal.batch.txs <= 4 * cfg.batch_size
@@ -450,7 +456,7 @@ let validate t (proposal : Types.proposal) ~seq_obs =
         let perr = abs (seq_obs - prediction) in
         if perr > cfg.lambda_us then false
         else
-        match Types.requested_seq ~n ~f:fv proposal.st with
+        match requested with
         | None -> false
         | Some s ->
             (* Acceptance window: not locally locked, not too far in
@@ -464,28 +470,26 @@ let validate t (proposal : Types.proposal) ~seq_obs =
      other processes' messages; booking it as pending then would leave a
      stale min-pending that stalls everyone's stable prefix. *)
   let already_decided =
-    match Hashtbl.find_opt t.instances proposal.batch.iid with
+    match Types.Iid_tbl.find_opt t.instances proposal.batch.iid with
     | Some inst -> Instance.decided inst <> None
     | None -> false
   in
-  if ok && not already_decided then begin
-    let s =
-      match Types.requested_seq ~n ~f:fv proposal.st with
-      | Some s -> s
-      | None -> assert false
-    in
-    (match Hashtbl.find_opt t.pending proposal.batch.iid with
-    | Some { kind = Validated; _ } -> ()
-    | Some _ | None ->
-        t.min_pending_dirty <- true;
-        Hashtbl.replace t.pending proposal.batch.iid
-          {
-            p_seq = s;
-            kind = Validated;
-            added_at = Sim.Engine.now t.engine;
-            nudged_at = 0;
-          })
-  end;
+  (match requested with
+  | Some s when ok && not already_decided -> (
+      match Types.Iid_map.find_opt proposal.batch.iid t.pending with
+      | Some { kind = Validated; _ } -> ()
+      | Some _ | None ->
+          t.min_pending_dirty <- true;
+          t.pending <-
+            Types.Iid_map.add proposal.batch.iid
+              {
+                p_seq = s;
+                kind = Validated;
+                added_at = Sim.Engine.now t.engine;
+                nudged_at = 0;
+              }
+              t.pending)
+  | Some _ | None -> ());
   ok
 
 (* ------------------------------------------------------------------ *)
@@ -513,8 +517,8 @@ let propose_batch t txs =
     Ordering_clock.read t.clock
     + Sim.Cpu.backlog_us (Sim.Network.nic t.net t.id)
   in
-  Hashtbl.replace t.own_sref index s_ref;
-  Hashtbl.replace t.phase_marks index
+  Types.Int_tbl.replace t.own_sref index s_ref;
+  Types.Int_tbl.replace t.phase_marks index
     {
       k_propose = Sim.Engine.now t.engine;
       k_deliver = -1;
@@ -595,14 +599,14 @@ let submit t ~payload =
 (* ------------------------------------------------------------------ *)
 
 let on_decide t iid ~value ~round proposal =
-  (match Hashtbl.find_opt t.pending iid with
-  | Some _ ->
-      Hashtbl.remove t.pending iid;
-      t.min_pending_dirty <- true
-  | None -> ());
+  if Types.Iid_map.mem iid t.pending then begin
+    t.pending <- Types.Iid_map.remove iid t.pending;
+    t.min_pending_dirty <- true
+  end;
+  t.unsettled <- Types.Iid_set.remove iid t.unsettled;
   (* The local decision settles the instance for good; gossip witness
      bookkeeping for it is no longer needed. *)
-  Hashtbl.remove t.claims iid;
+  Types.Iid_tbl.remove t.claims iid;
   t.decide_rounds |> fun r -> Metrics.Recorder.record r (float_of_int round);
   (if Int.equal iid.Types.proposer t.id then begin
      t.inflight <- max 0 (t.inflight - 1);
@@ -612,7 +616,7 @@ let on_decide t iid ~value ~round proposal =
        (* A rejected batch carries live client transactions: requeue
           them for a fresh proposal with updated predictions
           (SMR-Liveness, Lemma 8 — processes continuously re-input). *)
-       match Hashtbl.find_opt t.instances iid with
+       match Types.Iid_tbl.find_opt t.instances iid with
        | Some inst -> (
            match Instance.proposal inst with
            | Some p ->
@@ -628,12 +632,12 @@ let on_decide t iid ~value ~round proposal =
            | None -> ())
        | None -> ()
      end;
-     (match Hashtbl.find_opt t.own_sref iid.Types.index with
+     (match Types.Int_tbl.find_opt t.own_sref iid.Types.index with
      | Some s_ref ->
          Metrics.Recorder.record t.boc_latency
            (float_of_int (Ordering_clock.peek t.clock - s_ref))
      | None -> ());
-     match Hashtbl.find_opt t.phase_marks iid.Types.index with
+     match Types.Int_tbl.find_opt t.phase_marks iid.Types.index with
      | Some m when value = 1 && m.k_decide < 0 ->
          let now = Sim.Engine.now t.engine in
          m.k_decide <- now;
@@ -646,7 +650,7 @@ let on_decide t iid ~value ~round proposal =
            (Sim.Trace.Span { span = "boc_decide"; from_us = m.k_propose })
      | Some _ when value = 0 ->
          (* Rejected: the pipeline ends here; its marks never complete. *)
-         Hashtbl.remove t.phase_marks iid.Types.index
+         Types.Int_tbl.remove t.phase_marks iid.Types.index
      | _ -> ()
    end);
   (if value = 1 then
@@ -740,13 +744,13 @@ let make_env t iid : Instance.env =
     observe_vote =
       (fun ~src ~seq_obs ->
         if Int.equal iid.Types.proposer t.id then
-          match Hashtbl.find_opt t.own_sref iid.Types.index with
+          match Types.Int_tbl.find_opt t.own_sref iid.Types.index with
           | Some s_ref -> Predictor.observe t.predictor ~peer:src ~s_ref ~seq_obs
           | None -> ());
     on_vvb_deliver =
       (fun () ->
         if Int.equal iid.Types.proposer t.id then
-          match Hashtbl.find_opt t.phase_marks iid.Types.index with
+          match Types.Int_tbl.find_opt t.phase_marks iid.Types.index with
           | Some m when m.k_deliver < 0 ->
               let now = Sim.Engine.now t.engine in
               m.k_deliver <- now;
@@ -758,12 +762,13 @@ let make_env t iid : Instance.env =
   }
 
 let instance_of t iid =
-  match Hashtbl.find_opt t.instances iid with
+  match Types.Iid_tbl.find_opt t.instances iid with
   | Some inst -> inst
   | None ->
       let inst = Instance.create (make_env t iid) iid in
-      Hashtbl.replace t.instances iid inst;
-      Hashtbl.replace t.inst_created iid (Sim.Engine.now t.engine);
+      Types.Iid_tbl.replace t.instances iid inst;
+      Types.Iid_tbl.replace t.inst_created iid (Sim.Engine.now t.engine);
+      t.unsettled <- Types.Iid_set.add iid t.unsettled;
       inst
 
 (* ------------------------------------------------------------------ *)
@@ -859,27 +864,27 @@ let on_sync_resp t ~src:_ ~from_count ~upto entries =
       (fun ((batch : Types.batch), seq) ->
         if !ok then begin
           let iid = batch.Types.iid in
-          match Hashtbl.find_opt t.records iid with
+          match Types.Iid_tbl.find_opt t.records iid with
           | Some r when r.emitted ->
               (* Responder's log diverges from ours — Byzantine server.
                  Abort; the next tick re-pulls from another peer. *)
               ok := false
           | existing ->
               Commit_state.note_committed t.commit iid ~seq;
-              Hashtbl.remove t.claims iid;
-              (if Hashtbl.mem t.pending iid then begin
-                 Hashtbl.remove t.pending iid;
+              Types.Iid_tbl.remove t.claims iid;
+              (if Types.Iid_map.mem iid t.pending then begin
+                 t.pending <- Types.Iid_map.remove iid t.pending;
                  t.min_pending_dirty <- true
                end);
               (match existing with
               | Some r -> r.emitted <- true
               | None ->
-                  Hashtbl.replace t.records iid
+                  Types.Iid_tbl.replace t.records iid
                     { c_batch = batch; c_seq = seq; emitted = true });
               (* Settle the local instance if it is still undecided, so
                  the retransmission sweep stops nudging for it and an
                  own proposal releases its inflight slot. *)
-              (match Hashtbl.find_opt t.instances iid with
+              (match Types.Iid_tbl.find_opt t.instances iid with
               | Some inst when Instance.decided inst = None ->
                   Instance.force_decide inst ~value:1 (Instance.proposal inst)
               | _ -> ());
@@ -887,7 +892,7 @@ let on_sync_resp t ~src:_ ~from_count ~upto entries =
               (* An own batch emitted through the sync bypassed the
                  reveal pipeline; its phase marks can never complete. *)
               if Int.equal iid.Types.proposer t.id then
-                Hashtbl.remove t.phase_marks iid.Types.index;
+                Types.Int_tbl.remove t.phase_marks iid.Types.index;
               emit t batch seq
         end)
       entries;
@@ -907,7 +912,7 @@ let on_sync_resp t ~src:_ ~from_count ~upto entries =
 (* ------------------------------------------------------------------ *)
 
 let on_nudge t ~src iid =
-  match Hashtbl.find_opt t.instances iid with
+  match Types.Iid_tbl.find_opt t.instances iid with
   | None -> ()
   | Some inst -> (
       match Instance.decided inst with
@@ -923,7 +928,7 @@ let on_decided t ~src iid ~value proposal =
     let inst = instance_of t iid in
     if Instance.decided inst = None then begin
       let tally =
-        match Hashtbl.find_opt t.decided_votes iid with
+        match Types.Iid_tbl.find_opt t.decided_votes iid with
         | Some d -> d
         | None ->
             let d =
@@ -934,7 +939,7 @@ let on_decided t ~src iid ~value proposal =
                 d_prop = None;
               }
             in
-            Hashtbl.replace t.decided_votes iid d;
+            Types.Iid_tbl.replace t.decided_votes iid d;
             d
       in
       if not tally.d_senders.(src) then begin
@@ -947,7 +952,7 @@ let on_decided t ~src iid ~value proposal =
         (* f+1 matching notices contain at least one correct sender. *)
         let bar = f t + 1 in
         if tally.d_ones >= bar then begin
-          Hashtbl.remove t.decided_votes iid;
+          Types.Iid_tbl.remove t.decided_votes iid;
           let p =
             match tally.d_prop with
             | Some _ as p -> p
@@ -956,7 +961,7 @@ let on_decided t ~src iid ~value proposal =
           Instance.force_decide inst ~value:1 p
         end
         else if tally.d_zeros >= bar then begin
-          Hashtbl.remove t.decided_votes iid;
+          Types.Iid_tbl.remove t.decided_votes iid;
           Instance.force_decide inst ~value:0 None
         end
       end
@@ -966,19 +971,27 @@ let on_decided t ~src iid ~value proposal =
 (* Periodic sweep: any instance still undecided past the patience gets
    its state re-broadcast plus a Nudge pulling peers' state. On healthy
    runs every instance decides well inside the patience, so the sweep
-   sends nothing and the goldens are untouched. *)
+   sends nothing and the goldens are untouched. It walks only the
+   instances not yet known settled, in iid order, dropping the ones
+   found halted. *)
 let rec retransmit_loop t =
   (if not (Sim.Network.is_crashed t.net t.id) then begin
      let now = Sim.Engine.now t.engine in
-     List.iter
-       (fun (iid, inst) ->
-         if Instance.decided inst = None && not (Instance.halted inst) then
-           match Hashtbl.find_opt t.inst_created iid with
-           | Some at when now - at > t.config.retransmit_after_us ->
-               Instance.poke inst;
-               broadcast_body t (Types.Nudge { iid })
-           | _ -> ())
-       (Sim.Det.sorted_bindings ~cmp:Types.iid_compare t.instances)
+     let settled = ref [] in
+     Types.Iid_set.iter
+       (fun iid ->
+         match Types.Iid_tbl.find_opt t.instances iid with
+         | Some inst when Instance.decided inst = None && not (Instance.halted inst)
+           -> (
+             match Types.Iid_tbl.find_opt t.inst_created iid with
+             | Some at when now - at > t.config.retransmit_after_us ->
+                 Instance.poke inst;
+                 broadcast_body t (Types.Nudge { iid })
+             | _ -> ())
+         | Some _ | None -> settled := iid :: !settled)
+       t.unsettled;
+     t.unsettled <-
+       List.fold_left (fun s iid -> Types.Iid_set.remove iid s) t.unsettled !settled
    end);
   ignore
     (Sim.Engine.schedule t.engine ~delay:t.config.retransmit_interval_us
@@ -1008,7 +1021,7 @@ let absorb_status t ~src (status : Types.status) =
         (* Corroboration: record every distinct peer that ever claimed
            this entry accepted; f+1 of them include a correct one. *)
         let cl =
-          match Hashtbl.find_opt t.claims iid with
+          match Types.Iid_tbl.find_opt t.claims iid with
           | Some c -> c
           | None ->
               let c =
@@ -1018,16 +1031,16 @@ let absorb_status t ~src (status : Types.status) =
                   cl_lapsed = false;
                 }
               in
-              Hashtbl.replace t.claims iid c;
+              Types.Iid_tbl.replace t.claims iid c;
               c
         in
         if not cl.cl_peers.(src) then begin
           cl.cl_peers.(src) <- true;
           cl.cl_count <- cl.cl_count + 1
         end;
-        if not (Hashtbl.mem t.pending iid) then begin
+        if not (Types.Iid_map.mem iid t.pending) then begin
           let decided =
-            match Hashtbl.find_opt t.instances iid with
+            match Types.Iid_tbl.find_opt t.instances iid with
             | Some i -> Instance.decided i <> None
             | None -> false
           in
@@ -1039,13 +1052,15 @@ let absorb_status t ~src (status : Types.status) =
             && ((not cl.cl_lapsed) || cl.cl_count > Config.f t.config)
           then begin
             t.min_pending_dirty <- true;
-            Hashtbl.replace t.pending iid
-              {
-                p_seq = seq;
-                kind = External;
-                added_at = Sim.Engine.now t.engine;
-                nudged_at = 0;
-              }
+            t.pending <-
+              Types.Iid_map.add iid
+                {
+                  p_seq = seq;
+                  kind = External;
+                  added_at = Sim.Engine.now t.engine;
+                  nudged_at = 0;
+                }
+                t.pending
           end
         end
       end)
@@ -1083,7 +1098,7 @@ let on_message t ~src (msg : Types.msg) =
   match msg.body with
   | Types.Init { proposal; share; sigma } ->
       (match share with
-      | Some s -> Hashtbl.replace t.shares_held proposal.Types.batch.Types.iid s
+      | Some s -> Types.Iid_tbl.replace t.shares_held proposal.Types.batch.Types.iid s
       | None -> ());
       t.on_observe proposal.Types.batch;
       Instance.on_init
@@ -1190,13 +1205,14 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
       misbehavior;
       on_observe;
       on_output;
-      instances = Hashtbl.create 64;
-      own_sref = Hashtbl.create 16;
-      pending = Hashtbl.create 32;
-      claims = Hashtbl.create 32;
-      shares_held = Hashtbl.create 32;
-      reveals = Hashtbl.create 32;
-      records = Hashtbl.create 32;
+      instances = Types.Iid_tbl.create 64;
+      unsettled = Types.Iid_set.empty;
+      own_sref = Types.Int_tbl.create 16;
+      pending = Types.Iid_map.empty;
+      claims = Types.Iid_tbl.create 32;
+      shares_held = Types.Iid_tbl.create 32;
+      reveals = Types.Iid_tbl.create 32;
+      records = Types.Iid_tbl.create 32;
       outbox = Queue.create ();
       outputs_rev = [];
       output_count = 0;
@@ -1216,15 +1232,15 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
       lag_since = None;
       synced_entries = 0;
       syncs_started = 0;
-      decided_votes = Hashtbl.create 8;
-      inst_created = Hashtbl.create 64;
+      decided_votes = Types.Iid_tbl.create 8;
+      inst_created = Types.Iid_tbl.create 64;
       late_accepts = 0;
       own_accepted = 0;
       own_rejected = 0;
       decide_rounds = Metrics.Recorder.create ();
       boc_latency = Metrics.Recorder.create ();
       phases = Metrics.Phases.create phase_labels;
-      phase_marks = Hashtbl.create 16;
+      phase_marks = Types.Int_tbl.create 16;
     }
   in
   Sim.Network.register net ~id (fun ~src msg -> on_message t ~src msg);

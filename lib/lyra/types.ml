@@ -7,6 +7,36 @@ let iid_compare a b =
 
 let iid_equal a b = Int.equal a.proposer b.proposer && Int.equal a.index b.index
 
+(* Canonical integer hash: two multiplies and a fold, where the
+   polymorphic [Hashtbl.hash] walks the record in C. Hash values only
+   place keys in buckets; no table built on it is ever traversed. *)
+let iid_hash { proposer; index } =
+  let h = (proposer * 0x9E3779B1) lxor (index * 0x85EBCA6B) in
+  (h lxor (h lsr 16)) land max_int
+
+module Iid_tbl = Hashtbl.Make (struct
+  type t = iid
+
+  let equal = iid_equal
+  let hash = iid_hash
+end)
+
+module Iid_ord = struct
+  type t = iid
+
+  let compare = iid_compare
+end
+
+module Iid_map = Map.Make (Iid_ord)
+module Iid_set = Set.Make (Iid_ord)
+
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
 let pp_iid fmt { proposer; index } = Format.fprintf fmt "%d/%d" proposer index
 
 type tx = {
@@ -47,13 +77,20 @@ let proposal_digest p = p.digest
 let requested_seq ~n ~f st =
   if not (Int.equal (Array.length st) n) then None
   else begin
-    let known = Array.to_list st |> List.filter_map (fun x -> x) in
-    if List.length known < n - f then None
-    else
-      (* Blanks sort last, so the (n−f)-th smallest overall is the
-         (n−f)-th smallest known value. *)
-      let sorted = List.sort Int.compare known in
-      List.nth_opt sorted (n - f - 1)
+    (* Blanks sort last: as [max_int] they are the largest entries, so
+       once at least n − f predictions are known the (n−f)-th smallest
+       entry overall — the f-th largest, counting from 0 — is the
+       (n−f)-th smallest known value. *)
+    let vals = Array.make n max_int and known = ref 0 in
+    for i = 0 to n - 1 do
+      match st.(i) with
+      | Some s ->
+          vals.(i) <- s;
+          incr known
+      | None -> ()
+    done;
+    if !known < n - f then None
+    else Some (Order_stat.kth_largest ~scratch:vals vals f)
   end
 
 type status = {

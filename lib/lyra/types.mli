@@ -17,6 +17,23 @@ val iid_equal : iid -> iid -> bool
 
 val pp_iid : Format.formatter -> iid -> unit
 
+(** A canonical non-negative integer hash of an [iid]. *)
+val iid_hash : iid -> int
+
+(** Hash tables keyed by [iid] and by [int], hashing with {!iid_hash}
+    and the identity: a lookup runs no polymorphic hash or compare.
+    Like every hash table in protocol code they are probed and
+    updated, never traversed (lint rule D001). *)
+module Iid_tbl : Hashtbl.S with type key = iid
+
+module Int_tbl : Hashtbl.S with type key = int
+
+(** Ordered map and set keyed by [iid] under {!iid_compare}: their
+    traversals run in key order. *)
+module Iid_map : Map.S with type key = iid
+
+module Iid_set : Set.S with type elt = iid
+
 (** A client transaction. [payload] is the 32-byte value of the paper's
     workload; [submitted_at]/[origin] support latency accounting. *)
 type tx = {
@@ -68,7 +85,8 @@ val proposal : batch -> int option array -> proposal
 val proposal_digest : proposal -> string
 
 (** Requested sequence number: the (n − f)-th smallest value of S_t
-    (blanks sort last). [None] if fewer than n − f predictions. *)
+    (blanks sort last). [None] if fewer than n − f predictions, or if
+    [st] does not have length [n]. Requires [f < n]. *)
 val requested_seq : n:int -> f:int -> int option array -> int option
 
 (** Commit-protocol state piggybacked on every message (Alg. 4

@@ -3,13 +3,13 @@ type t = {
   cores : int;
   free_at : int array;  (** per-core absolute time the core becomes idle *)
   mutable busy : int;
-  kind : Engine.kind;
+  kind : Engine.kind option;  (** [Some], built once: passing [~kind] per job would box it *)
   mutable timeline : Metrics.Timeline.t option;
 }
 
 let create ?(cores = 1) ?(kind = Engine.Cpu_job) engine =
   if cores < 1 then invalid_arg "Cpu.create: cores must be >= 1";
-  { engine; cores; free_at = Array.make cores 0; busy = 0; kind; timeline = None }
+  { engine; cores; free_at = Array.make cores 0; busy = 0; kind = Some kind; timeline = None }
 
 let attach_timeline t tl = t.timeline <- Some tl
 
@@ -34,7 +34,7 @@ let submit t ~service_us f =
       Metrics.Timeline.add_range tl ~from_us:start ~until_us:finish
         (float_of_int service_us)
   | _ -> ());
-  ignore (Engine.schedule_at ~kind:t.kind t.engine ~time:finish f : Engine.timer)
+  ignore (Engine.schedule_at ?kind:t.kind t.engine ~time:finish f : Engine.timer)
 
 let cores t = t.cores
 

@@ -10,25 +10,19 @@ let kind_name = function
 
 let all_kinds = [ Timer; Wire; Cpu_job; Nic_tx ]
 
-(* A cancelled timer stays in the wheel (removing an arbitrary queued
-   entry would mean hunting through its bucket); [live] counts the
-   entries that will actually fire,
-   so cancellations neither inflate [pending] nor burn the
-   [run_until_idle] budget. The timer carries its owner to let [cancel]
-   maintain the count without a lookup. *)
-type timer = {
-  mutable cancelled : bool;
-  t_kind : int;
-  action : unit -> unit;
-  owner : t;
-}
+(* An event is a wheel entry: it carries the kind tag and the
+   cancelled flag, and doubles as the cancellation handle. A cancelled
+   event stays in the wheel (removing an arbitrary queued entry would
+   mean hunting through its bucket) and is discarded when it reaches
+   the head, so cancellations neither inflate [pending] nor burn the
+   [run_until_idle] budget. *)
+type timer = (unit -> unit) Timing_wheel.entry
 
-and t = {
-  wheel : timer Timing_wheel.t;
+type t = {
+  wheel : (unit -> unit) Timing_wheel.t;
   mutable clock : int;
   root_rng : Crypto.Rng.t;
   mutable executed : int;
-  mutable live : int;
   kind_counts : int array;
 }
 
@@ -38,7 +32,6 @@ let create ?(seed = 0xC0FFEEL) () =
     clock = 0;
     root_rng = Crypto.Rng.create seed;
     executed = 0;
-    live = 0;
     kind_counts = Array.make 4 0;
   }
 
@@ -51,69 +44,45 @@ let schedule_at ?(kind = Timer) t ~time action =
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %d is in the past (now %d)"
          time t.clock);
-  let timer =
-    { cancelled = false; t_kind = kind_index kind; action; owner = t }
-  in
-  Timing_wheel.push t.wheel ~time timer;
-  t.live <- t.live + 1;
-  timer
+  Timing_wheel.add t.wheel ~time ~kind:(kind_index kind) action
 
 let schedule ?kind t ~delay action =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at ?kind t ~time:(t.clock + delay) action
 
-let cancel timer =
-  if not timer.cancelled then begin
-    timer.cancelled <- true;
-    timer.owner.live <- timer.owner.live - 1
-  end
+let cancel = Timing_wheel.cancel
 
-(* Discard cancelled entries sitting at the wheel head, so time-bound
-   checks ([run]'s peek) never see a timestamp that nothing will fire
-   at — otherwise skipping a cancelled head inside [step] could carry
-   execution past [until]. *)
-let rec purge_cancelled t =
-  match Timing_wheel.peek t.wheel with
-  | Some (_, timer) when timer.cancelled ->
-      ignore (Timing_wheel.pop t.wheel : (int * timer) option);
-      purge_cancelled t
-  | Some _ | None -> ()
+let exec t (e : timer) =
+  t.clock <- e.time;
+  t.executed <- t.executed + 1;
+  t.kind_counts.(e.kind) <- t.kind_counts.(e.kind) + 1;
+  e.payload ()
 
-let rec step t =
-  match Timing_wheel.pop t.wheel with
-  | None -> false
-  | Some (_, timer) when timer.cancelled -> step t
-  | Some (time, timer) ->
-      t.clock <- time;
-      t.live <- t.live - 1;
-      t.executed <- t.executed + 1;
-      t.kind_counts.(timer.t_kind) <- t.kind_counts.(timer.t_kind) + 1;
-      timer.action ();
-      true
-
+(* One allocation-free head read and one take per event: [head_time]
+   discards cancelled heads, so the bound is checked against a
+   timestamp something will actually fire at. *)
 let run t ~until =
-  let continue = ref true in
-  while !continue do
-    purge_cancelled t;
-    match Timing_wheel.peek_time t.wheel with
-    | Some time when time <= until -> ignore (step t : bool)
-    | Some _ | None -> continue := false
+  let w = t.wheel in
+  while (not (Timing_wheel.is_empty w)) && Timing_wheel.head_time w <= until do
+    exec t (Timing_wheel.take w)
   done;
   t.clock <- max t.clock until
 
 let run_until_idle ?(limit = 500_000_000) t =
+  let w = t.wheel in
   let budget = ref limit in
-  while t.live > 0 && !budget > 0 do
-    (* [step] skips cancelled entries without charging the budget: only
+  while (not (Timing_wheel.is_empty w)) && !budget > 0 do
+    (* [take] skips cancelled entries without charging the budget: only
        events that actually execute count against the limit. *)
-    ignore (step t : bool);
+    exec t (Timing_wheel.take w);
     decr budget
   done;
-  if t.live > 0 then failwith "Engine.run_until_idle: event limit exceeded"
+  if not (Timing_wheel.is_empty w) then
+    failwith "Engine.run_until_idle: event limit exceeded"
 
 let events_executed t = t.executed
 
 let executed_by_kind t =
   List.map (fun k -> (kind_name k, t.kind_counts.(kind_index k))) all_kinds
 
-let pending t = t.live
+let pending t = Timing_wheel.size t.wheel

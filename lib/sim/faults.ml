@@ -202,28 +202,52 @@ let in_window ~now ~from_us ~until_us = now >= from_us && now < until_us
 let endpoint_matches filter id =
   match filter with None -> true | Some wanted -> Int.equal wanted id
 
-(* Overlapping windows compose as independent trials: the message
-   survives only if it survives every active window. *)
-let drop_dup plan ~now ~src ~dst =
-  List.fold_left
-    (fun ((keep_d, keep_u) as acc) w ->
-      if
-        in_window ~now ~from_us:w.l_from_us ~until_us:w.l_until_us
-        && endpoint_matches w.l_src src
-        && endpoint_matches w.l_dst dst
-      then (keep_d *. (1.0 -. w.l_drop_p), keep_u *. (1.0 -. w.l_dup_p))
-      else acc)
-    (1.0, 1.0) plan.losses
-  |> fun (keep_d, keep_u) -> (1.0 -. keep_d, 1.0 -. keep_u)
+(* The per-message queries below run on every wired message. They are
+   written as direct recursions, so an empty list returns at once and
+   no closure or accumulator tuple is built per call. *)
 
-let partitioned plan ~now ~src ~dst =
-  List.exists
-    (fun p ->
-      in_window ~now ~from_us:p.p_from_us ~until_us:p.p_heal_us
-      &&
-      let inside id = List.exists (Int.equal id) p.p_island in
-      not (Bool.equal (inside src) (inside dst)))
-    plan.partitions
+let rec mem_int x = function [] -> false | y :: rest -> Int.equal x y || mem_int x rest
+
+let loss_matches w ~now ~src ~dst =
+  in_window ~now ~from_us:w.l_from_us ~until_us:w.l_until_us
+  && endpoint_matches w.l_src src
+  && endpoint_matches w.l_dst dst
+
+(* Overlapping windows compose as independent trials: the message
+   survives only if it survives every active window. The drop and the
+   duplicate probability each take one pass over the loss list. The
+   running product is a local unboxed float; a message no window
+   matches gets the literal [0.0], which is not allocated. *)
+let loss_p ~dup plan ~now ~src ~dst =
+  let keep = ref 1.0 and matched = ref false and ws = ref plan.losses in
+  while
+    match !ws with
+    | [] -> false
+    | w :: rest ->
+        if loss_matches w ~now ~src ~dst then begin
+          matched := true;
+          keep := !keep *. (1.0 -. if dup then w.l_dup_p else w.l_drop_p)
+        end;
+        ws := rest;
+        true
+  do
+    ()
+  done;
+  if !matched then 1.0 -. !keep else 0.0
+
+let drop_prob plan ~now ~src ~dst = loss_p ~dup:false plan ~now ~src ~dst
+
+let dup_prob plan ~now ~src ~dst = loss_p ~dup:true plan ~now ~src ~dst
+
+let rec cut_by ps ~now ~src ~dst =
+  match ps with
+  | [] -> false
+  | p :: rest ->
+      (in_window ~now ~from_us:p.p_from_us ~until_us:p.p_heal_us
+      && not (Bool.equal (mem_int src p.p_island) (mem_int dst p.p_island)))
+      || cut_by rest ~now ~src ~dst
+
+let partitioned plan ~now ~src ~dst = cut_by plan.partitions ~now ~src ~dst
 
 let skew_us plan id =
   List.fold_left
@@ -237,40 +261,43 @@ type link_fate = Link_up | Link_cut | Link_delayed of int
    several overlapping eclipses stack. Deliberately RNG-free: eclipse
    is a deterministic adversary move, so attack-free runs (and the
    conditional fault-RNG split) keep the exact golden event sequence. *)
-let eclipse_fate plan ~now ~src ~dst =
-  List.fold_left
-    (fun fate e ->
-      match fate with
-      | Link_cut -> Link_cut
-      | Link_up | Link_delayed _ ->
-          let claimed peer other =
-            Int.equal peer e.e_victim && List.exists (Int.equal other) e.e_owned
-          in
-          if
-            in_window ~now ~from_us:e.e_from_us ~until_us:e.e_until_us
-            && (claimed src dst || claimed dst src)
-          then
-            match e.e_delay_us with
-            | None -> Link_cut
-            | Some d ->
-                Link_delayed
-                  (d + match fate with Link_delayed p -> p | _ -> 0)
-          else fate)
-    Link_up plan.eclipses
+let claims e peer other = Int.equal peer e.e_victim && mem_int other e.e_owned
+
+let rec fate_of es fate ~now ~src ~dst =
+  match (es, fate) with
+  | [], _ | _, Link_cut -> fate
+  | e :: rest, (Link_up | Link_delayed _) ->
+      let fate =
+        if
+          in_window ~now ~from_us:e.e_from_us ~until_us:e.e_until_us
+          && (claims e src dst || claims e dst src)
+        then
+          match e.e_delay_us with
+          | None -> Link_cut
+          | Some d -> Link_delayed (d + match fate with Link_delayed p -> p | _ -> 0)
+        else fate
+      in
+      fate_of rest fate ~now ~src ~dst
+
+let eclipse_fate plan ~now ~src ~dst = fate_of plan.eclipses Link_up ~now ~src ~dst
 
 (* Extra one-way delay from active region-pair inflations; directions
    are symmetric and overlapping entries stack. *)
-let inflation_us plan ~now ~src ~dst =
-  List.fold_left
-    (fun acc d ->
-      let in_a x = List.exists (Int.equal x) d.d_a in
-      let in_b x = List.exists (Int.equal x) d.d_b in
-      if
-        in_window ~now ~from_us:d.d_from_us ~until_us:d.d_until_us
-        && ((in_a src && in_b dst) || (in_b src && in_a dst))
-      then acc + d.d_extra_us
-      else acc)
-    0 plan.inflations
+let rec inflation_of ds acc ~now ~src ~dst =
+  match ds with
+  | [] -> acc
+  | d :: rest ->
+      let acc =
+        if
+          in_window ~now ~from_us:d.d_from_us ~until_us:d.d_until_us
+          && ((mem_int src d.d_a && mem_int dst d.d_b)
+             || (mem_int src d.d_b && mem_int dst d.d_a))
+        then acc + d.d_extra_us
+        else acc
+      in
+      inflation_of rest acc ~now ~src ~dst
+
+let inflation_us plan ~now ~src ~dst = inflation_of plan.inflations 0 ~now ~src ~dst
 
 let eclipse_victims plan =
   List.sort_uniq Int.compare (List.map (fun e -> e.e_victim) plan.eclipses)

@@ -163,11 +163,15 @@ val island_of_regions : n:int -> Regions.t list -> int list
     ids, probabilities outside \[0,1\], or empty/inverted windows. *)
 val validate : plan -> n:int -> unit
 
-(** [drop_dup plan ~now ~src ~dst] — the effective (drop, duplicate)
-    probabilities for a message entering the wire now. Overlapping
-    windows compose as independent trials. (0., 0.) when no window
+(** [drop_prob plan ~now ~src ~dst] — the effective probability that
+    a message entering the wire now is dropped. Overlapping windows
+    compose as independent trials. Exactly [0.] when no window
     matches, so callers can skip the RNG draw entirely. *)
-val drop_dup : plan -> now:int -> src:int -> dst:int -> float * float
+val drop_prob : plan -> now:int -> src:int -> dst:int -> float
+
+(** [dup_prob plan ~now ~src ~dst] — the same for duplication, drawn
+    independently of the drop. *)
+val dup_prob : plan -> now:int -> src:int -> dst:int -> float
 
 (** [partitioned plan ~now ~src ~dst] — some active partition separates
     the two endpoints. *)

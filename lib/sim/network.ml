@@ -305,17 +305,18 @@ and wire t ~src ~dst ~rx msg =
         (match t.fault_rng with
         | None -> ()
         | Some rng ->
-            let drop_p, dup_p = Faults.drop_dup t.faults ~now ~src ~dst in
             (* Drop and duplication are sampled independently: gating the
                dup draw on the drop not firing would make the effective
                duplicate rate dup_p * (1 - drop_p) instead of the
                configured dup_p. A message can lose its original and still
                have its duplicate delivered. *)
+            let drop_p = Faults.drop_prob t.faults ~now ~src ~dst in
             if drop_p > 0.0 && Crypto.Rng.float rng < drop_p then begin
               copies := !copies - 1;
               t.dropped <- t.dropped + 1;
               trace_fault t ~node:dst (Trace.Drop { src })
             end;
+            let dup_p = Faults.dup_prob t.faults ~now ~src ~dst in
             if dup_p > 0.0 && Crypto.Rng.float rng < dup_p then begin
               copies := !copies + 1;
               t.duped <- t.duped + 1;

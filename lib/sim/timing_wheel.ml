@@ -16,22 +16,29 @@
    steady state allocates one entry record per push — the same as the
    heap — instead of a cons cell per entry per level.
 
-   Every insertion path appends in increasing [e_seq] order (pushes
-   carry monotone seqs; a cascade walks its source bucket in array
-   order; a page's lower-level buckets are empty until its cascade
-   runs, so cascaded entries always precede later direct pushes), and
-   a level-0 slot holds exactly one timestamp, so the drained bucket
-   is already in (time, seq) order — no sort.
+   Every insertion path appends in push order (a cascade walks its
+   source bucket in array order; a page's lower-level buckets are empty
+   until its cascade runs, so cascaded entries always precede later
+   direct pushes), and a level-0 slot holds exactly one timestamp, so
+   the drained bucket is already in (time, push order) — no sort, and
+   no sequence number stored per entry.
 
-   The observable order is the exact (time, seq) lexicographic total
-   order the engine's determinism contract requires: FIFO within a
+   The observable order is the exact (time, push order) lexicographic
+   total order the engine's determinism contract requires: FIFO within a
    timestamp, globally sorted by timestamp. The equivalence property
    test in test_sim.ml drains random schedules through this structure
    and the heap side by side and asserts identical output.
 
    Contract (engine-shaped): a push's [time] must be no earlier than
    the time of the most recently popped entry. [Engine.schedule_at]
-   already enforces the stronger [time >= clock]. *)
+   already enforces the stronger [time >= clock].
+
+   The entry record is also the engine's event: it carries an opaque
+   [kind] tag and a liveness flag, and [add] hands it back as the
+   cancellation handle. A cancelled entry stays where it is and is
+   discarded when it reaches the head, so cancelling is O(1). The
+   consuming side ([head_time], [take]) allocates nothing: no option,
+   no tuple per event. *)
 
 let bits = 8
 
@@ -41,21 +48,30 @@ let mask = slots - 1
 
 let levels = 4 (* horizon: 2^32 µs, ~71 simulated minutes *)
 
-type 'a entry = { e_time : int; e_seq : int; payload : 'a }
+type 'a entry = {
+  time : int;
+  kind : int;
+  payload : 'a;
+  (* True from [add] until the entry is taken or cancelled. *)
+  mutable live : bool;
+  (* The wheel holding the entry, so [cancel] can keep [size] exact
+     without a lookup. *)
+  owner : 'a t;
+}
 
-(* Unordered-by-time, seq-ordered growable bucket; [arr] is valid on
+(* Unordered-by-time, push-ordered growable bucket; [arr] is valid on
    [0, len). Spent slots keep their storage for reuse. *)
-type 'a bucket = { mutable arr : 'a entry array; mutable len : int }
+and 'a bucket = { mutable arr : 'a entry array; mutable len : int }
 
-type 'a t = {
-  (* Floor on every live entry's time; advanced by [pop] to the popped
-     entry's timestamp and by cascades to the cascaded page's base. *)
+and 'a t = {
+  (* Floor on every stored entry's time; advanced by consuming an entry
+     to its timestamp and by cascades to the cascaded page's base. *)
   mutable cur : int;
   buckets : 'a bucket array array; (* levels x slots *)
-  occ : int array; (* live entries per level *)
+  occ : int array; (* stored entries per level *)
   mutable overflow : 'a entry list; (* newest first *)
   mutable n_overflow : int;
-  (* Entries of one timestamp [ready_time], ascending seq, served from
+  (* Entries of one timestamp [ready_time], in push order, served from
      [ready_pos]. Filled by draining the next non-empty level-0 slot
      (an array swap, not a copy). *)
   mutable ready : 'a bucket;
@@ -63,12 +79,14 @@ type 'a t = {
   mutable ready_time : int;
   (* Entries legally pushed at a time in [last-popped, cur): [cur] may
      run ahead of the engine clock after a cascade, and [Engine.run
-     ~until] stops the clock between events. Sorted by (time, seq);
+     ~until] stops the clock between events. Sorted by (time, push order);
      always served before the wheel ([cur] floors the wheel). Rarely
      populated, so a list is fine. *)
   mutable early : 'a entry list;
-  mutable size : int;
-  mutable next_seq : int;
+  (* Entries stored, cancelled ones included; [cancelled] of them are
+     dead and wait to be discarded at the head. *)
+  mutable stored : int;
+  mutable cancelled : int;
   (* Filler for consumed array slots: recycled bucket storage must not
      pin popped entries (and whatever their payloads reference) for the
      GC. Set to the first entry that ever grows a bucket. *)
@@ -88,17 +106,14 @@ let create () =
     ready_pos = 0;
     ready_time = 0;
     early = [];
-    size = 0;
-    next_seq = 0;
+    stored = 0;
+    cancelled = 0;
     dummy = None;
   }
 
-let size t = t.size
+let size t = t.stored - t.cancelled
 
-let is_empty t = Int.equal t.size 0
-
-let entry_before a b =
-  a.e_time < b.e_time || (Int.equal a.e_time b.e_time && a.e_seq < b.e_seq)
+let is_empty t = Int.equal (size t) 0
 
 let bucket_push t b entry =
   let cap = Array.length b.arr in
@@ -133,21 +148,21 @@ let level_of t time =
   else levels
 
 let insert_wheel t entry =
-  let l = level_of t entry.e_time in
+  let l = level_of t entry.time in
   if Int.equal l levels then begin
     t.overflow <- entry :: t.overflow;
     t.n_overflow <- t.n_overflow + 1
   end
   else begin
-    let idx = (entry.e_time lsr (bits * l)) land mask in
+    let idx = (entry.time lsr (bits * l)) land mask in
     bucket_push t t.buckets.(l).(idx) entry;
     t.occ.(l) <- t.occ.(l) + 1
   end
 
 (* Put a premature ready buffer back into the wheel so an earlier push
-   can take its place. The walk is in seq order, so the target level-0
+   can take its place. The walk is in push order, so the target level-0
    slot (empty: it was drained, and same-time pushes went to [ready])
-   stays seq-sorted. *)
+   stays in push order. *)
 let unwind_ready t =
   let b = t.ready in
   for i = t.ready_pos to b.len - 1 do
@@ -159,40 +174,50 @@ let unwind_ready t =
 
 let ready_count t = t.ready.len - t.ready_pos
 
-let push t ~time payload =
-  let entry = { e_time = time; e_seq = t.next_seq; payload } in
-  t.next_seq <- t.next_seq + 1;
-  t.size <- t.size + 1;
+let add t ~time ~kind payload =
+  let entry = { time; kind; payload; live = true; owner = t } in
+  t.stored <- t.stored + 1;
   if time < t.cur then begin
-    (* Legal only between the last pop and [cur] (see [early]). *)
+    (* Legal only between the last pop and [cur] (see [early]). The new
+       entry is the latest inserted, so it goes after every entry of
+       its timestamp. *)
     let rec ins = function
       | [] -> [ entry ]
-      | e :: rest as l -> if entry_before entry e then entry :: l else e :: ins rest
+      | e :: rest as l -> if time < e.time then entry :: l else e :: ins rest
     in
     t.early <- ins t.early
   end
   else if ready_count t = 0 then insert_wheel t entry
   else if Int.equal time t.ready_time then
-    (* Seqs grow monotonically, so appending keeps [ready] sorted. *)
+    (* The newest entry of its timestamp: appending keeps [ready] in order. *)
     bucket_push t t.ready entry
   else if time < t.ready_time then begin
     unwind_ready t;
     insert_wheel t entry
   end
-  else insert_wheel t entry
+  else insert_wheel t entry;
+  entry
 
-(* First non-empty slot of level [l] at digit >= cur's digit, if any. *)
+let push t ~time payload = ignore (add t ~time ~kind:0 payload : _ entry)
+
+let cancel e =
+  if e.live then begin
+    e.live <- false;
+    e.owner.cancelled <- e.owner.cancelled + 1
+  end
+
+(* First non-empty slot of level [l] at digit >= cur's digit, or -1. *)
 let scan_level t l =
-  let from = (t.cur lsr (bits * l)) land mask in
   let row = t.buckets.(l) in
-  let rec go idx =
-    if idx >= slots then None else if row.(idx).len > 0 then Some idx else go (idx + 1)
-  in
-  go from
+  let idx = ref ((t.cur lsr (bits * l)) land mask) in
+  while !idx < slots && Int.equal row.(!idx).len 0 do
+    incr idx
+  done;
+  if !idx < slots then !idx else -1
 
 (* Stage the level-0 slot as the ready buffer by swapping arrays: the
    slot takes the spent ready storage, the ready buffer takes the
-   slot's entries — already in seq order (see the ordering invariant
+   slot's entries — already in push order (see the ordering invariant
    above), all of one timestamp. *)
 let drain_l0_slot t idx =
   let b = t.buckets.(0).(idx) in
@@ -203,13 +228,13 @@ let drain_l0_slot t idx =
     t.ready <- b;
     t.buckets.(0).(idx) <- spent;
     t.ready_pos <- 0;
-    t.ready_time <- b.arr.(0).e_time
+    t.ready_time <- b.arr.(0).time
   end
 
 (* Cascade the level-l bucket at [idx] down: advance [cur] to the
-   bucket's page base (safe: every live entry is at or past it) and
+   bucket's page base (safe: every stored entry is at or past it) and
    re-insert in array order, which lands each entry at a strictly
-   lower level and preserves seq order per target bucket. *)
+   lower level and preserves push order per target bucket. *)
 let cascade t l idx =
   let page = bits * (l + 1) in
   let base = ((t.cur lsr page) lsl page) lor (idx lsl (bits * l)) in
@@ -226,15 +251,12 @@ let cascade t l idx =
 (* Fold the overflow calendar back in once the wheel proper is empty:
    jump [cur] to the earliest far-future entry and re-insert everything
    that now fits under the horizon. The list holds newest first, so the
-   reversed walk keeps per-bucket seq order. *)
+   reversed walk keeps per-bucket push order. *)
 let refill_from_overflow t =
   match t.overflow with
   | [] -> ()
   | first :: rest ->
-      let earliest =
-        List.fold_left (fun m e -> if entry_before e m then e else m) first rest
-      in
-      t.cur <- earliest.e_time;
+      t.cur <- List.fold_left (fun m e -> Int.min m e.time) first.time rest;
       let all = List.rev t.overflow in
       t.overflow <- [];
       t.n_overflow <- 0;
@@ -246,58 +268,81 @@ let in_wheel t =
 (* Ensure [ready] holds the earliest wheel timestamp (when the wheel
    side is non-empty). Cascades mutate placement, never order. *)
 let rec refill t =
-  if ready_count t = 0 && in_wheel t > 0 then begin
-    let rec find l =
-      if l >= levels then None
-      else if Int.equal t.occ.(l) 0 then find (l + 1)
-      else
-        match scan_level t l with
-        | Some idx -> Some (l, idx)
-        | None -> find (l + 1)
-    in
-    (match find 0 with
-    | Some (0, idx) -> drain_l0_slot t idx
-    | Some (l, idx) -> cascade t l idx
-    | None -> refill_from_overflow t);
+  if Int.equal (ready_count t) 0 && in_wheel t > 0 then begin
+    let l = ref 0 and idx = ref (-1) in
+    while !idx < 0 && !l < levels do
+      if t.occ.(!l) > 0 then idx := scan_level t !l;
+      if !idx < 0 then incr l
+    done;
+    if !idx < 0 then refill_from_overflow t
+    else if Int.equal !l 0 then drain_l0_slot t !idx
+    else cascade t !l !idx;
     refill t
   end
 
-let take_ready t =
-  let b = t.ready in
-  let e = b.arr.(t.ready_pos) in
-  t.ready_pos <- t.ready_pos + 1;
-  if Int.equal t.ready_pos b.len then begin
-    clear_range t b.arr 0 b.len;
-    b.len <- 0;
-    t.ready_pos <- 0
-  end;
-  t.size <- t.size - 1;
-  t.cur <- e.e_time;
-  Some (e.e_time, e.payload)
-
-let pop t =
+(* Remove the next entry in (time, push) order, live or not. Requires
+   one to exist: [early] non-empty or [ready] staged. *)
+let consume t =
+  t.stored <- t.stored - 1;
   match t.early with
   | e :: rest ->
       t.early <- rest;
-      t.size <- t.size - 1;
-      Some (e.e_time, e.payload)
+      e
   | [] ->
-      if ready_count t > 0 then take_ready t (* hot path: already staged *)
-      else begin
-        refill t;
-        if ready_count t > 0 then take_ready t else None
-      end
+      let b = t.ready in
+      let e = b.arr.(t.ready_pos) in
+      t.ready_pos <- t.ready_pos + 1;
+      if Int.equal t.ready_pos b.len then begin
+        clear_range t b.arr 0 b.len;
+        b.len <- 0;
+        t.ready_pos <- 0
+      end;
+      t.cur <- e.time;
+      e
+
+(* Stage the head and discard cancelled entries sitting there; true iff
+   a live head remains. Time-bound checks must never see a timestamp
+   nothing will fire at, or skipping a dead head inside a step could
+   carry execution past the bound. *)
+let rec settle t =
+  match t.early with
+  | e :: _ -> e.live || discard t
+  | [] ->
+      if Int.equal (ready_count t) 0 then refill t;
+      ready_count t > 0 && (t.ready.arr.(t.ready_pos).live || discard t)
+
+(* Drop the cancelled entry at the head, then settle again. *)
+and discard t =
+  ignore (consume t : _ entry);
+  t.cancelled <- t.cancelled - 1;
+  settle t
+
+(* The staged head; valid right after [settle] returned true. *)
+let head t = match t.early with e :: _ -> e | [] -> t.ready.arr.(t.ready_pos)
+
+let head_time t = if settle t then (head t).time else max_int
+
+let take_head t =
+  let e = consume t in
+  e.live <- false;
+  e
+
+let take t =
+  if not (settle t) then invalid_arg "Timing_wheel.take: empty";
+  take_head t
+
+let pop t =
+  if settle t then begin
+    let e = take_head t in
+    Some (e.time, e.payload)
+  end
+  else None
 
 let peek t =
-  match t.early with
-  | e :: _ -> Some (e.e_time, e.payload)
-  | [] ->
-      if ready_count t = 0 then refill t;
-      if ready_count t > 0 then begin
-        let e = t.ready.arr.(t.ready_pos) in
-        Some (e.e_time, e.payload)
-      end
-      else None
+  if settle t then begin
+    let e = head t in
+    Some (e.time, e.payload)
+  end
+  else None
 
-let peek_time t =
-  match peek t with Some (time, _) -> Some time | None -> None
+let peek_time t = if settle t then Some (head t).time else None

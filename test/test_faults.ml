@@ -201,6 +201,54 @@ let test_lyra_crash_rejoin () =
       Alcotest.(check int) "no late accepts" 0 (Lyra.Node.late_accepts nd))
     nodes
 
+(* The wire path reads the drop and duplicate probabilities through
+   [drop_prob] / [dup_prob]; [drop_dup] below is the pair-returning
+   fold they replaced, kept here as the reference. Random plans of
+   overlapping windows, some filtered by sender or receiver, queried
+   at random times and endpoints: both components must agree bit for
+   bit, a zero included. *)
+let drop_dup (plan : Sim.Faults.plan) ~now ~src ~dst =
+  let matches filter id = match filter with None -> true | Some w -> w = id in
+  List.fold_left
+    (fun ((keep_d, keep_u) as acc) (w : Sim.Faults.loss_window) ->
+      if
+        now >= w.l_from_us && now < w.l_until_us
+        && matches w.l_src src && matches w.l_dst dst
+      then (keep_d *. (1.0 -. w.l_drop_p), keep_u *. (1.0 -. w.l_dup_p))
+      else acc)
+    (1.0, 1.0) plan.losses
+  |> fun (keep_d, keep_u) -> (1.0 -. keep_d, 1.0 -. keep_u)
+
+let prop_split_loss_probabilities =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"drop_prob/dup_prob = drop_dup" ~count:500
+       QCheck.(pair (int_bound 1_000_000) (int_range 0 6))
+       (fun (seed, windows) ->
+         let rng = Crypto.Rng.create (Int64.of_int (seed + 1)) in
+         let n = 5 in
+         let endpoint () =
+           if Crypto.Rng.int rng 3 = 0 then Some (Crypto.Rng.int rng n) else None
+         in
+         let plan = ref Sim.Faults.none in
+         for _ = 1 to windows do
+           let from_us = Crypto.Rng.int rng 1_000 in
+           let until_us = from_us + 1 + Crypto.Rng.int rng 1_000 in
+           plan :=
+             Sim.Faults.loss ?src:(endpoint ()) ?dst:(endpoint ())
+               ~dup_p:(Crypto.Rng.float rng) ~from_us ~until_us
+               ~drop_p:(Crypto.Rng.float rng) !plan
+         done;
+         let plan = !plan in
+         let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+         List.for_all
+           (fun _ ->
+             let now = Crypto.Rng.int rng 2_200 in
+             let src = Crypto.Rng.int rng n and dst = Crypto.Rng.int rng n in
+             let drop, dup = drop_dup plan ~now ~src ~dst in
+             same drop (Sim.Faults.drop_prob plan ~now ~src ~dst)
+             && same dup (Sim.Faults.dup_prob plan ~now ~src ~dst))
+           (List.init 50 Fun.id)))
+
 let suite =
   List.map
     (fun p ->
@@ -212,6 +260,7 @@ let suite =
       Alcotest.test_case "seeds diverge under faults" `Quick test_seeds_diverge;
       Alcotest.test_case "drop/dup rates pin to configuration" `Quick
         test_drop_dup_rates_pinned;
+      prop_split_loss_probabilities;
       Alcotest.test_case "lyra crash rejoin via sync" `Slow
         test_lyra_crash_rejoin;
     ]

@@ -313,6 +313,42 @@ let project ?(rules = Lint.Rules.all) ?(allow = "") files =
 let check_project ?rules ?allow msg expected files =
   Alcotest.(check (list string)) msg expected (List.map render (project ?rules ?allow files))
 
+(* D001 on Hashtbl.Make instances: a functor-built table walks its
+   buckets in the same unspecified order as Hashtbl itself. *)
+let int_tbl_def =
+  "module Tbl = Hashtbl.Make (struct type t = int let equal = Int.equal let hash x = x end)\n"
+
+let test_d001_functor_fires () =
+  check "iter on a local instance"
+    [ "lib/lyra/fix.ml:2:D001" ]
+    "lib/lyra/fix.ml" (int_tbl_def ^ "let f tbl = Tbl.iter (fun _ _ -> ()) tbl\n");
+  check "to_seq_keys on a nested, constrained instance"
+    [ "lib/sim/fix.ml:4:D001" ]
+    "lib/sim/fix.ml"
+    "module Keys = struct\n  module T : Hashtbl.S with type key = int = Stdlib.Hashtbl.MakeSeeded (S)\nend\nlet f tbl = Keys.T.to_seq_keys tbl\n";
+  (* defined in one unit, walked in another: the project scan sees it *)
+  check_project "fold on an instance from another unit"
+    [ "lib/lyra/node.ml:1:D001" ]
+    [
+      ("lib/lyra/types.ml", "module Iid_tbl = Hashtbl.Make (Key)\n");
+      ("lib/lyra/node.ml", "let n tbl = Types.Iid_tbl.fold (fun _ _ a -> a + 1) tbl 0\n");
+    ];
+  (* and it is a taint source for the interprocedural rule *)
+  check_project "instance walk in lib/metrics reached from lib/lyra"
+    [ "lib/lyra/fix.ml:1:D101" ]
+    [
+      ("lib/lyra/fix.ml", "let commit tbl = Metrics.Helper.walk tbl\n");
+      ("lib/metrics/helper.ml", int_tbl_def ^ "let walk tbl = Tbl.iter (fun _ _ -> ()) tbl\n");
+    ]
+
+let test_d001_functor_clean () =
+  check "probes and updates on an instance" [] "lib/lyra/fix.ml"
+    (int_tbl_def ^ "let f tbl = Tbl.replace tbl 1 2; Tbl.find_opt tbl 1\n");
+  check "ordered Map.Make walk" [] "lib/lyra/fix.ml"
+    "module M = Map.Make (Int)\nlet f m = M.iter (fun _ _ -> ()) m\n";
+  check "instance walked outside the deterministic dirs" [] "lib/metrics/fix.ml"
+    (int_tbl_def ^ "let f tbl = Tbl.iter (fun _ _ -> ()) tbl\n")
+
 (* D101: the nondeterministic source sits two modules away from the
    deterministic-scope caller; the finding lands on the caller and
    carries the full chain. *)
@@ -606,6 +642,8 @@ let suite =
   [
     Alcotest.test_case "D001 fires" `Quick test_d001_fires;
     Alcotest.test_case "D001 scoped" `Quick test_d001_scoped;
+    Alcotest.test_case "D001 on Hashtbl.Make instances" `Quick test_d001_functor_fires;
+    Alcotest.test_case "D001 clean on instance probes" `Quick test_d001_functor_clean;
     Alcotest.test_case "file-granular Strict scope" `Quick test_file_granular_strict;
     Alcotest.test_case "D001 inline allow" `Quick test_d001_inline_allow;
     Alcotest.test_case "D002 fires" `Quick test_d002_fires;

@@ -454,6 +454,67 @@ let test_mempool_flush_policy () =
     [ (40_000, [ "c0-9" ]) ]
     (take_proposed ())
 
+(* The list implementation [Types.requested_seq] had before it moved
+   to one array selection, kept as the reference. *)
+let requested_seq_list ~n ~f st =
+  if not (Int.equal (Array.length st) n) then None
+  else begin
+    let known = Array.to_list st |> List.filter_map (fun x -> x) in
+    if List.length known < n - f then None
+    else
+      let sorted = List.sort Int.compare known in
+      List.nth_opt sorted (n - f - 1)
+  end
+
+(* Arrays of every length up to n + 2 (short and long ones hit the
+   arity guard), mostly of length n, with blanks at a random density so
+   runs with too few known values come up often; values are drawn from
+   a small range so ties are common. *)
+let prop_requested_seq_array =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"array requested_seq = list version" ~count:1000
+       QCheck.(quad (int_range 1 40) (int_bound 1_000) (int_bound 100) (int_bound 1_000_000))
+       (fun (n, fpick, blank_pct, seed) ->
+         let rng = Crypto.Rng.create (Int64.of_int (seed + 1)) in
+         let f = fpick mod n in
+         let len =
+           if Crypto.Rng.int rng 4 = 0 then Crypto.Rng.int rng (n + 3) else n
+         in
+         let st =
+           Array.init len (fun _ ->
+               if Crypto.Rng.int rng 100 < blank_pct then None
+               else Some (Crypto.Rng.int rng 50 - 10))
+         in
+         Lyra.Types.requested_seq ~n ~f st = requested_seq_list ~n ~f st))
+
+(* [Node]'s pending set moved from a hash table walked through
+   [Sim.Det.sorted_bindings] to an [Iid_map] walked directly. The walk
+   order decides which Nudges go out first, so the map's order must be
+   the sorted bindings' order, after any mix of adds, overwrites and
+   removals. *)
+let prop_pending_map_order =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"Iid_map walk = sorted_bindings" ~count:500
+       QCheck.(list (triple (int_bound 2) (int_bound 20) (int_bound 40)))
+       (fun ops ->
+         let tbl = Hashtbl.create 16 in
+         let map = ref Lyra.Types.Iid_map.empty in
+         List.iteri
+           (fun i (op, proposer, index) ->
+             let iid = { Lyra.Types.proposer; index } in
+             if op = 0 then begin
+               Hashtbl.remove tbl iid;
+               map := Lyra.Types.Iid_map.remove iid !map
+             end
+             else begin
+               Hashtbl.replace tbl iid i;
+               map := Lyra.Types.Iid_map.add iid i !map
+             end)
+           ops;
+         let walked = ref [] in
+         Lyra.Types.Iid_map.iter (fun k v -> walked := (k, v) :: !walked) !map;
+         List.rev !walked = Sim.Det.sorted_bindings ~cmp:Lyra.Types.iid_compare tbl))
+
 let suite =
   [
     Alcotest.test_case "clock monotone" `Quick test_clock_monotone;
@@ -462,6 +523,8 @@ let suite =
     Alcotest.test_case "predictor blanks" `Quick test_predictor_predict_blanks;
     Alcotest.test_case "requested seq" `Quick test_requested_seq;
     Alcotest.test_case "lemma 2 bound" `Quick test_requested_seq_lemma2_bound;
+    prop_requested_seq_array;
+    prop_pending_map_order;
     Alcotest.test_case "observable txs" `Quick test_observable_txs;
     Alcotest.test_case "digest distinguishes" `Quick test_digest_distinguishes;
     Alcotest.test_case "digest vectors" `Quick test_digest_vectors;

@@ -108,14 +108,40 @@ let test_wheel_levels_and_overflow () =
    last popped time (the engine's monotonicity contract), interleaved
    pops and peeks (peeks force cascades, exercising the early-push
    path) — and require bit-identical output from both. Deltas mix
-   scales so schedules cross slot, page and horizon boundaries. *)
+   scales so schedules cross slot, page and horizon boundaries.
+
+   The engine consumes the wheel through [head_time] and [take], and
+   cancels through entry handles, so the schedule also mixes those in.
+   The heap has no cancellation: the model marks a cancelled seq dead
+   and drops dead entries when they reach its head. A cancel may hit an
+   entry already taken or cancelled, which must change nothing. *)
 let prop_wheel_heap_equivalence =
   QCheck.Test.make ~name:"wheel ≡ heap on random engine schedules"
     ~count:300
-    QCheck.(list (pair (int_bound 4) (int_bound 1_000_000)))
+    QCheck.(list (pair (int_bound 6) (int_bound 1_000_000)))
     (fun ops ->
       let h = Sim.Event_heap.create () in
       let w = Sim.Timing_wheel.create () in
+      let handles = Hashtbl.create 64 in
+      let dead = Hashtbl.create 16 in
+      let live = ref 0 in
+      let rec settle () =
+        match Sim.Event_heap.peek h with
+        | Some (_, s) when Hashtbl.mem dead s ->
+            ignore (Sim.Event_heap.pop h);
+            settle ()
+        | _ -> ()
+      in
+      let heap_pop () =
+        settle ();
+        let a = Sim.Event_heap.pop h in
+        (match a with
+        | Some (_, s) ->
+            Hashtbl.replace dead s ();
+            decr live
+        | None -> ());
+        a
+      in
       let floor = ref 0 in
       let seq = ref 0 in
       let same = ref true in
@@ -123,15 +149,37 @@ let prop_wheel_heap_equivalence =
         (fun (tag, v) ->
           match tag with
           | 0 ->
-              let a = Sim.Event_heap.pop h in
+              let a = heap_pop () in
               let b = Sim.Timing_wheel.pop w in
               same := !same && a = b;
               (match a with Some (t, _) -> floor := t | None -> ())
           | 4 ->
+              settle ();
               same :=
                 !same
                 && Sim.Event_heap.peek h = Sim.Timing_wheel.peek w
                 && Sim.Event_heap.peek_time h = Sim.Timing_wheel.peek_time w
+          | 5 ->
+              settle ();
+              let expect =
+                match Sim.Event_heap.peek_time h with Some t -> t | None -> max_int
+              in
+              same := !same && Int.equal expect (Sim.Timing_wheel.head_time w);
+              if !live > 0 then begin
+                let a = heap_pop () in
+                let e = Sim.Timing_wheel.take w in
+                same := !same && a = Some (e.Sim.Timing_wheel.time, e.payload);
+                floor := e.time
+              end
+          | 6 ->
+              if !seq > 0 then begin
+                let s = 1 + (v mod !seq) in
+                if not (Hashtbl.mem dead s) then begin
+                  Hashtbl.replace dead s ();
+                  decr live
+                end;
+                Sim.Timing_wheel.cancel (Hashtbl.find handles s)
+              end
           | tag ->
               let delta =
                 match tag with
@@ -141,19 +189,208 @@ let prop_wheel_heap_equivalence =
               in
               let time = !floor + delta in
               incr seq;
+              incr live;
               Sim.Event_heap.push h ~time !seq;
-              Sim.Timing_wheel.push w ~time !seq)
+              Hashtbl.replace handles !seq
+                (Sim.Timing_wheel.add w ~time ~kind:tag !seq);
+              same := !same && Int.equal !live (Sim.Timing_wheel.size w))
         ops;
       let rec drain () =
-        let a = Sim.Event_heap.pop h in
+        let a = heap_pop () in
         let b = Sim.Timing_wheel.pop w in
         same := !same && a = b;
         if a <> None then drain ()
       in
       drain ();
       !same
-      && Sim.Event_heap.size h = Sim.Timing_wheel.size w
-      && Sim.Timing_wheel.is_empty w)
+      && Int.equal !live 0
+      && Sim.Timing_wheel.is_empty w
+      && Int.equal (Sim.Timing_wheel.head_time w) max_int)
+
+(* The engine loop as it was before events became wheel entries: a
+   separate timer record per event, purge-cancelled, peek-time, then
+   pop, over the retired binary heap. The one change: cancelling a
+   timer that already fired is a no-op here, as it is now in
+   [Sim.Engine]; the old handle let such a cancel decrement the live
+   count a second time. *)
+module Old_engine = struct
+  type timer = {
+    mutable cancelled : bool;
+    mutable fired : bool;
+    action : unit -> unit;
+    owner : t;
+  }
+
+  and t = { heap : timer Sim.Event_heap.t; mutable clock : int; mutable live : int }
+
+  let create () = { heap = Sim.Event_heap.create (); clock = 0; live = 0 }
+
+  let schedule_at t ~time action =
+    let timer = { cancelled = false; fired = false; action; owner = t } in
+    Sim.Event_heap.push t.heap ~time timer;
+    t.live <- t.live + 1;
+    timer
+
+  let cancel timer =
+    if not (timer.cancelled || timer.fired) then begin
+      timer.cancelled <- true;
+      timer.owner.live <- timer.owner.live - 1
+    end
+
+  let rec purge_cancelled t =
+    match Sim.Event_heap.peek t.heap with
+    | Some (_, timer) when timer.cancelled ->
+        ignore (Sim.Event_heap.pop t.heap);
+        purge_cancelled t
+    | Some _ | None -> ()
+
+  let rec step t =
+    match Sim.Event_heap.pop t.heap with
+    | None -> false
+    | Some (_, timer) when timer.cancelled -> step t
+    | Some (time, timer) ->
+        t.clock <- time;
+        t.live <- t.live - 1;
+        timer.fired <- true;
+        timer.action ();
+        true
+
+  let run t ~until =
+    let continue = ref true in
+    while !continue do
+      purge_cancelled t;
+      match Sim.Event_heap.peek_time t.heap with
+      | Some time when time <= until -> ignore (step t)
+      | Some _ | None -> continue := false
+    done;
+    t.clock <- max t.clock until
+
+  let run_until_idle t =
+    while t.live > 0 do
+      ignore (step t)
+    done
+end
+
+(* One engine as the schedule driver below sees it. *)
+type 'timer engine_ops = {
+  schedule_at : time:int -> (unit -> unit) -> 'timer;
+  cancel : 'timer -> unit;
+  run : until:int -> unit;
+  run_until_idle : unit -> unit;
+  now : unit -> int;
+  pending : unit -> int;
+}
+
+(* Event i is scheduled at [time]. Mode 1 makes its action schedule a
+   child; mode 2 makes it cancel another event (maybe one already
+   fired); mode 3 cancels it before anything runs. Bounds include every
+   cancelled event's time, so [run ~until] meets cancelled heads at
+   and past its bound. Returns the (event, clock) firing log, and
+   (now, pending) after each run. *)
+let drive_engine ops specs untils =
+  let log = ref [] and states = ref [] in
+  let timers = Array.make (List.length specs) None in
+  List.iteri
+    (fun i (time, mode, aux) ->
+      let action () =
+        log := (i, ops.now ()) :: !log;
+        match mode with
+        | 1 ->
+            let d = aux mod 300 in
+            ignore
+              (ops.schedule_at ~time:(ops.now () + d) (fun () ->
+                   log := (1000 + i, ops.now ()) :: !log))
+        | 2 -> Option.iter ops.cancel timers.(aux mod Array.length timers)
+        | _ -> ()
+      in
+      timers.(i) <- Some (ops.schedule_at ~time action))
+    specs;
+  List.iteri
+    (fun i (_, mode, _) -> if mode = 3 then Option.iter ops.cancel timers.(i))
+    specs;
+  let cancelled_times =
+    List.filter_map (fun (time, mode, _) -> if mode = 3 then Some time else None) specs
+  in
+  List.iter
+    (fun until ->
+      if until >= ops.now () then begin
+        ops.run ~until;
+        states := (ops.now (), ops.pending ()) :: !states
+      end)
+    (List.sort_uniq Int.compare (untils @ cancelled_times));
+  ops.run_until_idle ();
+  states := (ops.now (), ops.pending ()) :: !states;
+  (List.rev !log, List.rev !states)
+
+let prop_engine_run_until_matches_old_loop =
+  QCheck.Test.make ~name:"engine run ~until = old purge/peek/pop loop"
+    ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_range 1 40)
+           (triple (int_bound 2_000) (int_bound 3) (int_bound 1_000)))
+        (list_of_size Gen.(int_range 0 6) (int_bound 2_500)))
+    (fun (specs, untils) ->
+      let e = Sim.Engine.create () in
+      let fresh =
+        drive_engine
+          {
+            schedule_at = (fun ~time f -> Sim.Engine.schedule_at e ~time f);
+            cancel = Sim.Engine.cancel;
+            run = (fun ~until -> Sim.Engine.run e ~until);
+            run_until_idle = (fun () -> Sim.Engine.run_until_idle e);
+            now = (fun () -> Sim.Engine.now e);
+            pending = (fun () -> Sim.Engine.pending e);
+          }
+          specs untils
+      in
+      let o = Old_engine.create () in
+      let old =
+        drive_engine
+          {
+            schedule_at = (fun ~time f -> Old_engine.schedule_at o ~time f);
+            cancel = Old_engine.cancel;
+            run = (fun ~until -> Old_engine.run o ~until);
+            run_until_idle = (fun () -> Old_engine.run_until_idle o);
+            now = (fun () -> o.Old_engine.clock);
+            pending = (fun () -> o.Old_engine.live);
+          }
+          specs untils
+      in
+      fresh = old)
+
+(* Regional latency sampling inlines the Gaussian draw so the
+   per-message path boxes no float. Its samples must stay what they
+   were when [regional] called [Crypto.Rng.gaussian] (same draws, same
+   float operations in the same order), with both RNG streams left in
+   lockstep. A realistic jitter checks the truncated delays. A jitter
+   of 1e12 puts almost every draw past 2^53, where a float is an
+   integer and truncation is exact, so the positive draws are also
+   compared bit for bit. *)
+let prop_latency_gaussian_bits =
+  QCheck.Test.make ~name:"inlined latency gaussian = Rng.gaussian, bit for bit"
+    ~count:300
+    QCheck.(pair (int_bound 1_000_000) (int_bound 100))
+    (fun (seed, jitter_pct) ->
+      let a = Crypto.Rng.create (Int64.of_int seed) in
+      let b = Crypto.Rng.copy a in
+      let n = 7 in
+      let placement = Sim.Regions.paper_placement n in
+      let samples_agree jitter =
+        let reg = Sim.Latency.regional ~jitter placement in
+        List.for_all
+          (fun k ->
+            let src = k mod n and dst = k * 3 mod n in
+            let base = float_of_int (Sim.Regions.one_way_us placement.(src) placement.(dst)) in
+            let expect =
+              max 50 (int_of_float (Crypto.Rng.gaussian b ~mu:base ~sigma:(jitter *. base)))
+            in
+            Int.equal expect (Sim.Latency.sample reg a ~src ~dst))
+          (List.init 30 Fun.id)
+      in
+      samples_agree (float_of_int jitter_pct /. 100.0)
+      && samples_agree 1e12
+      && Int64.equal (Crypto.Rng.next_int64 a) (Crypto.Rng.next_int64 b))
 
 let test_engine_ordering_and_time () =
   let e = Sim.Engine.create () in
@@ -766,6 +1003,8 @@ let suite =
     Alcotest.test_case "wheel levels + overflow" `Quick
       test_wheel_levels_and_overflow;
     QCheck_alcotest.to_alcotest prop_wheel_heap_equivalence;
+    QCheck_alcotest.to_alcotest prop_engine_run_until_matches_old_loop;
+    QCheck_alcotest.to_alcotest prop_latency_gaussian_bits;
     Alcotest.test_case "engine ordering" `Quick test_engine_ordering_and_time;
     Alcotest.test_case "engine cancel" `Quick test_engine_cancel;
     Alcotest.test_case "engine run until" `Quick test_engine_run_until;
