@@ -345,21 +345,6 @@ let micro_run () =
   let cache = Crypto.Verify_cache.create () in
   assert (Crypto.Verify_cache.verify_combined cache ~dir ~threshold:11 digest cert);
   let leaves = List.init 64 string_of_int in
-  (* One run grows an accumulator to [k] leaves, reading the root after
-     every append; reported per append + read, i.e. divided by [k]. *)
-  let acc_growth k =
-    let leaves = List.init k string_of_int in
-    ( k,
-      Test.make
-        ~name:(Printf.sprintf "merkle.acc.%d" k)
-        (Staged.stage (fun () ->
-             let acc = Crypto.Merkle.Acc.create () in
-             List.iter
-               (fun leaf ->
-                 Crypto.Merkle.Acc.add acc leaf;
-                 ignore (Crypto.Merkle.Acc.root acc))
-               leaves)) )
-  in
   let tests =
     [
       Test.make ~name:"field.mul" (Staged.stage (fun () -> Crypto.Field.mul a b));
@@ -395,7 +380,7 @@ let micro_run () =
   in
   let quota = if !smoke then 0.05 else 0.3 in
   List.concat_map
-    (fun (per, test) ->
+    (fun test ->
       let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second quota) ~kde:None () in
       let results = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] test in
       let ols =
@@ -410,11 +395,11 @@ let micro_run () =
         (fun name result acc ->
           (match Analyze.OLS.estimates result with
           | Some [ est ] ->
-              Printf.sprintf "%-22s %12.0f ns/op\n" name (est /. float per)
+              Printf.sprintf "%-22s %12.0f ns/op\n" name est
           | Some _ | None -> Printf.sprintf "%-22s (no estimate)\n" name)
           :: acc)
         ols [])
-    (List.map (fun test -> (1, test)) tests @ [ acc_growth 64; acc_growth 1024 ])
+    tests
 
 let micro =
   exp "micro" micro_run

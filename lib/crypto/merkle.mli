@@ -27,19 +27,3 @@ val verify_proof :
 (** [root_of_leaves leaves] = [root (of_leaves leaves)] without keeping
     the tree. *)
 val root_of_leaves : string list -> string
-
-(** An append-only tree over a growing leaf list, for a root that is
-    read after every few appends (the accepted-set root). [root]
-    equals [root_of_leaves] of the leaves added so far, byte for byte;
-    [add] costs O(1) hashes amortized and [root] O(log n). *)
-module Acc : sig
-  type t
-
-  val create : unit -> t
-
-  (** [add t payload] appends one leaf. *)
-  val add : t -> string -> unit
-
-  (** Cached until the next [add]. *)
-  val root : t -> string
-end

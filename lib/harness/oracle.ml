@@ -163,7 +163,9 @@ let liveness (r : Scenario.result) =
    times, not log lengths — a victim that merely lags by a few entries
    is still receiving; one whose frontier gap exceeds the stall budget
    is starved. Vacuously clean when no non-victim progressed either
-   (that is cluster-wide liveness's job, not this oracle's). *)
+   (that is cluster-wide liveness's job, not this oracle's). Only
+   honest victims are judged: a Byzantine node keeps no log whose
+   progress the protocol owes anyone. *)
 let victim_liveness ?(stall_gap_us = 1_500_000) ~victims (r : Scenario.result) =
   let last = r.Scenario.last_commit_us in
   let is_victim i = List.exists (Int.equal i) victims in
@@ -177,7 +179,10 @@ let victim_liveness ?(stall_gap_us = 1_500_000) ~victims (r : Scenario.result) =
     let bad = ref None in
     List.iter
       (fun v ->
-        if Option.is_none !bad && v >= 0 && v < Array.length last then begin
+        if
+          Option.is_none !bad
+          && Array.exists (Int.equal v) r.Scenario.honest_ids
+        then begin
           let v_last = max last.(v) 0 in
           if frontier - v_last > stall_gap_us then bad := Some (v, v_last)
         end)

@@ -52,8 +52,9 @@ val liveness : Scenario.result -> finding option
 (** [victim_liveness ~victims] judges attacked runs: fires when a
     victim's own committed log stopped advancing more than
     [stall_gap_us] (default 1.5 s) behind the most advanced honest
-    non-victim — the signature of a starved (eclipsed) node.
-    Vacuously clean when no non-victim progressed either. *)
+    non-victim — the signature of a starved (eclipsed) node. Victims
+    outside [honest_ids] are not judged. Vacuously clean when no
+    non-victim progressed either. *)
 val victim_liveness :
   ?stall_gap_us:int -> victims:int list -> Scenario.result -> finding option
 

@@ -7,12 +7,10 @@ type t = {
   mutable pending_commit : (int * Types.iid) list;  (** ascending (seq, iid) *)
   mutable committed_value : int;
   mutable taken_upto : int;  (** max seq actually appended to the log *)
-  leaves : Crypto.Merkle.Acc.t;  (** committed entries, commit order *)
   scratch : int array;  (** [quorum_low]'s selection buffer *)
   mutable prefix_dirty : bool;
   mutable locked_cache : int;
   mutable stable_cache : int;
-  mutable version : int;  (** bumps when the accepted set changes *)
 }
 
 let create ~n ~f =
@@ -25,12 +23,10 @@ let create ~n ~f =
     pending_commit = [];
     committed_value = 0;
     taken_upto = 0;
-    leaves = Crypto.Merkle.Acc.create ();
     scratch = Array.make n 0;
     prefix_dirty = true;
     locked_cache = 0;
     stable_cache = 0;
-    version = 0;
   }
 
 let peer_status t ~peer ~locked ~min_pending =
@@ -69,7 +65,6 @@ let entry_compare (s1, i1) (s2, i2) =
 let add_accepted t iid ~seq =
   if not (Types.Iid_tbl.mem t.accepted iid) then begin
     Types.Iid_tbl.replace t.accepted iid seq;
-    t.version <- t.version + 1;
     let rec insert = function
       | [] -> [ (seq, iid) ]
       | x :: rest as l ->
@@ -91,11 +86,6 @@ let committed t =
   in
   walk t.committed_value t.pending_commit
 
-let append_leaf t iid ~seq =
-  Crypto.Merkle.Acc.add t.leaves
-    (Printf.sprintf "%d.%d.%d" iid.Types.proposer iid.Types.index seq);
-  t.version <- t.version + 1
-
 let take_committable t =
   let boundary = committed t in
   t.committed_value <- max t.committed_value boundary;
@@ -105,36 +95,22 @@ let take_committable t =
   in
   let taken, remaining = split [] t.pending_commit in
   t.pending_commit <- remaining;
-  List.iter
-    (fun (iid, seq) ->
-      t.taken_upto <- max t.taken_upto seq;
-      append_leaf t iid ~seq)
-    taken;
+  List.iter (fun (_, seq) -> t.taken_upto <- max t.taken_upto seq) taken;
   taken
 
 let note_committed t iid ~seq =
-  let was_accepted = Types.Iid_tbl.mem t.accepted iid in
-  let in_pending =
-    List.exists (fun (_, i) -> Types.iid_equal i iid) t.pending_commit
-  in
-  (* Append the leaf only if [take_committable] has not already done so
-     for this entry (accepted and no longer pending = already taken). *)
-  if (not was_accepted) || in_pending then begin
-    if not was_accepted then Types.Iid_tbl.replace t.accepted iid seq;
-    if in_pending then
-      t.pending_commit <-
-        List.filter (fun (_, i) -> not (Types.iid_equal i iid)) t.pending_commit;
-    append_leaf t iid ~seq
-  end;
+  if not (Types.Iid_tbl.mem t.accepted iid) then
+    Types.Iid_tbl.replace t.accepted iid seq;
+  t.pending_commit <-
+    List.filter (fun (_, i) -> not (Types.iid_equal i iid)) t.pending_commit;
   t.taken_upto <- max t.taken_upto seq;
   t.committed_value <- max t.committed_value seq
 
 let taken_upto t = t.taken_upto
 
+let lowest_untaken t =
+  match t.pending_commit with (seq, _) :: _ -> seq | [] -> Types.no_pending
+
 let accepted_recent t = List.map (fun (seq, iid) -> (iid, seq)) t.pending_commit
 
-let accepted_root t = Crypto.Merkle.Acc.root t.leaves
-
 let accepted_count t = Types.Iid_tbl.length t.accepted
-
-let version t = t.version

@@ -46,6 +46,11 @@ val take_committable : t -> (Types.iid * int) list
     was given away. *)
 val taken_upto : t -> int
 
+(** Lowest seq among the accepted entries not yet taken;
+    {!Types.no_pending} if there is none. {!take_committable} takes
+    something exactly when this is at most {!committed}. *)
+val lowest_untaken : t -> int
+
 (** [note_committed t iid ~seq] records an entry learned through an
     output-log sync rather than a local decision: it enters the
     accepted set directly as committed (bypassing [pending_commit]) and
@@ -55,18 +60,8 @@ val taken_upto : t -> int
 val note_committed : t -> Types.iid -> seq:int -> unit
 
 (** Accepted entries not yet committed, for status gossip (the recent
-    window of A; older prefixes are summarized by {!accepted_root}). *)
+    window of A). *)
 val accepted_recent : t -> (Types.iid * int) list
-
-(** Merkle root over all committed entries, in commit order: the
-    [Merkle.root_of_leaves] of their ["proposer.index.seq"] strings,
-    kept append-only: O(1) hashes per commit amortized, O(log n) per
-    read after a commit. *)
-val accepted_root : t -> string
 
 (** Total accepted so far (committed or not). *)
 val accepted_count : t -> int
-
-(** Monotone counter bumped whenever the accepted set changes (accept
-    or commit); lets receivers skip re-processing unchanged gossip. *)
-val version : t -> int

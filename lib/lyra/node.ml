@@ -87,8 +87,10 @@ type t = {
   mutable started : bool;
   mutable min_pending_dirty : bool;
   mutable min_pending_cache : int;
-  mutable gossip_cache : (int * (Types.iid * int) list * string) option;
-  peer_committed : int array;  (** emitted-output counts claimed in statuses *)
+  peer_committed : int array;  (** log lengths claimed in statuses *)
+  goal_claims : int array;
+      (** per peer, the log length claimed by its first heartbeat since
+          the sync started; -1 until then *)
   isolation : Isolation.t;
   mutable probation_until : int;  (** heightened lag sensitivity window *)
   mutable sync_active : bool;  (** output emission paused, pulling the log *)
@@ -174,55 +176,32 @@ let rec take k = function
   | _ when k = 0 -> []
   | x :: rest -> x :: take (k - 1) rest
 
-(* The gossip payload (accepted set + Merkle root) only changes when
-   the accepted set does; rebuild it per version, not per message. *)
-let gossip_parts t =
-  let version = Commit_state.version t.commit in
-  match t.gossip_cache with
-  | Some (v, recent, root) when Int.equal v version -> (recent, root, version)
-  | _ ->
-      let recent = take gossip_cap (Commit_state.accepted_recent t.commit) in
-      let root = Commit_state.accepted_root t.commit in
-      t.gossip_cache <- Some (version, recent, root);
-      (recent, root, version)
+(* The log length: every entry taken into the commit order, emitted or
+   still waiting for its reveal, and every entry a sync delivered.
+   Records are never removed. *)
+let log_length t = Types.Iid_tbl.length t.records
 
 (* The accepted-set list is heavy (up to gossip_cap entries); riding it
    on every vote would serialize kilobytes per message on the NIC and
    collapse large clusters under synchronized waves. Scalars piggyback
    everywhere (they are what locked/stable need, Alg. 4 lines 83-86);
-   the list itself rides the periodic heartbeat — this is the
-   message-size reduction the paper itself calls for in §V-C ("hash
-   trees are used in lieu of older prefixes"). *)
+   the list itself rides the periodic heartbeat and holds only entries
+   accepted but not yet taken. Older prefixes are never re-sent (the
+   message-size reduction §V-C calls for): a node that missed them
+   sees it in the log-length claim and repairs through the sync. *)
 let build_status ?(full = false) t : Types.status =
   if is_byz t Misbehavior.Low_status then
     (* Lying low to stall prefixes (§VI-D); neutralized by the
        2f+1-highest rule. *)
-    {
-      locked_upto = 0;
-      min_pending = 0;
-      committed = 0;
-      accepted_recent = [];
-      accepted_root = "";
-      version = 0;
-    }
-  else if full then
-    let recent, root, version = gossip_parts t in
-    {
-      locked_upto = Ordering_clock.peek t.clock - Config.l_us t.config;
-      min_pending = min_pending_value t;
-      committed = t.output_count;
-      accepted_recent = recent;
-      accepted_root = root;
-      version;
-    }
+    { locked_upto = 0; min_pending = 0; committed = 0; accepted_recent = [] }
   else
     {
       locked_upto = Ordering_clock.peek t.clock - Config.l_us t.config;
       min_pending = min_pending_value t;
-      committed = t.output_count;
-      accepted_recent = [];
-      accepted_root = "";
-      version = 0 (* scalar-only status: gossip not re-sent *);
+      committed = log_length t;
+      accepted_recent =
+        (if full then take gossip_cap (Commit_state.accepted_recent t.commit)
+         else []);
     }
 
 let broadcast_body t body =
@@ -396,6 +375,28 @@ let pending_blocks_commit t boundary =
   end;
   !blocking
 
+(* An instance still undecided here whose proposal requests a seq at
+   or below the boundary may yet be accepted, so it holds takes the way
+   a validated pending entry does. Peers that decide and take it
+   between two heartbeats never gossip it, and a node that did not
+   validate it (a late INIT, a failed λ check) books no pending entry
+   for it. Walked only when there is something to take. *)
+let undecided_blocks t boundary =
+  Commit_state.lowest_untaken t.commit <= boundary
+  && Types.Iid_set.exists
+       (fun iid ->
+         match Types.Iid_tbl.find_opt t.instances iid with
+         | Some inst when Instance.decided inst = None && not (Instance.halted inst)
+           -> (
+             match Instance.proposal inst with
+             | Some p -> (
+                 match Types.requested_seq ~n:t.config.n ~f:(f t) p.Types.st with
+                 | Some seq -> seq <= boundary
+                 | None -> false)
+             | None -> false)
+         | Some _ | None -> false)
+       t.unsettled
+
 let try_commit t =
   let boundary = Commit_state.committed t.commit in
   (* An empty pending set blocks nothing: skip its walk. *)
@@ -403,6 +404,7 @@ let try_commit t =
     boundary > 0
     && (Types.Iid_map.is_empty t.pending
        || not (pending_blocks_commit t boundary))
+    && not (undecided_blocks t boundary)
   then begin
     let taken = Commit_state.take_committable t.commit in
     List.iter
@@ -661,12 +663,12 @@ let on_decide t iid ~value ~round proposal =
          with
          | Some seq ->
              (* A decision for an entry already learned through the
-                committed-log sync is a replay, not a late accept: the
-                entry sits at its canonical position already. A late
+                log sync is a replay, not a late accept: the entry
+                sits at its canonical position already. A late
                 decision is only dangerous once the local log has
-                *emitted* past its seq — the commit *boundary* may run
-                ahead of emission while a blocked pending entry (being
-                repaired by the Nudge pull) holds takes back, and that
+                *taken* past its seq — the commit *boundary* may run
+                ahead of takes while a blocked pending entry (being
+                repaired by the Nudge pull) holds them back, and that
                 is the repair working, not a violation. *)
              if not (Commit_state.is_accepted t.commit iid) then begin
                if seq <= Commit_state.taken_upto t.commit then
@@ -771,24 +773,79 @@ let instance_of t iid =
       t.unsettled <- Types.Iid_set.add iid t.unsettled;
       inst
 
+(* A peer claims [iid] accepted at [seq] (gossip, or a sync server's
+   unemitted tail). Until decided here, the claim books an External
+   pending entry, which holds takes at higher seqs (see
+   [pending_blocks_commit]). *)
+let absorb_claim t ~src iid seq =
+  if not (Commit_state.is_accepted t.commit iid) then begin
+    (* Corroboration: record every distinct peer that ever claimed
+       this entry accepted; f+1 of them include a correct one. *)
+    let cl =
+      match Types.Iid_tbl.find_opt t.claims iid with
+      | Some c -> c
+      | None ->
+          let c =
+            { cl_peers = Array.make t.config.n false; cl_count = 0; cl_lapsed = false }
+          in
+          Types.Iid_tbl.replace t.claims iid c;
+          c
+    in
+    if not cl.cl_peers.(src) then begin
+      cl.cl_peers.(src) <- true;
+      cl.cl_count <- cl.cl_count + 1
+    end;
+    if not (Types.Iid_map.mem iid t.pending) then begin
+      let decided =
+        match Types.Iid_tbl.find_opt t.instances iid with
+        | Some i -> Instance.decided i <> None
+        | None -> false
+      in
+      (* A claim that already expired once is only re-admitted when
+         corroborated, so a lone Byzantine gossiper stalls the prefix
+         for at most one 2L window per invented entry. That bound is
+         argued, not tested. What the compound-fault sweep in
+         test_faults checks is the honest side: no genuine entry
+         expires before it is learned, which would show up as a late
+         accept or a prefix break. *)
+      if (not decided) && ((not cl.cl_lapsed) || cl.cl_count > Config.f t.config)
+      then begin
+        t.min_pending_dirty <- true;
+        t.pending <-
+          Types.Iid_map.add iid
+            {
+              p_seq = seq;
+              kind = External;
+              added_at = Sim.Engine.now t.engine;
+              nudged_at = 0;
+            }
+            t.pending
+      end
+    end
+  end
+
 (* ------------------------------------------------------------------ *)
-(* Crash recovery: output-log sync.                                    *)
+(* Crash recovery: log sync.                                           *)
 (*                                                                     *)
-(* A node that was crashed (or starved by a lossy link) misses both    *)
-(* the BOC traffic of instances decided in its absence and the Reveal  *)
-(* shares of entries committed then — neither is retransmitted by the  *)
-(* steady-state protocol, because statuses only gossip *pending*       *)
-(* entries. The repair is a pull: when the (f+1)-th highest emitted-   *)
-(* output count claimed by peers stays ahead of ours with no local     *)
-(* progress for sync_patience_us, we pause emission and pull the       *)
-(* missing slice of the committed log from a peer that has emitted it. *)
+(* A node that was crashed (or cut off, or starved by a lossy link)    *)
+(* misses both the BOC traffic of instances decided in its absence and *)
+(* the Reveal shares of entries committed then — neither is            *)
+(* retransmitted by the steady-state protocol, because statuses only   *)
+(* gossip entries not yet taken. The repair is a pull: when the        *)
+(* (f+1)-th highest log length claimed by peers is ahead of our        *)
+(* emitted count (at once in probation, else after sync_patience_us    *)
+(* with no local emission), we pause emission and pull from a peer     *)
+(* claiming that length. It serves the slice of its emitted log past   *)
+(* ours and its tail: the entries it has taken but not yet emitted.    *)
 (* Synced entries bypass the reveal quorum: the serving (correct) peer *)
 (* only serves what it has itself emitted, so the quorum already       *)
-(* formed cluster-wide while we were away.                             *)
+(* formed. Tail entries are read as gossip claims, so an entry we      *)
+(* never heard of holds our takes above it from then on, and we learn  *)
+(* it (and send our Reveal share for it) through the Nudge pull.       *)
 (* ------------------------------------------------------------------ *)
 
 (* At least one of the f+1 highest claims is from a correct process,
-   so the target prefix really exists and can be served. *)
+   so the target prefix really exists. *)
 let sync_target t =
   let sorted = Array.copy t.peer_committed in
   sorted.(t.id) <- t.output_count;
@@ -807,38 +864,68 @@ let send_sync_req t =
   if !peer >= 0 then
     send_body t ~dst:!peer (Types.Sync_req { from_count = t.output_count })
 
-(* Heartbeat-driven lag watchdog. Transient lag is normal (peers emit a
-   few hundred µs apart), so sync only starts when the lag persists
-   with zero local progress for the whole patience window — a healthy
-   node always emits again long before that. *)
+let start_sync t =
+  t.sync_active <- true;
+  t.syncs_started <- t.syncs_started + 1;
+  Array.fill t.goal_claims 0 t.config.n (-1);
+  send_sync_req t
+
+(* The sync's goal: the (f+1)-th highest log length claimed in the
+   first heartbeat each peer sent after the sync started (received
+   after it started, to be exact). One of those f+1 is a correct
+   process that had taken that many entries. The goal is fixed by
+   those heartbeats: chasing the live target would keep a node syncing
+   for as long as the cluster keeps taking entries. Unknown (max_int)
+   until f+1 peers have heartbeated. *)
+let sync_goal t =
+  let sorted = Array.copy t.goal_claims in
+  Array.sort (fun a b -> Int.compare b a) sorted;
+  let goal = sorted.(f t) in
+  if goal < 0 then max_int else goal
+
+let end_sync t =
+  t.sync_active <- false;
+  t.lag_since <- None;
+  try_commit t;
+  drain_outbox t;
+  maybe_propose t
+
+(* Heartbeat-driven lag watchdog. Transient lag is normal (peers take
+   entries a reveal round trip before anyone emits them), so outside
+   probation a sync only starts when the lag persists with zero local
+   progress for the whole patience window — a healthy node always
+   emits again long before that. *)
 let sync_tick t =
   if not (Sim.Network.is_crashed t.net t.id) then begin
     let now = Sim.Engine.now t.engine in
-    let target = sync_target t in
-    if target <= t.output_count then begin
+    if sync_target t <= t.output_count then begin
       t.lag_since <- None;
-      if t.sync_active then begin
-        t.sync_active <- false;
-        drain_outbox t
-      end
+      if t.sync_active then end_sync t
     end
     else if t.sync_active then begin
-      (* Pull in flight; re-request if the response itself was lost. *)
+      (* Pull in flight; re-request if the response itself was lost or
+         the server had nothing to settle the sync with. *)
       if now - t.sync_req_at > 2 * t.config.delta_us then send_sync_req t
     end
     else
       match t.lag_since with
       | Some (since, count) when Int.equal count t.output_count ->
-          if now - since > Config.sync_patience_us then begin
-            t.sync_active <- true;
-            t.syncs_started <- t.syncs_started + 1;
-            send_sync_req t
-          end
+          if now - since > Config.sync_patience_us then start_sync t
       | _ -> t.lag_since <- Some (now, t.output_count)
   end
 
+(* Entries taken but not yet emitted, in commit order. *)
+let unemitted_tail t =
+  Queue.fold
+    (fun acc iid ->
+      match Types.Iid_tbl.find_opt t.records iid with
+      | Some r when not r.emitted -> (iid, r.c_seq) :: acc
+      | Some _ | None -> acc)
+    [] t.outbox
+  |> List.rev
+
 let on_sync_req t ~src ~from_count =
-  if from_count >= 0 && from_count < t.output_count then begin
+  if from_count >= 0 then begin
     let upto = min t.output_count (from_count + Config.sync_batch) in
     (* outputs_rev is newest first; walk down collecting the slice
        [from_count, upto) in ascending order. *)
@@ -852,13 +939,34 @@ let on_sync_req t ~src ~from_count =
     in
     let entries = collect [] (t.output_count - 1) t.outputs_rev in
     send_body t ~dst:src
-      (Types.Sync_resp { from_count; upto = t.output_count; entries })
+      (Types.Sync_resp
+         {
+           from_count;
+           upto = t.output_count;
+           entries;
+           tail = take gossip_cap (unemitted_tail t);
+         })
   end
 
-let on_sync_resp t ~src:_ ~from_count ~upto entries =
+(* Two commit orders that start at the same position agree while
+   neither has an entry where the other has a different one. *)
+let rec orders_agree a b =
+  match (a, b) with
+  | (x, _) :: a, (y, _) :: b -> Types.iid_equal x y && orders_agree a b
+  | _ -> true
+
+(* A sync ends once our log holds the goal's length, the server has
+   emitted nothing past us and its tail agrees with ours: nothing we
+   have taken sits where the server has a different entry, and every
+   entry it has that we lack is now a claim holding our takes.
+   Otherwise we keep pulling. The goal counts taken entries, not
+   emitted ones: after a quorum loss every node is in probation and
+   syncing, and a paused node emits nothing anyone could pull. *)
+let on_sync_resp t ~src ~from_count ~upto entries tail =
   (* Apply only an exactly-contiguous slice; anything else is stale
      (an earlier duplicate request) and a fresh pull will follow. *)
   if t.sync_active && Int.equal from_count t.output_count then begin
+    List.iter (fun (iid, seq) -> absorb_claim t ~src iid seq) tail;
     let ok = ref true in
     List.iter
       (fun ((batch : Types.batch), seq) ->
@@ -867,7 +975,7 @@ let on_sync_resp t ~src:_ ~from_count ~upto entries =
           match Types.Iid_tbl.find_opt t.records iid with
           | Some r when r.emitted ->
               (* Responder's log diverges from ours — Byzantine server.
-                 Abort; the next tick re-pulls from another peer. *)
+                 Abort; the next tick re-pulls. *)
               ok := false
           | existing ->
               Commit_state.note_committed t.commit iid ~seq;
@@ -896,15 +1004,14 @@ let on_sync_resp t ~src:_ ~from_count ~upto entries =
               emit t batch seq
         end)
       entries;
-    if t.output_count >= upto then begin
-      (* Responder exhausted; if another peer is still ahead the next
-         heartbeat tick restarts the pull. *)
-      t.sync_active <- false;
-      try_commit t;
-      drain_outbox t;
-      maybe_propose t
+    if t.output_count < upto then begin
+      if !ok then send_sync_req t
     end
-    else if !ok then send_sync_req t
+    else if
+      Int.equal t.output_count upto
+      && log_length t >= sync_goal t
+      && orders_agree (unemitted_tail t) tail
+    then end_sync t
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1008,79 +1115,35 @@ let absorb_status t ~src (status : Types.status) =
   (* Monotone: reordered deliveries must not shrink a peer's claim. *)
   if status.committed > t.peer_committed.(src) then
     t.peer_committed.(src) <- status.committed;
-  (* Gossip is processed on every status, not only when the sender's
-     version bumps: a peer rejoining from a partition re-announces an
-     unchanged accepted set, and that re-announcement may be exactly
-     the corroborating witness (or re-creation trigger) for an entry
-     whose pending record lapsed in the meantime. Commits are still
-     attempted from decisions and the heartbeat tick rather than on
-     every message. *)
-  List.iter
-    (fun (iid, seq) ->
-      if not (Commit_state.is_accepted t.commit iid) then begin
-        (* Corroboration: record every distinct peer that ever claimed
-           this entry accepted; f+1 of them include a correct one. *)
-        let cl =
-          match Types.Iid_tbl.find_opt t.claims iid with
-          | Some c -> c
-          | None ->
-              let c =
-                {
-                  cl_peers = Array.make t.config.n false;
-                  cl_count = 0;
-                  cl_lapsed = false;
-                }
-              in
-              Types.Iid_tbl.replace t.claims iid c;
-              c
-        in
-        if not cl.cl_peers.(src) then begin
-          cl.cl_peers.(src) <- true;
-          cl.cl_count <- cl.cl_count + 1
-        end;
-        if not (Types.Iid_map.mem iid t.pending) then begin
-          let decided =
-            match Types.Iid_tbl.find_opt t.instances iid with
-            | Some i -> Instance.decided i <> None
-            | None -> false
-          in
-          (* A claim that already expired once is only re-admitted when
-             corroborated — a lone Byzantine gossiper can stall the
-             prefix for at most one 2L window per invented entry. *)
-          if
-            (not decided)
-            && ((not cl.cl_lapsed) || cl.cl_count > Config.f t.config)
-          then begin
-            t.min_pending_dirty <- true;
-            t.pending <-
-              Types.Iid_map.add iid
-                {
-                  p_seq = seq;
-                  kind = External;
-                  added_at = Sim.Engine.now t.engine;
-                  nudged_at = 0;
-                }
-                t.pending
-          end
-        end
-      end)
-    status.accepted_recent
+  (* Gossip is read on every heartbeat, changed or not: a peer rejoining
+     from a partition re-announces an unchanged accepted set, and that
+     re-announcement may be exactly the corroborating witness (or
+     re-creation trigger) for an entry whose pending record lapsed in
+     the meantime. Commits are still attempted from decisions and the
+     heartbeat tick rather than on every message. *)
+  List.iter (fun (iid, seq) -> absorb_claim t ~src iid seq) status.accepted_recent
 
 (* Isolation probation. A node cut off from a quorum (crash, minority
-   partition) may hold a stale view of the committed log: entries that
-   completed in its absence were never gossiped to it (statuses only
-   carry *pending* entries). Once reconnected, fresh statuses can
-   advance its commit boundary past those missed entries and it would
-   emit the log out of order — and the patience-based watchdog is too
-   slow to stop that. So: whenever fewer than a quorum of peers have
-   been heard within isolation_gap_us, open a probation window in which
-   any observed lag starts the sync pull immediately. This always wins
-   the race with a bad emission, because advancing the boundary needs
-   fresh statuses from 2f+1 peers while spotting the lag needs only
-   f+1 — and both ride the same messages. Outages shorter than the gap
+   partition) may hold a stale view of the log: entries taken in its
+   absence are never gossiped to it (heartbeats only carry entries not
+   yet taken). Once reconnected, fresh statuses can advance its commit
+   boundary past those missed entries and it would emit the log out of
+   order — and the patience-based watchdog is too slow to stop that.
+   So: whenever fewer than a quorum of peers have been heard within
+   isolation_gap_us, open a probation window in which any observed lag
+   starts the sync pull immediately. The lag shows before the node can
+   emit past a missed entry: emitting the next entry takes 2f+1 Reveal
+   shares, at least 2f from peers that took it after the missed one,
+   and each share rides a status whose log-length claim counts the
+   missed entry. With no Byzantine peer that is at least f+1 claims,
+   enough to move the sync target. (Claims of emitted entries only
+   would lose this race: peers that have taken but not yet revealed
+   the missed entry would look level.) Outages shorter than the gap
    cannot hide a full commit (the commit pipeline alone takes longer),
-   so the window misses nothing. On healthy runs every peer heartbeats
-   every 25 ms and the quorum check never fails. *)
+   so the window misses nothing. The compound-fault sweep in
+   test_faults checks the outcome: no prefix break and no late accept.
+   On healthy runs every peer heartbeats every 25 ms and the quorum
+   check never fails. *)
 let isolation_check t ~src ~now =
   if not (Isolation.receive t.isolation ~src ~now) then
     t.probation_until <- now + Config.isolation_gap_us
@@ -1089,12 +1152,9 @@ let on_message t ~src (msg : Types.msg) =
   let now = Sim.Engine.now t.engine in
   isolation_check t ~src ~now;
   absorb_status t ~src msg.status;
-  (if (not t.sync_active) && now <= t.probation_until
-      && sync_target t > t.output_count then begin
-     t.sync_active <- true;
-     t.syncs_started <- t.syncs_started + 1;
-     send_sync_req t
-   end);
+  if (not t.sync_active) && now <= t.probation_until
+     && sync_target t > t.output_count
+  then start_sync t;
   match msg.body with
   | Types.Init { proposal; share; sigma } ->
       (match share with
@@ -1114,13 +1174,16 @@ let on_message t ~src (msg : Types.msg) =
   | Types.Aux { iid; round; values } ->
       Instance.on_aux (instance_of t iid) ~src ~round ~values
   | Types.Reveal { iid; share } -> on_reveal t ~src iid share
-  | Types.Heartbeat -> try_commit t
+  | Types.Heartbeat ->
+      if t.sync_active && t.goal_claims.(src) < 0 && not (Int.equal src t.id)
+      then t.goal_claims.(src) <- msg.status.committed;
+      try_commit t
   | Types.Nudge { iid } -> on_nudge t ~src iid
   | Types.Decided { iid; value; proposal } ->
       on_decided t ~src iid ~value proposal
   | Types.Sync_req { from_count } -> on_sync_req t ~src ~from_count
-  | Types.Sync_resp { from_count; upto; entries } ->
-      on_sync_resp t ~src ~from_count ~upto entries
+  | Types.Sync_resp { from_count; upto; entries; tail } ->
+      on_sync_resp t ~src ~from_count ~upto entries tail
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle.                                                          *)
@@ -1222,8 +1285,8 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
       started = false;
       min_pending_dirty = true;
       min_pending_cache = Types.no_pending;
-      gossip_cache = None;
       peer_committed = Array.make config.Config.n 0;
+      goal_claims = Array.make config.Config.n (-1);
       isolation =
         Isolation.create ~n:config.Config.n ~id ~quorum:(Config.quorum config);
       probation_until = 0;

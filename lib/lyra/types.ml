@@ -98,8 +98,6 @@ type status = {
   min_pending : int;
   committed : int;
   accepted_recent : (iid * int) list;
-  accepted_root : string;
-  version : int;
 }
 
 let no_pending = max_int / 2
@@ -132,14 +130,19 @@ type body =
   | Nudge of { iid : iid }
   | Decided of { iid : iid; value : int; proposal : proposal option }
   | Sync_req of { from_count : int }
-  | Sync_resp of { from_count : int; upto : int; entries : (batch * int) list }
+  | Sync_resp of {
+      from_count : int;
+      upto : int;
+      entries : (batch * int) list;
+      tail : (iid * int) list;
+    }
 
 type msg = { status : status; body : body }
 
 let tx_wire_size = 32
 
-(* The [committed] scalar rides in the status header's existing
-   alignment padding, so the modelled wire size is unchanged. *)
+(* The status header (three scalars plus framing) is modelled at a
+   fixed 48 bytes; each gossiped entry adds 24. *)
 let status_size status = 48 + (24 * List.length status.accepted_recent)
 
 let body_size = function
@@ -163,10 +166,11 @@ let body_size = function
         | Some p ->
             (tx_wire_size * Array.length p.batch.txs) + (8 * Array.length p.st))
   | Sync_req _ -> 16
-  | Sync_resp { entries; _ } ->
+  | Sync_resp { entries; tail; _ } ->
       List.fold_left
         (fun acc (batch, _) -> acc + 48 + (tx_wire_size * Array.length batch.txs))
-        24 entries
+        (24 + (24 * List.length tail))
+        entries
 
 let msg_size { status; body } = status_size status + body_size body
 
@@ -189,9 +193,11 @@ let msg_cost (c : Sim.Costs.t) { status; body } =
     | Nudge _ -> 1 (* table lookup *)
     | Decided _ -> 2 (* tally update; adopted only after f+1 senders *)
     | Sync_req _ -> 2 (* output-log slice *)
-    | Sync_resp { entries; _ } ->
-        (* Hash every replayed batch on the way into the local log. *)
-        List.fold_left
+    | Sync_resp { entries; tail; _ } ->
+        (* Hash every replayed batch on the way into the local log;
+           the tail is read like gossip. *)
+        (List.length tail / 8)
+        + List.fold_left
           (fun acc (batch, _) ->
             let kb = 1 + (tx_wire_size * Array.length batch.txs / 1024) in
             acc + (c.hash_per_kb * kb))

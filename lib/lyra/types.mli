@@ -94,12 +94,14 @@ val requested_seq : n:int -> f:int -> int option array -> int option
 type status = {
   locked_upto : int;  (** local acceptance-window bound seq_i − L *)
   min_pending : int;  (** lowest pending requested seq; [no_pending] if none *)
-  committed : int;  (** emitted-output count; lets a recovering peer
-                        detect how far behind the cluster it is *)
-  accepted_recent : (iid * int) list;  (** accepted (instance, seq) pairs *)
-  accepted_root : string;  (** Merkle root over the full accepted prefix *)
-  version : int;  (** sender's accepted-set version; receivers skip
-                      gossip they have already absorbed *)
+  committed : int;
+      (** log length: the entries taken into the sender's commit order,
+          revealed or not. A peer that missed an entry sees that it is
+          behind before it emits past the entry, and a syncing peer
+          takes its goal from these claims *)
+  accepted_recent : (iid * int) list;
+      (** accepted, not yet taken (instance, seq) pairs; heartbeats
+          only *)
 }
 
 (** Sentinel for "no pending transaction" (sorts above every seq). *)
@@ -144,9 +146,16 @@ type body =
   | Sync_req of { from_count : int }
       (** pull committed outputs starting at log index [from_count]
           (crash recovery / lossy-link repair) *)
-  | Sync_resp of { from_count : int; upto : int; entries : (batch * int) list }
+  | Sync_resp of {
+      from_count : int;
+      upto : int;
+      entries : (batch * int) list;
+      tail : (iid * int) list;
+    }
       (** contiguous (batch, seq) slice of the responder's emitted log
-          from [from_count]; [upto] is the responder's total count *)
+          from [from_count]; [upto] is the responder's emitted count.
+          [tail] lists the entries it has taken but not yet emitted:
+          the receiver treats them as gossip claims *)
 
 type msg = { status : status; body : body }
 

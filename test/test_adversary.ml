@@ -322,8 +322,28 @@ let test_scorecard_deterministic () =
     "full isolation trips victim liveness" (Some "victim-liveness")
     d0.ceiling_tripped
 
+(* A Byzantine node named as an eclipse victim is not judged: node 0
+   stays silent the whole run while the honest nodes commit, and only
+   honest victims can be starved. *)
+let test_byzantine_victim_not_judged () =
+  let p = Option.get (Explore.Knobs.make ~protocol:"lyra" ~knob:"byz-silent") in
+  let r =
+    Harness.Scenario.run p ~n:4 ~load:(Harness.Scenario.Closed 2)
+      ~duration_us:3_000_000 ()
+  in
+  Alcotest.(check bool) "honest nodes committed" true (r.committed_txs > 0);
+  Alcotest.(check bool) "silent node 0 is not honest" false
+    (Array.exists (Int.equal 0) r.honest_ids);
+  Alcotest.(check (option string))
+    "silent victim not judged" None
+    (Option.map
+       (fun (f : Harness.Oracle.finding) -> f.oracle)
+       (Harness.Oracle.victim_liveness ~stall_gap_us:1 ~victims:[ 0 ] r))
+
 let suite =
   [
+    Alcotest.test_case "byzantine victim not judged" `Quick
+      test_byzantine_victim_not_judged;
     Alcotest.test_case "eclipse fate windows" `Quick test_eclipse_fate_windows;
     Alcotest.test_case "eclipse delay mode" `Quick test_eclipse_delay_mode;
     Alcotest.test_case "inflation sums" `Quick test_inflation_sums;

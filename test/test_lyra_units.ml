@@ -215,12 +215,6 @@ let test_commit_state_idempotent_accept () =
   Lyra.Commit_state.add_accepted cs (iid 0 0) ~seq:100;
   Alcotest.(check int) "once" 1 (Lyra.Commit_state.accepted_count cs)
 
-let test_commit_state_version_bumps () =
-  let cs = Lyra.Commit_state.create ~n:4 ~f:1 in
-  let v0 = Lyra.Commit_state.version cs in
-  Lyra.Commit_state.add_accepted cs (iid 0 0) ~seq:100;
-  Alcotest.(check bool) "bumped" true (Lyra.Commit_state.version cs > v0)
-
 let test_commit_state_locked_monotone () =
   let cs = Lyra.Commit_state.create ~n:4 ~f:1 in
   for p = 0 to 3 do
@@ -535,7 +529,6 @@ let suite =
     Alcotest.test_case "commit take" `Quick test_commit_state_committed_and_take;
     Alcotest.test_case "commit tie break" `Quick test_commit_state_ordering_ties;
     Alcotest.test_case "commit idempotent" `Quick test_commit_state_idempotent_accept;
-    Alcotest.test_case "commit version" `Quick test_commit_state_version_bumps;
     Alcotest.test_case "commit locked monotone" `Quick test_commit_state_locked_monotone;
     Alcotest.test_case "misbehavior labels" `Quick test_misbehavior_labels;
     prop_isolation_matches_scan;

@@ -73,51 +73,6 @@ let prop_random_trees =
          Merkle.verify_proof ~root:(Merkle.root t) ~leaf:(List.nth ls i) ~index:i
            ~size:k (Merkle.proof t i)))
 
-(* The append-only accumulator against a full rebuild: reading the
-   root after every append, across the sizes where the right edge
-   changes shape (0, 1, 2^k, 2^k + 1). *)
-let test_acc_edge_sizes () =
-  List.iter
-    (fun k ->
-      let acc = Merkle.Acc.create () in
-      let ls = leaves k in
-      List.iteri
-        (fun i leaf ->
-          Merkle.Acc.add acc leaf;
-          Alcotest.(check string)
-            (Printf.sprintf "grow to %d, at %d" k (i + 1))
-            (Merkle.root_of_leaves (List.filteri (fun j _ -> j <= i) ls))
-            (Merkle.Acc.root acc))
-        ls;
-      let once = Merkle.Acc.create () in
-      List.iter (Merkle.Acc.add once) ls;
-      Alcotest.(check string)
-        (Printf.sprintf "one read at %d" k)
-        (Merkle.root_of_leaves ls) (Merkle.Acc.root once))
-    [ 0; 1; 2; 3; 4; 5; 8; 9; 16; 17; 32; 33; 64; 65 ]
-
-(* Random interleavings: each step appends a leaf and reads the root
-   or not, so cached and freshly computed roots are both checked. *)
-let prop_acc_interleaved =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"accumulator = rebuild" ~count:200
-       QCheck.(list_of_size Gen.(int_range 0 140) bool)
-       (fun reads ->
-         let acc = Merkle.Acc.create () in
-         let added = ref [] in
-         let agrees () =
-           String.equal (Merkle.Acc.root acc)
-             (Merkle.root_of_leaves (List.rev !added))
-         in
-         List.for_all
-           (fun read ->
-             let leaf = Printf.sprintf "tx-%d" (List.length !added) in
-             Merkle.Acc.add acc leaf;
-             added := leaf :: !added;
-             (not read) || agrees ())
-           reads
-         && agrees ()))
-
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -129,6 +84,4 @@ let suite =
     Alcotest.test_case "domain separation" `Quick test_leaf_not_confused_with_node;
     Alcotest.test_case "out of range" `Quick test_out_of_range_proof;
     prop_random_trees;
-    Alcotest.test_case "accumulator edge sizes" `Quick test_acc_edge_sizes;
-    prop_acc_interleaved;
   ]
