@@ -8,184 +8,60 @@ let msg_size = function
   | Coord _ -> 24
   | Aux { values; _ } -> 24 + (8 * List.length values)
 
-type round_state = {
-  bv : Bv_broadcast.t;
-  aux : int list option array;  (** first AUX per sender *)
-  mutable aux_count : int;
-  mutable coord_value : int option;
-  mutable coord_sent : bool;
-  mutable timer_fired : bool;
-  mutable aux_sent : bool;
-}
-
 type t = {
   net : msg Sim.Network.t;
   id : int;
-  n : int;
-  f : int;
-  delta_us : int;
-  max_rounds : int;
   on_decide : round:int -> int -> unit;
-  rounds : (int, round_state) Hashtbl.t;
-  mutable current : int;
-  mutable est : int;
-  mutable started : bool;
-  mutable decision : int option;
-  mutable decision_round : int option;
-  mutable halted : bool;
+  bv1 : Bv_broadcast.t;  (** round 1's BV; later rounds are in [rounds] *)
+  rounds : Rounds.t;
 }
 
 let broadcast t m = Sim.Network.broadcast t.net ~src:t.id m
 
-let round_state t r =
-  match Hashtbl.find_opt t.rounds r with
-  | Some rs -> rs
-  | None ->
-      let rs =
-        {
-          bv =
-            Bv_broadcast.create ~n:t.n
-              ~echo:(fun b -> broadcast t (Est { round = r; value = b }))
-              ~deliver:(fun _ -> ())
-              ();
-          aux = Array.make t.n None;
-          aux_count = 0;
-          coord_value = None;
-          coord_sent = false;
-          timer_fired = false;
-          aux_sent = false;
-        }
-      in
-      Hashtbl.replace t.rounds r rs;
-      rs
+module R = Rounds.Make (struct
+  type h = t
 
-let coordinator t r = r mod t.n
+  let rounds t = t.rounds
 
-(* The weak coordinator broadcasts the first value its BV instance
-   delivers (Alg. 3 lines 37–39). *)
-let maybe_coordinate t r rs =
-  if
-    Int.equal t.id (coordinator t r) && (not rs.coord_sent)
-    && Bv_broadcast.values rs.bv <> []
-  then begin
-    rs.coord_sent <- true;
-    match Bv_broadcast.values rs.bv with
-    | w :: _ -> broadcast t (Coord { round = r; value = w })
-    | [] -> ()
-  end
+  let bin1 t b = Bv_broadcast.delivered t.bv1 b
 
-let rec try_advance t r =
-  if (not t.halted) && Int.equal r t.current then begin
-    let rs = round_state t r in
-    maybe_coordinate t r rs;
-    let bin = Bv_broadcast.values rs.bv in
-    (* Send AUX once the timer expired and something was delivered,
-       prioritizing the coordinator's value (Alg. 3 lines 40–42). *)
-    if (not rs.aux_sent) && rs.timer_fired && bin <> [] then begin
-      rs.aux_sent <- true;
-      let e =
-        match rs.coord_value with
-        | Some c when Bv_broadcast.delivered rs.bv c -> [ c ]
-        | Some _ | None -> bin
-      in
-      broadcast t (Aux { round = r; values = e })
-    end;
-    (* Decision step: a quorum of AUX sets all inside bin_values. *)
-    let auxs =
-      Array.to_list rs.aux |> List.filter_map (fun x -> x)
-    in
-    match
-      Quorums.aux_union ~need:(t.n - t.f)
-        ~in_bin:(Bv_broadcast.delivered rs.bv)
-        auxs
-    with
-    | None -> ()
-    | Some union ->
-        (match union with
-        | [ v ] ->
-            t.est <- v;
-            if Int.equal v (r mod 2) && t.decision = None then begin
-              t.decision <- Some v;
-              t.decision_round <- Some r;
-              t.on_decide ~round:r v
-            end
-        | _ -> t.est <- r mod 2);
-        let help_over =
-          match t.decision_round with Some dr -> r >= dr + 2 | None -> false
-        in
-        if help_over || r >= t.max_rounds then t.halted <- true
-        else start_round t (r + 1)
-  end
+  let send_est t ~round value = broadcast t (Est { round; value })
 
-and start_round t r =
-  t.current <- r;
-  let rs = round_state t r in
-  Bv_broadcast.input rs.bv t.est;
-  ignore
-    (Sim.Engine.schedule (Sim.Network.engine t.net) ~delay:t.delta_us
-       (fun () ->
-         rs.timer_fired <- true;
-         try_advance t r)
-      : Sim.Engine.timer);
-  (* Messages for this round may already be buffered. *)
-  try_advance t r
+  let send_coord t ~round value = broadcast t (Coord { round; value })
 
-let on_message t ~src msg =
-  if not t.halted then begin
-    match msg with
-    | Est { round; value } ->
-        let rs = round_state t round in
-        Bv_broadcast.on_est rs.bv ~src value;
-        try_advance t round
-    | Coord { round; value } ->
-        if Int.equal src (coordinator t round) && (value = 0 || value = 1) then begin
-          let rs = round_state t round in
-          if rs.coord_value = None then rs.coord_value <- Some value;
-          try_advance t round
-        end
-    | Aux { round; values } ->
-        if List.for_all (fun b -> b = 0 || b = 1) values then begin
-          let rs = round_state t round in
-          if rs.aux.(src) = None then begin
-            rs.aux.(src) <- Some values;
-            rs.aux_count <- rs.aux_count + 1
-          end;
-          try_advance t round
-        end
-  end
+  let send_aux t ~round values = broadcast t (Aux { round; values })
 
-let create net ~id ~delta_us ~on_decide ?(max_rounds = 64) () =
+  let schedule t ~delay_us fn =
+    ignore
+      (Sim.Engine.schedule (Sim.Network.engine t.net) ~delay:delay_us fn
+        : Sim.Engine.timer)
+
+  let decide t ~round v = t.on_decide ~round v
+end)
+
+let on_message t ~src = function
+  | Est { round = 1; value } ->
+      if value = 0 || value = 1 then begin
+        Bv_broadcast.on_est t.bv1 ~src value;
+        R.on_round1 t
+      end
+  | Est { round; value } -> R.on_est t ~src ~round value
+  | Coord { round; value } -> R.on_coord t ~src ~round value
+  | Aux { round; values } -> R.on_aux t ~src ~round values
+
+let create net ~id ~delta_us ~on_decide () =
   let n = Sim.Network.n net in
-  let t =
-    {
-      net;
-      id;
-      n;
-      f = Quorums.max_faulty n;
-      delta_us;
-      max_rounds;
-      on_decide;
-      rounds = Hashtbl.create 8;
-      current = 1;
-      est = 0;
-      started = false;
-      decision = None;
-      decision_round = None;
-      halted = false;
-    }
+  let bv1 =
+    Bv_broadcast.create ~n ~echo:(fun value ->
+        Sim.Network.broadcast net ~src:id (Est { round = 1; value }))
   in
+  let t = { net; id; on_decide; bv1; rounds = Rounds.create ~self:id ~n ~delta_us } in
   Sim.Network.register net ~id (fun ~src msg -> on_message t ~src msg);
   t
 
 let propose t b =
   if b <> 0 && b <> 1 then invalid_arg "Binary_consensus.propose: 0 or 1";
-  if t.started then invalid_arg "Binary_consensus.propose: already proposed";
-  t.started <- true;
-  t.est <- b;
-  start_round t 1
-
-let decision t = t.decision
-
-let decision_round t = t.decision_round
-
-let round t = t.current
+  if Rounds.started t.rounds then
+    invalid_arg "Binary_consensus.propose: already proposed";
+  Bv_broadcast.input t.bv1 b;
+  R.start t

@@ -3,15 +3,9 @@
 
     This is the substrate protocol that Lyra modifies (§IV): Lyra
     replaces the round-1 Binary Value Broadcast with its Validating
-    Value Broadcast and keeps the round structure — weak coordinator,
-    AUX exchange, decide when the single surviving value matches the
-    round parity. The standalone version here is used to validate the
-    round machinery and as a reference for the tests.
-
-    One [t] value is one replica participating in one consensus
-    instance. Safety holds under asynchrony; termination needs the
-    eventual synchrony of the transport (Δ-timers create the fast
-    path). *)
+    Value Broadcast. Both run the same round machine, {!Rounds}; this
+    module is its network host (messages, registration, the round-1 BV
+    and {!propose}). One [t] is one replica in one instance. *)
 
 type msg
 
@@ -22,25 +16,14 @@ type t
 
 (** [create net ~id ~delta_us ~on_decide ()] registers replica [id] on
     [net] (which must carry [msg] values). [on_decide ~round v] fires
-    exactly once, when this replica decides [v] in [round].
-    [max_rounds] (default 64) aborts runaway instances in tests. *)
+    exactly once, when this replica decides [v] in [round]. *)
 val create :
   msg Sim.Network.t ->
   id:int ->
   delta_us:int ->
   on_decide:(round:int -> int -> unit) ->
-  ?max_rounds:int ->
   unit ->
   t
 
 (** [propose t b] inputs the replica's binary proposal (0 or 1). *)
 val propose : t -> int -> unit
-
-(** Decision, if reached. *)
-val decision : t -> int option
-
-(** Round in which the decision was reached. *)
-val decision_round : t -> int option
-
-(** Current round number (1-based). *)
-val round : t -> int

@@ -2,19 +2,17 @@ type t = {
   n : int;
   f : int;
   echo : int -> unit;
-  deliver : int -> unit;
   received : bool array array;  (** received.(b).(src) *)
   count : int array;
   echoed : bool array;
   bin : bool array;
 }
 
-let create ~n ~echo ~deliver () =
+let create ~n ~echo =
   {
     n;
     f = Quorums.max_faulty n;
     echo;
-    deliver;
     received = [| Array.make n false; Array.make n false |];
     count = [| 0; 0 |];
     echoed = [| false; false |];
@@ -42,15 +40,9 @@ let on_est t ~src b =
       t.echoed.(b) <- true;
       t.echo b
     end;
-    if t.count.(b) >= (2 * t.f) + 1 && not t.bin.(b) then begin
-      t.bin.(b) <- true;
-      t.deliver b
-    end
+    if t.count.(b) >= (2 * t.f) + 1 then t.bin.(b) <- true
   end
 
 let delivered t b =
   check_value b;
   t.bin.(b)
-
-let values t =
-  List.filter (fun b -> t.bin.(b)) [ 0; 1 ]

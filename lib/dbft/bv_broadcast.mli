@@ -8,17 +8,16 @@
     value is eventually delivered (BV-Obligation).
 
     The module is transport-agnostic: it asks the host to [echo] EST
-    messages and reports deliveries through [deliver]. The host feeds
-    incoming EST messages via {!on_est}; self-delivery of the host's
-    own echoes must come back through {!on_est} too (broadcasting to
-    yourself is the host's job). *)
+    messages, and the host reads deliveries with {!delivered}. The host
+    feeds incoming EST messages via {!on_est}; self-delivery of the
+    host's own echoes must come back through {!on_est} too
+    (broadcasting to yourself is the host's job). *)
 
 type t
 
-(** [create ~n ~echo ~deliver ()] — [echo b] must broadcast EST(b) to
-    all n processes (including self); [deliver b] is invoked exactly
-    once per delivered binary value. *)
-val create : n:int -> echo:(int -> unit) -> deliver:(int -> unit) -> unit -> t
+(** [create ~n ~echo] — [echo b] must broadcast EST(b) to all n
+    processes (including self). *)
+val create : n:int -> echo:(int -> unit) -> t
 
 (** [input t b] broadcasts this process's estimate (b ∈ {0, 1}). *)
 val input : t -> int -> unit
@@ -29,6 +28,3 @@ val on_est : t -> src:int -> int -> unit
 
 (** [delivered t b] tells whether [b] is in bin_values. *)
 val delivered : t -> int -> bool
-
-(** Current bin_values, sorted. *)
-val values : t -> int list

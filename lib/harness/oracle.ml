@@ -8,15 +8,6 @@ let pp_finding fmt f = Format.fprintf fmt "%s: %s" f.oracle f.detail
 (* attaching them can never perturb the run they judge.                *)
 (* ------------------------------------------------------------------ *)
 
-let is_prefix la lb =
-  let entry_equal (ka, da) (kb, db) = String.equal ka kb && String.equal da db in
-  let rec go = function
-    | [], _ -> true
-    | _, [] -> false
-    | x :: xs, y :: ys -> entry_equal x y && go (xs, ys)
-  in
-  go (la, lb)
-
 (* Content-aware prefix agreement: logs of (key, digest) pairs must be
    prefixes of the longest log. Strictly stronger than the result's
    [prefix_safe] flag, which compares instance keys only — two nodes
@@ -26,15 +17,12 @@ let prefix_agreement (r : Scenario.result) =
   let logs = r.Scenario.honest_logs in
   if Array.length logs = 0 then None
   else begin
-    let longest =
-      Array.fold_left
-        (fun best l -> if List.length l > List.length best then l else best)
-        logs.(0) logs
-    in
+    let longest = logs.(Scenario.longest logs) in
+    let equal (ka, da) (kb, db) = String.equal ka kb && String.equal da db in
     let bad = ref None in
     Array.iteri
       (fun i l ->
-        if Option.is_none !bad && not (is_prefix l longest) then
+        if Option.is_none !bad && not (Scenario.is_prefix ~equal l longest) then
           bad := Some (i, List.length l))
       logs;
     match !bad with

@@ -56,27 +56,18 @@ let pp_result fmt r =
       Format.fprintf fmt ", mev_extracted=%.0fY slippage=%dY"
         m.Workload.Engine.extracted_value_y m.Workload.Engine.victim_slippage_y
 
-let is_prefix la lb =
-  let rec go = function
-    | [], _ -> true
-    | _, [] -> false
-    | x :: xs, y :: ys -> String.equal x y && go (xs, ys)
-  in
-  go (la, lb)
+let rec is_prefix ~equal la lb =
+  match (la, lb) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: xs, y :: ys -> equal x y && is_prefix ~equal xs ys
 
-(* All-pairs mutual-prefix is equivalent to "every log is a prefix of
-   the longest log": prefixes of a common list are totally ordered by
-   the prefix relation, so checking against a single maximal log is
-   O(n·len) instead of O(n²·len²). *)
-let prefix_safe logs =
-  if Array.length logs = 0 then true
-  else
-    let longest =
-      Array.fold_left
-        (fun best l -> if List.length l > List.length best then l else best)
-        logs.(0) logs
-    in
-    Array.for_all (fun l -> is_prefix l longest) logs
+let longest logs =
+  let best = ref 0 in
+  Array.iteri
+    (fun k l -> if List.length l > List.length logs.(!best) then best := k)
+    logs;
+  !best
 
 (* Keys identify a batch instance; the digest additionally pins its
    transaction contents, so an equivocation that splits payloads under
@@ -110,11 +101,6 @@ let content_digests logs =
   in
   Array.map (List.map (fun (c : Protocol.committed) -> (c.key, digest c))) logs
 
-(* Shared measurement plumbing: per-node closed pools get released on
-   output; latency recorded at the transaction's origin node within the
-   measurement window. *)
-let make_recorders ~n = (Metrics.Recorder.create (), Array.make n 0, ref 0)
-
 let run ?(seed = 1L) ?warmup_us ?(ns_per_byte = wan_ns_per_byte)
     ?(faults = Sim.Faults.none) ?adversary ?perturb ?dissemination
     ?profile_bucket_us ?workload (module P : Protocol.NODE) ~n ~load
@@ -128,7 +114,9 @@ let run ?(seed = 1L) ?warmup_us ?(ns_per_byte = wan_ns_per_byte)
       ?dissemination ()
   in
   let rng = Sim.Engine.rng engine in
-  let latency_rec, _, committed = make_recorders ~n in
+  (* Latency is recorded at the transaction's origin node within the
+     measurement window. *)
+  let latency_rec = Metrics.Recorder.create () and committed = ref 0 in
   let pools : Workload.Clients.Closed.t option array = Array.make n None in
   let measure_start = ref max_int in
   (* The monitor observes every honest commit as it happens (including
@@ -314,10 +302,19 @@ let run ?(seed = 1L) ?warmup_us ?(ns_per_byte = wan_ns_per_byte)
       (List.filter (fun i -> P.honest nodes.(i)) (List.init n (fun i -> i)))
   in
   (* Computed after the run: timing-neutral. *)
-  let honest_logs =
-    content_digests (Array.map (fun i -> P.output_log nodes.(i)) honest)
-  in
+  let outputs = Array.map (fun i -> P.output_log nodes.(i)) honest in
+  let honest_logs = content_digests outputs in
   let logs = Array.map (List.map fst) honest_logs in
+  (* The first longest honest log: when the run is safe, the decided
+     order every honest log is a prefix of. All-pairs mutual-prefix is
+     equivalent to "every log is a prefix of it" (prefixes of a common
+     list are totally ordered), which is O(n·len), not O(n²·len²). *)
+  let decided, decided_log =
+    if Int.equal (Array.length honest) 0 then ([], [])
+    else
+      let k = longest logs in
+      (logs.(k), outputs.(k))
+  in
   let seq_bounds = Array.map (fun i -> P.seq_bounds nodes.(i)) honest in
   let final = Array.map (fun node -> P.stats node) nodes in
   let rounds_all = Metrics.Recorder.create () in
@@ -362,43 +359,27 @@ let run ?(seed = 1L) ?warmup_us ?(ns_per_byte = wan_ns_per_byte)
           (label, agg))
         labels
   in
-  (* MEV is a pure function of the committed order: replay the longest
-     honest log's payload sequence (any honest log is a prefix of it
-     when the run is safe). *)
+  (* MEV is a pure function of the committed order: replay the decided
+     log's payload sequence. *)
   let workload_streams, mev =
     match !wl_ref with
     | None -> ([], None)
     | Some wl ->
         let committed_payloads =
-          if Int.equal (Array.length honest) 0 then []
-          else begin
-            let best = ref (P.output_log nodes.(honest.(0))) in
-            Array.iter
-              (fun i ->
-                let l = P.output_log nodes.(i) in
-                if List.length l > List.length !best then best := l)
-              honest;
-            List.concat_map
-              (fun (c : Protocol.committed) ->
-                Array.to_list
-                  (Array.map (fun (tx : Lyra.Types.tx) -> tx.payload) c.txs))
-              !best
-          end
+          List.concat_map
+            (fun (c : Protocol.committed) ->
+              Array.to_list
+                (Array.map (fun (tx : Lyra.Types.tx) -> tx.payload) c.txs))
+            decided_log
         in
         ( Workload.Engine.summaries wl,
           Workload.Engine.mev_report wl ~committed:committed_payloads )
   in
   let receive_logs = Array.map (fun i -> List.rev receive_rev.(i)) honest in
-  (* Fairness scores the longest honest log (the decided order every
-     honest log is a prefix of when the run is safe) against every
-     honest receive log; the searcher landing rate rides along when a
-     PR 9 MEV flow was attached. *)
+  (* Fairness scores the decided log against every honest receive log;
+     the searcher landing rate rides along when an MEV flow was
+     attached. *)
   let fairness =
-    let decided =
-      Array.fold_left
-        (fun best l -> if List.length l > List.length best then l else best)
-        [] logs
-    in
     if List.is_empty decided then None
     else
       let frontrun_success =
@@ -425,7 +406,8 @@ let run ?(seed = 1L) ?warmup_us ?(ns_per_byte = wan_ns_per_byte)
        else float_of_int own_acc /. float_of_int (own_acc + own_rej));
     messages = P.net_messages net;
     bytes = P.net_bytes net;
-    prefix_safe = prefix_safe logs;
+    prefix_safe =
+      Array.for_all (fun l -> is_prefix ~equal:String.equal l decided) logs;
     late_accepts =
       Array.fold_left
         (fun acc i -> acc + final.(i).Protocol.late_accepts)

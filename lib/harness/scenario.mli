@@ -126,6 +126,12 @@ val run :
 val content_digests :
   Protocol.committed list array -> (string * string) list array
 
+(** [is_prefix ~equal a b]: [a] is a prefix of [b]. *)
+val is_prefix : equal:('a -> 'a -> bool) -> 'a list -> 'a list -> bool
+
+(** Index of the first longest log of a non-empty array. *)
+val longest : 'a list array -> int
+
 (** Effective WAN line rate used by the experiments (ns per byte;
     ≈ 200 Mb/s per node, a realistic cross-continent TCP ceiling). *)
 val wan_ns_per_byte : int

@@ -9,7 +9,6 @@ type t = {
   warmup_proposals : int;
   real_crypto : bool;
   vss_scheme : Crypto.Vss.scheme;
-  max_rounds : int;
   tx_size : int;
   clock_offset_max_us : int;
   retransmit_after_us : int;
@@ -29,7 +28,6 @@ let default ~n =
     warmup_proposals = 4;
     real_crypto = false;
     vss_scheme = Crypto.Vss.Hashed;
-    max_rounds = 64;
     tx_size = 32;
     clock_offset_max_us = 2_000;
     retransmit_after_us = 2_000_000;

@@ -11,7 +11,6 @@ type t = {
   warmup_proposals : int;  (** distance-measurement proposals (§IV-B1) *)
   real_crypto : bool;  (** run signatures/VSS for real, or charge costs only *)
   vss_scheme : Crypto.Vss.scheme;  (** payload obfuscation scheme *)
-  max_rounds : int;  (** per-instance round bound (safety net) *)
   tx_size : int;  (** bytes per transaction payload (32 in the paper) *)
   clock_offset_max_us : int;  (** spread of unsynchronized node clocks *)
   retransmit_after_us : int;

@@ -3,7 +3,6 @@ type env = {
   n : int;
   f : int;
   delta_us : int;
-  max_rounds : int;
   clock_read : unit -> int;
   validate : Types.proposal -> seq_obs:int -> bool;
   verify_init : Types.proposal -> Crypto.Schnorr.signature option -> bool;
@@ -28,20 +27,6 @@ type vote_bucket = {
   mutable shares : Crypto.Threshold.share list;
 }
 
-type round_state = {
-  bv : Dbft.Bv_broadcast.t option;  (** None in round 1 (VVB instead) *)
-  mutable bin1 : bool;  (** rounds ≥ 2: mirror of bv deliveries *)
-  mutable bin0 : bool;
-  aux : int list option array;
-  mutable aux_count : int;  (** filled [aux] slots *)
-  mutable coord_value : int option;
-  mutable coord_sent : bool;
-  mutable timer_started : bool;
-  mutable timer_fired : bool;
-  mutable aux_sent : bool;
-  mutable activity : bool;  (** messages buffered for this round *)
-}
-
 type t = {
   env : env;
   iid : Types.iid;
@@ -52,7 +37,6 @@ type t = {
   vote1 : (string, vote_bucket) Hashtbl.t;
   vote0_from : bool array;
   mutable vote0_count : int;
-  mutable sent_vote1 : bool;
   mutable sent_vote0 : bool;
   mutable voted_digest : string option;  (** digest our Vote_one endorsed *)
   mutable delivered1 : bool;
@@ -60,15 +44,7 @@ type t = {
   mutable deliver_sent : bool;
   mutable deliver_proof : Crypto.Threshold.combined option;
       (** kept for lossy-link retransmission ({!poke}) *)
-  mutable expire_started : bool;
-  (* --- DBFT rounds --- *)
-  rounds : round_state Types.Int_tbl.t;
-  mutable current : int;
-  mutable est : int;
-  mutable started : bool;
-  mutable decided : int option;
-  mutable decision_round : int option;
-  mutable halted : bool;
+  rounds : Dbft.Rounds.t;  (** Alg. 3; round 1's values are the VVB's *)
 }
 
 let create env iid =
@@ -81,217 +57,80 @@ let create env iid =
     vote1 = Hashtbl.create 4;
     vote0_from = Array.make env.n false;
     vote0_count = 0;
-    sent_vote1 = false;
     sent_vote0 = false;
     voted_digest = None;
     delivered1 = false;
     delivered0 = false;
     deliver_sent = false;
     deliver_proof = None;
-    expire_started = false;
-    rounds = Types.Int_tbl.create 4;
-    current = 1;
-    est = 0;
-    started = false;
-    decided = None;
-    decision_round = None;
-    halted = false;
+    rounds = Dbft.Rounds.create ~self:env.self ~n:env.n ~delta_us:env.delta_us;
   }
 
-let decided t = t.decided
+let decided t = Dbft.Rounds.decided t.rounds
 
-let decision_round t = t.decision_round
+let decision_round t = Dbft.Rounds.decision_round t.rounds
 
 let proposal t = t.proposal
 
 let seq_obs t = t.seq_obs
 
-let halted t = t.halted
+let halted t = Dbft.Rounds.halted t.rounds
 
 let my_digest t = Option.map Types.proposal_digest t.proposal
 
-(* ------------------------------------------------------------------ *)
-(* Round machinery (Alg. 3).                                           *)
-(* ------------------------------------------------------------------ *)
+(* Alg. 3's rounds, with EST(1) carrying the proposal. *)
+module Rounds = Dbft.Rounds.Make (struct
+  type nonrec h = t
 
-let rec round_state t r =
-  match Types.Int_tbl.find_opt t.rounds r with
-  | Some rs -> rs
-  | None ->
-      let bv =
-        if r = 1 then None
-        else
-          Some
-            (Dbft.Bv_broadcast.create ~n:t.env.n
-               ~echo:(fun b ->
-                 let proposal = if b = 1 then t.proposal else None in
-                 t.env.broadcast
-                   (Types.Est { iid = t.iid; round = r; value = b; proposal }))
-               ~deliver:(fun b ->
-                 let rs = round_state t r in
-                 if b = 1 then rs.bin1 <- true else rs.bin0 <- true)
-               ())
-      in
-      let rs =
-        {
-          bv;
-          bin1 = false;
-          bin0 = false;
-          aux = Array.make t.env.n None;
-          aux_count = 0;
-          coord_value = None;
-          coord_sent = false;
-          timer_started = false;
-          timer_fired = false;
-          aux_sent = false;
-          activity = false;
-        }
-      in
-      Types.Int_tbl.replace t.rounds r rs;
-      rs
+  let rounds t = t.rounds
 
-let bin_has t r b =
-  if r = 1 then if b = 1 then t.delivered1 else t.delivered0
-  else
-    let rs = round_state t r in
-    if b = 1 then rs.bin1 else rs.bin0
+  let bin1 t b = if b = 1 then t.delivered1 else t.delivered0
 
-(* [List.filter (bin_has t r) [ 0; 1 ]], answered with constant lists. *)
-let bin_values t r =
-  match (bin_has t r 0, bin_has t r 1) with
-  | true, true -> [ 0; 1 ]
-  | true, false -> [ 0 ]
-  | false, true -> [ 1 ]
-  | false, false -> []
+  let send_est t ~round value =
+    let proposal = if value = 1 then t.proposal else None in
+    t.env.broadcast (Types.Est { iid = t.iid; round; value; proposal })
 
-let coordinator t r = r mod t.env.n
+  let send_coord t ~round value =
+    t.env.broadcast (Types.Coord { iid = t.iid; round; value })
 
-let rec arm_round_timer t r =
-  let rs = round_state t r in
-  if not rs.timer_started then begin
-    rs.timer_started <- true;
-    (* Round 1 takes the VVB fast path: AUX goes out as soon as a value
-       is delivered, which yields the optimal 3-message-delay good case
-       (Lemma 3). The Δ wait only helps later rounds, where it gives
-       the weak coordinator's value time to arrive when estimates
-       diverge. Safety never depends on the timer. *)
-    if r = 1 then rs.timer_fired <- true
-    else
-      t.env.schedule ~delay_us:t.env.delta_us (fun () ->
-          rs.timer_fired <- true;
-          try_advance t r)
-  end
+  let send_aux t ~round values =
+    t.env.broadcast (Types.Aux { iid = t.iid; round; values })
 
-and try_advance t r =
-  if (not t.halted) && Int.equal r t.current && t.started then begin
-    let rs = round_state t r in
-    (* Weak coordinator: broadcast the first delivered value. *)
-    (if Int.equal t.env.self (coordinator t r) && not rs.coord_sent then
-       match bin_values t r with
-       | w :: _ ->
-           rs.coord_sent <- true;
-           t.env.broadcast (Types.Coord { iid = t.iid; round = r; value = w })
-       | [] -> ());
-    (* AUX once the timer expired and something was delivered,
-       prioritizing the coordinator's value (lines 40–42). *)
-    let bin = bin_values t r in
-    if (not rs.aux_sent) && rs.timer_fired && bin <> [] then begin
-      rs.aux_sent <- true;
-      let e =
-        match rs.coord_value with
-        | Some c when bin_has t r c -> [ c ]
-        | Some _ | None -> bin
-      in
-      t.env.broadcast (Types.Aux { iid = t.iid; round = r; values = e })
-    end;
-    (* Decision: a quorum of AUX sets all inside bin_values (43–49).
-       Fewer than n − f AUX sets cannot hold such a quorum, so the list
-       is only built once enough have arrived. *)
-    let need = t.env.n - t.env.f in
-    match
-      if rs.aux_count < need then None
-      else
-        Dbft.Quorums.aux_union ~need ~in_bin:(bin_has t r)
-          (Array.to_list rs.aux |> List.filter_map (fun x -> x))
-    with
-    | None -> ()
-    | Some union ->
-        (match union with
-        | [ v ] ->
-            t.est <- v;
-            if Int.equal v (r mod 2) && t.decided = None then begin
-              t.decided <- Some v;
-              t.decision_round <- Some r;
-              t.env.on_decide ~value:v ~round:r
-                (if v = 1 then t.proposal else None)
-            end
-        | _ -> t.est <- r mod 2);
-        let help_over =
-          match t.decision_round with
-          | Some dr -> r >= dr + 2
-          | None -> false
-        in
-        if help_over || r >= t.env.max_rounds then t.halted <- true
-        else if t.decided = None then start_round t (r + 1)
-        else begin
-          (* Helping is reactive: a decided process keeps its estimate
-             and joins round r+1 only when an undecided process
-             initiates it (see join_round). In the good case nobody
-             does, which removes the two help rounds' 2·O(n²) message
-             overhead without giving up termination: the undecided
-             process's round-(r+1) EST wakes the decided quorum up.
-             Messages for r+1 may already be buffered (they can race
-             the decision) — join immediately in that case. *)
-          t.current <- r + 1;
-          if (round_state t (r + 1)).activity then start_round t (r + 1)
-        end
-  end
+  let schedule t ~delay_us fn = t.env.schedule ~delay_us fn
 
-and start_round t r =
-  t.current <- r;
-  let rs = round_state t r in
-  (match rs.bv with
-  | Some bv -> Dbft.Bv_broadcast.input bv t.est
-  | None -> ());
-  arm_round_timer t r;
-  try_advance t r
-
-(* A decided process that deferred its help round joins as soon as an
-   undecided peer shows activity in the current round. *)
-and join_round t r =
-  if
-    (not t.halted) && t.decided <> None && Int.equal r t.current
-    && not (round_state t r).timer_started
-  then start_round t r
+  let decide t ~round value =
+    t.env.on_decide ~value ~round (if value = 1 then t.proposal else None)
+end)
 
 (* ------------------------------------------------------------------ *)
 (* VVB (Alg. 1): round 1 with validation.                              *)
 (* ------------------------------------------------------------------ *)
 
-let arm_expire t =
-  if not t.expire_started then begin
-    t.expire_started <- true;
-    (* E = 2Δ (Alg. 1 line 6); also covers the missing-INIT case so
-       that every process that heard of the instance eventually votes. *)
-    t.env.schedule ~delay_us:(2 * t.env.delta_us) (fun () ->
-        if (not t.halted) && (not t.delivered1) && not t.delivered0 then begin
-          if not t.sent_vote0 then begin
-            t.sent_vote0 <- true;
-            let seq_obs =
-              match t.seq_obs with Some s -> s | None -> t.env.clock_read ()
-            in
-            t.env.broadcast
-              (Types.Vote { iid = t.iid; vote = Types.Vote_zero { seq_obs } })
-          end
-        end)
+let broadcast_vote1 t ~digest ~seq_obs =
+  let share = t.env.make_vote_share ~digest in
+  t.env.broadcast
+    (Types.Vote { iid = t.iid; vote = Types.Vote_one { digest; share; seq_obs } })
+
+let broadcast_vote0 t =
+  let seq_obs = match t.seq_obs with Some s -> s | None -> t.env.clock_read () in
+  t.env.broadcast (Types.Vote { iid = t.iid; vote = Types.Vote_zero { seq_obs } })
+
+let vote_zero t =
+  if not t.sent_vote0 then begin
+    t.sent_vote0 <- true;
+    broadcast_vote0 t
   end
 
-(* Every first contact with the instance starts round 1's machinery. *)
+(* Every first contact with the instance starts round 1 and its expiry
+   timer: E = 2Δ (Alg. 1 line 6), which also covers the missing-INIT
+   case so that every process that heard of the instance eventually
+   votes. *)
 let ensure_started t =
-  if not t.started then begin
-    t.started <- true;
-    arm_round_timer t 1;
-    arm_expire t
+  if not (Dbft.Rounds.started t.rounds) then begin
+    Rounds.start t;
+    t.env.schedule ~delay_us:(2 * t.env.delta_us) (fun () ->
+        if (not (halted t)) && (not t.delivered1) && not t.delivered0 then
+          vote_zero t)
   end
 
 let vote_bucket t digest =
@@ -317,7 +156,7 @@ let deliver_one t proof =
         t.deliver_sent <- true;
         t.env.broadcast (Types.Deliver { iid = t.iid; proposal; proof })
     | _ -> ());
-    try_advance t 1
+    Rounds.on_round1 t
   end
 
 let check_quorum_one t =
@@ -352,23 +191,15 @@ let on_init t ~src proposal sigma =
     let valid =
       t.env.verify_init proposal sigma && t.env.validate proposal ~seq_obs
     in
-    if valid && not t.sent_vote1 then begin
-      t.sent_vote1 <- true;
+    if valid && t.voted_digest = None then begin
       let digest = Types.proposal_digest proposal in
       t.voted_digest <- Some digest;
-      let share = t.env.make_vote_share ~digest in
-      t.env.broadcast
-        (Types.Vote
-           { iid = t.iid; vote = Types.Vote_one { digest; share; seq_obs } })
+      broadcast_vote1 t ~digest ~seq_obs
     end
-    else if (not valid) && not t.sent_vote0 then begin
-      t.sent_vote0 <- true;
-      t.env.broadcast
-        (Types.Vote { iid = t.iid; vote = Types.Vote_zero { seq_obs } })
-    end;
+    else if not valid then vote_zero t;
     (* A vote for our own digest may already hold a quorum. *)
     check_quorum_one t;
-    try_advance t 1
+    Rounds.on_round1 t
   end
 
 let on_vote t ~src vote =
@@ -395,17 +226,10 @@ let on_vote t ~src vote =
         t.vote0_from.(src) <- true;
         t.vote0_count <- t.vote0_count + 1;
         (* Relay after f+1 zeros (lines 19–20). *)
-        if t.vote0_count >= t.env.f + 1 && not t.sent_vote0 then begin
-          t.sent_vote0 <- true;
-          let seq_obs =
-            match t.seq_obs with Some s -> s | None -> t.env.clock_read ()
-          in
-          t.env.broadcast
-            (Types.Vote { iid = t.iid; vote = Types.Vote_zero { seq_obs } })
-        end;
+        if t.vote0_count >= t.env.f + 1 then vote_zero t;
         if t.vote0_count >= t.env.n - t.env.f && not t.delivered0 then begin
           t.delivered0 <- true;
-          try_advance t 1
+          Rounds.on_round1 t
         end
       end
 
@@ -427,41 +251,18 @@ let on_deliver t ~src:_ proposal proof =
 
 let on_est t ~src ~round ~value proposal =
   ensure_started t;
-  if round >= 2 && (value = 0 || value = 1) then begin
-    (round_state t round).activity <- true;
-    join_round t round;
-    (if value = 1 && t.proposal = None then
-       match proposal with Some p -> t.proposal <- Some p | None -> ());
-    let rs = round_state t round in
-    match rs.bv with
-    | Some bv ->
-        Dbft.Bv_broadcast.on_est bv ~src value;
-        try_advance t round
-    | None -> ()
-  end
+  (* A late adopter takes m from EST(1) of a round the machine accepts. *)
+  (if value = 1 && t.proposal = None && round >= 2 && round <= Dbft.Rounds.max_rounds
+   then t.proposal <- proposal);
+  Rounds.on_est t ~src ~round value
 
 let on_coord t ~src ~round ~value =
   ensure_started t;
-  if Int.equal src (coordinator t round) && (value = 0 || value = 1) then begin
-    if round >= 2 then (round_state t round).activity <- true;
-    join_round t round;
-    let rs = round_state t round in
-    if rs.coord_value = None then rs.coord_value <- Some value;
-    try_advance t round
-  end
+  Rounds.on_coord t ~src ~round value
 
 let on_aux t ~src ~round ~values =
   ensure_started t;
-  if List.for_all (fun b -> b = 0 || b = 1) values then begin
-    if round >= 2 then (round_state t round).activity <- true;
-    join_round t round;
-    let rs = round_state t round in
-    if rs.aux.(src) = None then begin
-      rs.aux.(src) <- Some values;
-      rs.aux_count <- rs.aux_count + 1;
-      try_advance t round
-    end
-  end
+  Rounds.on_aux t ~src ~round values
 
 (* ------------------------------------------------------------------ *)
 (* Lossy-link repair.                                                  *)
@@ -474,7 +275,7 @@ let on_aux t ~src ~round ~values =
    link dropped. Never called on a healthy run (the sweep only fires
    for instances undecided past the retransmission patience). *)
 let poke t =
-  if t.started && not t.halted then begin
+  if Dbft.Rounds.started t.rounds && not (halted t) then begin
     (if t.delivered1 then begin
        match t.proposal with
        | Some proposal when t.deliver_sent ->
@@ -484,53 +285,21 @@ let poke t =
      end
      else begin
        (match (t.voted_digest, t.seq_obs) with
-       | Some digest, Some seq_obs when t.sent_vote1 ->
-           let share = t.env.make_vote_share ~digest in
-           t.env.broadcast
-             (Types.Vote
-                { iid = t.iid; vote = Types.Vote_one { digest; share; seq_obs } })
+       | Some digest, Some seq_obs -> broadcast_vote1 t ~digest ~seq_obs
        | _ -> ());
-       if t.sent_vote0 then begin
-         let seq_obs =
-           match t.seq_obs with Some s -> s | None -> t.env.clock_read ()
-         in
-         t.env.broadcast
-           (Types.Vote { iid = t.iid; vote = Types.Vote_zero { seq_obs } })
-       end
+       if t.sent_vote0 then broadcast_vote0 t
      end);
-    let r = t.current in
-    (if r >= 2 then
-       let proposal = if t.est = 1 then t.proposal else None in
-       t.env.broadcast
-         (Types.Est { iid = t.iid; round = r; value = t.est; proposal }));
-    let rs = round_state t r in
-    (if rs.coord_sent then
-       match bin_values t r with
-       | w :: _ ->
-           t.env.broadcast (Types.Coord { iid = t.iid; round = r; value = w })
-       | [] -> ());
-    if rs.aux_sent then begin
-      let bin = bin_values t r in
-      let e =
-        match rs.coord_value with
-        | Some c when bin_has t r c -> [ c ]
-        | Some _ | None -> bin
-      in
-      if e <> [] then
-        t.env.broadcast (Types.Aux { iid = t.iid; round = r; values = e })
-    end
+    Rounds.resend t
   end
 
 (* Adopt a decision learned outside the instance's own message flow:
    either f+1 matching Decided notices, or an output-log sync that
    proves the cluster committed (value 1) this instance. *)
 let force_decide t ~value proposal =
-  if t.decided = None then begin
+  if decided t = None then begin
     (match proposal with
     | Some _ when t.proposal = None -> t.proposal <- proposal
     | _ -> ());
-    t.decided <- Some value;
-    t.decision_round <- Some t.current;
-    t.halted <- true;
-    t.env.on_decide ~value ~round:t.current proposal
+    Dbft.Rounds.force_decide t.rounds value;
+    t.env.on_decide ~value ~round:(Dbft.Rounds.round t.rounds) proposal
   end

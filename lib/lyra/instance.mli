@@ -15,10 +15,8 @@
     - VOTE(1, π) ⋅ n−f ⇒ combine shares, broadcast DELIVER, deliver
       (1, m); VOTE(0) ⋅ f+1 ⇒ relay 0; ⋅ n−f ⇒ deliver (0, ⊥);
       expiry timer E = 2Δ forces a 0-vote when nothing delivers.
-    - Rounds ≥ 2 degrade to standard Binary Value Broadcast over the
-      binary estimates, with the weak coordinator and AUX exchange of
-      DBFT; decide v when the AUX quorum's union is {v} and v matches
-      the round parity.
+    - EST/COORD/AUX drive DBFT's rounds ({!Dbft.Rounds}), whose round 1
+      takes its bin_values from the VVB deliveries above.
 
     Good case (correct broadcaster, after GST): INIT → VOTE → AUX,
     decide 1 in round 1 after exactly 3 message delays (Theorem 3). *)
@@ -28,7 +26,6 @@ type env = {
   n : int;
   f : int;
   delta_us : int;
-  max_rounds : int;
   clock_read : unit -> int;  (** ordering clock *)
   validate : Types.proposal -> seq_obs:int -> bool;
       (** validation function; the node also books pending state here *)

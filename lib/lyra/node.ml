@@ -686,7 +686,6 @@ let make_env t iid : Instance.env =
     n = cfg.n;
     f = f t;
     delta_us = cfg.delta_us;
-    max_rounds = cfg.max_rounds;
     clock_read = (fun () -> Ordering_clock.read t.clock);
     validate = (fun proposal ~seq_obs -> validate t proposal ~seq_obs);
     verify_init =

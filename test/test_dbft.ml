@@ -26,33 +26,25 @@ let test_aux_union () =
     (Dbft.Quorums.aux_union ~need:3 ~in_bin [ [ 1 ]; [ 1 ] ])
 
 let test_bv_basics () =
-  let echoes = ref [] and delivered = ref [] in
-  let bv =
-    Dbft.Bv_broadcast.create ~n:4
-      ~echo:(fun b -> echoes := b :: !echoes)
-      ~deliver:(fun b -> delivered := b :: !delivered)
-      ()
-  in
+  let echoes = ref [] in
+  let bv = Dbft.Bv_broadcast.create ~n:4 ~echo:(fun b -> echoes := b :: !echoes) in
   Dbft.Bv_broadcast.input bv 1;
   Alcotest.(check (list int)) "echoed own" [ 1 ] !echoes;
   (* own echo comes back plus two peers: 3 = 2f+1 -> delivery *)
   Dbft.Bv_broadcast.on_est bv ~src:0 1;
   Dbft.Bv_broadcast.on_est bv ~src:1 1;
-  Alcotest.(check (list int)) "not yet" [] !delivered;
+  Alcotest.(check bool) "not yet" false (Dbft.Bv_broadcast.delivered bv 1);
   Dbft.Bv_broadcast.on_est bv ~src:2 1;
-  Alcotest.(check (list int)) "delivered 1" [ 1 ] !delivered;
-  Alcotest.(check bool) "flag" true (Dbft.Bv_broadcast.delivered bv 1);
-  (* duplicates ignored *)
-  Dbft.Bv_broadcast.on_est bv ~src:2 1;
-  Alcotest.(check (list int)) "no duplicate" [ 1 ] !delivered
+  Alcotest.(check bool) "delivered 1" true (Dbft.Bv_broadcast.delivered bv 1);
+  (* duplicates ignored: one sender's repeated EST(0) stays below the
+     f+1 relay bar *)
+  List.iter (fun _ -> Dbft.Bv_broadcast.on_est bv ~src:3 0) [ 1; 2; 3 ];
+  Alcotest.(check (list int)) "no relay of 0" [ 1 ] !echoes;
+  Alcotest.(check bool) "0 not delivered" false (Dbft.Bv_broadcast.delivered bv 0)
 
 let test_bv_relay_at_f_plus_1 () =
   let echoes = ref [] in
-  let bv =
-    Dbft.Bv_broadcast.create ~n:4 ~echo:(fun b -> echoes := b :: !echoes)
-      ~deliver:(fun _ -> ())
-      ()
-  in
+  let bv = Dbft.Bv_broadcast.create ~n:4 ~echo:(fun b -> echoes := b :: !echoes) in
   (* f+1 = 2 ESTs for 0 trigger the relay even without own input *)
   Dbft.Bv_broadcast.on_est bv ~src:1 0;
   Alcotest.(check (list int)) "quiet" [] !echoes;
@@ -60,7 +52,7 @@ let test_bv_relay_at_f_plus_1 () =
   Alcotest.(check (list int)) "relayed" [ 0 ] !echoes
 
 let test_bv_rejects_junk () =
-  let bv = Dbft.Bv_broadcast.create ~n:4 ~echo:ignore ~deliver:ignore () in
+  let bv = Dbft.Bv_broadcast.create ~n:4 ~echo:ignore in
   Alcotest.(check bool) "bad value" true
     (try Dbft.Bv_broadcast.on_est bv ~src:0 2 |> fun () -> false
      with Invalid_argument _ -> true);
@@ -87,10 +79,10 @@ let run_consensus ?(crash = []) ~n ~inputs ~seed () =
   List.iter (fun i -> Sim.Network.crash net i) crash;
   Array.iteri (fun i r -> Dbft.Binary_consensus.propose r inputs.(i)) replicas;
   Sim.Engine.run engine ~until:10_000_000;
-  decisions
+  (decisions, Sim.Network.messages_sent net)
 
 let test_unanimous_one_fast () =
-  let d = run_consensus ~n:4 ~inputs:[| 1; 1; 1; 1 |] ~seed:1L () in
+  let d, _ = run_consensus ~n:4 ~inputs:[| 1; 1; 1; 1 |] ~seed:1L () in
   Array.iter
     (function
       | Some (round, v) ->
@@ -99,8 +91,17 @@ let test_unanimous_one_fast () =
       | None -> Alcotest.fail "no decision")
     d
 
+(* Help rounds are reactive (DESIGN §7.2): when every replica decides
+   in round 1, nobody starts round 2. Each replica broadcasts EST(1, 1)
+   and AUX(1, {1}) and the round-1 coordinator a COORD: 9 broadcasts
+   to 4 replicas. *)
+let test_no_help_rounds_good_case () =
+  let d, sent = run_consensus ~n:4 ~inputs:[| 1; 1; 1; 1 |] ~seed:1L () in
+  Array.iter (fun x -> Alcotest.(check bool) "decided" true (x <> None)) d;
+  Alcotest.(check int) "messages sent" 36 sent
+
 let test_unanimous_zero () =
-  let d = run_consensus ~n:4 ~inputs:[| 0; 0; 0; 0 |] ~seed:2L () in
+  let d, _ = run_consensus ~n:4 ~inputs:[| 0; 0; 0; 0 |] ~seed:2L () in
   Array.iter
     (function
       | Some (_, v) -> Alcotest.(check int) "decides 0" 0 v
@@ -120,7 +121,7 @@ let check_agreement_validity d inputs =
 let test_mixed_inputs_agree () =
   for seed = 1 to 20 do
     let inputs = [| 1; 0; 1; 0; 1; 0; 0 |] in
-    let d = run_consensus ~n:7 ~inputs ~seed:(Int64.of_int seed) () in
+    let d, _ = run_consensus ~n:7 ~inputs ~seed:(Int64.of_int seed) () in
     Alcotest.(check int) "all decide" 7
       (List.length (Array.to_list d |> List.filter_map (fun x -> x)));
     check_agreement_validity d inputs
@@ -129,7 +130,7 @@ let test_mixed_inputs_agree () =
 let test_with_crashes () =
   (* f = 2 crashed replicas out of 7: the rest still terminate. *)
   let inputs = [| 1; 1; 0; 1; 0; 1; 1 |] in
-  let d = run_consensus ~crash:[ 5; 6 ] ~n:7 ~inputs ~seed:9L () in
+  let d, _ = run_consensus ~crash:[ 5; 6 ] ~n:7 ~inputs ~seed:9L () in
   let alive = Array.sub d 0 5 in
   Array.iter
     (fun x -> Alcotest.(check bool) "decided" true (x <> None))
@@ -143,7 +144,7 @@ let prop_agreement_random =
        (fun (seed, bits) ->
          let n = 4 + (seed mod 4) in
          let inputs = Array.init n (fun i -> (bits lsr i) land 1) in
-         let d = run_consensus ~n ~inputs ~seed:(Int64.of_int (seed + 1)) () in
+         let d, _ = run_consensus ~n ~inputs ~seed:(Int64.of_int (seed + 1)) () in
          let vals = Array.to_list d |> List.filter_map (Option.map snd) in
          List.length vals = n
          && (match vals with
@@ -158,6 +159,7 @@ let suite =
     Alcotest.test_case "bv relay" `Quick test_bv_relay_at_f_plus_1;
     Alcotest.test_case "bv rejects junk" `Quick test_bv_rejects_junk;
     Alcotest.test_case "unanimous 1 fast" `Quick test_unanimous_one_fast;
+    Alcotest.test_case "no help rounds in the good case" `Quick test_no_help_rounds_good_case;
     Alcotest.test_case "unanimous 0" `Quick test_unanimous_zero;
     Alcotest.test_case "mixed inputs agree" `Quick test_mixed_inputs_agree;
     Alcotest.test_case "crash tolerance" `Quick test_with_crashes;

@@ -52,6 +52,26 @@ let test_golden_lyra () =
   Alcotest.(check (float 1e-6)) "latency mean" 729.820125
     (Metrics.Recorder.mean r.latency_ms)
 
+(* The seed-7 Lyra golden decides every instance in round 1. This one
+   loses 20 % of messages and crashes a node, so some instances run
+   DBFT rounds ≥ 2 (mean decide round > 1): it pins the round machine
+   past the VVB fast path. *)
+let test_golden_lyra_rounds () =
+  let faults =
+    Sim.Faults.(
+      none
+      |> loss ~from_us:1_000_000 ~until_us:3_000_000 ~drop_p:0.2
+      |> crash ~node:1 ~at_us:2_000_000 ~recover_us:2_600_000)
+  in
+  let r = Testutil.run_scenario ~seed:7L ~n:7 ~faults "lyra" ~duration_us:3_000_000 in
+  Alcotest.(check int) "committed" 4 r.committed_txs;
+  Alcotest.(check int) "messages" 18240 r.messages;
+  Alcotest.(check int) "bytes" 2342512 r.bytes;
+  Alcotest.(check bool) "prefix safe" true r.prefix_safe;
+  Alcotest.(check int) "late accepts" 0 r.late_accepts;
+  Alcotest.(check (float 1e-9)) "decide rounds" 1.166666666667 r.decide_rounds;
+  Alcotest.(check (float 1e-9)) "accept rate" 0.818181818182 r.accept_rate
+
 let test_golden_pompe () =
   let r = run ~seed:7L "pompe" ~duration_us:8_000_000 in
   Alcotest.(check int) "committed" 14 r.committed_txs;
@@ -196,6 +216,7 @@ let suite =
   [
     Alcotest.test_case "registry" `Quick test_registry;
     Alcotest.test_case "golden lyra" `Slow test_golden_lyra;
+    Alcotest.test_case "golden lyra rounds" `Slow test_golden_lyra_rounds;
     Alcotest.test_case "golden pompe" `Slow test_golden_pompe;
     Alcotest.test_case "golden hotstuff" `Slow test_golden_hotstuff;
     Alcotest.test_case "golden dag" `Slow test_golden_dag;

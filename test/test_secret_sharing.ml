@@ -170,14 +170,6 @@ let prop_vss_tamper_detected =
          (not (Vss.verify_share cipher corrupt))
          && Option.is_none (Vss.decrypt cipher (corrupt :: honest))))
 
-let test_commitment () =
-  let c, opening = Commitment.commit rng "the deal" in
-  Alcotest.(check bool) "opens" true (Commitment.verify c opening);
-  Alcotest.(check bool) "wrong message" false
-    (Commitment.verify c { opening with Commitment.message = "another" });
-  Alcotest.(check bool) "wrong randomizer" false
-    (Commitment.verify c { opening with Commitment.randomizer = String.make 16 'x' })
-
 (* The batch-inverting reconstruct against the per-coefficient
    Lagrange fold, on random subsets (any size, so also below the
    threshold) in random order. *)
@@ -222,5 +214,4 @@ let suite =
     prop_vss_any_quorum;
     prop_vss_below_quorum;
     prop_vss_tamper_detected;
-    Alcotest.test_case "hash commitment" `Quick test_commitment;
   ]

@@ -21,7 +21,6 @@ let make_env w : Lyra.Instance.env =
     n;
     f = 1;
     delta_us = 1_000;
-    max_rounds = 32;
     clock_read =
       (fun () ->
         w.now <- w.now + 1;
@@ -255,7 +254,27 @@ let test_rejects_garbage_rounds_and_values () =
   Lyra.Instance.on_est inst ~src:2 ~round:2 ~value:7 None;
   Lyra.Instance.on_aux inst ~src:2 ~round:1 ~values:[ 9 ];
   Lyra.Instance.on_coord inst ~src:3 ~round:1 ~value:1 (* not the coordinator *);
-  Alcotest.(check bool) "no reaction beyond timers" true (sent_votes w = [])
+  (* Rounds outside 1..max_rounds, with every peer and the round's
+     would-be coordinator: enough to relay, deliver and decide if they
+     were accepted. *)
+  List.iter
+    (fun round ->
+      List.iter
+        (fun src ->
+          Lyra.Instance.on_est inst ~src ~round ~value:1 None;
+          Lyra.Instance.on_aux inst ~src ~round ~values:[ 1 ])
+        [ 0; 1; 2; 3 ];
+      Lyra.Instance.on_coord inst ~src:(((round mod n) + n) mod n) ~round ~value:1)
+    [ 0; -1; Dbft.Rounds.max_rounds + 1 ];
+  Alcotest.(check int) "no broadcast" 0 (List.length w.sent);
+  (* The instance still runs round 1 normally. *)
+  let p = proposal () in
+  Lyra.Instance.on_init inst ~src:1 p None;
+  List.iter (fun src -> Lyra.Instance.on_vote inst ~src (vote1 p ~seq_obs:1_000)) [ 0; 1; 2 ];
+  List.iter (fun src -> Lyra.Instance.on_aux inst ~src ~round:1 ~values:[ 1 ]) [ 0; 2; 3 ];
+  match w.decided with
+  | [ (1, 1, Some _) ] -> ()
+  | _ -> Alcotest.fail "expected decide(1) in round 1"
 
 let suite =
   [
