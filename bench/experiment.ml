@@ -88,6 +88,9 @@ let f2 = Printf.sprintf "%.2f"
 
 let f3 = Printf.sprintf "%.3f"
 
+(* A ratio against a row that committed nothing is inf or nan: "-". *)
+let ratio2 x = if Float.is_finite x then f2 x else "-"
+
 let istr = string_of_int
 
 let nnum = J.nullable J.float

@@ -113,7 +113,7 @@ let fig2 =
       both "protocol" "protocol" J.str Fun.id (fun x -> x.res.protocol);
       both "mean_ms" "mean ms" nnum f0 (fun x -> mean_ms x.res);
       both "p50_ms" "p50 ms" nnum f0 (fun x -> pct 50.0 x.res.latency_ms);
-      both "vs_lyra" "vs lyra" nnum f2 (fun x -> mean_ms x.res /. x.base);
+      both "vs_lyra" "vs lyra" nnum ratio2 (fun x -> mean_ms x.res /. x.base);
       json "throughput_tps" nnum (fun x -> x.res.throughput_tps);
       json "committed_txs" J.int (fun x -> x.res.committed_txs);
     ]
@@ -172,7 +172,7 @@ let fig3 =
       both "n" "n" J.int istr (fun x -> x.at_n);
       both "protocol" "protocol" J.str Fun.id (fun x -> x.res.protocol);
       both "throughput_tps" "tx/s" nnum f0 (fun x -> x.res.throughput_tps);
-      both "lyra_ratio" "lyra/this" nnum f2 (fun x ->
+      both "lyra_ratio" "lyra/this" nnum ratio2 (fun x ->
           x.base /. x.res.throughput_tps);
       json "committed_txs" J.int (fun x -> x.res.committed_txs);
       json "messages" J.int (fun x -> x.res.messages);

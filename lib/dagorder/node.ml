@@ -81,8 +81,7 @@ type t = {
   reported : (string, unit) Hashtbl.t;
   mutable pending_reports : (string * int) list;
   decide_rounds : Metrics.Recorder.t;
-  phases : Metrics.Phases.t;
-  phase_marks : (int, int) Hashtbl.t;  (** own index → embed µs *)
+  phases : Metrics.Phases.t;  (** own proposal index → milestones *)
   mutable fetch_armed : bool;
   covered : (int * int, unit) Hashtbl.t;
       (** vertices in the history of some own vertex *)
@@ -93,7 +92,7 @@ type t = {
 (* The whole pipeline is [wave] (embed → wave commit of the own
    batch), which is also [e2e]; both are reported so cross-protocol
    tables share the [e2e] column. *)
-let phase_labels = [ "wave"; "e2e" ]
+let phase_spans = [ ("wave", "propose", "commit"); ("e2e", "propose", "commit") ]
 
 let output_log t = List.rev t.outputs_rev
 
@@ -136,16 +135,9 @@ let deliver t (ds : Dag.delivery list) =
         (float_of_int (d.anchor_round - d.embed_round));
       (if Int.equal d.batch.Lyra.Types.iid.Lyra.Types.proposer t.id then begin
          t.own_emitted <- t.own_emitted + 1;
-         match Hashtbl.find_opt t.phase_marks d.batch.Lyra.Types.iid.Lyra.Types.index with
-         | Some from_us ->
-             Metrics.Phases.record_span_us t.phases "wave" ~from_us
-               ~until_us:out.output_at;
-             Metrics.Phases.record_span_us t.phases "e2e" ~from_us
-               ~until_us:out.output_at;
-             Sim.Network.trace_phase t.net ~node:t.id
-               (Sim.Trace.Span { span = "e2e"; from_us });
-             Hashtbl.remove t.phase_marks d.batch.Lyra.Types.iid.Lyra.Types.index
-         | None -> ()
+         Metrics.Phases.stamp t.phases
+           ~key:d.batch.Lyra.Types.iid.Lyra.Types.index "commit"
+           ~now:out.output_at
        end);
       t.outputs_rev <- out :: t.outputs_rev;
       t.on_output out)
@@ -238,9 +230,7 @@ let pack_batches t =
           created_at = Sim.Engine.now t.engine;
         }
       in
-      Hashtbl.replace t.phase_marks index (Sim.Engine.now t.engine);
-      Sim.Network.trace_phase t.net ~node:t.id
-        (Sim.Trace.Mark { mark = "propose"; proposer = t.id; index });
+      Metrics.Phases.start t.phases ~key:index ~now:(Sim.Engine.now t.engine);
       go (budget - 1) (batch :: acc)
   in
   go t.config.max_batches_per_vertex []
@@ -386,8 +376,9 @@ let create config net ~id ?(clock_offset_us = 0) ?(on_observe = fun _ -> ())
       reported = Hashtbl.create 256;
       pending_reports = [];
       decide_rounds = Metrics.Recorder.create ();
-      phases = Metrics.Phases.create phase_labels;
-      phase_marks = Hashtbl.create 16;
+      phases =
+        Metrics.Phases.create ~sink:(Sim.Network.phase_sink net ~node:id)
+          phase_spans;
       fetch_armed = false;
       covered = Hashtbl.create 997;
       uncovered = Hashtbl.create 64;

@@ -52,9 +52,7 @@ let max_budget ~n = function
    protocol owes when healthy. *)
 let liveness_for ~protocol = function
   | Eclipse _ -> Harness.Oracle.Off
-  | Delay_inflate | Pre_gst_delay ->
-      if String.equal protocol "pompe" then Harness.Oracle.Commit_only
-      else Harness.Oracle.Full
+  | Delay_inflate | Pre_gst_delay -> Case.healthy_liveness protocol
 
 let shuffled rng l =
   let arr = Array.of_list l in

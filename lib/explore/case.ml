@@ -43,20 +43,24 @@ let run t =
         ~load:(Harness.Scenario.Closed t.clients)
         ~duration_us:t.duration_us ()
 
+(* Pompē commits in bursts farther apart than the monitor's stall
+   budget even when healthy, so it only owes Commit_only. *)
+let healthy_liveness protocol : Harness.Oracle.liveness_level =
+  if String.equal protocol "pompe" then Harness.Oracle.Commit_only
+  else Harness.Oracle.Full
+
 (* Liveness is only *due* when nothing is scheduled to take the cluster
    down: fault plans legitimately stall progress, and the broken knobs
    void any liveness expectation. Perturbation delays are bounded by
    generation (well under the stall watchdog), so they do not disarm
-   the check. Pompē commits in bursts farther apart than the monitor's
-   stall budget even when healthy, so it only owes Commit_only. *)
+   the check. *)
 let liveness t : Harness.Oracle.liveness_level =
   if
     (not (Sim.Faults.is_none t.faults))
     || Option.is_some t.adversary
     || Knobs.is_broken ~protocol:t.protocol ~knob:t.knob
   then Harness.Oracle.Off
-  else if String.equal t.protocol "pompe" then Harness.Oracle.Commit_only
-  else Harness.Oracle.Full
+  else healthy_liveness t.protocol
 
 (* Eclipse plans arm the per-victim oracles on their victims; the graded
    suite is unchanged for attack-free cases. *)

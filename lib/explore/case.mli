@@ -36,9 +36,12 @@ val label : t -> string
     protocol/knob pair. *)
 val run : t -> Harness.Scenario.result
 
+(** The liveness level a protocol owes when nothing attacks it:
+    [Commit_only] for Pompē (bursty commit cadence), [Full] otherwise. *)
+val healthy_liveness : string -> Harness.Oracle.liveness_level
+
 (** The liveness level this case owes: [Off] under fault plans,
-    adversaries or broken knobs, [Commit_only] for Pompē (bursty
-    commit cadence), [Full] otherwise. *)
+    adversaries or broken knobs, {!healthy_liveness} otherwise. *)
 val liveness : t -> Harness.Oracle.liveness_level
 
 (** [check t result] — the oracle verdict, liveness armed per

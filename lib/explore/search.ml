@@ -16,7 +16,9 @@ type outcome =
 (* ------------------------------------------------------------------ *)
 
 let warmup_of_protocol protocol =
-  if String.equal protocol "lyra" then 1_500_000 else 500_000
+  match Knobs.make ~protocol ~knob:"default" with
+  | Some (module P) -> P.default_warmup_us
+  | None -> invalid_arg ("Search.warmup_of_protocol: unknown protocol " ^ protocol)
 
 (* Pompē's ordering + consensus pipeline needs multi-second runway
    before anything commits (cf. test_protocol's golden durations). *)

@@ -49,9 +49,10 @@ val shrink :
     is omitted (Pompē needs multi-second pipelines to commit at all). *)
 val duration_for : string -> int
 
-(** Per-protocol warm-up the generated cases assume (Lyra's distance
-    measurement needs 1.5 s); the attack campaigns place their windows
-    after it. *)
+(** Per-protocol warm-up the generated cases assume: the adapter's
+    [default_warmup_us] (Lyra's distance measurement needs 1.5 s); the
+    attack campaigns place their windows after it. Raises
+    [Invalid_argument] on an unknown protocol. *)
 val warmup_of_protocol : string -> int
 
 (** [sweep ()] — up to [runs] (default 30) executions cycling through

@@ -283,8 +283,8 @@ let run ?(seed = 1L) ?warmup_us ?(ns_per_byte = wan_ns_per_byte)
                       match load with
                       | Closed c ->
                           let pool =
-                            Workload.Clients.Closed.create engine ~clients:c
-                              ~payload ~submit ()
+                            Workload.Clients.Closed.create ~clients:c ~payload
+                              ~submit ()
                           in
                           pools.(id) <- Some pool;
                           Workload.Clients.Closed.start pool

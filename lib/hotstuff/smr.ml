@@ -79,15 +79,14 @@ type t = {
   mempool : Lyra.Mempool.t;
   mutable next_index : int;
   mutable started : bool;
-  phases : Metrics.Phases.t;
-  phase_marks : (int, int) Hashtbl.t;  (** own index → propose µs *)
+  phases : Metrics.Phases.t;  (** own proposal index → milestones *)
 }
 
 (* HotStuff has no ordering phase to break out: the whole pipeline is
    [consensus] (Gossip → 3-chain commit of the own batch), which is
    also [e2e]. Both labels are reported so cross-protocol tables share
    the [e2e] column. *)
-let phase_labels = [ "consensus"; "e2e" ]
+let phase_spans = [ ("consensus", "propose", "commit"); ("e2e", "propose", "commit") ]
 
 let output_log t = List.rev t.outputs_rev
 
@@ -111,16 +110,8 @@ let on_commit t ~height:_ cmds =
       t.next_seq <- t.next_seq + 1;
       (if Int.equal batch.iid.Lyra.Types.proposer t.id then begin
          t.own_committed <- t.own_committed + 1;
-         match Hashtbl.find_opt t.phase_marks batch.iid.Lyra.Types.index with
-         | Some from_us ->
-             Metrics.Phases.record_span_us t.phases "consensus" ~from_us
-               ~until_us:out.output_at;
-             Metrics.Phases.record_span_us t.phases "e2e" ~from_us
-               ~until_us:out.output_at;
-             Sim.Network.trace_phase t.net ~node:t.id
-               (Sim.Trace.Span { span = "e2e"; from_us });
-             Hashtbl.remove t.phase_marks batch.iid.Lyra.Types.index
-         | None -> ()
+         Metrics.Phases.stamp t.phases ~key:batch.iid.Lyra.Types.index "commit"
+           ~now:out.output_at
        end);
       t.outputs_rev <- out :: t.outputs_rev;
       t.on_output out)
@@ -154,9 +145,7 @@ let propose_batch t txs =
       created_at = Sim.Engine.now t.engine;
     }
   in
-  Hashtbl.replace t.phase_marks index (Sim.Engine.now t.engine);
-  Sim.Network.trace_phase t.net ~node:t.id
-    (Sim.Trace.Mark { mark = "propose"; proposer = t.id; index });
+  Metrics.Phases.start t.phases ~key:index ~now:(Sim.Engine.now t.engine);
   broadcast t (Gossip { batch })
 
 let maybe_propose t =
@@ -195,8 +184,9 @@ let create config net ~id ?(on_observe = fun _ -> ())
       mempool = Lyra.Mempool.create engine ~node:id ~prefix:"h";
       next_index = 0;
       started = false;
-      phases = Metrics.Phases.create phase_labels;
-      phase_marks = Hashtbl.create 16;
+      phases =
+        Metrics.Phases.create ~sink:(Sim.Network.phase_sink net ~node:id)
+          phase_spans;
     }
   in
   let transport =

@@ -32,16 +32,6 @@ type commit_record = {
   mutable emitted : bool;
 }
 
-(* Per-own-proposal phase milestones, in engine µs; -1 = not reached.
-   Keyed by proposal index; removed once the batch is emitted (or
-   learned through a log sync, where the pipeline was bypassed). *)
-type phase_marks = {
-  mutable k_propose : int;
-  mutable k_deliver : int;  (** VVB delivered (1, m) locally *)
-  mutable k_decide : int;  (** DBFT decided 1 *)
-  mutable k_reveal : int;  (** taken committable; Reveal broadcast *)
-}
-
 (* Tally of Decided notices for an instance this node has not decided
    itself; adopted once f+1 distinct senders agree on the value. *)
 type decided_tally = {
@@ -104,19 +94,25 @@ type t = {
   mutable own_accepted : int;
   mutable own_rejected : int;
   decide_rounds : Metrics.Recorder.t;
-  boc_latency : Metrics.Recorder.t;
-  phases : Metrics.Phases.t;
-  phase_marks : phase_marks Types.Int_tbl.t;  (** own index → marks *)
+  phases : Metrics.Phases.t;  (** own proposal index → milestones *)
 }
 
 (* The latency anatomy of an own batch, as phase spans (ms):
-   propose → VVB-deliver → DBFT-decide → take-committable (Reveal
-   broadcast) → emit. [boc_decide] = propose → decide is the paper's
-   headline BOC latency (3 one-way delays in the good case);
+   propose → VVB-deliver (1, m) → DBFT-decide 1 → take-committable
+   (Reveal broadcast) → emit. [boc_decide] = propose → decide is the
+   paper's headline BOC latency (3 one-way delays in the good case);
    [accept_wait] is the residual of the L acceptance window plus the
-   stable-prefix wait; [e2e] is propose → emit. *)
-let phase_labels =
-  [ "vvb_deliver"; "dbft_decide"; "boc_decide"; "accept_wait"; "reveal"; "e2e" ]
+   stable-prefix wait; [e2e] is propose → emit. A value-0 decision or
+   a log sync, which bypasses the reveal pipeline, drops the entry. *)
+let phase_spans =
+  [
+    ("vvb_deliver", "propose", "deliver");
+    ("dbft_decide", "deliver", "decide");
+    ("boc_decide", "propose", "decide");
+    ("accept_wait", "decide", "take");
+    ("reveal", "take", "emit");
+    ("e2e", "propose", "emit");
+  ]
 
 let config t = t.config
 
@@ -137,8 +133,6 @@ let synced_entries t = t.synced_entries
 let syncs_started t = t.syncs_started
 
 let decide_rounds t = t.decide_rounds
-
-let boc_latency t = t.boc_latency
 
 let phases t = t.phases
 
@@ -229,6 +223,12 @@ let reveal_complete t iid =
   | None -> false
   | Some r -> r.count >= supermajority t
 
+(* Stamps a phase milestone of [iid] if it is an own batch. *)
+let stamp_own t iid milestone =
+  if Int.equal iid.Types.proposer t.id then
+    Metrics.Phases.stamp t.phases ~key:iid.Types.index milestone
+      ~now:(Sim.Engine.now t.engine)
+
 (* Append one entry to the output log and announce it. *)
 let emit t batch seq =
   let out = { batch; seq; output_at = Sim.Engine.now t.engine } in
@@ -266,19 +266,7 @@ let rec drain_outbox t =
             if decrypted then begin
               rec_.emitted <- true;
               ignore (Queue.pop t.outbox : Types.iid);
-              (if Int.equal iid.Types.proposer t.id then
-                 match Types.Int_tbl.find_opt t.phase_marks iid.Types.index with
-                 | Some m ->
-                     let now = Sim.Engine.now t.engine in
-                     if m.k_reveal >= 0 then
-                       Metrics.Phases.record_span_us t.phases "reveal"
-                         ~from_us:m.k_reveal ~until_us:now;
-                     Metrics.Phases.record_span_us t.phases "e2e"
-                       ~from_us:m.k_propose ~until_us:now;
-                     Sim.Network.trace_phase t.net ~node:t.id
-                       (Sim.Trace.Span { span = "e2e"; from_us = m.k_propose });
-                     Types.Int_tbl.remove t.phase_marks iid.Types.index
-                 | None -> ());
+              stamp_own t iid "emit";
               emit t rec_.c_batch rec_.c_seq;
               drain_outbox t
             end
@@ -421,14 +409,7 @@ let try_commit t =
                 Types.Iid_tbl.replace t.records iid
                   { c_batch = proposal.Types.batch; c_seq = seq; emitted = false };
                 Queue.push iid t.outbox;
-                (if Int.equal iid.Types.proposer t.id then
-                   match Types.Int_tbl.find_opt t.phase_marks iid.Types.index with
-                   | Some m when m.k_decide >= 0 && m.k_reveal < 0 ->
-                       let now = Sim.Engine.now t.engine in
-                       m.k_reveal <- now;
-                       Metrics.Phases.record_span_us t.phases "accept_wait"
-                         ~from_us:m.k_decide ~until_us:now
-                   | _ -> ());
+                stamp_own t iid "take";
                 (* Broadcast our decryption share (line 95). *)
                 let share =
                   if t.config.real_crypto then
@@ -520,15 +501,7 @@ let propose_batch t txs =
     + Sim.Cpu.backlog_us (Sim.Network.nic t.net t.id)
   in
   Types.Int_tbl.replace t.own_sref index s_ref;
-  Types.Int_tbl.replace t.phase_marks index
-    {
-      k_propose = Sim.Engine.now t.engine;
-      k_deliver = -1;
-      k_decide = -1;
-      k_reveal = -1;
-    };
-  Sim.Network.trace_phase t.net ~node:t.id
-    (Sim.Trace.Mark { mark = "propose"; proposer = t.id; index });
+  Metrics.Phases.start t.phases ~key:index ~now:(Sim.Engine.now t.engine);
   let st = Predictor.predict t.predictor ~s_ref in
   let st =
     match t.misbehavior with
@@ -634,26 +607,8 @@ let on_decide t iid ~value ~round proposal =
            | None -> ())
        | None -> ()
      end;
-     (match Types.Int_tbl.find_opt t.own_sref iid.Types.index with
-     | Some s_ref ->
-         Metrics.Recorder.record t.boc_latency
-           (float_of_int (Ordering_clock.peek t.clock - s_ref))
-     | None -> ());
-     match Types.Int_tbl.find_opt t.phase_marks iid.Types.index with
-     | Some m when value = 1 && m.k_decide < 0 ->
-         let now = Sim.Engine.now t.engine in
-         m.k_decide <- now;
-         if m.k_deliver >= 0 then
-           Metrics.Phases.record_span_us t.phases "dbft_decide"
-             ~from_us:m.k_deliver ~until_us:now;
-         Metrics.Phases.record_span_us t.phases "boc_decide"
-           ~from_us:m.k_propose ~until_us:now;
-         Sim.Network.trace_phase t.net ~node:t.id
-           (Sim.Trace.Span { span = "boc_decide"; from_us = m.k_propose })
-     | Some _ when value = 0 ->
-         (* Rejected: the pipeline ends here; its marks never complete. *)
-         Types.Int_tbl.remove t.phase_marks iid.Types.index
-     | _ -> ()
+     if value = 1 then stamp_own t iid "decide"
+     else Metrics.Phases.drop t.phases ~key:iid.Types.index
    end);
   (if value = 1 then
      match proposal with
@@ -749,15 +704,7 @@ let make_env t iid : Instance.env =
           | Some s_ref -> Predictor.observe t.predictor ~peer:src ~s_ref ~seq_obs
           | None -> ());
     on_vvb_deliver =
-      (fun () ->
-        if Int.equal iid.Types.proposer t.id then
-          match Types.Int_tbl.find_opt t.phase_marks iid.Types.index with
-          | Some m when m.k_deliver < 0 ->
-              let now = Sim.Engine.now t.engine in
-              m.k_deliver <- now;
-              Metrics.Phases.record_span_us t.phases "vvb_deliver"
-                ~from_us:m.k_propose ~until_us:now
-          | _ -> ());
+      (fun () -> stamp_own t iid "deliver");
     on_decide =
       (fun ~value ~round proposal -> on_decide t iid ~value ~round proposal);
   }
@@ -996,10 +943,8 @@ let on_sync_resp t ~src ~from_count ~upto entries tail =
                   Instance.force_decide inst ~value:1 (Instance.proposal inst)
               | _ -> ());
               t.synced_entries <- t.synced_entries + 1;
-              (* An own batch emitted through the sync bypassed the
-                 reveal pipeline; its phase marks can never complete. *)
               if Int.equal iid.Types.proposer t.id then
-                Types.Int_tbl.remove t.phase_marks iid.Types.index;
+                Metrics.Phases.drop t.phases ~key:iid.Types.index;
               emit t batch seq
         end)
       entries;
@@ -1300,9 +1245,9 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
       own_accepted = 0;
       own_rejected = 0;
       decide_rounds = Metrics.Recorder.create ();
-      boc_latency = Metrics.Recorder.create ();
-      phases = Metrics.Phases.create phase_labels;
-      phase_marks = Types.Int_tbl.create 16;
+      phases =
+        Metrics.Phases.create ~sink:(Sim.Network.phase_sink net ~node:id)
+          phase_spans;
     }
   in
   Sim.Network.register net ~id (fun ~src msg -> on_message t ~src msg);

@@ -75,9 +75,6 @@ val syncs_started : t -> int
 (** Per-decision round numbers (1 = optimal good case). *)
 val decide_rounds : t -> Metrics.Recorder.t
 
-(** BOC decision latency (µs, INIT broadcast → local decision). *)
-val boc_latency : t -> Metrics.Recorder.t
-
 (** Per-phase latency breakdown of this node's own batches (ms):
     [vvb_deliver] (propose → VVB delivers (1, m)), [dbft_decide]
     (deliver → DBFT decides 1), [boc_decide] (propose → decide, the

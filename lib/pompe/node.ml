@@ -12,14 +12,6 @@ type ts_collect = {
    in [flush_exec] used to spin forever on lossy links). *)
 type fetch_wait = { mutable attempts : int; mutable next_at : int }
 
-(* Per-own-proposal phase milestones (engine µs; -1 = not reached),
-   keyed by proposal index and removed at emission. *)
-type phase_marks = {
-  mutable q_propose : int;
-  mutable q_seq : int;  (** 2f+1 Ts_resps collected; Sequenced broadcast *)
-  mutable q_commit : int;  (** HotStuff 3-chain committed the command *)
-}
-
 type t = {
   config : Config.t;
   id : int;
@@ -52,16 +44,21 @@ type t = {
   mutable inflight : int;
   mutable sequenced : int;
   mutable started : bool;
-  phases : Metrics.Phases.t;
-  phase_marks : (int, phase_marks) Hashtbl.t;  (** own index → marks *)
+  phases : Metrics.Phases.t;  (** own proposal index → milestones *)
 }
 
 (* Pompē's anatomy (ms): [order] (Order_req broadcast → 2f+1 Ts_resps,
    i.e. the ordering phase of §4), [consensus] (Sequenced → HotStuff
    3-chain commit), [stable_exec] (commit → stable-execution output,
    the wait that dominates Pompē's latency gap versus Lyra in Fig. 2),
-   [e2e] (propose → output). *)
-let phase_labels = [ "order"; "consensus"; "stable_exec"; "e2e" ]
+   [e2e] (propose → output). An ordering give-up drops the entry. *)
+let phase_spans =
+  [
+    ("order", "propose", "seq");
+    ("consensus", "seq", "commit");
+    ("stable_exec", "commit", "exec");
+    ("e2e", "propose", "exec");
+  ]
 
 let output_log t = List.rev t.outputs_rev
 
@@ -79,6 +76,12 @@ let broadcast t body = Sim.Network.broadcast t.net ~src:t.id body
 let send t ~dst body = Sim.Network.send t.net ~src:t.id ~dst body
 
 let phases t = t.phases
+
+(* Stamps a phase milestone of [iid] if it is an own batch. *)
+let stamp_own t iid milestone =
+  if Int.equal iid.Lyra.Types.proposer t.id then
+    Metrics.Phases.stamp t.phases ~key:iid.Lyra.Types.index milestone
+      ~now:(Sim.Engine.now t.engine)
 
 (* ------------------------------------------------------------------ *)
 (* Stable execution: committed batches run in sequence order once no  *)
@@ -142,18 +145,7 @@ let flush_exec t =
               in
               t.outputs_rev <- out :: t.outputs_rev;
               t.output_n <- t.output_n + 1;
-              (if Int.equal iid.Lyra.Types.proposer t.id then
-                 match Hashtbl.find_opt t.phase_marks iid.Lyra.Types.index with
-                 | Some m ->
-                     if m.q_commit >= 0 then
-                       Metrics.Phases.record_span_us t.phases "stable_exec"
-                         ~from_us:m.q_commit ~until_us:out.output_at;
-                     Metrics.Phases.record_span_us t.phases "e2e"
-                       ~from_us:m.q_propose ~until_us:out.output_at;
-                     Sim.Network.trace_phase t.net ~node:t.id
-                       (Sim.Trace.Span { span = "e2e"; from_us = m.q_propose });
-                     Hashtbl.remove t.phase_marks iid.Lyra.Types.index
-                 | None -> ());
+              stamp_own t iid "exec";
               t.on_output out;
               go rest
           | None ->
@@ -177,14 +169,7 @@ let on_hotstuff_commit t ~height:_ cmds =
       t.max_committed_seq <- max t.max_committed_seq cmd.c_seq;
       t.max_commit_lag_us <-
         max t.max_commit_lag_us (Sim.Engine.now t.engine - cmd.c_seq);
-      (if Int.equal cmd.c_iid.Lyra.Types.proposer t.id then
-         match Hashtbl.find_opt t.phase_marks cmd.c_iid.Lyra.Types.index with
-         | Some m when m.q_seq >= 0 && m.q_commit < 0 ->
-             let now = Sim.Engine.now t.engine in
-             m.q_commit <- now;
-             Metrics.Phases.record_span_us t.phases "consensus"
-               ~from_us:m.q_seq ~until_us:now
-         | _ -> ());
+      stamp_own t cmd.c_iid "commit";
       let entry = (cmd.c_seq, cmd.c_iid) in
       let rec insert = function
         | [] -> [ entry ]
@@ -285,10 +270,7 @@ and propose_batch t txs =
       count = 0;
       done_ = false;
     };
-  Hashtbl.replace t.phase_marks index
-    { q_propose = Sim.Engine.now t.engine; q_seq = -1; q_commit = -1 };
-  Sim.Network.trace_phase t.net ~node:t.id
-    (Sim.Trace.Mark { mark = "propose"; proposer = t.id; index });
+  Metrics.Phases.start t.phases ~key:index ~now:(Sim.Engine.now t.engine);
   broadcast t (Types.Order_req { batch });
   arm_order_retry t index batch 1
 
@@ -306,8 +288,7 @@ and arm_order_retry t index batch attempt =
                col.done_ <- true;
                t.order_giveups <- t.order_giveups + 1;
                t.inflight <- max 0 (t.inflight - 1);
-               (* Ordering abandoned; the marks can never complete. *)
-               Hashtbl.remove t.phase_marks index;
+               Metrics.Phases.drop t.phases ~key:index;
                maybe_propose t
              end
              else if Sim.Network.is_crashed t.net t.id then
@@ -334,15 +315,7 @@ let on_ts_resp t ~src iid ts sigma =
             if col.count >= Config.supermajority t.config then begin
               col.done_ <- true;
               t.inflight <- max 0 (t.inflight - 1);
-              (match Hashtbl.find_opt t.phase_marks iid.Lyra.Types.index with
-              | Some m when m.q_seq < 0 ->
-                  let now = Sim.Engine.now t.engine in
-                  m.q_seq <- now;
-                  Metrics.Phases.record_span_us t.phases "order"
-                    ~from_us:m.q_propose ~until_us:now;
-                  Sim.Network.trace_phase t.net ~node:t.id
-                    (Sim.Trace.Span { span = "order"; from_us = m.q_propose })
-              | _ -> ());
+              stamp_own t iid "seq";
               let seq = median_seq col.proofs in
               broadcast t (Types.Sequenced { iid; seq; proofs = col.proofs });
               maybe_propose t
@@ -434,8 +407,9 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
       inflight = 0;
       sequenced = 0;
       started = false;
-      phases = Metrics.Phases.create phase_labels;
-      phase_marks = Hashtbl.create 16;
+      phases =
+        Metrics.Phases.create ~sink:(Sim.Network.phase_sink net ~node:id)
+          phase_spans;
     }
   in
   let transport =

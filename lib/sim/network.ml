@@ -62,10 +62,9 @@ type 'msg t = {
 }
 
 (* The detail payload is built at the call site but only matters when
-   its category is on; fault events and phase milestones are rare
-   (drops, crashes, one per batch), so no [enabled] pre-check is needed
-   here — [Trace.record] itself is one bitmask test when the category
-   is off. *)
+   its category is on; fault events are rare (drops, crashes), so no
+   [enabled] pre-check is needed here — [Trace.record] itself is one
+   bitmask test when the category is off. *)
 let trace_to t ~node category detail =
   match t.trace with
   | None -> ()
@@ -73,7 +72,16 @@ let trace_to t ~node category detail =
 
 let trace_fault t ~node detail = trace_to t ~node Trace.Fault detail
 
-let trace_phase t ~node detail = trace_to t ~node Trace.Phase detail
+let phase_sink t ~node =
+  match t.trace with
+  | None -> Metrics.Phases.no_sink
+  | Some tr ->
+      let phase detail = Trace.record tr ~node Trace.Phase detail in
+      {
+        Metrics.Phases.mark =
+          (fun mark index -> phase (Trace.Mark { mark; proposer = node; index }));
+        span = (fun span ~from_us -> phase (Trace.Span { span; from_us }));
+      }
 
 let crash t id =
   if not t.crashed.(id) then begin

@@ -121,10 +121,12 @@ val cpu : 'msg t -> int -> Cpu.t
 (** Egress NIC of a node (service times are transmission times). *)
 val nic : 'msg t -> int -> Cpu.t
 
-(** [trace_phase t ~node detail] records a protocol's {!Trace.Phase}
-    milestone into the trace installed at creation, if any, so one
-    trace interleaves transport faults with pipeline progress. *)
-val trace_phase : 'msg t -> node:int -> Trace.detail -> unit
+(** [phase_sink t ~node] is node [node]'s phase-tracker sink: it
+    records a {!Trace.Mark} for every opened entry (proposer [node],
+    index = key) and a {!Trace.Span} for every recorded span, under
+    {!Trace.Phase}, into the trace installed at creation, if any, so
+    one trace interleaves transport faults with pipeline progress. *)
+val phase_sink : 'msg t -> node:int -> Metrics.Phases.sink
 
 (** Total messages handed to the transport so far. *)
 val messages_sent : 'msg t -> int

@@ -1,8 +1,6 @@
 module Closed = struct
   type t = {
-    engine : Sim.Engine.t;
     clients : int;
-    think_time_us : int;
     payload : unit -> string;
     submit : payload:string -> string;
     outstanding : (string, unit) Hashtbl.t;
@@ -11,11 +9,9 @@ module Closed = struct
     mutable started : bool;
   }
 
-  let create engine ~clients ?(think_time_us = 0) ~payload ~submit () =
+  let create ~clients ~payload ~submit () =
     {
-      engine;
       clients;
-      think_time_us;
       payload;
       submit;
       outstanding = Hashtbl.create 64;
@@ -41,12 +37,7 @@ module Closed = struct
     if Hashtbl.mem t.outstanding tx_id then begin
       Hashtbl.remove t.outstanding tx_id;
       t.completed <- t.completed + 1;
-      if t.think_time_us = 0 then launch_one t
-      else
-        ignore
-          (Sim.Engine.schedule t.engine ~delay:t.think_time_us (fun () ->
-               launch_one t)
-            : Sim.Engine.timer)
+      launch_one t
     end
 
   let submitted t = t.submitted
@@ -63,7 +54,6 @@ module Open = struct
     rng : Crypto.Rng.t;
     mutable submitted : int;
     mutable running : bool;
-    mutable generation : int;
   }
 
   let create engine ~rate_per_sec ~payload ~submit () =
@@ -75,32 +65,22 @@ module Open = struct
       rng = Crypto.Rng.split (Sim.Engine.rng engine);
       submitted = 0;
       running = false;
-      generation = 0;
     }
 
-  (* Timers cannot be revoked once scheduled, so the chain of pending
-     arrivals is tagged with the generation it belongs to. [stop]
-     leaves the pending timer in flight; without the tag, a
-     stop→start cycle before it fires would leave TWO live arrival
-     chains (the stale timer finds [running = true] again and
-     re-schedules itself), silently doubling the stream's rate — and
-     doubling it again on every subsequent cycle. *)
-  let rec schedule_next t gen =
+  let rec schedule_next t =
     let gap =
       Crypto.Rng.exponential t.rng ~mean:(1_000_000.0 /. t.rate_per_sec)
     in
     ignore
       (Sim.Engine.schedule t.engine
          ~delay:(max 1 (int_of_float gap))
-         (fun () -> arrival t gen)
+         (fun () -> arrival t)
         : Sim.Engine.timer)
 
-  and arrival t gen =
-    if t.running && Int.equal gen t.generation then begin
-      ignore (t.submit ~payload:(t.payload ()) : string);
-      t.submitted <- t.submitted + 1;
-      schedule_next t gen
-    end
+  and arrival t =
+    ignore (t.submit ~payload:(t.payload ()) : string);
+    t.submitted <- t.submitted + 1;
+    schedule_next t
 
   (* A Poisson stream's first arrival is itself an exponential gap
      away: submitting at the instant the client starts would put a
@@ -109,20 +89,10 @@ module Open = struct
   let start t =
     if not t.running then begin
       t.running <- true;
-      t.generation <- t.generation + 1;
-      schedule_next t t.generation
+      schedule_next t
     end
-
-  let stop t = t.running <- false
 
   let submitted t = t.submitted
 end
 
 let fixed_payload ~size rng () = Crypto.Rng.bytes rng size
-
-let kv_payload ~keys rng () =
-  let k = Printf.sprintf "key%d" (Crypto.Rng.int rng keys) in
-  match Crypto.Rng.int rng 3 with
-  | 0 -> Printf.sprintf "get %s" k
-  | 1 -> Printf.sprintf "put %s v%d" k (Crypto.Rng.int rng 1_000_000)
-  | _ -> Printf.sprintf "del %s" k

@@ -9,14 +9,11 @@
 module Closed : sig
   (** A pool of closed-loop clients attached to one node: each client
       keeps exactly one transaction outstanding and submits the next
-      as soon as the previous commits. [think_time_us] models client
-      turnaround. *)
+      as soon as the previous commits. *)
   type t
 
   val create :
-    Sim.Engine.t ->
     clients:int ->
-    ?think_time_us:int ->
     payload:(unit -> string) ->
     submit:(payload:string -> string) ->
     unit ->
@@ -45,13 +42,9 @@ module Open : sig
     unit ->
     t
 
-  (** Start (or restart) the stream. Arrivals from any earlier life of
-      the stream are invalidated: a stop→start cycle never leaves a
-      stale pending arrival alive, so the rate stays [rate_per_sec]
-      across any number of cycles. *)
+  (** Start the stream; a second call does nothing. The stream runs
+      for the rest of the simulation. *)
   val start : t -> unit
-
-  val stop : t -> unit
 
   val submitted : t -> int
 end
@@ -60,6 +53,3 @@ end
 
 (** Fixed-size opaque value (the paper's 32-byte transactions). *)
 val fixed_payload : size:int -> Crypto.Rng.t -> unit -> string
-
-(** Random KV-store commands over [keys] distinct keys. *)
-val kv_payload : keys:int -> Crypto.Rng.t -> unit -> string

@@ -300,9 +300,11 @@ let submit_one t si gen =
   st.submitted <- st.submitted + 1
 
 (* Thinning loop: candidates at the envelope rate, accepted with
-   probability λ(now)/λmax. Tagged with the generation it belongs to —
-   same discipline as {!Clients.Open} — so stop→start cannot leave a
-   stale candidate chain alive. *)
+   probability λ(now)/λmax. Timers cannot be revoked once scheduled, so
+   each chain is tagged with the generation it belongs to: without the
+   tag, a stop→start cycle before the pending timer fires would leave
+   two live chains (the stale timer finds [running = true] again) and
+   double the stream's rate. *)
 let rec schedule_candidate t si gen =
   let st = t.streams.(si) in
   let gap =

@@ -98,8 +98,9 @@ val create :
   t
 
 (** Start (or restart) all streams. Pending arrivals from an earlier
-    life are invalidated (generation-tagged, as in
-    {!Clients.Open.start}). *)
+    life are invalidated: each arrival chain is tagged with the
+    generation it belongs to, so a stop→start cycle never leaves a
+    stale chain alive. *)
 val start : t -> unit
 
 val stop : t -> unit

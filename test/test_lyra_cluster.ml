@@ -256,7 +256,9 @@ let test_deterministic_rerun () =
             Lyra.Node.own_rejected node,
             Lyra.Node.late_accepts node,
             Metrics.Recorder.to_array (Lyra.Node.decide_rounds node),
-            Metrics.Recorder.to_array (Lyra.Node.boc_latency node) ))
+            List.map
+              (fun (label, r) -> (label, Metrics.Recorder.to_array r))
+              (Metrics.Phases.pairs (Lyra.Node.phases node)) ))
         c.nodes
     in
     (logs c, per_node)
