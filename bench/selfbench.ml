@@ -76,7 +76,7 @@ let workload_selfcheck () =
   }
 
 let selfcheck_guards s =
-  let cap = Workload.Engine.default_latency_cap in
+  let cap = Workload.Engine.latency_cap in
   let g ok fmt = guard ok ("workload selfcheck: " ^^ fmt) in
   [
     g (s.submitted >= 2 * cap) "only %d arrivals; rate not sustained" s.submitted;
@@ -103,7 +103,7 @@ let selfcheck_cols =
         Metrics.Recorder.is_streaming s.recorder);
     both "retained_samples" "retained" J.int istr (fun s ->
         Metrics.Recorder.retained_samples s.recorder);
-    json "latency_cap" J.int (fun _ -> Workload.Engine.default_latency_cap);
+    json "latency_cap" J.int (fun _ -> Workload.Engine.latency_cap);
     json "peak_rss_kb" J.int (fun _ -> peak_rss_kb ());
   ]
 

@@ -102,16 +102,15 @@ let content_digests logs =
   Array.map (List.map (fun (c : Protocol.committed) -> (c.key, digest c))) logs
 
 let run ?(seed = 1L) ?warmup_us ?(ns_per_byte = wan_ns_per_byte)
-    ?(faults = Sim.Faults.none) ?adversary ?perturb ?dissemination
-    ?profile_bucket_us ?workload (module P : Protocol.NODE) ~n ~load
-    ~duration_us () =
+    ?(faults = Sim.Faults.none) ?adversary ?perturb ?profile_bucket_us
+    ?workload (module P : Protocol.NODE) ~n ~load ~duration_us () =
   let warmup_us =
     match warmup_us with Some w -> w | None -> P.default_warmup_us
   in
   let engine = Sim.Engine.create ~seed () in
   let net =
-    P.make_net engine ~n ~jitter:0.01 ~ns_per_byte ~faults ?adversary ?perturb
-      ?dissemination ()
+    P.make_net engine ~n ~jitter:0.01 ~ns_per_byte ~faults ?adversary
+      ?perturb ()
   in
   let rng = Sim.Engine.rng engine in
   (* Latency is recorded at the transaction's origin node within the

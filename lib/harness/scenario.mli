@@ -109,7 +109,6 @@ val run :
   ?faults:Sim.Faults.plan ->
   ?adversary:Sim.Adversary.t ->
   ?perturb:Sim.Perturb.t ->
-  ?dissemination:Sim.Network.dissemination ->
   ?profile_bucket_us:int ->
   ?workload:Workload.Engine.spec ->
   (module Protocol.NODE) ->

@@ -6,7 +6,6 @@ type t = {
   max_inflight : int;
   block_capacity : int;
   exec_window_us : int;
-  real_crypto : bool;
   tx_size : int;
   clock_offset_max_us : int;
 }
@@ -20,7 +19,6 @@ let default ~n =
     max_inflight = 16;
     block_capacity = 8;
     exec_window_us = 500_000;
-    real_crypto = false;
     tx_size = 32;
     clock_offset_max_us = 2_000;
   }

@@ -10,7 +10,6 @@ type t = {
   block_capacity : int;  (** batches per HotStuff block *)
   exec_window_us : int;  (** stable-execution margin behind the newest
                              committed sequence number *)
-  real_crypto : bool;
   tx_size : int;
   clock_offset_max_us : int;
 }

@@ -18,9 +18,6 @@ type t = {
   net : Types.body Sim.Network.t;
   engine : Sim.Engine.t;
   clock : Lyra.Ordering_clock.t;
-  keys : Crypto.Keys.keypair option;
-  dir : Crypto.Keys.directory option;
-  vcache : Crypto.Verify_cache.t;  (** amortizes repeat verifications *)
   on_observe : Lyra.Types.batch -> unit;
   on_output : output -> unit;
   censor : Lyra.Types.iid -> bool;
@@ -184,19 +181,6 @@ let on_hotstuff_commit t ~height:_ cmds =
 (* Ordering phase.                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let sign_ts t iid ts =
-  if not t.config.real_crypto then None
-  else Option.map (fun kp -> Crypto.Schnorr.sign kp (Types.ts_message iid ts)) t.keys
-
-let verify_ts t iid (p : Types.timestamp_proof) =
-  if not t.config.real_crypto then true
-  else
-    match (p.sigma, t.dir) with
-    | Some sg, Some dir ->
-        Crypto.Verify_cache.verify_by t.vcache ~dir ~signer:p.signer
-          (Types.ts_message iid p.ts) sg
-    | _ -> false
-
 let median_seq proofs =
   let sorted =
     List.map (fun (p : Types.timestamp_proof) -> p.ts) proofs
@@ -221,7 +205,7 @@ let on_order_req t ~src batch =
       (match t.respond_ts batch ~honest with
       | Some ts ->
           Hashtbl.replace t.ts_sent iid ts;
-          send t ~dst:src (Types.Ts_resp { iid; ts; sigma = sign_ts t iid ts })
+          send t ~dst:src (Types.Ts_resp { iid; ts })
       | None -> ());
       flush_exec t
     end
@@ -230,8 +214,7 @@ let on_order_req t ~src batch =
          Ts_resp may have been lost: re-send the original timestamp
          (the proposer's responder set makes this idempotent). *)
       match Hashtbl.find_opt t.ts_sent iid with
-      | Some ts ->
-          send t ~dst:src (Types.Ts_resp { iid; ts; sigma = sign_ts t iid ts })
+      | Some ts -> send t ~dst:src (Types.Ts_resp { iid; ts })
       | None -> ()
 
 let on_order_fetch t ~src iid =
@@ -301,25 +284,22 @@ and arm_order_retry t index batch attempt =
          | _ -> ())
       : Sim.Engine.timer)
 
-let on_ts_resp t ~src iid ts sigma =
+let on_ts_resp t ~src iid ts =
   if Int.equal iid.Lyra.Types.proposer t.id then
     match Hashtbl.find_opt t.collects iid.Lyra.Types.index with
     | None -> ()
     | Some col ->
         if (not col.done_) && not col.responders.(src) then begin
-          let proof = { Types.signer = src; ts; sigma } in
-          if verify_ts t iid proof then begin
-            col.responders.(src) <- true;
-            col.proofs <- proof :: col.proofs;
-            col.count <- col.count + 1;
-            if col.count >= Config.supermajority t.config then begin
-              col.done_ <- true;
-              t.inflight <- max 0 (t.inflight - 1);
-              stamp_own t iid "seq";
-              let seq = median_seq col.proofs in
-              broadcast t (Types.Sequenced { iid; seq; proofs = col.proofs });
-              maybe_propose t
-            end
+          col.responders.(src) <- true;
+          col.proofs <- { Types.signer = src; ts } :: col.proofs;
+          col.count <- col.count + 1;
+          if col.count >= Config.supermajority t.config then begin
+            col.done_ <- true;
+            t.inflight <- max 0 (t.inflight - 1);
+            stamp_own t iid "seq";
+            let seq = median_seq col.proofs in
+            broadcast t (Types.Sequenced { iid; seq; proofs = col.proofs });
+            maybe_propose t
           end
         end
 
@@ -338,7 +318,7 @@ let on_sequenced t ~src iid seq proofs =
 let on_message t ~src body =
   match body with
   | Types.Order_req { batch } -> on_order_req t ~src batch
-  | Types.Ts_resp { iid; ts; sigma } -> on_ts_resp t ~src iid ts sigma
+  | Types.Ts_resp { iid; ts } -> on_ts_resp t ~src iid ts
   | Types.Sequenced { iid; seq; proofs } -> on_sequenced t ~src iid seq proofs
   | Types.Order_fetch { iid } -> on_order_fetch t ~src iid
   | Types.Hs m -> (
@@ -369,12 +349,10 @@ let start t =
     flush_loop t
   end
 
-let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
+let create config net ~id ?(clock_offset_us = 0)
     ?(on_observe = fun _ -> ()) ?(on_output = fun _ -> ())
     ?(censor = fun _ -> false)
     ?(respond_ts = fun _ ~honest -> Some honest) () =
-  if config.Config.real_crypto && (keys = None || dir = None) then
-    invalid_arg "Pompe.Node.create: real_crypto requires keys and directory";
   let engine = Sim.Network.engine net in
   let t =
     {
@@ -383,9 +361,6 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
       net;
       engine;
       clock = Lyra.Ordering_clock.create engine ~offset_us:clock_offset_us;
-      keys;
-      dir;
-      vcache = Crypto.Verify_cache.create ();
       on_observe;
       on_output;
       censor;

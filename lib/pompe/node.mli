@@ -14,8 +14,6 @@ val create :
   Config.t ->
   Types.body Sim.Network.t ->
   id:int ->
-  ?keys:Crypto.Keys.keypair ->
-  ?dir:Crypto.Keys.directory ->
   ?clock_offset_us:int ->
   ?on_observe:(Lyra.Types.batch -> unit) ->
   ?on_output:(output -> unit) ->

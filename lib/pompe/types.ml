@@ -5,19 +5,11 @@ let cmd_id { c_iid; _ } =
 
 let cmd_size { c_proof_count; _ } = 64 + (96 * c_proof_count)
 
-type timestamp_proof = {
-  signer : int;
-  ts : int;
-  sigma : Crypto.Schnorr.signature option;
-}
+type timestamp_proof = { signer : int; ts : int }
 
 type body =
   | Order_req of { batch : Lyra.Types.batch }
-  | Ts_resp of {
-      iid : Lyra.Types.iid;
-      ts : int;
-      sigma : Crypto.Schnorr.signature option;
-    }
+  | Ts_resp of { iid : Lyra.Types.iid; ts : int }
   | Sequenced of {
       iid : Lyra.Types.iid;
       seq : int;
@@ -33,7 +25,7 @@ let msg_size = function
   | Order_fetch _ -> 40
   | Hs m -> Hotstuff.Replica.msg_size ~cmd_size m
 
-let msg_cost (c : Sim.Costs.t) ~n body =
+let msg_cost (c : Sim.Costs.t) body =
   let base =
     match body with
     | Order_req { batch } ->
@@ -64,8 +56,4 @@ let msg_cost (c : Sim.Costs.t) ~n body =
               (acc + c.combined_verify) b.Hotstuff.Replica.cmds)
           0 blocks
   in
-  ignore n;
   c.msg_overhead + base
-
-let ts_message iid ts =
-  Printf.sprintf "ts.%d.%d.%d" iid.Lyra.Types.proposer iid.Lyra.Types.index ts

@@ -25,15 +25,14 @@ val cmd_id : cmd -> string
 
 val cmd_size : cmd -> int
 
-type timestamp_proof = {
-  signer : int;
-  ts : int;
-  sigma : Crypto.Schnorr.signature option;
-}
+(** One node's timestamp for a batch. The signature it stands for is
+    modelled by the cost model ({!msg_cost}) and the wire sizes, not
+    carried. *)
+type timestamp_proof = { signer : int; ts : int }
 
 type body =
   | Order_req of { batch : Lyra.Types.batch }
-  | Ts_resp of { iid : Lyra.Types.iid; ts : int; sigma : Crypto.Schnorr.signature option }
+  | Ts_resp of { iid : Lyra.Types.iid; ts : int }
   | Sequenced of {
       iid : Lyra.Types.iid;
       seq : int;
@@ -50,7 +49,4 @@ val msg_size : body -> int
     2f+1 timestamp verification is charged when the batch appears in a
     HotStuff proposal (verify-on-consensus), and the leader pays one
     signature verification per vote. *)
-val msg_cost : Sim.Costs.t -> n:int -> body -> int
-
-(** What the signed-timestamp message covers. *)
-val ts_message : Lyra.Types.iid -> int -> string
+val msg_cost : Sim.Costs.t -> body -> int

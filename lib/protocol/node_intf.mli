@@ -55,9 +55,10 @@ module type NODE = sig
       fault events. [perturb]
       adds deterministic extra wire delays ({!Sim.Perturb}) — the
       schedule-space explorer's lever; the default empty spec leaves
-      the schedule bit-identical. [dissemination] selects how
-      broadcasts spread (default all-to-all; gossip bounds the origin's
-      fanout, see {!Sim.Network.dissemination}). *)
+      the schedule bit-identical. [dissemination] is vestigial and
+      ignored: broadcasts are always all-to-all, and the argument stays
+      only for callers that still forward it until ROADMAP NODE step 3
+      removes it (see {!Sim.Network.dissemination}). *)
   val make_net :
     Sim.Engine.t ->
     n:int ->

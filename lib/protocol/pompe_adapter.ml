@@ -27,7 +27,7 @@ let make ?(tweak = fun c -> c) ?(censor = fun _ _ -> false)
       let net =
         Sim.Network.create engine ~n ~latency ?ns_per_byte ~faults ?adversary
           ?perturb ?trace ?dissemination
-          ~cost:(fun ~dst:_ b -> Pompe.Types.msg_cost costs ~n b)
+          ~cost:(fun ~dst:_ b -> Pompe.Types.msg_cost costs b)
           ~size:Pompe.Types.msg_size ()
       in
       { net; cfg; faults }

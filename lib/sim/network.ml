@@ -1,10 +1,4 @@
-type dissemination = All_to_all | Gossip of { fanout : int }
-
-(* How a wired message is consumed at the receiver: handed straight to
-   the protocol handler, or run through the gossip relay (dedup by
-   broadcast id, deliver once, re-forward to the receiver's
-   neighbors). *)
-type rx_kind = Direct | Relay of { origin : int; gid : int }
+type dissemination = All_to_all
 
 type 'msg t = {
   engine : Engine.t;
@@ -36,29 +30,12 @@ type 'msg t = {
   trace : Trace.t option;
   recover_hooks : (unit -> unit) option array;
   link_rng : Crypto.Rng.t;
-  dissemination : dissemination;
-  (* Per-node neighbor sets of the gossip overlay; [| |] under
-     all-to-all. Seeded at creation: a ring edge i → i+1 keeps the
-     directed overlay strongly connected, the remaining fanout−1 picks
-     are uniform. *)
-  neighbors : int array array;
-  (* Per-node set of broadcast ids already relayed; probed and updated,
-     never traversed. *)
-  seen : (int, unit) Hashtbl.t array;
-  mutable gossip_ctr : int;  (** globally unique broadcast ids *)
   mutable sent : int;
   mutable delivered : int;
   mutable bytes : int;
   mutable dropped : int;
   mutable duped : int;
-  mutable suppressed : int;  (** gossip copies discarded by dedup *)
   mutable eclipsed : int;  (** messages cut by an eclipse *)
-  (* Relay copies (gossip) that died to a fault, by cause — the
-     observability needed to tell "the overlay routed around the
-     damage" apart from "the victim is starved". *)
-  mutable relay_cut_crash : int;
-  mutable relay_cut_partition : int;
-  mutable relay_cut_eclipse : int;
 }
 
 (* The detail payload is built at the call site but only matters when
@@ -97,38 +74,12 @@ let recover t id =
     match t.recover_hooks.(id) with None -> () | Some hook -> hook ()
   end
 
-(* Neighbor sets: one deterministic ring edge for strong connectivity,
-   then fanout − 1 uniform extras (distinct, never self). *)
-let build_neighbors rng ~n ~fanout =
-  Array.init n (fun i ->
-      let ring = (i + 1) mod n in
-      let chosen = Hashtbl.create 8 in
-      Hashtbl.replace chosen ring ();
-      let want = min (fanout - 1) (max 0 (n - 2)) in
-      let picked = ref 0 in
-      while !picked < want do
-        let c = Crypto.Rng.int rng n in
-        if (not (Int.equal c i)) && not (Hashtbl.mem chosen c) then begin
-          Hashtbl.replace chosen c ();
-          incr picked
-        end
-      done;
-      (* Order the set by draw-independent index so the send order is a
-         function of the set, not of Hashtbl internals. *)
-      Array.init n (fun j -> j)
-      |> Array.to_list
-      |> List.filter (Hashtbl.mem chosen)
-      |> Array.of_list)
-
 let create engine ~n ~latency ?adversary ?(ns_per_byte = 8)
     ?(cores = 8) ?(faults = Faults.none) ?(perturb = Perturb.none)
-    ?trace:trace_sink ?(dissemination = All_to_all) ~cost ~size () =
+    ?trace:trace_sink ?dissemination:_ ~cost ~size () =
   Faults.validate faults ~n;
   Perturb.validate perturb ~n;
-  (match dissemination with
-  | All_to_all -> ()
-  | Gossip { fanout } ->
-      if fanout < 1 then invalid_arg "Network.create: gossip fanout < 1");
+  Option.iter (Adversary.validate ~n) adversary;
   let t =
     {
       engine;
@@ -155,30 +106,12 @@ let create engine ~n ~latency ?adversary ?(ns_per_byte = 8)
       trace = trace_sink;
       recover_hooks = Array.make n None;
       link_rng = Crypto.Rng.split (Engine.rng engine);
-      dissemination;
-      neighbors =
-        (* Conditional split, like [fault_rng]: building the overlay
-           only when gossip is on leaves the RNG streams of all-to-all
-           runs untouched, so goldens don't shift. *)
-        (match dissemination with
-        | All_to_all -> [||]
-        | Gossip { fanout } ->
-            build_neighbors (Crypto.Rng.split (Engine.rng engine)) ~n ~fanout);
-      seen =
-        (match dissemination with
-        | All_to_all -> [||]
-        | Gossip _ -> Array.init n (fun _ -> Hashtbl.create 64));
-      gossip_ctr = 0;
       sent = 0;
       delivered = 0;
       bytes = 0;
       dropped = 0;
       duped = 0;
-      suppressed = 0;
       eclipsed = 0;
-      relay_cut_crash = 0;
-      relay_cut_partition = 0;
-      relay_cut_eclipse = 0;
     }
   in
   (* Plan-scheduled process faults. The handler survives a crash, so a
@@ -203,56 +136,21 @@ let on_recover t ~id hook = t.recover_hooks.(id) <- Some hook
 
 (* [inc] is the receiver's incarnation when the message entered the
    wire (or, for self-delivery, when it was sent): if the receiver
-   crashed since, the delivery is tombstoned even after recovery.
+   crashed since, the delivery is tombstoned even after recovery. *)
+let deliver t ~src ~dst ~inc msg =
+  if (not t.crashed.(dst)) && Int.equal t.incarnation.(dst) inc then
+    match t.handlers.(dst) with
+    | None -> ()
+    | Some handler ->
+        let service = t.cost ~dst msg in
+        Cpu.submit t.cpus.(dst) ~service_us:service (fun () ->
+            if (not t.crashed.(dst)) && Int.equal t.incarnation.(dst) inc
+            then begin
+              t.delivered <- t.delivered + 1;
+              handler ~src msg
+            end)
 
-   Relayed (gossip) arrivals dedup on the broadcast id at wire arrival,
-   before any CPU charge — receivers recognize an already-seen
-   broadcast from its id without reprocessing the payload. A fresh id
-   is marked, handed to the handler as coming from its origin, and
-   re-forwarded to the receiver's neighbors. *)
-let rec deliver t ~src ~dst ~inc ~rx msg =
-  if t.crashed.(dst) || not (Int.equal t.incarnation.(dst) inc) then begin
-    (* Crash tombstone. Count dead relay copies so gossip starvation
-       under process faults is observable, not just inferable. *)
-    match rx with
-    | Relay _ -> t.relay_cut_crash <- t.relay_cut_crash + 1
-    | Direct -> ()
-  end
-  else
-    match rx with
-    | Direct -> deliver_local t ~src ~dst ~inc msg
-    | Relay { origin; gid } ->
-        if Hashtbl.mem t.seen.(dst) gid then
-          t.suppressed <- t.suppressed + 1
-        else begin
-          Hashtbl.replace t.seen.(dst) gid ();
-          deliver_local t ~src:origin ~dst ~inc msg;
-          forward t ~relayer:dst ~from:src ~origin ~gid msg
-        end
-
-and deliver_local t ~src ~dst ~inc msg =
-  match t.handlers.(dst) with
-  | None -> ()
-  | Some handler ->
-      let service = t.cost ~dst msg in
-      Cpu.submit t.cpus.(dst) ~service_us:service (fun () ->
-          if (not t.crashed.(dst)) && Int.equal t.incarnation.(dst) inc
-          then begin
-            t.delivered <- t.delivered + 1;
-            handler ~src msg
-          end)
-
-(* Relay a fresh broadcast onward, skipping the link it arrived on and
-   its origin; the per-node seen set bounds the flood to one relay per
-   node, so a broadcast costs O(n * fanout) messages in total. *)
-and forward t ~relayer ~from ~origin ~gid msg =
-  Array.iter
-    (fun nb ->
-      if not (Int.equal nb from || Int.equal nb origin || Int.equal nb relayer)
-      then transmit t ~src:relayer ~dst:nb ~rx:(Relay { origin; gid }) msg)
-    t.neighbors.(relayer)
-
-and schedule_delivery t ~src ~dst ~perturb_us ~rx msg =
+let schedule_delivery t ~src ~dst ~perturb_us msg =
   let now = Engine.now t.engine in
   let latency = Latency.sample t.latency t.link_rng ~src ~dst in
   (* Adversarial pre-GST delay and BGP-style inflation stack on the
@@ -268,7 +166,7 @@ and schedule_delivery t ~src ~dst ~perturb_us ~rx msg =
   ignore
     (Engine.schedule ~kind:Engine.Wire t.engine
        ~delay:(latency + extra + perturb_us)
-       (fun () -> deliver t ~src ~dst ~inc ~rx msg)
+       (fun () -> deliver t ~src ~dst ~inc msg)
       : Engine.timer)
 
 (* The fault plan acts at the moment a message enters the wire:
@@ -279,7 +177,7 @@ and schedule_delivery t ~src ~dst ~perturb_us ~rx msg =
    partition or loss window then kills — to keep [nth] stable whether
    or not a fault plan is active. The extra delay is computed once per
    logical message; duplicate copies share it. *)
-and wire t ~src ~dst ~rx msg =
+let wire t ~src ~dst msg =
   let now = Engine.now t.engine in
   let nth = t.wire_seq in
   t.wire_seq <- nth + 1;
@@ -290,9 +188,6 @@ and wire t ~src ~dst ~rx msg =
   in
   if Faults.partitioned t.faults ~now ~src ~dst then begin
     t.dropped <- t.dropped + 1;
-    (match rx with
-    | Relay _ -> t.relay_cut_partition <- t.relay_cut_partition + 1
-    | Direct -> ());
     trace_fault t ~node:dst (Trace.Partition_drop { src })
   end
   else
@@ -300,9 +195,6 @@ and wire t ~src ~dst ~rx msg =
     | Faults.Link_cut ->
         t.dropped <- t.dropped + 1;
         t.eclipsed <- t.eclipsed + 1;
-        (match rx with
-        | Relay _ -> t.relay_cut_eclipse <- t.relay_cut_eclipse + 1
-        | Direct -> ());
         trace_fault t ~node:dst (Trace.Eclipse_drop { src })
     | (Faults.Link_up | Faults.Link_delayed _) as fate ->
         let perturb_us =
@@ -331,10 +223,10 @@ and wire t ~src ~dst ~rx msg =
               trace_fault t ~node:dst (Trace.Dup { src })
             end);
         for _ = 1 to !copies do
-          schedule_delivery t ~src ~dst ~perturb_us ~rx msg
+          schedule_delivery t ~src ~dst ~perturb_us msg
         done
 
-and transmit t ~src ~dst ~rx msg =
+let send t ~src ~dst msg =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Network.send: endpoint out of range";
   if not t.crashed.(src) then begin
@@ -348,7 +240,7 @@ and transmit t ~src ~dst ~rx msg =
           (Trace.Send { dst; bytes = t.size msg })
     | Some _ | None -> ());
     if Int.equal src dst then
-      deliver t ~src ~dst ~inc:t.incarnation.(dst) ~rx msg
+      deliver t ~src ~dst ~inc:t.incarnation.(dst) msg
     else begin
       let bytes = t.size msg in
       t.bytes <- t.bytes + bytes;
@@ -356,30 +248,14 @@ and transmit t ~src ~dst ~rx msg =
       let src_inc = t.incarnation.(src) in
       Cpu.submit t.nics.(src) ~service_us:tx_us (fun () ->
           if (not t.crashed.(src)) && Int.equal t.incarnation.(src) src_inc
-          then wire t ~src ~dst ~rx msg)
+          then wire t ~src ~dst msg)
     end
   end
 
-let send t ~src ~dst msg = transmit t ~src ~dst ~rx:Direct msg
-
-(* Under gossip, a broadcast leaves the origin on only [fanout] links
-   (the origin's NIC serializes fanout transmissions instead of n − 1)
-   and floods via relay-with-dedup; total traffic grows to O(n *
-   fanout) but the per-node egress bottleneck disappears. *)
 let broadcast t ~src msg =
-  match t.dissemination with
-  | All_to_all ->
-      for dst = 0 to t.n - 1 do
-        send t ~src ~dst msg
-      done
-  | Gossip _ ->
-      if not t.crashed.(src) then begin
-        let gid = t.gossip_ctr in
-        t.gossip_ctr <- gid + 1;
-        Hashtbl.replace t.seen.(src) gid ();
-        transmit t ~src ~dst:src ~rx:Direct msg;
-        forward t ~relayer:src ~from:src ~origin:src ~gid msg
-      end
+  for dst = 0 to t.n - 1 do
+    send t ~src ~dst msg
+  done
 
 let is_crashed t id = t.crashed.(id)
 
@@ -401,19 +277,4 @@ let messages_dropped t = t.dropped
 
 let messages_duplicated t = t.duped
 
-let messages_suppressed t = t.suppressed
-
 let messages_eclipsed t = t.eclipsed
-
-let relay_suppressed_crash t = t.relay_cut_crash
-
-let relay_suppressed_partition t = t.relay_cut_partition
-
-let relay_suppressed_eclipse t = t.relay_cut_eclipse
-
-let dissemination t = t.dissemination
-
-let neighbors t i =
-  match t.dissemination with
-  | All_to_all -> []
-  | Gossip _ -> Array.to_list t.neighbors.(i)

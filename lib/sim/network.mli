@@ -9,6 +9,10 @@
     - CPU service on [dst] ([cost ~dst msg] µs on a FIFO CPU queue).
 
     Self-addressed messages skip the NIC and wire but still pay CPU.
+    There is one broadcast path, all-to-all: {!broadcast} is n
+    point-to-point sends, the O(n²) dissemination that Lyra's VVB,
+    DBFT rounds and reveals rely on and that every experiment
+    measures.
 
     Reliability is plan-dependent: with the default empty {!Faults}
     plan, messages are never lost or tampered with and Byzantine
@@ -27,21 +31,11 @@
 
 type 'msg t
 
-(** How {!broadcast} spreads a message. [All_to_all] (the default) has
-    the origin transmit to every node — n serialized NIC transmissions.
-    [Gossip] sends on a seeded bounded-fanout overlay instead: the
-    origin transmits only to its [fanout] neighbors, every node relays
-    a broadcast it has not seen before to its own neighbors, and a
-    per-node seen-set suppresses duplicates at wire arrival (before any
-    CPU charge). Each node's neighbor set contains the ring successor
-    (keeping the directed overlay strongly connected, so a fault-free
-    broadcast still reaches everyone) plus [fanout − 1] seeded uniform
-    picks. Total traffic grows to O(n · fanout) messages, but the
-    origin's O(n) egress serialization — the leader bottleneck —
-    disappears. Handlers observe relayed messages with [~src] equal to
-    the original broadcaster, preserving the authenticated-channel
-    abstraction. Point-to-point {!send} is unaffected. *)
-type dissemination = All_to_all | Gossip of { fanout : int }
+(** Vestigial: broadcasts are always all-to-all (see {!broadcast}), and
+    {!create} ignores its [?dissemination] argument. The type and the
+    argument remain only because callers outside [lib/] still forward
+    them; ROADMAP NODE step 3 deletes both. *)
+type dissemination = All_to_all
 
 (** [create engine ~n ~latency ~cost ~size ()] builds a network of [n]
     endpoints. [cost ~dst msg] is the CPU service time (µs) node [dst]
@@ -62,7 +56,8 @@ type dissemination = All_to_all | Gossip of { fanout : int }
     event schedule bit-identical. The wire-entry counter that
     [Perturb.Delay_nth] addresses advances for every non-self message
     handed to the wire, even ones a partition or loss window then
-    drops. *)
+    drops. [adversary] is validated against [n] ({!Adversary.validate}).
+    [dissemination] is ignored (see {!dissemination}). *)
 val create :
   Engine.t ->
   n:int ->
@@ -89,9 +84,8 @@ val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 
 (** [broadcast t ~src msg] delivers to every node, including [src]
     itself (self-delivery skips NIC and wire but pays CPU; it is also
-    immune to loss windows and partitions). Under [All_to_all] the
-    origin sends n point-to-point copies; under [Gossip] the message
-    floods the overlay with relay-and-dedup (see {!dissemination}). *)
+    immune to loss windows and partitions): the origin sends n
+    point-to-point copies, so its NIC serializes n − 1 transmissions. *)
 val broadcast : 'msg t -> src:int -> 'msg -> unit
 
 (** [crash t id] makes node [id] silently drop everything from now on
@@ -137,36 +131,13 @@ val messages_delivered : 'msg t -> int
 (** Total bytes offered to the transport. *)
 val bytes_sent : 'msg t -> int
 
-(** Messages dropped by the fault plan (loss windows + partitions). *)
+(** Messages dropped by the fault plan (loss windows, partitions and
+    eclipses). *)
 val messages_dropped : 'msg t -> int
 
 (** Extra copies injected by duplication windows. *)
 val messages_duplicated : 'msg t -> int
 
-(** Gossip copies discarded by the receiver's dedup (0 under
-    [All_to_all]). *)
-val messages_suppressed : 'msg t -> int
-
 (** Messages an eclipse cut at wire entry (counted into
     {!messages_dropped} as well). *)
 val messages_eclipsed : 'msg t -> int
-
-(** Gossip relay copies that died to a crash tombstone at delivery —
-    the receiver crashed (or crashed and recovered) after the copy
-    entered the wire. *)
-val relay_suppressed_crash : 'msg t -> int
-
-(** Gossip relay copies a partition cut at wire entry. *)
-val relay_suppressed_partition : 'msg t -> int
-
-(** Gossip relay copies an eclipse cut at wire entry — when this
-    accounts for every relay link into a victim, the victim is starved
-    (see the gossip-reachability tests). *)
-val relay_suppressed_eclipse : 'msg t -> int
-
-(** The dissemination mode the network was created with. *)
-val dissemination : 'msg t -> dissemination
-
-(** [neighbors t i] is node [i]'s overlay neighbor set, ascending
-    (empty under [All_to_all]). *)
-val neighbors : 'msg t -> int -> int list

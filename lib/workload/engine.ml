@@ -51,10 +51,9 @@ type spec = {
   streams : stream_spec list;
   market : market option;
   searcher : searcher_spec option;
-  latency_cap : int;
 }
 
-let default_latency_cap = 8192
+let latency_cap = 8192
 
 let default_market = { reserve_x = 50_000_000; reserve_y = 50_000_000 }
 
@@ -67,15 +66,14 @@ let default_searcher =
     min_victim_amount = 10_000;
   }
 
-let spec ?market ?searcher ?(latency_cap = default_latency_cap) streams =
-  if latency_cap < 8 then invalid_arg "Engine.spec: latency_cap must be >= 8";
+let spec ?market ?searcher streams =
   List.iter
     (fun s ->
       if s.clients <= 0 then invalid_arg "Engine.spec: clients must be positive";
       if s.rate_per_client <= 0.0 then
         invalid_arg "Engine.spec: rate_per_client must be positive")
     streams;
-  { streams; market; searcher; latency_cap }
+  { streams; market; searcher }
 
 (* ------------------------------------------------------------------ *)
 (* Shapes                                                              *)
@@ -171,7 +169,7 @@ let create engine spec ~nodes ~submit () =
             if amount_min <= 0 || amount_max < amount_min then
               invalid_arg "Engine.create: bad Amm_swaps amount range";
             Gen_amm { amount_min; amount_max });
-      latency = Metrics.Recorder.create ~cap:spec.latency_cap ();
+      latency = Metrics.Recorder.create ~cap:latency_cap ();
       submitted = 0;
       committed = 0;
     }

@@ -62,10 +62,11 @@ type spec = {
   streams : stream_spec list;
   market : market option;
   searcher : searcher_spec option;
-  latency_cap : int;
 }
 
-val default_latency_cap : int
+(** Per-stream latency samples kept before a stream's recorder
+    switches to streaming mode: 8192. *)
+val latency_cap : int
 
 (** The AMM pool of the MEV experiments: 50 M / 50 M reserves. *)
 val default_market : market
@@ -76,11 +77,10 @@ val default_market : market
 val default_searcher : searcher_spec
 
 (** Validating constructor. Raises [Invalid_argument] on non-positive
-    populations/rates or [latency_cap < 8]. *)
+    populations/rates. *)
 val spec :
   ?market:market ->
   ?searcher:searcher_spec ->
-  ?latency_cap:int ->
   stream_spec list ->
   spec
 

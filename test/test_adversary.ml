@@ -1,7 +1,7 @@
 (* Targeted network-adversary campaigns: eclipse + delay-inflation
    plan primitives, the pre-GST adversary threaded through the generic
-   scenario driver, the per-victim attack oracles, gossip reachability
-   under eclipse, and determinism of attacked runs. *)
+   scenario driver, the per-victim attack oracles, reachability under
+   eclipse and partition, and determinism of attacked runs. *)
 
 (* ------------------------------------------------------------------ *)
 (* Plan primitives: window edges, delay mode, inflation arithmetic,    *)
@@ -107,19 +107,17 @@ let test_validate_rejects () =
          |> eclipse ~victim:2 ~from_us:20 ~until_us:30 ~owned:[ 1 ]))
 
 (* ------------------------------------------------------------------ *)
-(* Gossip dissemination under attack: a fully eclipsed victim is       *)
-(* starved even though the overlay floods; one non-eclipsed diverse    *)
-(* link (the ring predecessor is always an inbound edge) restores      *)
-(* reachability.                                                       *)
+(* Transport cuts on a real network: a fully eclipsed victim hears no  *)
+(* broadcast, one non-eclipsed diverse link keeps it reachable, and a  *)
+(* partition starves the islanded node.                                *)
 (* ------------------------------------------------------------------ *)
 
-let gossip_net ?faults ~n ~received () =
+let counting_net ?faults ~n ~received () =
   let engine = Sim.Engine.create ~seed:3L () in
   let net =
     Sim.Network.create engine ~n
       ~latency:(Sim.Latency.constant 500)
       ?faults
-      ~dissemination:(Sim.Network.Gossip { fanout = 2 })
       ~cost:(fun ~dst:_ _ -> 1)
       ~size:(fun _ -> 100)
       ()
@@ -130,7 +128,7 @@ let gossip_net ?faults ~n ~received () =
   done;
   (engine, net)
 
-let test_gossip_full_eclipse_starves () =
+let test_full_eclipse_starves () =
   let n = 6 in
   let victim = 3 in
   let owned = List.filter (fun i -> not (Int.equal i victim)) (List.init n Fun.id) in
@@ -139,70 +137,56 @@ let test_gossip_full_eclipse_starves () =
       none |> eclipse ~victim ~from_us:0 ~until_us:10_000_000 ~owned)
   in
   let received = Array.make n 0 in
-  let engine, net = gossip_net ~faults ~n ~received () in
+  let engine, net = counting_net ~faults ~n ~received () in
   Sim.Network.broadcast net ~src:0 42;
   Sim.Engine.run_until_idle ~limit:100_000 engine;
   Alcotest.(check int) "victim starved" 0 received.(victim);
   Alcotest.(check bool) "origin self-delivers" true (received.(0) > 0);
   Alcotest.(check bool)
-    "eclipse cut relay copies" true
-    (Sim.Network.relay_suppressed_eclipse net > 0);
-  Alcotest.(check bool)
     "eclipsed counted as dropped" true
     (Sim.Network.messages_eclipsed net > 0
     && Sim.Network.messages_dropped net >= Sim.Network.messages_eclipsed net)
 
-let test_gossip_diverse_link_reaches () =
+let test_diverse_link_reaches () =
   let n = 6 in
   let victim = 3 in
-  let pred = (victim + n - 1) mod n in
+  let peer = (victim + n - 1) mod n in
   let owned =
     List.filter
-      (fun i -> not (Int.equal i victim) && not (Int.equal i pred))
+      (fun i -> not (Int.equal i victim) && not (Int.equal i peer))
       (List.init n Fun.id)
   in
   let faults =
     Sim.Faults.(
       none
       |> eclipse ~victim ~from_us:0 ~until_us:10_000_000 ~owned
-           ~diverse:[ pred ])
+           ~diverse:[ peer ])
   in
   let received = Array.make n 0 in
-  let engine, net = gossip_net ~faults ~n ~received () in
-  (* The ring predecessor always has the victim in its neighbor set. *)
-  Alcotest.(check bool)
-    "ring predecessor is an inbound relay" true
-    (List.exists (Int.equal victim) (Sim.Network.neighbors net pred));
-  Sim.Network.broadcast net ~src:0 42;
+  let engine, net = counting_net ~faults ~n ~received () in
+  (* Every node broadcasts once: the victim hears itself and the
+     diverse peer, nobody else. *)
+  for src = 0 to n - 1 do
+    Sim.Network.broadcast net ~src 42
+  done;
   Sim.Engine.run_until_idle ~limit:100_000 engine;
-  Alcotest.(check bool)
-    "victim reached via the diverse link" true
-    (received.(victim) > 0)
+  Alcotest.(check int) "victim reached via the diverse link only" 2
+    received.(victim);
+  Alcotest.(check int) "the diverse peer hears everyone" n received.(peer)
 
-let test_gossip_relay_cut_counters () =
-  (* Partition: an islanded node's relay copies are cut at the wire. *)
+let test_partition_starves_island () =
   let n = 4 in
   let received = Array.make n 0 in
   let faults =
     Sim.Faults.(none |> partition ~from_us:0 ~heal_us:10_000_000 ~island:[ 2 ])
   in
-  let engine, net = gossip_net ~faults ~n ~received () in
+  let engine, net = counting_net ~faults ~n ~received () in
   Sim.Network.broadcast net ~src:0 7;
   Sim.Engine.run_until_idle ~limit:100_000 engine;
-  Alcotest.(check int) "islanded node starved" 0 received.(2);
-  Alcotest.(check bool)
-    "partition cut relay copies" true
-    (Sim.Network.relay_suppressed_partition net > 0);
-  (* Crash: relay copies die on the receiver's tombstone at delivery. *)
-  let received = Array.make n 0 in
-  let engine, net = gossip_net ~n ~received () in
-  Sim.Network.crash net 2;
-  Sim.Network.broadcast net ~src:0 7;
-  Sim.Engine.run_until_idle ~limit:100_000 engine;
-  Alcotest.(check int) "crashed node delivered nothing" 0 received.(2);
-  Alcotest.(check bool)
-    "crash killed relay copies" true
-    (Sim.Network.relay_suppressed_crash net > 0)
+  Alcotest.(check (array int)) "islanded node starved" [| 1; 1; 0; 1 |]
+    received;
+  Alcotest.(check int) "the cut link counted as dropped" 1
+    (Sim.Network.messages_dropped net)
 
 (* ------------------------------------------------------------------ *)
 (* Per-victim oracles on real runs.                                    *)
@@ -348,12 +332,12 @@ let suite =
     Alcotest.test_case "eclipse delay mode" `Quick test_eclipse_delay_mode;
     Alcotest.test_case "inflation sums" `Quick test_inflation_sums;
     Alcotest.test_case "attack-plan validation" `Quick test_validate_rejects;
-    Alcotest.test_case "gossip: full eclipse starves" `Quick
-      test_gossip_full_eclipse_starves;
-    Alcotest.test_case "gossip: diverse link reaches" `Quick
-      test_gossip_diverse_link_reaches;
-    Alcotest.test_case "gossip: relay-cut counters" `Quick
-      test_gossip_relay_cut_counters;
+    Alcotest.test_case "eclipse: full eclipse starves" `Quick
+      test_full_eclipse_starves;
+    Alcotest.test_case "eclipse: diverse link reaches" `Quick
+      test_diverse_link_reaches;
+    Alcotest.test_case "partition: islanded node starved" `Quick
+      test_partition_starves_island;
     Alcotest.test_case "eclipsed lyra trips victim oracles" `Quick
       test_eclipsed_lyra_trips_victim_oracles;
     Alcotest.test_case "victim oracles clean when benign" `Quick

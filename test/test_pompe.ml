@@ -10,7 +10,7 @@ let make_cluster ?(seed = 31L) ?(censors = []) ?respond_ts_for
   let latency = Sim.Latency.regional ~jitter:0.01 (Sim.Regions.paper_placement n) in
   let net =
     Sim.Network.create engine ~n ~latency ?faults
-      ~cost:(fun ~dst:_ b -> Pompe.Types.msg_cost Sim.Costs.default ~n b)
+      ~cost:(fun ~dst:_ b -> Pompe.Types.msg_cost Sim.Costs.default b)
       ~size:Pompe.Types.msg_size ()
   in
   let nodes =

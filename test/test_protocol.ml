@@ -180,27 +180,6 @@ let test_phase_breakdown () =
   Alcotest.(check bool) "e2e dominates boc_decide" true (mean "e2e" >= boc)
 
 (* ------------------------------------------------------------------ *)
-(* Bounded-fanout gossip dissemination end to end: the cluster still   *)
-(* commits, stays prefix-safe, and the run is seed-deterministic.      *)
-(* ------------------------------------------------------------------ *)
-
-let test_gossip_dissemination () =
-  let run_gossip seed =
-    Harness.Scenario.run ~seed (get "lyra") ~n:4
-      ~load:(Harness.Scenario.Closed 2)
-      ~dissemination:(Sim.Network.Gossip { fanout = 2 })
-      ~duration_us:2_500_000 ()
-  in
-  let r = run_gossip 7L in
-  Alcotest.(check bool) "commits under gossip" true (r.committed_txs > 0);
-  Alcotest.(check bool) "prefix safe" true r.prefix_safe;
-  Alcotest.(check int) "late accepts" 0 r.late_accepts;
-  let r2 = run_gossip 7L in
-  Alcotest.(check int) "deterministic committed" r.committed_txs r2.committed_txs;
-  Alcotest.(check int) "deterministic messages" r.messages r2.messages;
-  Alcotest.(check int) "deterministic bytes" r.bytes r2.bytes
-
-(* ------------------------------------------------------------------ *)
 (* The HotStuff baseline behaves like an SMR protocol.                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -222,6 +201,5 @@ let suite =
     Alcotest.test_case "golden dag" `Slow test_golden_dag;
     Alcotest.test_case "seeded determinism" `Slow test_determinism;
     Alcotest.test_case "hotstuff baseline" `Slow test_hotstuff_baseline;
-    Alcotest.test_case "gossip dissemination" `Slow test_gossip_dissemination;
     Alcotest.test_case "lyra phase breakdown (LAT3R)" `Slow test_phase_breakdown;
   ]

@@ -577,72 +577,6 @@ let test_network_broadcast_includes_self () =
   Sim.Engine.run_until_idle e;
   Alcotest.(check (array int)) "all got one" [| 1; 1; 1 |] counts
 
-let make_gossip_net ?(fanout = 3) e n =
-  Sim.Network.create e ~n
-    ~latency:(Sim.Latency.constant 1_000)
-    ~dissemination:(Sim.Network.Gossip { fanout })
-    ~cost:(fun ~dst:_ _ -> 10)
-    ~size:(fun (Ping _) -> 100)
-    ()
-
-(* A gossip broadcast reaches every node exactly once, handlers see the
-   origin as [src], and dedup (not luck) is what bounds the flood. *)
-let test_gossip_broadcast_reaches_all () =
-  let e = Sim.Engine.create () in
-  let n = 12 in
-  let net = make_gossip_net e n in
-  let counts = Array.make n 0 in
-  let srcs = ref [] in
-  for i = 0 to n - 1 do
-    Sim.Network.register net ~id:i (fun ~src (Ping _) ->
-        counts.(i) <- counts.(i) + 1;
-        srcs := src :: !srcs)
-  done;
-  Sim.Network.broadcast net ~src:5 (Ping 1);
-  Sim.Engine.run_until_idle e;
-  Alcotest.(check (array int)) "each exactly once" (Array.make n 1) counts;
-  Alcotest.(check bool) "handlers see origin" true
-    (List.for_all (Int.equal 5) !srcs);
-  (* The origin pays fanout transmissions, not n - 1. *)
-  Alcotest.(check bool) "relay traffic stays O(n * fanout)" true
-    (Sim.Network.messages_sent net <= (n * 3) + 1);
-  Alcotest.(check bool) "dedup suppressed copies" true
-    (Sim.Network.messages_suppressed net > 0)
-
-let test_gossip_neighbors_deterministic () =
-  let overlay seed =
-    let e = Sim.Engine.create ~seed () in
-    let net = make_gossip_net e 10 in
-    List.init 10 (Sim.Network.neighbors net)
-  in
-  Alcotest.(check bool) "same seed, same overlay" true
-    (overlay 42L = overlay 42L);
-  List.iteri
-    (fun i nbs ->
-      Alcotest.(check bool) "ring successor present" true
-        (List.mem ((i + 1) mod 10) nbs);
-      Alcotest.(check bool) "no self-loop" false (List.mem i nbs);
-      Alcotest.(check int) "fanout-sized" 3 (List.length nbs))
-    (overlay 42L)
-
-(* Point-to-point sends bypass the overlay entirely, and repeated
-   broadcasts don't confuse each other's dedup state. *)
-let test_gossip_send_and_repeat () =
-  let e = Sim.Engine.create () in
-  let net = make_gossip_net e 6 in
-  let got = ref 0 in
-  for i = 0 to 5 do
-    Sim.Network.register net ~id:i (fun ~src:_ (Ping _) -> incr got)
-  done;
-  Sim.Network.send net ~src:0 ~dst:3 (Ping 9);
-  Sim.Engine.run_until_idle e;
-  Alcotest.(check int) "p2p delivered once" 1 !got;
-  got := 0;
-  Sim.Network.broadcast net ~src:0 (Ping 1);
-  Sim.Network.broadcast net ~src:0 (Ping 2);
-  Sim.Engine.run_until_idle e;
-  Alcotest.(check int) "two broadcasts, 6 nodes" 12 !got
-
 let test_network_crash () =
   let e = Sim.Engine.create () in
   let net = make_net e 2 in
@@ -685,6 +619,29 @@ let test_network_bad_endpoint () =
        Sim.Network.send net ~src:0 ~dst:5 (Ping 1);
        false
      with Invalid_argument _ -> true)
+
+(* An adversary is validated when the network is built, not at its
+   first delayed message: an out-of-range victim would otherwise never
+   match, and a negative [max_extra] would raise mid-run. *)
+let test_network_rejects_bad_adversary () =
+  let rejects adversary =
+    let e = Sim.Engine.create () in
+    try
+      ignore
+        (Sim.Network.create e ~n:4 ~latency:(Sim.Latency.constant 1_000)
+           ~adversary
+           ~cost:(fun ~dst:_ _ -> 10)
+           ~size:(fun (Ping _) -> 100)
+           ()
+          : msg Sim.Network.t);
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "victim outside [0, n)" true
+    (rejects
+       (Sim.Adversary.Targeted { gst = 1_000; max_extra = 500; victims = [ 4 ] }));
+  Alcotest.(check bool) "negative max_extra" true
+    (rejects (Sim.Adversary.Pre_gst { gst = 1_000; max_extra = -1 }))
 
 (* ------------------------------------------------------------------ *)
 (* Fault plans (Sim.Faults executed by Sim.Network).                   *)
@@ -1019,15 +976,11 @@ let suite =
     Alcotest.test_case "adversary targeted" `Quick test_adversary_targeted;
     Alcotest.test_case "network delivery" `Quick test_network_delivery;
     Alcotest.test_case "network broadcast" `Quick test_network_broadcast_includes_self;
-    Alcotest.test_case "gossip broadcast reaches all" `Quick
-      test_gossip_broadcast_reaches_all;
-    Alcotest.test_case "gossip overlay deterministic" `Quick
-      test_gossip_neighbors_deterministic;
-    Alcotest.test_case "gossip p2p + repeat broadcasts" `Quick
-      test_gossip_send_and_repeat;
     Alcotest.test_case "network crash" `Quick test_network_crash;
     Alcotest.test_case "network nic serializes" `Quick test_network_nic_serializes;
     Alcotest.test_case "network bad endpoint" `Quick test_network_bad_endpoint;
+    Alcotest.test_case "network rejects bad adversary" `Quick
+      test_network_rejects_bad_adversary;
     Alcotest.test_case "crash tombstones in-flight" `Quick
       test_crash_tombstones_inflight;
     Alcotest.test_case "crash tombstones cpu queue" `Quick

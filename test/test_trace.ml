@@ -225,7 +225,7 @@ let lyra_probes engine tr ~n =
 let pompe_probes engine tr ~n =
   let net =
     cluster_net ~trace:tr engine ~n
-      ~cost:(fun ~dst:_ b -> Pompe.Types.msg_cost Sim.Costs.default ~n b)
+      ~cost:(fun ~dst:_ b -> Pompe.Types.msg_cost Sim.Costs.default b)
       ~size:Pompe.Types.msg_size
   in
   let cfg = Pompe.Config.default ~n in

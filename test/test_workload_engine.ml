@@ -110,8 +110,7 @@ let test_million_clients_streaming () =
   let wl, submit = make_sink engine in
   let w =
     Workload.Engine.create engine
-      (Workload.Engine.spec ~latency_cap:4096
-         [ stream ~clients:1_000_000 ~rate:0.1 "million" ])
+      (Workload.Engine.spec [ stream ~clients:1_000_000 ~rate:0.1 "million" ])
       ~nodes:1 ~submit ()
   in
   wl := Some w;
@@ -275,11 +274,6 @@ let test_spec_validation () =
   Alcotest.(check bool) "zero clients rejected" true
     (try
        ignore (Workload.Engine.spec [ stream ~clients:0 "bad" ]);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "tiny cap rejected" true
-    (try
-       ignore (Workload.Engine.spec ~latency_cap:2 [ stream "bad" ]);
        false
      with Invalid_argument _ -> true)
 
