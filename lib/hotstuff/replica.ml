@@ -47,7 +47,8 @@ type 'cmd t = {
   f : int;
   delta_us : int;
   block_capacity : int;
-  cmd_id : 'cmd -> string;
+  cmd_id : 'cmd -> string;  (** only for block ids *)
+  cmd_key : 'cmd -> int;  (** the pool's key *)
   on_commit : height:int -> 'cmd list -> unit;
   blocks : (string, 'cmd block) Hashtbl.t;
   votes : (string, bool array * int ref) Hashtbl.t;
@@ -144,7 +145,7 @@ let commit_chain t b =
             (* Different leaders may include the same command before
                learning it committed; deliver each command once. *)
             let fresh =
-              List.filter (fun c -> Cmd_pool.commit t.pool (t.cmd_id c)) blk.cmds
+              List.filter (fun c -> Cmd_pool.commit t.pool (t.cmd_key c)) blk.cmds
             in
             if fresh <> [] then t.on_commit ~height:blk.height fresh
           end)
@@ -214,10 +215,9 @@ and maybe_propose t =
     if Int.equal t.high_qc.q_height (v - 1) || quorum_newviews then begin
       t.proposed_in <- v;
       t.blocks_proposed <- t.blocks_proposed + 1;
-      let taken = Cmd_pool.take t.pool t.block_capacity in
-      let cmds = List.map snd taken in
+      let cmds = Cmd_pool.take t.pool t.block_capacity in
       let parent = t.high_qc.q_block in
-      let b_id = block_id ~height:v ~parent ~proposer:t.id (List.map fst taken) in
+      let b_id = block_id ~height:v ~parent ~proposer:t.id (List.map t.cmd_id cmds) in
       let b =
         { b_id; height = v; parent; justify = t.high_qc; cmds; proposer = t.id }
       in
@@ -333,7 +333,7 @@ let handle t ~src msg =
   | Catchup_req { missing; have } -> on_catchup_req t ~src ~missing ~have
   | Catchup_resp { blocks } -> on_catchup_resp t blocks
 
-let create tr ~id ~delta_us ~block_capacity ~cmd_id ~on_commit () =
+let create tr ~id ~delta_us ~block_capacity ~cmd_id ~cmd_key ~on_commit () =
   let n = tr.tr_n in
   let t =
     {
@@ -344,6 +344,7 @@ let create tr ~id ~delta_us ~block_capacity ~cmd_id ~on_commit () =
       delta_us;
       block_capacity;
       cmd_id;
+      cmd_key;
       on_commit;
       blocks = Hashtbl.create 256;
       votes = Hashtbl.create 256;
@@ -380,7 +381,7 @@ let start t =
     maybe_propose t
   end
 
-let submit t cmd = if Cmd_pool.submit t.pool (t.cmd_id cmd) cmd then maybe_propose t
+let submit t cmd = if Cmd_pool.submit t.pool (t.cmd_key cmd) cmd then maybe_propose t
 
 let network_transport net ~id =
   {

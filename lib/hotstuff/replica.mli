@@ -47,16 +47,21 @@ type 'cmd transport = {
 
 type 'cmd t
 
-(** [create transport ~id ~delta_us ~block_capacity ~cmd_id ~on_commit ()]
-    — [cmd_id] deduplicates commands across leaders; [on_commit] fires
-    once per committed block, in chain order, with already-committed
-    commands filtered out. Incoming messages must be fed to {!handle}. *)
+(** [create transport ~id ~delta_us ~block_capacity ~cmd_id ~cmd_key
+    ~on_commit ()] — [cmd_key] names a command in the {!Cmd_pool} and
+    deduplicates commands across leaders: distinct commands need
+    distinct keys, and equal keys mean the same command. [cmd_id] is
+    read only when this replica leads, to derive a block id from the
+    ids of the commands it proposes. [on_commit] fires once per
+    committed block, in chain order, with already-committed commands
+    filtered out. Incoming messages must be fed to {!handle}. *)
 val create :
   'cmd transport ->
   id:int ->
   delta_us:int ->
   block_capacity:int ->
   cmd_id:('cmd -> string) ->
+  cmd_key:('cmd -> int) ->
   on_commit:(height:int -> 'cmd list -> unit) ->
   unit ->
   'cmd t
@@ -72,7 +77,7 @@ val network_transport : 'cmd msg Sim.Network.t -> id:int -> 'cmd transport
 val start : 'cmd t -> unit
 
 (** [submit t cmd] queues a command for inclusion when this replica
-    leads. Commands already committed (by id) are dropped. *)
+    leads. Commands already seen (by key) are dropped. *)
 val submit : 'cmd t -> 'cmd -> unit
 
 val view : 'cmd t -> int

@@ -202,6 +202,7 @@ let create config net ~id ?(on_observe = fun _ -> ())
   let replica =
     Replica.create transport ~id ~delta_us:config.delta_us
       ~block_capacity:config.block_capacity ~cmd_id
+      ~cmd_key:(fun (b : Lyra.Types.batch) -> Lyra.Types.iid_key ~n:config.n b.iid)
       ~on_commit:(fun ~height cmds -> on_commit t ~height cmds)
       ()
   in

@@ -14,6 +14,8 @@ let iid_hash { proposer; index } =
   let h = (proposer * 0x9E3779B1) lxor (index * 0x85EBCA6B) in
   (h lxor (h lsr 16)) land max_int
 
+let iid_key ~n { proposer; index } = (index * n) + proposer
+
 module Iid_tbl = Hashtbl.Make (struct
   type t = iid
 

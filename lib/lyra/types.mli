@@ -20,6 +20,11 @@ val pp_iid : Format.formatter -> iid -> unit
 (** A canonical non-negative integer hash of an [iid]. *)
 val iid_hash : iid -> int
 
+(** [iid_key ~n iid] is [index * n + proposer]: distinct iids whose
+    proposers lie in [0, n) get distinct non-negative keys. A run's
+    keys are dense, which suits {!Int_tbl}'s identity hash. *)
+val iid_key : n:int -> iid -> int
+
 (** Hash tables keyed by [iid] and by [int], hashing with {!iid_hash}
     and the identity: a lookup runs no polymorphic hash or compare.
     Like every hash table in protocol code they are probed and

@@ -1,11 +1,26 @@
+module Iid_tbl = Lyra.Types.Iid_tbl
+module Int_tbl = Lyra.Types.Int_tbl
+
 type output = { batch : Lyra.Types.batch; seq : int; output_at : int }
 
+(* An own proposal's ordering phase in progress; the entry is removed
+   once the proposal is sequenced or given up. *)
 type ts_collect = {
   responders : bool array;
   mutable proofs : Types.timestamp_proof list;
   mutable count : int;
-  mutable done_ : bool;
 }
+
+(* Committed batches waiting for stable execution, in (seq, iid)
+   order: the order in which they execute. *)
+module Exec_queue = Set.Make (struct
+  type t = int * Lyra.Types.iid
+
+  let compare (s1, i1) (s2, i2) =
+    match Int.compare s1 s2 with
+    | 0 -> Lyra.Types.iid_compare i1 i2
+    | c -> c
+end)
 
 (* Bounded payload-fetch state for a sequenced batch whose Order_req
    never arrived (satellite of the fault-injection work: the retry loop
@@ -23,13 +38,13 @@ type t = {
   censor : Lyra.Types.iid -> bool;
   respond_ts : Lyra.Types.batch -> honest:int -> int option;
   mutable replica : Types.cmd Hotstuff.Replica.t option;
-  batches : (Lyra.Types.iid, Lyra.Types.batch) Hashtbl.t;
-  collects : (int, ts_collect) Hashtbl.t;  (** per own proposal index *)
-  seqs : (Lyra.Types.iid, int) Hashtbl.t;
-  ts_sent : (Lyra.Types.iid, int) Hashtbl.t;  (** idempotent re-response *)
-  payload_waits : (Lyra.Types.iid, fetch_wait) Hashtbl.t;
+  batches : Lyra.Types.batch Iid_tbl.t;
+  collects : ts_collect Int_tbl.t;  (** per open own proposal index *)
+  seqs : int Iid_tbl.t;
+  ts_sent : int Iid_tbl.t;  (** idempotent re-response *)
+  payload_waits : fetch_wait Iid_tbl.t;
   mutable order_giveups : int;
-  mutable exec_buffer : (int * Lyra.Types.iid) list;  (** ascending *)
+  mutable exec_buffer : Exec_queue.t;
   mutable max_committed_seq : int;
   mutable max_commit_lag_us : int;
       (** worst observed (commit arrival − sequence number): how far
@@ -68,6 +83,8 @@ let mempool_size t = Lyra.Mempool.length t.mempool
 
 let order_giveups t = t.order_giveups
 
+let open_collects t = Int_tbl.length t.collects
+
 let broadcast t body = Sim.Network.broadcast t.net ~src:t.id body
 
 let send t ~dst body = Sim.Network.send t.net ~src:t.id ~dst body
@@ -85,18 +102,13 @@ let stamp_own t iid milestone =
 (* lower sequence number can still be committed (margin-based).       *)
 (* ------------------------------------------------------------------ *)
 
-let entry_compare (s1, i1) (s2, i2) =
-  match Int.compare s1 s2 with
-  | 0 -> Lyra.Types.iid_compare i1 i2
-  | c -> c
-
 (* Missing payload for a committed batch: pull it from the proposer
    with exponentially backed-off [Order_fetch]s. Returns [true] once
    the retry budget is exhausted (the caller gives up on the entry). *)
 let fetch_payload t iid now =
-  match Hashtbl.find_opt t.payload_waits iid with
+  match Iid_tbl.find_opt t.payload_waits iid with
   | None ->
-      Hashtbl.replace t.payload_waits iid
+      Iid_tbl.replace t.payload_waits iid
         { attempts = 1; next_at = now + Config.fetch_base_us };
       send t ~dst:iid.Lyra.Types.proposer (Types.Order_fetch { iid });
       false
@@ -111,6 +123,32 @@ let fetch_payload t iid now =
         false
       end
 
+(* Executes the buffered entries with seq <= [horizon], lowest first.
+   A missing payload is fetched (bounded) and stops the drain; on
+   give-up its entry is skipped, so one unrecoverable payload cannot
+   stall execution forever (the hole is visible to the invariant
+   monitor). *)
+let rec drain t horizon =
+  if not (Exec_queue.is_empty t.exec_buffer) then begin
+    let ((seq, iid) as entry) = Exec_queue.min_elt t.exec_buffer in
+    if seq <= horizon then
+      match Iid_tbl.find_opt t.batches iid with
+      | Some batch ->
+          t.exec_buffer <- Exec_queue.remove entry t.exec_buffer;
+          let out = { batch; seq; output_at = Sim.Engine.now t.engine } in
+          t.outputs_rev <- out :: t.outputs_rev;
+          t.output_n <- t.output_n + 1;
+          stamp_own t iid "exec";
+          t.on_output out;
+          drain t horizon
+      | None ->
+          if fetch_payload t iid (Sim.Engine.now t.engine) then begin
+            Iid_tbl.remove t.payload_waits iid;
+            t.exec_buffer <- Exec_queue.remove entry t.exec_buffer;
+            drain t horizon
+          end
+  end
+
 let flush_exec t =
   (* A batch with sequence number s may only execute once no batch
      with a lower sequence number can still be committed: the newest
@@ -118,7 +156,10 @@ let flush_exec t =
      ordering+consensus window ahead, or (idle fallback) wall-clock
      long past s. This stable wait is intrinsic to Pompē and is part
      of its latency gap versus Lyra (Fig. 2). *)
-  if not (Sim.Network.is_crashed t.net t.id) then begin
+  if
+    (not (Sim.Network.is_crashed t.net t.id))
+    && not (Exec_queue.is_empty t.exec_buffer)
+  then begin
     let idle_margin_us =
       (* The wall-clock arm is only safe when no lower sequence number
          can still be in consensus flight. A fixed 16Δ margin holds at
@@ -126,38 +167,14 @@ let flush_exec t =
          n responses, the leader batches n proposers), so scale the
          margin to twice the worst lag this replica has ever observed
          between a sequence number and its commit arriving here. *)
-      max (16 * t.config.delta_us) (2 * t.max_commit_lag_us)
+      Int.max (16 * t.config.delta_us) (2 * t.max_commit_lag_us)
     in
     let horizon =
-      max
+      Int.max
         (t.max_committed_seq - t.config.exec_window_us)
         (Lyra.Ordering_clock.peek t.clock - idle_margin_us)
     in
-    let rec go = function
-      | (seq, iid) :: rest when seq <= horizon -> (
-          match Hashtbl.find_opt t.batches iid with
-          | Some batch ->
-              let out =
-                { batch; seq; output_at = Sim.Engine.now t.engine }
-              in
-              t.outputs_rev <- out :: t.outputs_rev;
-              t.output_n <- t.output_n + 1;
-              stamp_own t iid "exec";
-              t.on_output out;
-              go rest
-          | None ->
-              (* Payload not yet received: fetch it (bounded); on
-                 give-up skip the entry so one unrecoverable payload
-                 cannot stall execution forever — the hole is visible
-                 to the invariant monitor. *)
-              if fetch_payload t iid (Sim.Engine.now t.engine) then begin
-                Hashtbl.remove t.payload_waits iid;
-                go rest
-              end
-              else (seq, iid) :: rest)
-      | rest -> rest
-    in
-    t.exec_buffer <- go t.exec_buffer
+    drain t horizon
   end
 
 let on_hotstuff_commit t ~height:_ cmds =
@@ -167,13 +184,7 @@ let on_hotstuff_commit t ~height:_ cmds =
       t.max_commit_lag_us <-
         max t.max_commit_lag_us (Sim.Engine.now t.engine - cmd.c_seq);
       stamp_own t cmd.c_iid "commit";
-      let entry = (cmd.c_seq, cmd.c_iid) in
-      let rec insert = function
-        | [] -> [ entry ]
-        | x :: rest as l ->
-            if entry_compare entry x <= 0 then entry :: l else x :: insert rest
-      in
-      t.exec_buffer <- insert t.exec_buffer)
+      t.exec_buffer <- Exec_queue.add (cmd.c_seq, cmd.c_iid) t.exec_buffer)
     cmds;
   flush_exec t
 
@@ -197,14 +208,14 @@ let submit_cmd t (cmd : Types.cmd) =
 let on_order_req t ~src batch =
   let iid = batch.Lyra.Types.iid in
   if Int.equal iid.Lyra.Types.proposer src then
-    if not (Hashtbl.mem t.batches iid) then begin
-      Hashtbl.replace t.batches iid batch;
-      Hashtbl.remove t.payload_waits iid;
+    if not (Iid_tbl.mem t.batches iid) then begin
+      Iid_tbl.replace t.batches iid batch;
+      Iid_tbl.remove t.payload_waits iid;
       t.on_observe batch;
       let honest = Lyra.Ordering_clock.read t.clock in
       (match t.respond_ts batch ~honest with
       | Some ts ->
-          Hashtbl.replace t.ts_sent iid ts;
+          Iid_tbl.replace t.ts_sent iid ts;
           send t ~dst:src (Types.Ts_resp { iid; ts })
       | None -> ());
       flush_exec t
@@ -213,13 +224,13 @@ let on_order_req t ~src batch =
       (* A duplicate Order_req is the proposer retrying because our
          Ts_resp may have been lost: re-send the original timestamp
          (the proposer's responder set makes this idempotent). *)
-      match Hashtbl.find_opt t.ts_sent iid with
+      match Iid_tbl.find_opt t.ts_sent iid with
       | Some ts -> send t ~dst:src (Types.Ts_resp { iid; ts })
       | None -> ()
 
 let on_order_fetch t ~src iid =
   if Int.equal iid.Lyra.Types.proposer t.id then
-    match Hashtbl.find_opt t.batches iid with
+    match Iid_tbl.find_opt t.batches iid with
     | Some batch -> send t ~dst:src (Types.Order_req { batch })
     | None -> ()
 
@@ -246,13 +257,8 @@ and propose_batch t txs =
       created_at = Lyra.Ordering_clock.read t.clock;
     }
   in
-  Hashtbl.replace t.collects index
-    {
-      responders = Array.make t.config.n false;
-      proofs = [];
-      count = 0;
-      done_ = false;
-    };
+  Int_tbl.replace t.collects index
+    { responders = Array.make t.config.n false; proofs = []; count = 0 };
   Metrics.Phases.start t.phases ~key:index ~now:(Sim.Engine.now t.engine);
   broadcast t (Types.Order_req { batch });
   arm_order_retry t index batch 1
@@ -265,36 +271,34 @@ and arm_order_retry t index batch attempt =
   let delay = Config.order_retry_us * (1 lsl min 4 (attempt - 1)) in
   ignore
     (Sim.Engine.schedule t.engine ~delay (fun () ->
-         match Hashtbl.find_opt t.collects index with
-         | Some col when not col.done_ ->
-             if attempt >= Config.order_retry_max then begin
-               col.done_ <- true;
-               t.order_giveups <- t.order_giveups + 1;
-               t.inflight <- max 0 (t.inflight - 1);
-               Metrics.Phases.drop t.phases ~key:index;
-               maybe_propose t
-             end
-             else if Sim.Network.is_crashed t.net t.id then
-               (* Crashed: keep the slot, check again after recovery. *)
-               arm_order_retry t index batch attempt
-             else begin
-               broadcast t (Types.Order_req { batch });
-               arm_order_retry t index batch (attempt + 1)
-             end
-         | _ -> ())
+         if Int_tbl.mem t.collects index then
+           if attempt >= Config.order_retry_max then begin
+             Int_tbl.remove t.collects index;
+             t.order_giveups <- t.order_giveups + 1;
+             t.inflight <- max 0 (t.inflight - 1);
+             Metrics.Phases.drop t.phases ~key:index;
+             maybe_propose t
+           end
+           else if Sim.Network.is_crashed t.net t.id then
+             (* Crashed: keep the slot, check again after recovery. *)
+             arm_order_retry t index batch attempt
+           else begin
+             broadcast t (Types.Order_req { batch });
+             arm_order_retry t index batch (attempt + 1)
+           end)
       : Sim.Engine.timer)
 
 let on_ts_resp t ~src iid ts =
   if Int.equal iid.Lyra.Types.proposer t.id then
-    match Hashtbl.find_opt t.collects iid.Lyra.Types.index with
+    match Int_tbl.find_opt t.collects iid.Lyra.Types.index with
     | None -> ()
     | Some col ->
-        if (not col.done_) && not col.responders.(src) then begin
+        if not col.responders.(src) then begin
           col.responders.(src) <- true;
           col.proofs <- { Types.signer = src; ts } :: col.proofs;
           col.count <- col.count + 1;
           if col.count >= Config.supermajority t.config then begin
-            col.done_ <- true;
+            Int_tbl.remove t.collects iid.Lyra.Types.index;
             t.inflight <- max 0 (t.inflight - 1);
             stamp_own t iid "seq";
             let seq = median_seq col.proofs in
@@ -304,15 +308,15 @@ let on_ts_resp t ~src iid ts =
         end
 
 let on_sequenced t ~src iid seq proofs =
+  let count = List.length proofs in
   if
     Int.equal src iid.Lyra.Types.proposer
-    && List.length proofs >= Config.supermajority t.config
-    && not (Hashtbl.mem t.seqs iid)
+    && count >= Config.supermajority t.config
+    && not (Iid_tbl.mem t.seqs iid)
   then begin
-    Hashtbl.replace t.seqs iid seq;
+    Iid_tbl.replace t.seqs iid seq;
     t.sequenced <- t.sequenced + 1;
-    submit_cmd t
-      { Types.c_iid = iid; c_seq = seq; c_proof_count = List.length proofs }
+    submit_cmd t { Types.c_iid = iid; c_seq = seq; c_proof_count = count }
   end
 
 let on_message t ~src body =
@@ -366,13 +370,13 @@ let create config net ~id ?(clock_offset_us = 0)
       censor;
       respond_ts;
       replica = None;
-      batches = Hashtbl.create 128;
-      collects = Hashtbl.create 32;
-      seqs = Hashtbl.create 128;
-      ts_sent = Hashtbl.create 128;
-      payload_waits = Hashtbl.create 8;
+      batches = Iid_tbl.create 128;
+      collects = Int_tbl.create 32;
+      seqs = Iid_tbl.create 128;
+      ts_sent = Iid_tbl.create 128;
+      payload_waits = Iid_tbl.create 8;
       order_giveups = 0;
-      exec_buffer = [];
+      exec_buffer = Exec_queue.empty;
       max_committed_seq = 0;
       max_commit_lag_us = 0;
       outputs_rev = [];
@@ -400,6 +404,7 @@ let create config net ~id ?(clock_offset_us = 0)
   let replica =
     Hotstuff.Replica.create transport ~id ~delta_us:config.Config.delta_us
       ~block_capacity:config.Config.block_capacity ~cmd_id:Types.cmd_id
+      ~cmd_key:(fun (c : Types.cmd) -> Lyra.Types.iid_key ~n:config.Config.n c.c_iid)
       ~on_commit:(fun ~height cmds -> on_hotstuff_commit t ~height cmds)
       ()
   in

@@ -10,6 +10,11 @@ type t
 
 type output = { batch : Lyra.Types.batch; seq : int; output_at : int }
 
+(** The stable-execution queue: committed [(seq, iid)] entries ordered
+    by sequence number, ties broken by {!Lyra.Types.iid_compare}. A
+    node executes its entries lowest first. *)
+module Exec_queue : Set.S with type elt = int * Lyra.Types.iid
+
 val create :
   Config.t ->
   Types.body Sim.Network.t ->
@@ -47,6 +52,10 @@ val committed_height : t -> int
 (** Own batches abandoned in the ordering phase after exhausting
     Order_req retries (e.g. the cluster was partitioned away). *)
 val order_giveups : t -> int
+
+(** Own batches still in the ordering phase: neither sequenced nor
+    given up. At most [max_inflight]. *)
+val open_collects : t -> int
 
 (** Client transactions waiting in the {!Lyra.Mempool}. *)
 val mempool_size : t -> int

@@ -21,6 +21,7 @@ type cmd = {
   c_proof_count : int;  (** 2f+1 timestamp signatures carried along *)
 }
 
+(** The block-id name of a command (["proposer.index"]). *)
 val cmd_id : cmd -> string
 
 val cmd_size : cmd -> int

@@ -14,12 +14,22 @@ let make_cluster ?(seed = 21L) ?(delta_us = 40_000) ?(capacity = 10)
       ()
   in
   let commits = Array.make n [] in
+  (* Commands are strings; the pool key is each string's first-seen rank. *)
+  let keys = Hashtbl.create 64 in
+  let cmd_key c =
+    match Hashtbl.find_opt keys c with
+    | Some k -> k
+    | None ->
+        let k = Hashtbl.length keys in
+        Hashtbl.add keys c k;
+        k
+  in
   let replicas =
     Array.init n (fun id ->
         Hotstuff.Replica.create
           (Hotstuff.Replica.network_transport net ~id)
           ~id ~delta_us ~block_capacity:capacity
-          ~cmd_id:(fun c -> c)
+          ~cmd_id:(fun c -> c) ~cmd_key
           ~on_commit:(fun ~height:_ cmds -> commits.(id) <- commits.(id) @ cmds)
           ())
   in
@@ -181,8 +191,10 @@ let print_pool_op = function
   | Commit l -> Printf.sprintf "Commit [%s]" (String.concat ";" (List.map string_of_int l))
   | Take k -> Printf.sprintf "Take %d" k
 
-(* Commands are ints named "c<i>"; a commit block is handled the way
-   [Replica] does it, one [Cmd_pool.commit] per command in order. *)
+(* A command is the string "c<i>", which the list code named by
+   itself; the pool names it by the int key [i]. A commit block is
+   handled the way [Replica] does it, one [Cmd_pool.commit] per
+   command in order. *)
 let prop_pool_matches_reference =
   QCheck.Test.make ~name:"cmd pool = reversed-list reference; queue ≤ 2·live"
     ~count:500
@@ -197,16 +209,13 @@ let prop_pool_matches_reference =
             match op with
             | Submit i ->
                 Bool.equal
-                  (Hotstuff.Cmd_pool.submit pool (name i) i)
+                  (Hotstuff.Cmd_pool.submit pool i (name i))
                   (Reference.submit reference (name i))
             | Commit l ->
-                let ids = List.map name l in
-                List.filter (Hotstuff.Cmd_pool.commit pool) ids
-                = Reference.commit reference ids
+                List.map name (List.filter (Hotstuff.Cmd_pool.commit pool) l)
+                = Reference.commit reference (List.map name l)
             | Take k ->
-                let taken = Hotstuff.Cmd_pool.take pool k in
-                List.for_all (fun (id, c) -> String.equal id (name c)) taken
-                && List.map fst taken = Reference.take reference k
+                Hotstuff.Cmd_pool.take pool k = Reference.take reference k
           in
           let live = Hotstuff.Cmd_pool.live pool in
           same

@@ -1,8 +1,9 @@
 (* The Pompē baseline: median sequencing, agreement, stable in-order
    execution, censorship hooks, timestamp withholding. *)
 
+(* [on_send] sees every message sent between two distinct nodes. *)
 let make_cluster ?(seed = 31L) ?(censors = []) ?respond_ts_for
-    ?(on_observe = fun _ _ -> ()) ?faults n =
+    ?(on_observe = fun _ _ -> ()) ?(on_send = fun _ -> ()) ?faults n =
   let engine = Sim.Engine.create ~seed () in
   let cfg =
     { (Pompe.Config.default ~n) with batch_size = 5; batch_timeout_us = 20_000 }
@@ -11,7 +12,10 @@ let make_cluster ?(seed = 31L) ?(censors = []) ?respond_ts_for
   let net =
     Sim.Network.create engine ~n ~latency ?faults
       ~cost:(fun ~dst:_ b -> Pompe.Types.msg_cost Sim.Costs.default b)
-      ~size:Pompe.Types.msg_size ()
+      ~size:(fun b ->
+        on_send b;
+        Pompe.Types.msg_size b)
+      ()
   in
   let nodes =
     Array.init n (fun id ->
@@ -168,6 +172,165 @@ let test_crashed_node_holds_mempool () =
            o.batch.Lyra.Types.txs)
        (Pompe.Node.output_log nodes.(0)))
 
+(* Four nodes at seed 7, each submitting five transactions every
+   100 ms for 4 s: 40 own five-tx batches per node, more than
+   [max_inflight]. *)
+let loaded_cluster ?on_send () =
+  let engine, nodes = make_cluster ~seed:7L ?on_send 4 in
+  for round = 0 to 39 do
+    ignore
+      (Sim.Engine.schedule engine ~delay:(round * 100_000) (fun () ->
+           Array.iter
+             (fun nd ->
+               for _ = 1 to 5 do
+                 ignore (Pompe.Node.submit nd ~payload:(String.make 32 'b') : string)
+               done)
+             nodes)
+        : Sim.Engine.timer)
+  done;
+  (engine, nodes)
+
+(* Block ids are SHA-256 over the height, parent, proposer and command
+   ids ("proposer.index"); keying the command pool by integer must not
+   move them. The digest and count are those of the string-keyed pool. *)
+let test_block_ids_pinned () =
+  let ids = ref [] and seen = Hashtbl.create 64 in
+  let on_send = function
+    | Pompe.Types.Hs (Hotstuff.Replica.Proposal b) ->
+        if not (Hashtbl.mem seen b.Hotstuff.Replica.b_id) then begin
+          Hashtbl.replace seen b.b_id ();
+          ids := b.b_id :: !ids
+        end
+    | _ -> ()
+  in
+  let engine, nodes = loaded_cluster ~on_send () in
+  Sim.Engine.run engine ~until:12_000_000;
+  Alcotest.(check bool) "committed" true (Pompe.Node.output_log nodes.(0) <> []);
+  Alcotest.(check int) "proposals" 123 (List.length !ids);
+  Alcotest.(check string) "block id digest" "af7102bc6c7aadf2137af89dda88187ac0dce92aca21f328ca9ae53d063af0c7"
+    (Crypto.Sha256.to_hex (Crypto.Sha256.digest_list (List.rev !ids)))
+
+(* The sorted-list insert the execution queue replaced: a new entry
+   goes in front of the first entry it does not exceed. *)
+let reference_insert entry l =
+  let compare (s1, i1) (s2, i2) =
+    match Int.compare s1 s2 with 0 -> Lyra.Types.iid_compare i1 i2 | c -> c
+  in
+  let rec insert = function
+    | [] -> [ entry ]
+    | x :: rest as l -> if compare entry x <= 0 then entry :: l else x :: insert rest
+  in
+  insert l
+
+type exec_op = Add of int * Lyra.Types.iid | Drain of int
+
+(* Distinct entries over few seqs (many ties, broken by iid), added in
+   random order and drained up to random horizons in between. *)
+let gen_exec_ops =
+  let open QCheck.Gen in
+  let entry =
+    map3
+      (fun seq proposer index -> (seq, { Lyra.Types.proposer; index }))
+      (int_bound 5) (int_bound 3) (int_bound 4)
+  in
+  list_size (int_range 0 80)
+    (frequency
+       [ (4, map (fun (s, i) -> Add (s, i)) entry); (1, map (fun h -> Drain h) (int_range (-1) 6)) ])
+  >|= fun ops ->
+  let added = Hashtbl.create 16 in
+  List.filter
+    (function
+      | Add (s, i) ->
+          let key = (s, i.Lyra.Types.proposer, i.index) in
+          (not (Hashtbl.mem added key)) && (Hashtbl.replace added key (); true)
+      | Drain _ -> true)
+    ops
+
+let print_exec_op = function
+  | Add (s, i) -> Printf.sprintf "Add (%d, %d/%d)" s i.Lyra.Types.proposer i.index
+  | Drain h -> Printf.sprintf "Drain %d" h
+
+let prop_exec_queue_matches_sorted_list =
+  QCheck.Test.make ~name:"exec queue drains like the sorted-list insert" ~count:500
+    (QCheck.make gen_exec_ops ~print:(fun ops ->
+         String.concat ", " (List.map print_exec_op ops)))
+    (fun ops ->
+      let module Q = Pompe.Node.Exec_queue in
+      (* Pops entries with seq <= h, lowest first, as the node's drain. *)
+      let rec drain_queue h q acc =
+        match Q.min_elt_opt q with
+        | Some ((s, _) as e) when s <= h -> drain_queue h (Q.remove e q) (e :: acc)
+        | _ -> (q, List.rev acc)
+      in
+      let rec drain_list h acc = function
+        | (s, _) as e :: rest when s <= h -> drain_list h (e :: acc) rest
+        | rest -> (rest, List.rev acc)
+      in
+      let q, l, same =
+        List.fold_left
+          (fun (q, l, same) op ->
+            match op with
+            | Add (s, i) -> (Q.add (s, i) q, reference_insert (s, i) l, same)
+            | Drain h ->
+                let q, from_q = drain_queue h q [] and l, from_l = drain_list h [] l in
+                (q, l, same && from_q = from_l))
+          (Q.empty, [], true) ops
+      in
+      same && snd (drain_queue max_int q []) = l)
+
+(* Node 2 loses node 0's Order_req, and node 0 crashes once its batch
+   is sequenced, so node 2 commits that batch with no payload and no
+   one to fetch it from. Execution stops there: node 1's later batch,
+   which node 1 has already executed, waits on node 2 until node 0
+   recovers and answers the fetch. *)
+let test_missing_payload_stops_execution () =
+  let faults =
+    Sim.Faults.(
+      none
+      |> loss ~from_us:0 ~until_us:400_000 ~src:0 ~dst:2 ~drop_p:1.0
+      |> crash ~node:0 ~at_us:500_000 ~recover_us:4_000_000)
+  in
+  let fetched = ref false in
+  let on_send = function
+    | Pompe.Types.Order_fetch { iid } when iid.Lyra.Types.proposer = 0 -> fetched := true
+    | _ -> ()
+  in
+  let engine, nodes = make_cluster ~faults ~on_send 4 in
+  ignore (Pompe.Node.submit nodes.(0) ~payload:(String.make 32 'x') : string);
+  ignore
+    (Sim.Engine.schedule engine ~delay:100_000 (fun () ->
+         ignore (Pompe.Node.submit nodes.(1) ~payload:(String.make 32 'y') : string))
+      : Sim.Engine.timer);
+  Sim.Engine.run engine ~until:3_900_000;
+  let b0 = { Lyra.Types.proposer = 0; index = 0 } and b1 = { Lyra.Types.proposer = 1; index = 0 } in
+  Alcotest.(check bool) "node 1 executed both, in order" true (outputs_of nodes.(1) = [ b0; b1 ]);
+  Alcotest.(check bool) "node 2 fetched the missing payload" true !fetched;
+  Alcotest.(check int) "node 2 executed nothing" 0 (List.length (outputs_of nodes.(2)));
+  Sim.Engine.run engine ~until:12_000_000;
+  Alcotest.(check bool) "node 2 executed both after the recovery" true
+    (outputs_of nodes.(2) = [ b0; b1 ])
+
+(* An own proposal's collect entry goes once it is sequenced (or given
+   up), so the table never holds more than the in-flight window, and
+   none at the end of a fault-free run. *)
+let test_collects_bounded () =
+  let engine, nodes = loaded_cluster () in
+  let max_open = ref 0 in
+  for step = 1 to 120 do
+    Sim.Engine.run engine ~until:(step * 100_000);
+    Array.iter (fun nd -> max_open := max !max_open (Pompe.Node.open_collects nd)) nodes
+  done;
+  let cfg = Pompe.Config.default ~n:4 in
+  Array.iteri
+    (fun id nd ->
+      let own = List.filter (fun (i : Lyra.Types.iid) -> i.proposer = id) (outputs_of nd) in
+      Alcotest.(check bool) "executed more own batches than the window" true
+        (List.length own > cfg.max_inflight))
+    nodes;
+  Alcotest.(check bool) "at most max_inflight open" true (!max_open <= cfg.max_inflight);
+  Alcotest.(check bool) "some were open" true (!max_open > 0);
+  Array.iter (fun nd -> Alcotest.(check int) "none open at the end" 0 (Pompe.Node.open_collects nd)) nodes
+
 let suite =
   [
     Alcotest.test_case "median sequencing" `Quick test_median_seq;
@@ -180,4 +343,9 @@ let suite =
     Alcotest.test_case "cmd encoding" `Quick test_cmd_encoding;
     Alcotest.test_case "crashed node holds mempool" `Quick
       test_crashed_node_holds_mempool;
+    Alcotest.test_case "block ids pinned" `Quick test_block_ids_pinned;
+    QCheck_alcotest.to_alcotest prop_exec_queue_matches_sorted_list;
+    Alcotest.test_case "missing payload stops execution" `Quick
+      test_missing_payload_stops_execution;
+    Alcotest.test_case "collects bounded" `Quick test_collects_bounded;
   ]
