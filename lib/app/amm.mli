@@ -58,4 +58,4 @@ val price_x_micro : t -> int
     computing attacker profit. *)
 val position : t -> string -> int * int
 
-val swaps_applied : t -> int
+val swaps_applied : t -> int (* lint: allow S005 swap counter probe for test_apps *)

@@ -4,47 +4,22 @@ type t = {
   mutable applied : int;
 }
 
-type command = Put of string * string | Get of string | Del of string
-
 type result = Unit | Value of string option
 
 let create () = { table = Hashtbl.create 64; digest = ""; applied = 0 }
 
-let parse s =
-  match String.split_on_char ' ' s with
-  | [ "put"; k; v ] -> Some (Put (k, v))
-  | [ "get"; k ] -> Some (Get k)
-  | [ "del"; k ] -> Some (Del k)
-  | _ -> None
-
-let encode = function
-  | Put (k, v) -> Printf.sprintf "put %s %s" k v
-  | Get k -> Printf.sprintf "get %s" k
-  | Del k -> Printf.sprintf "del %s" k
-
-let fold_digest t s = t.digest <- Crypto.Sha256.digest_list [ t.digest; s ]
-
-let apply t cmd =
-  t.applied <- t.applied + 1;
-  fold_digest t (encode cmd);
-  match cmd with
-  | Put (k, v) ->
-      Hashtbl.replace t.table k v;
-      Unit
-  | Get k -> Value (Hashtbl.find_opt t.table k)
-  | Del k ->
-      Hashtbl.remove t.table k;
-      Unit
-
 let apply_payload t s =
-  match parse s with
-  | Some cmd -> Some (apply t cmd)
-  | None ->
-      t.applied <- t.applied + 1;
-      fold_digest t s;
-      None
-
-let get t k = Hashtbl.find_opt t.table k
+  t.applied <- t.applied + 1;
+  t.digest <- Crypto.Sha256.digest_list [ t.digest; s ];
+  match String.split_on_char ' ' s with
+  | [ "put"; k; v ] ->
+      Hashtbl.replace t.table k v;
+      Some Unit
+  | [ "get"; k ] -> Some (Value (Hashtbl.find_opt t.table k))
+  | [ "del"; k ] ->
+      Hashtbl.remove t.table k;
+      Some Unit
+  | _ -> None
 
 let size t = Hashtbl.length t.table
 

@@ -12,24 +12,12 @@ type t
 
 val create : unit -> t
 
-type command = Put of string * string | Get of string | Del of string
-
-(** [parse s] decodes a command; [None] on malformed input. *)
-val parse : string -> command option
-
-val encode : command -> string
-
 type result = Unit | Value of string option
 
-(** [apply t cmd] executes and folds the command into the digest
-    chain. *)
-val apply : t -> command -> result
-
-(** [apply_payload t s] parses and applies; malformed commands are
-    no-ops folded into the digest (so replicas agree even on junk). *)
+(** [apply_payload t s] parses and applies a command and folds [s] into
+    the digest chain; malformed commands ([None]) are no-ops folded
+    into the digest too (so replicas agree even on junk). *)
 val apply_payload : t -> string -> result option
-
-val get : t -> string -> string option
 
 val size : t -> int
 

@@ -31,7 +31,4 @@ type outcome = {
           protocols. Lyra sweeps 0 and f Byzantine nodes. *)
 }
 
-(** Protocols covered by {!run} ({!Protocol.Registry.names}). *)
-val protocols : string list
-
 val run : ?seed:int64 -> n:int -> unit -> outcome

@@ -17,7 +17,3 @@ let verify_share comms ({ x; y } : Sharing.share) =
       xj := Group.Scalar.mul !xj x)
     comms;
   Group.equal expected !acc
-
-let secret_commitment comms = comms.(0)
-
-let threshold = Array.length

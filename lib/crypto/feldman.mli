@@ -24,9 +24,3 @@ val deal :
 (** [verify_share comms share] checks share consistency against the
     dealer's commitments. *)
 val verify_share : commitments -> Sharing.share -> bool
-
-(** Commitment to the secret itself, C_0 = g^secret. *)
-val secret_commitment : commitments -> Group.element
-
-(** Number of committed coefficients (the sharing threshold). *)
-val threshold : commitments -> int

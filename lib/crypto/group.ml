@@ -113,5 +113,3 @@ let pow h (s : Scalar.t) =
 let commit s = pow g s
 
 let to_bytes x = String.init 8 (fun i -> Char.chr ((x lsr (8 * i)) land 0xFF))
-
-let pp fmt x = Format.fprintf fmt "%d" x

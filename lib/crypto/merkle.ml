@@ -31,9 +31,8 @@ let of_leaves leaves =
 
 let root t = if t.size = 0 then empty_root else t.levels.(Array.length t.levels - 1).(0)
 
-let size t = t.size
-
-let proof t i =
+let proof leaves i =
+  let t = of_leaves leaves in
   if i < 0 || i >= t.size then invalid_arg "Merkle.proof: index out of range";
   let path = ref [] in
   let idx = ref i in

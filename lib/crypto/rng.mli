@@ -12,14 +12,14 @@ val create : int64 -> t
 
 (** [copy t] duplicates the generator state; the copy evolves
     independently. *)
-val copy : t -> t
+val copy : t -> t (* lint: allow S005 tests fork a stream to replay it *)
 
 (** [split t] derives a statistically independent generator and advances
     [t]. Use it to give each simulated component its own stream. *)
 val split : t -> t
 
 (** Next raw 64-bit output. *)
-val next_int64 : t -> int64
+val next_int64 : t -> int64 (* lint: allow S005 tests read the raw stream *)
 
 (** [int t bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
 val int : t -> int -> int
@@ -37,9 +37,10 @@ val bits53 : t -> int
 val float : t -> float
 
 (** [bool t] is a fair coin flip. *)
-val bool : t -> bool
+val bool : t -> bool (* lint: allow S005 tests draw random inputs with it *)
 
 (** [gaussian t ~mu ~sigma] samples a normal variate (Box–Muller). *)
+(* lint: allow S005 the reference model for Sim.Latency's inlined sampler *)
 val gaussian : t -> mu:float -> sigma:float -> float
 
 (** [exponential t ~mean] samples an exponential variate. *)
@@ -49,7 +50,7 @@ val exponential : t -> mean:float -> float
 val bytes : t -> int -> string
 
 (** [shuffle t a] permutes [a] in place (Fisher–Yates). *)
-val shuffle : t -> 'a array -> unit
+val shuffle : t -> 'a array -> unit (* lint: allow S005 tests draw random inputs with it *)
 
 (** [pick t l] is a uniformly random element of the non-empty list [l]. *)
-val pick : t -> 'a list -> 'a
+val pick : t -> 'a list -> 'a (* lint: allow S005 tests draw random inputs with it *)

@@ -36,4 +36,4 @@ let verify_by ~dir ~signer msg { r; s } =
   && s >= 0 && s < q
   && holds s r (Field.pow_table (Keys.public_table dir signer) (challenge r msg))
 
-let equal a b = Field.equal a.r b.r && a.s = b.s
+

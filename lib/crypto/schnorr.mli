@@ -17,5 +17,3 @@ val verify : pk:Field.t -> string -> signature -> bool
 (** [verify_by ~dir ~signer msg sg] looks the signer up in the directory,
     i.e. the paper's [public-verify(m, σ, j)]. *)
 val verify_by : dir:Keys.directory -> signer:int -> string -> signature -> bool
-
-val equal : signature -> signature -> bool

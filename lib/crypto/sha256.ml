@@ -158,8 +158,6 @@ let to_hex raw =
   String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) raw;
   Buffer.contents b
 
-let hex s = to_hex (digest s)
-
 let hkdf_expand ~key ~info n =
   let b = Buffer.create n in
   let ctr = ref 0 in

@@ -12,9 +12,6 @@ val digest : string -> string
     building it. *)
 val digest_list : string list -> string
 
-(** [hex s] is the lowercase hex digest of [s]. *)
-val hex : string -> string
-
 (** [to_hex raw] renders a raw digest (or any string) as lowercase hex. *)
 val to_hex : string -> string
 
@@ -22,13 +19,3 @@ val to_hex : string -> string
     [key] and [info] by counter-mode hashing. Used as the VSS payload
     keystream. *)
 val hkdf_expand : key:string -> info:string -> int -> string
-
-(** Incremental interface. *)
-type ctx
-
-val init : unit -> ctx
-
-val update : ctx -> string -> unit
-
-(** [final ctx] returns the digest; the context must not be reused. *)
-val final : ctx -> string

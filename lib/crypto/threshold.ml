@@ -23,8 +23,3 @@ let verify_combined ~dir ~threshold msg c =
   in
   List.length distinct >= threshold
   && List.for_all (share_verify ~dir msg) distinct
-
-let signers c =
-  Array.to_list c.shares
-  |> List.map (fun s -> s.signer)
-  |> List.sort_uniq Int.compare

@@ -30,6 +30,3 @@ val combine : threshold:int -> share list -> combined option
     valid shares from distinct signers. *)
 val verify_combined :
   dir:Keys.directory -> threshold:int -> string -> combined -> bool
-
-(** Signers contributing to a combined signature, ascending. *)
-val signers : combined -> int list

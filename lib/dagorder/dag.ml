@@ -79,6 +79,8 @@ let round_creators t round =
 
 let max_quorum_round t = t.max_q_round
 
+(* Waves are two rounds: wave [w] is anchored at round 2w on a
+   round-robin creator. *)
 let anchor_creator t ~wave = wave mod t.n
 
 let anchor_round ~wave = 2 * wave

@@ -10,13 +10,14 @@
 type msg
 
 (** Wire size in bytes of a message (for the NIC model). *)
-val msg_size : msg -> int
+val msg_size : msg -> int (* lint: allow S005 test_dbft drives this standalone host of Dbft.Rounds *)
 
 type t
 
 (** [create net ~id ~delta_us ~on_decide ()] registers replica [id] on
     [net] (which must carry [msg] values). [on_decide ~round v] fires
     exactly once, when this replica decides [v] in [round]. *)
+(* lint: allow S005 test_dbft drives this standalone host of Dbft.Rounds *)
 val create :
   msg Sim.Network.t ->
   id:int ->
@@ -26,4 +27,4 @@ val create :
   t
 
 (** [propose t b] inputs the replica's binary proposal (0 or 1). *)
-val propose : t -> int -> unit
+val propose : t -> int -> unit (* lint: allow S005 test_dbft drives this standalone host of Dbft.Rounds *)

@@ -41,21 +41,6 @@ type row = {
 
 val kind_label : kind -> string
 
-(** Budget ceiling for a campaign at cluster size [n]: [n − 1 −
-    diversity] owned links for an eclipse, 8 units for the delay
-    campaigns. *)
-val max_budget : n:int -> kind -> int
-
-(** The cluster-wide liveness level armed while judging a campaign:
-    [Off] for eclipses (the per-victim oracle judges those), the
-    protocol's healthy grade for the delay campaigns. *)
-val liveness_for : protocol:string -> kind -> Harness.Oracle.liveness_level
-
-(** The default campaign set swept per protocol: eclipse with no
-    diversity, eclipse with f+1 diverse links, delay inflation and
-    pre-GST delay. *)
-val attacks_for : n:int -> kind list
-
 val default_protocols : string list
 
 (** [scorecard ()] sweeps {!attacks_for} over [protocols] (default

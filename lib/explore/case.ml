@@ -244,10 +244,4 @@ let desc =
     |> seal
     |> conv Fun.id validate)
 
-let to_json = J.value desc
-
-let of_json = J.read desc
-
-let to_string t = J.to_string (to_json t)
-
-let of_string s = Result.bind (J.of_string s) of_json
+let of_string s = Result.bind (J.of_string s) (J.read desc)

@@ -40,36 +40,22 @@ val run : t -> Harness.Scenario.result
     [Commit_only] for Pompē (bursty commit cadence), [Full] otherwise. *)
 val healthy_liveness : string -> Harness.Oracle.liveness_level
 
-(** The liveness level this case owes: [Off] under fault plans,
-    adversaries or broken knobs, {!healthy_liveness} otherwise. *)
-val liveness : t -> Harness.Oracle.liveness_level
-
-(** [check t result] — the oracle verdict, liveness armed per
-    {!liveness}; eclipse plans additionally arm the per-victim attack
+(** [check t result] — the oracle verdict. Liveness is armed at
+    {!healthy_liveness}, or [Off] under fault plans, adversaries or
+    broken knobs; eclipse plans additionally arm the per-victim attack
     oracles on their victims. [] means clean. *)
 val check : t -> Harness.Scenario.result -> Harness.Oracle.finding list
 
-(** Repro artifact format version (the [version] field). Version 2
-    added eclipses/inflations and the adversary; version-1 artifacts
-    still load with those empty. *)
-val version : int
-
-(** The artifact's one description: {!to_json}, {!of_json} and the
-    schema that {!Metrics.Json.write_file} checks all derive from it.
+(** The artifact's one description: reading, writing and the schema
+    that {!Metrics.Json.write_file} checks all derive from it. The
+    [version] field is 2 (eclipses/inflations and the adversary);
+    version-1 artifacts still load with those empty.
     Reading rejects [n < 1], [duration_us <= 0], [clients < 0], a
     protocol/knob pair {!Knobs.make} does not know, and whatever
     {!Sim.Faults.validate}, {!Sim.Adversary.validate} and
     {!Sim.Perturb.validate} reject. *)
 val desc : t Metrics.Json.desc
 
-val to_json : t -> Metrics.Json.t
-
 (** Parses and validates (see {!desc}); [Error] carries the JSON path
     and a human-readable cause, and no input raises. *)
-val of_json : Metrics.Json.t -> (t, string) result
-
-(** JSON round-trip as text; [of_string] composes parser and
-    {!of_json}. *)
-val to_string : t -> string
-
 val of_string : string -> (t, string) result

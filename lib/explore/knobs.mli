@@ -16,10 +16,6 @@ val make : protocol:string -> knob:string -> (module Protocol.NODE) option
     population. *)
 val safe : string -> string list
 
-(** (protocol, knob) pairs that deliberately break a guard; used by the
-    explorer's self-test, never part of a default sweep. *)
-val broken : (string * string) list
-
 val is_broken : protocol:string -> knob:string -> bool
 
 (** = {!Protocol.Registry.names}. *)

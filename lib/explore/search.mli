@@ -22,6 +22,7 @@ type outcome =
     the liveness stall watchdog) and, when [with_faults], at most one
     mild healing fault (loss window, 1-node partition, or recovering
     crash — never clock skew). *)
+(* lint: allow S005 test_explore drives case generation directly *)
 val gen_case :
   Crypto.Rng.t ->
   protocol:string ->
@@ -38,6 +39,7 @@ val gen_case :
     trips an oracle that [findings] tripped. Returns the minimal
     verdict and the number of executions spent (≤ [budget],
     default 60). *)
+(* lint: allow S005 test_explore drives shrinking directly *)
 val shrink :
   ?budget:int ->
   ?log:(string -> unit) ->

@@ -42,16 +42,17 @@ type report = {
 
 (** [sender_of_key "3/17"] is [3]; [-1] when the key does not look like
     a [proposer/index] batch key. *)
-val sender_of_key : string -> int
+val sender_of_key : string -> int (* lint: allow S005 test_fairness checks the key parser directly *)
 
 (** [count_inversions a] is the number of index pairs [i < j] with
     [a.(i) > a.(j)] (merge-sort based, O(k log k)). *)
-val count_inversions : int array -> int
+val count_inversions : int array -> int (* lint: allow S005 test_fairness checks the kernel against brute force *)
 
 (** [inversions ~decided ~received] is [(inversions, pairs)] for one
     observer: [received] keys are projected onto their decided ranks
     (unknown and repeated keys dropped) and inversions counted. A key
     repeated in [decided] keeps the rank of its first occurrence. *)
+(* lint: allow S005 test_fairness checks one observer's projection directly *)
 val inversions : decided:string list -> received:string list -> int * int
 
 (** [score ~decided ~received ()] computes the full report.

@@ -16,7 +16,6 @@ type t = {
   mutable canon_len : int;
   counts : int array;  (* batches committed per node *)
   mutable first_violation : violation option;
-  mutable violations : int;
   from_us : int;
   until_us : int;
   mutable last_progress_us : int;
@@ -38,7 +37,6 @@ let create engine ~n ~faults ~from_us ~until_us () =
     canon_len = 0;
     counts = Array.make n 0;
     first_violation = None;
-    violations = 0;
     from_us;
     until_us;
     last_progress_us = from_us;
@@ -56,7 +54,6 @@ let violate t ~node ~kind detail =
       v_active_faults = Sim.Faults.active t.faults ~now:(Sim.Engine.now t.engine);
     }
   in
-  t.violations <- t.violations + 1;
   if Option.is_none t.first_violation then t.first_violation <- Some v
 
 let append_canon t key =
@@ -120,8 +117,6 @@ let finalize t =
         t.stalls_rev <- (t.last_progress_us, now) :: t.stalls_rev)
 
 let first_violation t = t.first_violation
-
-let violations t = t.violations
 
 let stall_windows t = List.rev t.stalls_rev
 

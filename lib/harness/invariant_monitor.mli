@@ -55,10 +55,6 @@ val finalize : t -> unit
 
 val first_violation : t -> violation option
 
-(** Total violations observed (the monitor keeps checking after the
-    first). *)
-val violations : t -> int
-
 (** Stall windows, in chronological order, after {!finalize}. *)
 val stall_windows : t -> (int * int) list
 

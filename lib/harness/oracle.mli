@@ -15,39 +15,11 @@ type finding = { oracle : string; detail : string }
 
 val pp_finding : Format.formatter -> finding -> unit
 
-(** Content-aware prefix agreement over [honest_logs] (keys AND
-    transaction-content digests): catches equivocation that splits
-    payloads under a single instance key, which key-level [prefix_safe]
-    cannot see. *)
-val prefix_agreement : Scenario.result -> finding option
-
-(** The continuous monitor's first violation, as an oracle finding. *)
-val monitor_clean : Scenario.result -> finding option
-
-(** Commit durability: no decision arrived below the already-committed
-    boundary ([late_accepts] must be 0). *)
-val commit_durability : Scenario.result -> finding option
-
-(** Ordering linearizability (BOC-Validity): every decided sequence
-    number within the adapter's declared [(low, high)] window; trivially
-    clean for protocols that declare no bounds. *)
-val seq_lower_bound : Scenario.result -> finding option
-
-(** Sequence numbers leave each node in ascending output order. *)
-val monotone_seqs : Scenario.result -> finding option
-
 (** How much liveness to demand. Opt-in and graded: fault plans
     legitimately stall progress ([Off]), and batch-pipelined protocols
     (Pompē) commit in bursts farther apart than the monitor's stall
     watchdog even when healthy ([Commit_only]). *)
 type liveness_level = Off | Commit_only | Full
-
-(** Something committed within the measurement window. *)
-val liveness_commit : Scenario.result -> finding option
-
-(** [liveness_commit] plus: no stall window longer than the monitor's
-    budget. Arm only for protocols with sub-budget commit cadence. *)
-val liveness : Scenario.result -> finding option
 
 (** [victim_liveness ~victims] judges attacked runs: fires when a
     victim's own committed log stopped advancing more than
@@ -65,20 +37,20 @@ val victim_liveness :
 val censorship_exposure :
   victims:int list -> Scenario.result -> finding option
 
-(** The five safety oracles above, in order. *)
-val safety_suite : (Scenario.result -> finding option) list
-
-(** The two per-victim attack oracles, liveness first (with the
-    default stall gap; use {!victim_liveness} directly to tune it). *)
-val attack_suite :
-  victims:int list -> (Scenario.result -> finding option) list
-
-(** The graded suite: safety plus the selected liveness level. *)
-val suite : liveness:liveness_level -> (Scenario.result -> finding option) list
-
-(** [check ~liveness r] — every finding of the selected suite, in
-    suite order; [] means the run is clean. A non-empty [victims]
-    (default []) appends {!attack_suite} after the graded suite. *)
+(** [check ~liveness r] — every finding of the graded suite, in suite
+    order; [] means the run is clean. The suite is five safety oracles:
+    - ["prefix-agreement"]: content-aware prefix agreement over
+      [honest_logs] (keys AND transaction-content digests), which
+      catches equivocation that key-level [prefix_safe] cannot see;
+    - the continuous monitor's first violation;
+    - commit durability ([late_accepts] must be 0);
+    - BOC-Validity: every decided sequence number within the adapter's
+      declared window;
+    - sequence numbers leave each node in ascending output order;
+    then [Commit_only] adds "something committed" and [Full] also
+    bounds stall windows by the monitor's budget. A non-empty [victims]
+    (default []) appends {!victim_liveness} (default stall gap) and
+    {!censorship_exposure}. *)
 val check :
   ?victims:int list ->
   liveness:liveness_level ->

@@ -171,14 +171,15 @@ let run ?(seed = 1L) ?warmup_us ?(ns_per_byte = wan_ns_per_byte)
   (* Receive-order tap: each node's first sighting of every batch, in
      arrival order, via the adapters' [on_observe] hook. Pure
      bookkeeping — no engine interaction, so attaching it never moves
-     a golden. *)
+     a golden. Deduplicated by iid; the string key is formatted only
+     on a first sighting. *)
   let receive_rev : (string * int) list array = Array.make n [] in
-  let observed = Array.init n (fun _ -> Hashtbl.create 256) in
+  let observed = Array.init n (fun _ -> Lyra.Types.Iid_tbl.create 256) in
   let on_observe id (b : Lyra.Types.batch) =
-    let key = Protocol.key_of_iid b.Lyra.Types.iid in
-    if not (Hashtbl.mem observed.(id) key) then begin
-      Hashtbl.replace observed.(id) key ();
-      receive_rev.(id) <- (key, Sim.Engine.now engine) :: receive_rev.(id)
+    let iid = b.Lyra.Types.iid in
+    if not (Lyra.Types.Iid_tbl.mem observed.(id) iid) then begin
+      Lyra.Types.Iid_tbl.replace observed.(id) iid ();
+      receive_rev.(id) <- (Protocol.key_of_iid iid, Sim.Engine.now engine) :: receive_rev.(id)
     end
   in
   let nodes =

@@ -122,6 +122,7 @@ val run :
     content digest: the Merkle root of its ["tx_id:payload"] strings,
     as in [result.honest_logs]. Entries that share a key and carry
     the same transactions are hashed once. *)
+(* lint: allow S005 tests hand-build honest logs to drive the prefix-agreement oracle *)
 val content_digests :
   Protocol.committed list array -> (string * string) list array
 
@@ -130,7 +131,3 @@ val is_prefix : equal:('a -> 'a -> bool) -> 'a list -> 'a list -> bool
 
 (** Index of the first longest log of a non-empty array. *)
 val longest : 'a list array -> int
-
-(** Effective WAN line rate used by the experiments (ns per byte;
-    ≈ 200 Mb/s per node, a realistic cross-continent TCP ceiling). *)
-val wan_ns_per_byte : int

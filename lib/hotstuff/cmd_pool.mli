@@ -28,4 +28,4 @@ val take : 'cmd t -> int -> 'cmd list
 val live : 'cmd t -> int
 
 (** Physical queue length, stale entries included. *)
-val queue_length : 'cmd t -> int
+val queue_length : 'cmd t -> int (* lint: allow S005 bounded-state probe for test_hotstuff *)

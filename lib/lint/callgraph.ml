@@ -289,24 +289,14 @@ let collect_unit ~path structure =
 (* Name resolution.                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let rec drop_last = function [] | [ _ ] -> [] | x :: rest -> x :: drop_last rest
-
 (* Generic resolver over per-unit name tables. [lookup u name] searches
-   one unit for the dotted [name]; the resolver adds local-module
-   context peeling, same-library sibling modules, dune library
-   wrapping (Lib.Module.name), and simple module aliases. *)
-let resolve_gen (t : t) ~lookup u ~ctx parts =
-  let rec resolve u ~ctx parts depth =
+   one unit for the dotted [name]; the resolver adds same-library
+   sibling modules, dune library wrapping (Lib.Module.name), and
+   simple module aliases. *)
+let resolve (t : t) u ~lookup parts =
+  let rec resolve u parts depth =
     if depth > 8 then None
     else
-      let try_local () =
-        let rec peel ctx =
-          match lookup u (String.concat "." (ctx @ parts)) with
-          | Some r -> Some r
-          | None -> if ctx = [] then None else peel (drop_last ctx)
-        in
-        peel ctx
-      in
       let try_sibling () =
         match (u.u_lib, parts) with
         | Some lib, m1 :: (_ :: _ as rest) -> (
@@ -314,7 +304,7 @@ let resolve_gen (t : t) ~lookup u ~ctx parts =
             | None -> None
             | Some mods -> (
                 match Hashtbl.find_opt mods m1 with
-                | Some u' when u' != u -> resolve u' ~ctx:[] rest (depth + 1)
+                | Some u' when u' != u -> resolve u' rest (depth + 1)
                 | _ -> None))
         | _ -> None
       in
@@ -326,14 +316,14 @@ let resolve_gen (t : t) ~lookup u ~ctx parts =
             | Some mods -> (
                 let main () =
                   match Hashtbl.find_opt mods (String.capitalize_ascii m1) with
-                  | Some u' when u' != u -> resolve u' ~ctx:[] rest (depth + 1)
+                  | Some u' when u' != u -> resolve u' rest (depth + 1)
                   | _ -> None
                 in
                 match rest with
                 | m2 :: (_ :: _ as rest2) -> (
                     match Hashtbl.find_opt mods m2 with
                     | Some u' when u' != u -> (
-                        match resolve u' ~ctx:[] rest2 (depth + 1) with
+                        match resolve u' rest2 (depth + 1) with
                         | Some r -> Some r
                         | None -> main ())
                     | _ -> main ())
@@ -343,16 +333,12 @@ let resolve_gen (t : t) ~lookup u ~ctx parts =
       let try_alias () =
         match parts with
         | m1 :: rest -> (
-            let rec peel ctx =
-              match Hashtbl.find_opt u.u_aliases (String.concat "." (ctx @ [ m1 ])) with
-              | Some target when target <> [ m1 ] ->
-                  resolve u ~ctx:[] (target @ rest) (depth + 1)
-              | _ -> if ctx = [] then None else peel (drop_last ctx)
-            in
-            peel ctx)
+            match Hashtbl.find_opt u.u_aliases m1 with
+            | Some target when target <> [ m1 ] -> resolve u (target @ rest) (depth + 1)
+            | _ -> None)
         | [] -> None
       in
-      match try_local () with
+      match lookup u (String.concat "." parts) with
       | Some r -> Some r
       | None -> (
           match try_sibling () with
@@ -362,7 +348,7 @@ let resolve_gen (t : t) ~lookup u ~ctx parts =
               | Some r -> Some r
               | None -> try_alias ()))
   in
-  resolve u ~ctx parts 0
+  resolve u parts 0
 
 type target = Def of def | Global of global
 
@@ -375,7 +361,7 @@ let resolve_value t u parts =
         | Some g -> Some (Global g)
         | None -> None)
   in
-  resolve_gen t ~lookup u ~ctx:[] parts
+  resolve t u ~lookup parts
 
 (* Resolve a type constructor path to its declaring (unit, decl). *)
 let resolve_type t u parts =
@@ -384,7 +370,7 @@ let resolve_type t u parts =
     | Some td -> Some (u, td)
     | None -> None
   in
-  resolve_gen t ~lookup u ~ctx:[] parts
+  resolve t u ~lookup parts
 
 (* ------------------------------------------------------------------ *)
 (* Pass 2: per-def bodies — direct sources, global touches, edges.     *)

@@ -6,9 +6,6 @@
 
 (** {1 Banned-identifier tables} shared with the per-file pass. *)
 
-val d001_traversals : string list
-(** [Hashtbl] entry points with unspecified visit order. *)
-
 val hashtbl_instances : Parsetree.structure list -> string list
 (** Names of the modules bound to [Hashtbl.Make (...)] or
     [Hashtbl.MakeSeeded (...)] in the given structures, nested modules
@@ -17,7 +14,8 @@ val hashtbl_instances : Parsetree.structure list -> string list
 val unordered_traversal : tables:string list -> Longident.t -> (string * string) option
 (** [unordered_traversal ~tables lid] is [Some (m, f)] when [lid] is
     [Hashtbl.f], or [P.m.f] / [m.f] with [m] in [tables], and [f] is
-    one of {!d001_traversals}. Instances are matched by name. *)
+    a [Hashtbl] entry point with unspecified visit order ([iter],
+    [fold], [to_seq*]). Instances are matched by name. *)
 
 val d002_clocks : (string * string) list
 (** Host time sources, as [(module, function)]. *)
@@ -46,8 +44,6 @@ type def = {
 }
 
 val def_key : def -> string
-
-val global_key : global -> string
 
 type tydecl = {
   ty_ctors : string list;  (** constructor names if a variant, else [[]] *)
@@ -80,10 +76,11 @@ val defs : t -> def list
 (** All definitions, grouped by unit (units sorted by path, defs in
     declaration order) — a deterministic iteration order. *)
 
-type target = Def of def | Global of global
-
-val resolve_value : t -> unit_info -> string list -> target option
-(** Resolve a flattened value path as seen from inside a unit. *)
+val resolve : t -> unit_info -> lookup:(unit_info -> string -> 'a option) -> string list -> 'a option
+(** [resolve t u ~lookup parts] resolves a flattened path as seen from
+    inside [u]: [lookup u' name] searches one unit for a dotted [name],
+    and the resolver walks from [u] to same-library siblings, dune
+    library wrappers ([Lib.Module.name]) and module aliases. *)
 
 val resolve_type : t -> unit_info -> string list -> (unit_info * tydecl) option
 (** Resolve a type-constructor path to its declaring unit and decl. *)

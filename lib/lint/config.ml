@@ -4,6 +4,10 @@
 
 let scanned_dirs = [ "bench"; "bin"; "examples"; "lib"; "test" ]
 
+(* Read only for the references they make into lib/ (S005): no rule
+   runs on these files. perfbench/ is the repository benchmark. *)
+let reference_dirs = [ "perfbench" ]
+
 let deterministic_dirs =
   [ "lib/app"; "lib/dagorder"; "lib/dbft"; "lib/explore"; "lib/fairness";
     "lib/harness"; "lib/hotstuff"; "lib/lyra"; "lib/pompe"; "lib/protocol";
@@ -31,6 +35,10 @@ let is_deterministic path =
   || List.exists (String.equal path) deterministic_files
 
 let in_lib path = under "lib" path
+
+let in_test path = under "test" path
+
+let reference_only path = List.exists (fun d -> under d path) reference_dirs
 
 let in_totality_scope path = List.exists (fun d -> under d path) totality_dirs
 
@@ -123,9 +131,6 @@ let load file =
 let entry_allows e ~rule ~path ~line =
   e.rule = Rules.to_string rule && e.path = path
   && match e.line with None -> true | Some n -> n = line
-
-let allows entries ~rule ~path ~line =
-  List.exists (fun e -> entry_allows e ~rule ~path ~line) entries
 
 (* ------------------------------------------------------------------ *)
 (* Inline allows: a comment containing "lint: allow R1 R2 ..." exempts

@@ -6,22 +6,20 @@
 (** Top-level directories the linter walks, in scan order. *)
 val scanned_dirs : string list
 
-(** Directories whose code must be bit-for-bit deterministic. *)
-val deterministic_dirs : string list
+(** Top-level directories read only for the references they make into
+    [lib/] (S005); no rule runs on them. *)
+val reference_dirs : string list
 
-(** Individual files held to [Strict] scope although their directory is
-    not (e.g. [lib/crypto/verify_cache.ml], whose hit/miss behavior
-    feeds golden-checked counts while the rest of lib/crypto hosts the
-    randomness and bignum kernels). *)
-val deterministic_files : string list
-
-(** Directories where P001 (handler totality) applies: protocol
-    implementations and their adapters. *)
-val totality_dirs : string list
-
+(** Under a directory, or one of a few individual files, whose code
+    must be bit-for-bit deterministic. *)
 val is_deterministic : string -> bool
 
 val in_lib : string -> bool
+
+val in_test : string -> bool
+
+(** Under one of {!reference_dirs}. *)
+val reference_only : string -> bool
 
 val in_totality_scope : string -> bool
 
@@ -61,14 +59,12 @@ type entry = {
 
 type allowlist = entry list
 
-val parse : string -> (allowlist, string) result
+val parse : string -> (allowlist, string) result (* lint: allow S005 test_lint parses allowlists from strings *)
 
 (** [load file] reads and parses [file]. *)
 val load : string -> (allowlist, string) result
 
 val entry_allows : entry -> rule:Rules.id -> path:string -> line:int -> bool
-
-val allows : allowlist -> rule:Rules.id -> path:string -> line:int -> bool
 
 (** {1 Inline allows}
 

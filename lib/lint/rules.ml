@@ -1,6 +1,6 @@
-type id = D001 | D002 | D003 | D101 | D102 | P001 | S001 | S002 | S003 | S004
+type id = D001 | D002 | D003 | D101 | D102 | P001 | S001 | S002 | S003 | S004 | S005
 
-let all = [ D001; D002; D003; D101; D102; P001; S001; S002; S003; S004 ]
+let all = [ D001; D002; D003; D101; D102; P001; S001; S002; S003; S004; S005 ]
 
 let to_string = function
   | D001 -> "D001"
@@ -13,89 +13,6 @@ let to_string = function
   | S002 -> "S002"
   | S003 -> "S003"
   | S004 -> "S004"
+  | S005 -> "S005"
 
-let of_string = function
-  | "D001" -> Some D001
-  | "D002" -> Some D002
-  | "D003" -> Some D003
-  | "D101" -> Some D101
-  | "D102" -> Some D102
-  | "P001" -> Some P001
-  | "S001" -> Some S001
-  | "S002" -> Some S002
-  | "S003" -> Some S003
-  | "S004" -> Some S004
-  | _ -> None
-
-let summary = function
-  | D001 -> "unordered hash-table traversal in deterministic code"
-  | D002 -> "wall clock or ambient entropy"
-  | D003 -> "polymorphic structural comparison or hashing"
-  | D101 -> "interprocedural reach to a nondeterministic source"
-  | D102 -> "interprocedural reach to module-toplevel mutable state"
-  | P001 -> "wildcard arm in a message/event dispatch"
-  | S001 -> "unsafe Obj primitives"
-  | S002 -> "library module without an interface"
-  | S003 -> "warning suppression in lib/"
-  | S004 -> "stale allowlist entry or inline allow"
-
-let rationale = function
-  | D001 ->
-      "Hashtbl.iter/fold/to_seq visit bindings in an unspecified order \
-       that can change across runs and compiler versions; in protocol or \
-       simulator code this silently changes decided sequence numbers, \
-       committed prefixes and metrics. Use Sim.Det.sorted_bindings (or \
-       collect, sort by key, then fold)."
-  | D002 ->
-      "Unix.gettimeofday, Sys.time and the ambient Random.* generator \
-       read host state, so two runs from the same seed diverge. Use \
-       Sim.Engine.now for simulated time and Crypto.Rng for seeded \
-       randomness."
-  | D003 ->
-      "Polymorphic compare / Hashtbl.hash inspect runtime representation: \
-       they raise on closures, and their verdict silently changes when a \
-       type gains a mutable, abstract or functional field. In \
-       deterministic protocol dirs this includes bare (=) / (<>) unless \
-       an operand is a literal or nullary constructor. Use the \
-       type-specific comparison (Int.compare, Float.compare, \
-       Types.iid_compare, Int.equal, String.equal, ...)."
-  | D101 ->
-      "A function in a deterministic dir (or bin/ / bench/, whose output \
-       is golden-checked) calls, possibly through several modules, a \
-       helper that reads the wall clock, draws ambient randomness or \
-       traverses a Hashtbl in unspecified order. The per-file rules \
-       (D001/D002) cannot see this: the helper lives in a dir where the \
-       pattern is locally legal, yet it poisons every deterministic \
-       caller. The finding prints the full call chain; fix the source \
-       (sort the traversal, thread a seeded Rng) or allow it with a \
-       justification."
-  | D102 ->
-      "A function in a deterministic dir reaches, possibly through \
-       several modules, module-toplevel mutable state (a toplevel ref, \
-       Hashtbl or Queue). Such state is shared across every node \
-       instance and across back-to-back runs in one process, so a \
-       seeded double-run can diverge even though each run is internally \
-       deterministic. Move the state into the node/engine record, or \
-       allow it with a justification if it is genuinely write-only \
-       diagnostics."
-  | P001 ->
-      "A catch-all '_ ->' arm in a match over a protocol message/event \
-       variant silently drops every constructor added later: a new \
-       message type-checks everywhere and is then ignored by the one \
-       adapter that still carries the wildcard. Enumerate the \
-       constructors (the compiler's exhaustiveness check then flags new \
-       ones) or allow the arm with a justification."
-  | S001 ->
-      "Obj.magic and friends defeat the type system; a representation \
-       change turns them into memory corruption."
-  | S002 ->
-      "Every lib/ module must ship a .mli so invariants are enforced at \
-       the module boundary and the public surface is deliberate."
-  | S003 ->
-      "[@warning \"-...\"] hides exactly the diagnostics (unused cases, \
-       partial matches) that catch protocol bugs; fix the code instead."
-  | S004 ->
-      "An allowlist entry (lint.allow) or inline 'lint: allow' comment \
-       that no longer suppresses any finding is ratchet debt: it can \
-       silently re-arm on unrelated future code. The allowlist may only \
-       shrink; delete the stale entry."
+let of_string s = List.find_opt (fun r -> String.equal (to_string r) s) all

@@ -5,7 +5,7 @@
     the D1xx family is interprocedural (computed on the project-wide
     call graph, see {!Callgraph} and {!Taint}); P-rules protect
     protocol-message totality; S-rules protect protocol safety and
-    interface hygiene. See docs/LINT.md for the full write-up. *)
+    interface hygiene. Each rule's rationale is in docs/LINT.md. *)
 
 type id =
   | D001  (** unordered [Hashtbl] traversal in deterministic code *)
@@ -18,6 +18,7 @@ type id =
   | S002  (** lib/ module without a [.mli] *)
   | S003  (** [@warning "-..."] suppression in lib/ *)
   | S004  (** stale [lint.allow] entry or inline allow comment *)
+  | S005  (** exported value with no user outside its module *)
 
 (** Every rule, in catalog order. *)
 val all : id list
@@ -25,10 +26,3 @@ val all : id list
 val to_string : id -> string
 
 val of_string : string -> id option
-
-(** One-line description used in diagnostics. *)
-val summary : id -> string
-
-(** Why the pattern is banned; printed by [lyra_lint --rules help] and
-    quoted in docs/LINT.md. *)
-val rationale : id -> string

@@ -17,16 +17,14 @@ type finding = Finding.t = {
 
 exception Error of string
 
-let compare_findings = Finding.compare
-
 (* ------------------------------------------------------------------ *)
 (* Per-file pass.                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let parse_implementation ~path source =
+let parse parser ~path source =
   let lexbuf = Lexing.from_string source in
   Location.init lexbuf path;
-  match Parse.implementation lexbuf with
+  match parser lexbuf with
   | ast -> ast
   | exception _ ->
       let line = lexbuf.Lexing.lex_curr_p.Lexing.pos_lnum in
@@ -150,7 +148,7 @@ let file_findings ~rules ~tables ~path structure =
   List.rev !findings
 
 let scan_source ~rules ~path source =
-  let structure = parse_implementation ~path source in
+  let structure = parse Parse.implementation ~path source in
   let inline = Config.inline_allows source in
   file_findings ~rules ~tables:(Callgraph.hashtbl_instances [ structure ]) ~path structure
   |> List.filter (fun (f : finding) ->
@@ -162,14 +160,15 @@ let scan_source ~rules ~path source =
 (* ------------------------------------------------------------------ *)
 
 let scan_project ~rules ?(allowlist = []) ?(extra = []) files =
-  let parsed =
-    List.map (fun (path, source) -> (path, source, parse_implementation ~path source)) files
-  in
+  let impls, intfs = List.partition (fun (path, _) -> Filename.check_suffix path ".ml") files in
+  let parsed = List.map (fun (path, source) -> (path, parse Parse.implementation ~path source)) impls in
+  let linted = List.filter (fun (path, _) -> not (Config.reference_only path)) parsed in
   (* Per-file inline directives, and usage tracking for S004. *)
+  let sources = List.filter (fun (path, _) -> not (Config.reference_only path)) files in
   let inline_tbl = Hashtbl.create 64 in
   List.iter
-    (fun (path, source, _) -> Hashtbl.replace inline_tbl path (Config.inline_allows source))
-    parsed;
+    (fun (path, source) -> Hashtbl.replace inline_tbl path (Config.inline_allows source))
+    sources;
   let inline_used = Hashtbl.create 16 in
   let entries = Array.of_list allowlist in
   let entry_used = Array.make (Array.length entries) false in
@@ -199,25 +198,31 @@ let scan_project ~rules ?(allowlist = []) ?(extra = []) files =
   in
   (* Per-file rules + externally computed findings (S002). A table
      instance defined in one file is checked wherever it is walked. *)
-  let tables = Callgraph.hashtbl_instances (List.map (fun (_, _, s) -> s) parsed) in
+  let tables = Callgraph.hashtbl_instances (List.map snd linted) in
   let base =
     extra
     @ List.concat_map
-        (fun (path, _, structure) -> file_findings ~rules ~tables ~path structure)
-        parsed
+        (fun (path, structure) -> file_findings ~rules ~tables ~path structure)
+        linted
   in
   (* Interprocedural rules over the shared call graph. *)
   let wants r = List.mem r rules in
   let interproc =
-    if wants Rules.D101 || wants Rules.D102 || wants Rules.P001 then begin
-      let cg = Callgraph.build (List.map (fun (path, _, s) -> (path, s)) parsed) in
+    if List.exists wants Rules.[ D101; D102; P001; S005 ] then begin
+      let cg = Callgraph.build parsed in
       let taint =
         if wants Rules.D101 || wants Rules.D102 then
           List.filter (fun (f : finding) -> wants f.rule) (Taint.analyze cg ~suppressed)
         else []
       in
       let total = if wants Rules.P001 then Totality.analyze cg else [] in
-      taint @ total
+      let exports =
+        if wants Rules.S005 then
+          Exports.analyze cg
+            (List.map (fun (path, source) -> (path, parse Parse.interface ~path source)) intfs)
+        else []
+      in
+      taint @ total @ exports
     end
     else []
   in
@@ -249,7 +254,7 @@ let scan_project ~rules ?(allowlist = []) ?(extra = []) files =
       in
       let stale_inline =
         List.concat_map
-          (fun (path, _, _) ->
+          (fun (path, _) ->
             (* Test/example sources embed lint fixtures as string
                literals; a line-based scan can't tell those directives
                from live ones, so Test scope is exempt from inline
@@ -272,7 +277,7 @@ let scan_project ~rules ?(allowlist = []) ?(extra = []) files =
                        (Printf.sprintf "stale inline 'lint: allow %s' suppresses nothing; remove it"
                           (String.concat " " rulenames))))
               directives)
-          parsed
+          sources
       in
       stale_entries @ stale_inline
     end
@@ -283,8 +288,9 @@ let scan_project ~rules ?(allowlist = []) ?(extra = []) files =
 (* Directory walk.                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Returns repo-relative paths of every .ml under [Config.scanned_dirs],
-   sorted so the report (and any failure) is itself deterministic. *)
+(* Returns repo-relative paths of every .ml and .mli under
+   [Config.scanned_dirs] and [Config.reference_dirs], sorted so the
+   report (and any failure) is itself deterministic. *)
 let source_files root =
   let rec walk rel acc =
     let abs = Filename.concat root rel in
@@ -296,7 +302,8 @@ let source_files root =
         else
           let rel = rel ^ "/" ^ name in
           if Sys.is_directory (Filename.concat root rel) then walk rel acc
-          else if Filename.check_suffix name ".ml" then rel :: acc
+          else if Filename.check_suffix name ".ml" || Filename.check_suffix name ".mli" then
+            rel :: acc
           else acc)
       acc entries
   in
@@ -304,16 +311,14 @@ let source_files root =
     let abs = Filename.concat root dir in
     Sys.file_exists abs && Sys.is_directory abs
   in
-  List.fold_left (fun acc dir -> if present dir then walk dir acc else acc) [] Config.scanned_dirs
+  List.fold_left
+    (fun acc dir -> if present dir then walk dir acc else acc)
+    [] (Config.scanned_dirs @ Config.reference_dirs)
   |> List.sort String.compare
 
 let read_file path =
   try In_channel.with_open_text path In_channel.input_all
   with Sys_error msg -> raise (Error msg)
-
-let missing_mli ~root path =
-  Config.in_lib path
-  && not (Sys.file_exists (Filename.concat root (Filename.chop_suffix path ".ml" ^ ".mli")))
 
 let scan_root ~rules ~allowlist ~root =
   let files = source_files root in
@@ -322,7 +327,8 @@ let scan_root ~rules ~allowlist ~root =
     if List.mem Rules.S002 rules then
       List.filter_map
         (fun path ->
-          if missing_mli ~root path then
+          if Config.in_lib path && Filename.check_suffix path ".ml" && not (List.mem (path ^ "i") files)
+          then
             Some
               (Finding.make Rules.S002 ~file:path ~line:1
                  "lib/ module has no .mli; declare its public surface")

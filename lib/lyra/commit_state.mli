@@ -25,10 +25,10 @@ val add_accepted : t -> Types.iid -> seq:int -> unit
 val is_accepted : t -> Types.iid -> bool
 
 (** Φ(locked): lowest of the 2f+1 highest locally-locked values. *)
-val locked : t -> int
+val locked : t -> int (* lint: allow S005 commit state probe for the commit-model tests *)
 
 (** Φ(stable) = min(locked, lowest of the 2f+1 highest min-pendings). *)
-val stable : t -> int
+val stable : t -> int (* lint: allow S005 commit state probe for the commit-model tests *)
 
 (** Φ(committed): highest accepted sequence number ≤ stable (monotone). *)
 val committed : t -> int

@@ -78,13 +78,13 @@ val on_aux : t -> src:int -> round:int -> values:int list -> unit
 
 val decided : t -> int option
 
-val decision_round : t -> int option
+val decision_round : t -> int option (* lint: allow S005 instance probe for test_vvb *)
 
 val proposal : t -> Types.proposal option
 
 (** Perceived sequence number of this instance at this node, once
     known. *)
-val seq_obs : t -> int option
+val seq_obs : t -> int option (* lint: allow S005 instance probe for test_vvb *)
 
 val halted : t -> bool
 

@@ -13,13 +13,3 @@ let equal a b =
   | Future_seq { offset_us = x }, Future_seq { offset_us = y } -> Int.equal x y
   | Stale_votes { delay_us = x }, Stale_votes { delay_us = y } -> Int.equal x y
   | _ -> false
-
-let to_string = function
-  | Silent -> "silent"
-  | Flood { batches_per_sec } -> Printf.sprintf "flood(%d/s)" batches_per_sec
-  | Future_seq { offset_us } -> Printf.sprintf "future-seq(+%dus)" offset_us
-  | Low_status -> "low-status"
-  | Equivocate -> "equivocate"
-  | Stale_votes { delay_us } -> Printf.sprintf "stale-votes(%dus)" delay_us
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -20,7 +20,3 @@ type t =
       (** withhold votes for a while (latency pressure) *)
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string

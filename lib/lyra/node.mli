@@ -52,11 +52,11 @@ val submit : t -> payload:string -> string
 val output_log : t -> output list
 
 (** (instance, seq) pairs accepted by BOC so far (committed or not). *)
-val accepted_count : t -> int
+val accepted_count : t -> int (* lint: allow S005 node state probe for test_lyra_cluster *)
 
 val committed_seq : t -> int
 
-val pending_count : t -> int
+val pending_count : t -> int (* lint: allow S005 bounded-state probe for test_lyra_cluster *)
 
 (** Client transactions waiting in the {!Mempool}. *)
 val mempool_size : t -> int
@@ -67,10 +67,10 @@ val late_accepts : t -> int
 
 (** Outputs learned through a committed-log sync (crash recovery /
     lossy-link repair) rather than a local commit. 0 on healthy runs. *)
-val synced_entries : t -> int
+val synced_entries : t -> int (* lint: allow S005 recovery probe for test_faults *)
 
 (** Sync pulls initiated. 0 on healthy runs. *)
-val syncs_started : t -> int
+val syncs_started : t -> int (* lint: allow S005 recovery probe for test_faults *)
 
 (** Per-decision round numbers (1 = optimal good case). *)
 val decide_rounds : t -> Metrics.Recorder.t

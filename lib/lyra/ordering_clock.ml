@@ -9,4 +9,3 @@ let read t =
   t.last <- v;
   v
 
-let offset_us t = t.offset

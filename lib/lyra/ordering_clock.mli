@@ -18,5 +18,3 @@ val read : t -> int
 (** The clock value an external observer would compute without bumping
     (used for validation comparisons, never for assigning). *)
 val peek : t -> int
-
-val offset_us : t -> int

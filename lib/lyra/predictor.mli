@@ -23,6 +23,7 @@ val observe : t -> peer:int -> s_ref:int -> seq_obs:int -> unit
 val predict : t -> s_ref:int -> int option array
 
 (** Current distance estimate to a peer, if any measurement arrived. *)
+(* lint: allow S005 estimator probe for test_lyra_units *)
 val distance : t -> peer:int -> int option
 
 (** Number of peers with a known distance. *)

@@ -39,8 +39,6 @@ module Int_tbl = Hashtbl.Make (struct
   let hash x = x land max_int
 end)
 
-let pp_iid fmt { proposer; index } = Format.fprintf fmt "%d/%d" proposer index
-
 type tx = {
   tx_id : string;
   payload : string;

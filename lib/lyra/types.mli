@@ -15,11 +15,6 @@ val iid_compare : iid -> iid -> int
 
 val iid_equal : iid -> iid -> bool
 
-val pp_iid : Format.formatter -> iid -> unit
-
-(** A canonical non-negative integer hash of an [iid]. *)
-val iid_hash : iid -> int
-
 (** [iid_key ~n iid] is [index * n + proposer]: distinct iids whose
     proposers lie in [0, n) get distinct non-negative keys. A run's
     keys are dense, which suits {!Int_tbl}'s identity hash. *)

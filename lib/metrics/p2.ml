@@ -36,10 +36,6 @@ let create ~p =
     count = 0;
   }
 
-let quantile t = t.p
-
-let count t = t.count
-
 (* Height the middle marker would take one position to the side; the
    piecewise-parabolic prediction (formula (1) of the paper). *)
 let parabolic t i s =

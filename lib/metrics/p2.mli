@@ -14,12 +14,6 @@ type t
     (e.g. 0.5 for the median). Raises [Invalid_argument] otherwise. *)
 val create : p:float -> t
 
-(** The quantile this estimator tracks, as given to {!create}. *)
-val quantile : t -> float
-
-(** Observations seen so far. *)
-val count : t -> int
-
 val add : t -> float -> unit
 
 (** Current estimate. Exact (interpolated, matching

@@ -41,6 +41,7 @@ val stamp : t -> key:int -> string -> now:int -> unit
 val drop : t -> key:int -> unit
 
 (** Keys of the open entries, ascending. *)
+(* lint: allow S005 bounded-state probe for test_trace and test_metrics_workload *)
 val open_keys : t -> int list
 
 (** Label/recorder pairs in creation order. *)

@@ -30,8 +30,6 @@ let create ?(cap = max_int) () =
   if cap < 8 then invalid_arg "Recorder.create: cap must be >= 8";
   { cap; data = Array.make (min 1024 cap) 0.0; len = 0; stream = None }
 
-let sample_cap t = t.cap
-
 let is_streaming t = Option.is_some t.stream
 
 let stream_add s x =

@@ -20,9 +20,6 @@ type t
     mode. Raises [Invalid_argument] when [cap < 8]. *)
 val create : ?cap:int -> unit -> t
 
-(** The cap given to {!create} ([max_int] when unbounded). *)
-val sample_cap : t -> int
-
 (** True once the recorder has crossed its cap and dropped its raw
     samples. *)
 val is_streaming : t -> bool

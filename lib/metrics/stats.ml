@@ -2,14 +2,6 @@ let mean xs =
   if Array.length xs = 0 then 0.0
   else Array.fold_left ( +. ) 0.0 xs /. float_of_int (Array.length xs)
 
-let stddev xs =
-  let n = Array.length xs in
-  if n < 2 then 0.0
-  else
-    let m = mean xs in
-    let ss = Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs in
-    sqrt (ss /. float_of_int (n - 1))
-
 (* Shared rank interpolation over an already-sorted array; every
    percentile entry point funnels through here so a caller holding a
    sorted snapshot pays no copy and no re-sort per quantile. *)
@@ -32,8 +24,6 @@ let sorted_copy xs =
 
 let percentile p xs = percentile_sorted p (sorted_copy xs)
 
-let median xs = percentile 50.0 xs
-
 let min_max xs =
   if Array.length xs = 0 then invalid_arg "Stats.min_max: empty input";
   Array.fold_left
@@ -53,7 +43,3 @@ let summary_sorted sorted =
       percentile_sorted 95.0 sorted,
       percentile_sorted 99.0 sorted,
       sorted.(Array.length sorted - 1) )
-
-(* One copy + one sort; mean, the three quantiles and the max all read
-   the same sorted array (the max is its last element). *)
-let summary xs = summary_sorted (sorted_copy xs)

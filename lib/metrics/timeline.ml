@@ -8,8 +8,6 @@ let create ?(bucket_us = 100_000) () =
   if bucket_us <= 0 then invalid_arg "Timeline.create: bucket_us must be > 0";
   { bucket_us; data = Array.make 64 0.0; hi = -1 }
 
-let bucket_us t = t.bucket_us
-
 let ensure t idx =
   if idx >= Array.length t.data then begin
     let cap = max (2 * Array.length t.data) (idx + 1) in
@@ -44,13 +42,6 @@ let add_range t ~from_us ~until_us v =
     done
   end
 
-let buckets t = t.hi + 1
-
-let get t idx =
-  if idx < 0 || idx > t.hi then 0.0 else t.data.(idx)
-
-let to_array t = Array.sub t.data 0 (t.hi + 1)
-
 let peak t =
   if t.hi < 0 then None
   else begin
@@ -60,10 +51,3 @@ let peak t =
     done;
     Some (!best, t.data.(!best))
   end
-
-let total t =
-  let acc = ref 0.0 in
-  for idx = 0 to t.hi do
-    acc := !acc +. t.data.(idx)
-  done;
-  !acc

@@ -8,26 +8,10 @@ type t
 (** [create ~bucket_us ()] — bucket width in µs (default 100_000). *)
 val create : ?bucket_us:int -> unit -> t
 
-val bucket_us : t -> int
-
-(** [add t ~at_us v] charges [v] to the bucket containing [at_us]. *)
-val add : t -> at_us:int -> float -> unit
-
 (** [add_range t ~from_us ~until_us v] spreads [v] over the interval
     proportionally to each bucket's overlap with it (an empty interval
-    degenerates to {!add} at [from_us]). *)
+    charges [v] to the bucket containing [from_us]). *)
 val add_range : t -> from_us:int -> until_us:int -> float -> unit
-
-(** Number of buckets up to the highest one ever touched. *)
-val buckets : t -> int
-
-(** [get t i] — bucket [i]'s accumulated value (0 outside the range). *)
-val get : t -> int -> float
-
-val to_array : t -> float array
 
 (** Highest-valued bucket as [(index, value)]; [None] when empty. *)
 val peak : t -> (int * float) option
-
-(** Sum over all buckets. *)
-val total : t -> float

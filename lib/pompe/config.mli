@@ -30,6 +30,4 @@ val order_retry_us : int
 (** Ordering-phase retries before giving up: 8. *)
 val order_retry_max : int
 
-val f : t -> int
-
 val supermajority : t -> int

@@ -55,7 +55,7 @@ val order_giveups : t -> int
 
 (** Own batches still in the ordering phase: neither sequenced nor
     given up. At most [max_inflight]. *)
-val open_collects : t -> int
+val open_collects : t -> int (* lint: allow S005 bounded-state probe for test_pompe *)
 
 (** Client transactions waiting in the {!Lyra.Mempool}. *)
 val mempool_size : t -> int

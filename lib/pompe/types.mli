@@ -24,7 +24,7 @@ type cmd = {
 (** The block-id name of a command (["proposer.index"]). *)
 val cmd_id : cmd -> string
 
-val cmd_size : cmd -> int
+val cmd_size : cmd -> int (* lint: allow S005 test_pompe pins the wire-size model *)
 
 (** One node's timestamp for a batch. The signature it stands for is
     modelled by the cost model ({!msg_cost}) and the wire sizes, not

@@ -33,22 +33,3 @@ let default =
     tx_validate = 1;
   }
 
-let scale f x = int_of_float (ceil (f *. float_of_int x))
-
-let scaled f t =
-  {
-    msg_overhead = scale f t.msg_overhead;
-    sig_sign = scale f t.sig_sign;
-    sig_verify = scale f t.sig_verify;
-    share_sign = scale f t.share_sign;
-    share_verify = scale f t.share_verify;
-    share_combine = scale f t.share_combine;
-    combined_verify = scale f t.combined_verify;
-    hash_per_kb = scale f t.hash_per_kb;
-    vss_encrypt_base = scale f t.vss_encrypt_base;
-    vss_share_per_node = scale f t.vss_share_per_node;
-    vss_partial_decrypt = scale f t.vss_partial_decrypt;
-    vss_combine = scale f t.vss_combine;
-    tx_execute = scale f t.tx_execute;
-    tx_validate = scale f t.tx_validate;
-  }

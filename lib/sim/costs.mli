@@ -28,6 +28,3 @@ type t = {
 
 (** Defaults used by every experiment. *)
 val default : t
-
-(** [scaled f t] multiplies every constant by [f] (ablation studies). *)
-val scaled : float -> t -> t

@@ -1,21 +1,12 @@
-type t = {
-  base : src:int -> dst:int -> int;
-  sample : Crypto.Rng.t -> src:int -> dst:int -> int;
-}
+type t = Crypto.Rng.t -> src:int -> dst:int -> int
 
-let sample t rng ~src ~dst = t.sample rng ~src ~dst
+let sample t rng ~src ~dst = t rng ~src ~dst
 
-let base_us t ~src ~dst = t.base ~src ~dst
-
-let constant d =
-  { base = (fun ~src:_ ~dst:_ -> d); sample = (fun _ ~src:_ ~dst:_ -> d) }
+let constant d _ ~src:_ ~dst:_ = d
 
 let uniform ~lo ~hi =
   if hi < lo then invalid_arg "Latency.uniform: hi < lo";
-  {
-    base = (fun ~src:_ ~dst:_ -> (lo + hi) / 2);
-    sample = (fun rng ~src:_ ~dst:_ -> lo + Crypto.Rng.int rng (hi - lo + 1));
-  }
+  fun rng ~src:_ ~dst:_ -> lo + Crypto.Rng.int rng (hi - lo + 1)
 
 (* No sampled link delay drops below this, however wide the jitter. *)
 let floor_us = 50
@@ -37,11 +28,7 @@ let[@inline] gaussian rng ~mu ~sigma =
   mu +. (sigma *. r *. cos (2.0 *. Float.pi *. u2))
 
 let regional ?(jitter = 0.05) regions =
-  let base ~src ~dst = Regions.one_way_us regions.(src) regions.(dst) in
-  let sample rng ~src ~dst =
-    let b = base ~src ~dst in
-    let mu = float_of_int b in
+  fun rng ~src ~dst ->
+    let mu = float_of_int (Regions.one_way_us regions.(src) regions.(dst)) in
     let v = gaussian rng ~mu ~sigma:(jitter *. mu) in
     Int.max floor_us (int_of_float v)
-  in
-  { base; sample }

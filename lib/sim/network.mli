@@ -97,6 +97,7 @@ val crash : 'msg t -> int -> unit
 (** [recover t id] undoes {!crash}: the node resumes sending and
     receiving with its registered handler intact, and its [on_recover]
     hook (if any) runs. Messages tombstoned by the crash stay lost. *)
+(* lint: allow S005 test_sim crashes and recovers nodes by hand *)
 val recover : 'msg t -> int -> unit
 
 (** [on_recover t ~id hook] runs [hook] whenever node [id] recovers
@@ -126,7 +127,7 @@ val phase_sink : 'msg t -> node:int -> Metrics.Phases.sink
 val messages_sent : 'msg t -> int
 
 (** Messages delivered (handler executed). *)
-val messages_delivered : 'msg t -> int
+val messages_delivered : 'msg t -> int (* lint: allow S005 transport counter probe for test_sim *)
 
 (** Total bytes offered to the transport. *)
 val bytes_sent : 'msg t -> int
@@ -140,4 +141,5 @@ val messages_duplicated : 'msg t -> int
 
 (** Messages an eclipse cut at wire entry (counted into
     {!messages_dropped} as well). *)
+(* lint: allow S005 transport counter probe for test_adversary *)
 val messages_eclipsed : 'msg t -> int

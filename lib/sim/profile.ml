@@ -48,10 +48,6 @@ let attach ?(bucket_us = 100_000) engine ~cpus ~nics ~until_us =
   ignore (Engine.schedule engine ~delay:bucket_us sample : Engine.timer);
   t
 
-let bucket_us t = t.bucket_us
-
-let samples t = t.samples
-
 let cpu_backlog t i = t.cpu_backlog.(i)
 
 let nic_backlog t i = t.nic_backlog.(i)

@@ -27,11 +27,6 @@ val attach :
   until_us:int ->
   t
 
-val bucket_us : t -> int
-
-(** Number of backlog sampling rounds taken so far. *)
-val samples : t -> int
-
 val cpu_backlog : t -> int -> Metrics.Recorder.t
 
 val nic_backlog : t -> int -> Metrics.Recorder.t

@@ -2,13 +2,6 @@ type category = Fault | Phase | Net
 
 let category_bit = function Fault -> 1 | Phase -> 2 | Net -> 4
 
-let category_name = function
-  | Fault -> "fault"
-  | Phase -> "phase"
-  | Net -> "net"
-
-let all_categories = [ Fault; Phase; Net ]
-
 let default_categories = [ Fault; Phase ]
 
 type detail =
@@ -70,30 +63,3 @@ let events ?node ?category ?(since_us = min_int) t =
 let count t = Queue.length t.store
 
 let dropped t = t.dropped
-
-(* Rendering happens here, at query time — never on the recording
-   path. *)
-let pp_detail fmt = function
-  | Text s -> Format.pp_print_string fmt s
-  | Drop { src } -> Format.fprintf fmt "drop src=%d" src
-  | Dup { src } -> Format.fprintf fmt "dup src=%d" src
-  | Partition_drop { src } -> Format.fprintf fmt "partition-drop src=%d" src
-  | Eclipse_drop { src } -> Format.fprintf fmt "eclipse-drop src=%d" src
-  | Crash -> Format.pp_print_string fmt "crash"
-  | Recover -> Format.pp_print_string fmt "recover"
-  | Send { dst; bytes } -> Format.fprintf fmt "send dst=%d bytes=%d" dst bytes
-  | Span { span; from_us } -> Format.fprintf fmt "span %s from=%dus" span from_us
-  | Mark { mark; proposer; index } ->
-      Format.fprintf fmt "mark %s iid=%d/%d" mark proposer index
-
-let pp_event fmt e =
-  Format.fprintf fmt "%8dus n%-3d %-6s %a" e.at_us e.node
-    (category_name e.category)
-    pp_detail e.detail
-
-let dump ?node ?category t =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun e -> Buffer.add_string buf (Format.asprintf "%a\n" pp_event e))
-    (events ?node ?category t);
-  Buffer.contents buf

@@ -2,26 +2,21 @@
 
     A trace is an append-only log of timestamped, type-tagged events
     with a node attribution. Scenarios install a trace into the
-    components they want to observe; tests and the CLI query it with
-    filters.
+    components they want to observe; tests query it with filters.
 
     Recording is designed to be near-zero-cost when off: categories
     are a closed variant checked against a bitmask (one [land] per
-    {!enabled} test) and details are variant payloads rendered only at
-    query time — callers on hot paths build the payload inside an
-    [enabled] guard, so a disabled category costs neither an
-    allocation nor any string formatting. *)
+    {!enabled} test) and details are variant payloads, never strings —
+    callers on hot paths build the payload inside an [enabled] guard,
+    so a disabled category costs neither an allocation nor any string
+    formatting. *)
 
 (** Closed set of event categories. [Fault] and [Phase] are low-volume
     (drops, crashes, pipeline milestones); [Net] logs every message
     handed to the transport and is opt-in. *)
 type category = Fault | Phase | Net
 
-val category_name : category -> string
-
-val all_categories : category list
-
-(** Structured event payload; rendered lazily by {!pp_detail}. *)
+(** Structured event payload, stored unrendered. *)
 type detail =
   | Text of string  (** escape hatch for ad-hoc notes *)
   | Drop of { src : int }  (** loss window dropped a message *)
@@ -41,9 +36,10 @@ type event = { at_us : int; node : int; category : category; detail : detail }
 type t
 
 (** [create engine] — [categories] selects what is recorded (default
-    [[Fault; Phase]]; pass {!all_categories} to include the
+    [[Fault; Phase]]; add [Net] to include the
     per-message [Net] firehose); [capacity] bounds memory (default
     1_000_000 events; older events are dropped, oldest first). *)
+(* lint: allow S005 tests are the only code that installs a trace *)
 val create : ?categories:category list -> ?capacity:int -> Engine.t -> t
 
 (** [record t ~node category detail] appends an event stamped with the
@@ -55,17 +51,11 @@ val record : t -> node:int -> category -> detail -> unit
 val enabled : t -> category -> bool
 
 (** Events in chronological order, optionally filtered. *)
+(* lint: allow S005 tests are the only reader of a trace *)
 val events :
   ?node:int -> ?category:category -> ?since_us:int -> t -> event list
 
-val count : t -> int
+val count : t -> int (* lint: allow S005 tests are the only reader of a trace *)
 
 (** Number of events discarded due to the capacity bound. *)
-val dropped : t -> int
-
-val pp_detail : Format.formatter -> detail -> unit
-
-val pp_event : Format.formatter -> event -> unit
-
-(** Render the (filtered) log, one event per line. *)
-val dump : ?node:int -> ?category:category -> t -> string
+val dropped : t -> int (* lint: allow S005 tests are the only reader of a trace *)

@@ -15,8 +15,6 @@ let create ~n ~s =
   done;
   { cum }
 
-let size t = Array.length t.cum
-
 let sample t rng =
   let n = Array.length t.cum in
   let u = Crypto.Rng.float rng *. t.cum.(n - 1) in

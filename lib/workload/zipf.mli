@@ -11,8 +11,6 @@ type t
     [s < 0]. *)
 val create : n:int -> s:float -> t
 
-val size : t -> int
-
 (** [sample t rng] draws a rank in [\[0, n)] — O(log n), allocation
     free. *)
 val sample : t -> Crypto.Rng.t -> int

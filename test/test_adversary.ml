@@ -195,9 +195,7 @@ let test_partition_starves_island () =
 let oracle_names r ~victims =
   List.map
     (fun (f : Harness.Oracle.finding) -> f.oracle)
-    (List.filter_map
-       (fun oracle -> oracle r)
-       (Harness.Oracle.attack_suite ~victims))
+    (Harness.Oracle.check ~victims ~liveness:Harness.Oracle.Off r)
 
 let test_eclipsed_lyra_trips_victim_oracles () =
   (* Eclipsed for the whole run: none of the victim's submissions can
@@ -217,7 +215,7 @@ let test_eclipsed_lyra_trips_victim_oracles () =
   List.iter
     (fun (f : Harness.Oracle.finding) ->
       Alcotest.failf "unexpected safety finding: %s (%s)" f.oracle f.detail)
-    (List.filter_map (fun o -> o r) Harness.Oracle.safety_suite)
+    (Harness.Oracle.check ~liveness:Harness.Oracle.Off r)
 
 let test_victim_oracles_clean_when_benign () =
   (* Fault-free: nothing fires on an arbitrary "victim". *)

@@ -2,33 +2,32 @@
 
 let test_kv_basic () =
   let kv = App.Kvstore.create () in
-  Alcotest.(check (option string)) "missing" None (App.Kvstore.get kv "a");
-  ignore (App.Kvstore.apply kv (App.Kvstore.Put ("a", "1")));
-  Alcotest.(check (option string)) "put" (Some "1") (App.Kvstore.get kv "a");
-  (match App.Kvstore.apply kv (App.Kvstore.Get "a") with
-  | App.Kvstore.Value v -> Alcotest.(check (option string)) "get" (Some "1") v
-  | App.Kvstore.Unit -> Alcotest.fail "expected value");
-  ignore (App.Kvstore.apply kv (App.Kvstore.Del "a"));
-  Alcotest.(check (option string)) "deleted" None (App.Kvstore.get kv "a");
-  Alcotest.(check int) "applied" 3 (App.Kvstore.applied kv)
+  let apply s = App.Kvstore.apply_payload kv s in
+  let value v = Some (App.Kvstore.Value v) in
+  Alcotest.(check bool) "missing" true (apply "get a" = value None);
+  Alcotest.(check bool) "put" true (apply "put a 1" = Some App.Kvstore.Unit);
+  Alcotest.(check bool) "get" true (apply "get a" = value (Some "1"));
+  ignore (apply "del a");
+  Alcotest.(check bool) "deleted" true (apply "get a" = value None);
+  Alcotest.(check int) "applied" 5 (App.Kvstore.applied kv)
 
 let test_kv_parse_encode () =
+  let kv = App.Kvstore.create () in
   List.iter
     (fun cmd ->
-      Alcotest.(check bool) "roundtrip" true
-        (App.Kvstore.parse (App.Kvstore.encode cmd) = Some cmd))
-    [ App.Kvstore.Put ("k", "v"); App.Kvstore.Get "k"; App.Kvstore.Del "k" ];
-  Alcotest.(check bool) "junk" true (App.Kvstore.parse "explode now" = None);
-  Alcotest.(check bool) "empty" true (App.Kvstore.parse "" = None)
+      Alcotest.(check bool) cmd true (App.Kvstore.apply_payload kv cmd <> None))
+    [ "put k v"; "get k"; "del k" ];
+  Alcotest.(check bool) "junk" true (App.Kvstore.apply_payload kv "explode now" = None);
+  Alcotest.(check bool) "empty" true (App.Kvstore.apply_payload kv "" = None)
 
 let test_kv_digest_tracks_history () =
   let a = App.Kvstore.create () and b = App.Kvstore.create () in
-  ignore (App.Kvstore.apply a (App.Kvstore.Put ("x", "1")));
-  ignore (App.Kvstore.apply b (App.Kvstore.Put ("x", "1")));
+  ignore (App.Kvstore.apply_payload a "put x 1");
+  ignore (App.Kvstore.apply_payload b "put x 1");
   Alcotest.(check string) "same history same digest" (App.Kvstore.state_digest a)
     (App.Kvstore.state_digest b);
-  ignore (App.Kvstore.apply a (App.Kvstore.Del ("x")));
-  ignore (App.Kvstore.apply b (App.Kvstore.Put ("x", "1")));
+  ignore (App.Kvstore.apply_payload a "del x");
+  ignore (App.Kvstore.apply_payload b "put x 1");
   (* same final map contents would not excuse different histories *)
   Alcotest.(check bool) "different history different digest" true
     (App.Kvstore.state_digest a <> App.Kvstore.state_digest b)

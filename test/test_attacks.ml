@@ -57,7 +57,7 @@ let test_censorship_reorders_only_pompe () =
       Alcotest.(check bool)
         (proto ^ " measured") true
         (List.exists (fun (p, _, _) -> String.equal p proto) o.rows))
-    Attacks.Censorship.protocols
+    Protocol.Registry.names
 
 let suite =
   [

@@ -9,6 +9,8 @@ let findings_equal a b =
       String.equal x.oracle y.oracle && String.equal x.detail y.detail)
     a b
 
+let case_to_string c = Metrics.Json.to_string (Metrics.Json.value Explore.Case.desc c)
+
 let oracle_names fs =
   List.map (fun (f : Harness.Oracle.finding) -> f.oracle) fs
 
@@ -61,12 +63,12 @@ let rich_case =
   }
 
 let test_case_roundtrip () =
-  let s = Explore.Case.to_string rich_case in
+  let s = case_to_string rich_case in
   match Explore.Case.of_string s with
   | Error e -> Alcotest.failf "round-trip parse failed: %s" e
   | Ok c ->
       Alcotest.(check string) "identical serialization" s
-        (Explore.Case.to_string c);
+        (case_to_string c);
       Alcotest.(check string) "protocol" "lyra" c.Explore.Case.protocol;
       Alcotest.(check int)
         "perturb ops" 3
@@ -115,7 +117,7 @@ let test_case_rejects_garbage () =
         ];
     }
   in
-  reject "src out of range" (Explore.Case.to_string bad);
+  reject "src out of range" (case_to_string bad);
   (* attack fields go through the same validation on load *)
   let replace ~from ~into s =
     let fl = String.length from and sl = String.length s in
@@ -135,7 +137,7 @@ let test_case_rejects_garbage () =
   in
   reject "unknown adversary kind"
     (replace ~from:"targeted" ~into:"martian"
-       (Explore.Case.to_string rich_case));
+       (case_to_string rich_case));
   (* owning a declared-diverse link must fail Faults.validate on load:
      victim 2's eclipse owns [0] and declares [1]; flip the diverse
      declaration onto the owned peer *)
@@ -149,10 +151,10 @@ let test_case_rejects_garbage () =
                ~diverse:[ 0 ]);
     }
   in
-  reject "owned diverse link" (Explore.Case.to_string owned_diverse);
+  reject "owned diverse link" (case_to_string owned_diverse);
   (* range and catalog checks on load: replaying any of these would be
      vacuous or would die inside the harness *)
-  let base = Explore.Case.to_string (Explore.Case.make "lyra") in
+  let base = case_to_string (Explore.Case.make "lyra") in
   List.iter
     (fun (label, from, into) ->
       let edited = replace ~from ~into base in
@@ -247,9 +249,9 @@ let prop_case_round_trip =
     (QCheck.Test.make ~name:"case: random artifacts re-serialize identically"
        ~count:200 QCheck.(int_bound 1_000_000)
        (fun seed ->
-         let s = Explore.Case.to_string (gen_attack_case seed) in
+         let s = case_to_string (gen_attack_case seed) in
          match Explore.Case.of_string s with
-         | Ok c -> String.equal s (Explore.Case.to_string c)
+         | Ok c -> String.equal s (case_to_string c)
          | Error e -> QCheck.Test.fail_reportf "%s does not load: %s" s e))
 
 (* Only the members version 1 lacks may go missing; dropping any other
@@ -264,10 +266,10 @@ let prop_case_requires_members =
            (fun (key, v) ->
              List.mem key optional
              ||
-             match Explore.Case.of_json v with
+             match Metrics.Json.read Explore.Case.desc v with
              | Error _ -> true
              | Ok _ -> QCheck.Test.fail_reportf "accepted without %S" key)
-           (drop_one (Explore.Case.to_json (gen_attack_case seed)))))
+           (drop_one (Metrics.Json.value Explore.Case.desc (gen_attack_case seed)))))
 
 (* ------------------------------------------------------------------ *)
 (* Disabled perturbation is free: a run with [Perturb.none] must be    *)
@@ -349,15 +351,15 @@ let test_content_digest_memo () =
   Alcotest.(check bool) "split payload digest differs" false
     (String.equal (digest 0 0) (digest 2 0));
   let run = Testutil.run_scenario ~seed:13L "lyra" ~duration_us:500_000 in
+  let prefix_findings r =
+    List.filter
+      (String.equal "prefix-agreement")
+      (oracle_names (Harness.Oracle.check ~liveness:Harness.Oracle.Off r))
+  in
   Alcotest.(check (list string)) "equal logs agree" []
-    (oracle_names
-       (Option.to_list
-          (Harness.Oracle.prefix_agreement
-             { run with honest_logs = Array.sub logs 0 2 })));
+    (prefix_findings { run with honest_logs = Array.sub logs 0 2 });
   Alcotest.(check (list string)) "equivocation flagged" [ "prefix-agreement" ]
-    (oracle_names
-       (Option.to_list
-          (Harness.Oracle.prefix_agreement { run with honest_logs = logs })))
+    (prefix_findings { run with honest_logs = logs })
 
 let test_oracles_clean_on_healthy () =
   List.iter
@@ -557,7 +559,7 @@ let v1_as_v2 =
 
 let test_artifacts_reserialize () =
   let reserialize name =
-    Explore.Case.to_string (load_repro name)
+    case_to_string (load_repro name)
   in
   Alcotest.(check string)
     "v2 artifact byte-identical"

@@ -4,36 +4,35 @@ open Crypto
 
 let hex = Alcotest.(check string)
 
+let sha s = Sha256.to_hex (Sha256.digest s)
+
 let test_fips_vectors () =
   hex "empty" "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-    (Sha256.hex "");
+    (sha "");
   hex "abc" "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-    (Sha256.hex "abc");
+    (sha "abc");
   hex "448-bit"
     "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-    (Sha256.hex "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
+    (sha "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
   hex "896-bit"
     "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
-    (Sha256.hex
+    (sha
        "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
         ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu")
 
 let test_million_a () =
   hex "1M x a" "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (Sha256.hex (String.make 1_000_000 'a'))
+    (sha (String.make 1_000_000 'a'))
 
 let test_incremental_equals_oneshot () =
   let data = String.init 10_000 (fun i -> Char.chr (i mod 251)) in
-  let ctx = Sha256.init () in
-  let rec feed pos =
-    if pos < String.length data then begin
+  let rec chunks pos =
+    if pos >= String.length data then []
+    else
       let chunk = min 137 (String.length data - pos) in
-      Sha256.update ctx (String.sub data pos chunk);
-      feed (pos + chunk)
-    end
+      String.sub data pos chunk :: chunks (pos + chunk)
   in
-  feed 0;
-  hex "incremental" (Sha256.to_hex (Sha256.digest data)) (Sha256.to_hex (Sha256.final ctx))
+  hex "incremental" (sha data) (Sha256.to_hex (Sha256.digest_list (chunks 0)))
 
 let prop_incremental =
   QCheck_alcotest.to_alcotest
@@ -41,10 +40,9 @@ let prop_incremental =
        QCheck.(pair small_string (int_bound 64))
        (fun (s, cut) ->
          let cut = min cut (String.length s) in
-         let ctx = Sha256.init () in
-         Sha256.update ctx (String.sub s 0 cut);
-         Sha256.update ctx (String.sub s cut (String.length s - cut));
-         String.equal (Sha256.final ctx) (Sha256.digest s)))
+         String.equal
+           (Sha256.digest_list [ String.sub s 0 cut; String.sub s cut (String.length s - cut) ])
+           (Sha256.digest s)))
 
 let test_digest_list () =
   hex "concat" (Sha256.to_hex (Sha256.digest "foobarbaz"))

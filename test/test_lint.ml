@@ -227,7 +227,7 @@ let test_s002_and_allowlist () =
   Sys.mkdir root 0o755;
   Sys.mkdir (Filename.concat root "lib") 0o755;
   Sys.mkdir (Filename.concat root "lib/lyra") 0o755;
-  write_file (Filename.concat root "lib/lyra/bare.ml") "let x = 1\n";
+  write_file (Filename.concat root "lib/lyra/bare.ml") "let x = Sealed.y\n";
   write_file (Filename.concat root "lib/lyra/sealed.ml") "let y = 2\n";
   write_file (Filename.concat root "lib/lyra/sealed.mli") "val y : int\n";
   let scan allowlist =
@@ -253,6 +253,9 @@ let test_s002_and_allowlist () =
 (* Allowlist parsing.                                                  *)
 (* ------------------------------------------------------------------ *)
 
+let allows entries ~rule ~path ~line =
+  List.exists (fun e -> Lint.Config.entry_allows e ~rule ~path ~line) entries
+
 let test_allow_parsing () =
   let parsed =
     Lint.Config.parse
@@ -263,13 +266,13 @@ let test_allow_parsing () =
   | Ok entries ->
       Alcotest.(check int) "three entries" 3 (List.length entries);
       Alcotest.(check bool) "file-wide entry matches any line" true
-        (Lint.Config.allows entries ~rule:Lint.Rules.D001 ~path:"lib/sim/det.ml" ~line:99);
+        (allows entries ~rule:Lint.Rules.D001 ~path:"lib/sim/det.ml" ~line:99);
       Alcotest.(check bool) "line entry matches its line" true
-        (Lint.Config.allows entries ~rule:Lint.Rules.D002 ~path:"bench/main.ml" ~line:461);
+        (allows entries ~rule:Lint.Rules.D002 ~path:"bench/main.ml" ~line:461);
       Alcotest.(check bool) "line entry rejects other lines" false
-        (Lint.Config.allows entries ~rule:Lint.Rules.D002 ~path:"bench/main.ml" ~line:462);
+        (allows entries ~rule:Lint.Rules.D002 ~path:"bench/main.ml" ~line:462);
       Alcotest.(check bool) "other path rejected" false
-        (Lint.Config.allows entries ~rule:Lint.Rules.D001 ~path:"lib/sim/engine.ml" ~line:99));
+        (allows entries ~rule:Lint.Rules.D001 ~path:"lib/sim/engine.ml" ~line:99));
   (match Lint.Config.parse "D9XY lib/sim/det.ml\n" with
   | Ok _ -> Alcotest.fail "unknown rule id must be rejected"
   | Error _ -> ());
@@ -582,6 +585,73 @@ let test_s004_stale_entries () =
   check_project "test-scope directives are exempt" []
     [ ("test/fix.ml", "(* lint: allow D001 *)\nlet f x = Int.succ x\n") ]
 
+(* S005: an exported value needs a user outside its own module. The
+   fixture library [lib/lyra/a] exports [f] (used by the file under
+   test) and [g] (used by nobody). *)
+let s005 ?(mli = "val f : int -> int\nval g : int\n") files =
+  project ~rules:[ Lint.Rules.S004; Lint.Rules.S005 ]
+    ([ ("lib/lyra/a.mli", mli); ("lib/lyra/a.ml", "let f x = x\nlet g = f 1\n") ] @ files)
+
+let check_s005 ?mli msg expected files =
+  Alcotest.(check (list string)) msg expected (List.map render (s005 ?mli files))
+
+let test_s005_fires () =
+  check_s005 "never used, or used only in its own .ml"
+    [ "lib/lyra/a.mli:1:S005"; "lib/lyra/a.mli:2:S005" ] [];
+  check_s005 "used only from test/"
+    [ "lib/lyra/a.mli:1:S005"; "lib/lyra/a.mli:2:S005" ]
+    [ ("test/t.ml", "let _ = Lyra.A.f 1\nlet _ = Lyra.A.g\n") ];
+  (match s005 [ ("test/t.ml", "let _ = Lyra.A.g\n") ] with
+  | [ _; g ] ->
+      Alcotest.(check string) "the message names the test-only use"
+        "'g' is exported but only test/ uses it outside lib/lyra/a.ml; drop it from the .mli, \
+         delete it, or allow it with a reason"
+        g.message
+  | fs -> Alcotest.failf "expected two findings, got %d" (List.length fs));
+  check_s005 "a nested module's value is named by its path"
+    [ "lib/lyra/a.mli:3:S005" ]
+    ~mli:"val f : int -> int\nmodule Closed : sig\n  val size : int\nend\n"
+    [ ("bin/x.ml", "let _ = Lyra.A.f 1\n") ]
+
+let test_s005_silent () =
+  let uses_f = "lib/lyra/a.mli:2:S005" in
+  List.iter
+    (fun path ->
+      check_s005 ("a use from " ^ path) [ uses_f ] [ (path, "let _ = Lyra.A.f 1\n") ])
+    [ "lib/sim/x.ml"; "bin/x.ml"; "bench/x.ml"; "examples/x.ml"; "perfbench/x.ml" ];
+  check_s005 "a sibling module of the same library" [ uses_f ]
+    [ ("lib/lyra/b.ml", "let h = A.f\n") ];
+  check_s005 "through a module alias" [ uses_f ]
+    [ ("bin/x.ml", "module J = Lyra.A\nlet _ = J.f 1\n") ];
+  check_s005 "under a toplevel open of the library" [ uses_f ]
+    [ ("examples/x.ml", "open Lyra\nlet _ = A.f 1\n") ];
+  List.iter
+    (fun (what, src) -> check_s005 what [] [ ("bin/x.ml", src) ])
+    [
+      ("a local open uses every value", "let _ = Lyra.A.(f g)\n");
+      ("let open uses every value", "let _ = let open Lyra.A in f g\n");
+      ("include uses every value", "include Lyra.A\n");
+      ( "a packed module uses every value",
+        "module type S = sig end\nlet _ = (module Lyra.A : S)\n" );
+      ( "a functor argument uses every value",
+        "module F (X : sig end) = struct end\nmodule M = F (Lyra.A)\n" );
+    ];
+  check_s005 "a nested path" []
+    ~mli:"module Closed : sig\n  val create : unit -> int\nend\n"
+    [ ("bin/x.ml", "let _ = Lyra.A.Closed.create ()\n") ];
+  check_s005 "module type members are not exports" []
+    ~mli:"module type S = sig\n  val f : int\nend\n" [];
+  check_s005 "vals inside a functor's result are not checked" []
+    ~mli:"module Make (X : sig end) : sig\n  val f : int\nend\n" []
+
+let test_s005_allow () =
+  check_s005 "an inline allow in the .mli suppresses it" []
+    ~mli:"val f : int -> int\nval g : int (* lint: allow S005 probe for tests *)\n"
+    [ ("bin/x.ml", "let _ = Lyra.A.f 1\n") ];
+  check_s005 "a stale allow is an S004 finding" [ "lib/lyra/a.mli:1:S004" ]
+    ~mli:"val f : int -> int (* lint: allow S005 probe for tests *)\nval g : int\n"
+    [ ("bin/x.ml", "let _ = Lyra.A.(f g)\n") ]
+
 (* ------------------------------------------------------------------ *)
 (* The JSON report artifact.                                           *)
 (* ------------------------------------------------------------------ *)
@@ -671,5 +741,8 @@ let suite =
     Alcotest.test_case "dagorder/fairness scope" `Quick
       test_dagorder_fairness_scope;
     Alcotest.test_case "S004 staleness" `Quick test_s004_stale_entries;
+    Alcotest.test_case "S005 fires" `Quick test_s005_fires;
+    Alcotest.test_case "S005 silent" `Quick test_s005_silent;
+    Alcotest.test_case "S005 inline allow" `Quick test_s005_allow;
     Alcotest.test_case "JSON report" `Quick test_json_report;
   ]

@@ -224,11 +224,6 @@ let test_commit_state_locked_monotone () =
   Lyra.Commit_state.peer_status cs ~peer:0 ~locked:100 ~min_pending:10_000;
   Alcotest.(check int) "monotone" 500 (Lyra.Commit_state.locked cs)
 
-let test_misbehavior_labels () =
-  Alcotest.(check string) "silent" "silent" (Lyra.Misbehavior.to_string Lyra.Misbehavior.Silent);
-  Alcotest.(check string) "flood" "flood(4/s)"
-    (Lyra.Misbehavior.to_string (Lyra.Misbehavior.Flood { batches_per_sec = 4 }))
-
 (* The isolation check against the full last_rx scan it replaces, over
    receive runs where peers crash and recover and the whole cluster
    sometimes goes quiet for longer than the gap. The probation window
@@ -530,7 +525,6 @@ let suite =
     Alcotest.test_case "commit tie break" `Quick test_commit_state_ordering_ties;
     Alcotest.test_case "commit idempotent" `Quick test_commit_state_idempotent_accept;
     Alcotest.test_case "commit locked monotone" `Quick test_commit_state_locked_monotone;
-    Alcotest.test_case "misbehavior labels" `Quick test_misbehavior_labels;
     prop_isolation_matches_scan;
     prop_mempool_matches_reference;
     Alcotest.test_case "mempool flush policy" `Quick test_mempool_flush_policy;

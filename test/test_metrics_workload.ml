@@ -3,18 +3,16 @@
 let test_stats_basics () =
   let xs = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
   Alcotest.(check (float 1e-9)) "mean" 3.0 (Metrics.Stats.mean xs);
-  Alcotest.(check (float 1e-9)) "median" 3.0 (Metrics.Stats.median xs);
+  Alcotest.(check (float 1e-9)) "median" 3.0 (Metrics.Stats.percentile 50.0 xs);
   Alcotest.(check (float 1e-9)) "p0" 1.0 (Metrics.Stats.percentile 0.0 xs);
   Alcotest.(check (float 1e-9)) "p100" 5.0 (Metrics.Stats.percentile 100.0 xs);
   Alcotest.(check (float 1e-9)) "p25 interp" 2.0 (Metrics.Stats.percentile 25.0 xs);
   let lo, hi = Metrics.Stats.min_max xs in
   Alcotest.(check (float 1e-9)) "min" 1.0 lo;
-  Alcotest.(check (float 1e-9)) "max" 5.0 hi;
-  Alcotest.(check (float 1e-6)) "stddev" (sqrt 2.5) (Metrics.Stats.stddev xs)
+  Alcotest.(check (float 1e-9)) "max" 5.0 hi
 
 let test_stats_edges () =
   Alcotest.(check (float 1e-9)) "empty mean" 0.0 (Metrics.Stats.mean [||]);
-  Alcotest.(check (float 1e-9)) "single stddev" 0.0 (Metrics.Stats.stddev [| 7.0 |]);
   Alcotest.(check bool) "bad p raises" true
     (try ignore (Metrics.Stats.percentile 150.0 [| 1.0 |]); false
      with Invalid_argument _ -> true)
@@ -28,7 +26,7 @@ let test_stats_empty_summary () =
   Alcotest.(check bool) "bad p still raises on empty" true
     (try ignore (Metrics.Stats.percentile 150.0 [||]); false
      with Invalid_argument _ -> true);
-  let mean, p50, p95, p99, max_v = Metrics.Stats.summary [||] in
+  let mean, p50, p95, p99, max_v = Metrics.Stats.summary_sorted [||] in
   Alcotest.(check (float 1e-9)) "mean" 0.0 mean;
   Alcotest.(check (float 1e-9)) "p50" 0.0 p50;
   Alcotest.(check (float 1e-9)) "p95" 0.0 p95;
@@ -202,7 +200,6 @@ let prop_open_arrival_concentration =
 
 let test_recorder_streaming_mode () =
   let r = Metrics.Recorder.create ~cap:64 () in
-  Alcotest.(check int) "cap" 64 (Metrics.Recorder.sample_cap r);
   for i = 1 to 63 do
     Metrics.Recorder.record r (float_of_int i)
   done;
@@ -280,7 +277,6 @@ let test_p2_exact_below_five () =
   Metrics.P2.add m 6.0;
   (* below 5 samples the estimator answers exactly from the buffer *)
   Alcotest.(check (float 1e-9)) "median of 3" 6.0 (Metrics.P2.value m);
-  Alcotest.(check int) "count" 3 (Metrics.P2.count m);
   Alcotest.(check bool) "bad p raises" true
     (try ignore (Metrics.P2.create ~p:1.0); false
      with Invalid_argument _ -> true)
@@ -292,7 +288,6 @@ let test_p2_exact_below_five () =
 let test_zipf_skew () =
   let rng = Crypto.Rng.create 11L in
   let z = Workload.Zipf.create ~n:100 ~s:1.2 in
-  Alcotest.(check int) "size" 100 (Workload.Zipf.size z);
   let counts = Array.make 100 0 in
   for _ = 1 to 20_000 do
     let k = Workload.Zipf.sample z rng in

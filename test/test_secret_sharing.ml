@@ -48,10 +48,7 @@ let test_feldman_verify () =
   let shares, comms = Feldman.deal rng ~secret ~threshold:4 ~n:9 in
   Array.iter
     (fun s -> Alcotest.(check bool) "share verifies" true (Feldman.verify_share comms s))
-    shares;
-  Alcotest.(check int) "threshold" 4 (Feldman.threshold comms);
-  Alcotest.(check bool) "secret commitment" true
-    (Group.equal (Feldman.secret_commitment comms) (Group.commit secret))
+    shares
 
 let test_feldman_tampered () =
   let secret = Group.Scalar.random rng in

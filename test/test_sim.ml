@@ -495,7 +495,6 @@ let test_latency_models () =
     Alcotest.(check bool) "uniform range" true (v >= 10 && v <= 20)
   done;
   let reg = Sim.Latency.regional ~jitter:0.05 [| Sim.Regions.Oregon; Sim.Regions.Sydney |] in
-  Alcotest.(check int) "base" 69_000 (Sim.Latency.base_us reg ~src:0 ~dst:1);
   for _ = 1 to 100 do
     let v = Sim.Latency.sample reg rng ~src:0 ~dst:1 in
     Alcotest.(check bool) "near base" true (abs (v - 69_000) < 20_000)
