@@ -50,14 +50,12 @@ let workload_selfcheck () =
     let tx_id = "t" ^ string_of_int !next in
     incr next;
     let p = payload in
-    ignore
-      (Sim.Engine.schedule engine ~delay:echo_delay_us (fun () ->
-           match !wl with
-           | Some w ->
-               Workload.Engine.on_commit w ~tx_id ~payload:p
-                 ~now_us:(Sim.Engine.now engine)
-           | None -> ())
-        : Sim.Engine.timer);
+    Sim.Engine.schedule engine ~delay:echo_delay_us (fun () ->
+        match !wl with
+        | Some w ->
+            Workload.Engine.on_commit w ~tx_id ~payload:p
+              ~now_us:(Sim.Engine.now engine)
+        | None -> ());
     tx_id
   in
   let w = Workload.Engine.create engine spec ~nodes:1 ~submit () in
@@ -126,9 +124,10 @@ let selfcheck_cols =
 (* One pass of the synthetic schedule: [pending] seeded pushes, then
    [ops] pop-and-reschedules (each popped entry is re-pushed at a
    seeded offset from its pop time — the engine contract), then a full
-   drain. Returns (elapsed seconds, events processed). Both structures
-   consume the identical delta sequence; the RNG draws happen outside
-   the timed region so only scheduler cost is measured. *)
+   drain. [pop] returns the popped time, or -1 when empty. Returns
+   (elapsed seconds, events processed). Both structures consume the
+   identical delta sequence; the RNG draws happen outside the timed
+   region so only scheduler cost is measured. *)
 let sched_workload ~pending ~ops ~push ~pop q =
   let rng = Crypto.Rng.create 0xD15CL in
   (* Fill range scales with the population (1 entry/µs) so the schedule
@@ -141,13 +140,25 @@ let sched_workload ~pending ~ops ~push ~pop q =
     push q ~time:fill.(i) i
   done;
   for i = 0 to ops - 1 do
-    match pop q with
-    | Some (t, _) -> push q ~time:(t + deltas.(i)) i
-    | None -> ()
+    let t = pop q in
+    if t >= 0 then push q ~time:(t + deltas.(i)) i
   done;
-  let rec drain () = match pop q with Some _ -> drain () | None -> () in
-  drain ();
+  while pop q >= 0 do
+    ()
+  done;
   (now_wall () -. t0, (2 * pending) + (2 * ops))
+
+(* The heap through its generic push/pop; the wheel through the calls
+   the engine's loop makes: [add], then [head_time] and [take]. *)
+let heap_pop h = match Sim.Event_heap.pop h with Some (t, _) -> t | None -> -1
+
+let wheel_pop w =
+  let t = Sim.Timing_wheel.head_time w in
+  if Int.equal t max_int then -1
+  else begin
+    ignore (Sim.Timing_wheel.take w : int);
+    t
+  end
 
 type simspeed = {
   pending : int;
@@ -188,14 +199,12 @@ let simspeed_run () =
   in
   let heap_s, events =
     best_of (fun () ->
-        sched_workload ~pending ~ops ~push:Sim.Event_heap.push
-          ~pop:Sim.Event_heap.pop
+        sched_workload ~pending ~ops ~push:Sim.Event_heap.push ~pop:heap_pop
           (Sim.Event_heap.create ()))
   in
   let wheel_s, _ =
     best_of (fun () ->
-        sched_workload ~pending ~ops ~push:Sim.Timing_wheel.push
-          ~pop:Sim.Timing_wheel.pop
+        sched_workload ~pending ~ops ~push:Sim.Timing_wheel.add ~pop:wheel_pop
           (Sim.Timing_wheel.create ()))
   in
   let heap_eps = float_of_int events /. heap_s in
@@ -223,9 +232,9 @@ let simspeed_run () =
     let rec tick () =
       Sim.Network.broadcast net ~src:i ();
       if Sim.Engine.now engine < duration_us then
-        ignore (Sim.Engine.schedule engine ~delay:1_000 tick : Sim.Engine.timer)
+        Sim.Engine.schedule engine ~delay:1_000 tick
     in
-    ignore (Sim.Engine.schedule engine ~delay:(1 + i) tick : Sim.Engine.timer)
+    Sim.Engine.schedule engine ~delay:(1 + i) tick
   done;
   let t0 = now_wall () in
   let w0 = Gc.minor_words () in

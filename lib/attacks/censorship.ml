@@ -106,23 +106,21 @@ let latency_run (module P : Protocol.NODE) ~n seed =
   Array.iter P.start nodes;
   let first_victim_at = max 1_000_000 P.default_warmup_us in
   for k = 0 to victim_count - 1 do
-    ignore
-      (Sim.Engine.schedule engine
-         ~delay:(first_victim_at + (k * victim_spacing_us))
-         (fun () ->
-           ignore
-             (P.submit nodes.(victim_origin) ~payload:(victim_payload k)
-               : string);
-           (* Background traffic from the other (honest, participating)
-              nodes, so displacement is observable. *)
-           for j = 1 to n - 1 do
-             if P.honest nodes.(j) then
-               ignore
-                 (P.submit nodes.(j)
-                    ~payload:(Printf.sprintf "put bg%d-%d 0" j k)
-                   : string)
-           done)
-        : Sim.Engine.timer)
+    Sim.Engine.schedule engine
+      ~delay:(first_victim_at + (k * victim_spacing_us))
+      (fun () ->
+        ignore
+          (P.submit nodes.(victim_origin) ~payload:(victim_payload k)
+            : string);
+        (* Background traffic from the other (honest, participating)
+           nodes, so displacement is observable. *)
+        for j = 1 to n - 1 do
+          if P.honest nodes.(j) then
+            ignore
+              (P.submit nodes.(j)
+                 ~payload:(Printf.sprintf "put bg%d-%d 0" j k)
+                : string)
+        done)
   done;
   Sim.Engine.run engine ~until:30_000_000;
   let outputs =

@@ -109,11 +109,9 @@ let run_trial (module P : Protocol.NODE) seed =
   in
   mallory := Some nodes.(1);
   Array.iter P.start nodes;
-  ignore
-    (Sim.Engine.schedule engine
-       ~delay:(max 1_000_000 P.default_warmup_us)
-       (fun () -> ignore (P.submit nodes.(0) ~payload:victim_payload : string))
-      : Sim.Engine.timer);
+  Sim.Engine.schedule engine
+    ~delay:(max 1_000_000 P.default_warmup_us)
+    (fun () -> ignore (P.submit nodes.(0) ~payload:victim_payload : string));
   Sim.Engine.run engine ~until:15_000_000;
   let log = P.output_log nodes.(2) in
   let outputs = List.map (fun (c : Protocol.committed) -> c.txs) log in

@@ -87,10 +87,8 @@ let run_trial ~protocol ~attack_enabled seed =
           ignore (P.submit node ~payload:front : string);
           (* The back-run goes out a moment later so its (lower-bounded)
              sequence number lands behind the victim's. *)
-          ignore
-            (Sim.Engine.schedule engine ~delay:120_000 (fun () ->
-                 ignore (P.submit node ~payload:back : string))
-              : Sim.Engine.timer)
+          Sim.Engine.schedule engine ~delay:120_000 (fun () ->
+              ignore (P.submit node ~payload:back : string))
       | None -> ()
     end
   in
@@ -114,11 +112,9 @@ let run_trial ~protocol ~attack_enabled seed =
   in
   mallory := Some nodes.(1);
   Array.iter P.start nodes;
-  ignore
-    (Sim.Engine.schedule engine
-       ~delay:(max 1_000_000 P.default_warmup_us)
-       (fun () -> ignore (P.submit nodes.(0) ~payload:victim_payload : string))
-      : Sim.Engine.timer);
+  Sim.Engine.schedule engine
+    ~delay:(max 1_000_000 P.default_warmup_us)
+    (fun () -> ignore (P.submit nodes.(0) ~payload:victim_payload : string));
   Sim.Engine.run engine ~until:15_000_000;
   (!launched, attacker_profit pool, victim_output pool)
 

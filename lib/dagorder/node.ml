@@ -169,13 +169,11 @@ let do_fetch t =
 let rec arm_fetch t =
   if not t.fetch_armed then begin
     t.fetch_armed <- true;
-    ignore
-      (Sim.Engine.schedule t.engine ~delay:t.config.fetch_interval_us
-         (fun () ->
-           t.fetch_armed <- false;
-           do_fetch t;
-           if Hashtbl.length t.missing > 0 then arm_fetch t)
-        : Sim.Engine.timer)
+    Sim.Engine.schedule t.engine ~delay:t.config.fetch_interval_us
+      (fun () ->
+        t.fetch_armed <- false;
+        do_fetch t;
+        if Hashtbl.length t.missing > 0 then arm_fetch t)
   end
 
 (* Insert a vertex, absorbing any buffered descendants that become
@@ -283,11 +281,9 @@ let rec create_vertex t ~round ~refs =
   let v = { Dag.round; creator = t.id; refs; weak; batches; reports } in
   t.last_created_round <- round;
   t.timer_due <- false;
-  ignore
-    (Sim.Engine.schedule t.engine ~delay:t.config.round_interval_us (fun () ->
-         t.timer_due <- true;
-         try_advance t)
-      : Sim.Engine.timer);
+  Sim.Engine.schedule t.engine ~delay:t.config.round_interval_us (fun () ->
+      t.timer_due <- true;
+      try_advance t);
   (* Self-delivery through the broadcast inserts the vertex into the
      local DAG via the normal handler. *)
   broadcast t (Vertex v)

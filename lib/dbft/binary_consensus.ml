@@ -32,9 +32,7 @@ module R = Rounds.Make (struct
   let send_aux t ~round values = broadcast t (Aux { round; values })
 
   let schedule t ~delay_us fn =
-    ignore
-      (Sim.Engine.schedule (Sim.Network.engine t.net) ~delay:delay_us fn
-        : Sim.Engine.timer)
+    Sim.Engine.schedule (Sim.Network.engine t.net) ~delay:delay_us fn
 
   let decide t ~round v = t.on_decide ~round v
 end)

@@ -98,11 +98,9 @@ let start t =
      [run_until_idle]). *)
   let rec arm time =
     if time <= t.until_us then
-      ignore
-        (Sim.Engine.schedule_at t.engine ~time (fun () ->
-             tick t;
-             arm (time + check_interval_us))
-          : Sim.Engine.timer)
+      Sim.Engine.schedule_at t.engine ~time (fun () ->
+          tick t;
+          arm (time + check_interval_us))
   in
   arm (t.from_us + check_interval_us)
 

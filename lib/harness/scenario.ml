@@ -205,11 +205,9 @@ let run ?(seed = 1L) ?warmup_us ?(ns_per_byte = wan_ns_per_byte)
       in
       let wl = Workload.Engine.create engine wspec ~nodes:n ~submit () in
       wl_ref := Some wl;
-      ignore
-        (Sim.Engine.schedule engine
-           ~delay:(max 200_000 (warmup_us - 700_000))
-           (fun () -> Workload.Engine.start wl)
-          : Sim.Engine.timer));
+      Sim.Engine.schedule engine
+        ~delay:(max 200_000 (warmup_us - 700_000))
+        (fun () -> Workload.Engine.start wl));
   (* Profiling is opt-in: attaching schedules sampling events, which
      perturbs the engine's event counts (never protocol behaviour). *)
   let profile =
@@ -231,70 +229,64 @@ let run ?(seed = 1L) ?warmup_us ?(ns_per_byte = wan_ns_per_byte)
   let rounds_skip = Array.make n 0 in
   let acc_skip = Array.make n 0 and rej_skip = Array.make n 0 in
   let phase_skip : (string * int) list array = Array.make n [] in
-  ignore
-    (Sim.Engine.schedule engine ~delay:warmup_us (fun () ->
-         measure_start := Sim.Engine.now engine;
-         (* The workload's latency recorders measure the steady-state
-            window only; submitted/committed counters keep covering the
-            whole run (they are ratios, not latencies). *)
-         (match (!wl_ref, workload) with
-         | Some wl, Some wspec ->
-             List.iteri
-               (fun i _ ->
-                 Metrics.Recorder.clear (Workload.Engine.stream_recorder wl i))
-               wspec.Workload.Engine.streams
-         | _ -> ());
-         Array.iteri
-           (fun i node ->
-             let s = P.stats node in
-             rounds_skip.(i) <- Array.length s.Protocol.decide_rounds;
-             acc_skip.(i) <- s.Protocol.accepted;
-             rej_skip.(i) <- s.Protocol.rejected;
-             phase_skip.(i) <-
-               List.map
-                 (fun (label, xs) -> (label, Array.length xs))
-                 s.Protocol.phases)
-           nodes)
-      : Sim.Engine.timer);
+  Sim.Engine.schedule engine ~delay:warmup_us (fun () ->
+      measure_start := Sim.Engine.now engine;
+      (* The workload's latency recorders measure the steady-state
+         window only; submitted/committed counters keep covering the
+         whole run (they are ratios, not latencies). *)
+      (match (!wl_ref, workload) with
+      | Some wl, Some wspec ->
+          List.iteri
+            (fun i _ ->
+              Metrics.Recorder.clear (Workload.Engine.stream_recorder wl i))
+            wspec.Workload.Engine.streams
+      | _ -> ());
+      Array.iteri
+        (fun i node ->
+          let s = P.stats node in
+          rounds_skip.(i) <- Array.length s.Protocol.decide_rounds;
+          acc_skip.(i) <- s.Protocol.accepted;
+          rej_skip.(i) <- s.Protocol.rejected;
+          phase_skip.(i) <-
+            List.map
+              (fun (label, xs) -> (label, Array.length xs))
+              s.Protocol.phases)
+        nodes);
   (* Clients start before the measurement window so the pipeline is in
      steady state when measuring begins (submission-time filtering keeps
      the ramp out of the numbers). *)
-  ignore
-    (Sim.Engine.schedule engine
-       ~delay:(max 200_000 (warmup_us - 700_000))
-       (fun () ->
-         Array.iteri
-           (fun id node ->
-             if P.honest node then
-               let submit ~payload =
-                 submitted_by.(id) <- submitted_by.(id) + 1;
-                 P.submit node ~payload
-               in
-               let payload =
-                 Workload.Clients.fixed_payload ~size:(P.tx_size net)
-                   (Crypto.Rng.split rng)
-               in
-               (* Stagger starts: real client populations do not begin
-                  in cluster-wide lockstep, and a synchronized burst
-                  creates artificial queueing skew. *)
-               let stagger = Crypto.Rng.int rng 300_000 in
-               ignore
-                 (Sim.Engine.schedule engine ~delay:stagger (fun () ->
-                      match load with
-                      | Closed c ->
-                          let pool =
-                            Workload.Clients.Closed.create ~clients:c ~payload
-                              ~submit ()
-                          in
-                          pools.(id) <- Some pool;
-                          Workload.Clients.Closed.start pool
-                      | Open_rate r ->
-                          Workload.Clients.Open.start
-                            (Workload.Clients.Open.create engine ~rate_per_sec:r
-                               ~payload ~submit ()))
-                   : Sim.Engine.timer))
-           nodes)
-      : Sim.Engine.timer);
+  Sim.Engine.schedule engine
+    ~delay:(max 200_000 (warmup_us - 700_000))
+    (fun () ->
+      Array.iteri
+        (fun id node ->
+          if P.honest node then
+            let submit ~payload =
+              submitted_by.(id) <- submitted_by.(id) + 1;
+              P.submit node ~payload
+            in
+            let payload =
+              Workload.Clients.fixed_payload ~size:(P.tx_size net)
+                (Crypto.Rng.split rng)
+            in
+            (* Stagger starts: real client populations do not begin
+               in cluster-wide lockstep, and a synchronized burst
+               creates artificial queueing skew. *)
+            let stagger = Crypto.Rng.int rng 300_000 in
+            Sim.Engine.schedule engine ~delay:stagger (fun () ->
+                match load with
+                | Closed c ->
+                    let pool =
+                      Workload.Clients.Closed.create ~clients:c ~payload
+                        ~submit ()
+                    in
+                    pools.(id) <- Some pool;
+                    Workload.Clients.Closed.start pool
+                | Open_rate r ->
+                    Workload.Clients.Open.start
+                      (Workload.Clients.Open.create engine ~rate_per_sec:r
+                         ~payload ~submit ())))
+        nodes);
   Sim.Engine.run engine ~until:(warmup_us + duration_us);
   Invariant_monitor.finalize monitor;
   let honest =

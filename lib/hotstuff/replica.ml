@@ -390,7 +390,5 @@ let network_transport net ~id =
     tr_send = (fun ~dst m -> Sim.Network.send net ~src:id ~dst m);
     tr_schedule =
       (fun ~delay_us fn ->
-        ignore
-          (Sim.Engine.schedule (Sim.Network.engine net) ~delay:delay_us fn
-            : Sim.Engine.timer));
+        Sim.Engine.schedule (Sim.Network.engine net) ~delay:delay_us fn);
   }

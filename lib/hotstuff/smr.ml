@@ -196,7 +196,7 @@ let create config net ~id ?(on_observe = fun _ -> ())
       tr_send = (fun ~dst m -> Sim.Network.send t.net ~src:t.id ~dst (Hs m));
       tr_schedule =
         (fun ~delay_us fn ->
-          ignore (Sim.Engine.schedule engine ~delay:delay_us fn : Sim.Engine.timer));
+          Sim.Engine.schedule engine ~delay:delay_us fn);
     }
   in
   let replica =

@@ -50,13 +50,11 @@ let rec flush t ~batch_size ~timeout_us ~ready ~propose =
     end
     else if (not (Queue.is_empty t.queue)) && not t.timer_armed then begin
       t.timer_armed <- true;
-      ignore
-        (Sim.Engine.schedule t.engine ~delay:timeout_us (fun () ->
-             t.timer_armed <- false;
-             (* Not ready (crashed, or the inflight window is full):
-                hold the transactions for the next flush. *)
-             if (not (Queue.is_empty t.queue)) && ready () then
-               propose (take t (Queue.length t.queue));
-             flush t ~batch_size ~timeout_us ~ready ~propose)
-          : Sim.Engine.timer)
+      Sim.Engine.schedule t.engine ~delay:timeout_us (fun () ->
+          t.timer_armed <- false;
+          (* Not ready (crashed, or the inflight window is full):
+             hold the transactions for the next flush. *)
+          if (not (Queue.is_empty t.queue)) && ready () then
+            propose (take t (Queue.length t.queue));
+          flush t ~batch_size ~timeout_us ~ready ~propose)
     end

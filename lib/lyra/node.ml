@@ -689,14 +689,12 @@ let make_env t iid : Instance.env =
       (fun body ->
         match (t.misbehavior, body) with
         | Some (Misbehavior.Stale_votes { delay_us }), Types.Vote _ ->
-            ignore
-              (Sim.Engine.schedule t.engine ~delay:delay_us (fun () ->
-                   broadcast_body t body)
-                : Sim.Engine.timer)
+            Sim.Engine.schedule t.engine ~delay:delay_us (fun () ->
+                broadcast_body t body)
         | _, body -> broadcast_body t body);
     schedule =
       (fun ~delay_us fn ->
-        ignore (Sim.Engine.schedule t.engine ~delay:delay_us fn : Sim.Engine.timer));
+        Sim.Engine.schedule t.engine ~delay:delay_us fn);
     observe_vote =
       (fun ~src ~seq_obs ->
         if Int.equal iid.Types.proposer t.id then
@@ -1044,10 +1042,8 @@ let rec retransmit_loop t =
      t.unsettled <-
        List.fold_left (fun s iid -> Types.Iid_set.remove iid s) t.unsettled !settled
    end);
-  ignore
-    (Sim.Engine.schedule t.engine ~delay:t.config.retransmit_interval_us
-       (fun () -> retransmit_loop t)
-      : Sim.Engine.timer)
+  Sim.Engine.schedule t.engine ~delay:t.config.retransmit_interval_us
+    (fun () -> retransmit_loop t)
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch.                                                           *)
@@ -1142,10 +1138,8 @@ let rec heartbeat_loop t =
   if not (Sim.Network.is_crashed t.net t.id) then
     Sim.Network.broadcast t.net ~src:t.id
       { status = build_status ~full:true t; body = Types.Heartbeat };
-  ignore
-    (Sim.Engine.schedule t.engine ~delay:t.config.status_interval_us (fun () ->
-         heartbeat_loop t)
-      : Sim.Engine.timer)
+  Sim.Engine.schedule t.engine ~delay:t.config.status_interval_us (fun () ->
+      heartbeat_loop t)
 
 let warmup t =
   (* Per-node jitter: synchronized warm-up bursts across the whole
@@ -1153,21 +1147,17 @@ let warmup t =
      queueing that is absent at client time. *)
   let jitter = Crypto.Rng.int t.rng (max 1 (Config.warmup_spacing_us / 2)) in
   for k = 0 to t.config.warmup_proposals - 1 do
-    ignore
-      (Sim.Engine.schedule t.engine
-         ~delay:((k * Config.warmup_spacing_us) + jitter)
-         (fun () ->
-           if not (Sim.Network.is_crashed t.net t.id) then
-             propose_batch t (fresh_txs t 1))
-        : Sim.Engine.timer)
+    Sim.Engine.schedule t.engine
+      ~delay:((k * Config.warmup_spacing_us) + jitter)
+      (fun () ->
+        if not (Sim.Network.is_crashed t.net t.id) then
+          propose_batch t (fresh_txs t 1))
   done
 
 let rec flood_loop t rate =
   let interval = max 1 (1_000_000 / max 1 rate) in
   propose_batch t (fresh_txs t t.config.batch_size);
-  ignore
-    (Sim.Engine.schedule t.engine ~delay:interval (fun () -> flood_loop t rate)
-      : Sim.Engine.timer)
+  Sim.Engine.schedule t.engine ~delay:interval (fun () -> flood_loop t rate)
 
 let start t =
   if not t.started then begin
@@ -1178,11 +1168,9 @@ let start t =
         heartbeat_loop t;
         retransmit_loop t;
         warmup t;
-        ignore
-          (Sim.Engine.schedule t.engine
-             ~delay:(t.config.warmup_proposals * Config.warmup_spacing_us)
-             (fun () -> flood_loop t batches_per_sec)
-            : Sim.Engine.timer)
+        Sim.Engine.schedule t.engine
+          ~delay:(t.config.warmup_proposals * Config.warmup_spacing_us)
+          (fun () -> flood_loop t batches_per_sec)
     | _ ->
         heartbeat_loop t;
         retransmit_loop t;

@@ -269,24 +269,22 @@ and propose_batch t txs =
    free the slot. *)
 and arm_order_retry t index batch attempt =
   let delay = Config.order_retry_us * (1 lsl min 4 (attempt - 1)) in
-  ignore
-    (Sim.Engine.schedule t.engine ~delay (fun () ->
-         if Int_tbl.mem t.collects index then
-           if attempt >= Config.order_retry_max then begin
-             Int_tbl.remove t.collects index;
-             t.order_giveups <- t.order_giveups + 1;
-             t.inflight <- max 0 (t.inflight - 1);
-             Metrics.Phases.drop t.phases ~key:index;
-             maybe_propose t
-           end
-           else if Sim.Network.is_crashed t.net t.id then
-             (* Crashed: keep the slot, check again after recovery. *)
-             arm_order_retry t index batch attempt
-           else begin
-             broadcast t (Types.Order_req { batch });
-             arm_order_retry t index batch (attempt + 1)
-           end)
-      : Sim.Engine.timer)
+  Sim.Engine.schedule t.engine ~delay (fun () ->
+      if Int_tbl.mem t.collects index then
+        if attempt >= Config.order_retry_max then begin
+          Int_tbl.remove t.collects index;
+          t.order_giveups <- t.order_giveups + 1;
+          t.inflight <- max 0 (t.inflight - 1);
+          Metrics.Phases.drop t.phases ~key:index;
+          maybe_propose t
+        end
+        else if Sim.Network.is_crashed t.net t.id then
+          (* Crashed: keep the slot, check again after recovery. *)
+          arm_order_retry t index batch attempt
+        else begin
+          broadcast t (Types.Order_req { batch });
+          arm_order_retry t index batch (attempt + 1)
+        end)
 
 let on_ts_resp t ~src iid ts =
   if Int.equal iid.Lyra.Types.proposer t.id then
@@ -339,10 +337,8 @@ let submit t ~payload =
 
 let rec flush_loop t =
   flush_exec t;
-  ignore
-    (Sim.Engine.schedule t.engine ~delay:t.config.delta_us (fun () ->
-         flush_loop t)
-      : Sim.Engine.timer)
+  Sim.Engine.schedule t.engine ~delay:t.config.delta_us (fun () ->
+      flush_loop t)
 
 let start t =
   if not t.started then begin
@@ -398,7 +394,7 @@ let create config net ~id ?(clock_offset_us = 0)
       tr_send = (fun ~dst m -> send t ~dst (Types.Hs m));
       tr_schedule =
         (fun ~delay_us fn ->
-          ignore (Sim.Engine.schedule engine ~delay:delay_us fn : Sim.Engine.timer));
+          Sim.Engine.schedule engine ~delay:delay_us fn);
     }
   in
   let replica =

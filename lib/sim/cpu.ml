@@ -3,13 +3,13 @@ type t = {
   cores : int;
   free_at : int array;  (** per-core absolute time the core becomes idle *)
   mutable busy : int;
-  kind : Engine.kind option;  (** [Some], built once: passing [~kind] per job would box it *)
+  kind : Engine.kind;
   mutable timeline : Metrics.Timeline.t option;
 }
 
 let create ?(cores = 1) ?(kind = Engine.Cpu_job) engine =
   if cores < 1 then invalid_arg "Cpu.create: cores must be >= 1";
-  { engine; cores; free_at = Array.make cores 0; busy = 0; kind = Some kind; timeline = None }
+  { engine; cores; free_at = Array.make cores 0; busy = 0; kind; timeline = None }
 
 let attach_timeline t tl = t.timeline <- Some tl
 
@@ -18,7 +18,7 @@ let attach_timeline t tl = t.timeline <- Some tl
    deterministic). The previous model divided the service time by
    [cores] on a single server, which under-charges a lone job by a
    factor of [cores] and serializes jobs that real cores would overlap. *)
-let submit t ~service_us f =
+let submit t ~service_us job =
   if service_us < 0 then invalid_arg "Cpu.submit: negative service time";
   let now = Engine.now t.engine in
   let core = ref 0 in
@@ -34,7 +34,7 @@ let submit t ~service_us f =
       Metrics.Timeline.add_range tl ~from_us:start ~until_us:finish
         (float_of_int service_us)
   | _ -> ());
-  ignore (Engine.schedule_at ?kind:t.kind t.engine ~time:finish f : Engine.timer)
+  Engine.post t.engine ~time:finish ~kind:t.kind job
 
 let cores t = t.cores
 

@@ -6,13 +6,18 @@
     the earliest-free core for its full service time, so up to [cores]
     jobs overlap and the (cores+1)-th queues — an overloaded node
     (e.g. a HotStuff leader) develops real queueing delay, the
-    mechanism behind the Fig. 3 saturation behaviour. *)
+    mechanism behind the Fig. 3 saturation behaviour.
+
+    A job is an [int] (the network's in-flight packet slot): its
+    completion is an {!Engine.post} of the CPU's kind, dispatched to
+    the engine's sink, so queueing a job allocates nothing. *)
 
 type t
 
 (** [create ?cores ?kind engine] — [cores] (default 1) parallel
-    servers; [kind] (default [Cpu_job]) tags the completion events for
-    the profiler's {!Engine.executed_by_kind} breakdown. *)
+    servers; [kind] (default [Cpu_job]) is the kind of the completion
+    events: the sink dispatches on it, and the profiler's
+    {!Engine.executed_by_kind} breakdown counts it. *)
 val create : ?cores:int -> ?kind:Engine.kind -> Engine.t -> t
 
 (** [attach_timeline t tl] mirrors every job's busy interval into [tl]
@@ -20,9 +25,10 @@ val create : ?cores:int -> ?kind:Engine.kind -> Engine.t -> t
     utilization-over-time profiles. *)
 val attach_timeline : t -> Metrics.Timeline.t -> unit
 
-(** [submit t ~service_us f] runs [f] once a core has spent
-    [service_us] of service on the job (queueing included). *)
-val submit : t -> service_us:int -> (unit -> unit) -> unit
+(** [submit t ~service_us job] posts [job] to the engine's sink, with
+    the CPU's kind, once a core has spent [service_us] of service on it
+    (queueing included). *)
+val submit : t -> service_us:int -> int -> unit
 
 val cores : t -> int
 

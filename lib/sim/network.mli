@@ -9,6 +9,9 @@
     - CPU service on [dst] ([cost ~dst msg] µs on a FIFO CPU queue).
 
     Self-addressed messages skip the NIC and wire but still pay CPU.
+    A message in flight is a slot of a recycled packet pool, and its
+    three stages are {!Engine.post}ed events that carry the slot id, so
+    the per-message path allocates no closure.
     There is one broadcast path, all-to-all: {!broadcast} is n
     point-to-point sends, the O(n²) dissemination that Lyra's VVB,
     DBFT rounds and reveals rely on and that every experiment
@@ -57,7 +60,10 @@ type dissemination = All_to_all
     [Perturb.Delay_nth] addresses advances for every non-self message
     handed to the wire, even ones a partition or loss window then
     drops. [adversary] is validated against [n] ({!Adversary.validate}).
-    [dissemination] is ignored (see {!dissemination}). *)
+    [dissemination] is ignored (see {!dissemination}). The network
+    registers the engine's sink ({!Engine.set_sink}), so an engine
+    carries at most one network: a second [create] on it raises
+    [Invalid_argument]. *)
 val create :
   Engine.t ->
   n:int ->
@@ -135,6 +141,18 @@ val bytes_sent : 'msg t -> int
 (** Messages dropped by the fault plan (loss windows, partitions and
     eclipses). *)
 val messages_dropped : 'msg t -> int
+
+(** Packets in flight: pool slots in use, one per message from its send
+    until it is delivered, dropped or tombstoned (a duplicate copy
+    holds a slot of its own). 0 once the engine is idle. *)
+(* lint: allow S005 bounded-state probe for test_sim *)
+val in_flight : 'msg t -> int
+
+(** Pool slots allocated. The pool grows by doubling only when every
+    slot is in use, so it never exceeds the peak of {!in_flight}
+    rounded up to a power of two. *)
+(* lint: allow S005 bounded-state probe for test_sim *)
+val pool_slots : 'msg t -> int
 
 (** Extra copies injected by duplication windows. *)
 val messages_duplicated : 'msg t -> int

@@ -43,9 +43,9 @@ let attach ?(bucket_us = 100_000) engine ~cpus ~nics ~until_us =
         (float_of_int (Cpu.backlog_us nics.(i)))
     done;
     if Engine.now engine + bucket_us <= until_us then
-      ignore (Engine.schedule engine ~delay:bucket_us sample : Engine.timer)
+      Engine.schedule engine ~delay:bucket_us sample
   in
-  ignore (Engine.schedule engine ~delay:bucket_us sample : Engine.timer);
+  Engine.schedule engine ~delay:bucket_us sample;
   t
 
 let cpu_backlog t i = t.cpu_backlog.(i)

@@ -10,11 +10,14 @@
    timers. Push and pop are O(1) amortized (each entry cascades at
    most [levels - 1] times), against the heap's O(log n).
 
-   Buckets are growable arrays whose storage is recycled: a cascade
-   empties a bucket by resetting its length, and draining a level-0
-   slot swaps the slot's array with the spent ready buffer, so the
-   steady state allocates one entry record per push — the same as the
-   heap — instead of a cons cell per entry per level.
+   An entry is two ints, a timestamp and an opaque payload (the
+   engine's encoded event), stored in a bucket's parallel [times] and
+   [payloads] arrays: there is no entry record, so [add] allocates
+   nothing once a bucket has grown. Bucket storage is recycled: a
+   cascade empties a bucket by resetting its length, and draining a
+   level-0 slot swaps the slot's arrays with the spent ready buffer's.
+   Int arrays pin nothing for the GC, so consumed ranges need no
+   clearing.
 
    Every insertion path appends in push order (a cascade walks its
    source bucket in array order; a page's lower-level buckets are empty
@@ -30,15 +33,8 @@
    and the heap side by side and asserts identical output.
 
    Contract (engine-shaped): a push's [time] must be no earlier than
-   the time of the most recently popped entry. [Engine.schedule_at]
-   already enforces the stronger [time >= clock].
-
-   The entry record is also the engine's event: it carries an opaque
-   [kind] tag and a liveness flag, and [add] hands it back as the
-   cancellation handle. A cancelled entry stays where it is and is
-   discarded when it reaches the head, so cancelling is O(1). The
-   consuming side ([head_time], [take]) allocates nothing: no option,
-   no tuple per event. *)
+   the time of the most recently taken entry. [Engine.schedule_at]
+   already enforces the stronger [time >= clock]. *)
 
 let bits = 8
 
@@ -48,91 +44,76 @@ let mask = slots - 1
 
 let levels = 4 (* horizon: 2^32 µs, ~71 simulated minutes *)
 
-type 'a entry = {
-  time : int;
-  kind : int;
-  payload : 'a;
-  (* True from [add] until the entry is taken or cancelled. *)
-  mutable live : bool;
-  (* The wheel holding the entry, so [cancel] can keep [size] exact
-     without a lookup. *)
-  owner : 'a t;
-}
+(* A bucket is an index into the flat [lens]/[times]/[payloads]
+   arrays: slot [idx] of level [l] is bucket [l * slots + idx], and
+   bucket [ready] is the ready buffer. Entries are push-ordered (not
+   time-ordered) and valid on [0, lens.(b)); spent buckets keep their
+   storage for reuse. The flat arrays exceed the minor heap's object
+   limit, so [create] allocates three arrays in the major heap and no
+   per-bucket record. *)
+let ready = levels * slots
 
-(* Unordered-by-time, push-ordered growable bucket; [arr] is valid on
-   [0, len). Spent slots keep their storage for reuse. *)
-and 'a bucket = { mutable arr : 'a entry array; mutable len : int }
-
-and 'a t = {
-  (* Floor on every stored entry's time; advanced by consuming an entry
+type t = {
+  (* Floor on every stored entry's time; advanced by taking an entry
      to its timestamp and by cascades to the cascaded page's base. *)
   mutable cur : int;
-  buckets : 'a bucket array array; (* levels x slots *)
+  lens : int array;
+  times : int array array;
+  payloads : int array array;
   occ : int array; (* stored entries per level *)
-  mutable overflow : 'a entry list; (* newest first *)
+  mutable overflow : (int * int) list; (* (time, payload), newest first *)
   mutable n_overflow : int;
-  (* Entries of one timestamp [ready_time], in push order, served from
-     [ready_pos]. Filled by draining the next non-empty level-0 slot
-     (an array swap, not a copy). *)
-  mutable ready : 'a bucket;
+  (* The ready buffer holds entries of one timestamp [ready_time], in
+     push order, served from [ready_pos]. Filled by draining the next
+     non-empty level-0 slot (an array swap, not a copy). *)
   mutable ready_pos : int;
   mutable ready_time : int;
-  (* Entries legally pushed at a time in [last-popped, cur): [cur] may
+  (* Entries legally pushed at a time in [last-taken, cur): [cur] may
      run ahead of the engine clock after a cascade, and [Engine.run
-     ~until] stops the clock between events. Sorted by (time, push order);
-     always served before the wheel ([cur] floors the wheel). Rarely
-     populated, so a list is fine. *)
-  mutable early : 'a entry list;
-  (* Entries stored, cancelled ones included; [cancelled] of them are
-     dead and wait to be discarded at the head. *)
-  mutable stored : int;
-  mutable cancelled : int;
-  (* Filler for consumed array slots: recycled bucket storage must not
-     pin popped entries (and whatever their payloads reference) for the
-     GC. Set to the first entry that ever grows a bucket. *)
-  mutable dummy : 'a entry option;
+     ~until] stops the clock between events. Sorted by (time, push
+     order); always served before the wheel ([cur] floors the wheel).
+     Rarely populated, so a list is fine. *)
+  mutable early : (int * int) list;
+  mutable size : int;
+  mutable last_time : int;
 }
-
-let new_bucket () = { arr = [||]; len = 0 }
 
 let create () =
   {
     cur = 0;
-    buckets = Array.init levels (fun _ -> Array.init slots (fun _ -> new_bucket ()));
+    lens = Array.make (ready + 1) 0;
+    times = Array.make (ready + 1) [||];
+    payloads = Array.make (ready + 1) [||];
     occ = Array.make levels 0;
     overflow = [];
     n_overflow = 0;
-    ready = new_bucket ();
     ready_pos = 0;
     ready_time = 0;
     early = [];
-    stored = 0;
-    cancelled = 0;
-    dummy = None;
+    size = 0;
+    last_time = 0;
   }
 
-let size t = t.stored - t.cancelled
+let size t = t.size
 
-let is_empty t = Int.equal (size t) 0
+let is_empty t = Int.equal t.size 0
 
-let bucket_push t b entry =
-  let cap = Array.length b.arr in
-  if Int.equal b.len cap then begin
-    (match t.dummy with None -> t.dummy <- Some entry | Some _ -> ());
-    let grown = Array.make (if cap = 0 then 8 else 2 * cap) entry in
-    Array.blit b.arr 0 grown 0 b.len;
-    b.arr <- grown
+let last_time t = t.last_time
+
+let bucket_push t b time p =
+  let len = t.lens.(b) in
+  let cap = Array.length t.times.(b) in
+  if Int.equal len cap then begin
+    let grown = if cap = 0 then 8 else 2 * cap in
+    let times = Array.make grown 0 and payloads = Array.make grown 0 in
+    Array.blit t.times.(b) 0 times 0 len;
+    Array.blit t.payloads.(b) 0 payloads 0 len;
+    t.times.(b) <- times;
+    t.payloads.(b) <- payloads
   end;
-  b.arr.(b.len) <- entry;
-  b.len <- b.len + 1
-
-(* Overwrite a consumed range with the dummy so the storage stops
-   pinning dead entries. *)
-let clear_range t arr lo len =
-  if len > 0 then
-    match t.dummy with
-    | Some d -> Array.fill arr lo len d
-    | None -> () (* no bucket ever grew, so [arr] is empty anyway *)
+  t.times.(b).(len) <- time;
+  t.payloads.(b).(len) <- p;
+  t.lens.(b) <- len + 1
 
 (* Level of [time] relative to [cur]: the highest 8-bit digit where the
    two differ, or [levels] when the difference lies beyond the horizon
@@ -147,15 +128,14 @@ let level_of t time =
   else if diff lsr (4 * bits) = 0 then 3
   else levels
 
-let insert_wheel t entry =
-  let l = level_of t entry.time in
+let insert_wheel t time p =
+  let l = level_of t time in
   if Int.equal l levels then begin
-    t.overflow <- entry :: t.overflow;
+    t.overflow <- (time, p) :: t.overflow;
     t.n_overflow <- t.n_overflow + 1
   end
   else begin
-    let idx = (entry.time lsr (bits * l)) land mask in
-    bucket_push t t.buckets.(l).(idx) entry;
+    bucket_push t ((l * slots) + ((time lsr (bits * l)) land mask)) time p;
     t.occ.(l) <- t.occ.(l) + 1
   end
 
@@ -164,71 +144,65 @@ let insert_wheel t entry =
    slot (empty: it was drained, and same-time pushes went to [ready])
    stays in push order. *)
 let unwind_ready t =
-  let b = t.ready in
-  for i = t.ready_pos to b.len - 1 do
-    insert_wheel t b.arr.(i)
+  let times = t.times.(ready) and payloads = t.payloads.(ready) in
+  for i = t.ready_pos to t.lens.(ready) - 1 do
+    insert_wheel t times.(i) payloads.(i)
   done;
-  clear_range t b.arr 0 b.len;
-  b.len <- 0;
+  t.lens.(ready) <- 0;
   t.ready_pos <- 0
 
-let ready_count t = t.ready.len - t.ready_pos
+let ready_count t = t.lens.(ready) - t.ready_pos
 
-let add t ~time ~kind payload =
-  let entry = { time; kind; payload; live = true; owner = t } in
-  t.stored <- t.stored + 1;
+let add t ~time p =
+  t.size <- t.size + 1;
   if time < t.cur then begin
-    (* Legal only between the last pop and [cur] (see [early]). The new
-       entry is the latest inserted, so it goes after every entry of
-       its timestamp. *)
+    (* Legal only between the last take and [cur] (see [early]). The
+       new entry is the latest inserted, so it goes after every entry
+       of its timestamp. *)
     let rec ins = function
-      | [] -> [ entry ]
-      | e :: rest as l -> if time < e.time then entry :: l else e :: ins rest
+      | [] -> [ (time, p) ]
+      | ((et, _) as e) :: rest as l ->
+          if time < et then (time, p) :: l else e :: ins rest
     in
     t.early <- ins t.early
   end
-  else if ready_count t = 0 then insert_wheel t entry
+  else if ready_count t = 0 then insert_wheel t time p
   else if Int.equal time t.ready_time then
     (* The newest entry of its timestamp: appending keeps [ready] in order. *)
-    bucket_push t t.ready entry
+    bucket_push t ready time p
   else if time < t.ready_time then begin
     unwind_ready t;
-    insert_wheel t entry
+    insert_wheel t time p
   end
-  else insert_wheel t entry;
-  entry
-
-let push t ~time payload = ignore (add t ~time ~kind:0 payload : _ entry)
-
-let cancel e =
-  if e.live then begin
-    e.live <- false;
-    e.owner.cancelled <- e.owner.cancelled + 1
-  end
+  else insert_wheel t time p
 
 (* First non-empty slot of level [l] at digit >= cur's digit, or -1. *)
 let scan_level t l =
-  let row = t.buckets.(l) in
+  let base = l * slots in
   let idx = ref ((t.cur lsr (bits * l)) land mask) in
-  while !idx < slots && Int.equal row.(!idx).len 0 do
+  while !idx < slots && Int.equal t.lens.(base + !idx) 0 do
     incr idx
   done;
   if !idx < slots then !idx else -1
 
-(* Stage the level-0 slot as the ready buffer by swapping arrays: the
-   slot takes the spent ready storage, the ready buffer takes the
+(* Stage the level-0 slot as the ready buffer by swapping storage:
+   the slot takes the spent ready arrays, the ready buffer takes the
    slot's entries — already in push order (see the ordering invariant
    above), all of one timestamp. *)
 let drain_l0_slot t idx =
-  let b = t.buckets.(0).(idx) in
-  if b.len > 0 then begin
-    t.occ.(0) <- t.occ.(0) - b.len;
-    let spent = t.ready in
-    (* spent.len = 0: ready is only refilled once fully consumed. *)
-    t.ready <- b;
-    t.buckets.(0).(idx) <- spent;
+  let len = t.lens.(idx) in
+  if len > 0 then begin
+    t.occ.(0) <- t.occ.(0) - len;
+    (* lens.(ready) = 0: ready is only refilled once fully consumed. *)
+    let times = t.times.(idx) and payloads = t.payloads.(idx) in
+    t.times.(idx) <- t.times.(ready);
+    t.payloads.(idx) <- t.payloads.(ready);
+    t.lens.(idx) <- 0;
+    t.times.(ready) <- times;
+    t.payloads.(ready) <- payloads;
+    t.lens.(ready) <- len;
     t.ready_pos <- 0;
-    t.ready_time <- b.arr.(0).time
+    t.ready_time <- times.(0)
   end
 
 (* Cascade the level-l bucket at [idx] down: advance [cur] to the
@@ -238,15 +212,15 @@ let drain_l0_slot t idx =
 let cascade t l idx =
   let page = bits * (l + 1) in
   let base = ((t.cur lsr page) lsl page) lor (idx lsl (bits * l)) in
-  let b = t.buckets.(l).(idx) in
-  t.occ.(l) <- t.occ.(l) - b.len;
+  let b = (l * slots) + idx in
+  let n = t.lens.(b) in
+  t.occ.(l) <- t.occ.(l) - n;
   t.cur <- base;
-  let n = b.len in
-  b.len <- 0;
+  t.lens.(b) <- 0;
+  let times = t.times.(b) and payloads = t.payloads.(b) in
   for i = 0 to n - 1 do
-    insert_wheel t b.arr.(i)
-  done;
-  clear_range t b.arr 0 n
+    insert_wheel t times.(i) payloads.(i)
+  done
 
 (* Fold the overflow calendar back in once the wheel proper is empty:
    jump [cur] to the earliest far-future entry and re-insert everything
@@ -255,12 +229,12 @@ let cascade t l idx =
 let refill_from_overflow t =
   match t.overflow with
   | [] -> ()
-  | first :: rest ->
-      t.cur <- List.fold_left (fun m e -> Int.min m e.time) first.time rest;
+  | (first, _) :: rest ->
+      t.cur <- List.fold_left (fun m (time, _) -> Int.min m time) first rest;
       let all = List.rev t.overflow in
       t.overflow <- [];
       t.n_overflow <- 0;
-      List.iter (insert_wheel t) all
+      List.iter (fun (time, p) -> insert_wheel t time p) all
 
 let in_wheel t =
   t.occ.(0) + t.occ.(1) + t.occ.(2) + t.occ.(3) + t.n_overflow
@@ -280,69 +254,29 @@ let rec refill t =
     refill t
   end
 
-(* Remove the next entry in (time, push) order, live or not. Requires
-   one to exist: [early] non-empty or [ready] staged. *)
-let consume t =
-  t.stored <- t.stored - 1;
+let head_time t =
   match t.early with
-  | e :: rest ->
-      t.early <- rest;
-      e
-  | [] ->
-      let b = t.ready in
-      let e = b.arr.(t.ready_pos) in
-      t.ready_pos <- t.ready_pos + 1;
-      if Int.equal t.ready_pos b.len then begin
-        clear_range t b.arr 0 b.len;
-        b.len <- 0;
-        t.ready_pos <- 0
-      end;
-      t.cur <- e.time;
-      e
-
-(* Stage the head and discard cancelled entries sitting there; true iff
-   a live head remains. Time-bound checks must never see a timestamp
-   nothing will fire at, or skipping a dead head inside a step could
-   carry execution past the bound. *)
-let rec settle t =
-  match t.early with
-  | e :: _ -> e.live || discard t
+  | (time, _) :: _ -> time
   | [] ->
       if Int.equal (ready_count t) 0 then refill t;
-      ready_count t > 0 && (t.ready.arr.(t.ready_pos).live || discard t)
-
-(* Drop the cancelled entry at the head, then settle again. *)
-and discard t =
-  ignore (consume t : _ entry);
-  t.cancelled <- t.cancelled - 1;
-  settle t
-
-(* The staged head; valid right after [settle] returned true. *)
-let head t = match t.early with e :: _ -> e | [] -> t.ready.arr.(t.ready_pos)
-
-let head_time t = if settle t then (head t).time else max_int
-
-let take_head t =
-  let e = consume t in
-  e.live <- false;
-  e
+      if ready_count t > 0 then t.ready_time else max_int
 
 let take t =
-  if not (settle t) then invalid_arg "Timing_wheel.take: empty";
-  take_head t
-
-let pop t =
-  if settle t then begin
-    let e = take_head t in
-    Some (e.time, e.payload)
-  end
-  else None
-
-let peek t =
-  if settle t then begin
-    let e = head t in
-    Some (e.time, e.payload)
-  end
-  else None
-
-let peek_time t = if settle t then Some (head t).time else None
+  if Int.equal t.size 0 then invalid_arg "Timing_wheel.take: empty";
+  t.size <- t.size - 1;
+  match t.early with
+  | (time, p) :: rest ->
+      t.early <- rest;
+      t.last_time <- time;
+      p
+  | [] ->
+      if Int.equal (ready_count t) 0 then refill t;
+      let p = t.payloads.(ready).(t.ready_pos) in
+      t.ready_pos <- t.ready_pos + 1;
+      if Int.equal t.ready_pos t.lens.(ready) then begin
+        t.lens.(ready) <- 0;
+        t.ready_pos <- 0
+      end;
+      t.cur <- t.ready_time;
+      t.last_time <- t.ready_time;
+      p

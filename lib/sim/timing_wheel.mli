@@ -4,59 +4,36 @@
     insertion-seq) total order, at O(1) amortized push/pop instead of
     O(log n).
 
-    Contract: [push ~time] requires [time] to be no earlier than the
-    timestamp of the most recently popped entry (the engine's clock
+    Monomorphic on an [int] payload, which the wheel never interprets
+    (the engine packs its event kind and a slot or argument into it).
+    An entry is two ints in a bucket's parallel arrays, so neither
+    side of the queue allocates once bucket storage has grown.
+
+    Contract: [add ~time] requires [time] to be no earlier than the
+    timestamp of the most recently taken entry (the engine's clock
     monotonicity already guarantees this). *)
 
-type 'a t
+type t
 
-(** A stored entry. It is also the handle {!add} returns: {!cancel}
-    takes it out of the order in O(1). [kind] is an opaque tag the
-    wheel never interprets (the engine's event taxonomy). *)
-type 'a entry = private {
-  time : int;
-  kind : int;
-  payload : 'a;
-  mutable live : bool;  (** stored and not cancelled *)
-  owner : 'a t;
-}
+val create : unit -> t
 
-val create : unit -> 'a t
+(** [add w ~time p] inserts payload [p] at [time]. *)
+val add : t -> time:int -> int -> unit
 
-(** [add w ~time ~kind x] inserts [x] at [time] and returns its entry. *)
-val add : 'a t -> time:int -> kind:int -> 'a -> 'a entry
+(** [head_time w] is the timestamp of the earliest entry, or [max_int]
+    if there is none. *)
+val head_time : t -> int
 
-(** [push w ~time x] is {!add} with kind 0, discarding the handle. *)
-val push : 'a t -> time:int -> 'a -> unit
+(** [take w] removes the earliest entry (ties broken by insertion
+    order) and returns its payload; its timestamp is then
+    {!last_time}.
+    @raise Invalid_argument if [w] is empty. *)
+val take : t -> int
 
-(** [cancel e] removes [e] from the order; idempotent, and a no-op once
-    [e] has been taken. The entry is discarded lazily, when it reaches
-    the head. *)
-val cancel : 'a entry -> unit
+(** Timestamp of the entry the last {!take} removed (0 before any). *)
+val last_time : t -> int
 
-(** [head_time w] is the timestamp of the earliest live entry, or
-    [max_int] if there is none. Discards cancelled entries at the head;
-    allocates nothing. *)
-val head_time : 'a t -> int
+(** Entries stored. *)
+val size : t -> int
 
-(** [take w] removes and returns the earliest live entry. Allocates
-    nothing.
-    @raise Invalid_argument if [w] holds no live entry. *)
-val take : 'a t -> 'a entry
-
-(** [pop w] removes and returns the earliest live event, or [None] if
-    empty. Ties on the timestamp are broken by insertion order. *)
-val pop : 'a t -> (int * 'a) option
-
-(** [peek_time w] is the earliest live timestamp without removing it. *)
-(* lint: allow S005 test_sim checks the wheel against the heap model *)
-val peek_time : 'a t -> int option
-
-(** [peek w] is the earliest live event without removing it. *)
-(* lint: allow S005 test_sim checks the wheel against the heap model *)
-val peek : 'a t -> (int * 'a) option
-
-(** Live (not cancelled, not yet taken) entries. *)
-val size : 'a t -> int
-
-val is_empty : 'a t -> bool
+val is_empty : t -> bool

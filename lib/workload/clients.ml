@@ -71,11 +71,9 @@ module Open = struct
     let gap =
       Crypto.Rng.exponential t.rng ~mean:(1_000_000.0 /. t.rate_per_sec)
     in
-    ignore
-      (Sim.Engine.schedule t.engine
-         ~delay:(max 1 (int_of_float gap))
-         (fun () -> arrival t)
-        : Sim.Engine.timer)
+    Sim.Engine.schedule t.engine
+      ~delay:(max 1 (int_of_float gap))
+      (fun () -> arrival t)
 
   and arrival t =
     ignore (t.submit ~payload:(t.payload ()) : string);

@@ -223,48 +223,44 @@ let searcher_react t gen (victim : App.Amm.swap) =
         int_of_float (float_of_int victim.amount_in *. sp.front_fraction)
       in
       if front_amt > 0 then
-        ignore
-          (Sim.Engine.schedule t.engine ~delay:(Stdlib.max 1 sp.observe_delay_us)
-             (fun () ->
-               if t.running && Int.equal gen t.generation then begin
-                 let est_out = App.Amm.quote shadow victim.dir front_amt in
-                 let front =
-                   {
-                     App.Amm.trader = searcher_name k;
-                     dir = victim.dir;
-                     amount_in = front_amt;
-                   }
-                 in
-                 ignore
-                   (submit_tagged ~node:0 t ~origin:Searcher
-                      ~payload:(App.Amm.encode front)
-                     : string);
-                 t.searcher_submitted <- t.searcher_submitted + 1;
-                 if est_out > 0 then
-                   ignore
-                     (Sim.Engine.schedule t.engine
-                        ~delay:(Stdlib.max 1 sp.back_delay_us)
-                        (fun () ->
-                          if t.running && Int.equal gen t.generation then begin
-                            let back =
-                              {
-                                App.Amm.trader = searcher_name k;
-                                dir =
-                                  (match victim.dir with
-                                  | App.Amm.X_to_y -> App.Amm.Y_to_x
-                                  | App.Amm.Y_to_x -> App.Amm.X_to_y);
-                                amount_in = est_out;
-                              }
-                            in
-                            ignore
-                              (submit_tagged ~node:0 t ~origin:Searcher
-                                 ~payload:(App.Amm.encode back)
-                                : string);
-                            t.searcher_submitted <- t.searcher_submitted + 1
-                          end)
-                       : Sim.Engine.timer)
-               end)
-            : Sim.Engine.timer)
+        Sim.Engine.schedule t.engine ~delay:(Stdlib.max 1 sp.observe_delay_us)
+          (fun () ->
+            if t.running && Int.equal gen t.generation then begin
+              let est_out = App.Amm.quote shadow victim.dir front_amt in
+              let front =
+                {
+                  App.Amm.trader = searcher_name k;
+                  dir = victim.dir;
+                  amount_in = front_amt;
+                }
+              in
+              ignore
+                (submit_tagged ~node:0 t ~origin:Searcher
+                   ~payload:(App.Amm.encode front)
+                  : string);
+              t.searcher_submitted <- t.searcher_submitted + 1;
+              if est_out > 0 then
+                Sim.Engine.schedule t.engine
+                  ~delay:(Stdlib.max 1 sp.back_delay_us)
+                  (fun () ->
+                    if t.running && Int.equal gen t.generation then begin
+                      let back =
+                        {
+                          App.Amm.trader = searcher_name k;
+                          dir =
+                            (match victim.dir with
+                            | App.Amm.X_to_y -> App.Amm.Y_to_x
+                            | App.Amm.Y_to_x -> App.Amm.X_to_y);
+                          amount_in = est_out;
+                        }
+                      in
+                      ignore
+                        (submit_tagged ~node:0 t ~origin:Searcher
+                           ~payload:(App.Amm.encode back)
+                          : string);
+                      t.searcher_submitted <- t.searcher_submitted + 1
+                    end)
+            end)
   | _ -> ()
 
 let submit_one t si gen =
@@ -308,11 +304,9 @@ let rec schedule_candidate t si gen =
   let gap =
     Crypto.Rng.exponential st.s_rng ~mean:(1.0 /. st.rate_max_per_us)
   in
-  ignore
-    (Sim.Engine.schedule t.engine
-       ~delay:(Stdlib.max 1 (int_of_float gap))
-       (fun () -> candidate t si gen)
-      : Sim.Engine.timer)
+  Sim.Engine.schedule t.engine
+    ~delay:(Stdlib.max 1 (int_of_float gap))
+    (fun () -> candidate t si gen)
 
 and candidate t si gen =
   if t.running && Int.equal gen t.generation then begin

@@ -164,13 +164,11 @@ let test_lyra_crash_rejoin () =
   (* Steady load straddling the whole crash window, so commits keep
      happening while node 2 is down. *)
   for k = 0 to 19 do
-    ignore
-      (Sim.Engine.schedule engine ~delay:(k * 150_000) (fun () ->
-           Array.iter
-             (fun nd ->
-               ignore (Lyra.Node.submit nd ~payload:(String.make 32 'x') : string))
-             nodes)
-        : Sim.Engine.timer)
+    Sim.Engine.schedule engine ~delay:(k * 150_000) (fun () ->
+        Array.iter
+          (fun nd ->
+            ignore (Lyra.Node.submit nd ~payload:(String.make 32 'x') : string))
+          nodes)
   done;
   Sim.Engine.run engine ~until:8_000_000;
   let logs =

@@ -54,12 +54,10 @@ let prefix_agree commits =
 let test_commits_all_commands_once () =
   let engine, _, replicas, commits = make_cluster 4 in
   for k = 0 to 19 do
-    ignore
-      (Sim.Engine.schedule engine ~delay:(k * 30_000) (fun () ->
-           Array.iter
-             (fun r -> Hotstuff.Replica.submit r (Printf.sprintf "cmd-%d" k))
-             replicas)
-        : Sim.Engine.timer)
+    Sim.Engine.schedule engine ~delay:(k * 30_000) (fun () ->
+        Array.iter
+          (fun r -> Hotstuff.Replica.submit r (Printf.sprintf "cmd-%d" k))
+          replicas)
   done;
   Sim.Engine.run engine ~until:6_000_000;
   Array.iter
@@ -96,12 +94,10 @@ let test_crash_leader_progress () =
   let engine, net, replicas, commits = make_cluster ~delta_us:30_000 4 in
   Sim.Network.crash net 2;
   for k = 0 to 9 do
-    ignore
-      (Sim.Engine.schedule engine ~delay:(500_000 + (k * 50_000)) (fun () ->
-           Array.iteri
-             (fun i r -> if i <> 2 then Hotstuff.Replica.submit r (Printf.sprintf "c%d" k))
-             replicas)
-        : Sim.Engine.timer)
+    Sim.Engine.schedule engine ~delay:(500_000 + (k * 50_000)) (fun () ->
+        Array.iteri
+          (fun i r -> if i <> 2 then Hotstuff.Replica.submit r (Printf.sprintf "c%d" k))
+          replicas)
   done;
   Sim.Engine.run engine ~until:20_000_000;
   let alive = [| commits.(0); commits.(1); commits.(3) |] in

@@ -170,11 +170,9 @@ let test_pre_gst_asynchrony_safe () =
   (* SMR-Liveness presumes correct processes continuously input their
      transactions (Lemma 8): keep submitting through and past GST. *)
   for k = 0 to 29 do
-    ignore
-      (Sim.Engine.schedule c.engine
-         ~delay:(1_000_000 + (k * 300_000))
-         (fun () -> submit_round c ~per_node:1)
-        : Sim.Engine.timer)
+    Sim.Engine.schedule c.engine
+      ~delay:(1_000_000 + (k * 300_000))
+      (fun () -> submit_round c ~per_node:1)
   done;
   Sim.Engine.run c.engine ~until:2_500_000;
   check_prefix_safety (logs c);

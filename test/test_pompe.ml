@@ -56,15 +56,13 @@ let test_median_seq () =
 let test_agreement_across_nodes () =
   let engine, nodes = make_cluster 7 in
   for round = 0 to 4 do
-    ignore
-      (Sim.Engine.schedule engine ~delay:(round * 100_000) (fun () ->
-           Array.iter
-             (fun nd ->
-               for _ = 1 to 3 do
-                 ignore (Pompe.Node.submit nd ~payload:(String.make 32 'q') : string)
-               done)
-             nodes)
-        : Sim.Engine.timer)
+    Sim.Engine.schedule engine ~delay:(round * 100_000) (fun () ->
+        Array.iter
+          (fun nd ->
+            for _ = 1 to 3 do
+              ignore (Pompe.Node.submit nd ~payload:(String.make 32 'q') : string)
+            done)
+          nodes)
   done;
   Sim.Engine.run engine ~until:15_000_000;
   let base = outputs_of nodes.(0) in
@@ -178,15 +176,13 @@ let test_crashed_node_holds_mempool () =
 let loaded_cluster ?on_send () =
   let engine, nodes = make_cluster ~seed:7L ?on_send 4 in
   for round = 0 to 39 do
-    ignore
-      (Sim.Engine.schedule engine ~delay:(round * 100_000) (fun () ->
-           Array.iter
-             (fun nd ->
-               for _ = 1 to 5 do
-                 ignore (Pompe.Node.submit nd ~payload:(String.make 32 'b') : string)
-               done)
-             nodes)
-        : Sim.Engine.timer)
+    Sim.Engine.schedule engine ~delay:(round * 100_000) (fun () ->
+        Array.iter
+          (fun nd ->
+            for _ = 1 to 5 do
+              ignore (Pompe.Node.submit nd ~payload:(String.make 32 'b') : string)
+            done)
+          nodes)
   done;
   (engine, nodes)
 
@@ -297,10 +293,8 @@ let test_missing_payload_stops_execution () =
   in
   let engine, nodes = make_cluster ~faults ~on_send 4 in
   ignore (Pompe.Node.submit nodes.(0) ~payload:(String.make 32 'x') : string);
-  ignore
-    (Sim.Engine.schedule engine ~delay:100_000 (fun () ->
-         ignore (Pompe.Node.submit nodes.(1) ~payload:(String.make 32 'y') : string))
-      : Sim.Engine.timer);
+  Sim.Engine.schedule engine ~delay:100_000 (fun () ->
+      ignore (Pompe.Node.submit nodes.(1) ~payload:(String.make 32 'y') : string));
   Sim.Engine.run engine ~until:3_900_000;
   let b0 = { Lyra.Types.proposer = 0; index = 0 } and b1 = { Lyra.Types.proposer = 1; index = 0 } in
   Alcotest.(check bool) "node 1 executed both, in order" true (outputs_of nodes.(1) = [ b0; b1 ]);

@@ -60,21 +60,27 @@ let prop_heap_ordering =
                 (ok && monotone && t = t', Some (t, seq)))
               (true, None) popped))
 
+(* Drain a wheel through [take], pairing each payload with its
+   [last_time]. *)
+let drain_wheel w =
+  let out = ref [] in
+  while not (Sim.Timing_wheel.is_empty w) do
+    let p = Sim.Timing_wheel.take w in
+    out := (Sim.Timing_wheel.last_time w, p) :: !out
+  done;
+  List.rev !out
+
 let test_wheel_ordering () =
   let w = Sim.Timing_wheel.create () in
-  List.iter (fun t -> Sim.Timing_wheel.push w ~time:t t) [ 5; 1; 9; 3; 7 ];
-  let order =
-    List.init 5 (fun _ -> fst (Option.get (Sim.Timing_wheel.pop w)))
-  in
-  Alcotest.(check (list int)) "sorted" [ 1; 3; 5; 7; 9 ] order
+  List.iter (fun t -> Sim.Timing_wheel.add w ~time:t t) [ 5; 1; 9; 3; 7 ];
+  Alcotest.(check (list int)) "sorted" [ 1; 3; 5; 7; 9 ]
+    (List.map fst (drain_wheel w))
 
 let test_wheel_fifo_ties () =
   let w = Sim.Timing_wheel.create () in
-  List.iter (fun v -> Sim.Timing_wheel.push w ~time:42 v) [ "a"; "b"; "c" ];
-  let order =
-    List.init 3 (fun _ -> snd (Option.get (Sim.Timing_wheel.pop w)))
-  in
-  Alcotest.(check (list string)) "insertion order" [ "a"; "b"; "c" ] order
+  List.iter (fun v -> Sim.Timing_wheel.add w ~time:42 v) [ 10; 30; 20 ];
+  Alcotest.(check (list int)) "insertion order" [ 10; 30; 20 ]
+    (List.map snd (drain_wheel w))
 
 (* Spread entries across every wheel level and past the 2^32 µs horizon
    (overflow calendar), interleaving ties, and check the drain is the
@@ -84,102 +90,57 @@ let test_wheel_levels_and_overflow () =
   let times =
     [ 3; 300; 70_000; 17_000_000; 4_400_000_000; 3; 300; 5_000_000_000; 0 ]
   in
-  List.iteri (fun seq t -> Sim.Timing_wheel.push w ~time:t (t, seq)) times;
+  List.iteri (fun seq t -> Sim.Timing_wheel.add w ~time:t seq) times;
   Alcotest.(check int) "size" (List.length times) (Sim.Timing_wheel.size w);
-  let drained = ref [] in
-  let rec drain () =
-    match Sim.Timing_wheel.pop w with
-    | None -> ()
-    | Some (t, (t', seq)) ->
-        Alcotest.(check int) "tag matches slot" t t';
-        drained := (t, seq) :: !drained;
-        drain ()
-  in
-  drain ();
   let expect =
     List.sort compare (List.mapi (fun seq t -> (t, seq)) times)
   in
-  Alcotest.(check (list (pair int int))) "total order" expect
-    (List.rev !drained);
-  Alcotest.(check bool) "empty" true (Sim.Timing_wheel.is_empty w)
+  Alcotest.(check (list (pair int int))) "total order" expect (drain_wheel w);
+  Alcotest.(check bool) "empty" true (Sim.Timing_wheel.is_empty w);
+  Alcotest.(check int) "no head" max_int (Sim.Timing_wheel.head_time w)
 
 (* The structural proof the engine swap rests on: drive the heap and
    the wheel with an identical random schedule — pushes at or after the
-   last popped time (the engine's monotonicity contract), interleaved
-   pops and peeks (peeks force cascades, exercising the early-push
-   path) — and require bit-identical output from both. Deltas mix
-   scales so schedules cross slot, page and horizon boundaries.
-
-   The engine consumes the wheel through [head_time] and [take], and
-   cancels through entry handles, so the schedule also mixes those in.
-   The heap has no cancellation: the model marks a cancelled seq dead
-   and drops dead entries when they reach its head. A cancel may hit an
-   entry already taken or cancelled, which must change nothing. *)
+   last taken time (the engine's monotonicity contract), interleaved
+   takes and head reads (head reads force cascades, exercising the
+   early-push path) — and require bit-identical output from both. The
+   wheel is driven through the calls the engine makes: [add],
+   [head_time], [take] and [last_time]. Deltas mix scales so schedules
+   cross slot, page and horizon boundaries. *)
 let prop_wheel_heap_equivalence =
   QCheck.Test.make ~name:"wheel ≡ heap on random engine schedules"
     ~count:300
-    QCheck.(list (pair (int_bound 6) (int_bound 1_000_000)))
+    QCheck.(list (pair (int_bound 5) (int_bound 1_000_000)))
     (fun ops ->
       let h = Sim.Event_heap.create () in
       let w = Sim.Timing_wheel.create () in
-      let handles = Hashtbl.create 64 in
-      let dead = Hashtbl.create 16 in
-      let live = ref 0 in
-      let rec settle () =
-        match Sim.Event_heap.peek h with
-        | Some (_, s) when Hashtbl.mem dead s ->
-            ignore (Sim.Event_heap.pop h);
-            settle ()
-        | _ -> ()
-      in
-      let heap_pop () =
-        settle ();
-        let a = Sim.Event_heap.pop h in
-        (match a with
-        | Some (_, s) ->
-            Hashtbl.replace dead s ();
-            decr live
-        | None -> ());
-        a
-      in
       let floor = ref 0 in
       let seq = ref 0 in
       let same = ref true in
+      let head_agrees () =
+        let expect =
+          match Sim.Event_heap.peek_time h with Some t -> t | None -> max_int
+        in
+        Int.equal expect (Sim.Timing_wheel.head_time w)
+      in
+      let take_both () =
+        match Sim.Event_heap.pop h with
+        | None -> same := !same && Sim.Timing_wheel.is_empty w
+        | Some (t, s) ->
+            let p = Sim.Timing_wheel.take w in
+            same :=
+              !same && Int.equal p s
+              && Int.equal t (Sim.Timing_wheel.last_time w);
+            floor := t
+      in
       List.iter
         (fun (tag, v) ->
           match tag with
-          | 0 ->
-              let a = heap_pop () in
-              let b = Sim.Timing_wheel.pop w in
-              same := !same && a = b;
-              (match a with Some (t, _) -> floor := t | None -> ())
-          | 4 ->
-              settle ();
-              same :=
-                !same
-                && Sim.Event_heap.peek h = Sim.Timing_wheel.peek w
-                && Sim.Event_heap.peek_time h = Sim.Timing_wheel.peek_time w
+          | 0 -> take_both ()
+          | 4 -> same := !same && head_agrees ()
           | 5 ->
-              settle ();
-              let expect =
-                match Sim.Event_heap.peek_time h with Some t -> t | None -> max_int
-              in
-              same := !same && Int.equal expect (Sim.Timing_wheel.head_time w);
-              if !live > 0 then begin
-                let a = heap_pop () in
-                let e = Sim.Timing_wheel.take w in
-                same := !same && a = Some (e.Sim.Timing_wheel.time, e.payload);
-                floor := e.time
-              end
-          | 6 ->
-              if !seq > 0 then begin
-                let s = 1 + (v mod !seq) in
-                if not (Hashtbl.mem dead s) then begin
-                  Hashtbl.replace dead s ();
-                  decr live
-                end;
-                Sim.Timing_wheel.cancel (Hashtbl.find handles s)
-              end
+              same := !same && head_agrees ();
+              take_both ()
           | tag ->
               let delta =
                 match tag with
@@ -189,92 +150,63 @@ let prop_wheel_heap_equivalence =
               in
               let time = !floor + delta in
               incr seq;
-              incr live;
               Sim.Event_heap.push h ~time !seq;
-              Hashtbl.replace handles !seq
-                (Sim.Timing_wheel.add w ~time ~kind:tag !seq);
-              same := !same && Int.equal !live (Sim.Timing_wheel.size w))
+              Sim.Timing_wheel.add w ~time !seq;
+              same :=
+                !same
+                && Int.equal (Sim.Event_heap.size h) (Sim.Timing_wheel.size w))
         ops;
-      let rec drain () =
-        let a = heap_pop () in
-        let b = Sim.Timing_wheel.pop w in
-        same := !same && a = b;
-        if a <> None then drain ()
-      in
-      drain ();
+      while not (Sim.Event_heap.is_empty h) do
+        same := !same && head_agrees ();
+        take_both ()
+      done;
       !same
-      && Int.equal !live 0
       && Sim.Timing_wheel.is_empty w
       && Int.equal (Sim.Timing_wheel.head_time w) max_int)
 
 (* The engine loop as it was before events became wheel entries: a
-   separate timer record per event, purge-cancelled, peek-time, then
-   pop, over the retired binary heap. The one change: cancelling a
-   timer that already fired is a no-op here, as it is now in
-   [Sim.Engine]; the old handle let such a cancel decrement the live
-   count a second time. *)
+   timer record per event and a peek-time, then pop, over the retired
+   binary heap (cancellation, which the old loop also purged, is gone
+   from the engine). *)
 module Old_engine = struct
-  type timer = {
-    mutable cancelled : bool;
-    mutable fired : bool;
-    action : unit -> unit;
-    owner : t;
+  type t = {
+    heap : (unit -> unit) Sim.Event_heap.t;
+    mutable clock : int;
+    mutable live : int;
   }
-
-  and t = { heap : timer Sim.Event_heap.t; mutable clock : int; mutable live : int }
 
   let create () = { heap = Sim.Event_heap.create (); clock = 0; live = 0 }
 
   let schedule_at t ~time action =
-    let timer = { cancelled = false; fired = false; action; owner = t } in
-    Sim.Event_heap.push t.heap ~time timer;
-    t.live <- t.live + 1;
-    timer
+    Sim.Event_heap.push t.heap ~time action;
+    t.live <- t.live + 1
 
-  let cancel timer =
-    if not (timer.cancelled || timer.fired) then begin
-      timer.cancelled <- true;
-      timer.owner.live <- timer.owner.live - 1
-    end
-
-  let rec purge_cancelled t =
-    match Sim.Event_heap.peek t.heap with
-    | Some (_, timer) when timer.cancelled ->
-        ignore (Sim.Event_heap.pop t.heap);
-        purge_cancelled t
-    | Some _ | None -> ()
-
-  let rec step t =
+  let step t =
     match Sim.Event_heap.pop t.heap with
-    | None -> false
-    | Some (_, timer) when timer.cancelled -> step t
-    | Some (time, timer) ->
+    | None -> ()
+    | Some (time, action) ->
         t.clock <- time;
         t.live <- t.live - 1;
-        timer.fired <- true;
-        timer.action ();
-        true
+        action ()
 
   let run t ~until =
     let continue = ref true in
     while !continue do
-      purge_cancelled t;
       match Sim.Event_heap.peek_time t.heap with
-      | Some time when time <= until -> ignore (step t)
+      | Some time when time <= until -> step t
       | Some _ | None -> continue := false
     done;
     t.clock <- max t.clock until
 
   let run_until_idle t =
     while t.live > 0 do
-      ignore (step t)
+      step t
     done
 end
 
 (* One engine as the schedule driver below sees it. *)
-type 'timer engine_ops = {
-  schedule_at : time:int -> (unit -> unit) -> 'timer;
-  cancel : 'timer -> unit;
+type engine_ops = {
+  schedule_at : time:int -> (unit -> unit) -> unit;
   run : until:int -> unit;
   run_until_idle : unit -> unit;
   now : unit -> int;
@@ -282,42 +214,32 @@ type 'timer engine_ops = {
 }
 
 (* Event i is scheduled at [time]. Mode 1 makes its action schedule a
-   child; mode 2 makes it cancel another event (maybe one already
-   fired); mode 3 cancels it before anything runs. Bounds include every
-   cancelled event's time, so [run ~until] meets cancelled heads at
-   and past its bound. Returns the (event, clock) firing log, and
-   (now, pending) after each run. *)
+   child up to 300 µs later; mode 2 a child at its own timestamp, which
+   must run after every event already queued there. Bounds include
+   every event's time, so [run ~until] stops exactly at heads. Returns
+   the (event, clock) firing log, and (now, pending) after each run. *)
 let drive_engine ops specs untils =
   let log = ref [] and states = ref [] in
-  let timers = Array.make (List.length specs) None in
   List.iteri
     (fun i (time, mode, aux) ->
       let action () =
         log := (i, ops.now ()) :: !log;
-        match mode with
-        | 1 ->
-            let d = aux mod 300 in
-            ignore
-              (ops.schedule_at ~time:(ops.now () + d) (fun () ->
-                   log := (1000 + i, ops.now ()) :: !log))
-        | 2 -> Option.iter ops.cancel timers.(aux mod Array.length timers)
-        | _ -> ()
+        let child d =
+          ops.schedule_at ~time:(ops.now () + d) (fun () ->
+              log := (1000 + i, ops.now ()) :: !log)
+        in
+        match mode with 1 -> child (aux mod 300) | 2 -> child 0 | _ -> ()
       in
-      timers.(i) <- Some (ops.schedule_at ~time action))
+      ops.schedule_at ~time action)
     specs;
-  List.iteri
-    (fun i (_, mode, _) -> if mode = 3 then Option.iter ops.cancel timers.(i))
-    specs;
-  let cancelled_times =
-    List.filter_map (fun (time, mode, _) -> if mode = 3 then Some time else None) specs
-  in
   List.iter
     (fun until ->
       if until >= ops.now () then begin
         ops.run ~until;
         states := (ops.now (), ops.pending ()) :: !states
       end)
-    (List.sort_uniq Int.compare (untils @ cancelled_times));
+    (List.sort_uniq Int.compare
+       (untils @ List.map (fun (time, _, _) -> time) specs));
   ops.run_until_idle ();
   states := (ops.now (), ops.pending ()) :: !states;
   (List.rev !log, List.rev !states)
@@ -328,7 +250,7 @@ let prop_engine_run_until_matches_old_loop =
     QCheck.(
       pair
         (list_of_size Gen.(int_range 1 40)
-           (triple (int_bound 2_000) (int_bound 3) (int_bound 1_000)))
+           (triple (int_bound 2_000) (int_bound 2) (int_bound 1_000)))
         (list_of_size Gen.(int_range 0 6) (int_bound 2_500)))
     (fun (specs, untils) ->
       let e = Sim.Engine.create () in
@@ -336,7 +258,6 @@ let prop_engine_run_until_matches_old_loop =
         drive_engine
           {
             schedule_at = (fun ~time f -> Sim.Engine.schedule_at e ~time f);
-            cancel = Sim.Engine.cancel;
             run = (fun ~until -> Sim.Engine.run e ~until);
             run_until_idle = (fun () -> Sim.Engine.run_until_idle e);
             now = (fun () -> Sim.Engine.now e);
@@ -349,7 +270,6 @@ let prop_engine_run_until_matches_old_loop =
         drive_engine
           {
             schedule_at = (fun ~time f -> Old_engine.schedule_at o ~time f);
-            cancel = Old_engine.cancel;
             run = (fun ~until -> Old_engine.run o ~until);
             run_until_idle = (fun () -> Old_engine.run_until_idle o);
             now = (fun () -> o.Old_engine.clock);
@@ -395,30 +315,21 @@ let prop_latency_gaussian_bits =
 let test_engine_ordering_and_time () =
   let e = Sim.Engine.create () in
   let log = ref [] in
-  ignore (Sim.Engine.schedule e ~delay:30 (fun () -> log := 30 :: !log));
-  ignore (Sim.Engine.schedule e ~delay:10 (fun () -> log := 10 :: !log));
-  ignore
-    (Sim.Engine.schedule e ~delay:20 (fun () ->
-         log := 20 :: !log;
-         (* nested scheduling *)
-         ignore (Sim.Engine.schedule e ~delay:5 (fun () -> log := 25 :: !log))));
+  Sim.Engine.schedule e ~delay:30 (fun () -> log := 30 :: !log);
+  Sim.Engine.schedule e ~delay:10 (fun () -> log := 10 :: !log);
+  Sim.Engine.schedule e ~delay:20 (fun () ->
+      log := 20 :: !log;
+      (* nested scheduling *)
+      Sim.Engine.schedule e ~delay:5 (fun () -> log := 25 :: !log));
   Sim.Engine.run_until_idle e;
   Alcotest.(check (list int)) "order" [ 10; 20; 25; 30 ] (List.rev !log);
   Alcotest.(check int) "time" 30 (Sim.Engine.now e)
-
-let test_engine_cancel () =
-  let e = Sim.Engine.create () in
-  let fired = ref false in
-  let t = Sim.Engine.schedule e ~delay:10 (fun () -> fired := true) in
-  Sim.Engine.cancel t;
-  Sim.Engine.run_until_idle e;
-  Alcotest.(check bool) "cancelled" false !fired
 
 let test_engine_run_until () =
   let e = Sim.Engine.create () in
   let count = ref 0 in
   for i = 1 to 10 do
-    ignore (Sim.Engine.schedule e ~delay:(i * 10) (fun () -> incr count))
+    Sim.Engine.schedule e ~delay:(i * 10) (fun () -> incr count)
   done;
   Sim.Engine.run e ~until:55;
   Alcotest.(check int) "5 fired" 5 !count;
@@ -431,13 +342,13 @@ let test_engine_past_raises () =
   Sim.Engine.run e ~until:100;
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Sim.Engine.schedule_at e ~time:50 (fun () -> ()));
+       Sim.Engine.schedule_at e ~time:50 (fun () -> ());
        false
      with Invalid_argument _ -> true)
 
 let test_engine_livelock_guard () =
   let e = Sim.Engine.create () in
-  let rec loop () = ignore (Sim.Engine.schedule e ~delay:1 loop) in
+  let rec loop () = Sim.Engine.schedule e ~delay:1 loop in
   loop ();
   Alcotest.(check bool) "guard fires" true
     (try
@@ -445,14 +356,24 @@ let test_engine_livelock_guard () =
        false
      with Failure _ -> true)
 
-let test_cpu_fifo () =
+(* A CPU posts each finished job to the engine's sink;
+   [on_done ~at job] sees the job id and the completion time. *)
+let cpu_with_sink ?cores on_done =
   let e = Sim.Engine.create () in
-  let cpu = Sim.Cpu.create e in
+  let cpu = Sim.Cpu.create ?cores e in
+  Sim.Engine.set_sink e (fun kind job ->
+      Alcotest.(check bool) "cpu kind" true (kind = Sim.Engine.Cpu_job);
+      on_done ~at:(Sim.Engine.now e) job);
+  (e, cpu)
+
+let test_cpu_fifo () =
   let done_at = ref [] in
-  Sim.Cpu.submit cpu ~service_us:100 (fun () -> done_at := Sim.Engine.now e :: !done_at);
-  Sim.Cpu.submit cpu ~service_us:50 (fun () -> done_at := Sim.Engine.now e :: !done_at);
+  let e, cpu = cpu_with_sink (fun ~at job -> done_at := (job, at) :: !done_at) in
+  Sim.Cpu.submit cpu ~service_us:100 1;
+  Sim.Cpu.submit cpu ~service_us:50 2;
   Sim.Engine.run_until_idle e;
-  Alcotest.(check (list int)) "serialized" [ 100; 150 ] (List.rev !done_at);
+  Alcotest.(check (list (pair int int))) "serialized" [ (1, 100); (2, 150) ]
+    (List.rev !done_at);
   Alcotest.(check int) "busy" 150 (Sim.Cpu.busy_us cpu)
 
 (* Cores are parallel servers: each job runs for its full service time
@@ -460,13 +381,11 @@ let test_cpu_fifo () =
    jobs on four cores all finish at t=100; a fifth waits for the
    earliest core and finishes at t=200. *)
 let test_cpu_cores () =
-  let e = Sim.Engine.create () in
-  let cpu = Sim.Cpu.create ~cores:4 e in
-  Alcotest.(check int) "cores" 4 (Sim.Cpu.cores cpu);
   let finished = Array.make 5 (-1) in
+  let e, cpu = cpu_with_sink ~cores:4 (fun ~at i -> finished.(i) <- at) in
+  Alcotest.(check int) "cores" 4 (Sim.Cpu.cores cpu);
   for i = 0 to 4 do
-    Sim.Cpu.submit cpu ~service_us:100 (fun () ->
-        finished.(i) <- Sim.Engine.now e)
+    Sim.Cpu.submit cpu ~service_us:100 i
   done;
   Sim.Engine.run_until_idle e;
   for i = 0 to 3 do
@@ -475,15 +394,14 @@ let test_cpu_cores () =
   Alcotest.(check int) "queued job waits for a core" 200 finished.(4)
 
 let test_cpu_idle_gap () =
-  let e = Sim.Engine.create () in
-  let cpu = Sim.Cpu.create e in
-  Sim.Cpu.submit cpu ~service_us:10 (fun () -> ());
+  let finished = ref [] in
+  let e, cpu = cpu_with_sink (fun ~at _ -> finished := at :: !finished) in
+  Sim.Cpu.submit cpu ~service_us:10 0;
   Sim.Engine.run_until_idle e;
   (* CPU went idle; a later job starts from now, not from free_at *)
-  ignore (Sim.Engine.schedule e ~delay:100 (fun () ->
-      Sim.Cpu.submit cpu ~service_us:10 (fun () ->
-          Alcotest.(check int) "starts at now" 120 (Sim.Engine.now e))));
-  Sim.Engine.run_until_idle e
+  Sim.Engine.schedule e ~delay:100 (fun () -> Sim.Cpu.submit cpu ~service_us:10 1);
+  Sim.Engine.run_until_idle e;
+  Alcotest.(check (list int)) "starts at now" [ 10; 120 ] (List.rev !finished)
 
 let test_latency_models () =
   let rng = Crypto.Rng.create 1L in
@@ -642,6 +560,102 @@ let test_network_rejects_bad_adversary () =
   Alcotest.(check bool) "negative max_extra" true
     (rejects (Sim.Adversary.Pre_gst { gst = 1_000; max_extra = -1 }))
 
+(* Every engine event dispatches either a closure or, for the posted
+   kinds, the one sink, in one (time, push order) sequence. *)
+let test_engine_post () =
+  let e = Sim.Engine.create () in
+  let raises f = try f (); false with Failure _ | Invalid_argument _ -> true in
+  Alcotest.(check bool) "no sink yet" true
+    (raises (fun () ->
+         Sim.Engine.post e ~time:1 ~kind:Sim.Engine.Wire 0;
+         Sim.Engine.run_until_idle e));
+  let log = ref [] in
+  let e = Sim.Engine.create () in
+  Sim.Engine.set_sink e (fun kind arg -> log := (kind, arg) :: !log);
+  Sim.Engine.post e ~time:20 ~kind:Sim.Engine.Nic_tx 7;
+  Sim.Engine.schedule_at e ~time:10 (fun () -> log := (Sim.Engine.Timer, 1) :: !log);
+  Sim.Engine.post e ~time:10 ~kind:Sim.Engine.Wire 1_000_000;
+  Sim.Engine.schedule_at e ~time:20 (fun () -> log := (Sim.Engine.Timer, 2) :: !log);
+  Sim.Engine.run_until_idle e;
+  Alcotest.(check bool) "fifo across closures and posts" true
+    (List.rev !log
+    = Sim.Engine.
+        [ (Timer, 1); (Wire, 1_000_000); (Nic_tx, 7); (Timer, 2) ]);
+  Alcotest.(check (list (pair string int))) "kinds counted"
+    [ ("timer", 2); ("wire", 1); ("cpu", 0); ("nic", 1) ]
+    (Sim.Engine.executed_by_kind e);
+  Alcotest.(check bool) "timer kind is not posted" true
+    (raises (fun () -> Sim.Engine.post e ~time:30 ~kind:Sim.Engine.Timer 0));
+  Alcotest.(check bool) "negative argument" true
+    (raises (fun () -> Sim.Engine.post e ~time:30 ~kind:Sim.Engine.Wire (-1)));
+  Alcotest.(check bool) "one sink per engine" true
+    (raises (fun () -> Sim.Engine.set_sink e (fun _ _ -> ())))
+
+(* The network registers the engine's sink, so a second network on one
+   engine would steal the first one's events: it must raise instead. *)
+let test_network_one_per_engine () =
+  let e = Sim.Engine.create () in
+  ignore (make_net e 2 : msg Sim.Network.t);
+  Alcotest.(check bool) "second network raises" true
+    (try
+       ignore (make_net e 2 : msg Sim.Network.t);
+       false
+     with Invalid_argument _ -> true)
+
+(* The in-flight packet pool under loss, duplication and a crash that
+   tombstones messages on the wire and in CPU queues, with handlers that
+   reply (a slot is released before its handler sends). The engine is
+   stepped one event at a time, so [in_flight] is read after every
+   event: within one event it only rises, except that a delivery
+   releases its slot before the handler's sends, so the largest reading
+   is the peak. Every slot must come back, and the pool must not have
+   grown past that peak rounded up to a power of two. *)
+let test_network_pool_drains () =
+  let e = Sim.Engine.create ~seed:5L () in
+  let plan =
+    Sim.Faults.(
+      none
+      |> loss ~from_us:0 ~until_us:40_000 ~drop_p:0.3 ~dup_p:0.3
+      |> crash ~node:2 ~at_us:3_500 ~recover_us:9_000)
+  in
+  let n = 4 in
+  let net =
+    Sim.Network.create e ~n ~latency:(Sim.Latency.uniform ~lo:500 ~hi:3_000)
+      ~faults:plan
+      ~cost:(fun ~dst:_ (Ping k) -> 50 * (k + 1))
+      ~size:(fun (Ping _) -> 100)
+      ()
+  in
+  let got = ref 0 in
+  for i = 0 to n - 1 do
+    Sim.Network.register net ~id:i (fun ~src (Ping k) ->
+        incr got;
+        if k > 0 then Sim.Network.send net ~src:i ~dst:src (Ping (k - 1)))
+  done;
+  for r = 0 to 19 do
+    Sim.Engine.schedule e ~delay:(1_000 * r) (fun () ->
+        Sim.Network.broadcast net ~src:(r mod n) (Ping (r mod 3)))
+  done;
+  let peak = ref 0 in
+  while Sim.Engine.pending e > 0 do
+    (try Sim.Engine.run_until_idle ~limit:1 e with Failure _ -> ());
+    peak := max !peak (Sim.Network.in_flight net)
+  done;
+  let sent = Sim.Network.messages_sent net
+  and duped = Sim.Network.messages_duplicated net
+  and dropped = Sim.Network.messages_dropped net in
+  Alcotest.(check bool) "drops and duplicates happened" true
+    (dropped > 0 && duped > 0);
+  Alcotest.(check bool) "the crash tombstoned messages in flight" true
+    (!got < sent + duped - dropped);
+  Alcotest.(check int) "every slot released" 0 (Sim.Network.in_flight net);
+  let rec pow2 k = if k >= !peak then k else pow2 (2 * k) in
+  Alcotest.(check bool)
+    (Printf.sprintf "pool %d <= peak %d rounded up"
+       (Sim.Network.pool_slots net) !peak)
+    true
+    (Sim.Network.pool_slots net <= pow2 1)
+
 (* ------------------------------------------------------------------ *)
 (* Fault plans (Sim.Faults executed by Sim.Network).                   *)
 (* ------------------------------------------------------------------ *)
@@ -656,11 +670,10 @@ let test_crash_tombstones_inflight () =
   Sim.Network.register net ~id:1 (fun ~src:_ (Ping k) -> got := k :: !got);
   (* In flight on the wire when the crash hits (latency 1000). *)
   Sim.Network.send net ~src:0 ~dst:1 (Ping 1);
-  ignore (Sim.Engine.schedule e ~delay:500 (fun () -> Sim.Network.crash net 1));
-  ignore (Sim.Engine.schedule e ~delay:2_000 (fun () -> Sim.Network.recover net 1));
-  ignore
-    (Sim.Engine.schedule e ~delay:2_500 (fun () ->
-         Sim.Network.send net ~src:0 ~dst:1 (Ping 2)));
+  Sim.Engine.schedule e ~delay:500 (fun () -> Sim.Network.crash net 1);
+  Sim.Engine.schedule e ~delay:2_000 (fun () -> Sim.Network.recover net 1);
+  Sim.Engine.schedule e ~delay:2_500 (fun () ->
+      Sim.Network.send net ~src:0 ~dst:1 (Ping 2));
   Sim.Engine.run_until_idle e;
   Alcotest.(check (list int)) "only the post-recovery message" [ 2 ] !got
 
@@ -672,8 +685,8 @@ let test_crash_tombstones_cpu_queue () =
   let got = ref 0 in
   Sim.Network.register net ~id:1 (fun ~src:_ (Ping _) -> incr got);
   Sim.Network.send net ~src:0 ~dst:1 (Ping 1);
-  ignore (Sim.Engine.schedule e ~delay:2 (fun () -> Sim.Network.crash net 1));
-  ignore (Sim.Engine.schedule e ~delay:10_000 (fun () -> Sim.Network.recover net 1));
+  Sim.Engine.schedule e ~delay:2 (fun () -> Sim.Network.crash net 1);
+  Sim.Engine.schedule e ~delay:10_000 (fun () -> Sim.Network.recover net 1);
   Sim.Engine.run_until_idle e;
   Alcotest.(check int) "queued CPU work tombstoned" 0 !got
 
@@ -691,14 +704,12 @@ let test_plan_crash_recover_hook () =
   let got = ref 0 and recovered_at = ref (-1) in
   Sim.Network.register net ~id:1 (fun ~src:_ (Ping _) -> incr got);
   Sim.Network.on_recover net ~id:1 (fun () -> recovered_at := Sim.Engine.now e);
-  ignore
-    (Sim.Engine.schedule e ~delay:1_000 (fun () ->
-         Alcotest.(check bool) "crashed on schedule" true
-           (Sim.Network.is_crashed net 1);
-         Sim.Network.send net ~src:0 ~dst:1 (Ping 1)));
-  ignore
-    (Sim.Engine.schedule e ~delay:2_500 (fun () ->
-         Sim.Network.send net ~src:0 ~dst:1 (Ping 2)));
+  Sim.Engine.schedule e ~delay:1_000 (fun () ->
+      Alcotest.(check bool) "crashed on schedule" true
+        (Sim.Network.is_crashed net 1);
+      Sim.Network.send net ~src:0 ~dst:1 (Ping 1));
+  Sim.Engine.schedule e ~delay:2_500 (fun () ->
+      Sim.Network.send net ~src:0 ~dst:1 (Ping 2));
   Sim.Engine.run_until_idle e;
   Alcotest.(check int) "recovery hook ran on schedule" 2_000 !recovered_at;
   Alcotest.(check int) "only post-recovery delivery" 1 !got
@@ -719,9 +730,8 @@ let test_drop_window_edges () =
   Sim.Network.register net ~id:1 (fun ~src:_ (Ping k) -> got := k :: !got);
   List.iter
     (fun (at, k) ->
-      ignore
-        (Sim.Engine.schedule e ~delay:at (fun () ->
-             Sim.Network.send net ~src:0 ~dst:1 (Ping k))))
+      Sim.Engine.schedule e ~delay:at (fun () ->
+          Sim.Network.send net ~src:0 ~dst:1 (Ping k)))
     [ (999, 1); (1_000, 2); (1_999, 3); (2_000, 4) ];
   Sim.Engine.run_until_idle e;
   Alcotest.(check (list int)) "outside the window" [ 1; 4 ] (List.rev !got);
@@ -766,15 +776,13 @@ let test_partition_heal () =
     Sim.Network.register net ~id:i (fun ~src (Ping k) ->
         got.(i) <- (src, k) :: got.(i))
   done;
-  ignore
-    (Sim.Engine.schedule e ~delay:1_500 (fun () ->
-         (* Across the cut: dropped. Inside the island: flows. *)
-         Sim.Network.send net ~src:0 ~dst:2 (Ping 1);
-         Sim.Network.send net ~src:2 ~dst:0 (Ping 2);
-         Sim.Network.send net ~src:0 ~dst:1 (Ping 3)));
-  ignore
-    (Sim.Engine.schedule e ~delay:2_000 (fun () ->
-         Sim.Network.send net ~src:0 ~dst:2 (Ping 4)));
+  Sim.Engine.schedule e ~delay:1_500 (fun () ->
+      (* Across the cut: dropped. Inside the island: flows. *)
+      Sim.Network.send net ~src:0 ~dst:2 (Ping 1);
+      Sim.Network.send net ~src:2 ~dst:0 (Ping 2);
+      Sim.Network.send net ~src:0 ~dst:1 (Ping 3));
+  Sim.Engine.schedule e ~delay:2_000 (fun () ->
+      Sim.Network.send net ~src:0 ~dst:2 (Ping 4));
   Sim.Engine.run_until_idle e;
   Alcotest.(check (list (pair int int))) "healed link" [ (0, 4) ] got.(2);
   Alcotest.(check (list (pair int int))) "intra-island" [ (0, 3) ] got.(1);
@@ -834,10 +842,9 @@ let test_perturb_window_filters () =
     Sim.Network.register net ~id:i (fun ~src:_ (Ping _) ->
         at.(i) <- Sim.Engine.now e)
   done;
-  ignore
-    (Sim.Engine.schedule e ~delay:1_500 (fun () ->
-         Sim.Network.send net ~src:0 ~dst:1 (Ping 1);
-         Sim.Network.send net ~src:0 ~dst:2 (Ping 2)));
+  Sim.Engine.schedule e ~delay:1_500 (fun () ->
+      Sim.Network.send net ~src:0 ~dst:1 (Ping 1);
+      Sim.Network.send net ~src:0 ~dst:2 (Ping 2));
   Sim.Engine.run_until_idle e;
   Alcotest.(check bool) "unmatched dst on time" true (at.(1) < 3_000);
   Alcotest.(check bool) "matched link held" true (at.(2) >= 11_000)
@@ -855,9 +862,8 @@ let test_perturb_reverse_window () =
   Sim.Network.register net ~id:1 (fun ~src:_ (Ping k) -> got := k :: !got);
   List.iter
     (fun (delay, k) ->
-      ignore
-        (Sim.Engine.schedule e ~delay (fun () ->
-             Sim.Network.send net ~src:0 ~dst:1 (Ping k))))
+      Sim.Engine.schedule e ~delay (fun () ->
+          Sim.Network.send net ~src:0 ~dst:1 (Ping k)))
     [ (1_000, 1); (4_000, 2); (8_000, 3) ];
   Sim.Engine.run_until_idle e;
   (* Extra delay is 2x the remaining window: sent at 1/4/8ms, delivered
@@ -883,10 +889,9 @@ let test_perturb_empty_is_free () =
           log := (i, src, k, Sim.Engine.now e) :: !log)
     done;
     for k = 0 to 9 do
-      ignore
-        (Sim.Engine.schedule e
-           ~delay:(50 * (k + 1))
-           (fun () -> Sim.Network.broadcast net ~src:(k mod 3) (Ping k)))
+      Sim.Engine.schedule e
+        ~delay:(50 * (k + 1))
+        (fun () -> Sim.Network.broadcast net ~src:(k mod 3) (Ping k))
     done;
     Sim.Engine.run_until_idle e;
     (Sim.Engine.events_executed e, List.rev !log)
@@ -962,8 +967,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_engine_run_until_matches_old_loop;
     QCheck_alcotest.to_alcotest prop_latency_gaussian_bits;
     Alcotest.test_case "engine ordering" `Quick test_engine_ordering_and_time;
-    Alcotest.test_case "engine cancel" `Quick test_engine_cancel;
     Alcotest.test_case "engine run until" `Quick test_engine_run_until;
+    Alcotest.test_case "engine post" `Quick test_engine_post;
     Alcotest.test_case "engine past raises" `Quick test_engine_past_raises;
     Alcotest.test_case "engine livelock guard" `Quick test_engine_livelock_guard;
     Alcotest.test_case "cpu fifo" `Quick test_cpu_fifo;
@@ -980,6 +985,9 @@ let suite =
     Alcotest.test_case "network bad endpoint" `Quick test_network_bad_endpoint;
     Alcotest.test_case "network rejects bad adversary" `Quick
       test_network_rejects_bad_adversary;
+    Alcotest.test_case "network one per engine" `Quick
+      test_network_one_per_engine;
+    Alcotest.test_case "network pool drains" `Quick test_network_pool_drains;
     Alcotest.test_case "crash tombstones in-flight" `Quick
       test_crash_tombstones_inflight;
     Alcotest.test_case "crash tombstones cpu queue" `Quick

@@ -106,16 +106,14 @@ let test_zero_cost_when_disabled () =
     in
     let net, nodes = lyra_cluster ?trace engine ~n:4 in
     for k = 0 to 9 do
-      ignore
-        (Sim.Engine.schedule engine
-           ~delay:(100_000 * (k + 1))
-           (fun () ->
-             Array.iter
-               (fun nd ->
-                 ignore
-                   (Lyra.Node.submit nd ~payload:(String.make 16 'z') : string))
-               nodes)
-          : Sim.Engine.timer)
+      Sim.Engine.schedule engine
+        ~delay:(100_000 * (k + 1))
+        (fun () ->
+          Array.iter
+            (fun nd ->
+              ignore
+                (Lyra.Node.submit nd ~payload:(String.make 16 'z') : string))
+            nodes)
     done;
     Sim.Engine.run engine ~until:3_000_000;
     ( Sim.Engine.events_executed engine,
@@ -301,11 +299,9 @@ let test_open_entries make () =
   let until = 4_000_000 in
   let rec tick at =
     if at < until then
-      ignore
-        (Sim.Engine.schedule engine ~delay:(at - Sim.Engine.now engine) (fun () ->
-             Array.iter (fun p -> p.submit (); p.submit ()) probes;
-             tick (at + 100_000))
-          : Sim.Engine.timer)
+      Sim.Engine.schedule engine ~delay:(at - Sim.Engine.now engine) (fun () ->
+          Array.iter (fun p -> p.submit (); p.submit ()) probes;
+          tick (at + 100_000))
   in
   tick 100_000;
   Sim.Engine.run engine ~until;

@@ -10,14 +10,12 @@ let make_sink ?(echo_delay_us = 2_000) engine =
   let submit ~node:_ ~payload =
     let tx_id = "t" ^ string_of_int !next in
     incr next;
-    ignore
-      (Sim.Engine.schedule engine ~delay:echo_delay_us (fun () ->
-           match !wl with
-           | Some w ->
-               Workload.Engine.on_commit w ~tx_id ~payload
-                 ~now_us:(Sim.Engine.now engine)
-           | None -> ())
-        : Sim.Engine.timer);
+    Sim.Engine.schedule engine ~delay:echo_delay_us (fun () ->
+        match !wl with
+        | Some w ->
+            Workload.Engine.on_commit w ~tx_id ~payload
+              ~now_us:(Sim.Engine.now engine)
+        | None -> ());
     tx_id
   in
   (wl, submit)
