@@ -121,20 +121,54 @@ let selfcheck_cols =
 (*    event counts (the Sim.Profile taxonomy) and peak RSS.            *)
 (* ------------------------------------------------------------------ *)
 
-(* One pass of the synthetic schedule: [pending] seeded pushes, then
-   [ops] pop-and-reschedules (each popped entry is re-pushed at a
-   seeded offset from its pop time — the engine contract), then a full
-   drain. [pop] returns the popped time, or -1 when empty. Returns
-   (elapsed seconds, events processed). Both structures consume the
-   identical delta sequence; the RNG draws happen outside the timed
-   region so only scheduler cost is measured. *)
-let sched_workload ~pending ~ops ~push ~pop q =
+(* A scheduler benchmark schedule: [fill] holds the seeded pushes'
+   times; each of [deltas] then pops the head and re-pushes it that far
+   past the popped time (the engine contract). *)
+type schedule = { fill : int array; deltas : int array }
+
+(* The synthetic churn: [pending] pushes over [0, pending) and uniform
+   deltas in the same range, so the density — what the wheel's bucket
+   sizes depend on — stays one entry per µs across bench sizes; only
+   the population depth grows. *)
+let churn ~pending ~ops =
   let rng = Crypto.Rng.create 0xD15CL in
-  (* Fill range scales with the population (1 entry/µs) so the schedule
-     density — what the wheel's bucket sizes depend on — stays constant
-     across bench sizes; only the population depth grows. *)
   let fill = Array.init pending (fun _ -> Crypto.Rng.int rng pending) in
   let deltas = Array.init ops (fun _ -> Crypto.Rng.int rng pending) in
+  { fill; deltas }
+
+(* Delays shaped like a run's at n = 100: a message is a NIC
+   transmission (64 B to 4 KiB at the default 8 ns/B), a wire crossing
+   (a regional one-way delay over the paper's placement) and a CPU job
+   (dispatch plus zero to three signature checks at the default
+   costs), so a third of the delays are each. Real runs hold a few
+   thousand to a few tens of thousands of events, spread over ~200 ms
+   of simulated time: sparse, unlike the churn. *)
+let traffic ~pending ~ops =
+  let rng = Crypto.Rng.create 0x7AFF1CL in
+  let n = 100 in
+  let latency =
+    Sim.Latency.regional ~jitter:0.05 (Sim.Regions.paper_placement n)
+  in
+  let costs = Sim.Costs.default in
+  let delay _ =
+    match Crypto.Rng.int rng 3 with
+    | 0 -> (64 + Crypto.Rng.int rng 4033) * 8 / 1000
+    | 1 ->
+        let src = Crypto.Rng.int rng n in
+        Sim.Latency.sample latency rng ~src ~dst:(Crypto.Rng.int rng n)
+    | _ ->
+        costs.Sim.Costs.msg_overhead
+        + (Crypto.Rng.int rng 4 * costs.Sim.Costs.sig_verify)
+  in
+  { fill = Array.init pending delay; deltas = Array.init ops delay }
+
+(* One pass of a schedule: the seeded pushes, then the pop-and-
+   reschedules, then a full drain. [pop] returns the popped time, or -1
+   when empty. Returns (elapsed seconds, events processed). Both
+   structures consume the identical schedule, drawn before the timed
+   region, so only scheduler cost is measured. *)
+let sched_workload { fill; deltas } ~push ~pop q =
+  let pending = Array.length fill and ops = Array.length deltas in
   let t0 = now_wall () in
   for i = 0 to pending - 1 do
     push q ~time:fill.(i) i
@@ -149,24 +183,54 @@ let sched_workload ~pending ~ops ~push ~pop q =
   (now_wall () -. t0, (2 * pending) + (2 * ops))
 
 (* The heap through its generic push/pop; the wheel through the calls
-   the engine's loop makes: [add], then [head_time] and [take]. *)
+   the engine's loop makes: [add], then [pop_until] and [last_time]. *)
 let heap_pop h = match Sim.Event_heap.pop h with Some (t, _) -> t | None -> -1
 
 let wheel_pop w =
-  let t = Sim.Timing_wheel.head_time w in
-  if Int.equal t max_int then -1
-  else begin
-    ignore (Sim.Timing_wheel.take w : int);
-    t
-  end
+  if Sim.Timing_wheel.pop_until w ~until:max_int < 0 then -1
+  else Sim.Timing_wheel.last_time w
 
-type simspeed = {
+(* One scheduler row: the heap and the wheel on one schedule. *)
+type sched = {
   pending : int;
   ops : int;
   events : int;
   heap_eps : float;
   wheel_eps : float;
   speedup : float;
+}
+
+(* Best of three passes per structure, each from a fresh structure and
+   a settled heap, so one badly-timed major collection cannot swing
+   the ratio. *)
+let sched_row ~pending ~ops schedule =
+  let best_of run =
+    let best = ref infinity and events = ref 0 in
+    for _ = 1 to 3 do
+      Gc.full_major ();
+      let s, ev = run () in
+      events := ev;
+      if s < !best then best := s
+    done;
+    (!best, !events)
+  in
+  let heap_s, events =
+    best_of (fun () ->
+        sched_workload schedule ~push:Sim.Event_heap.push ~pop:heap_pop
+          (Sim.Event_heap.create ()))
+  in
+  let wheel_s, _ =
+    best_of (fun () ->
+        sched_workload schedule ~push:Sim.Timing_wheel.add ~pop:wheel_pop
+          (Sim.Timing_wheel.create ()))
+  in
+  let heap_eps = float_of_int events /. heap_s in
+  let wheel_eps = float_of_int events /. wheel_s in
+  { pending; ops; events; heap_eps; wheel_eps; speedup = wheel_eps /. heap_eps }
+
+type simspeed = {
+  scheduler : sched;
+  traffic : sched;
   storm_n : int;
   duration_us : int;
   engine_events : int;
@@ -184,31 +248,11 @@ type simspeed = {
 let simspeed_run () =
   let pending = if !smoke then 50_000 else 1_000_000 in
   let ops = if !smoke then 200_000 else 2_000_000 in
-  (* Best of three passes per structure, each from a fresh structure
-     and a settled heap, so one badly-timed major collection cannot
-     swing the ratio. *)
-  let best_of run =
-    let best = ref infinity and events = ref 0 in
-    for _ = 1 to 3 do
-      Gc.full_major ();
-      let s, ev = run () in
-      events := ev;
-      if s < !best then best := s
-    done;
-    (!best, !events)
+  let scheduler = sched_row ~pending ~ops (churn ~pending ~ops) in
+  let traffic =
+    let pending = 10_000 in
+    sched_row ~pending ~ops (traffic ~pending ~ops)
   in
-  let heap_s, events =
-    best_of (fun () ->
-        sched_workload ~pending ~ops ~push:Sim.Event_heap.push ~pop:heap_pop
-          (Sim.Event_heap.create ()))
-  in
-  let wheel_s, _ =
-    best_of (fun () ->
-        sched_workload ~pending ~ops ~push:Sim.Timing_wheel.add ~pop:wheel_pop
-          (Sim.Timing_wheel.create ()))
-  in
-  let heap_eps = float_of_int events /. heap_s in
-  let wheel_eps = float_of_int events /. wheel_s in
   (* Engine storm: n nodes, each broadcasting every millisecond on the
      paper's regional latency model — every message pays NIC, wire and
      receiver-CPU events, so all engine layers show up in the counts. *)
@@ -243,12 +287,8 @@ let simspeed_run () =
   let engine_s = now_wall () -. t0 in
   let engine_events = Sim.Engine.events_executed engine in
   {
-    pending;
-    ops;
-    events;
-    heap_eps;
-    wheel_eps;
-    speedup = wheel_eps /. heap_eps;
+    scheduler;
+    traffic;
     storm_n = n;
     duration_us;
     engine_events;
@@ -261,18 +301,21 @@ let simspeed_run () =
   }
 
 let simspeed =
-  let sched_cols =
+  let sched_cols label get =
     [
-      json "pending" J.int (fun s -> s.pending);
-      json "ops" J.int (fun s -> s.ops);
-      json "events" J.int (fun s -> s.events);
-      both "heap_events_per_sec" "heap events/s" J.float f0 (fun s -> s.heap_eps);
-      both "wheel_events_per_sec" "wheel events/s" J.float f0 (fun s ->
-          s.wheel_eps);
-      both "speedup" "wheel/heap speedup" J.float (Printf.sprintf "%.2fx")
-        (fun s -> s.speedup);
+      json "pending" J.int (fun s -> (get s).pending);
+      json "ops" J.int (fun s -> (get s).ops);
+      json "events" J.int (fun s -> (get s).events);
+      both "heap_events_per_sec" (label ^ "heap events/s") J.float f0 (fun s ->
+          (get s).heap_eps);
+      both "wheel_events_per_sec" (label ^ "wheel events/s") J.float f0
+        (fun s -> (get s).wheel_eps);
+      both "speedup" (label ^ "wheel/heap speedup") J.float
+        (Printf.sprintf "%.2fx") (fun s -> (get s).speedup);
     ]
   in
+  let churn_cols = sched_cols "" (fun s -> s.scheduler) in
+  let traffic_cols = sched_cols "traffic: " (fun s -> s.traffic) in
   let engine_cols =
     [
       json "n" J.int (fun s -> s.storm_n);
@@ -291,11 +334,11 @@ let simspeed =
   let report s =
     sideways
       (Printf.sprintf
-         "SIMSPEED  scheduler microbench (%d pending, %d reschedule ops) and \
-          engine storm (n=%d)"
-         s.pending s.ops s.storm_n)
-      ((text "metric" (fun _ -> "value") :: sched_cols)
-      @ engine_cols
+         "SIMSPEED  scheduler microbench (%d pending, %d reschedule ops), \
+          traffic-shaped (%d pending) and engine storm (n=%d)"
+         s.scheduler.pending s.scheduler.ops s.traffic.pending s.storm_n)
+      ((text "metric" (fun _ -> "value") :: churn_cols)
+      @ traffic_cols @ engine_cols
       @ text "peak RSS kB" (fun s -> istr s.rss)
         :: List.map
              (fun (k, c) -> text ("events:" ^ k) (fun _ -> istr c))
@@ -307,20 +350,23 @@ let simspeed =
      10^6 pending and ~4x at 5*10^4 on the reference host. The floor is
      60% of that line — below run-to-run noise, far above the ~1x a
      scheduler regressed to O(log n) would show. *)
-  let floor s = 3.0 *. Float.log2 (float_of_int s.pending) /. Float.log2 1e6 in
+  let floor s =
+    3.0 *. Float.log2 (float_of_int s.scheduler.pending) /. Float.log2 1e6
+  in
   exp "simspeed" simspeed_run [ report ]
     ~json:
       [
-        J.field "scheduler" (row_desc sched_cols) Fun.id;
+        J.field "scheduler" (row_desc churn_cols) Fun.id;
+        J.field "traffic" (row_desc traffic_cols) Fun.id;
         J.field "engine" (row_desc engine_cols) Fun.id;
         J.field "peak_rss_kb" J.int (fun s -> s.rss);
       ]
     ~guards:(fun s ->
       [
-        guard (s.speedup >= floor s)
+        guard (s.scheduler.speedup >= floor s)
           "wheel speedup %.2fx below the %.2fx floor at %d pending — \
            scheduler regression?"
-          s.speedup (floor s) s.pending;
+          s.scheduler.speedup (floor s) s.scheduler.pending;
       ])
 
 (* ------------------------------------------------------------------ *)

@@ -171,15 +171,25 @@ let run ?(seed = 1L) ?warmup_us ?(ns_per_byte = wan_ns_per_byte)
   (* Receive-order tap: each node's first sighting of every batch, in
      arrival order, via the adapters' [on_observe] hook. Pure
      bookkeeping — no engine interaction, so attaching it never moves
-     a golden. Deduplicated by iid; the string key is formatted only
-     on a first sighting. *)
+     a golden. One table shared by all nodes holds each batch's key,
+     formatted once, and a byte per node that has seen it. *)
   let receive_rev : (string * int) list array = Array.make n [] in
-  let observed = Array.init n (fun _ -> Lyra.Types.Iid_tbl.create 256) in
+  let sightings : (string * Bytes.t) Lyra.Types.Iid_tbl.t =
+    Lyra.Types.Iid_tbl.create 16
+  in
   let on_observe id (b : Lyra.Types.batch) =
     let iid = b.Lyra.Types.iid in
-    if not (Lyra.Types.Iid_tbl.mem observed.(id) iid) then begin
-      Lyra.Types.Iid_tbl.replace observed.(id) iid ();
-      receive_rev.(id) <- (Protocol.key_of_iid iid, Sim.Engine.now engine) :: receive_rev.(id)
+    let key, seen =
+      match Lyra.Types.Iid_tbl.find_opt sightings iid with
+      | Some e -> e
+      | None ->
+          let e = (Protocol.key_of_iid iid, Bytes.make n '\000') in
+          Lyra.Types.Iid_tbl.replace sightings iid e;
+          e
+    in
+    if Char.equal (Bytes.get seen id) '\000' then begin
+      Bytes.set seen id '\001';
+      receive_rev.(id) <- (key, Sim.Engine.now engine) :: receive_rev.(id)
     end
   in
   let nodes =

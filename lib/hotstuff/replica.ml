@@ -1,3 +1,10 @@
+(* Block ids key the store, the vote tallies and the catch-up requests;
+   view numbers key the new-view tallies. Typed tables hash and compare
+   without the polymorphic primitives, and none is ever iterated, so
+   their bucket order reaches nothing observable. *)
+module Str_tbl = Hashtbl.Make (String)
+module Int_tbl = Lyra.Types.Int_tbl
+
 type qc = { q_block : string; q_height : int; voters : int list }
 
 type 'cmd block = {
@@ -50,9 +57,9 @@ type 'cmd t = {
   cmd_id : 'cmd -> string;  (** only for block ids *)
   cmd_key : 'cmd -> int;  (** the pool's key *)
   on_commit : height:int -> 'cmd list -> unit;
-  blocks : (string, 'cmd block) Hashtbl.t;
-  votes : (string, bool array * int ref) Hashtbl.t;
-  new_views : (int, (bool array * int ref) * qc ref) Hashtbl.t;
+  blocks : 'cmd block Str_tbl.t;
+  votes : (bool array * int ref) Str_tbl.t;
+  new_views : ((bool array * int ref) * qc ref) Int_tbl.t;
   pool : 'cmd Cmd_pool.t;
   mutable view_no : int;
   mutable vheight : int;
@@ -62,7 +69,7 @@ type 'cmd t = {
   mutable proposed_in : int;  (** last view this replica proposed in *)
   mutable blocks_proposed : int;
   mutable started : bool;
-  catchup_inflight : (string, unit) Hashtbl.t;  (** block ids requested *)
+  catchup_inflight : unit Str_tbl.t;  (** block ids requested *)
   mutable resync_target : 'cmd block option;
       (** highest block whose commit stalled on a missing ancestor *)
 }
@@ -81,7 +88,7 @@ let block_id ~height ~parent ~proposer cmd_ids =
   Crypto.Sha256.digest_list
     (string_of_int height :: parent :: string_of_int proposer :: cmd_ids)
 
-let find_block t id = Hashtbl.find_opt t.blocks id
+let find_block t id = Str_tbl.find_opt t.blocks id
 
 (* b extends the locked block if the locked block is an ancestor. *)
 let rec extends t ~anc id =
@@ -103,15 +110,15 @@ let send t ~dst m = t.tr.tr_send ~dst m
    merely out-of-order arrival never costs a message; the in-flight
    entry expires so a lost response leads to a re-request. *)
 let request_catchup t ~from ~missing =
-  if not (Hashtbl.mem t.catchup_inflight missing) then begin
-    Hashtbl.replace t.catchup_inflight missing ();
+  if not (Str_tbl.mem t.catchup_inflight missing) then begin
+    Str_tbl.replace t.catchup_inflight missing ();
     t.tr.tr_schedule ~delay_us:(2 * t.delta_us) (fun () ->
         if Option.is_none (find_block t missing) then begin
           send t ~dst:from (Catchup_req { missing; have = t.last_committed });
           t.tr.tr_schedule ~delay_us:(8 * t.delta_us) (fun () ->
-              Hashtbl.remove t.catchup_inflight missing)
+              Str_tbl.remove t.catchup_inflight missing)
         end
-        else Hashtbl.remove t.catchup_inflight missing)
+        else Str_tbl.remove t.catchup_inflight missing)
   end
 
 (* Remember the highest block whose commit evaluation stalled on a
@@ -208,7 +215,7 @@ and maybe_propose t =
   let v = t.view_no in
   if t.started && Int.equal t.id (leader t v) && t.proposed_in < v then begin
     let quorum_newviews =
-      match Hashtbl.find_opt t.new_views v with
+      match Int_tbl.find_opt t.new_views v with
       | Some ((_, count), _) -> !count >= t.n - t.f
       | None -> false
     in
@@ -226,9 +233,9 @@ and maybe_propose t =
   end
 
 let on_proposal t b =
-  if b.height > 0 && Int.equal (leader t b.height) b.proposer && not (Hashtbl.mem t.blocks b.b_id)
+  if b.height > 0 && Int.equal (leader t b.height) b.proposer && not (Str_tbl.mem t.blocks b.b_id)
   then begin
-    Hashtbl.replace t.blocks b.b_id b;
+    Str_tbl.replace t.blocks b.b_id b;
     update_high_qc t b.justify;
     (* safeNode: extend the locked block, or see a higher QC. *)
     let safe =
@@ -267,10 +274,10 @@ let on_catchup_req t ~src ~missing ~have =
 let on_catchup_resp t blocks =
   List.iter
     (fun b ->
-      if b.height > 0 && not (Hashtbl.mem t.blocks b.b_id) then begin
-        Hashtbl.replace t.blocks b.b_id b;
+      if b.height > 0 && not (Str_tbl.mem t.blocks b.b_id) then begin
+        Str_tbl.replace t.blocks b.b_id b;
         update_high_qc t b.justify;
-        Hashtbl.remove t.catchup_inflight b.b_id
+        Str_tbl.remove t.catchup_inflight b.b_id
       end)
     blocks;
   retry_stalled t
@@ -279,11 +286,11 @@ let on_vote t ~src ~block_id ~height =
   (* Collect votes if we lead the next view. *)
   if Int.equal (leader t (height + 1)) t.id then begin
     let voters, count =
-      match Hashtbl.find_opt t.votes block_id with
+      match Str_tbl.find_opt t.votes block_id with
       | Some vc -> vc
       | None ->
           let vc = (Array.make t.n false, ref 0) in
-          Hashtbl.replace t.votes block_id vc;
+          Str_tbl.replace t.votes block_id vc;
           vc
     in
     if not voters.(src) then begin
@@ -307,11 +314,11 @@ let on_new_view t ~src ~view_v qc =
   update_high_qc t qc;
   if Int.equal (leader t (view_v + 1)) t.id then begin
     let (senders, count), best =
-      match Hashtbl.find_opt t.new_views (view_v + 1) with
+      match Int_tbl.find_opt t.new_views (view_v + 1) with
       | Some e -> e
       | None ->
           let e = ((Array.make t.n false, ref 0), ref qc) in
-          Hashtbl.replace t.new_views (view_v + 1) e;
+          Int_tbl.replace t.new_views (view_v + 1) e;
           e
     in
     if not senders.(src) then begin
@@ -346,9 +353,9 @@ let create tr ~id ~delta_us ~block_capacity ~cmd_id ~cmd_key ~on_commit () =
       cmd_id;
       cmd_key;
       on_commit;
-      blocks = Hashtbl.create 256;
-      votes = Hashtbl.create 256;
-      new_views = Hashtbl.create 16;
+      blocks = Str_tbl.create 256;
+      votes = Str_tbl.create 256;
+      new_views = Int_tbl.create 16;
       pool = Cmd_pool.create ();
       view_no = 0;
       vheight = 0;
@@ -358,11 +365,11 @@ let create tr ~id ~delta_us ~block_capacity ~cmd_id ~cmd_key ~on_commit () =
       proposed_in = 0;
       blocks_proposed = 0;
       started = false;
-      catchup_inflight = Hashtbl.create 8;
+      catchup_inflight = Str_tbl.create 8;
       resync_target = None;
     }
   in
-  Hashtbl.replace t.blocks genesis_id
+  Str_tbl.replace t.blocks genesis_id
     {
       b_id = genesis_id;
       height = 0;

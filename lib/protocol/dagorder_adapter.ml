@@ -10,9 +10,10 @@ let make ?(tweak = fun c -> c) ?(censor = fun _ _ -> false) ?regions
       net : Dagorder.Node.msg Sim.Network.t;
       cfg : Dagorder.Node.config;
       faults : Sim.Faults.plan;
+      keys : Node_intf.key_table;
     }
 
-    type t = Dagorder.Node.t
+    type t = { node : Dagorder.Node.t; keys : Node_intf.key_table }
 
     let make_net engine ~n ~jitter ?ns_per_byte ?(faults = Sim.Faults.none)
         ?adversary ?perturb ?trace ?dissemination () =
@@ -30,7 +31,7 @@ let make ?(tweak = fun c -> c) ?(censor = fun _ _ -> false) ?regions
           ~cost:(fun ~dst:_ m -> Dagorder.Node.msg_cost costs m)
           ~size:Dagorder.Node.msg_size ()
       in
-      { net; cfg; faults }
+      { net; cfg; faults; keys = Node_intf.key_table () }
 
     let tx_size nt = nt.cfg.Dagorder.Node.tx_size
 
@@ -46,10 +47,11 @@ let make ?(tweak = fun c -> c) ?(censor = fun _ _ -> false) ?regions
 
     let net_nic nt id = Sim.Network.nic nt.net id
 
-    let convert (o : Dagorder.Node.output) =
+    let convert keys (o : Dagorder.Node.output) =
       {
         Node_intf.key =
-          Node_intf.key_of_iid o.delivery.Dagorder.Dag.batch.Lyra.Types.iid;
+          Node_intf.cached_key keys
+            o.delivery.Dagorder.Dag.batch.Lyra.Types.iid;
         txs = o.delivery.Dagorder.Dag.batch.Lyra.Types.txs;
         seq = o.seq;
         output_at = o.output_at;
@@ -66,33 +68,36 @@ let make ?(tweak = fun c -> c) ?(censor = fun _ _ -> false) ?regions
           + Crypto.Rng.int rng (1 + nt.cfg.Dagorder.Node.clock_offset_max_us)
         else skew
       in
-      Dagorder.Node.create nt.cfg nt.net ~id ~clock_offset_us ?on_observe
-        ~on_output:(fun o -> on_output (convert o))
-        ~censor:(censor id) ()
+      let node =
+        Dagorder.Node.create nt.cfg nt.net ~id ~clock_offset_us ?on_observe
+          ~on_output:(fun o -> on_output (convert nt.keys o))
+          ~censor:(censor id) ()
+      in
+      { node; keys = nt.keys }
 
-    let start = Dagorder.Node.start
+    let start t = Dagorder.Node.start t.node
 
-    let submit = Dagorder.Node.submit
+    let submit t ~payload = Dagorder.Node.submit t.node ~payload
 
     let honest _ = true
 
-    let output_log t = List.map convert (Dagorder.Node.output_log t)
+    let output_log t = List.map (convert t.keys) (Dagorder.Node.output_log t.node)
 
     (* Wave numbers carry no validity window. *)
     let seq_bounds _ = []
 
     let stats t =
       {
-        Node_intf.accepted = Dagorder.Node.own_emitted t;
+        Node_intf.accepted = Dagorder.Node.own_emitted t.node;
         rejected = 0;
         decide_rounds =
-          Metrics.Recorder.to_array (Dagorder.Node.decide_rounds t);
-        mempool = Dagorder.Node.mempool_size t;
-        committed_seq = Dagorder.Node.committed_seq t;
+          Metrics.Recorder.to_array (Dagorder.Node.decide_rounds t.node);
+        mempool = Dagorder.Node.mempool_size t.node;
+        committed_seq = Dagorder.Node.committed_seq t.node;
         late_accepts = 0;
         phases =
           List.map
             (fun (label, r) -> (label, Metrics.Recorder.to_array r))
-            (Metrics.Phases.pairs (Dagorder.Node.phases t));
+            (Metrics.Phases.pairs (Dagorder.Node.phases t.node));
       }
   end)

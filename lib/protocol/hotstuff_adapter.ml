@@ -5,9 +5,13 @@ let make ?(tweak = fun c -> c) ?(censor = fun _ _ -> false) ?regions () :
 
     let default_warmup_us = 500_000
 
-    type net = { net : Hotstuff.Smr.msg Sim.Network.t; cfg : Hotstuff.Smr.config }
+    type net = {
+      net : Hotstuff.Smr.msg Sim.Network.t;
+      cfg : Hotstuff.Smr.config;
+      keys : Node_intf.key_table;
+    }
 
-    type t = Hotstuff.Smr.t
+    type t = { node : Hotstuff.Smr.t; keys : Node_intf.key_table }
 
     (* HotStuff has no local-clock component, so plan skews have nothing
        to act on here; the transport still executes the rest of the
@@ -28,7 +32,7 @@ let make ?(tweak = fun c -> c) ?(censor = fun _ _ -> false) ?regions () :
           ~cost:(fun ~dst:_ m -> Hotstuff.Smr.msg_cost costs m)
           ~size:Hotstuff.Smr.msg_size ()
       in
-      { net; cfg }
+      { net; cfg; keys = Node_intf.key_table () }
 
     let tx_size nt = nt.cfg.Hotstuff.Smr.tx_size
 
@@ -44,41 +48,44 @@ let make ?(tweak = fun c -> c) ?(censor = fun _ _ -> false) ?regions () :
 
     let net_nic nt id = Sim.Network.nic nt.net id
 
-    let convert (o : Hotstuff.Smr.output) =
+    let convert keys (o : Hotstuff.Smr.output) =
       {
-        Node_intf.key = Node_intf.key_of_iid o.batch.Lyra.Types.iid;
+        Node_intf.key = Node_intf.cached_key keys o.batch.Lyra.Types.iid;
         txs = o.batch.Lyra.Types.txs;
         seq = o.seq;
         output_at = o.output_at;
       }
 
     let create nt ~id ?on_observe ~on_output () =
-      Hotstuff.Smr.create nt.cfg nt.net ~id ?on_observe
-        ~on_output:(fun o -> on_output (convert o))
-        ~censor:(censor id) ()
+      let node =
+        Hotstuff.Smr.create nt.cfg nt.net ~id ?on_observe
+          ~on_output:(fun o -> on_output (convert nt.keys o))
+          ~censor:(censor id) ()
+      in
+      { node; keys = nt.keys }
 
-    let start = Hotstuff.Smr.start
+    let start t = Hotstuff.Smr.start t.node
 
-    let submit = Hotstuff.Smr.submit
+    let submit t ~payload = Hotstuff.Smr.submit t.node ~payload
 
     let honest _ = true
 
-    let output_log t = List.map convert (Hotstuff.Smr.output_log t)
+    let output_log t = List.map (convert t.keys) (Hotstuff.Smr.output_log t.node)
 
     (* Heights carry no validity window. *)
     let seq_bounds _ = []
 
     let stats t =
       {
-        Node_intf.accepted = Hotstuff.Smr.own_committed t;
+        Node_intf.accepted = Hotstuff.Smr.own_committed t.node;
         rejected = 0;
         decide_rounds = [||];
-        mempool = Hotstuff.Smr.mempool_size t;
-        committed_seq = Hotstuff.Smr.committed_height t;
+        mempool = Hotstuff.Smr.mempool_size t.node;
+        committed_seq = Hotstuff.Smr.committed_height t.node;
         late_accepts = 0;
         phases =
           List.map
             (fun (label, r) -> (label, Metrics.Recorder.to_array r))
-            (Metrics.Phases.pairs (Hotstuff.Smr.phases t));
+            (Metrics.Phases.pairs (Hotstuff.Smr.phases t.node));
       }
   end)

@@ -10,9 +10,10 @@ let make ?(tweak = fun c -> c) ?(byz = fun _ -> None) ?regions
       net : Lyra.Types.msg Sim.Network.t;
       cfg : Lyra.Config.t;
       faults : Sim.Faults.plan;
+      keys : Node_intf.key_table;
     }
 
-    type t = { node : Lyra.Node.t; honest : bool }
+    type t = { node : Lyra.Node.t; honest : bool; keys : Node_intf.key_table }
 
     let make_net engine ~n ~jitter ?ns_per_byte ?(faults = Sim.Faults.none)
         ?adversary ?perturb ?trace ?dissemination () =
@@ -30,7 +31,7 @@ let make ?(tweak = fun c -> c) ?(byz = fun _ -> None) ?regions
           ~cost:(fun ~dst:_ m -> Lyra.Types.msg_cost costs m)
           ~size:Lyra.Types.msg_size ()
       in
-      { net; cfg; faults }
+      { net; cfg; faults; keys = Node_intf.key_table () }
 
     let tx_size nt = nt.cfg.Lyra.Config.tx_size
 
@@ -46,9 +47,9 @@ let make ?(tweak = fun c -> c) ?(byz = fun _ -> None) ?regions
 
     let net_nic nt id = Sim.Network.nic nt.net id
 
-    let convert (o : Lyra.Node.output) =
+    let convert keys (o : Lyra.Node.output) =
       {
-        Node_intf.key = Node_intf.key_of_iid o.batch.Lyra.Types.iid;
+        Node_intf.key = Node_intf.cached_key keys o.batch.Lyra.Types.iid;
         txs = o.batch.Lyra.Types.txs;
         seq = o.seq;
         output_at = o.output_at;
@@ -70,10 +71,10 @@ let make ?(tweak = fun c -> c) ?(byz = fun _ -> None) ?regions
       let node =
         Lyra.Node.create nt.cfg nt.net ~id ?clock_offset_us ?misbehavior
           ?on_observe
-          ~on_output:(fun o -> on_output (convert o))
+          ~on_output:(fun o -> on_output (convert nt.keys o))
           ()
       in
-      { node; honest = Option.is_none misbehavior }
+      { node; honest = Option.is_none misbehavior; keys = nt.keys }
 
     let start t = Lyra.Node.start t.node
 
@@ -81,7 +82,7 @@ let make ?(tweak = fun c -> c) ?(byz = fun _ -> None) ?regions
 
     let honest t = t.honest
 
-    let output_log t = List.map convert (Lyra.Node.output_log t.node)
+    let output_log t = List.map (convert t.keys) (Lyra.Node.output_log t.node)
 
     (* BOC-Validity (Def. 6): each decided seq is within λ of the
        batch's creation time on the low side and within the acceptance

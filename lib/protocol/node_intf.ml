@@ -19,10 +19,51 @@ type stats = {
   phases : (string * float array) list;
 }
 
+(* Characters of [v] printed as %d: the digits, plus a sign. *)
+let dec_width v =
+  (* Counts on the non-positive side, where min_int has a magnitude. *)
+  let rec go v w = if v > -10 then w else go (v / 10) (w + 1) in
+  if v < 0 then go v 2 else go (-v) 1
+
+(* Write [v] as %d into [b], ending just before [stop]. *)
+let write_dec b ~stop v =
+  let rec go v pos =
+    (* v <= 0, so [v mod 10] is in -9..0. *)
+    Bytes.set b pos (Char.chr (48 - (v mod 10)));
+    if v <= -10 then go (v / 10) (pos - 1)
+  in
+  go (if v < 0 then v else -v) (stop - 1);
+  if v < 0 then Bytes.set b (stop - dec_width v) '-'
+
 (* Canonical log key of a batch: mirrors Lyra.Types.pp_iid so logs are
-   comparable across protocols with String.equal. *)
+   comparable across protocols with String.equal. Byte-for-byte
+   [Printf.sprintf "%d/%d" proposer index], written without a format
+   interpreter: the harness formats one per batch per run. *)
 let key_of_iid (iid : Lyra.Types.iid) =
-  Printf.sprintf "%d/%d" iid.Lyra.Types.proposer iid.Lyra.Types.index
+  let p = iid.Lyra.Types.proposer and i = iid.Lyra.Types.index in
+  let wp = dec_width p in
+  let len = wp + 1 + dec_width i in
+  let b = Bytes.create len in
+  write_dec b ~stop:wp p;
+  Bytes.set b wp '/';
+  write_dec b ~stop:len i;
+  Bytes.unsafe_to_string b
+
+type key_table = string Lyra.Types.Iid_tbl.t
+
+(* The smallest table: it grows with the run, and set-up allocates no
+   more than it must. *)
+let key_table () = Lyra.Types.Iid_tbl.create 16
+
+(* Every reader of one table gets the same string for an iid, so the
+   key is formatted once per run however many nodes output the batch. *)
+let cached_key tbl iid =
+  match Lyra.Types.Iid_tbl.find_opt tbl iid with
+  | Some k -> k
+  | None ->
+      let k = key_of_iid iid in
+      Lyra.Types.Iid_tbl.replace tbl iid k;
+      k
 
 module type NODE = sig
   val name : string

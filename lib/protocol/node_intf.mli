@@ -31,8 +31,21 @@ type stats = {
           is protocol-specific but every protocol ends with [e2e] *)
 }
 
-(** Canonical log key of a batch instance (stable across protocols). *)
+(** Canonical log key of a batch instance (stable across protocols):
+    ["proposer/index"], as [Printf.sprintf "%d/%d"] prints it. *)
 val key_of_iid : Lyra.Types.iid -> string
+
+(** A per-run memo of {!key_of_iid}. An adapter keeps one in its [net],
+    so a batch's key is formatted once per run, not once per node per
+    output, and every node's output of that batch shares the one
+    string. Never module-global: runs stay independent. *)
+type key_table
+
+val key_table : unit -> key_table
+
+(** [cached_key tbl iid] is [key_of_iid iid], formatted on the first
+    call for [iid] and physically shared after. *)
+val cached_key : key_table -> Lyra.Types.iid -> string
 
 module type NODE = sig
   val name : string

@@ -10,9 +10,10 @@ let make ?(tweak = fun c -> c) ?(censor = fun _ _ -> false)
       net : Pompe.Types.body Sim.Network.t;
       cfg : Pompe.Config.t;
       faults : Sim.Faults.plan;
+      keys : Node_intf.key_table;
     }
 
-    type t = Pompe.Node.t
+    type t = { node : Pompe.Node.t; keys : Node_intf.key_table }
 
     let make_net engine ~n ~jitter ?ns_per_byte ?(faults = Sim.Faults.none)
         ?adversary ?perturb ?trace ?dissemination () =
@@ -30,7 +31,7 @@ let make ?(tweak = fun c -> c) ?(censor = fun _ _ -> false)
           ~cost:(fun ~dst:_ b -> Pompe.Types.msg_cost costs b)
           ~size:Pompe.Types.msg_size ()
       in
-      { net; cfg; faults }
+      { net; cfg; faults; keys = Node_intf.key_table () }
 
     let tx_size nt = nt.cfg.Pompe.Config.tx_size
 
@@ -46,9 +47,9 @@ let make ?(tweak = fun c -> c) ?(censor = fun _ _ -> false)
 
     let net_nic nt id = Sim.Network.nic nt.net id
 
-    let convert (o : Pompe.Node.output) =
+    let convert keys (o : Pompe.Node.output) =
       {
-        Node_intf.key = Node_intf.key_of_iid o.batch.Lyra.Types.iid;
+        Node_intf.key = Node_intf.cached_key keys o.batch.Lyra.Types.iid;
         txs = o.batch.Lyra.Types.txs;
         seq = o.seq;
         output_at = o.output_at;
@@ -66,17 +67,20 @@ let make ?(tweak = fun c -> c) ?(censor = fun _ _ -> false)
         else if not (Int.equal skew 0) then Some skew
         else None
       in
-      Pompe.Node.create nt.cfg nt.net ~id ?clock_offset_us ?on_observe
-        ~on_output:(fun o -> on_output (convert o))
-        ~censor:(censor id) ?respond_ts:(respond_ts id) ()
+      let node =
+        Pompe.Node.create nt.cfg nt.net ~id ?clock_offset_us ?on_observe
+          ~on_output:(fun o -> on_output (convert nt.keys o))
+          ~censor:(censor id) ?respond_ts:(respond_ts id) ()
+      in
+      { node; keys = nt.keys }
 
-    let start = Pompe.Node.start
+    let start t = Pompe.Node.start t.node
 
-    let submit = Pompe.Node.submit
+    let submit t ~payload = Pompe.Node.submit t.node ~payload
 
     let honest _ = true
 
-    let output_log t = List.map convert (Pompe.Node.output_log t)
+    let output_log t = List.map (convert t.keys) (Pompe.Node.output_log t.node)
 
     (* Pompē's seqs are median timestamps with no per-batch validity
        window comparable to BOC's; the oracle has nothing to bound. *)
@@ -84,17 +88,17 @@ let make ?(tweak = fun c -> c) ?(censor = fun _ _ -> false)
 
     let stats t =
       {
-        Node_intf.accepted = Pompe.Node.sequenced_count t;
+        Node_intf.accepted = Pompe.Node.sequenced_count t.node;
         (* Ordering-phase give-ups are the closest Pompē analogue of a
            rejected own proposal. *)
-        rejected = Pompe.Node.order_giveups t;
+        rejected = Pompe.Node.order_giveups t.node;
         decide_rounds = [||];
-        mempool = Pompe.Node.mempool_size t;
-        committed_seq = Pompe.Node.committed_height t;
+        mempool = Pompe.Node.mempool_size t.node;
+        committed_seq = Pompe.Node.committed_height t.node;
         late_accepts = 0;
         phases =
           List.map
             (fun (label, r) -> (label, Metrics.Recorder.to_array r))
-            (Metrics.Phases.pairs (Pompe.Node.phases t));
+            (Metrics.Phases.pairs (Pompe.Node.phases t.node));
       }
   end)

@@ -115,20 +115,32 @@ let exec t p =
     | Some sink -> sink kind_of_index.(k) arg
     | None -> failwith "Engine: an event was posted but no sink is set"
 
+(* One [pop_until] per event: it returns the next due payload, or -1
+   once nothing is due by [until]. *)
 let run t ~until =
   let w = t.wheel in
-  while (not (Timing_wheel.is_empty w)) && Timing_wheel.head_time w <= until do
-    exec t (Timing_wheel.take w)
-  done;
+  let rec loop () =
+    let p = Timing_wheel.pop_until w ~until in
+    if p >= 0 then begin
+      exec t p;
+      loop ()
+    end
+  in
+  loop ();
   t.clock <- max t.clock until
 
 let run_until_idle ?(limit = 500_000_000) t =
   let w = t.wheel in
-  let budget = ref limit in
-  while (not (Timing_wheel.is_empty w)) && !budget > 0 do
-    exec t (Timing_wheel.take w);
-    decr budget
-  done;
+  let rec loop budget =
+    if budget > 0 then begin
+      let p = Timing_wheel.pop_until w ~until:max_int in
+      if p >= 0 then begin
+        exec t p;
+        loop (budget - 1)
+      end
+    end
+  in
+  loop limit;
   if not (Timing_wheel.is_empty w) then
     failwith "Engine.run_until_idle: event limit exceeded"
 

@@ -11,13 +11,20 @@
    most [levels - 1] times), against the heap's O(log n).
 
    An entry is two ints, a timestamp and an opaque payload (the
-   engine's encoded event), stored in a bucket's parallel [times] and
-   [payloads] arrays: there is no entry record, so [add] allocates
-   nothing once a bucket has grown. Bucket storage is recycled: a
+   engine's encoded event), stored side by side in its bucket's one
+   int array (time at [2i], payload at [2i + 1]): there is no entry
+   record, so [add] allocates nothing once a bucket has grown, and a
+   drain or cascade reads one array. Bucket storage is recycled: a
    cascade empties a bucket by resetting its length, and draining a
-   level-0 slot swaps the slot's arrays with the spent ready buffer's.
+   level-0 slot swaps the slot's array with the spent ready buffer's.
    Int arrays pin nothing for the GC, so consumed ranges need no
    clearing.
+
+   Each level keeps an occupancy bitmap, one bit per slot in eight
+   32-bit words, so finding the next non-empty slot reads at most
+   eight words and takes the lowest set bit by a de Bruijn multiply:
+   real runs are sparse, with a few thousand entries spread over
+   hundreds of milliseconds, so most slots are empty.
 
    Every insertion path appends in push order (a cascade walks its
    source bucket in array order; a page's lower-level buckets are empty
@@ -44,25 +51,44 @@ let mask = slots - 1
 
 let levels = 4 (* horizon: 2^32 µs, ~71 simulated minutes *)
 
-(* A bucket is an index into the flat [lens]/[times]/[payloads]
-   arrays: slot [idx] of level [l] is bucket [l * slots + idx], and
-   bucket [ready] is the ready buffer. Entries are push-ordered (not
-   time-ordered) and valid on [0, lens.(b)); spent buckets keep their
-   storage for reuse. The flat arrays exceed the minor heap's object
-   limit, so [create] allocates three arrays in the major heap and no
-   per-bucket record. *)
+(* A bucket is an index into the flat [lens]/[buckets] arrays: slot
+   [idx] of level [l] is bucket [l * slots + idx], and bucket [ready] is
+   the ready buffer. Entries are push-ordered (not time-ordered) and
+   valid on [0, lens.(b)); spent buckets keep their storage for reuse.
+
+   The occupancy bitmap lives in [lens] after the ready buffer's
+   length: bucket [b]'s bit is bit [b land 31] of word
+   [occ + b lsr 5], so level [l]'s eight words are [occ + 8l ..
+   occ + 8l + 7]. Keeping it there makes [create] allocate two
+   major-heap arrays (both exceed the minor heap's object limit) and
+   nothing else but the record. *)
 let ready = levels * slots
+
+let occ = ready + 1
+
+let words = slots / 32 (* bitmap words per level *)
+
+(* Lowest set bit of a non-zero word below 2^32: isolate it, multiply by
+   a de Bruijn sequence, and look up the product's top five bits (of
+   32). The product stays below 2^58, so no native-int overflow. *)
+let de_bruijn = 0x077CB531
+
+let lsb_table =
+  let tbl = Array.make 32 0 in
+  for i = 0 to 31 do
+    tbl.((((1 lsl i) * de_bruijn) lsr 27) land 31) <- i
+  done;
+  tbl
+
+let lowest_bit x = lsb_table.((((x land -x) * de_bruijn) lsr 27) land 31)
 
 type t = {
   (* Floor on every stored entry's time; advanced by taking an entry
      to its timestamp and by cascades to the cascaded page's base. *)
   mutable cur : int;
-  lens : int array;
-  times : int array array;
-  payloads : int array array;
-  occ : int array; (* stored entries per level *)
+  lens : int array; (* bucket lengths, then the occupancy bitmap *)
+  buckets : int array array; (* interleaved (time, payload) pairs *)
   mutable overflow : (int * int) list; (* (time, payload), newest first *)
-  mutable n_overflow : int;
   (* The ready buffer holds entries of one timestamp [ready_time], in
      push order, served from [ready_pos]. Filled by draining the next
      non-empty level-0 slot (an array swap, not a copy). *)
@@ -81,12 +107,9 @@ type t = {
 let create () =
   {
     cur = 0;
-    lens = Array.make (ready + 1) 0;
-    times = Array.make (ready + 1) [||];
-    payloads = Array.make (ready + 1) [||];
-    occ = Array.make levels 0;
+    lens = Array.make (occ + (levels * words)) 0;
+    buckets = Array.make (ready + 1) [||];
     overflow = [];
-    n_overflow = 0;
     ready_pos = 0;
     ready_time = 0;
     early = [];
@@ -102,18 +125,27 @@ let last_time t = t.last_time
 
 let bucket_push t b time p =
   let len = t.lens.(b) in
-  let cap = Array.length t.times.(b) in
-  if Int.equal len cap then begin
-    let grown = if cap = 0 then 8 else 2 * cap in
-    let times = Array.make grown 0 and payloads = Array.make grown 0 in
-    Array.blit t.times.(b) 0 times 0 len;
-    Array.blit t.payloads.(b) 0 payloads 0 len;
-    t.times.(b) <- times;
-    t.payloads.(b) <- payloads
-  end;
-  t.times.(b).(len) <- time;
-  t.payloads.(b).(len) <- p;
+  let a = t.buckets.(b) in
+  let a =
+    if Int.equal (2 * len) (Array.length a) then begin
+      let grown = Array.make (if len = 0 then 16 else 4 * len) 0 in
+      Array.blit a 0 grown 0 (2 * len);
+      t.buckets.(b) <- grown;
+      grown
+    end
+    else a
+  in
+  a.(2 * len) <- time;
+  a.((2 * len) + 1) <- p;
   t.lens.(b) <- len + 1
+
+let set_occ t b =
+  let w = occ + (b lsr 5) in
+  t.lens.(w) <- t.lens.(w) lor (1 lsl (b land 31))
+
+let clear_occ t b =
+  let w = occ + (b lsr 5) in
+  t.lens.(w) <- t.lens.(w) land lnot (1 lsl (b land 31))
 
 (* Level of [time] relative to [cur]: the highest 8-bit digit where the
    two differ, or [levels] when the difference lies beyond the horizon
@@ -130,13 +162,11 @@ let level_of t time =
 
 let insert_wheel t time p =
   let l = level_of t time in
-  if Int.equal l levels then begin
-    t.overflow <- (time, p) :: t.overflow;
-    t.n_overflow <- t.n_overflow + 1
-  end
+  if Int.equal l levels then t.overflow <- (time, p) :: t.overflow
   else begin
-    bucket_push t ((l * slots) + ((time lsr (bits * l)) land mask)) time p;
-    t.occ.(l) <- t.occ.(l) + 1
+    let b = (l * slots) + ((time lsr (bits * l)) land mask) in
+    if Int.equal t.lens.(b) 0 then set_occ t b;
+    bucket_push t b time p
   end
 
 (* Put a premature ready buffer back into the wheel so an earlier push
@@ -144,16 +174,15 @@ let insert_wheel t time p =
    slot (empty: it was drained, and same-time pushes went to [ready])
    stays in push order. *)
 let unwind_ready t =
-  let times = t.times.(ready) and payloads = t.payloads.(ready) in
+  let a = t.buckets.(ready) in
   for i = t.ready_pos to t.lens.(ready) - 1 do
-    insert_wheel t times.(i) payloads.(i)
+    insert_wheel t a.(2 * i) a.((2 * i) + 1)
   done;
   t.lens.(ready) <- 0;
   t.ready_pos <- 0
 
-let ready_count t = t.lens.(ready) - t.ready_pos
-
 let add t ~time p =
+  if p < 0 then invalid_arg "Timing_wheel.add: negative payload";
   t.size <- t.size + 1;
   if time < t.cur then begin
     (* Legal only between the last take and [cur] (see [early]). The
@@ -166,7 +195,9 @@ let add t ~time p =
     in
     t.early <- ins t.early
   end
-  else if ready_count t = 0 then insert_wheel t time p
+  (* [lens.(ready)] is 0 exactly when the ready buffer is empty: it is
+     reset as soon as its last entry is taken. *)
+  else if Int.equal t.lens.(ready) 0 then insert_wheel t time p
   else if Int.equal time t.ready_time then
     (* The newest entry of its timestamp: appending keeps [ready] in order. *)
     bucket_push t ready time p
@@ -176,34 +207,34 @@ let add t ~time p =
   end
   else insert_wheel t time p
 
-(* First non-empty slot of level [l] at digit >= cur's digit, or -1. *)
+(* First occupied slot of level [l] at digit >= cur's digit, or -1:
+   the current word masked below that digit, then whole words up to
+   the level's last. *)
 let scan_level t l =
-  let base = l * slots in
-  let idx = ref ((t.cur lsr (bits * l)) land mask) in
-  while !idx < slots && Int.equal t.lens.(base + !idx) 0 do
-    incr idx
+  let d = (t.cur lsr (bits * l)) land mask in
+  let first = occ + (l * words) in
+  let w = ref (d lsr 5) in
+  let x = ref (t.lens.(first + !w) land (-1 lsl (d land 31))) in
+  while Int.equal !x 0 && !w < words - 1 do
+    incr w;
+    x := t.lens.(first + !w)
   done;
-  if !idx < slots then !idx else -1
+  if Int.equal !x 0 then -1 else (!w lsl 5) lor lowest_bit !x
 
 (* Stage the level-0 slot as the ready buffer by swapping storage:
-   the slot takes the spent ready arrays, the ready buffer takes the
+   the slot takes the spent ready array, the ready buffer takes the
    slot's entries — already in push order (see the ordering invariant
    above), all of one timestamp. *)
 let drain_l0_slot t idx =
-  let len = t.lens.(idx) in
-  if len > 0 then begin
-    t.occ.(0) <- t.occ.(0) - len;
-    (* lens.(ready) = 0: ready is only refilled once fully consumed. *)
-    let times = t.times.(idx) and payloads = t.payloads.(idx) in
-    t.times.(idx) <- t.times.(ready);
-    t.payloads.(idx) <- t.payloads.(ready);
-    t.lens.(idx) <- 0;
-    t.times.(ready) <- times;
-    t.payloads.(ready) <- payloads;
-    t.lens.(ready) <- len;
-    t.ready_pos <- 0;
-    t.ready_time <- times.(0)
-  end
+  (* lens.(ready) = 0: ready is only refilled once fully consumed. *)
+  let a = t.buckets.(idx) in
+  t.buckets.(idx) <- t.buckets.(ready);
+  t.buckets.(ready) <- a;
+  t.lens.(ready) <- t.lens.(idx);
+  t.lens.(idx) <- 0;
+  clear_occ t idx;
+  t.ready_pos <- 0;
+  t.ready_time <- a.(0)
 
 (* Cascade the level-l bucket at [idx] down: advance [cur] to the
    bucket's page base (safe: every stored entry is at or past it) and
@@ -214,12 +245,12 @@ let cascade t l idx =
   let base = ((t.cur lsr page) lsl page) lor (idx lsl (bits * l)) in
   let b = (l * slots) + idx in
   let n = t.lens.(b) in
-  t.occ.(l) <- t.occ.(l) - n;
   t.cur <- base;
   t.lens.(b) <- 0;
-  let times = t.times.(b) and payloads = t.payloads.(b) in
+  clear_occ t b;
+  let a = t.buckets.(b) in
   for i = 0 to n - 1 do
-    insert_wheel t times.(i) payloads.(i)
+    insert_wheel t a.(2 * i) a.((2 * i) + 1)
   done
 
 (* Fold the overflow calendar back in once the wheel proper is empty:
@@ -233,50 +264,53 @@ let refill_from_overflow t =
       t.cur <- List.fold_left (fun m (time, _) -> Int.min m time) first rest;
       let all = List.rev t.overflow in
       t.overflow <- [];
-      t.n_overflow <- 0;
       List.iter (fun (time, p) -> insert_wheel t time p) all
 
-let in_wheel t =
-  t.occ.(0) + t.occ.(1) + t.occ.(2) + t.occ.(3) + t.n_overflow
-
-(* Ensure [ready] holds the earliest wheel timestamp (when the wheel
-   side is non-empty). Cascades mutate placement, never order. *)
+(* With the ready buffer empty, fill it with the earliest wheel
+   timestamp, if the wheel side holds any entry. Cascades mutate
+   placement, never order. *)
 let rec refill t =
-  if Int.equal (ready_count t) 0 && in_wheel t > 0 then begin
-    let l = ref 0 and idx = ref (-1) in
-    while !idx < 0 && !l < levels do
-      if t.occ.(!l) > 0 then idx := scan_level t !l;
-      if !idx < 0 then incr l
-    done;
-    if !idx < 0 then refill_from_overflow t
-    else if Int.equal !l 0 then drain_l0_slot t !idx
-    else cascade t !l !idx;
-    refill t
-  end
+  let l = ref 0 and idx = ref (-1) in
+  while !idx < 0 && !l < levels do
+    idx := scan_level t !l;
+    if !idx < 0 then incr l
+  done;
+  if !idx >= 0 then
+    if Int.equal !l 0 then drain_l0_slot t !idx
+    else begin
+      cascade t !l !idx;
+      refill t
+    end
+  else
+    match t.overflow with
+    | [] -> ()
+    | _ :: _ ->
+        refill_from_overflow t;
+        refill t
 
-let head_time t =
-  match t.early with
-  | (time, _) :: _ -> time
-  | [] ->
-      if Int.equal (ready_count t) 0 then refill t;
-      if ready_count t > 0 then t.ready_time else max_int
-
-let take t =
-  if Int.equal t.size 0 then invalid_arg "Timing_wheel.take: empty";
-  t.size <- t.size - 1;
+let pop_until t ~until =
   match t.early with
   | (time, p) :: rest ->
-      t.early <- rest;
-      t.last_time <- time;
-      p
+      if time > until then -1
+      else begin
+        t.early <- rest;
+        t.size <- t.size - 1;
+        t.last_time <- time;
+        p
+      end
   | [] ->
-      if Int.equal (ready_count t) 0 then refill t;
-      let p = t.payloads.(ready).(t.ready_pos) in
-      t.ready_pos <- t.ready_pos + 1;
-      if Int.equal t.ready_pos t.lens.(ready) then begin
-        t.lens.(ready) <- 0;
-        t.ready_pos <- 0
-      end;
-      t.cur <- t.ready_time;
-      t.last_time <- t.ready_time;
-      p
+      if Int.equal t.lens.(ready) 0 && t.size > 0 then refill t;
+      if Int.equal t.lens.(ready) 0 || t.ready_time > until then -1
+      else begin
+        let i = t.ready_pos in
+        let p = t.buckets.(ready).((2 * i) + 1) in
+        if Int.equal (i + 1) t.lens.(ready) then begin
+          t.lens.(ready) <- 0;
+          t.ready_pos <- 0
+        end
+        else t.ready_pos <- i + 1;
+        t.size <- t.size - 1;
+        t.cur <- t.ready_time;
+        t.last_time <- t.ready_time;
+        p
+      end

@@ -6,8 +6,9 @@
 
     Monomorphic on an [int] payload, which the wheel never interprets
     (the engine packs its event kind and a slot or argument into it).
-    An entry is two ints in a bucket's parallel arrays, so neither
-    side of the queue allocates once bucket storage has grown.
+    An entry is two adjacent ints in its bucket's array, so neither
+    side of the queue allocates once bucket storage has grown; a
+    per-level occupancy bitmap finds the next non-empty slot.
 
     Contract: [add ~time] requires [time] to be no earlier than the
     timestamp of the most recently taken entry (the engine's clock
@@ -17,20 +18,19 @@ type t
 
 val create : unit -> t
 
-(** [add w ~time p] inserts payload [p] at [time]. *)
+(** [add w ~time p] inserts payload [p] at [time].
+    @raise Invalid_argument if [p] is negative ({!pop_until} returns
+    [-1] for "nothing due"). *)
 val add : t -> time:int -> int -> unit
 
-(** [head_time w] is the timestamp of the earliest entry, or [max_int]
-    if there is none. *)
-val head_time : t -> int
+(** [pop_until w ~until] removes the earliest entry (ties broken by
+    insertion order) if its timestamp is at most [until], and returns
+    its payload; its timestamp is then {!last_time}. Returns [-1],
+    removing nothing, when [w] is empty or its earliest entry is later
+    than [until]. [~until:max_int] pops whatever is next. *)
+val pop_until : t -> until:int -> int
 
-(** [take w] removes the earliest entry (ties broken by insertion
-    order) and returns its payload; its timestamp is then
-    {!last_time}.
-    @raise Invalid_argument if [w] is empty. *)
-val take : t -> int
-
-(** Timestamp of the entry the last {!take} removed (0 before any). *)
+(** Timestamp of the entry the last {!pop_until} removed (0 before any). *)
 val last_time : t -> int
 
 (** Entries stored. *)

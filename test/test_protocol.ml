@@ -191,6 +191,71 @@ let test_hotstuff_baseline () =
   Alcotest.(check (float 1e-9)) "no decide rounds recorded" 0.0 r.decide_rounds;
   Alcotest.(check string) "protocol label" "hotstuff" r.protocol
 
+(* ------------------------------------------------------------------ *)
+(* Batch keys: the Printf-free formatter, and one shared string per    *)
+(* batch per run.                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let test_key_of_iid_matches_sprintf () =
+  let fields = [ 0; 1; 9; 10; 99; 100; 12345; max_int; -1; -9; -10; -100; min_int ] in
+  List.iter
+    (fun proposer ->
+      List.iter
+        (fun index ->
+          Alcotest.(check string)
+            (Printf.sprintf "%d/%d" proposer index)
+            (Printf.sprintf "%d/%d" proposer index)
+            (Protocol.key_of_iid { Lyra.Types.proposer; index }))
+        fields)
+    fields
+
+(* A 4-node Pompē cluster driven through its adapter: every committed
+   key of an iid, from [on_output] and from [output_log] on every node,
+   is one physical string, and it reads as [key_of_iid]. *)
+let test_pompe_keys_shared () =
+  let (module P : Protocol.NODE) = get "pompe" in
+  let n = 4 in
+  let engine = Sim.Engine.create ~seed:7L () in
+  let net = P.make_net engine ~n ~jitter:0.01 () in
+  let iid_of_key = Hashtbl.create 64 in
+  let outputs = Array.make n [] in
+  let nodes =
+    Array.init n (fun id ->
+        P.create net ~id
+          ~on_observe:(fun (b : Lyra.Types.batch) ->
+            Hashtbl.replace iid_of_key
+              (Printf.sprintf "%d/%d" b.iid.proposer b.iid.index)
+              b.iid)
+          ~on_output:(fun c -> outputs.(id) <- c.Protocol.key :: outputs.(id))
+          ())
+  in
+  Array.iter P.start nodes;
+  for k = 0 to 39 do
+    ignore (P.submit nodes.(k mod n) ~payload:(Printf.sprintf "tx-%d" k) : string)
+  done;
+  Sim.Engine.run engine ~until:8_000_000;
+  (* The first string seen per key content; every later one must be it. *)
+  let canonical = Hashtbl.create 64 in
+  let check_key key =
+    match Hashtbl.find_opt iid_of_key key with
+    | None -> Alcotest.failf "committed key %s was never observed" key
+    | Some iid -> (
+        Alcotest.(check string) "reads as key_of_iid" (Protocol.key_of_iid iid) key;
+        match Hashtbl.find_opt canonical key with
+        | None -> Hashtbl.replace canonical key key
+        | Some first ->
+            Alcotest.(check bool) ("one physical string for " ^ key) true (first == key))
+  in
+  Array.iteri
+    (fun id node ->
+      let log = List.map (fun c -> c.Protocol.key) (P.output_log node) in
+      Alcotest.(check bool) (Printf.sprintf "node %d committed" id) true (log <> []);
+      Alcotest.(check (list string)) "on_output = output_log" (List.rev outputs.(id)) log;
+      List.iter check_key outputs.(id);
+      List.iter check_key log)
+    nodes;
+  Alcotest.(check bool) "several batches" true (Hashtbl.length canonical >= 2)
+
 let suite =
   [
     Alcotest.test_case "registry" `Quick test_registry;
@@ -202,4 +267,8 @@ let suite =
     Alcotest.test_case "seeded determinism" `Slow test_determinism;
     Alcotest.test_case "hotstuff baseline" `Slow test_hotstuff_baseline;
     Alcotest.test_case "lyra phase breakdown (LAT3R)" `Slow test_phase_breakdown;
+    Alcotest.test_case "key_of_iid = sprintf %d/%d" `Quick
+      test_key_of_iid_matches_sprintf;
+    Alcotest.test_case "pompe keys shared across nodes" `Quick
+      test_pompe_keys_shared;
   ]

@@ -60,12 +60,12 @@ let prop_heap_ordering =
                 (ok && monotone && t = t', Some (t, seq)))
               (true, None) popped))
 
-(* Drain a wheel through [take], pairing each payload with its
-   [last_time]. *)
+(* Drain a wheel through unbounded [pop_until]s, pairing each payload
+   with its [last_time]. *)
 let drain_wheel w =
   let out = ref [] in
   while not (Sim.Timing_wheel.is_empty w) do
-    let p = Sim.Timing_wheel.take w in
+    let p = Sim.Timing_wheel.pop_until w ~until:max_int in
     out := (Sim.Timing_wheel.last_time w, p) :: !out
   done;
   List.rev !out
@@ -97,72 +97,85 @@ let test_wheel_levels_and_overflow () =
   in
   Alcotest.(check (list (pair int int))) "total order" expect (drain_wheel w);
   Alcotest.(check bool) "empty" true (Sim.Timing_wheel.is_empty w);
-  Alcotest.(check int) "no head" max_int (Sim.Timing_wheel.head_time w)
+  Alcotest.(check int) "nothing due" (-1)
+    (Sim.Timing_wheel.pop_until w ~until:max_int)
 
 (* The structural proof the engine swap rests on: drive the heap and
-   the wheel with an identical random schedule — pushes at or after the
-   last taken time (the engine's monotonicity contract), interleaved
-   takes and head reads (head reads force cascades, exercising the
-   early-push path) — and require bit-identical output from both. The
-   wheel is driven through the calls the engine makes: [add],
-   [head_time], [take] and [last_time]. Deltas mix scales so schedules
-   cross slot, page and horizon boundaries. *)
+   the wheel with an identical random schedule and require
+   bit-identical output from both. The wheel is driven through the
+   calls the engine makes: [add], [pop_until] and [last_time].
+   [floor] is the last taken time (the wheel's contract: no push
+   before it); [clock] is where an engine would stand, past [floor]
+   once a bounded pop found nothing due. Pushes land at [clock] plus a
+   delta, or at [floor] itself; pops are unbounded, bounded single
+   pops (which can stop inside a timestamp, leaving its later entries
+   queued behind pushes at that same time), and bounded drains, as
+   [Engine.run ~until] does. A bounded pop that finds nothing due has
+   still cascaded the wheel up to its head, so the pushes at [clock]
+   or [floor] that follow it land before [cur]: the early path. Deltas
+   mix scales so schedules cross slot, page and horizon boundaries. *)
 let prop_wheel_heap_equivalence =
   QCheck.Test.make ~name:"wheel ≡ heap on random engine schedules"
-    ~count:300
-    QCheck.(list (pair (int_bound 5) (int_bound 1_000_000)))
+    ~count:500
+    QCheck.(list (pair (int_bound 7) (int_bound 1_000_000)))
     (fun ops ->
       let h = Sim.Event_heap.create () in
       let w = Sim.Timing_wheel.create () in
-      let floor = ref 0 in
+      let floor = ref 0 and clock = ref 0 in
       let seq = ref 0 in
       let same = ref true in
-      let head_agrees () =
-        let expect =
-          match Sim.Event_heap.peek_time h with Some t -> t | None -> max_int
+      (* One pop bounded by [until] on both sides; whether one was due. *)
+      let pop_both until =
+        let due =
+          match Sim.Event_heap.peek_time h with
+          | Some t -> t <= until
+          | None -> false
         in
-        Int.equal expect (Sim.Timing_wheel.head_time w)
+        let p = Sim.Timing_wheel.pop_until w ~until in
+        (if due then begin
+           let t, s = Option.get (Sim.Event_heap.pop h) in
+           same :=
+             !same && Int.equal p s
+             && Int.equal t (Sim.Timing_wheel.last_time w);
+           floor := t;
+           clock := Int.max !clock t
+         end
+         else same := !same && Int.equal p (-1));
+        due
       in
-      let take_both () =
-        match Sim.Event_heap.pop h with
-        | None -> same := !same && Sim.Timing_wheel.is_empty w
-        | Some (t, s) ->
-            let p = Sim.Timing_wheel.take w in
-            same :=
-              !same && Int.equal p s
-              && Int.equal t (Sim.Timing_wheel.last_time w);
-            floor := t
+      let push time =
+        incr seq;
+        Sim.Event_heap.push h ~time !seq;
+        Sim.Timing_wheel.add w ~time !seq;
+        same :=
+          !same && Int.equal (Sim.Event_heap.size h) (Sim.Timing_wheel.size w)
       in
       List.iter
         (fun (tag, v) ->
           match tag with
-          | 0 -> take_both ()
-          | 4 -> same := !same && head_agrees ()
-          | 5 ->
-              same := !same && head_agrees ();
-              take_both ()
-          | tag ->
-              let delta =
-                match tag with
-                | 1 -> v mod 16 (* dense: ties and same-slot pile-ups *)
-                | 2 -> v (* mid-range: crosses L0/L1 pages *)
-                | _ -> v * 8192 (* sparse: upper levels and overflow *)
-              in
-              let time = !floor + delta in
-              incr seq;
-              Sim.Event_heap.push h ~time !seq;
-              Sim.Timing_wheel.add w ~time !seq;
-              same :=
-                !same
-                && Int.equal (Sim.Event_heap.size h) (Sim.Timing_wheel.size w))
+          | 0 -> ignore (pop_both max_int : bool)
+          | 1 -> push (!clock + (v mod 16)) (* dense: ties, same-slot pile-ups *)
+          | 2 -> push (!clock + v) (* mid-range: crosses L0/L1 pages *)
+          | 3 -> push (!clock + (v * 8192)) (* sparse: upper levels, overflow *)
+          | 4 | 5 ->
+              (* Dense bounds often equal a queued timestamp. *)
+              let until = !clock + (if tag = 4 then v mod 16 else v mod 4096) in
+              if not (pop_both until) then clock := until
+          | 6 ->
+              let until = !clock + v in
+              while pop_both until do
+                ()
+              done;
+              clock := until
+          | _ -> push (!floor + (v mod 4)))
         ops;
-      while not (Sim.Event_heap.is_empty h) do
-        same := !same && head_agrees ();
-        take_both ()
+      while pop_both max_int do
+        ()
       done;
       !same
+      && Sim.Event_heap.is_empty h
       && Sim.Timing_wheel.is_empty w
-      && Int.equal (Sim.Timing_wheel.head_time w) max_int)
+      && Int.equal (Sim.Timing_wheel.pop_until w ~until:max_int) (-1))
 
 (* The engine loop as it was before events became wheel entries: a
    timer record per event and a peek-time, then pop, over the retired
@@ -216,7 +229,11 @@ type engine_ops = {
 (* Event i is scheduled at [time]. Mode 1 makes its action schedule a
    child up to 300 µs later; mode 2 a child at its own timestamp, which
    must run after every event already queued there. Bounds include
-   every event's time, so [run ~until] stops exactly at heads. Returns
+   every event's time, so [run ~until] stops exactly at heads, and the
+   microsecond before it, so a run stops with its head just out of
+   reach (the wheel has already cascaded up to it). After a run to one
+   of the random [untils], a push at the clock it stopped at (or just
+   after it) lands before the wheel's cursor: the early path. Returns
    the (event, clock) firing log, and (now, pending) after each run. *)
 let drive_engine ops specs untils =
   let log = ref [] and states = ref [] in
@@ -236,10 +253,14 @@ let drive_engine ops specs untils =
     (fun until ->
       if until >= ops.now () then begin
         ops.run ~until;
-        states := (ops.now (), ops.pending ()) :: !states
+        states := (ops.now (), ops.pending ()) :: !states;
+        if List.mem until untils then
+          ops.schedule_at ~time:(ops.now () + (until mod 3)) (fun () ->
+              log := (10_000 + until, ops.now ()) :: !log)
       end)
     (List.sort_uniq Int.compare
-       (untils @ List.map (fun (time, _, _) -> time) specs));
+       (untils
+       @ List.concat_map (fun (time, _, _) -> [ time - 1; time ]) specs));
   ops.run_until_idle ();
   states := (ops.now (), ops.pending ()) :: !states;
   (List.rev !log, List.rev !states)
