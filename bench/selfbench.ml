@@ -408,6 +408,11 @@ let micro_run () =
         (Staged.stage (fun () -> Crypto.Group.Scalar.mul sa sb));
       Test.make ~name:"sha256.1kb"
         (Staged.stage (fun () -> Crypto.Sha256.digest payload));
+      (* The Schnorr challenge: tag, 8-byte nonce commitment, digest. *)
+      Test.make ~name:"sha256.44b.3parts"
+        (Staged.stage (fun () ->
+             Crypto.Sha256.digest_list
+               [ "chal"; Crypto.Field.to_bytes dir_signature.r; digest ]));
       Test.make ~name:"schnorr.sign"
         (Staged.stage (fun () -> Crypto.Schnorr.sign kp msg));
       Test.make ~name:"schnorr.verify"
@@ -427,6 +432,8 @@ let micro_run () =
       Test.make ~name:"vss.encrypt.1kb.16"
         (Staged.stage (fun () ->
              Crypto.Vss.encrypt rng ~n:16 ~threshold:11 payload));
+      Test.make ~name:"vss.verify_share.16"
+        (Staged.stage (fun () -> Crypto.Vss.verify_share cipher shares.(0)));
       Test.make ~name:"vss.decrypt.1kb"
         (Staged.stage (fun () -> Crypto.Vss.decrypt cipher share_subset));
       Test.make ~name:"merkle.root.64"

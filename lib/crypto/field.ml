@@ -128,7 +128,9 @@ let mulmod a b m =
   go 0 a b
 
 let to_bytes x =
-  String.init 8 (fun i -> Char.chr ((x lsr (8 * i)) land 0xFF))
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 (Int64.of_int x);
+  Bytes.unsafe_to_string b
 
 let of_bytes s =
   if String.length s < 8 then invalid_arg "Field.of_bytes: need 8 bytes";

@@ -89,7 +89,10 @@ module Scalar = struct
     in
     draw ()
 
-  let to_bytes x = String.init 8 (fun i -> Char.chr ((x lsr (8 * i)) land 0xFF))
+  let to_bytes x =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 (Int64.of_int x);
+    Bytes.unsafe_to_string b
 end
 
 type element = int
@@ -112,4 +115,4 @@ let pow h (s : Scalar.t) =
 
 let commit s = pow g s
 
-let to_bytes x = String.init 8 (fun i -> Char.chr ((x lsr (8 * i)) land 0xFF))
+let to_bytes = Scalar.to_bytes

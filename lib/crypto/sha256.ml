@@ -16,62 +16,82 @@ let k =
 
 let mask = 0xFFFFFFFF
 
+(* Words 0–7 of [st] are the chaining state, words 8–23 the message
+   schedule as a 16-word ring: round i ≥ 16 overwrites word i − 16,
+   the last one it needs. Full input blocks are read in place; [buf]
+   holds only a partial block and the padding. *)
 type ctx = {
-  h : int array; (* 8 state words *)
-  buf : Bytes.t; (* 64-byte block buffer *)
+  st : int array;
+  buf : Bytes.t;
   mutable buf_len : int;
   mutable total : int; (* total bytes absorbed *)
-  w : int array; (* message schedule scratch *)
 }
 
 let init () =
-  {
-    h =
-      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
-         0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
-    buf = Bytes.create 64;
-    buf_len = 0;
-    total = 0;
-    w = Array.make 64 0;
-  }
+  let st = Array.make 24 0 in
+  st.(0) <- 0x6a09e667;
+  st.(1) <- 0xbb67ae85;
+  st.(2) <- 0x3c6ef372;
+  st.(3) <- 0xa54ff53a;
+  st.(4) <- 0x510e527f;
+  st.(5) <- 0x9b05688c;
+  st.(6) <- 0x1f83d9ab;
+  st.(7) <- 0x5be0cd19;
+  { st; buf = Bytes.create 64; buf_len = 0; total = 0 }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* Σ and σ functions of a 32-bit word. Rotating x right by n is the low
+   32 bits of (x lsr n) lor (x lsl (32 − n)), so one mask after the
+   xors stands for a mask per rotation. *)
+let big_sigma0 x =
+  ((x lsr 2) lor (x lsl 30)) lxor ((x lsr 13) lor (x lsl 19))
+  lxor ((x lsr 22) lor (x lsl 10))
+  land mask
 
-let compress ctx block off =
-  let w = ctx.w in
-  for i = 0 to 15 do
-    let j = off + (4 * i) in
-    w.(i) <-
-      (Char.code (Bytes.get block j) lsl 24)
-      lor (Char.code (Bytes.get block (j + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (j + 2)) lsl 8)
-      lor Char.code (Bytes.get block (j + 3))
-  done;
-  for i = 16 to 63 do
-    let s0 =
-      rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3)
-    in
-    let s1 =
-      rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10)
-    in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
-  done;
-  let h = ctx.h in
-  let a = ref h.(0)
-  and b = ref h.(1)
-  and c = ref h.(2)
-  and d = ref h.(3)
-  and e = ref h.(4)
-  and f = ref h.(5)
-  and g = ref h.(6)
-  and hh = ref h.(7) in
+let big_sigma1 x =
+  ((x lsr 6) lor (x lsl 26)) lxor ((x lsr 11) lor (x lsl 21))
+  lxor ((x lsr 25) lor (x lsl 7))
+  land mask
+
+let small_sigma0 x =
+  ((x lsr 7) lor (x lsl 25)) lxor ((x lsr 18) lor (x lsl 14)) lxor (x lsr 3)
+  land mask
+
+let small_sigma1 x =
+  ((x lsr 17) lor (x lsl 15)) lxor ((x lsr 19) lor (x lsl 13)) lxor (x lsr 10)
+  land mask
+
+(* Compresses the 64-byte block of [block] at [off]; [block] is only
+   read, so it may be an input string seen as bytes. Sums are masked
+   only where a word is stored or rotated: below 2^36 they cannot
+   overflow the 63-bit int. Ring and round-constant indices are in
+   range by construction (8 + (j land 15) < 24, i < 64), so they skip
+   the bounds check. *)
+let compress st block off =
+  let a = ref st.(0)
+  and b = ref st.(1)
+  and c = ref st.(2)
+  and d = ref st.(3)
+  and e = ref st.(4)
+  and f = ref st.(5)
+  and g = ref st.(6)
+  and hh = ref st.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !b lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
+    let w =
+      if i < 16 then
+        Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land mask
+      else
+        (Array.unsafe_get st (8 + (i land 15))
+        + small_sigma0 (Array.unsafe_get st (8 + ((i - 15) land 15)))
+        + Array.unsafe_get st (8 + ((i - 7) land 15))
+        + small_sigma1 (Array.unsafe_get st (8 + ((i - 2) land 15))))
+        land mask
+    in
+    Array.unsafe_set st (8 + (i land 15)) w;
+    let t1 =
+      !hh + big_sigma1 !e + (!e land !f lxor (lnot !e land !g))
+      + Array.unsafe_get k i + w
+    in
+    let t2 = big_sigma0 !a + (!a land !b lxor (!a land !c) lxor (!b land !c)) in
     hh := !g;
     g := !f;
     f := !e;
@@ -81,76 +101,76 @@ let compress ctx block off =
     b := !a;
     a := (t1 + t2) land mask
   done;
-  h.(0) <- (h.(0) + !a) land mask;
-  h.(1) <- (h.(1) + !b) land mask;
-  h.(2) <- (h.(2) + !c) land mask;
-  h.(3) <- (h.(3) + !d) land mask;
-  h.(4) <- (h.(4) + !e) land mask;
-  h.(5) <- (h.(5) + !f) land mask;
-  h.(6) <- (h.(6) + !g) land mask;
-  h.(7) <- (h.(7) + !hh) land mask
+  st.(0) <- (st.(0) + !a) land mask;
+  st.(1) <- (st.(1) + !b) land mask;
+  st.(2) <- (st.(2) + !c) land mask;
+  st.(3) <- (st.(3) + !d) land mask;
+  st.(4) <- (st.(4) + !e) land mask;
+  st.(5) <- (st.(5) + !f) land mask;
+  st.(6) <- (st.(6) + !g) land mask;
+  st.(7) <- (st.(7) + !hh) land mask
 
 let update ctx s =
   let len = String.length s in
+  let src = Bytes.unsafe_of_string s in
   ctx.total <- ctx.total + len;
   let pos = ref 0 in
   (* Top up a partially filled buffer first. *)
   if ctx.buf_len > 0 then begin
-    let need = 64 - ctx.buf_len in
-    let take = min need len in
-    Bytes.blit_string s 0 ctx.buf ctx.buf_len take;
+    let take = min (64 - ctx.buf_len) len in
+    Bytes.blit src 0 ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = 64 then begin
-      compress ctx ctx.buf 0;
+      compress ctx.st ctx.buf 0;
       ctx.buf_len <- 0
     end
   end;
   while len - !pos >= 64 do
-    Bytes.blit_string s !pos ctx.buf 0 64;
-    compress ctx ctx.buf 0;
+    compress ctx.st src !pos;
     pos := !pos + 64
   done;
   let rest = len - !pos in
   if rest > 0 then begin
-    Bytes.blit_string s !pos ctx.buf ctx.buf_len rest;
+    Bytes.blit src !pos ctx.buf ctx.buf_len rest;
     ctx.buf_len <- ctx.buf_len + rest
   end
 
+(* Padding, written into [buf]: 0x80, zeros, then the 64-bit
+   big-endian bit length, which takes a second block when fewer than
+   nine bytes of the last one are free. *)
 let final ctx =
-  let bit_len = ctx.total * 8 in
-  (* Padding: 0x80, zeros, then the 64-bit big-endian bit length. *)
-  let pad_len =
-    let rem = (ctx.total + 1 + 8) mod 64 in
-    if rem = 0 then 1 else 1 + (64 - rem)
-  in
-  let pad = Bytes.make (pad_len + 8) '\x00' in
-  Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set pad
-      (pad_len + i)
-      (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xFF))
-  done;
-  update ctx (Bytes.to_string pad);
-  assert (ctx.buf_len = 0);
+  let buf = ctx.buf in
+  let pos = ctx.buf_len + 1 in
+  Bytes.set buf ctx.buf_len '\x80';
+  if pos > 56 then begin
+    Bytes.fill buf pos (64 - pos) '\x00';
+    compress ctx.st buf 0;
+    Bytes.fill buf 0 56 '\x00'
+  end
+  else Bytes.fill buf pos (56 - pos) '\x00';
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
+  compress ctx.st buf 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xFF));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xFF));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xFF));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xFF))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.st.(i))
   done;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
 
 let digest s =
   let ctx = init () in
   update ctx s;
   final ctx
 
+let rec absorb ctx = function
+  | [] -> ()
+  | s :: rest ->
+      update ctx s;
+      absorb ctx rest
+
 let digest_list parts =
   let ctx = init () in
-  List.iter (update ctx) parts;
+  absorb ctx parts;
   final ctx
 
 let to_hex raw =
@@ -159,11 +179,13 @@ let to_hex raw =
   Buffer.contents b
 
 let hkdf_expand ~key ~info n =
-  let b = Buffer.create n in
-  let ctr = ref 0 in
-  while Buffer.length b < n do
-    let block = digest_list [ key; info; string_of_int !ctr ] in
-    Buffer.add_string b block;
-    incr ctr
-  done;
-  String.sub (Buffer.contents b) 0 n
+  let out = Bytes.create n in
+  let rec fill ctr pos =
+    if pos < n then begin
+      let block = digest_list [ key; info; string_of_int ctr ] in
+      Bytes.blit_string block 0 out pos (min 32 (n - pos));
+      fill (ctr + 1) (pos + 32)
+    end
+  in
+  fill 0 0;
+  Bytes.unsafe_to_string out

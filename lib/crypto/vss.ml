@@ -20,8 +20,11 @@ let keystream key len =
   Sha256.hkdf_expand ~key:(Scalar.to_bytes key) ~info:"vss" len
 
 let xor_with ks s =
-  String.init (String.length s) (fun i ->
-      Char.chr (Char.code s.[i] lxor Char.code ks.[i]))
+  let out = Bytes.create (String.length s) in
+  for i = 0 to String.length s - 1 do
+    Bytes.set out i (Char.unsafe_chr (Char.code s.[i] lxor Char.code ks.[i]))
+  done;
+  Bytes.unsafe_to_string out
 
 let share_commitment holder (share : Feldman.Sharing.share) =
   Sha256.digest_list
@@ -60,9 +63,18 @@ let verify_share cipher ds =
       String.equal (share_commitment ds.holder ds.share) hashes.(ds.holder)
   | Feldman_proof comms -> Feldman.verify_share comms ds.share
 
-let decrypt cipher shares =
+(* A share that passed [verify_share] against [against], the cipher
+   value it is bound to. *)
+type checked_share = { against : cipher; ds : decryption_share }
+
+let check_share cipher ds =
+  if verify_share cipher ds then Some { against = cipher; ds } else None
+
+let decrypt_checked cipher checked =
   let valid =
-    List.filter (verify_share cipher) shares
+    List.filter_map
+      (fun c -> if c.against == cipher then Some c.ds else None)
+      checked
     |> List.sort_uniq (fun a b -> Int.compare a.holder b.holder)
   in
   if List.length valid < cipher.threshold then None
@@ -77,6 +89,9 @@ let decrypt cipher shares =
     in
     if String.equal (Sha256.digest payload) cipher.checksum then Some payload
     else None
+
+let decrypt cipher shares =
+  decrypt_checked cipher (List.filter_map (check_share cipher) shares)
 
 let proof_bytes = function
   | Hashed_proof hashes -> Array.to_list hashes

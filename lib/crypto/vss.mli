@@ -49,9 +49,25 @@ val encrypt :
     cipher's commitments, rejecting Byzantine garbage. *)
 val verify_share : cipher -> decryption_share -> bool
 
+(** A share that passed {!verify_share}, bound to the cipher value it
+    was checked against. A node checks each revealed share once and
+    keeps it in this form until decryption. *)
+type checked_share
+
+(** [check_share cipher ds] is [ds] checked against [cipher], or [None]
+    if {!verify_share} rejects it. *)
+val check_share : cipher -> decryption_share -> checked_share option
+
+(** [decrypt_checked cipher checked] is {!decrypt} over shares already
+    checked: it verifies nothing again. A share bound to any cipher
+    value other than [cipher] (by physical identity; an equal copy is
+    another value) is ignored, so no unchecked share is ever used. *)
+val decrypt_checked : cipher -> checked_share list -> string option
+
 (** [decrypt cipher shares] reconstructs the key from at least
     [threshold] distinct verified shares and returns the payload, or
-    [None] if shares are insufficient/invalid or the checksum fails. *)
+    [None] if shares are insufficient/invalid or the checksum fails.
+    It checks every share, then is {!decrypt_checked}. *)
 val decrypt : cipher -> decryption_share list -> string option
 
 (** Stable identifier of a cipher (digest of its public part), used as

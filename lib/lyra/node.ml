@@ -20,10 +20,14 @@ type claim = {
   mutable cl_lapsed : bool;  (** expired uncorroborated at least once *)
 }
 
+(* An entry's reveal quorum, from its first share until it is emitted.
+   Each share is checked once: on arrival when the cipher is held,
+   else at decryption. *)
 type reveal_state = {
   senders : bool array;
   mutable count : int;
-  mutable vss_shares : Crypto.Vss.decryption_share list;
+  mutable checked : Crypto.Vss.checked_share list;
+  mutable early : Crypto.Vss.decryption_share list;  (** before the cipher *)
 }
 
 type commit_record = {
@@ -81,6 +85,7 @@ type t = {
   goal_claims : int array;
       (** per peer, the log length claimed by its first heartbeat since
           the sync started; -1 until then *)
+  sync_scratch : int array;  (** [sync_target]'s and [sync_goal]'s selection buffer *)
   isolation : Isolation.t;
   mutable probation_until : int;  (** heightened lag sensitivity window *)
   mutable sync_active : bool;  (** output emission paused, pulling the log *)
@@ -213,7 +218,12 @@ let reveal_state t iid =
   | Some r -> r
   | None ->
       let r =
-        { senders = Array.make t.config.n false; count = 0; vss_shares = [] }
+        {
+          senders = Array.make t.config.n false;
+          count = 0;
+          checked = [];
+          early = [];
+        }
       in
       Types.Iid_tbl.replace t.reveals iid r;
       r
@@ -235,6 +245,17 @@ let emit t batch seq =
   t.outputs_rev <- out :: t.outputs_rev;
   t.output_count <- t.output_count + 1;
   t.on_output out
+
+(* Checks the shares that arrived before [cipher] did, once. *)
+let check_early r cipher =
+  match r.early with
+  | [] -> ()
+  | early ->
+      r.checked <-
+        List.rev_append
+          (List.filter_map (Crypto.Vss.check_share cipher) early)
+          r.checked;
+      r.early <- []
 
 (* Emit revealed batches in commit order only: the head of the outbox
    must be decryptable before anything behind it is output. While an
@@ -259,12 +280,14 @@ let rec drain_outbox t =
               | Types.Clear | Types.Structural -> true
               | Types.Vss cipher -> (
                   let r = reveal_state t iid in
-                  match Crypto.Vss.decrypt cipher r.vss_shares with
+                  check_early r cipher;
+                  match Crypto.Vss.decrypt_checked cipher r.checked with
                   | Some _payload -> true
                   | None -> false)
             in
             if decrypted then begin
               rec_.emitted <- true;
+              Types.Iid_tbl.remove t.reveals iid;
               ignore (Queue.pop t.outbox : Types.iid);
               stamp_own t iid "emit";
               emit t rec_.c_batch rec_.c_seq;
@@ -272,30 +295,37 @@ let rec drain_outbox t =
             end
           end)
 
+(* A share for an entry already emitted is dropped unchecked: nothing
+   reads that entry's reveal state again (it is freed at emission), and
+   the drain it would trigger finds nothing to do, as every change that
+   can let the outbox's head emit drains the outbox itself. *)
 let on_reveal t ~src iid share =
-  let r = reveal_state t iid in
-  if not r.senders.(src) then begin
-    let share_ok =
-      match share with
-      | None -> not t.config.real_crypto
-      | Some s -> (
-          Int.equal s.Crypto.Vss.holder src
-          &&
-          (* Check against the cipher's commitments when we have it. *)
-          match Types.Iid_tbl.find_opt t.records iid with
-          | Some { c_batch = { obf = Types.Vss cipher; _ }; _ } ->
-              Crypto.Vss.verify_share cipher s
-          | _ -> true)
-    in
-    if share_ok then begin
-      r.senders.(src) <- true;
-      r.count <- r.count + 1;
-      (match share with
-      | Some s -> r.vss_shares <- s :: r.vss_shares
-      | None -> ());
-      drain_outbox t
-    end
-  end
+  let record = Types.Iid_tbl.find_opt t.records iid in
+  match record with
+  | Some { emitted = true; _ } -> ()
+  | _ ->
+      let r = reveal_state t iid in
+      let accept () =
+        r.senders.(src) <- true;
+        r.count <- r.count + 1;
+        drain_outbox t
+      in
+      if not r.senders.(src) then (
+        match share with
+        | None -> if not t.config.real_crypto then accept ()
+        | Some s when not (Int.equal s.Crypto.Vss.holder src) -> ()
+        | Some s -> (
+            (* Check against the cipher's commitments when we have it. *)
+            match record with
+            | Some { c_batch = { obf = Types.Vss cipher; _ }; _ } -> (
+                match Crypto.Vss.check_share cipher s with
+                | Some c ->
+                    r.checked <- c :: r.checked;
+                    accept ()
+                | None -> ())
+            | _ ->
+                r.early <- s :: r.early;
+                accept ()))
 
 (* ------------------------------------------------------------------ *)
 (* Commit (Alg. 4: try-commit).                                        *)
@@ -791,10 +821,10 @@ let absorb_claim t ~src iid seq =
 (* At least one of the f+1 highest claims is from a correct process,
    so the target prefix really exists. *)
 let sync_target t =
-  let sorted = Array.copy t.peer_committed in
-  sorted.(t.id) <- t.output_count;
-  Array.sort (fun a b -> Int.compare b a) sorted;
-  sorted.(f t)
+  let claims = t.sync_scratch in
+  Array.blit t.peer_committed 0 claims 0 t.config.n;
+  claims.(t.id) <- t.output_count;
+  Order_stat.kth_largest ~scratch:claims claims (f t)
 
 let send_sync_req t =
   t.sync_req_at <- Sim.Engine.now t.engine;
@@ -822,9 +852,7 @@ let start_sync t =
    for as long as the cluster keeps taking entries. Unknown (max_int)
    until f+1 peers have heartbeated. *)
 let sync_goal t =
-  let sorted = Array.copy t.goal_claims in
-  Array.sort (fun a b -> Int.compare b a) sorted;
-  let goal = sorted.(f t) in
+  let goal = Order_stat.kth_largest ~scratch:t.sync_scratch t.goal_claims (f t) in
   if goal < 0 then max_int else goal
 
 let end_sync t =
@@ -1219,6 +1247,7 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
       min_pending_cache = Types.no_pending;
       peer_committed = Array.make config.Config.n 0;
       goal_claims = Array.make config.Config.n (-1);
+      sync_scratch = Array.make config.Config.n 0;
       isolation =
         Isolation.create ~n:config.Config.n ~id ~quorum:(Config.quorum config);
       probation_until = 0;

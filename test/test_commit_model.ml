@@ -186,6 +186,31 @@ let prop_kth_largest =
         (List.init (Array.length a) Fun.id)
       && a = before)
 
+(* The sync target and goal select in place, with the array as its own
+   scratch: against copy-and-sort on every rank, over ties and the
+   extreme ints. *)
+let prop_kth_largest_in_place =
+  let value =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, int_range (-5) 5);
+          (1, return min_int);
+          (1, return max_int);
+          (2, int);
+        ])
+  in
+  QCheck.Test.make ~name:"kth_largest in place = copy and sort" ~count:300
+    QCheck.(make ~print:Print.(list int) Gen.(list_size (int_range 1 40) value))
+    (fun l ->
+      let sorted = Array.of_list l in
+      Array.sort (fun x y -> Int.compare y x) sorted;
+      List.for_all
+        (fun k ->
+          let a = Array.of_list l in
+          Lyra.Order_stat.kth_largest ~scratch:a a k = sorted.(k))
+        (List.init (List.length l) Fun.id))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest (prop_matches_model 4);
@@ -193,4 +218,5 @@ let suite =
     QCheck_alcotest.to_alcotest (prop_matches_model 10);
     QCheck_alcotest.to_alcotest prop_quorum_thresholds;
     QCheck_alcotest.to_alcotest prop_kth_largest;
+    QCheck_alcotest.to_alcotest prop_kth_largest_in_place;
   ]

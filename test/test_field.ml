@@ -154,6 +154,34 @@ let test_pow_table_negative () =
     (Invalid_argument "Field.pow_table: negative exponent") (fun () ->
       ignore (Field.pow_table Field.g_table (-1)))
 
+(* The byte encodings against the [String.init] formula they
+   replaced: eight little-endian bytes of the int. *)
+let to_bytes_reference x = String.init 8 (fun i -> Char.chr ((x lsr (8 * i)) land 0xFF))
+
+let test_to_bytes_reference () =
+  let check name to_bytes xs =
+    List.iter
+      (fun x ->
+        Alcotest.(check string) (Printf.sprintf "%s %d" name x) (to_bytes_reference x) (to_bytes x))
+      xs
+  in
+  let randoms draw = List.init 200 (fun _ -> draw ()) in
+  check "field"
+    (fun x -> Field.to_bytes (Field.of_int x))
+    ([ 0; 1; Field.p - 1 ] @ randoms (fun () -> Field.to_int (Field.random rng)));
+  check "scalar"
+    (fun x -> Group.Scalar.to_bytes (Group.Scalar.of_int x))
+    ([ 0; 1; Group.q - 1 ]
+    @ randoms (fun () -> Group.Scalar.to_int (Group.Scalar.random rng)));
+  let elements =
+    Group.one :: Group.g
+    :: List.init 200 (fun _ -> Group.commit (Group.Scalar.random rng))
+  in
+  List.iter
+    (fun e ->
+      Alcotest.(check string) "element" (to_bytes_reference (e : Group.element :> int)) (Group.to_bytes e))
+    elements
+
 let suite =
   [
     Alcotest.test_case "scalar mul boundaries" `Quick (check_boundaries "scalar" scalar_mul Group.q);
@@ -166,6 +194,7 @@ let suite =
     Alcotest.test_case "inv zero raises" `Quick test_inv_zero_raises;
     Alcotest.test_case "pow edges" `Quick test_pow_edges;
     Alcotest.test_case "bytes roundtrip" `Quick test_bytes_roundtrip;
+    Alcotest.test_case "to_bytes = String.init formula" `Quick test_to_bytes_reference;
     Alcotest.test_case "mulmod" `Quick test_mulmod_small;
     Alcotest.test_case "scalar axioms" `Quick test_group_scalar_axioms;
     Alcotest.test_case "generator order" `Quick test_group_generator_order;

@@ -99,6 +99,64 @@ let test_real_crypto_cluster () =
     (List.length (Lyra.Node.output_log c.nodes.(0)) > 0);
   check_prefix_safety (logs c)
 
+(* Verify-once: a share that reaches a node before the node holds the
+   entry's cipher is kept unchecked and checked at decryption. Node 0
+   (acting Byzantine here) sends node 1 a forged share for every entry
+   before any exists, so node 1 ignores node 0's genuine share later
+   and must decrypt each entry from the shares of nodes 1–3. Holder 0
+   sorts first, so a forged share that slipped into reconstruction
+   would give a wrong key, and the entry could then reach node 1's log
+   only through a sync. *)
+let test_forged_early_share_ignored () =
+  let c = make_cluster ~real_crypto:true 4 in
+  Sim.Engine.run c.engine ~until:1_000_000;
+  let forged =
+    {
+      Crypto.Vss.holder = 0;
+      share =
+        {
+          Crypto.Feldman.Sharing.x = Crypto.Group.Scalar.of_int 1;
+          y = Crypto.Group.Scalar.of_int 12345;
+        };
+    }
+  in
+  let status =
+    {
+      Lyra.Types.locked_upto = 0;
+      min_pending = Lyra.Types.no_pending;
+      committed = 0;
+      accepted_recent = [];
+    }
+  in
+  for proposer = 0 to 3 do
+    for index = 0 to 200 do
+      Sim.Network.send c.net ~src:0 ~dst:1
+        {
+          Lyra.Types.status;
+          body = Reveal { iid = { proposer; index }; share = Some forged };
+        }
+    done
+  done;
+  let payloads = List.init 3 (Printf.sprintf "forged-early-%d") in
+  List.iter
+    (fun payload -> ignore (Lyra.Node.submit c.nodes.(2) ~payload : string))
+    payloads;
+  Sim.Engine.run c.engine ~until:4_000_000;
+  let log = Lyra.Node.output_log c.nodes.(1) in
+  Alcotest.(check int) "nothing synced" 0 (Lyra.Node.synced_entries c.nodes.(1));
+  Alcotest.(check bool) "node 1 emits" true (log <> []);
+  let emitted =
+    List.concat_map
+      (fun (o : Lyra.Node.output) ->
+        Array.to_list (Array.map (fun (tx : Lyra.Types.tx) -> tx.payload) o.batch.txs))
+      log
+  in
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) ("emitted " ^ p) true (List.mem p emitted))
+    payloads;
+  check_prefix_safety (logs c)
+
 let byz_test misbehavior () =
   let n = 7 in
   let f = Dbft.Quorums.max_faulty n in
@@ -278,6 +336,8 @@ let suite =
     Alcotest.test_case "output order = seq order" `Quick test_output_order_matches_seq;
     Alcotest.test_case "prefix safety seeds" `Slow test_prefix_safety_across_seeds;
     Alcotest.test_case "real crypto cluster" `Quick test_real_crypto_cluster;
+    Alcotest.test_case "forged early share ignored" `Quick
+      test_forged_early_share_ignored;
     Alcotest.test_case "byz silent" `Quick (byz_test Lyra.Misbehavior.Silent);
     Alcotest.test_case "byz low-status" `Quick (byz_test Lyra.Misbehavior.Low_status);
     Alcotest.test_case "byz flood" `Slow

@@ -167,6 +167,69 @@ let prop_vss_tamper_detected =
          (not (Vss.verify_share cipher corrupt))
          && Option.is_none (Vss.decrypt cipher (corrupt :: honest))))
 
+(* Verify-once: decrypting raw shares is checking each one, then
+   decrypting the checked ones; and it succeeds exactly when the
+   genuine shares among them cover the threshold. The subsets mix
+   genuine shares, duplicates and two kinds of forgery: a bumped y and
+   a share passed off under another holder. *)
+let prop_vss_decrypt_is_checked =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"vss: decrypt = check, then decrypt_checked"
+       ~count:100 seed_gen (fun seeds ->
+         let r, _, payload, cipher, ds, _ = vss_setup seeds in
+         let n = Array.length ds in
+         let pick () =
+           let d = ds.(Rng.int r n) in
+           match Rng.int r 4 with
+           | 0 ->
+               ( false,
+                 {
+                   d with
+                   Vss.share =
+                     {
+                       d.Vss.share with
+                       Feldman.Sharing.y = Group.Scalar.add d.Vss.share.y Group.Scalar.one;
+                     };
+                 } )
+           | 1 -> (false, { d with Vss.holder = (d.Vss.holder + 1) mod n })
+           | _ -> (true, d)
+         in
+         let picked = List.init (Rng.int r (2 * n)) (fun _ -> pick ()) in
+         let shares = List.map snd picked in
+         let genuine =
+           List.filter_map (fun (ok, d) -> if ok then Some d.Vss.holder else None) picked
+           |> List.sort_uniq Int.compare
+         in
+         let expected =
+           if List.length genuine >= cipher.Vss.threshold then Some payload else None
+         in
+         let via_checked =
+           Vss.decrypt_checked cipher (List.filter_map (Vss.check_share cipher) shares)
+         in
+         Option.equal String.equal (Vss.decrypt cipher shares) via_checked
+         && Option.equal String.equal via_checked expected))
+
+(* A checked share is bound to the cipher value it was checked against:
+   another cipher, or even an equal copy of the same one, ignores it. *)
+let test_vss_checked_share_bound () =
+  let a, ds_a = Vss.encrypt rng ~n:4 ~threshold:3 "payload a" in
+  let b, ds_b = Vss.encrypt rng ~n:4 ~threshold:3 "payload b" in
+  let check cipher ds = List.filter_map (Vss.check_share cipher) (Array.to_list ds) in
+  let some = Alcotest.(check (option string)) in
+  Alcotest.(check int) "all of a's shares pass" 4 (List.length (check a ds_a));
+  some "a decrypts" (Some "payload a") (Vss.decrypt_checked a (check a ds_a));
+  some "b refuses a's" None (Vss.decrypt_checked b (check a ds_a));
+  Alcotest.(check int) "b's commitments reject a's shares" 0 (List.length (check b ds_a));
+  let two_of_b = check b (Array.sub ds_b 0 2) in
+  some "a's shares do not top b up" None
+    (Vss.decrypt_checked b (two_of_b @ check a ds_a));
+  some "b decrypts its own" (Some "payload b") (Vss.decrypt_checked b (check b ds_b));
+  let copy = { a with Vss.n = a.Vss.n } in
+  some "an equal copy refuses shares checked against a" None
+    (Vss.decrypt_checked copy (check a ds_a));
+  some "the copy decrypts shares checked against it" (Some "payload a")
+    (Vss.decrypt_checked copy (check copy ds_a))
+
 (* The batch-inverting reconstruct against the per-coefficient
    Lagrange fold, on random subsets (any size, so also below the
    threshold) in random order. *)
@@ -211,4 +274,7 @@ let suite =
     prop_vss_any_quorum;
     prop_vss_below_quorum;
     prop_vss_tamper_detected;
+    prop_vss_decrypt_is_checked;
+    Alcotest.test_case "vss checked share bound to its cipher" `Quick
+      test_vss_checked_share_bound;
   ]

@@ -25,6 +25,7 @@ let run_scenario ?seed ?(n = 4) ?(clients = 2) ?faults ?adversary ?perturb
 
 type cluster = {
   engine : Sim.Engine.t;
+  net : Lyra.Types.msg Sim.Network.t;
   nodes : Lyra.Node.t array;
   cfg : Lyra.Config.t;
 }
@@ -66,7 +67,7 @@ let make_cluster ?(seed = 11L) ?(tweak = fun c -> c) ?(byz = fun _ -> None)
           ~on_output:(on_output id) ())
   in
   Array.iter Lyra.Node.start nodes;
-  { engine; nodes; cfg }
+  { engine; net; nodes; cfg }
 
 let submit_round c ~per_node =
   Array.iter
