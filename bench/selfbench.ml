@@ -102,6 +102,8 @@ let selfcheck_cols =
     both "retained_samples" "retained" J.int istr (fun s ->
         Metrics.Recorder.retained_samples s.recorder);
     json "latency_cap" J.int (fun _ -> Workload.Engine.latency_cap);
+    (* Process-wide VmHWM: the peak of every experiment run before this
+       one in the same process, not the self-check's own memory. *)
     json "peak_rss_kb" J.int (fun _ -> peak_rss_kb ());
   ]
 
@@ -190,7 +192,11 @@ let wheel_pop w =
   if Sim.Timing_wheel.pop_until w ~until:max_int < 0 then -1
   else Sim.Timing_wheel.last_time w
 
-(* One scheduler row: the heap and the wheel on one schedule. *)
+(* One scheduler row: the heap and the wheel on one schedule. The
+   schedule's peak population is its fill ([pending]): each op pops
+   before it pushes. [wheel_words] is the wheel's storage after a pass,
+   per peak pending entry rounded up to a power of two (the pool's
+   doubling granularity), fixed bucket and bitmap words included. *)
 type sched = {
   pending : int;
   ops : int;
@@ -198,7 +204,10 @@ type sched = {
   heap_eps : float;
   wheel_eps : float;
   speedup : float;
+  wheel_words : float;
 }
+
+let rec pow2_above k x = if k >= x then k else pow2_above (2 * k) x
 
 (* Best of three passes per structure, each from a fresh structure and
    a settled heap, so one badly-timed major collection cannot swing
@@ -219,14 +228,27 @@ let sched_row ~pending ~ops schedule =
         sched_workload schedule ~push:Sim.Event_heap.push ~pop:heap_pop
           (Sim.Event_heap.create ()))
   in
+  let storage = ref 0 in
   let wheel_s, _ =
     best_of (fun () ->
-        sched_workload schedule ~push:Sim.Timing_wheel.add ~pop:wheel_pop
-          (Sim.Timing_wheel.create ()))
+        let w = Sim.Timing_wheel.create () in
+        let r =
+          sched_workload schedule ~push:Sim.Timing_wheel.add ~pop:wheel_pop w
+        in
+        storage := Sim.Timing_wheel.storage_words w;
+        r)
   in
   let heap_eps = float_of_int events /. heap_s in
   let wheel_eps = float_of_int events /. wheel_s in
-  { pending; ops; events; heap_eps; wheel_eps; speedup = wheel_eps /. heap_eps }
+  {
+    pending;
+    ops;
+    events;
+    heap_eps;
+    wheel_eps;
+    speedup = wheel_eps /. heap_eps;
+    wheel_words = float_of_int !storage /. float_of_int (pow2_above 1 pending);
+  }
 
 type simspeed = {
   scheduler : sched;
@@ -242,7 +264,7 @@ type simspeed = {
   words_per_event : float;
   deliveries : int;
   by_kind : (string * int) list;
-  rss : int;
+  rss : int; (* process-wide VmHWM, as in WORKLOAD's self-check *)
 }
 
 let simspeed_run () =
@@ -312,6 +334,8 @@ let simspeed =
         (fun s -> (get s).wheel_eps);
       both "speedup" (label ^ "wheel/heap speedup") J.float
         (Printf.sprintf "%.2fx") (fun s -> (get s).speedup);
+      both "wheel_words_per_entry" (label ^ "wheel words/peak entry (2^k)")
+        J.float f2 (fun s -> (get s).wheel_words);
     ]
   in
   let churn_cols = sched_cols "" (fun s -> s.scheduler) in
@@ -339,7 +363,7 @@ let simspeed =
          s.scheduler.pending s.scheduler.ops s.traffic.pending s.storm_n)
       ((text "metric" (fun _ -> "value") :: churn_cols)
       @ traffic_cols @ engine_cols
-      @ text "peak RSS kB" (fun s -> istr s.rss)
+      @ text "peak RSS kB (process VmHWM)" (fun s -> istr s.rss)
         :: List.map
              (fun (k, c) -> text ("events:" ^ k) (fun _ -> istr c))
              s.by_kind)
@@ -362,12 +386,17 @@ let simspeed =
         J.field "peak_rss_kb" J.int (fun s -> s.rss);
       ]
     ~guards:(fun s ->
-      [
-        guard (s.scheduler.speedup >= floor s)
-          "wheel speedup %.2fx below the %.2fx floor at %d pending — \
-           scheduler regression?"
-          s.scheduler.speedup (floor s) s.scheduler.pending;
-      ])
+      guard (s.scheduler.speedup >= floor s)
+        "wheel speedup %.2fx below the %.2fx floor at %d pending — \
+         scheduler regression?"
+        s.scheduler.speedup (floor s) s.scheduler.pending
+      :: List.map
+           (fun (name, r) ->
+             guard (r.wheel_words <= 4.0)
+               "%s: wheel holds %.2f words per peak pending entry (> 4) — \
+                storage no longer follows the pending population?"
+               name r.wheel_words)
+           [ ("churn", s.scheduler); ("traffic", s.traffic) ])
 
 (* ------------------------------------------------------------------ *)
 (* MICRO — Bechamel microbenchmarks of the crypto substrate.           *)

@@ -2,8 +2,8 @@ let max_rounds = 64
 
 type round_state = {
   bv : Bv_broadcast.t option;  (** None in round 1: the host's values *)
-  aux : int list option array;  (** first AUX per sender *)
-  mutable aux_count : int;  (** filled [aux] slots *)
+  aux_from : bool array;  (** senders whose first AUX is counted *)
+  aux_sets : int array;  (** senders per AUX set mask ({!Quorums.aux_set}) *)
   mutable coord_value : int option;
   mutable coord_sent : bool;
   mutable timer_started : bool;
@@ -88,8 +88,8 @@ module Make (H : HOST) = struct
         let rs =
           {
             bv;
-            aux = Array.make t.n None;
-            aux_count = 0;
+            aux_from = Array.make t.n false;
+            aux_sets = Array.make 4 0;
             coord_value = None;
             coord_sent = false;
             timer_started = false;
@@ -154,20 +154,17 @@ module Make (H : HOST) = struct
         rs.aux_sent <- true;
         H.send_aux h ~round:r (aux_values h rs)
       end;
-      (* Decision: a quorum of AUX sets all inside bin_values (43–49).
-         Fewer than n − f AUX sets cannot hold such a quorum, so the list
-         is only built once enough have arrived. *)
-      let need = Quorums.quorum t.n in
-      match
-        if rs.aux_count < need then None
-        else
-          Quorums.aux_union ~need ~in_bin:(bin_has h rs)
-            (Array.to_list rs.aux |> List.filter_map (fun x -> x))
-      with
-      | None -> ()
-      | Some union ->
+      (* Decision: a quorum of AUX sets all inside bin_values (43–49),
+         counted per value set. *)
+      let bin =
+        (if bin_has h rs 0 then 1 else 0) lor if bin_has h rs 1 then 2 else 0
+      in
+      match Quorums.aux_quorum rs.aux_sets ~need:(Quorums.quorum t.n) ~bin with
+      | -1 -> ()
+      | union ->
           (match union with
-          | [ v ] ->
+          | 1 | 2 ->
+              let v = union lsr 1 in
               t.est <- v;
               if Int.equal v (r mod 2) && t.decided = None then begin
                 t.decided <- Some v;
@@ -244,9 +241,10 @@ module Make (H : HOST) = struct
   let on_aux h ~src ~round values =
     if valid_round round && List.for_all is_binary values then begin
       let rs = touch h (H.rounds h) round in
-      if rs.aux.(src) = None then begin
-        rs.aux.(src) <- Some values;
-        rs.aux_count <- rs.aux_count + 1;
+      if not rs.aux_from.(src) then begin
+        rs.aux_from.(src) <- true;
+        let m = Quorums.aux_set values in
+        rs.aux_sets.(m) <- rs.aux_sets.(m) + 1;
         try_advance h round
       end
     end

@@ -5,7 +5,8 @@ type env = {
   delta_us : int;
   clock_read : unit -> int;
   validate : Types.proposal -> seq_obs:int -> bool;
-  verify_init : Types.proposal -> Crypto.Schnorr.signature option -> bool;
+  verify_init :
+    Types.iid -> Types.proposal -> Crypto.Schnorr.signature option -> bool;
   verify_vote_share :
     digest:string -> src:int -> Crypto.Threshold.share option -> bool;
   make_vote_share : digest:string -> Crypto.Threshold.share option;
@@ -16,9 +17,10 @@ type env = {
   check_deliver : Types.proposal -> Crypto.Threshold.combined option -> bool;
   broadcast : Types.body -> unit;
   schedule : delay_us:int -> (unit -> unit) -> unit;
-  observe_vote : src:int -> seq_obs:int -> unit;
-  on_vvb_deliver : unit -> unit;
-  on_decide : value:int -> round:int -> Types.proposal option -> unit;
+  observe_vote : Types.iid -> src:int -> seq_obs:int -> unit;
+  on_vvb_deliver : Types.iid -> unit;
+  on_decide :
+    Types.iid -> value:int -> round:int -> Types.proposal option -> unit;
 }
 
 type vote_bucket = {
@@ -99,7 +101,7 @@ module Rounds = Dbft.Rounds.Make (struct
   let schedule t ~delay_us fn = t.env.schedule ~delay_us fn
 
   let decide t ~round value =
-    t.env.on_decide ~value ~round (if value = 1 then t.proposal else None)
+    t.env.on_decide t.iid ~value ~round (if value = 1 then t.proposal else None)
 end)
 
 (* ------------------------------------------------------------------ *)
@@ -150,7 +152,7 @@ let deliver_one t proof =
     (* Phase milestone: the VVB layer has delivered (1, m) locally —
        the boundary between broadcast and binary consensus in the
        latency anatomy. *)
-    t.env.on_vvb_deliver ();
+    t.env.on_vvb_deliver t.iid;
     (match (t.proposal, t.deliver_sent) with
     | Some proposal, false ->
         t.deliver_sent <- true;
@@ -189,7 +191,7 @@ let on_init t ~src proposal sigma =
     in
     if t.proposal = None then t.proposal <- Some proposal;
     let valid =
-      t.env.verify_init proposal sigma && t.env.validate proposal ~seq_obs
+      t.env.verify_init t.iid proposal sigma && t.env.validate proposal ~seq_obs
     in
     if valid && t.voted_digest = None then begin
       let digest = Types.proposal_digest proposal in
@@ -206,7 +208,7 @@ let on_vote t ~src vote =
   ensure_started t;
   (match vote with
   | Types.Vote_one { seq_obs; _ } | Types.Vote_zero { seq_obs } ->
-      t.env.observe_vote ~src ~seq_obs);
+      t.env.observe_vote t.iid ~src ~seq_obs);
   match vote with
   | Types.Vote_one { digest; share; seq_obs = _ } ->
       let bucket = vote_bucket t digest in
@@ -301,5 +303,5 @@ let force_decide t ~value proposal =
     | Some _ when t.proposal = None -> t.proposal <- proposal
     | _ -> ());
     Dbft.Rounds.force_decide t.rounds value;
-    t.env.on_decide ~value ~round:(Dbft.Rounds.round t.rounds) proposal
+    t.env.on_decide t.iid ~value ~round:(Dbft.Rounds.round t.rounds) proposal
   end

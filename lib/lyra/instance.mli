@@ -21,6 +21,8 @@
     Good case (correct broadcaster, after GST): INIT → VOTE → AUX,
     decide 1 in round 1 after exactly 3 message delays (Theorem 3). *)
 
+(** A node's services to its instances, built once per node and shared
+    by all of them; the functions about one instance take its iid. *)
 type env = {
   self : int;
   n : int;
@@ -29,7 +31,8 @@ type env = {
   clock_read : unit -> int;  (** ordering clock *)
   validate : Types.proposal -> seq_obs:int -> bool;
       (** validation function; the node also books pending state here *)
-  verify_init : Types.proposal -> Crypto.Schnorr.signature option -> bool;
+  verify_init :
+    Types.iid -> Types.proposal -> Crypto.Schnorr.signature option -> bool;
   verify_vote_share :
     digest:string -> src:int -> Crypto.Threshold.share option -> bool;
   make_vote_share : digest:string -> Crypto.Threshold.share option;
@@ -41,12 +44,13 @@ type env = {
     Types.proposal -> Crypto.Threshold.combined option -> bool;
   broadcast : Types.body -> unit;
   schedule : delay_us:int -> (unit -> unit) -> unit;
-  observe_vote : src:int -> seq_obs:int -> unit;
+  observe_vote : Types.iid -> src:int -> seq_obs:int -> unit;
       (** distance measurement hook (only meaningful at the proposer) *)
-  on_vvb_deliver : unit -> unit;
+  on_vvb_deliver : Types.iid -> unit;
       (** fires when this process first delivers (1, m) — the
           VVB→DBFT boundary of the phase breakdown *)
-  on_decide : value:int -> round:int -> Types.proposal option -> unit;
+  on_decide :
+    Types.iid -> value:int -> round:int -> Types.proposal option -> unit;
 }
 
 type t

@@ -61,6 +61,8 @@ type t = {
   on_observe : Types.batch -> unit;
   on_output : output -> unit;
   instances : Instance.t Types.Iid_tbl.t;
+  mutable inst_env : Instance.env option;
+      (** shared by every instance, built on first use *)
   (* Instances possibly still undecided, for the retransmission sweep:
      added at creation, removed on decision and, lazily, once halted. *)
   mutable unsettled : Types.Iid_set.t;
@@ -664,7 +666,7 @@ let on_decide t iid ~value ~round proposal =
      | None -> ());
   try_commit t
 
-let make_env t iid : Instance.env =
+let make_env t : Instance.env =
   let cfg = t.config in
   {
     self = t.id;
@@ -674,7 +676,7 @@ let make_env t iid : Instance.env =
     clock_read = (fun () -> Ordering_clock.read t.clock);
     validate = (fun proposal ~seq_obs -> validate t proposal ~seq_obs);
     verify_init =
-      (fun proposal sigma ->
+      (fun iid proposal sigma ->
         if not cfg.real_crypto then true
         else
           match (sigma, t.dir) with
@@ -726,22 +728,28 @@ let make_env t iid : Instance.env =
       (fun ~delay_us fn ->
         Sim.Engine.schedule t.engine ~delay:delay_us fn);
     observe_vote =
-      (fun ~src ~seq_obs ->
+      (fun iid ~src ~seq_obs ->
         if Int.equal iid.Types.proposer t.id then
           match Types.Int_tbl.find_opt t.own_sref iid.Types.index with
           | Some s_ref -> Predictor.observe t.predictor ~peer:src ~s_ref ~seq_obs
           | None -> ());
-    on_vvb_deliver =
-      (fun () -> stamp_own t iid "deliver");
-    on_decide =
-      (fun ~value ~round proposal -> on_decide t iid ~value ~round proposal);
+    on_vvb_deliver = (fun iid -> stamp_own t iid "deliver");
+    on_decide = on_decide t;
   }
+
+let inst_env t =
+  match t.inst_env with
+  | Some env -> env
+  | None ->
+      let env = make_env t in
+      t.inst_env <- Some env;
+      env
 
 let instance_of t iid =
   match Types.Iid_tbl.find_opt t.instances iid with
   | Some inst -> inst
   | None ->
-      let inst = Instance.create (make_env t iid) iid in
+      let inst = Instance.create (inst_env t) iid in
       Types.Iid_tbl.replace t.instances iid inst;
       Types.Iid_tbl.replace t.inst_created iid (Sim.Engine.now t.engine);
       t.unsettled <- Types.Iid_set.add iid t.unsettled;
@@ -1229,6 +1237,7 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
       on_observe;
       on_output;
       instances = Types.Iid_tbl.create 64;
+      inst_env = None;
       unsettled = Types.Iid_set.empty;
       own_sref = Types.Int_tbl.create 16;
       pending = Types.Iid_map.empty;

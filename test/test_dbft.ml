@@ -25,6 +25,29 @@ let test_aux_union () =
   Alcotest.(check (option (list int))) "too few" None
     (Dbft.Quorums.aux_union ~need:3 ~in_bin [ [ 1 ]; [ 1 ] ])
 
+(* The counters the round machine keeps answer exactly what the list
+   model answers: random AUX sets (duplicates and [[]] included), a
+   random bin_values state and quorum size. *)
+let prop_aux_counters =
+  QCheck.Test.make ~name:"aux counters = aux_union" ~count:500
+    QCheck.(
+      triple (int_bound 3) (int_bound 8)
+        (list_of_size Gen.(0 -- 10) (list_of_size Gen.(0 -- 3) (int_bound 1))))
+    (fun (bin, need, auxs) ->
+      let counts = Array.make 4 0 in
+      List.iter
+        (fun values ->
+          let m = Dbft.Quorums.aux_set values in
+          counts.(m) <- counts.(m) + 1)
+        auxs;
+      let in_bin v = Int.equal ((bin lsr v) land 1) 1 in
+      let expect =
+        match Dbft.Quorums.aux_union ~need ~in_bin auxs with
+        | None -> -1
+        | Some union -> Dbft.Quorums.aux_set union
+      in
+      Int.equal expect (Dbft.Quorums.aux_quorum counts ~need ~bin))
+
 let test_bv_basics () =
   let echoes = ref [] in
   let bv = Dbft.Bv_broadcast.create ~n:4 ~echo:(fun b -> echoes := b :: !echoes) in
@@ -164,4 +187,5 @@ let suite =
     Alcotest.test_case "mixed inputs agree" `Quick test_mixed_inputs_agree;
     Alcotest.test_case "crash tolerance" `Quick test_with_crashes;
     prop_agreement_random;
+    QCheck_alcotest.to_alcotest prop_aux_counters;
   ]

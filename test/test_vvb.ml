@@ -15,6 +15,9 @@ let iid = { Lyra.Types.proposer = 1; index = 0 }
 
 let n = 4
 
+(* Every per-instance hook must name the instance under test. *)
+let own i = if not (Lyra.Types.iid_equal i iid) then Alcotest.fail "foreign iid"
+
 let make_env w : Lyra.Instance.env =
   {
     self = 0;
@@ -26,17 +29,21 @@ let make_env w : Lyra.Instance.env =
         w.now <- w.now + 1;
         w.now);
     validate = (fun _ ~seq_obs:_ -> w.validate_result);
-    verify_init = (fun _ _ -> true);
+    verify_init = (fun i _ _ -> own i; true);
     verify_vote_share = (fun ~digest:_ ~src:_ _ -> true);
     make_vote_share = (fun ~digest:_ -> None);
     make_deliver_proof = (fun ~digest:_ _ -> None);
     check_deliver = (fun _ _ -> true);
     broadcast = (fun body -> w.sent <- body :: w.sent);
     schedule = (fun ~delay_us fn -> w.timers <- (delay_us, fn) :: w.timers);
-    observe_vote = (fun ~src ~seq_obs -> w.observed <- (src, seq_obs) :: w.observed);
-    on_vvb_deliver = (fun () -> ());
+    observe_vote =
+      (fun i ~src ~seq_obs ->
+        own i;
+        w.observed <- (src, seq_obs) :: w.observed);
+    on_vvb_deliver = own;
     on_decide =
-      (fun ~value ~round proposal ->
+      (fun i ~value ~round proposal ->
+        own i;
         w.decided <- (value, round, proposal) :: w.decided);
   }
 
