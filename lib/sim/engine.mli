@@ -40,8 +40,8 @@ val schedule : t -> delay:int -> (unit -> unit) -> unit
 val schedule_at : t -> time:int -> (unit -> unit) -> unit
 
 (** [post t ~time ~kind arg] makes the sink run [sink kind arg] at
-    absolute [time] (≥ now). Allocates nothing once the wheel's bucket
-    storage has grown.
+    absolute [time] (≥ now). Allocates nothing once the wheel's pool
+    has grown.
     @raise Invalid_argument if [kind] is [Timer] or [arg] is negative. *)
 val post : t -> time:int -> kind:kind -> int -> unit
 
