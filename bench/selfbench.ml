@@ -186,7 +186,7 @@ let sched_workload { fill; deltas } ~push ~pop q =
 
 (* The heap through its generic push/pop; the wheel through the calls
    the engine's loop makes: [add], then [pop_until] and [last_time]. *)
-let heap_pop h = match Sim.Event_heap.pop h with Some (t, _) -> t | None -> -1
+let heap_pop h = match Event_heap.pop h with Some (t, _) -> t | None -> -1
 
 let wheel_pop w =
   if Sim.Timing_wheel.pop_until w ~until:max_int < 0 then -1
@@ -225,8 +225,8 @@ let sched_row ~pending ~ops schedule =
   in
   let heap_s, events =
     best_of (fun () ->
-        sched_workload schedule ~push:Sim.Event_heap.push ~pop:heap_pop
-          (Sim.Event_heap.create ()))
+        sched_workload schedule ~push:Event_heap.push ~pop:heap_pop
+          (Event_heap.create ()))
   in
   let storage = ref 0 in
   let wheel_s, _ =

@@ -49,6 +49,18 @@ let decision_round t = t.decision_round
 
 let halted t = t.halted
 
+(* What [try_advance] leaves behind when a decided process defers
+   round [round] because no peer has started it yet (§7.2). *)
+let deferred ~self ~n ~delta_us ~value ~decision_round ~round =
+  {
+    (create ~self ~n ~delta_us) with
+    current = round;
+    est = value;
+    started = true;
+    decided = Some value;
+    decision_round = Some decision_round;
+  }
+
 let force_decide t v =
   if t.decided = None then begin
     t.decided <- Some v;
@@ -57,6 +69,12 @@ let force_decide t v =
   end
 
 let find t r = if r < Array.length t.table then t.table.(r) else None
+
+let idle t =
+  if t.decided = None then None
+  else if t.halted then Some 0
+  else if find t t.current = None then Some t.current
+  else None
 
 let is_binary b = b = 0 || b = 1
 

@@ -35,6 +35,26 @@ val decision_round : t -> int option
     {!max_rounds} is reached, or the decision was forced. *)
 val halted : t -> bool
 
+(** [deferred ~self ~n ~delta_us ~value ~decision_round ~round] is the
+    state of a process that decided [value] in [decision_round] and
+    defers help round [round] with no state for it: what {!idle}
+    reports as [Some round]. *)
+val deferred :
+  self:int ->
+  n:int ->
+  delta_us:int ->
+  value:int ->
+  decision_round:int ->
+  round:int ->
+  t
+
+(** [Some r] once decided and waiting on its peers alone: [Some 0] when
+    halted, [Some r] when deferring help round [r] with no state for it
+    yet, so that only a peer's message of round [r] runs a round again.
+    [None] while undecided, inside [HOST.decide] (the deciding round is
+    still current) or while a help round runs. *)
+val idle : t -> int option
+
 (** [force_decide t v] records a decision learned out of band in the
     current round and halts; no-op if decided. [HOST.decide] does not
     fire: the host reports it. *)

@@ -32,6 +32,7 @@ type vote_bucket = {
 type t = {
   env : env;
   iid : Types.iid;
+  created_at : int;  (** engine time of first contact *)
   (* --- VVB state (round 1) --- *)
   mutable proposal : Types.proposal option;
   mutable init_seen : bool;
@@ -49,10 +50,11 @@ type t = {
   rounds : Dbft.Rounds.t;  (** Alg. 3; round 1's values are the VVB's *)
 }
 
-let create env iid =
+let create env iid ~created_at =
   {
     env;
     iid;
+    created_at;
     proposal = None;
     init_seen = false;
     seq_obs = None;
@@ -77,6 +79,10 @@ let proposal t = t.proposal
 let seq_obs t = t.seq_obs
 
 let halted t = Dbft.Rounds.halted t.rounds
+
+let idle t = Dbft.Rounds.idle t.rounds
+
+let created_at t = t.created_at
 
 let my_digest t = Option.map Types.proposal_digest t.proposal
 
@@ -265,6 +271,22 @@ let on_coord t ~src ~round ~value =
 let on_aux t ~src ~round ~values =
   ensure_started t;
   Rounds.on_aux t ~src ~round values
+
+(* The VVB is over: INIT, votes and DELIVER change nothing any more,
+   bar the distance sample a vote carries. *)
+let revive env iid ~created_at ~value ~decision_round ~round proposal =
+  {
+    (create env iid ~created_at) with
+    proposal;
+    init_seen = true;
+    sent_vote0 = true;
+    delivered1 = true;
+    delivered0 = true;
+    deliver_sent = true;
+    rounds =
+      Dbft.Rounds.deferred ~self:env.self ~n:env.n ~delta_us:env.delta_us ~value
+        ~decision_round ~round;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Lossy-link repair.                                                  *)

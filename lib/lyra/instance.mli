@@ -55,7 +55,26 @@ type env = {
 
 type t
 
-val create : env -> Types.iid -> t
+(** [create env iid ~created_at]: [created_at] is the engine time of
+    the node's first contact with the instance. *)
+val create : env -> Types.iid -> created_at:int -> t
+
+(** [revive env iid ~created_at ~value ~decision_round ~round proposal]
+    rebuilds an instance that decided [value] in [decision_round] and
+    defers help round [round] ({!Dbft.Rounds.deferred}), for a node that
+    freed it: it answers the rounds as the freed one would have. Its VVB
+    is over: INIT, votes and DELIVER only report the vote's distance
+    sample ([observe_vote]). [proposal] is the decided one when [value]
+    is 1; help-round ESTs of 1 carry it. *)
+val revive :
+  env ->
+  Types.iid ->
+  created_at:int ->
+  value:int ->
+  decision_round:int ->
+  round:int ->
+  Types.proposal option ->
+  t
 
 (** Message entry points, dispatched by the node. *)
 
@@ -82,7 +101,7 @@ val on_aux : t -> src:int -> round:int -> values:int list -> unit
 
 val decided : t -> int option
 
-val decision_round : t -> int option (* lint: allow S005 instance probe for test_vvb *)
+val decision_round : t -> int option
 
 val proposal : t -> Types.proposal option
 
@@ -91,6 +110,11 @@ val proposal : t -> Types.proposal option
 val seq_obs : t -> int option (* lint: allow S005 instance probe for test_vvb *)
 
 val halted : t -> bool
+
+(** {!Dbft.Rounds.idle} of the instance's rounds. *)
+val idle : t -> int option
+
+val created_at : t -> int
 
 (** Lossy-link repair. *)
 

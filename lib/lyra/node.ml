@@ -32,9 +32,19 @@ type reveal_state = {
 
 type commit_record = {
   c_batch : Types.batch;
+  c_prop : Types.proposal option;
+      (** the decided proposal, for Decided answers once the instance
+          is retired; [None] if a sync delivered the entry unseen *)
   c_seq : int;
   mutable emitted : bool;
 }
+
+(* An instance, or the tombstone of a retired one (DESIGN §7.19): its
+   decision, and the help round a peer's message of which makes the
+   node rebuild it ({!Dbft.Rounds.idle}; 0: none). *)
+type slot =
+  | Live of Instance.t
+  | Retired of { value : int; decision_round : int; help_round : int }
 
 (* Tally of Decided notices for an instance this node has not decided
    itself; adopted once f+1 distinct senders agree on the value. *)
@@ -60,7 +70,8 @@ type t = {
   misbehavior : Misbehavior.t option;
   on_observe : Types.batch -> unit;
   on_output : output -> unit;
-  instances : Instance.t Types.Iid_tbl.t;
+  instances : slot Types.Iid_tbl.t;
+  mutable live_instances : int;
   mutable inst_env : Instance.env option;
       (** shared by every instance, built on first use *)
   (* Instances possibly still undecided, for the retransmission sweep:
@@ -96,7 +107,6 @@ type t = {
   mutable synced_entries : int;
   mutable syncs_started : int;
   decided_votes : decided_tally Types.Iid_tbl.t;
-  inst_created : int Types.Iid_tbl.t;  (** engine time of first contact *)
   mutable late_accepts : int;
   mutable own_accepted : int;
   mutable own_rejected : int;
@@ -148,6 +158,10 @@ let own_accepted t = t.own_accepted
 let own_rejected t = t.own_rejected
 
 let distances_known t = Predictor.known_count t.predictor
+
+let live_instances t = t.live_instances
+
+let decided_tallies t = Types.Iid_tbl.length t.decided_votes
 
 let f t = Config.f t.config
 
@@ -406,8 +420,8 @@ let undecided_blocks t boundary =
   && Types.Iid_set.exists
        (fun iid ->
          match Types.Iid_tbl.find_opt t.instances iid with
-         | Some inst when Instance.decided inst = None && not (Instance.halted inst)
-           -> (
+         | Some (Live inst)
+           when Instance.decided inst = None && not (Instance.halted inst) -> (
              match Instance.proposal inst with
              | Some p -> (
                  match Types.requested_seq ~n:t.config.n ~f:(f t) p.Types.st with
@@ -416,6 +430,36 @@ let undecided_blocks t boundary =
              | None -> false)
          | Some _ | None -> false)
        t.unsettled
+
+(* Frees a settled instance for its tombstone: decided 0, or decided 1
+   and in the commit order (taken, or emitted through a sync), once no
+   round runs here until a peer starts one. Safe after any of its entry
+   points returns. Inside [on_decide] (whose [try_commit] takes) a
+   decision the round machine reached is not freed: [Instance.idle] is
+   [None] until the machine returns. A forced one halts first and runs
+   nothing after [on_decide]. *)
+let retire t iid inst =
+  match Instance.decided inst with
+  | Some value when value = 0 || Types.Iid_tbl.mem t.records iid -> (
+      match (Instance.decision_round inst, Instance.idle inst) with
+      (* Once: the take inside a forced decision may have retired it. *)
+      | Some decision_round, Some help_round
+        when match Types.Iid_tbl.find_opt t.instances iid with
+             | Some (Live i) -> i == inst
+             | Some (Retired _) | None -> false ->
+          Types.Iid_tbl.remove t.shares_held iid;
+          Types.Iid_tbl.replace t.instances iid
+            (Retired { value; decision_round; help_round });
+          t.live_instances <- t.live_instances - 1
+      | _, _ -> ())
+  | Some _ | None -> ()
+
+(* Whether this node has decided [iid]. *)
+let decided t iid =
+  match Types.Iid_tbl.find_opt t.instances iid with
+  | Some (Live inst) -> Instance.decided inst <> None
+  | Some (Retired _) -> true
+  | None -> false
 
 let try_commit t =
   let boundary = Commit_state.committed t.commit in
@@ -430,25 +474,35 @@ let try_commit t =
     List.iter
       (fun (iid, seq) ->
         match Types.Iid_tbl.find_opt t.instances iid with
-        | None -> ()
         (* A record can already exist when the entry arrived through an
-           output-log sync; it was emitted there — don't re-queue it. *)
-        | Some _ when Types.Iid_tbl.mem t.records iid -> ()
-        | Some inst -> (
+           output-log sync; it was emitted there — don't re-queue it. A
+           retired value-1 instance always has one. *)
+        | Some (Live inst) when not (Types.Iid_tbl.mem t.records iid) -> (
             match Instance.proposal inst with
             | None -> ()
             | Some proposal ->
                 Types.Iid_tbl.replace t.records iid
-                  { c_batch = proposal.Types.batch; c_seq = seq; emitted = false };
+                  {
+                    c_batch = proposal.Types.batch;
+                    c_prop = Some proposal;
+                    c_seq = seq;
+                    emitted = false;
+                  };
                 Queue.push iid t.outbox;
                 stamp_own t iid "take";
-                (* Broadcast our decryption share (line 95). *)
+                (* Broadcast our decryption share (line 95); it is read
+                   nowhere else. *)
                 let share =
-                  if t.config.real_crypto then
-                    Types.Iid_tbl.find_opt t.shares_held iid
+                  if t.config.real_crypto then begin
+                    let s = Types.Iid_tbl.find_opt t.shares_held iid in
+                    Types.Iid_tbl.remove t.shares_held iid;
+                    s
+                  end
                   else None
                 in
-                broadcast_body t (Types.Reveal { iid; share })))
+                broadcast_body t (Types.Reveal { iid; share });
+                retire t iid inst)
+        | Some (Live _ | Retired _) | None -> ())
       taken;
     if taken <> [] then drain_outbox t
   end
@@ -484,11 +538,7 @@ let validate t (proposal : Types.proposal) ~seq_obs =
   (* A slow INIT can arrive after the instance already decided from the
      other processes' messages; booking it as pending then would leave a
      stale min-pending that stalls everyone's stable prefix. *)
-  let already_decided =
-    match Types.Iid_tbl.find_opt t.instances proposal.batch.iid with
-    | Some inst -> Instance.decided inst <> None
-    | None -> false
-  in
+  let already_decided = decided t proposal.batch.iid in
   (match requested with
   | Some s when ok && not already_decided -> (
       match Types.Iid_map.find_opt proposal.batch.iid t.pending with
@@ -612,8 +662,10 @@ let on_decide t iid ~value ~round proposal =
   end;
   t.unsettled <- Types.Iid_set.remove iid t.unsettled;
   (* The local decision settles the instance for good; gossip witness
-     bookkeeping for it is no longer needed. *)
+     bookkeeping and a Decided-notice tally for it are no longer
+     needed. *)
   Types.Iid_tbl.remove t.claims iid;
+  Types.Iid_tbl.remove t.decided_votes iid;
   t.decide_rounds |> fun r -> Metrics.Recorder.record r (float_of_int round);
   (if Int.equal iid.Types.proposer t.id then begin
      t.inflight <- max 0 (t.inflight - 1);
@@ -624,7 +676,7 @@ let on_decide t iid ~value ~round proposal =
           them for a fresh proposal with updated predictions
           (SMR-Liveness, Lemma 8 — processes continuously re-input). *)
        match Types.Iid_tbl.find_opt t.instances iid with
-       | Some inst -> (
+       | Some (Live inst) -> (
            match Instance.proposal inst with
            | Some p ->
                let live =
@@ -637,7 +689,7 @@ let on_decide t iid ~value ~round proposal =
                  maybe_propose t
                end
            | None -> ())
-       | None -> ()
+       | Some (Retired _) | None -> ()
      end;
      if value = 1 then stamp_own t iid "decide"
      else Metrics.Phases.drop t.phases ~key:iid.Types.index
@@ -665,6 +717,13 @@ let on_decide t iid ~value ~round proposal =
          | None -> ())
      | None -> ());
   try_commit t
+
+(* A vote for an own proposal measures the distance to its sender. *)
+let observe_vote t iid ~src ~seq_obs =
+  if Int.equal iid.Types.proposer t.id then
+    match Types.Int_tbl.find_opt t.own_sref iid.Types.index with
+    | Some s_ref -> Predictor.observe t.predictor ~peer:src ~s_ref ~seq_obs
+    | None -> ()
 
 let make_env t : Instance.env =
   let cfg = t.config in
@@ -727,12 +786,7 @@ let make_env t : Instance.env =
     schedule =
       (fun ~delay_us fn ->
         Sim.Engine.schedule t.engine ~delay:delay_us fn);
-    observe_vote =
-      (fun iid ~src ~seq_obs ->
-        if Int.equal iid.Types.proposer t.id then
-          match Types.Int_tbl.find_opt t.own_sref iid.Types.index with
-          | Some s_ref -> Predictor.observe t.predictor ~peer:src ~s_ref ~seq_obs
-          | None -> ());
+    observe_vote = observe_vote t;
     on_vvb_deliver = (fun iid -> stamp_own t iid "deliver");
     on_decide = on_decide t;
   }
@@ -745,15 +799,41 @@ let inst_env t =
       t.inst_env <- Some env;
       env
 
-let instance_of t iid =
+(* What a retired instance's proposal was, where it is still read: the
+   EST(1) of a help round and a Decided answer of value 1. *)
+let retired_proposal t iid ~value =
+  if value = 1 then
+    match Types.Iid_tbl.find_opt t.records iid with
+    | Some r -> r.c_prop
+    | None -> None
+  else None
+
+let add_live t iid inst =
+  let slot = Live inst in
+  Types.Iid_tbl.replace t.instances iid slot;
+  t.live_instances <- t.live_instances + 1;
+  slot
+
+(* The slot a message of round [round] (0: a VVB message) about [iid]
+   goes to, holding a new instance on first contact. A retired
+   instance stays a tombstone, unless the message is of the help round
+   the tombstone names: then it is rebuilt to join that round, as it
+   would have. *)
+let instance_of t iid ~round =
   match Types.Iid_tbl.find_opt t.instances iid with
-  | Some inst -> inst
+  | Some (Live _ as slot) -> slot
+  | Some (Retired { value; decision_round; help_round } as slot) ->
+      if round > 0 && Int.equal round help_round then
+        add_live t iid
+          (Instance.revive (inst_env t) iid
+             ~created_at:(Sim.Engine.now t.engine) ~value ~decision_round
+             ~round:help_round
+             (retired_proposal t iid ~value))
+      else slot
   | None ->
-      let inst = Instance.create (inst_env t) iid in
-      Types.Iid_tbl.replace t.instances iid inst;
-      Types.Iid_tbl.replace t.inst_created iid (Sim.Engine.now t.engine);
       t.unsettled <- Types.Iid_set.add iid t.unsettled;
-      inst
+      add_live t iid
+        (Instance.create (inst_env t) iid ~created_at:(Sim.Engine.now t.engine))
 
 (* A peer claims [iid] accepted at [seq] (gossip, or a sync server's
    unemitted tail). Until decided here, the claim books an External
@@ -778,11 +858,7 @@ let absorb_claim t ~src iid seq =
       cl.cl_count <- cl.cl_count + 1
     end;
     if not (Types.Iid_map.mem iid t.pending) then begin
-      let decided =
-        match Types.Iid_tbl.find_opt t.instances iid with
-        | Some i -> Instance.decided i <> None
-        | None -> false
-      in
+      let decided = decided t iid in
       (* A claim that already expired once is only re-admitted when
          corroborated, so a lone Byzantine gossiper stalls the prefix
          for at most one 2L window per invented entry. That bound is
@@ -964,18 +1040,31 @@ let on_sync_resp t ~src ~from_count ~upto entries tail =
                  t.pending <- Types.Iid_map.remove iid t.pending;
                  t.min_pending_dirty <- true
                end);
+              let slot = Types.Iid_tbl.find_opt t.instances iid in
               (match existing with
               | Some r -> r.emitted <- true
               | None ->
+                  let c_prop =
+                    match slot with
+                    | Some (Live inst) -> Instance.proposal inst
+                    | Some (Retired _) | None -> None
+                  in
                   Types.Iid_tbl.replace t.records iid
-                    { c_batch = batch; c_seq = seq; emitted = true });
+                    { c_batch = batch; c_prop; c_seq = seq; emitted = true });
               (* Settle the local instance if it is still undecided, so
                  the retransmission sweep stops nudging for it and an
-                 own proposal releases its inflight slot. *)
-              (match Types.Iid_tbl.find_opt t.instances iid with
-              | Some inst when Instance.decided inst = None ->
-                  Instance.force_decide inst ~value:1 (Instance.proposal inst)
-              | _ -> ());
+                 own proposal releases its inflight slot; then retire
+                 it. One never created gets a tombstone, so that no late
+                 message creates it. *)
+              (match slot with
+              | Some (Live inst) ->
+                  if Instance.decided inst = None then
+                    Instance.force_decide inst ~value:1 (Instance.proposal inst);
+                  retire t iid inst
+              | Some (Retired _) -> ()
+              | None ->
+                  Types.Iid_tbl.replace t.instances iid
+                    (Retired { value = 1; decision_round = 0; help_round = 0 }));
               t.synced_entries <- t.synced_entries + 1;
               if Int.equal iid.Types.proposer t.id then
                 Metrics.Phases.drop t.phases ~key:iid.Types.index;
@@ -999,7 +1088,10 @@ let on_sync_resp t ~src ~from_count ~upto entries tail =
 let on_nudge t ~src iid =
   match Types.Iid_tbl.find_opt t.instances iid with
   | None -> ()
-  | Some inst -> (
+  | Some (Retired { value; _ }) ->
+      send_body t ~dst:src
+        (Types.Decided { iid; value; proposal = retired_proposal t iid ~value })
+  | Some (Live inst) -> (
       match Instance.decided inst with
       | Some value ->
           let proposal = if value = 1 then Instance.proposal inst else None in
@@ -1010,7 +1102,9 @@ let on_nudge t ~src iid =
 
 let on_decided t ~src iid ~value proposal =
   if value = 0 || value = 1 then begin
-    let inst = instance_of t iid in
+    match instance_of t iid ~round:0 with
+    | Retired _ -> ()
+    | Live inst ->
     if Instance.decided inst = None then begin
       let tally =
         match Types.Iid_tbl.find_opt t.decided_votes iid with
@@ -1034,20 +1128,21 @@ let on_decided t ~src iid ~value proposal =
           if tally.d_prop = None then tally.d_prop <- proposal
         end
         else tally.d_zeros <- tally.d_zeros + 1;
-        (* f+1 matching notices contain at least one correct sender. *)
+        (* f+1 matching notices contain at least one correct sender.
+           The decision drops the tally ([on_decide]). *)
         let bar = f t + 1 in
         if tally.d_ones >= bar then begin
-          Types.Iid_tbl.remove t.decided_votes iid;
           let p =
             match tally.d_prop with
             | Some _ as p -> p
             | None -> Instance.proposal inst
           in
-          Instance.force_decide inst ~value:1 p
+          Instance.force_decide inst ~value:1 p;
+          retire t iid inst
         end
         else if tally.d_zeros >= bar then begin
-          Types.Iid_tbl.remove t.decided_votes iid;
-          Instance.force_decide inst ~value:0 None
+          Instance.force_decide inst ~value:0 None;
+          retire t iid inst
         end
       end
     end
@@ -1066,13 +1161,13 @@ let rec retransmit_loop t =
      Types.Iid_set.iter
        (fun iid ->
          match Types.Iid_tbl.find_opt t.instances iid with
-         | Some inst when Instance.decided inst = None && not (Instance.halted inst)
-           -> (
-             match Types.Iid_tbl.find_opt t.inst_created iid with
-             | Some at when now - at > t.config.retransmit_after_us ->
-                 Instance.poke inst;
-                 broadcast_body t (Types.Nudge { iid })
-             | _ -> ())
+         | Some (Live inst)
+           when Instance.decided inst = None && not (Instance.halted inst) ->
+             if now - Instance.created_at inst > t.config.retransmit_after_us
+             then begin
+               Instance.poke inst;
+               broadcast_body t (Types.Nudge { iid })
+             end
          | Some _ | None -> settled := iid :: !settled)
        t.unsettled;
      t.unsettled <-
@@ -1131,24 +1226,53 @@ let on_message t ~src (msg : Types.msg) =
   if (not t.sync_active) && now <= t.probation_until
      && sync_target t > t.output_count
   then start_sync t;
+  (* Each instance message may settle its instance: retire it after. *)
   match msg.body with
-  | Types.Init { proposal; share; sigma } ->
-      (match share with
-      | Some s -> Types.Iid_tbl.replace t.shares_held proposal.Types.batch.Types.iid s
-      | None -> ());
+  | Types.Init { proposal; share; sigma } -> (
+      let iid = proposal.Types.batch.Types.iid in
       t.on_observe proposal.Types.batch;
-      Instance.on_init
-        (instance_of t proposal.Types.batch.Types.iid)
-        ~src proposal sigma
-  | Types.Vote { iid; vote } -> Instance.on_vote (instance_of t iid) ~src vote
-  | Types.Deliver { iid; proposal; proof } ->
-      Instance.on_deliver (instance_of t iid) ~src proposal proof
-  | Types.Est { iid; round; value; proposal } ->
-      Instance.on_est (instance_of t iid) ~src ~round ~value proposal
-  | Types.Coord { iid; round; value } ->
-      Instance.on_coord (instance_of t iid) ~src ~round ~value
-  | Types.Aux { iid; round; values } ->
-      Instance.on_aux (instance_of t iid) ~src ~round ~values
+      match instance_of t iid ~round:0 with
+      | Live inst ->
+          (match share with
+          | Some s when not (Types.Iid_tbl.mem t.records iid) ->
+              Types.Iid_tbl.replace t.shares_held iid s
+          | Some _ | None -> ());
+          Instance.on_init inst ~src proposal sigma;
+          retire t iid inst
+      | Retired _ -> ())
+  | Types.Vote { iid; vote } -> (
+      match instance_of t iid ~round:0 with
+      | Live inst ->
+          Instance.on_vote inst ~src vote;
+          retire t iid inst
+      | Retired _ -> (
+          match vote with
+          | Types.Vote_one { seq_obs; _ } | Types.Vote_zero { seq_obs } ->
+              observe_vote t iid ~src ~seq_obs))
+  | Types.Deliver { iid; proposal; proof } -> (
+      match instance_of t iid ~round:0 with
+      | Live inst ->
+          Instance.on_deliver inst ~src proposal proof;
+          retire t iid inst
+      | Retired _ -> ())
+  | Types.Est { iid; round; value; proposal } -> (
+      match instance_of t iid ~round with
+      | Live inst ->
+          Instance.on_est inst ~src ~round ~value proposal;
+          retire t iid inst
+      | Retired _ -> ())
+  | Types.Coord { iid; round; value } -> (
+      match instance_of t iid ~round with
+      | Live inst ->
+          Instance.on_coord inst ~src ~round ~value;
+          retire t iid inst
+      | Retired _ -> ())
+  | Types.Aux { iid; round; values } -> (
+      match instance_of t iid ~round with
+      | Live inst ->
+          Instance.on_aux inst ~src ~round ~values;
+          retire t iid inst
+      | Retired _ -> ())
   | Types.Reveal { iid; share } -> on_reveal t ~src iid share
   | Types.Heartbeat ->
       if t.sync_active && t.goal_claims.(src) < 0 && not (Int.equal src t.id)
@@ -1237,6 +1361,7 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
       on_observe;
       on_output;
       instances = Types.Iid_tbl.create 64;
+      live_instances = 0;
       inst_env = None;
       unsettled = Types.Iid_set.empty;
       own_sref = Types.Int_tbl.create 16;
@@ -1266,7 +1391,6 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
       synced_entries = 0;
       syncs_started = 0;
       decided_votes = Types.Iid_tbl.create 8;
-      inst_created = Types.Iid_tbl.create 64;
       late_accepts = 0;
       own_accepted = 0;
       own_rejected = 0;

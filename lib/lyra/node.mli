@@ -90,3 +90,10 @@ val own_rejected : t -> int
 
 (** Distances known to the predictor (n after warm-up). *)
 val distances_known : t -> int
+
+(** Instances held in full; a settled one is retired to a tombstone
+    (DESIGN §7.19). *)
+val live_instances : t -> int (* lint: allow S005 bounded-state probe for test_lyra_cluster *)
+
+(** Decided-notice tallies held for instances not decided here. *)
+val decided_tallies : t -> int (* lint: allow S005 bounded-state probe for test_lyra_cluster *)

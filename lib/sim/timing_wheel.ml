@@ -1,5 +1,6 @@
 (* Hierarchical timing wheel with a calendar-style overflow list, a
-   drop-in replacement for the binary [Event_heap] inside [Engine].
+   drop-in replacement for the binary event heap inside [Engine] (now
+   bench/event_heap.ml).
 
    Entries are bucketed by the first 8-bit digit of their timestamp
    that differs from [cur] (the prefix scheme): level 0 buckets are

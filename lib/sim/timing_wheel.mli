@@ -1,8 +1,8 @@
 (** Hierarchical timing wheel (4 levels x 256 slots, 1 µs ticks) with a
     calendar-style overflow list for timers past the ~71-minute horizon.
-    Replaced {!Event_heap} in {!Engine}: the identical (time,
-    insertion-seq) total order, at O(1) amortized push/pop instead of
-    O(log n).
+    Replaced the binary event heap ([bench/event_heap.ml]) in {!Engine}:
+    the identical (time, insertion-seq) total order, at O(1) amortized
+    push/pop instead of O(log n).
 
     Monomorphic on an [int] payload, which the wheel never interprets
     (the engine packs its event kind and a slot or argument into it).

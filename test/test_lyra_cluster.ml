@@ -326,6 +326,296 @@ let test_deterministic_rerun () =
   Alcotest.(check bool) "identical commit logs" true (logs1 = logs2);
   Alcotest.(check bool) "identical per-node metrics" true (metrics1 = metrics2)
 
+(* ------------------------------------------------------------------ *)
+(* Retired instances (DESIGN §7.19): a settled instance is freed for a *)
+(* tombstone that answers late messages as the instance did.           *)
+(* ------------------------------------------------------------------ *)
+
+(* From now on node [id] only records what it receives: a fake peer
+   whose messages the test writes itself. Newest first. *)
+let capture c id =
+  let got = ref [] in
+  Sim.Network.register c.net ~id (fun ~src (m : Lyra.Types.msg) ->
+      got := (src, m.body) :: !got);
+  got
+
+let inject c ~src ~dst body =
+  let status =
+    {
+      Lyra.Types.locked_upto = 0;
+      min_pending = Lyra.Types.no_pending;
+      committed = 0;
+      accepted_recent = [];
+    }
+  in
+  Sim.Network.send c.net ~src ~dst { Lyra.Types.status; body }
+
+let run_for c us = Sim.Engine.run c.engine ~until:(Sim.Engine.now c.engine + us)
+
+(* A cluster that decided and committed everything it was given. *)
+let quiescent_cluster () =
+  let c = make_cluster 4 in
+  Sim.Engine.run c.engine ~until:1_000_000;
+  submit_round c ~per_node:5;
+  Sim.Engine.run c.engine ~until:4_000_000;
+  c
+
+let decided_replies got ~from iid =
+  List.filter_map
+    (function
+      | src, Lyra.Types.Decided { iid = i; value; proposal }
+        when src = from && Lyra.Types.iid_equal i iid ->
+          Some (value, proposal)
+      | _ -> None)
+    !got
+
+let test_retired_answers_nudge () =
+  let c = quiescent_cluster () in
+  let node = c.nodes.(0) in
+  Alcotest.(check int) "every settled instance retired" 0
+    (Lyra.Node.live_instances node);
+  let got = capture c 3 in
+  let own = Lyra.Node.own_accepted node + Lyra.Node.own_rejected node in
+  for index = 0 to own - 1 do
+    inject c ~src:3 ~dst:0 (Nudge { iid = { proposer = 0; index } })
+  done;
+  run_for c 200_000;
+  let log = Lyra.Node.output_log node in
+  let ones = ref 0 and zeros = ref 0 in
+  for index = 0 to own - 1 do
+    let iid = { Lyra.Types.proposer = 0; index } in
+    match decided_replies got ~from:0 iid with
+    | [ (1, Some p) ] ->
+        (* The decided proposal: the committed batch, at its seq. *)
+        incr ones;
+        let o =
+          List.find (fun (o : Lyra.Node.output) -> Lyra.Types.iid_equal o.batch.iid iid) log
+        in
+        Alcotest.(check bool) "committed batch" true (p.batch == o.batch);
+        Alcotest.(check (option int)) "decided seq" (Some o.seq)
+          (Lyra.Types.requested_seq ~n:4 ~f:1 p.st)
+    | [ (0, None) ] ->
+        incr zeros;
+        Alcotest.(check bool) "rejected, not committed" false
+          (List.exists (fun (o : Lyra.Node.output) -> Lyra.Types.iid_equal o.batch.iid iid) log)
+    | _ -> Alcotest.failf "index %d: not one Decided answer" index
+  done;
+  Alcotest.(check int) "accepted answered 1" (Lyra.Node.own_accepted node) !ones;
+  Alcotest.(check int) "rejected answered 0" (Lyra.Node.own_rejected node) !zeros;
+  Alcotest.(check int) "no instance created" 0 (Lyra.Node.live_instances node)
+
+(* The predictor's median over 5 samples follows 3 fresh ones. *)
+let test_late_vote_moves_predictor () =
+  let c = quiescent_cluster () in
+  let got = capture c 3 in
+  let o =
+    List.find
+      (fun (o : Lyra.Node.output) -> o.batch.iid.proposer = 0)
+      (Lyra.Node.output_log c.nodes.(0))
+  in
+  let far = 10_000_000 in
+  for _ = 1 to 3 do
+    inject c ~src:2 ~dst:0
+      (Vote
+         { iid = o.batch.iid; vote = Vote_zero { seq_obs = o.batch.created_at + far } })
+  done;
+  run_for c 100_000;
+  Alcotest.(check int) "no instance created" 0 (Lyra.Node.live_instances c.nodes.(0));
+  got := [];
+  submit_round c ~per_node:5;
+  run_for c 200_000;
+  let distances =
+    List.filter_map
+      (function
+        | 0, Lyra.Types.Init { proposal; _ } -> (
+            match (proposal.st.(0), proposal.st.(2)) with
+            | Some s0, Some s2 -> Some (s2 - s0)
+            | _ -> None)
+        | _ -> None)
+      !got
+  in
+  Alcotest.(check bool) "node 0 proposed" true (distances <> []);
+  List.iter (fun d -> Alcotest.(check int) "predicted distance to node 2" far d) distances
+
+(* Node 0's round-2 messages about [iid] since [got] was last reset,
+   with the proposal an EST carries reduced to whether it is [p]. *)
+let help_replies got iid p =
+  List.rev_map
+    (function
+      | _, Lyra.Types.Est { round; value; proposal; _ } ->
+          (Printf.sprintf "est %d %d" round value, Option.map (fun q -> q == p) proposal)
+      | _, Lyra.Types.Coord { round; value; _ } -> (Printf.sprintf "coord %d %d" round value, None)
+      | _, Lyra.Types.Aux { round; values; _ } ->
+          ( Printf.sprintf "aux %d %s" round
+              (String.concat "," (List.map string_of_int values)),
+            None )
+      | _ -> ("", None))
+    (List.filter
+       (function
+         | 0, Lyra.Types.(Est { iid = i; round; _ } | Coord { iid = i; round; _ } | Aux { iid = i; round; _ })
+           ->
+             Lyra.Types.iid_equal i iid && round >= 2
+         | _ -> false)
+       !got)
+
+(* A laggard's round-2 EST wakes the decided quorum into the help
+   round (DESIGN §7.2); a retired instance is rebuilt to answer it as
+   a decided, unretired one does. *)
+let test_help_round_from_retired () =
+  let c = make_cluster 4 in
+  Sim.Engine.run c.engine ~until:1_500_000;
+  let got = capture c 3 in
+  let node = c.nodes.(0) in
+  (* One transaction at node 1 makes one instance; its INIT names it. *)
+  let propose () =
+    got := [];
+    ignore (Lyra.Node.submit c.nodes.(1) ~payload:(String.make 32 'h') : string);
+    let inits () =
+      List.filter_map
+        (function 1, Lyra.Types.Init { proposal; _ } -> Some proposal | _ -> None)
+        !got
+    in
+    let deadline = Sim.Engine.now c.engine + 500_000 in
+    while inits () = [] && Sim.Engine.now c.engine < deadline do
+      run_for c 1_000
+    done;
+    match inits () with
+    | [ p ] -> p
+    | _ -> Alcotest.fail "expected one INIT from node 1"
+  in
+  let laggard_est (p : Lyra.Types.proposal) =
+    got := [];
+    inject c ~src:3 ~dst:0 (Est { iid = p.batch.iid; round = 2; value = 1; proposal = None });
+    run_for c 1_000_000;
+    help_replies got p.batch.iid p
+  in
+  (* Decided at node 0, not yet taken: the acceptance window holds it
+     for L = 3Δ after the decision. *)
+  let accepted = Lyra.Node.accepted_count node in
+  let p1 = propose () in
+  let deadline = Sim.Engine.now c.engine + 1_000_000 in
+  while Lyra.Node.accepted_count node = accepted && Sim.Engine.now c.engine < deadline do
+    run_for c 1_000
+  done;
+  Alcotest.(check int) "decided at node 0" (accepted + 1) (Lyra.Node.accepted_count node);
+  let unretired = laggard_est p1 in
+  (* Committed and retired everywhere. *)
+  let p2 = propose () in
+  run_for c 2_000_000;
+  Alcotest.(check bool) "committed" true
+    (List.exists
+       (fun (o : Lyra.Node.output) -> Lyra.Types.iid_equal o.batch.iid p2.batch.iid)
+       (Lyra.Node.output_log node));
+  Alcotest.(check int) "retired" 0 (Lyra.Node.live_instances node);
+  let retired = laggard_est p2 in
+  let show = List.map (fun (k, p) -> k ^ match p with Some true -> " +proposal" | Some false -> " +other" | None -> "") in
+  Alcotest.(check (list string)) "unretired replies"
+    [ "est 2 1 +proposal"; "aux 2 1" ] (show unretired);
+  Alcotest.(check (list string)) "same replies once retired" (show unretired) (show retired);
+  Alcotest.(check int) "retired again after the help round" 0
+    (Lyra.Node.live_instances node)
+
+let test_late_kinds_create_nothing () =
+  let c = quiescent_cluster () in
+  let node = c.nodes.(0) in
+  let got = capture c 3 in
+  let o =
+    List.find
+      (fun (o : Lyra.Node.output) -> o.batch.iid.proposer = 1)
+      (Lyra.Node.output_log node)
+  in
+  let iid = o.batch.iid in
+  inject c ~src:3 ~dst:0 (Nudge { iid });
+  run_for c 100_000;
+  let p =
+    match decided_replies got ~from:0 iid with
+    | [ (1, Some p) ] -> p
+    | _ -> Alcotest.fail "no Decided answer"
+  in
+  let digest = Lyra.Types.proposal_digest p in
+  (* Every message kind about an instance, bar its help round (2). *)
+  List.iter
+    (fun (src, body) -> inject c ~src ~dst:0 body)
+    [
+      (1, Lyra.Types.Init { proposal = p; share = None; sigma = None });
+      (3, Vote { iid; vote = Vote_one { digest; share = None; seq_obs = 0 } });
+      (3, Vote { iid; vote = Vote_zero { seq_obs = 0 } });
+      (3, Deliver { iid; proposal = p; proof = None });
+      (3, Est { iid; round = 3; value = 0; proposal = None });
+      (3, Coord { iid; round = 3; value = 0 });
+      (3, Aux { iid; round = 1; values = [ 0 ] });
+      (3, Aux { iid; round = 3; values = [ 0 ] });
+      (3, Decided { iid; value = 0; proposal = None });
+      (3, Reveal { iid; share = None });
+    ];
+  run_for c 200_000;
+  Alcotest.(check int) "no instance created" 0 (Lyra.Node.live_instances node);
+  Alcotest.(check int) "no tally" 0 (Lyra.Node.decided_tallies node)
+
+(* A Decided notice for an instance not decided yet opens a tally; the
+   instance then decides through its own messages, which drops it. *)
+let test_tally_dropped_on_decision () =
+  let c = make_cluster 4 in
+  for index = 0 to c.cfg.warmup_proposals - 1 do
+    inject c ~src:3 ~dst:0
+      (Decided { iid = { proposer = 1; index }; value = 1; proposal = None })
+  done;
+  run_for c 100_000;
+  Alcotest.(check int) "tallies open" c.cfg.warmup_proposals
+    (Lyra.Node.decided_tallies c.nodes.(0));
+  Sim.Engine.run c.engine ~until:1_500_000;
+  Alcotest.(check int) "own decisions of node 1" c.cfg.warmup_proposals
+    (Lyra.Node.own_accepted c.nodes.(1) + Lyra.Node.own_rejected c.nodes.(1));
+  Alcotest.(check int) "tallies dropped" 0 (Lyra.Node.decided_tallies c.nodes.(0))
+
+(* Live instances follow what is undecided or not yet taken, not the
+   run length. Each live instance at a node is undecided there (at
+   most max_inflight per proposer at its proposer) or decided and
+   waiting to be taken, which takes at most the commit latency C; so
+   with r batches committed per second, a node holds at most
+   n * max_inflight + r * C. The load repeats every 100 ms, so runs to
+   3 s and to 6 s end in the same phase and hold the same count. *)
+let test_live_instances_bounded () =
+  let n = 16 in
+  let live ~horizon =
+    let faults =
+      Sim.Faults.none
+      |> Sim.Faults.loss ~dup_p:0.01 ~from_us:1_500_000 ~until_us:2_500_000 ~drop_p:0.02
+      |> Sim.Faults.crash ~node:5 ~at_us:1_700_000 ~recover_us:2_200_000
+    in
+    let c = make_cluster ~faults n in
+    let rec load () =
+      if Sim.Engine.now c.engine < horizon then begin
+        submit_round c ~per_node:5;
+        Sim.Engine.schedule c.engine ~delay:100_000 load
+      end
+    in
+    Sim.Engine.schedule c.engine ~delay:1_000_000 load;
+    Sim.Engine.run c.engine ~until:horizon;
+    let recent =
+      List.filter
+        (fun (o : Lyra.Node.output) -> o.output_at > horizon - 1_000_000)
+        (Lyra.Node.output_log c.nodes.(0))
+    in
+    let rate = List.length recent in
+    let commit_s =
+      List.fold_left
+        (fun m (o : Lyra.Node.output) -> max m (o.output_at - o.batch.created_at))
+        0 recent
+    in
+    let bound = (n * c.cfg.max_inflight) + (rate * commit_s / 1_000_000) in
+    Alcotest.(check bool) "commits at the end" true (rate > 0);
+    Array.iter
+      (fun node ->
+        let k = Lyra.Node.live_instances node in
+        if k > bound then Alcotest.failf "%d live instances > bound %d" k bound)
+      c.nodes;
+    Array.fold_left (fun acc node -> acc + Lyra.Node.live_instances node) 0 c.nodes
+  in
+  let at3 = live ~horizon:3_000_000 in
+  let at6 = live ~horizon:6_000_000 in
+  Alcotest.(check int) "same count at 3 s and 6 s" at3 at6
+
 let suite =
   [
     Alcotest.test_case "commit + agreement" `Quick test_basic_commit_and_agreement;
@@ -349,4 +639,10 @@ let suite =
     Alcotest.test_case "pre-GST asynchrony" `Slow test_pre_gst_asynchrony_safe;
     Alcotest.test_case "reveal quorum" `Quick test_reveal_quorum_required;
     prop_prefix_safety_random;
+    Alcotest.test_case "retired answers nudge" `Quick test_retired_answers_nudge;
+    Alcotest.test_case "late vote moves predictor" `Quick test_late_vote_moves_predictor;
+    Alcotest.test_case "help round from retired" `Quick test_help_round_from_retired;
+    Alcotest.test_case "late kinds create nothing" `Quick test_late_kinds_create_nothing;
+    Alcotest.test_case "tally dropped on decision" `Quick test_tally_dropped_on_decision;
+    Alcotest.test_case "live instances bounded" `Quick test_live_instances_bounded;
   ]

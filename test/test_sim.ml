@@ -2,30 +2,30 @@
    and network transport. *)
 
 let test_heap_ordering () =
-  let h = Sim.Event_heap.create () in
-  List.iter (fun t -> Sim.Event_heap.push h ~time:t t) [ 5; 1; 9; 3; 7 ];
-  let order = List.init 5 (fun _ -> fst (Option.get (Sim.Event_heap.pop h))) in
+  let h = Event_heap.create () in
+  List.iter (fun t -> Event_heap.push h ~time:t t) [ 5; 1; 9; 3; 7 ];
+  let order = List.init 5 (fun _ -> fst (Option.get (Event_heap.pop h))) in
   Alcotest.(check (list int)) "sorted" [ 1; 3; 5; 7; 9 ] order
 
 let test_heap_fifo_ties () =
-  let h = Sim.Event_heap.create () in
-  List.iter (fun v -> Sim.Event_heap.push h ~time:42 v) [ "a"; "b"; "c" ];
-  let order = List.init 3 (fun _ -> snd (Option.get (Sim.Event_heap.pop h))) in
+  let h = Event_heap.create () in
+  List.iter (fun v -> Event_heap.push h ~time:42 v) [ "a"; "b"; "c" ];
+  let order = List.init 3 (fun _ -> snd (Option.get (Event_heap.pop h))) in
   Alcotest.(check (list string)) "insertion order" [ "a"; "b"; "c" ] order
 
 let test_heap_grows () =
-  let h = Sim.Event_heap.create () in
+  let h = Event_heap.create () in
   for i = 999 downto 0 do
-    Sim.Event_heap.push h ~time:i i
+    Event_heap.push h ~time:i i
   done;
-  Alcotest.(check int) "size" 1000 (Sim.Event_heap.size h);
+  Alcotest.(check int) "size" 1000 (Event_heap.size h);
   let prev = ref (-1) in
   for _ = 1 to 1000 do
-    let t, _ = Option.get (Sim.Event_heap.pop h) in
+    let t, _ = Option.get (Event_heap.pop h) in
     Alcotest.(check bool) "monotone" true (t > !prev);
     prev := t
   done;
-  Alcotest.(check bool) "empty" true (Sim.Event_heap.is_empty h)
+  Alcotest.(check bool) "empty" true (Event_heap.is_empty h)
 
 (* Property: popping drains events in non-decreasing time order, and
    events pushed with equal times come out in insertion order (the
@@ -35,11 +35,11 @@ let prop_heap_ordering =
   QCheck.Test.make ~name:"heap: time-ordered pops, FIFO on ties" ~count:200
     QCheck.(list (int_bound 7))
     (fun times ->
-      let h = Sim.Event_heap.create () in
-      List.iteri (fun seq t -> Sim.Event_heap.push h ~time:t (t, seq)) times;
+      let h = Event_heap.create () in
+      List.iteri (fun seq t -> Event_heap.push h ~time:t (t, seq)) times;
       let popped = ref [] in
       let rec drain () =
-        match Sim.Event_heap.pop h with
+        match Event_heap.pop h with
         | None -> ()
         | Some (t, (t', seq)) ->
             popped := (t, t', seq) :: !popped;
@@ -48,7 +48,7 @@ let prop_heap_ordering =
       drain ();
       let popped = List.rev !popped in
       List.length popped = List.length times
-      && Sim.Event_heap.is_empty h
+      && Event_heap.is_empty h
       && fst
            (List.fold_left
               (fun (ok, prev) (t, t', seq) ->
@@ -119,7 +119,7 @@ let prop_wheel_heap_equivalence =
     ~count:500
     QCheck.(list (pair (int_bound 7) (int_bound 1_000_000)))
     (fun ops ->
-      let h = Sim.Event_heap.create () in
+      let h = Event_heap.create () in
       let w = Sim.Timing_wheel.create () in
       let floor = ref 0 and clock = ref 0 in
       let seq = ref 0 in
@@ -127,13 +127,13 @@ let prop_wheel_heap_equivalence =
       (* One pop bounded by [until] on both sides; whether one was due. *)
       let pop_both until =
         let due =
-          match Sim.Event_heap.peek_time h with
+          match Event_heap.peek_time h with
           | Some t -> t <= until
           | None -> false
         in
         let p = Sim.Timing_wheel.pop_until w ~until in
         (if due then begin
-           let t, s = Option.get (Sim.Event_heap.pop h) in
+           let t, s = Option.get (Event_heap.pop h) in
            same :=
              !same && Int.equal p s
              && Int.equal t (Sim.Timing_wheel.last_time w);
@@ -145,10 +145,10 @@ let prop_wheel_heap_equivalence =
       in
       let push time =
         incr seq;
-        Sim.Event_heap.push h ~time !seq;
+        Event_heap.push h ~time !seq;
         Sim.Timing_wheel.add w ~time !seq;
         same :=
-          !same && Int.equal (Sim.Event_heap.size h) (Sim.Timing_wheel.size w)
+          !same && Int.equal (Event_heap.size h) (Sim.Timing_wheel.size w)
       in
       List.iter
         (fun (tag, v) ->
@@ -173,7 +173,7 @@ let prop_wheel_heap_equivalence =
         ()
       done;
       !same
-      && Sim.Event_heap.is_empty h
+      && Event_heap.is_empty h
       && Sim.Timing_wheel.is_empty w
       && Int.equal (Sim.Timing_wheel.pop_until w ~until:max_int) (-1))
 
@@ -253,19 +253,19 @@ let prop_wheel_storage_bound =
    from the engine). *)
 module Old_engine = struct
   type t = {
-    heap : (unit -> unit) Sim.Event_heap.t;
+    heap : (unit -> unit) Event_heap.t;
     mutable clock : int;
     mutable live : int;
   }
 
-  let create () = { heap = Sim.Event_heap.create (); clock = 0; live = 0 }
+  let create () = { heap = Event_heap.create (); clock = 0; live = 0 }
 
   let schedule_at t ~time action =
-    Sim.Event_heap.push t.heap ~time action;
+    Event_heap.push t.heap ~time action;
     t.live <- t.live + 1
 
   let step t =
-    match Sim.Event_heap.pop t.heap with
+    match Event_heap.pop t.heap with
     | None -> ()
     | Some (time, action) ->
         t.clock <- time;
@@ -275,7 +275,7 @@ module Old_engine = struct
   let run t ~until =
     let continue = ref true in
     while !continue do
-      match Sim.Event_heap.peek_time t.heap with
+      match Event_heap.peek_time t.heap with
       | Some time when time <= until -> step t
       | Some _ | None -> continue := false
     done;

@@ -85,7 +85,7 @@ let vote1 p ~seq_obs =
 
 let test_valid_init_votes_one () =
   let w = make_world () in
-  let inst = Lyra.Instance.create (make_env w) iid in
+  let inst = Lyra.Instance.create (make_env w) iid ~created_at:0 in
   let p = proposal () in
   Lyra.Instance.on_init inst ~src:1 p None;
   match sent_votes w with
@@ -98,7 +98,7 @@ let test_valid_init_votes_one () =
 let test_invalid_init_votes_zero () =
   let w = make_world () in
   w.validate_result <- false;
-  let inst = Lyra.Instance.create (make_env w) iid in
+  let inst = Lyra.Instance.create (make_env w) iid ~created_at:0 in
   Lyra.Instance.on_init inst ~src:1 (proposal ()) None;
   match sent_votes w with
   | [ Lyra.Types.Vote_zero _ ] -> ()
@@ -106,14 +106,14 @@ let test_invalid_init_votes_zero () =
 
 let test_init_from_wrong_source_ignored () =
   let w = make_world () in
-  let inst = Lyra.Instance.create (make_env w) iid in
+  let inst = Lyra.Instance.create (make_env w) iid ~created_at:0 in
   Lyra.Instance.on_init inst ~src:2 (proposal ()) None;
   Alcotest.(check int) "silent" 0 (List.length w.sent);
   Alcotest.(check bool) "no proposal" true (Lyra.Instance.proposal inst = None)
 
 let test_duplicate_init_ignored () =
   let w = make_world () in
-  let inst = Lyra.Instance.create (make_env w) iid in
+  let inst = Lyra.Instance.create (make_env w) iid ~created_at:0 in
   Lyra.Instance.on_init inst ~src:1 (proposal ()) None;
   let count = List.length w.sent in
   Lyra.Instance.on_init inst ~src:1 (proposal ()) None;
@@ -121,7 +121,7 @@ let test_duplicate_init_ignored () =
 
 let test_quorum_delivers_and_decides_round1 () =
   let w = make_world () in
-  let inst = Lyra.Instance.create (make_env w) iid in
+  let inst = Lyra.Instance.create (make_env w) iid ~created_at:0 in
   let p = proposal () in
   Lyra.Instance.on_init inst ~src:1 p None;
   (* n − f = 3 votes for the digest (self + two peers) *)
@@ -151,7 +151,7 @@ let test_quorum_delivers_and_decides_round1 () =
 let test_equivocation_unicity () =
   (* Votes for two different digests never merge into one quorum. *)
   let w = make_world () in
-  let inst = Lyra.Instance.create (make_env w) iid in
+  let inst = Lyra.Instance.create (make_env w) iid ~created_at:0 in
   let pa = proposal ~tag:"a" () and pb = proposal ~tag:"b" () in
   Lyra.Instance.on_init inst ~src:1 pa None;
   Lyra.Instance.on_vote inst ~src:0 (vote1 pa ~seq_obs:1_001);
@@ -165,7 +165,7 @@ let test_equivocation_unicity () =
 let test_vote_zero_relay_and_delivery () =
   let w = make_world () in
   w.validate_result <- false;
-  let inst = Lyra.Instance.create (make_env w) iid in
+  let inst = Lyra.Instance.create (make_env w) iid ~created_at:0 in
   Lyra.Instance.on_init inst ~src:1 (proposal ()) None;
   (* own VOTE(0) is out; f + 1 = 2 zeros trigger relay — already sent,
      so no duplicate; n − f = 3 zeros deliver (0, ⊥) *)
@@ -195,7 +195,7 @@ let test_vote_zero_relay_and_delivery () =
 let test_round2_rejection_decides_zero () =
   let w = make_world () in
   w.validate_result <- false;
-  let inst = Lyra.Instance.create (make_env w) iid in
+  let inst = Lyra.Instance.create (make_env w) iid ~created_at:0 in
   Lyra.Instance.on_init inst ~src:1 (proposal ()) None;
   List.iter
     (fun src -> Lyra.Instance.on_vote inst ~src (Lyra.Types.Vote_zero { seq_obs = src }))
@@ -213,7 +213,7 @@ let test_deliver_adopts_certified_proposal () =
   (* A process that never saw the INIT adopts the proposal from a
      DELIVER carrying the quorum certificate. *)
   let w = make_world () in
-  let inst = Lyra.Instance.create (make_env w) iid in
+  let inst = Lyra.Instance.create (make_env w) iid ~created_at:0 in
   let p = proposal () in
   Lyra.Instance.on_deliver inst ~src:2 p None;
   Alcotest.(check bool) "adopted" true (Lyra.Instance.proposal inst <> None);
@@ -225,7 +225,7 @@ let test_expire_forces_zero_vote () =
   (* A process that learned of the instance only via votes eventually
      votes 0 after E = 2Δ (Alg. 1 lines 23–24 / VVB-Obligation). *)
   let w = make_world () in
-  let inst = Lyra.Instance.create (make_env w) iid in
+  let inst = Lyra.Instance.create (make_env w) iid ~created_at:0 in
   let p = proposal () in
   Lyra.Instance.on_vote inst ~src:2 (vote1 p ~seq_obs:1_000);
   Alcotest.(check int) "nothing sent yet" 0 (List.length (sent_votes w));
@@ -236,7 +236,7 @@ let test_expire_forces_zero_vote () =
 
 let test_observe_hook_sees_all_votes () =
   let w = make_world () in
-  let inst = Lyra.Instance.create (make_env w) iid in
+  let inst = Lyra.Instance.create (make_env w) iid ~created_at:0 in
   let p = proposal () in
   Lyra.Instance.on_vote inst ~src:2 (vote1 p ~seq_obs:777);
   Lyra.Instance.on_vote inst ~src:3 (Lyra.Types.Vote_zero { seq_obs = 888 });
@@ -244,7 +244,7 @@ let test_observe_hook_sees_all_votes () =
 
 let test_duplicate_votes_ignored () =
   let w = make_world () in
-  let inst = Lyra.Instance.create (make_env w) iid in
+  let inst = Lyra.Instance.create (make_env w) iid ~created_at:0 in
   let p = proposal () in
   Lyra.Instance.on_init inst ~src:1 p None;
   Lyra.Instance.on_vote inst ~src:2 (vote1 p ~seq_obs:1);
@@ -256,7 +256,7 @@ let test_duplicate_votes_ignored () =
 
 let test_rejects_garbage_rounds_and_values () =
   let w = make_world () in
-  let inst = Lyra.Instance.create (make_env w) iid in
+  let inst = Lyra.Instance.create (make_env w) iid ~created_at:0 in
   Lyra.Instance.on_est inst ~src:2 ~round:1 ~value:1 None (* round 1 has no BV *);
   Lyra.Instance.on_est inst ~src:2 ~round:2 ~value:7 None;
   Lyra.Instance.on_aux inst ~src:2 ~round:1 ~values:[ 9 ];

@@ -31,7 +31,7 @@ type cluster = {
 }
 
 let make_cluster ?(seed = 11L) ?(tweak = fun c -> c) ?(byz = fun _ -> None)
-    ?(real_crypto = false) ?adversary ?(on_output = fun _ _ -> ()) n =
+    ?(real_crypto = false) ?adversary ?faults ?(on_output = fun _ _ -> ()) n =
   let engine = Sim.Engine.create ~seed () in
   let base =
     {
@@ -46,7 +46,7 @@ let make_cluster ?(seed = 11L) ?(tweak = fun c -> c) ?(byz = fun _ -> None)
     Sim.Latency.regional ~jitter:0.01 (Sim.Regions.paper_placement n)
   in
   let net =
-    Sim.Network.create engine ~n ~latency ?adversary
+    Sim.Network.create engine ~n ~latency ?adversary ?faults
       ~cost:(fun ~dst:_ m -> Lyra.Types.msg_cost Sim.Costs.default m)
       ~size:Lyra.Types.msg_size ()
   in
