@@ -47,6 +47,11 @@ let genesis_id = "genesis"
 
 let genesis_qc = { q_block = genesis_id; q_height = 0; voters = [] }
 
+let genesis =
+  { b_id = genesis_id; height = 0; parent = genesis_id; justify = genesis_qc; cmds = []; proposer = 0 }
+
+type catchup = { mutable sent : int; mutable inflight : bool }
+
 type 'cmd t = {
   tr : 'cmd transport;
   id : int;
@@ -69,9 +74,8 @@ type 'cmd t = {
   mutable proposed_in : int;  (** last view this replica proposed in *)
   mutable blocks_proposed : int;
   mutable started : bool;
-  catchup_inflight : unit Str_tbl.t;  (** block ids requested *)
-  mutable resync_target : 'cmd block option;
-      (** highest block whose commit stalled on a missing ancestor *)
+  catchup : catchup Str_tbl.t;  (** missing block ids requested *)
+  mutable highest : 'cmd block;  (** highest stored block *)
 }
 
 let view t = t.view_no
@@ -105,33 +109,41 @@ let broadcast t m = t.tr.tr_broadcast m
 let send t ~dst m = t.tr.tr_send ~dst m
 
 (* A block we need is not in the store (its proposal was lost): pull it
-   from [from], who referenced it and therefore has it. The request is
+   from a replica that certified it: [via]'s proposer first, then each
+   voter of [via]'s QC in turn, never this replica. The request is
    deferred by 2Δ and only sent if the block is *still* missing, so a
-   merely out-of-order arrival never costs a message; the in-flight
-   entry expires so a lost response leads to a re-request. *)
-let request_catchup t ~from ~missing =
-  if not (Str_tbl.mem t.catchup_inflight missing) then begin
-    Str_tbl.replace t.catchup_inflight missing ();
+   merely out-of-order arrival never costs a message; the in-flight mark
+   expires so a lost response leads to a re-request. *)
+let request_catchup t ~via ~missing =
+  let c =
+    match Str_tbl.find_opt t.catchup missing with
+    | Some c -> c
+    | None ->
+        let c = { sent = 0; inflight = false } in
+        Str_tbl.replace t.catchup missing c;
+        c
+  in
+  if not c.inflight then begin
+    c.inflight <- true;
     t.tr.tr_schedule ~delay_us:(2 * t.delta_us) (fun () ->
         if Option.is_none (find_block t missing) then begin
-          send t ~dst:from (Catchup_req { missing; have = t.last_committed });
-          t.tr.tr_schedule ~delay_us:(8 * t.delta_us) (fun () ->
-              Str_tbl.remove t.catchup_inflight missing)
-        end
-        else Str_tbl.remove t.catchup_inflight missing)
+          let certifiers =
+            List.filter (fun r -> not (Int.equal r t.id))
+              (via.proposer :: List.filter (fun r -> not (Int.equal r via.proposer)) via.justify.voters)
+          in
+          if certifiers <> [] then begin
+            let dst = List.nth certifiers (c.sent mod List.length certifiers) in
+            c.sent <- c.sent + 1;
+            send t ~dst (Catchup_req { missing; have = t.last_committed })
+          end;
+          t.tr.tr_schedule ~delay_us:(8 * t.delta_us) (fun () -> c.inflight <- false)
+        end)
   end
-
-(* Remember the highest block whose commit evaluation stalled on a
-   missing ancestor; retried when new blocks arrive. *)
-let stall t b =
-  match t.resync_target with
-  | Some cur when cur.height >= b.height -> ()
-  | _ -> t.resync_target <- Some b
 
 (* Commit every uncommitted ancestor of [b] (inclusive), oldest first.
    If an ancestor is missing the whole chain is refused — committing
    around a hole would execute history out of order on this replica —
-   and the gap is fetched instead. Returns whether [b] was committed. *)
+   and the gap is fetched instead. *)
 let commit_chain t b =
   let rec ancestors acc blk =
     if blk.height <= t.last_committed then Ok acc
@@ -141,9 +153,7 @@ let commit_chain t b =
       | None -> Error blk
   in
   match ancestors [] b with
-  | Error blocked ->
-      request_catchup t ~from:blocked.proposer ~missing:blocked.parent;
-      false
+  | Error blocked -> request_catchup t ~via:blocked ~missing:blocked.parent
   | Ok chain ->
       List.iter
         (fun blk ->
@@ -156,45 +166,52 @@ let commit_chain t b =
             in
             if fresh <> [] then t.on_commit ~height:blk.height fresh
           end)
-        chain;
-      true
+        chain
 
-(* Three-chain rule, evaluated when processing a new block bstar:
-   b2 = justify(bstar), b1 = justify(b2), b0 = justify(b1); if the
-   links are parent-consecutive, b0 is committed. Any link into a
-   missing block triggers catch-up and parks bstar for a retry. *)
+(* Three-chain rule for bstar: b2 = justify(bstar), b1 = justify(b2),
+   b0 = justify(b1); if the links are parent-consecutive, b0 is
+   committed. A link into a missing block triggers catch-up. *)
 let try_commit t bstar =
+  let fetch t via = request_catchup t ~via ~missing:via.justify.q_block in
   match find_block t bstar.justify.q_block with
-  | None ->
-      request_catchup t ~from:bstar.proposer ~missing:bstar.justify.q_block;
-      stall t bstar
+  | None -> fetch t bstar
   | Some b2 -> (
       (* Lock on the middle block's QC. *)
       if b2.justify.q_height > t.locked_qc.q_height then
         t.locked_qc <- b2.justify;
       match find_block t b2.justify.q_block with
-      | None ->
-          request_catchup t ~from:b2.proposer ~missing:b2.justify.q_block;
-          stall t bstar
+      | None -> fetch t b2
       | Some b1 -> (
           match find_block t b1.justify.q_block with
-          | None ->
-              request_catchup t ~from:b1.proposer ~missing:b1.justify.q_block;
-              stall t bstar
+          | None -> fetch t b1
           | Some b0 ->
               if
                 String.equal b2.parent b1.b_id
                 && String.equal b1.parent b0.b_id
-              then begin
-                if not (commit_chain t b0) then stall t bstar
-              end))
+              then commit_chain t b0))
 
-let retry_stalled t =
-  match t.resync_target with
-  | None -> ()
-  | Some b ->
-      t.resync_target <- None;
-      try_commit t b
+(* Insert a valid, unseen block; false if it was not stored. *)
+let store t b =
+  let fresh =
+    b.height > 0
+    && Int.equal (leader t b.height) b.proposer
+    && not (Str_tbl.mem t.blocks b.b_id)
+  in
+  if fresh then begin
+    Str_tbl.replace t.blocks b.b_id b;
+    Str_tbl.remove t.catchup b.b_id;
+    update_high_qc t b.justify;
+    if b.height > t.highest.height then t.highest <- b
+  end;
+  fresh
+
+(* Blocks are never removed, so a three-chain that lacked a block can
+   only complete when that block is stored: evaluating each newly
+   stored block, and the highest stored one, whose chain commits every
+   ancestor, misses no commit. *)
+let evaluate t stored =
+  List.iter (try_commit t) stored;
+  if not (List.memq t.highest stored) then try_commit t t.highest
 
 let rec enter_view t v =
   if v > t.view_no then begin
@@ -233,10 +250,7 @@ and maybe_propose t =
   end
 
 let on_proposal t b =
-  if b.height > 0 && Int.equal (leader t b.height) b.proposer && not (Str_tbl.mem t.blocks b.b_id)
-  then begin
-    Str_tbl.replace t.blocks b.b_id b;
-    update_high_qc t b.justify;
+  if store t b then begin
     (* safeNode: extend the locked block, or see a higher QC. *)
     let safe =
       extends t ~anc:t.locked_qc.q_block b.b_id
@@ -248,9 +262,8 @@ let on_proposal t b =
         ~dst:(leader t (b.height + 1))
         (Vote { block_id = b.b_id; height = b.height })
     end;
-    try_commit t b;
-    (* A freshly filled gap may unblock a parked higher block. *)
-    retry_stalled t;
+    (* Evaluate after voting: [safe] reads the lock [b] may raise. *)
+    evaluate t [ b ];
     enter_view t (b.height + 1)
   end
 
@@ -271,16 +284,7 @@ let on_catchup_req t ~src ~missing ~have =
   | [] -> ()
   | blocks -> send t ~dst:src (Catchup_resp { blocks })
 
-let on_catchup_resp t blocks =
-  List.iter
-    (fun b ->
-      if b.height > 0 && not (Str_tbl.mem t.blocks b.b_id) then begin
-        Str_tbl.replace t.blocks b.b_id b;
-        update_high_qc t b.justify;
-        Str_tbl.remove t.catchup_inflight b.b_id
-      end)
-    blocks;
-  retry_stalled t
+let on_catchup_resp t blocks = evaluate t (List.filter (store t) blocks)
 
 let on_vote t ~src ~block_id ~height =
   (* Collect votes if we lead the next view. *)
@@ -365,19 +369,11 @@ let create tr ~id ~delta_us ~block_capacity ~cmd_id ~cmd_key ~on_commit () =
       proposed_in = 0;
       blocks_proposed = 0;
       started = false;
-      catchup_inflight = Str_tbl.create 8;
-      resync_target = None;
+      catchup = Str_tbl.create 8;
+      highest = genesis;
     }
   in
-  Str_tbl.replace t.blocks genesis_id
-    {
-      b_id = genesis_id;
-      height = 0;
-      parent = genesis_id;
-      justify = genesis_qc;
-      cmds = [];
-      proposer = 0;
-    };
+  Str_tbl.replace t.blocks genesis_id genesis;
   t
 
 let start t =

@@ -28,7 +28,11 @@ type 'cmd msg =
   | New_view of { view : int; qc : qc }
   | Catchup_req of { missing : string; have : int }
       (** pull a lost block (and its uncommitted ancestry above
-          [have]); sent when a commit would otherwise skip a gap *)
+          [have]) when a three-chain evaluation meets it missing. It
+          goes to a replica that certified the block: first the
+          proposer of the block that references it, then, each time
+          the request expires unanswered, the next voter of that
+          block's QC; never to the requester itself. *)
   | Catchup_resp of { blocks : 'cmd block list }  (** oldest first *)
 
 (** Sizes for the NIC model: [cmd_size] gives the wire size of one

@@ -132,9 +132,9 @@ let vote_zero t =
 (* Every first contact with the instance starts round 1 and its expiry
    timer: E = 2Δ (Alg. 1 line 6), which also covers the missing-INIT
    case so that every process that heard of the instance eventually
-   votes. *)
+   votes. A halted instance (its decision forced) starts nothing. *)
 let ensure_started t =
-  if not (Dbft.Rounds.started t.rounds) then begin
+  if not (Dbft.Rounds.started t.rounds || halted t) then begin
     Rounds.start t;
     t.env.schedule ~delay_us:(2 * t.env.delta_us) (fun () ->
         if (not (halted t)) && (not t.delivered1) && not t.delivered0 then
@@ -274,19 +274,25 @@ let on_aux t ~src ~round ~values =
 
 (* The VVB is over: INIT, votes and DELIVER change nothing any more,
    bar the distance sample a vote carries. *)
+let close_vvb t =
+  t.init_seen <- true;
+  t.sent_vote0 <- true;
+  t.delivered1 <- true;
+  t.delivered0 <- true;
+  t.deliver_sent <- true
+
 let revive env iid ~created_at ~value ~decision_round ~round proposal =
-  {
-    (create env iid ~created_at) with
-    proposal;
-    init_seen = true;
-    sent_vote0 = true;
-    delivered1 = true;
-    delivered0 = true;
-    deliver_sent = true;
-    rounds =
-      Dbft.Rounds.deferred ~self:env.self ~n:env.n ~delta_us:env.delta_us ~value
-        ~decision_round ~round;
-  }
+  let t =
+    {
+      (create env iid ~created_at) with
+      proposal;
+      rounds =
+        Dbft.Rounds.deferred ~self:env.self ~n:env.n ~delta_us:env.delta_us ~value
+          ~decision_round ~round;
+    }
+  in
+  close_vvb t;
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Lossy-link repair.                                                  *)
@@ -318,12 +324,14 @@ let poke t =
 
 (* Adopt a decision learned outside the instance's own message flow:
    either f+1 matching Decided notices, or an output-log sync that
-   proves the cluster committed (value 1) this instance. *)
+   proves the cluster committed (value 1) this instance. The VVB closes
+   as in [revive]: a late vote quorum or DELIVER then sends nothing. *)
 let force_decide t ~value proposal =
   if decided t = None then begin
     (match proposal with
     | Some _ when t.proposal = None -> t.proposal <- proposal
     | _ -> ());
     Dbft.Rounds.force_decide t.rounds value;
+    close_vvb t;
     t.env.on_decide t.iid ~value ~round:(Dbft.Rounds.round t.rounds) proposal
   end

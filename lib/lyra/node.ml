@@ -277,7 +277,8 @@ let check_early r cipher =
    must be decryptable before anything behind it is output. While an
    output-log sync is in flight, emission pauses entirely: entries
    committed elsewhere during our outage must surface before anything
-   we commit locally, or the prefix diverges. *)
+   we commit locally, or the prefix diverges (the compound-fault
+   sweep in test_faults fails without the pause). *)
 let rec drain_outbox t =
   if t.sync_active then ()
   else
@@ -380,7 +381,13 @@ let pending_blocks_commit t boundary =
                Byzantine gossiper inventing entries to stall the
                prefix — expire, after 2L; they are nudged too, since
                an honest answer both corroborates (the notice creates
-               a local instance) and progresses the repair. *)
+               a local instance) and progresses the repair.
+               Invariant: among correct peers every genuine claim is
+               corroborated before it can expire, so the expiry only
+               ever drops an invented entry. Counting every claim as
+               corroborated changes no safety outcome of the FAULT
+               SWEEP (EXPERIMENTS.md); counting only a local instance
+               breaks prefix agreement there. *)
             let corroborated =
               Types.Iid_tbl.mem t.instances iid
               || (match Types.Iid_tbl.find_opt t.claims iid with

@@ -1,6 +1,7 @@
 (* Chained HotStuff: agreement, dedup, three-chain commit, leader
    rotation, timeout-driven view change under crashes, block command
-   order, and the command pool against the list code it replaced. *)
+   order, catch-up, and the command pool against the list code it
+   replaced. *)
 
 (* [submit] commands reach every replica before it starts. *)
 let make_cluster ?(seed = 21L) ?(delta_us = 40_000) ?(capacity = 10)
@@ -237,6 +238,64 @@ let test_msg_sizes () =
   Alcotest.(check bool) "new_view" true
     (size (Hotstuff.Replica.New_view { view = 3; qc }) > 40)
 
+(* Replica 2 never received block 1, and block 2 (its own) references
+   it: the fetch goes to a voter of block 2's QC, never to replica 2
+   itself, and a re-request after the in-flight mark expires to the
+   next voter. Once the fetched block lands, the highest stored block's
+   three-chain (4 -> 3 -> 2 -> 1) commits it at once, with no further
+   proposal. Blocks are hand-made; the transport records sends and
+   holds timers until [fire]. *)
+let test_catchup_source_and_evaluation () =
+  let sent = ref [] and timers = ref [] in
+  let tr =
+    {
+      Hotstuff.Replica.tr_n = 4;
+      tr_broadcast = (fun _ -> ());
+      tr_send = (fun ~dst m -> sent := (dst, m) :: !sent);
+      tr_schedule = (fun ~delay_us:_ fn -> timers := fn :: !timers);
+    }
+  in
+  let fire () =
+    let due = List.rev !timers in
+    timers := [];
+    List.iter (fun fn -> fn ()) due
+  in
+  let r =
+    Hotstuff.Replica.create tr ~id:2 ~delta_us:1_000 ~block_capacity:10 ~cmd_id:Fun.id
+      ~cmd_key:(fun _ -> 0) ~on_commit:(fun ~height:_ _ -> ()) ()
+  in
+  let block h =
+    let parent = if h = 1 then "genesis" else Printf.sprintf "b%d" (h - 1) in
+    Hotstuff.Replica.Proposal
+      {
+        b_id = Printf.sprintf "b%d" h;
+        height = h;
+        parent;
+        justify = { q_block = parent; q_height = h - 1; voters = [ 0; 1; 3 ] };
+        cmds = [];
+        proposer = h mod 4;
+      }
+  in
+  let requests () =
+    List.filter_map
+      (function dst, Hotstuff.Replica.Catchup_req { missing; _ } -> Some (dst, missing) | _ -> None)
+      (List.rev !sent)
+  in
+  Hotstuff.Replica.handle r ~src:2 (block 2);
+  fire ();
+  Alcotest.(check (list (pair int string))) "first voter, not itself" [ (0, "b1") ] (requests ());
+  fire ();
+  Hotstuff.Replica.handle r ~src:3 (block 3);
+  Hotstuff.Replica.handle r ~src:0 (block 4);
+  fire ();
+  Alcotest.(check (list (pair int string))) "re-request to the next voter"
+    [ (0, "b1"); (1, "b1") ] (requests ());
+  Alcotest.(check int) "nothing committed over the hole" 0 (Hotstuff.Replica.committed_height r);
+  (match block 1 with
+  | Proposal b -> Hotstuff.Replica.handle r ~src:1 (Catchup_resp { blocks = [ b ] })
+  | _ -> assert false);
+  Alcotest.(check int) "committed on arrival" 1 (Hotstuff.Replica.committed_height r)
+
 let suite =
   [
     Alcotest.test_case "commands once + agree" `Quick test_commits_all_commands_once;
@@ -247,4 +306,5 @@ let suite =
     Alcotest.test_case "msg sizes" `Quick test_msg_sizes;
     Alcotest.test_case "block order newest-first" `Quick test_block_order_newest_first;
     QCheck_alcotest.to_alcotest prop_pool_matches_reference;
+    Alcotest.test_case "catch-up source and evaluation" `Quick test_catchup_source_and_evaluation;
   ]

@@ -616,6 +616,47 @@ let test_live_instances_bounded () =
   let at6 = live ~horizon:6_000_000 in
   Alcotest.(check int) "same count at 3 s and 6 s" at3 at6
 
+(* A decision forced by f + 1 Decided notices closes the instance's
+   VVB as retirement's tombstone does: a late VOTE(1) quorum and a late
+   DELIVER for it make node 0 send no vote and no DELIVER. Node 0's
+   peers are all fakes here, so every message it gets is written out. *)
+let test_forced_decision_sends_nothing () =
+  let c = make_cluster 4 in
+  let got = List.map (capture c) [ 1; 2; 3 ] in
+  let iid = { Lyra.Types.proposer = 1; index = 0 } in
+  let p =
+    Lyra.Types.proposal
+      {
+        iid;
+        txs = [| { Lyra.Types.tx_id = "late"; payload = "p"; submitted_at = 0; origin = 1 } |];
+        obf = Lyra.Types.Structural;
+        created_at = 0;
+      }
+      [| Some 0; Some 0; Some 0; Some 0 |]
+  in
+  List.iter
+    (fun src -> inject c ~src ~dst:0 (Decided { iid; value = 1; proposal = Some p }))
+    [ 2; 3 ];
+  run_for c 100_000;
+  let digest = Lyra.Types.proposal_digest p in
+  List.iter
+    (fun src ->
+      inject c ~src ~dst:0 (Vote { iid; vote = Vote_one { digest; share = None; seq_obs = 0 } }))
+    [ 1; 2; 3 ];
+  inject c ~src:2 ~dst:0 (Deliver { iid; proposal = p; proof = None });
+  run_for c 1_000_000;
+  let about_iid =
+    List.concat_map
+      (fun got ->
+        List.filter
+          (function
+            | 0, Lyra.Types.(Vote { iid = i; _ } | Deliver { iid = i; _ }) -> Lyra.Types.iid_equal i iid
+            | _ -> false)
+          !got)
+      got
+  in
+  Alcotest.(check int) "votes and DELIVERs sent" 0 (List.length about_iid)
+
 let suite =
   [
     Alcotest.test_case "commit + agreement" `Quick test_basic_commit_and_agreement;
@@ -645,4 +686,5 @@ let suite =
     Alcotest.test_case "late kinds create nothing" `Quick test_late_kinds_create_nothing;
     Alcotest.test_case "tally dropped on decision" `Quick test_tally_dropped_on_decision;
     Alcotest.test_case "live instances bounded" `Quick test_live_instances_bounded;
+    Alcotest.test_case "forced decision sends nothing" `Quick test_forced_decision_sends_nothing;
   ]

@@ -325,6 +325,35 @@ let test_collects_bounded () =
   Alcotest.(check bool) "some were open" true (!max_open > 0);
   Array.iter (fun nd -> Alcotest.(check int) "none open at the end" 0 (Pompe.Node.open_collects nd)) nodes
 
+(* One link dropped for the whole run is within f: its receiver must
+   still commit. The link's sender leads every n-th view, so each of the
+   receiver's three-chains at n = 4 holds a block it can only fetch; at
+   n = 7 seed 31 the receiver leads the view after the sender, so the
+   block that references the lost one is its own. Every row's receiver
+   ends within 12 committed heights of the highest replica. *)
+let test_one_silent_link_commits () =
+  List.iter
+    (fun (n, seed, src, dst) ->
+      let faults =
+        Sim.Faults.(none |> loss ~from_us:0 ~until_us:20_000_000 ~src ~dst ~drop_p:1.0)
+      in
+      let engine, nodes = make_cluster ~seed ~faults n in
+      for round = 0 to 199 do
+        Sim.Engine.schedule engine ~delay:(round * 100_000) (fun () ->
+            Array.iter
+              (fun nd -> ignore (Pompe.Node.submit nd ~payload:(String.make 32 's') : string))
+              nodes)
+      done;
+      Sim.Engine.run engine ~until:20_000_000;
+      let heights = Array.map Pompe.Node.committed_height nodes in
+      let top = Array.fold_left max 0 heights in
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d seed=%Ld %d->%d heights %s" n seed src dst
+           (String.concat " " (Array.to_list (Array.map string_of_int heights))))
+        true
+        (top - heights.(dst) <= 12))
+    [ (4, 31L, 0, 2); (4, 7L, 0, 2); (4, 31L, 1, 3); (7, 31L, 1, 2) ]
+
 let suite =
   [
     Alcotest.test_case "median sequencing" `Quick test_median_seq;
@@ -342,4 +371,5 @@ let suite =
     Alcotest.test_case "missing payload stops execution" `Quick
       test_missing_payload_stops_execution;
     Alcotest.test_case "collects bounded" `Quick test_collects_bounded;
+    Alcotest.test_case "one silent link commits" `Quick test_one_silent_link_commits;
   ]
