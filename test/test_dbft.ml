@@ -83,6 +83,57 @@ let test_bv_rejects_junk () =
     (try Dbft.Bv_broadcast.on_est bv ~src:9 1 |> fun () -> false
      with Invalid_argument _ -> true)
 
+(* [Senders] against the [bool array] + counter it replaces: random
+   [add]/[mem] sequences, out-of-range ids included, at sizes around
+   the word boundaries. Each step must return the same value or raise
+   the same exception as the model, and the counts and members agree
+   after every step. *)
+let prop_senders_model =
+  let gen =
+    QCheck.Gen.(
+      oneofl [ 1; 7; 8; 9; 16; 62; 63; 64; 65; 100; 1000 ] >>= fun n ->
+      list_size (0 -- 300) (pair bool (int_range (-3) (n + 3))) >|= fun ops -> (n, ops))
+  in
+  let print (n, ops) =
+    Printf.sprintf "n=%d [%s]" n
+      (String.concat "; "
+         (List.map (fun (add, i) -> Printf.sprintf "%s %d" (if add then "add" else "mem") i) ops))
+  in
+  QCheck.Test.make ~name:"senders = bool array + count" ~count:300 (QCheck.make ~print gen)
+    (fun (n, ops) ->
+      let set = Dbft.Senders.create n and model = Array.make n false and count = ref 0 in
+      let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.exn_slot_name e) in
+      List.for_all
+        (fun (add, i) ->
+          let expect =
+            outcome (fun () ->
+                let was = model.(i) in
+                if add && not was then begin
+                  model.(i) <- true;
+                  incr count
+                end;
+                if add then not was else was)
+          in
+          let got =
+            outcome (fun () -> if add then Dbft.Senders.add set i else Dbft.Senders.mem set i)
+          in
+          expect = got
+          && Dbft.Senders.count set = !count
+          && Dbft.Senders.to_list set
+             = List.filter (fun j -> model.(j)) (List.init n Fun.id))
+        ops)
+
+(* One sender set is one small block: 2 + ⌈n/62⌉ words with its header. *)
+let test_senders_size () =
+  let words n =
+    let set = Dbft.Senders.create n in
+    ignore (Dbft.Senders.add set (n - 1) : bool);
+    (* lint: allow S001 a read-only size probe: reachable_words takes an Obj.t *)
+    Obj.reachable_words (Obj.repr set)
+  in
+  Alcotest.(check bool) "n = 100 in at most 4 words" true (words 100 <= 4);
+  Alcotest.(check int) "n = 16" 3 (words 16)
+
 (* Full-protocol runs over the simulated network. *)
 let run_consensus ?(crash = []) ~n ~inputs ~seed () =
   let engine = Sim.Engine.create ~seed () in
@@ -188,4 +239,6 @@ let suite =
     Alcotest.test_case "crash tolerance" `Quick test_with_crashes;
     prop_agreement_random;
     QCheck_alcotest.to_alcotest prop_aux_counters;
+    QCheck_alcotest.to_alcotest prop_senders_model;
+    Alcotest.test_case "senders size" `Quick test_senders_size;
   ]

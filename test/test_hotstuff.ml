@@ -296,6 +296,38 @@ let test_catchup_source_and_evaluation () =
   | _ -> assert false);
   Alcotest.(check int) "committed on arrival" 1 (Hotstuff.Replica.committed_height r)
 
+(* The leader of view 2 at n = 7 (replica 2) certifies block 1 once
+   n − f = 5 distinct replicas voted, and the QC it proposes on lists
+   exactly those voters in ascending order: repeated votes and a vote
+   for another block count nothing. *)
+let test_qc_voters () =
+  let proposals = ref [] in
+  let tr =
+    {
+      Hotstuff.Replica.tr_n = 7;
+      tr_broadcast =
+        (fun m ->
+          match m with Hotstuff.Replica.Proposal b -> proposals := b :: !proposals | _ -> ());
+      tr_send = (fun ~dst:_ _ -> ());
+      tr_schedule = (fun ~delay_us:_ _ -> ());
+    }
+  in
+  let r =
+    Hotstuff.Replica.create tr ~id:2 ~delta_us:1_000 ~block_capacity:10 ~cmd_id:Fun.id
+      ~cmd_key:(fun _ -> 0) ~on_commit:(fun ~height:_ _ -> ()) ()
+  in
+  Hotstuff.Replica.start r;
+  let vote src block_id = Hotstuff.Replica.handle r ~src (Vote { block_id; height = 1 }) in
+  List.iter (fun (src, id) -> vote src id)
+    [ (6, "b1"); (1, "b1"); (6, "b1"); (4, "b1"); (3, "other"); (1, "b1"); (0, "b1") ];
+  Alcotest.(check int) "four voters: no proposal yet" 0 (List.length !proposals);
+  vote 5 "b1";
+  match !proposals with
+  | [ b ] ->
+      Alcotest.(check string) "justifies b1" "b1" b.justify.q_block;
+      Alcotest.(check (list int)) "voters ascending" [ 0; 1; 4; 5; 6 ] b.justify.voters
+  | l -> Alcotest.failf "%d proposals" (List.length l)
+
 let suite =
   [
     Alcotest.test_case "commands once + agree" `Quick test_commits_all_commands_once;
@@ -307,4 +339,5 @@ let suite =
     Alcotest.test_case "block order newest-first" `Quick test_block_order_newest_first;
     QCheck_alcotest.to_alcotest prop_pool_matches_reference;
     Alcotest.test_case "catch-up source and evaluation" `Quick test_catchup_source_and_evaluation;
+    Alcotest.test_case "QC voters" `Quick test_qc_voters;
   ]
