@@ -1,20 +1,16 @@
 type t = {
-  n : int;
   f : int;
   echo : int -> unit;
-  received : bool array array;  (** received.(b).(src) *)
-  count : int array;
+  received : Senders.t array;  (** received.(b): EST(b) senders *)
   echoed : bool array;
   bin : bool array;
 }
 
 let create ~n ~echo =
   {
-    n;
     f = Quorums.max_faulty n;
     echo;
-    received = [| Array.make n false; Array.make n false |];
-    count = [| 0; 0 |];
+    received = [| Senders.create n; Senders.create n |];
     echoed = [| false; false |];
     bin = [| false; false |];
   }
@@ -31,16 +27,15 @@ let input t b =
 
 let on_est t ~src b =
   check_value b;
-  if src < 0 || src >= t.n then invalid_arg "Bv_broadcast.on_est: bad source";
-  if not t.received.(b).(src) then begin
-    t.received.(b).(src) <- true;
-    t.count.(b) <- t.count.(b) + 1;
+  let senders = t.received.(b) in
+  if Senders.add senders src then begin
+    let count = Senders.count senders in
     (* Relay after f+1 so all correct processes reach the 2f+1 bar. *)
-    if t.count.(b) >= t.f + 1 && not t.echoed.(b) then begin
+    if count >= t.f + 1 && not t.echoed.(b) then begin
       t.echoed.(b) <- true;
       t.echo b
     end;
-    if t.count.(b) >= (2 * t.f) + 1 then t.bin.(b) <- true
+    if count >= (2 * t.f) + 1 then t.bin.(b) <- true
   end
 
 let delivered t b =

@@ -2,7 +2,7 @@ let max_rounds = 64
 
 type round_state = {
   bv : Bv_broadcast.t option;  (** None in round 1: the host's values *)
-  aux_from : bool array;  (** senders whose first AUX is counted *)
+  aux_from : Senders.t;  (** senders whose first AUX is counted *)
   aux_sets : int array;  (** senders per AUX set mask ({!Quorums.aux_set}) *)
   mutable coord_value : int option;
   mutable coord_sent : bool;
@@ -106,7 +106,7 @@ module Make (H : HOST) = struct
         let rs =
           {
             bv;
-            aux_from = Array.make t.n false;
+            aux_from = Senders.create t.n;
             aux_sets = Array.make 4 0;
             coord_value = None;
             coord_sent = false;
@@ -259,8 +259,7 @@ module Make (H : HOST) = struct
   let on_aux h ~src ~round values =
     if valid_round round && List.for_all is_binary values then begin
       let rs = touch h (H.rounds h) round in
-      if not rs.aux_from.(src) then begin
-        rs.aux_from.(src) <- true;
+      if Senders.add rs.aux_from src then begin
         let m = Quorums.aux_set values in
         rs.aux_sets.(m) <- rs.aux_sets.(m) + 1;
         try_advance h round

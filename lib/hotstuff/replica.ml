@@ -63,8 +63,8 @@ type 'cmd t = {
   cmd_key : 'cmd -> int;  (** the pool's key *)
   on_commit : height:int -> 'cmd list -> unit;
   blocks : 'cmd block Str_tbl.t;
-  votes : (bool array * int ref) Str_tbl.t;
-  new_views : ((bool array * int ref) * qc ref) Int_tbl.t;
+  votes : Dbft.Senders.t Str_tbl.t;  (** voters per block id, as its next leader *)
+  new_views : Dbft.Senders.t Int_tbl.t;  (** New_view senders per view led *)
   pool : 'cmd Cmd_pool.t;
   mutable view_no : int;
   mutable vheight : int;
@@ -207,11 +207,16 @@ let store t b =
 
 (* Blocks are never removed, so a three-chain that lacked a block can
    only complete when that block is stored: evaluating each newly
-   stored block, and the highest stored one, whose chain commits every
-   ancestor, misses no commit. *)
-let evaluate t stored =
-  List.iter (try_commit t) stored;
-  if not (List.memq t.highest stored) then try_commit t t.highest
+   stored block ([b :: rest]), and the highest stored one, whose chain
+   commits every ancestor, misses no commit. [before] is the highest
+   block before them: only [store] moves [t.highest], so if it has not
+   moved, the highest is not among them and is evaluated last. A loop,
+   not [List.iter], so that a proposal's evaluation allocates nothing. *)
+let rec evaluate t ~before b rest =
+  try_commit t b;
+  match rest with
+  | next :: rest -> evaluate t ~before next rest
+  | [] -> if t.highest == before then try_commit t t.highest
 
 let rec enter_view t v =
   if v > t.view_no then begin
@@ -233,7 +238,7 @@ and maybe_propose t =
   if t.started && Int.equal t.id (leader t v) && t.proposed_in < v then begin
     let quorum_newviews =
       match Int_tbl.find_opt t.new_views v with
-      | Some ((_, count), _) -> !count >= t.n - t.f
+      | Some senders -> Dbft.Senders.count senders >= t.n - t.f
       | None -> false
     in
     if Int.equal t.high_qc.q_height (v - 1) || quorum_newviews then begin
@@ -250,6 +255,7 @@ and maybe_propose t =
   end
 
 let on_proposal t b =
+  let before = t.highest in
   if store t b then begin
     (* safeNode: extend the locked block, or see a higher QC. *)
     let safe =
@@ -263,7 +269,7 @@ let on_proposal t b =
         (Vote { block_id = b.b_id; height = b.height })
     end;
     (* Evaluate after voting: [safe] reads the lock [b] may raise. *)
-    evaluate t [ b ];
+    evaluate t ~before b [];
     enter_view t (b.height + 1)
   end
 
@@ -284,55 +290,46 @@ let on_catchup_req t ~src ~missing ~have =
   | [] -> ()
   | blocks -> send t ~dst:src (Catchup_resp { blocks })
 
-let on_catchup_resp t blocks = evaluate t (List.filter (store t) blocks)
+let on_catchup_resp t blocks =
+  let before = t.highest in
+  match List.filter (store t) blocks with
+  | b :: rest -> evaluate t ~before b rest
+  | [] -> try_commit t t.highest
 
 let on_vote t ~src ~block_id ~height =
   (* Collect votes if we lead the next view. *)
   if Int.equal (leader t (height + 1)) t.id then begin
-    let voters, count =
+    let voters =
       match Str_tbl.find_opt t.votes block_id with
-      | Some vc -> vc
+      | Some voters -> voters
       | None ->
-          let vc = (Array.make t.n false, ref 0) in
-          Str_tbl.replace t.votes block_id vc;
-          vc
+          let voters = Dbft.Senders.create t.n in
+          Str_tbl.replace t.votes block_id voters;
+          voters
     in
-    if not voters.(src) then begin
-      voters.(src) <- true;
-      incr count;
-      if Int.equal !count (t.n - t.f) then begin
-        let voters_list =
-          Array.to_list voters
-          |> List.mapi (fun i b -> (i, b))
-          |> List.filter snd |> List.map fst
-        in
-        update_high_qc t
-          { q_block = block_id; q_height = height; voters = voters_list };
-        enter_view t (height + 1);
-        maybe_propose t
-      end
+    if Dbft.Senders.add voters src && Int.equal (Dbft.Senders.count voters) (t.n - t.f)
+    then begin
+      update_high_qc t
+        { q_block = block_id; q_height = height; voters = Dbft.Senders.to_list voters };
+      enter_view t (height + 1);
+      maybe_propose t
     end
   end
 
 let on_new_view t ~src ~view_v qc =
   update_high_qc t qc;
   if Int.equal (leader t (view_v + 1)) t.id then begin
-    let (senders, count), best =
+    let senders =
       match Int_tbl.find_opt t.new_views (view_v + 1) with
-      | Some e -> e
+      | Some senders -> senders
       | None ->
-          let e = ((Array.make t.n false, ref 0), ref qc) in
-          Int_tbl.replace t.new_views (view_v + 1) e;
-          e
+          let senders = Dbft.Senders.create t.n in
+          Int_tbl.replace t.new_views (view_v + 1) senders;
+          senders
     in
-    if not senders.(src) then begin
-      senders.(src) <- true;
-      incr count;
-      if qc.q_height > !best.q_height then best := qc;
-      if !count >= t.n - t.f then begin
-        enter_view t (view_v + 1);
-        maybe_propose t
-      end
+    if Dbft.Senders.add senders src && Dbft.Senders.count senders >= t.n - t.f then begin
+      enter_view t (view_v + 1);
+      maybe_propose t
     end
   end
 

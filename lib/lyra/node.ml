@@ -15,8 +15,7 @@ type pending_entry = {
    partition must still corroborate once the partition heals, even if
    the pending entry lapsed in between. *)
 type claim = {
-  cl_peers : bool array;  (** distinct claiming peers, over all time *)
-  mutable cl_count : int;
+  cl_peers : Dbft.Senders.t;  (** distinct claiming peers, over all time *)
   mutable cl_lapsed : bool;  (** expired uncorroborated at least once *)
 }
 
@@ -24,8 +23,7 @@ type claim = {
    Each share is checked once: on arrival when the cipher is held,
    else at decryption. *)
 type reveal_state = {
-  senders : bool array;
-  mutable count : int;
+  senders : Dbft.Senders.t;
   mutable checked : Crypto.Vss.checked_share list;
   mutable early : Crypto.Vss.decryption_share list;  (** before the cipher *)
 }
@@ -49,7 +47,7 @@ type slot =
 (* Tally of Decided notices for an instance this node has not decided
    itself; adopted once f+1 distinct senders agree on the value. *)
 type decided_tally = {
-  d_senders : bool array;
+  d_senders : Dbft.Senders.t;
   mutable d_ones : int;
   mutable d_zeros : int;
   mutable d_prop : Types.proposal option;
@@ -233,21 +231,14 @@ let reveal_state t iid =
   match Types.Iid_tbl.find_opt t.reveals iid with
   | Some r -> r
   | None ->
-      let r =
-        {
-          senders = Array.make t.config.n false;
-          count = 0;
-          checked = [];
-          early = [];
-        }
-      in
+      let r = { senders = Dbft.Senders.create t.config.n; checked = []; early = [] } in
       Types.Iid_tbl.replace t.reveals iid r;
       r
 
 let reveal_complete t iid =
   match Types.Iid_tbl.find_opt t.reveals iid with
   | None -> false
-  | Some r -> r.count >= supermajority t
+  | Some r -> Dbft.Senders.count r.senders >= supermajority t
 
 (* Stamps a phase milestone of [iid] if it is an own batch. *)
 let stamp_own t iid milestone =
@@ -323,11 +314,10 @@ let on_reveal t ~src iid share =
   | _ ->
       let r = reveal_state t iid in
       let accept () =
-        r.senders.(src) <- true;
-        r.count <- r.count + 1;
+        ignore (Dbft.Senders.add r.senders src : bool);
         drain_outbox t
       in
-      if not r.senders.(src) then (
+      if not (Dbft.Senders.mem r.senders src) then (
         match share with
         | None -> if not t.config.real_crypto then accept ()
         | Some s when not (Int.equal s.Crypto.Vss.holder src) -> ()
@@ -391,7 +381,7 @@ let pending_blocks_commit t boundary =
             let corroborated =
               Types.Iid_tbl.mem t.instances iid
               || (match Types.Iid_tbl.find_opt t.claims iid with
-                 | Some c -> c.cl_count > Config.f t.config
+                 | Some c -> Dbft.Senders.count c.cl_peers > Config.f t.config
                  | None -> false)
             in
             if corroborated then begin
@@ -854,16 +844,11 @@ let absorb_claim t ~src iid seq =
       match Types.Iid_tbl.find_opt t.claims iid with
       | Some c -> c
       | None ->
-          let c =
-            { cl_peers = Array.make t.config.n false; cl_count = 0; cl_lapsed = false }
-          in
+          let c = { cl_peers = Dbft.Senders.create t.config.n; cl_lapsed = false } in
           Types.Iid_tbl.replace t.claims iid c;
           c
     in
-    if not cl.cl_peers.(src) then begin
-      cl.cl_peers.(src) <- true;
-      cl.cl_count <- cl.cl_count + 1
-    end;
+    ignore (Dbft.Senders.add cl.cl_peers src : bool);
     if not (Types.Iid_map.mem iid t.pending) then begin
       let decided = decided t iid in
       (* A claim that already expired once is only re-admitted when
@@ -873,7 +858,9 @@ let absorb_claim t ~src iid seq =
          test_faults checks is the honest side: no genuine entry
          expires before it is learned, which would show up as a late
          accept or a prefix break. *)
-      if (not decided) && ((not cl.cl_lapsed) || cl.cl_count > Config.f t.config)
+      if
+        (not decided)
+        && ((not cl.cl_lapsed) || Dbft.Senders.count cl.cl_peers > Config.f t.config)
       then begin
         t.min_pending_dirty <- true;
         t.pending <-
@@ -1119,7 +1106,7 @@ let on_decided t ~src iid ~value proposal =
         | None ->
             let d =
               {
-                d_senders = Array.make t.config.n false;
+                d_senders = Dbft.Senders.create t.config.n;
                 d_ones = 0;
                 d_zeros = 0;
                 d_prop = None;
@@ -1128,8 +1115,7 @@ let on_decided t ~src iid ~value proposal =
             Types.Iid_tbl.replace t.decided_votes iid d;
             d
       in
-      if not tally.d_senders.(src) then begin
-        tally.d_senders.(src) <- true;
+      if Dbft.Senders.add tally.d_senders src then begin
         if value = 1 then begin
           tally.d_ones <- tally.d_ones + 1;
           if tally.d_prop = None then tally.d_prop <- proposal
