@@ -25,11 +25,7 @@ let default ~n =
 
 let fetch_base_us = 200_000
 
-let fetch_retry_max = 10
-
 let order_retry_us = 1_000_000
-
-let order_retry_max = 8
 
 let f t = Dbft.Quorums.max_faulty t.n
 

@@ -18,16 +18,12 @@ val default : n:int -> t
 
 (** {2 Fixed retry constants} *)
 
-(** First payload-fetch backoff step: 200 ms. *)
+(** Payload-fetch period: 200 ms. Each time it expires without the
+    payload, the next node in turn is asked. *)
 val fetch_base_us : int
 
-(** Payload fetch attempts before giving up: 10. *)
-val fetch_retry_max : int
-
-(** First Order_req re-broadcast delay: 1 s. *)
+(** First Order_req re-broadcast delay: 1 s. The delay doubles up to
+    16 s and the re-broadcasts go on until the batch is sequenced. *)
 val order_retry_us : int
-
-(** Ordering-phase retries before giving up: 8. *)
-val order_retry_max : int
 
 val supermajority : t -> int

@@ -4,7 +4,7 @@ module Int_tbl = Lyra.Types.Int_tbl
 type output = { batch : Lyra.Types.batch; seq : int; output_at : int }
 
 (* An own proposal's ordering phase in progress; the entry is removed
-   once the proposal is sequenced or given up. *)
+   once the proposal is sequenced. *)
 type ts_collect = {
   responders : Dbft.Senders.t;
   mutable proofs : Types.timestamp_proof list;
@@ -24,16 +24,15 @@ end)
 (* What a node knows of one batch id, from the first message that
    names it: the payload once an Order_req brings it, the timestamp
    this node signed for it ([min_int] until its Ts_resp goes out),
-   whether its Sequenced was admitted, and the bounded payload fetch of
-   a committed batch whose Order_req never arrived ([fetch_attempts]
-   0: not started; read only while the payload is missing). Without
-   the bound the retry loop in [flush_exec] spun forever on lossy
-   links. *)
+   whether its Sequenced was admitted, and the payload fetch of a
+   committed batch whose Order_req never arrived: the node last asked
+   ([fetch_from] -1: not fetching) and when the next node is due
+   (both read only while the payload is missing). *)
 type entry = {
   mutable batch : Lyra.Types.batch option;
   mutable ts_sent : int;
   mutable sequenced : bool;
-  mutable fetch_attempts : int;
+  mutable fetch_from : int;
   mutable fetch_next_at : int;
 }
 
@@ -50,7 +49,6 @@ type t = {
   mutable replica : Types.cmd Hotstuff.Replica.t option;
   entries : entry Iid_tbl.t;
   collects : ts_collect Int_tbl.t;  (** per open own proposal index *)
-  mutable order_giveups : int;
   mutable exec_buffer : Exec_queue.t;
   mutable max_committed_seq : int;
   mutable max_commit_lag_us : int;
@@ -70,7 +68,7 @@ type t = {
    i.e. the ordering phase of §4), [consensus] (Sequenced → HotStuff
    3-chain commit), [stable_exec] (commit → stable-execution output,
    the wait that dominates Pompē's latency gap versus Lyra in Fig. 2),
-   [e2e] (propose → output). An ordering give-up drops the entry. *)
+   [e2e] (propose → output). *)
 let phase_spans =
   [
     ("order", "propose", "seq");
@@ -87,8 +85,6 @@ let committed_height t =
   match t.replica with Some r -> Hotstuff.Replica.committed_height r | None -> 0
 
 let mempool_size t = Lyra.Mempool.length t.mempool
-
-let order_giveups t = t.order_giveups
 
 let open_collects t = Int_tbl.length t.collects
 
@@ -114,37 +110,34 @@ let entry t iid =
   | Some e -> e
   | None ->
       let e =
-        { batch = None; ts_sent = min_int; sequenced = false; fetch_attempts = 0;
+        { batch = None; ts_sent = min_int; sequenced = false; fetch_from = -1;
           fetch_next_at = 0 }
       in
       Iid_tbl.replace t.entries iid e;
       e
 
-(* Missing payload for a committed batch: pull it from the proposer
-   with exponentially backed-off [Order_fetch]s. Returns [true] once
-   the retry budget is exhausted (the caller gives up on the entry). *)
+(* Missing payload for a committed batch: the first [Order_fetch] goes
+   to the proposer, then each [Config.fetch_base_us] to the next node id
+   in turn, skipping this node, until the payload arrives. Every node
+   that timestamped the batch holds it, so the walk reaches one. *)
 let fetch_payload t iid e now =
-  if e.fetch_attempts = 0 then begin
-    e.fetch_attempts <- 1;
+  if e.fetch_from < 0 || now >= e.fetch_next_at then begin
+    let next i = (i + 1) mod t.config.Config.n in
+    let dst =
+      if e.fetch_from < 0 then iid.Lyra.Types.proposer
+      else
+        let d = next e.fetch_from in
+        if Int.equal d t.id then next d else d
+    in
+    e.fetch_from <- dst;
     e.fetch_next_at <- now + Config.fetch_base_us;
-    send t ~dst:iid.Lyra.Types.proposer (Types.Order_fetch { iid });
-    false
-  end
-  else if e.fetch_attempts >= Config.fetch_retry_max then true
-  else begin
-    if now >= e.fetch_next_at then begin
-      e.fetch_attempts <- e.fetch_attempts + 1;
-      e.fetch_next_at <- now + (Config.fetch_base_us lsl min 6 e.fetch_attempts);
-      send t ~dst:iid.Lyra.Types.proposer (Types.Order_fetch { iid })
-    end;
-    false
+    send t ~dst (Types.Order_fetch { iid })
   end
 
 (* Executes the buffered entries with seq <= [horizon], lowest first.
-   A missing payload is fetched (bounded) and stops the drain; on
-   give-up its entry is skipped, so one unrecoverable payload cannot
-   stall execution forever (the hole is visible to the invariant
-   monitor). *)
+   A missing payload stops the drain until it arrives; meanwhile the
+   fetch of every missing payload up to the horizon advances, so they
+   arrive together rather than one fetch after another. *)
 let rec drain t horizon =
   if not (Exec_queue.is_empty t.exec_buffer) then begin
     let ((seq, iid) as head) = Exec_queue.min_elt t.exec_buffer in
@@ -160,10 +153,12 @@ let rec drain t horizon =
           t.on_output out;
           drain t horizon
       | None ->
-          if fetch_payload t iid e (Sim.Engine.now t.engine) then begin
-            t.exec_buffer <- Exec_queue.remove head t.exec_buffer;
-            drain t horizon
-          end
+          let now = Sim.Engine.now t.engine in
+          Exec_queue.to_seq_from head t.exec_buffer
+          |> Seq.take_while (fun (s, _) -> s <= horizon)
+          |> Seq.iter (fun (_, iid) ->
+                 let e = entry t iid in
+                 if Option.is_none e.batch then fetch_payload t iid e now)
   end
 
 let flush_exec t =
@@ -222,9 +217,12 @@ let submit_cmd t (cmd : Types.cmd) =
     | Some r -> Hotstuff.Replica.submit r cmd
     | None -> ()
 
+(* An Order_req from the proposer is timestamped; one relayed by
+   another holder answers this node's [Order_fetch] and only fills the
+   payload it is fetching. *)
 let on_order_req t ~src batch =
   let iid = batch.Lyra.Types.iid in
-  if Int.equal iid.Lyra.Types.proposer src then
+  if Int.equal iid.Lyra.Types.proposer src then begin
     let e = entry t iid in
     match e.batch with
     | None ->
@@ -243,12 +241,19 @@ let on_order_req t ~src batch =
            (the proposer's responder set makes this idempotent). *)
         if not (Int.equal e.ts_sent min_int) then
           send t ~dst:src (Types.Ts_resp { iid; ts = e.ts_sent })
+  end
+  else
+    match Iid_tbl.find_opt t.entries iid with
+    | Some ({ batch = None; _ } as e) when e.fetch_from >= 0 ->
+        e.batch <- Some batch;
+        t.on_observe batch;
+        flush_exec t
+    | Some _ | None -> ()
 
 let on_order_fetch t ~src iid =
-  if Int.equal iid.Lyra.Types.proposer t.id then
-    match Iid_tbl.find_opt t.entries iid with
-    | Some { batch = Some batch; _ } -> send t ~dst:src (Types.Order_req { batch })
-    | Some { batch = None; _ } | None -> ()
+  match Iid_tbl.find_opt t.entries iid with
+  | Some { batch = Some batch; _ } -> send t ~dst:src (Types.Order_req { batch })
+  | Some { batch = None; _ } | None -> ()
 
 (* A crashed node holds its transactions; the recovery hook re-enters. *)
 let rec maybe_propose t =
@@ -280,21 +285,14 @@ and propose_batch t txs =
   arm_order_retry t index batch 1
 
 (* Lost Order_reqs or Ts_resps would strand the collect below 2f+1 and
-   leak the inflight slot forever; re-broadcast with doubling delays
-   (generous enough never to fire on a healthy run), then give up and
-   free the slot. *)
+   hold the inflight slot; re-broadcast with doubling delays capped at
+   16 [Config.order_retry_us] (generous enough never to fire on a
+   healthy run) until the batch is sequenced. *)
 and arm_order_retry t index batch attempt =
   let delay = Config.order_retry_us * (1 lsl min 4 (attempt - 1)) in
   Sim.Engine.schedule t.engine ~delay (fun () ->
       if Int_tbl.mem t.collects index then
-        if attempt >= Config.order_retry_max then begin
-          Int_tbl.remove t.collects index;
-          t.order_giveups <- t.order_giveups + 1;
-          t.inflight <- max 0 (t.inflight - 1);
-          Metrics.Phases.drop t.phases ~key:index;
-          maybe_propose t
-        end
-        else if Sim.Network.is_crashed t.net t.id then
+        if Sim.Network.is_crashed t.net t.id then
           (* Crashed: keep the slot, check again after recovery. *)
           arm_order_retry t index batch attempt
         else begin
@@ -381,7 +379,6 @@ let create config net ~id ?(clock_offset_us = 0)
       replica = None;
       entries = Iid_tbl.create 128;
       collects = Int_tbl.create 32;
-      order_giveups = 0;
       exec_buffer = Exec_queue.empty;
       max_committed_seq = 0;
       max_commit_lag_us = 0;

@@ -49,12 +49,8 @@ val sequenced_count : t -> int
 
 val committed_height : t -> int
 
-(** Own batches abandoned in the ordering phase after exhausting
-    Order_req retries (e.g. the cluster was partitioned away). *)
-val order_giveups : t -> int
-
-(** Own batches still in the ordering phase: neither sequenced nor
-    given up. At most [max_inflight]. *)
+(** Own batches still in the ordering phase, not yet sequenced. At
+    most [max_inflight]. *)
 val open_collects : t -> int (* lint: allow S005 bounded-state probe for test_pompe *)
 
 (** Client transactions waiting in the {!Lyra.Mempool}. *)

@@ -40,8 +40,9 @@ type body =
       proofs : timestamp_proof list;
     }
   | Order_fetch of { iid : Lyra.Types.iid }
-      (** pull-based payload recovery: ask the proposer to re-send an
-          [Order_req] whose payload a lossy link swallowed *)
+      (** pull-based payload recovery of a committed batch whose
+          [Order_req] a lossy link swallowed: any node holding the
+          payload answers with that [Order_req] *)
   | Hs of cmd Hotstuff.Replica.msg
 
 val msg_size : body -> int

@@ -89,9 +89,7 @@ let make ?(tweak = fun c -> c) ?(censor = fun _ _ -> false)
     let stats t =
       {
         Node_intf.accepted = Pompe.Node.sequenced_count t.node;
-        (* Ordering-phase give-ups are the closest Pompē analogue of a
-           rejected own proposal. *)
-        rejected = Pompe.Node.order_giveups t.node;
+        rejected = 0;
         decide_rounds = [||];
         mempool = Pompe.Node.mempool_size t.node;
         committed_seq = Pompe.Node.committed_height t.node;

@@ -1,9 +1,11 @@
 (* The Pompē baseline: median sequencing, agreement, stable in-order
    execution, censorship hooks, timestamp withholding. *)
 
-(* [on_send] sees every message sent between two distinct nodes. *)
+(* [on_send] sees every message sent between two distinct nodes, and
+   [on_recv ~dst] every message that reaches a live [dst]. *)
 let make_cluster ?(seed = 31L) ?(censors = []) ?respond_ts_for
-    ?(on_observe = fun _ _ -> ()) ?(on_send = fun _ -> ()) ?faults n =
+    ?(on_observe = fun _ _ -> ()) ?(on_send = fun _ -> ()) ?(on_recv = fun ~dst:_ _ -> ())
+    ?faults n =
   let engine = Sim.Engine.create ~seed () in
   let cfg =
     { (Pompe.Config.default ~n) with batch_size = 5; batch_timeout_us = 20_000 }
@@ -11,7 +13,9 @@ let make_cluster ?(seed = 31L) ?(censors = []) ?respond_ts_for
   let latency = Sim.Latency.regional ~jitter:0.01 (Sim.Regions.paper_placement n) in
   let net =
     Sim.Network.create engine ~n ~latency ?faults
-      ~cost:(fun ~dst:_ b -> Pompe.Types.msg_cost Sim.Costs.default b)
+      ~cost:(fun ~dst b ->
+        on_recv ~dst b;
+        Pompe.Types.msg_cost Sim.Costs.default b)
       ~size:(fun b ->
         on_send b;
         Pompe.Types.msg_size b)
@@ -275,34 +279,35 @@ let prop_exec_queue_matches_sorted_list =
       same && snd (drain_queue max_int q []) = l)
 
 (* Node 2 loses node 0's Order_req, and node 0 crashes once its batch
-   is sequenced, so node 2 commits that batch with no payload and no
-   one to fetch it from. Execution stops there: node 1's later batch,
-   which node 1 has already executed, waits on node 2 until node 0
-   recovers and answers the fetch. *)
-let test_missing_payload_stops_execution () =
+   is sequenced, so node 2 commits that batch with no payload while its
+   proposer is down. Execution waits on the fetch, which asks node 0
+   first and node 1 next; node 1 holds the payload, so node 2 executes
+   both batches, in order, before node 0 recovers. *)
+let test_missing_payload_fetched_from_holder () =
   let faults =
     Sim.Faults.(
       none
       |> loss ~from_us:0 ~until_us:400_000 ~src:0 ~dst:2 ~drop_p:1.0
       |> crash ~node:0 ~at_us:500_000 ~recover_us:4_000_000)
   in
-  let fetched = ref false in
-  let on_send = function
-    | Pompe.Types.Order_fetch { iid } when iid.Lyra.Types.proposer = 0 -> fetched := true
+  let b0 = { Lyra.Types.proposer = 0; index = 0 } and b1 = { Lyra.Types.proposer = 1; index = 0 } in
+  let sent = ref 0 and reached = ref [] in
+  let on_send = function Pompe.Types.Order_fetch { iid } when iid = b0 -> incr sent | _ -> () in
+  let on_recv ~dst = function
+    | Pompe.Types.Order_fetch { iid } when iid = b0 -> reached := dst :: !reached
     | _ -> ()
   in
-  let engine, nodes = make_cluster ~faults ~on_send 4 in
+  let engine, nodes = make_cluster ~faults ~on_send ~on_recv 4 in
   ignore (Pompe.Node.submit nodes.(0) ~payload:(String.make 32 'x') : string);
   Sim.Engine.schedule engine ~delay:100_000 (fun () ->
       ignore (Pompe.Node.submit nodes.(1) ~payload:(String.make 32 'y') : string));
   Sim.Engine.run engine ~until:3_900_000;
-  let b0 = { Lyra.Types.proposer = 0; index = 0 } and b1 = { Lyra.Types.proposer = 1; index = 0 } in
   Alcotest.(check bool) "node 1 executed both, in order" true (outputs_of nodes.(1) = [ b0; b1 ]);
-  Alcotest.(check bool) "node 2 fetched the missing payload" true !fetched;
-  Alcotest.(check int) "node 2 executed nothing" 0 (List.length (outputs_of nodes.(2)));
-  Sim.Engine.run engine ~until:12_000_000;
-  Alcotest.(check bool) "node 2 executed both after the recovery" true
-    (outputs_of nodes.(2) = [ b0; b1 ])
+  Alcotest.(check bool) "node 2 executed both, in order" true (outputs_of nodes.(2) = [ b0; b1 ]);
+  (* The first fetch went to the crashed proposer, so only the second
+     reached anyone. *)
+  Alcotest.(check int) "two fetches" 2 !sent;
+  Alcotest.(check (list int)) "the second reached node 1" [ 1 ] !reached
 
 (* An own proposal's collect entry goes once it is sequenced (or given
    up), so the table never holds more than the in-flight window, and
@@ -326,11 +331,14 @@ let test_collects_bounded () =
   Array.iter (fun nd -> Alcotest.(check int) "none open at the end" 0 (Pompe.Node.open_collects nd)) nodes
 
 (* One link dropped for the whole run is within f: its receiver must
-   still commit. The link's sender leads every n-th view, so each of the
-   receiver's three-chains at n = 4 holds a block it can only fetch; at
-   n = 7 seed 31 the receiver leads the view after the sender, so the
-   block that references the lost one is its own. Every row's receiver
-   ends within 12 committed heights of the highest replica. *)
+   still commit and execute. The link's sender leads every n-th view, so
+   each of the receiver's three-chains at n = 4 holds a block it can
+   only fetch; at n = 7 seed 31 the receiver leads the view after the
+   sender, so the block that references the lost one is its own. Every
+   row's receiver ends within 12 committed heights of the highest
+   replica, and its executed log holds at least 85 % of the longest:
+   the payloads its proposer's Order_reqs would have carried come from
+   the other holders. *)
 let test_one_silent_link_commits () =
   List.iter
     (fun (n, seed, src, dst) ->
@@ -351,8 +359,43 @@ let test_one_silent_link_commits () =
         (Printf.sprintf "n=%d seed=%Ld %d->%d heights %s" n seed src dst
            (String.concat " " (Array.to_list (Array.map string_of_int heights))))
         true
-        (top - heights.(dst) <= 12))
+        (top - heights.(dst) <= 12);
+      let executed = Array.map (fun nd -> List.length (Pompe.Node.output_log nd)) nodes in
+      let longest = Array.fold_left max 0 executed in
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d seed=%Ld %d->%d executed %s" n seed src dst
+           (String.concat " " (Array.to_list (Array.map string_of_int executed))))
+        true
+        (100 * executed.(dst) >= 85 * longest))
     [ (4, 31L, 0, 2); (4, 7L, 0, 2); (4, 31L, 1, 3); (7, 31L, 1, 2) ]
+
+(* Node 0 is cut off from 2 s to 102 s of a 130 s run (n = 4, seed 3,
+   two closed-loop clients per node). Its unsequenced batches keep
+   being re-broadcast through the partition, are sequenced after the
+   heal and commit with their client transactions, and its clients
+   resume. *)
+let test_long_partition_keeps_batches () =
+  let faults =
+    Sim.Faults.(none |> partition ~from_us:2_000_000 ~heal_us:102_000_000 ~island:[ 0 ])
+  in
+  let r =
+    Harness.Scenario.run ~seed:3L ~faults
+      (Option.get (Protocol.Registry.get "pompe"))
+      ~n:4 ~load:(Harness.Scenario.Closed 2) ~duration_us:130_000_000 ()
+  in
+  let from_0 =
+    List.length
+      (List.filter (fun (key, _) -> String.starts_with ~prefix:"0/" key) r.honest_logs.(1))
+  in
+  Alcotest.(check (list string)) "clean" []
+    (List.map
+       (fun (f : Harness.Oracle.finding) -> f.oracle)
+       (Harness.Oracle.check ~liveness:Harness.Oracle.Off r));
+  Alcotest.(check bool) (Printf.sprintf "%d node-0 batches in node 1's log" from_0) true (from_0 >= 10);
+  Alcotest.(check bool)
+    (Printf.sprintf "node 0's clients submitted %d" r.submitted_by.(0))
+    true
+    (r.submitted_by.(0) >= 20)
 
 (* One real node [id] among stub peers that record what reaches them
    as (peer, src, body); [inject ~src body] delivers one message to the
@@ -366,7 +409,7 @@ type hand_fed = {
   inbox : unit -> (int * int * Pompe.Types.body) list;
 }
 
-let hand_fed ~id =
+let hand_fed ?on_observe ~id () =
   let n = 4 in
   let engine = Sim.Engine.create ~seed:5L () in
   let cfg = { (Pompe.Config.default ~n) with delta_us = 10_000; batch_size = 1 } in
@@ -375,7 +418,7 @@ let hand_fed ~id =
       ~cost:(fun ~dst:_ b -> Pompe.Types.msg_cost Sim.Costs.default b)
       ~size:Pompe.Types.msg_size ()
   in
-  let node = Pompe.Node.create cfg net ~id () in
+  let node = Pompe.Node.create cfg net ~id ?on_observe () in
   let inbox = ref [] in
   for peer = 0 to n - 1 do
     if peer <> id then
@@ -388,9 +431,9 @@ let hand_fed ~id =
   in
   { node; inject; idle; inbox = (fun () -> List.rev !inbox) }
 
-let foreign_batch ~proposer =
+let foreign_batch ?(index = 0) ~proposer () =
   {
-    Lyra.Types.iid = { proposer; index = 0 };
+    Lyra.Types.iid = { proposer; index };
     txs = [| { Lyra.Types.tx_id = "t"; payload = "p"; submitted_at = 0; origin = proposer } |];
     obf = Lyra.Types.Clear;
     created_at = 0;
@@ -399,8 +442,8 @@ let foreign_batch ~proposer =
 (* A proposer that retries its Order_req gets the timestamp this node
    signed on first receipt, not a fresh clock reading. *)
 let test_duplicate_order_req () =
-  let h = hand_fed ~id:0 in
-  let batch = foreign_batch ~proposer:2 in
+  let h = hand_fed ~id:0 () in
+  let batch = foreign_batch ~proposer:2 () in
   h.inject ~src:2 (Order_req { batch });
   h.idle 300_000;
   h.inject ~src:2 (Order_req { batch });
@@ -418,7 +461,7 @@ let test_duplicate_order_req () =
 (* A repeated Sequenced is admitted once: it counts once, and the block
    this node then proposes as view 1's leader carries the batch once. *)
 let test_duplicate_sequenced () =
-  let h = hand_fed ~id:1 in
+  let h = hand_fed ~id:1 () in
   let iid = { Lyra.Types.proposer = 2; index = 0 } in
   let proofs = List.map (fun signer -> { Pompe.Types.signer; ts = 1_000 }) [ 0; 2; 3 ] in
   for _ = 1 to 3 do
@@ -436,38 +479,46 @@ let test_duplicate_sequenced () =
   in
   Alcotest.(check bool) "one command for the batch" true (proposed = [ iid ])
 
-(* Order_fetch is answered with the node's own batches only: not with a
-   peer's batch it holds, nor with an own index it never proposed. *)
-let test_order_fetch_own_only () =
-  let h = hand_fed ~id:0 in
-  h.inject ~src:2 (Order_req { batch = foreign_batch ~proposer:2 });
+(* Order_fetch is answered by any node holding the payload: with the
+   peer's batch it holds and with its own batch, never with an index it
+   has no payload for (one it only saw sequenced, one it never saw, an
+   own index it never proposed). *)
+let test_order_fetch_served_for_held () =
+  let h = hand_fed ~id:0 () in
+  h.inject ~src:2 (Order_req { batch = foreign_batch ~proposer:2 () });
+  h.inject ~src:1
+    (Sequenced
+       {
+         iid = { proposer = 1; index = 0 };
+         seq = 1_000;
+         proofs = List.map (fun signer -> { Pompe.Types.signer; ts = 1_000 }) [ 1; 2; 3 ];
+       });
   Pompe.Node.start h.node;
   ignore (Pompe.Node.submit h.node ~payload:"own" : string);
   h.idle 100_000;
   List.iter
     (fun (proposer, index) -> h.inject ~src:3 (Order_fetch { iid = { proposer; index } }))
-    [ (2, 0); (0, 7); (0, 0) ];
+    [ (2, 0); (1, 0); (2, 1); (0, 7); (0, 0) ];
   let served =
     List.filter_map
       (function 3, 0, Pompe.Types.Order_req { batch } -> Some batch.Lyra.Types.iid | _ -> None)
       (h.inbox ())
   in
   (* The proposal's own broadcast reached peer 3 once before the fetches. *)
-  Alcotest.(check bool) "own batch served once" true
-    (served = [ { proposer = 0; index = 0 }; { proposer = 0; index = 0 } ])
+  Alcotest.(check bool) "held batches served" true
+    (served
+    = [ { proposer = 0; index = 0 }; { proposer = 2; index = 0 }; { proposer = 0; index = 0 } ])
 
-(* A committed batch whose Order_req never arrived is fetched from its
-   proposer; once the payload arrives the batch executes and no further
-   Order_fetch goes out, however long the node keeps draining. *)
-let test_payload_clears_fetch () =
-  let h = hand_fed ~id:0 in
-  let batch = foreign_batch ~proposer:2 in
-  (* Sequenced just before its commit (~700 ms), so execution waits
-     only the 16Δ idle margin. *)
-  let cmd = { Pompe.Types.c_iid = batch.iid; c_seq = 650_000; c_proof_count = 3 } in
+(* Node [h] commits [batches] through a hand-fed three-chain: blocks
+   1..4, block 1 carrying the batches. Sequenced just before their
+   commit (~700 ms), they wait only the 16Δ idle margin. *)
+let commit_foreign h (batches : Lyra.Types.batch list) =
+  let cmds =
+    List.map
+      (fun (b : Lyra.Types.batch) -> { Pompe.Types.c_iid = b.iid; c_seq = 650_000; c_proof_count = 3 })
+      batches
+  in
   h.idle 500_000;
-  (* Blocks 1..4 form a three-chain that commits block 1, which holds
-     the batch. *)
   for height = 1 to 4 do
     let parent = if height = 1 then "genesis" else Printf.sprintf "b%d" (height - 1) in
     h.inject ~src:(height mod 4)
@@ -478,28 +529,106 @@ let test_payload_clears_fetch () =
               height;
               parent;
               justify = { q_block = parent; q_height = height - 1; voters = [ 1; 2; 3 ] };
-              cmds = (if height = 1 then [ cmd ] else []);
+              cmds = (if height = 1 then cmds else []);
               proposer = height mod 4;
             }))
-  done;
-  let fetches () =
-    List.length
-      (List.filter (function 2, 0, Pompe.Types.Order_fetch _ -> true | _ -> false) (h.inbox ()))
-  in
-  (* Every Hs message drains the execution queue. *)
-  let drain_for rounds =
-    for _ = 1 to rounds do
-      h.inject ~src:3 (Hs (Vote { block_id = "x"; height = 100 }))
+  done
+
+(* Every Hs message drains the execution queue: [k] of them, one per
+   50 ms. *)
+let drain_steps h k =
+  for _ = 1 to k do
+    h.inject ~src:3 (Hs (Vote { block_id = "x"; height = 100 }))
+  done
+
+(* The peers [h]'s node has sent an Order_fetch to, oldest first. *)
+let fetch_peers h =
+  List.filter_map (function peer, 0, Pompe.Types.Order_fetch _ -> Some peer | _ -> None) (h.inbox ())
+
+(* The batch ids [h]'s node has sent an Order_fetch for, oldest first. *)
+let fetched_iids h =
+  List.filter_map (function _, 0, Pompe.Types.Order_fetch { iid } -> Some iid | _ -> None) (h.inbox ())
+
+let ts_resps h =
+  List.length (List.filter (function _, 0, Pompe.Types.Ts_resp _ -> true | _ -> false) (h.inbox ()))
+
+(* Node 0 commits proposer 2's batch, and proposer 2 never answers. The
+   fetch asks node 2, then 3, then 1 (skipping node 0), and around again,
+   one node per 200 ms, more than ten times.
+   A copy relayed by node 3 while the fetch runs executes the batch and
+   is not timestamped. Relayed with no fetch running, the same copy is
+   ignored: no output, no observation, no Ts_resp, and the node still
+   fetches the payload once the batch commits. *)
+let test_fetch_walks_every_other_node () =
+  let h = hand_fed ~id:0 () in
+  let batch = foreign_batch ~proposer:2 () in
+  commit_foreign h [ batch ];
+  (* The 50 ms step at which each fetch went out. *)
+  let steps = ref [] in
+  for step = 1 to 80 do
+    drain_steps h 1;
+    let sent = List.length (fetch_peers h) in
+    while List.length !steps < sent do
+      steps := step :: !steps
     done
-  in
-  drain_for 4;
-  Alcotest.(check int) "fetched from the proposer" 1 (fetches ());
+  done;
+  let peers = fetch_peers h in
+  Alcotest.(check bool) (Printf.sprintf "%d fetches" (List.length peers)) true (List.length peers > 10);
+  Alcotest.(check (list int)) "proposer, then each other node in turn"
+    (List.init (List.length peers) (fun i -> List.nth [ 2; 3; 1 ] (i mod 3)))
+    peers;
+  let rec gaps = function a :: (b :: _ as rest) -> (b - a) :: gaps rest | _ -> [] in
+  List.iter
+    (fun gap -> Alcotest.(check int) "200 ms apart" 4 gap)
+    (gaps (List.rev !steps));
+  Alcotest.(check int) "not executed" 0 (List.length (Pompe.Node.output_log h.node));
+  h.inject ~src:3 (Order_req { batch });
+  Alcotest.(check bool) "relayed copy executed" true (outputs_of h.node = [ batch.iid ]);
+  Alcotest.(check int) "no Ts_resp" 0 (ts_resps h);
+  let observed = ref 0 in
+  let h = hand_fed ~on_observe:(fun _ -> incr observed) ~id:0 () in
+  h.inject ~src:3 (Order_req { batch });
+  Alcotest.(check int) "unfetched copy: no output" 0 (List.length (Pompe.Node.output_log h.node));
+  Alcotest.(check int) "unfetched copy: not observed" 0 !observed;
+  Alcotest.(check int) "unfetched copy: no Ts_resp" 0 (ts_resps h);
+  commit_foreign h [ batch ];
+  drain_steps h 4;
+  Alcotest.(check (list int)) "payload still fetched" [ 2 ] (fetch_peers h);
+  Alcotest.(check int) "still not executed" 0 (List.length (Pompe.Node.output_log h.node))
+
+(* A committed batch whose Order_req never arrived is fetched from its
+   proposer; once the payload arrives the batch executes and no further
+   Order_fetch goes out, to any node, however long the node keeps
+   draining. *)
+let test_payload_clears_fetch () =
+  let h = hand_fed ~id:0 () in
+  let batch = foreign_batch ~proposer:2 () in
+  commit_foreign h [ batch ];
+  drain_steps h 4;
+  Alcotest.(check (list int)) "fetched from the proposer" [ 2 ] (fetch_peers h);
   Alcotest.(check int) "not executed" 0 (List.length (Pompe.Node.output_log h.node));
   h.inject ~src:2 (Order_req { batch });
   Alcotest.(check bool) "executed" true (outputs_of h.node = [ batch.iid ]);
-  (* Longer than the whole fetch backoff. *)
-  drain_for 100;
-  Alcotest.(check int) "no further fetch" 1 (fetches ())
+  (* Long enough for the fetch to have walked every node many times. *)
+  drain_steps h 100;
+  Alcotest.(check (list int)) "no further fetch" [ 2 ] (fetch_peers h)
+
+(* Two committed batches miss their payloads. While execution waits on
+   the first, the second is fetched too, in the same drain: the payloads
+   arrive together rather than one fetch after another. The second's
+   payload alone executes nothing; the first's then executes both, in
+   order. *)
+let test_missing_payloads_fetched_together () =
+  let h = hand_fed ~id:0 () in
+  let first = foreign_batch ~proposer:2 () and second = foreign_batch ~index:1 ~proposer:2 () in
+  commit_foreign h [ first; second ];
+  drain_steps h 4;
+  Alcotest.(check bool) "both fetched from the proposer at once" true
+    (fetched_iids h = [ first.iid; second.iid ] && fetch_peers h = [ 2; 2 ]);
+  h.inject ~src:3 (Order_req { batch = second });
+  Alcotest.(check int) "second alone: nothing executed" 0 (List.length (Pompe.Node.output_log h.node));
+  h.inject ~src:1 (Order_req { batch = first });
+  Alcotest.(check bool) "both executed, in order" true (outputs_of h.node = [ first.iid; second.iid ])
 
 let suite =
   [
@@ -515,12 +644,17 @@ let suite =
       test_crashed_node_holds_mempool;
     Alcotest.test_case "block ids pinned" `Quick test_block_ids_pinned;
     QCheck_alcotest.to_alcotest prop_exec_queue_matches_sorted_list;
-    Alcotest.test_case "missing payload stops execution" `Quick
-      test_missing_payload_stops_execution;
+    Alcotest.test_case "missing payload fetched from another holder" `Quick
+      test_missing_payload_fetched_from_holder;
     Alcotest.test_case "collects bounded" `Quick test_collects_bounded;
     Alcotest.test_case "one silent link commits" `Quick test_one_silent_link_commits;
+    Alcotest.test_case "long partition keeps the proposer's batches" `Quick
+      test_long_partition_keeps_batches;
     Alcotest.test_case "duplicate Order_req keeps its timestamp" `Quick test_duplicate_order_req;
     Alcotest.test_case "duplicate Sequenced admitted once" `Quick test_duplicate_sequenced;
-    Alcotest.test_case "Order_fetch served for own batches" `Quick test_order_fetch_own_only;
+    Alcotest.test_case "Order_fetch served for held batches" `Quick test_order_fetch_served_for_held;
     Alcotest.test_case "payload clears the fetch wait" `Quick test_payload_clears_fetch;
+    Alcotest.test_case "fetch walks every other node" `Quick test_fetch_walks_every_other_node;
+    Alcotest.test_case "missing payloads fetched together" `Quick
+      test_missing_payloads_fetched_together;
   ]

@@ -235,7 +235,7 @@ let pompe_probes engine tr ~n =
               (List.map
                  (fun (o : Pompe.Node.output) -> o.batch.iid)
                  (Pompe.Node.output_log node)));
-        dropped = (fun () -> Pompe.Node.order_giveups node);
+        dropped = (fun () -> 0);
         tracker = Pompe.Node.phases node;
       })
     nodes
