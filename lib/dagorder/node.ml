@@ -372,9 +372,7 @@ let create config net ~id ?(clock_offset_us = 0) ?(on_observe = fun _ -> ())
       reported = Hashtbl.create 256;
       pending_reports = [];
       decide_rounds = Metrics.Recorder.create ();
-      phases =
-        Metrics.Phases.create ~sink:(Sim.Network.phase_sink net ~node:id)
-          phase_spans;
+      phases = Metrics.Phases.create phase_spans;
       fetch_armed = false;
       covered = Hashtbl.create 997;
       uncovered = Hashtbl.create 64;

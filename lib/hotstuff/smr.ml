@@ -184,9 +184,7 @@ let create config net ~id ?(on_observe = fun _ -> ())
       mempool = Lyra.Mempool.create engine ~node:id ~prefix:"h";
       next_index = 0;
       started = false;
-      phases =
-        Metrics.Phases.create ~sink:(Sim.Network.phase_sink net ~node:id)
-          phase_spans;
+      phases = Metrics.Phases.create phase_spans;
     }
   in
   let transport =

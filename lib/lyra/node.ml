@@ -1388,9 +1388,7 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
       own_accepted = 0;
       own_rejected = 0;
       decide_rounds = Metrics.Recorder.create ();
-      phases =
-        Metrics.Phases.create ~sink:(Sim.Network.phase_sink net ~node:id)
-          phase_spans;
+      phases = Metrics.Phases.create phase_spans;
     }
   in
   Sim.Network.register net ~id (fun ~src msg -> on_message t ~src msg);

@@ -10,17 +10,12 @@
    which lets the harness aggregate across nodes by position as well as
    by name. *)
 
-type sink = { mark : string -> int -> unit; span : string -> from_us:int -> unit }
-
-let no_sink = { mark = (fun _ _ -> ()); span = (fun _ ~from_us:_ -> ()) }
-
 type t = {
   labels : string array;
   recs : Recorder.t array;
   milestones : string array;
   from_ms : int array;  (** per span, its start milestone *)
   to_ms : int array;  (** per span, its end milestone *)
-  sink : sink;
   entries : (int, int array) Hashtbl.t;  (** key → µs per milestone; -1 = not yet *)
 }
 
@@ -32,7 +27,7 @@ let index_of milestones name =
   in
   go 0
 
-let create ~sink spans =
+let create spans =
   let add acc m = if List.exists (String.equal m) acc then acc else acc @ [ m ] in
   let milestones =
     Array.of_list (List.fold_left (fun acc (_, a, b) -> add (add acc a) b) [] spans)
@@ -45,15 +40,13 @@ let create ~sink spans =
     milestones;
     from_ms = Array.map (fun (_, a, _) -> index_of milestones a) spans;
     to_ms = Array.map (fun (_, _, b) -> index_of milestones b) spans;
-    sink;
     entries = Hashtbl.create 16;
   }
 
 let start t ~key ~now =
   let e = Array.make (Array.length t.milestones) (-1) in
   e.(0) <- now;
-  Hashtbl.replace t.entries key e;
-  t.sink.mark t.milestones.(0) key
+  Hashtbl.replace t.entries key e
 
 (* Spans are stamped in engine µs but recorded in ms, matching every
    other latency recorder in the repo. *)
@@ -64,10 +57,8 @@ let stamp t ~key name ~now =
       e.(m) <- now;
       for s = 0 to Array.length t.to_ms - 1 do
         let from_us = e.(t.from_ms.(s)) in
-        if Int.equal t.to_ms.(s) m && from_us >= 0 then begin
-          Recorder.record t.recs.(s) (float_of_int (now - from_us) /. 1000.0);
-          t.sink.span t.labels.(s) ~from_us
-        end
+        if Int.equal t.to_ms.(s) m && from_us >= 0 then
+          Recorder.record t.recs.(s) (float_of_int (now - from_us) /. 1000.0)
       done;
       if Int.equal m (Array.length t.milestones - 1) then Hashtbl.remove t.entries key
   | _ -> ()

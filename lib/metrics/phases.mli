@@ -10,20 +10,11 @@
 
 type t
 
-(** Where a tracker reports its events, set once at creation:
-    [mark milestone key] when {!start} opens an entry (the milestone is
-    the first declared one), [span label ~from_us] for every recorded
-    span, which ends now. *)
-type sink = { mark : string -> int -> unit; span : string -> from_us:int -> unit }
-
-(** A sink that discards everything. *)
-val no_sink : sink
-
-(** [create ~sink spans] — the label set and its order are fixed for
+(** [create spans] — the label set and its order are fixed for
     the lifetime of the value. Milestones are ordered by first
     appearance in [spans]: the first is stamped by {!start}, the last
     closes an entry. Raises [Invalid_argument] on an empty list. *)
-val create : sink:sink -> (string * string * string) list -> t
+val create : (string * string * string) list -> t
 
 (** [start t ~key ~now] opens (or reopens) the entry [key] with its
     first milestone stamped at [now]. *)
@@ -41,7 +32,7 @@ val stamp : t -> key:int -> string -> now:int -> unit
 val drop : t -> key:int -> unit
 
 (** Keys of the open entries, ascending. *)
-(* lint: allow S005 bounded-state probe for test_trace and test_metrics_workload *)
+(* lint: allow S005 bounded-state probe for test_phases and test_metrics_workload *)
 val open_keys : t -> int list
 
 (** Label/recorder pairs in creation order. *)

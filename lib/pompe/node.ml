@@ -389,9 +389,7 @@ let create config net ~id ?(clock_offset_us = 0)
       inflight = 0;
       sequenced = 0;
       started = false;
-      phases =
-        Metrics.Phases.create ~sink:(Sim.Network.phase_sink net ~node:id)
-          phase_spans;
+      phases = Metrics.Phases.create phase_spans;
     }
   in
   let transport =

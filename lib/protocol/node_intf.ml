@@ -85,7 +85,7 @@ module type NODE = sig
     ?faults:Sim.Faults.plan ->
     ?adversary:Sim.Adversary.t ->
     ?perturb:Sim.Perturb.t ->
-    ?trace:Sim.Trace.t ->
+    ?trace:Sim.Network.trace ->
     ?dissemination:Sim.Network.dissemination ->
     unit ->
     net

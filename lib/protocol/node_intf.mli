@@ -64,14 +64,13 @@ module type NODE = sig
       executes a {!Sim.Faults} plan on the transport (per-node clock
       skews are additionally applied by adapters that model local
       clocks); [adversary] attaches a pre-GST delay policy
-      ({!Sim.Adversary}, default none); [trace] receives the network's
-      fault events. [perturb]
+      ({!Sim.Adversary}, default none). [perturb]
       adds deterministic extra wire delays ({!Sim.Perturb}) — the
       schedule-space explorer's lever; the default empty spec leaves
-      the schedule bit-identical. [dissemination] is vestigial and
-      ignored: broadcasts are always all-to-all, and the argument stays
-      only for callers that still forward it until ROADMAP NODE step 3
-      removes it (see {!Sim.Network.dissemination}). *)
+      the schedule bit-identical. [trace] and [dissemination] are
+      vestigial and ignored: the arguments stay only for callers that
+      still forward them until ROADMAP NODE step 3 removes them (see
+      {!Sim.Network.trace} and {!Sim.Network.dissemination}). *)
   val make_net :
     Sim.Engine.t ->
     n:int ->
@@ -80,7 +79,7 @@ module type NODE = sig
     ?faults:Sim.Faults.plan ->
     ?adversary:Sim.Adversary.t ->
     ?perturb:Sim.Perturb.t ->
-    ?trace:Sim.Trace.t ->
+    ?trace:Sim.Network.trace ->
     ?dissemination:Sim.Network.dissemination ->
     unit ->
     net

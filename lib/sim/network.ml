@@ -1,5 +1,7 @@
 type dissemination = All_to_all
 
+type trace = |
+
 type 'msg t = {
   engine : Engine.t;
   n : int;
@@ -27,7 +29,6 @@ type 'msg t = {
      [Perturb.Delay_nth] addresses. Self-deliveries never touch the wire
      and are not counted. *)
   mutable wire_seq : int;
-  trace : Trace.t option;
   recover_hooks : (unit -> unit) option array;
   link_rng : Crypto.Rng.t;
   (* In-flight packets: one slot from [send] (or a duplicate's wire
@@ -52,39 +53,15 @@ type 'msg t = {
   mutable eclipsed : int;  (** messages cut by an eclipse *)
 }
 
-(* The detail payload is built at the call site but only matters when
-   its category is on; fault events are rare (drops, crashes), so no
-   [enabled] pre-check is needed here — [Trace.record] itself is one
-   bitmask test when the category is off. *)
-let trace_to t ~node category detail =
-  match t.trace with
-  | None -> ()
-  | Some tr -> Trace.record tr ~node category detail
-
-let trace_fault t ~node detail = trace_to t ~node Trace.Fault detail
-
-let phase_sink t ~node =
-  match t.trace with
-  | None -> Metrics.Phases.no_sink
-  | Some tr ->
-      let phase detail = Trace.record tr ~node Trace.Phase detail in
-      {
-        Metrics.Phases.mark =
-          (fun mark index -> phase (Trace.Mark { mark; proposer = node; index }));
-        span = (fun span ~from_us -> phase (Trace.Span { span; from_us }));
-      }
-
 let crash t id =
   if not t.crashed.(id) then begin
     t.crashed.(id) <- true;
-    t.incarnation.(id) <- t.incarnation.(id) + 1;
-    trace_fault t ~node:id Trace.Crash
+    t.incarnation.(id) <- t.incarnation.(id) + 1
   end
 
 let recover t id =
   if t.crashed.(id) then begin
     t.crashed.(id) <- false;
-    trace_fault t ~node:id Trace.Recover;
     match t.recover_hooks.(id) with None -> () | Some hook -> hook ()
   end
 
@@ -199,7 +176,6 @@ let wire t s =
   in
   if Faults.partitioned t.faults ~now ~src ~dst then begin
     t.dropped <- t.dropped + 1;
-    trace_fault t ~node:dst (Trace.Partition_drop { src });
     release t s
   end
   else
@@ -207,7 +183,6 @@ let wire t s =
     | Faults.Link_cut ->
         t.dropped <- t.dropped + 1;
         t.eclipsed <- t.eclipsed + 1;
-        trace_fault t ~node:dst (Trace.Eclipse_drop { src });
         release t s
     | (Faults.Link_up | Faults.Link_delayed _) as fate ->
         let perturb_us =
@@ -226,14 +201,12 @@ let wire t s =
             let drop_p = Faults.drop_prob t.faults ~now ~src ~dst in
             if drop_p > 0.0 && Crypto.Rng.float rng < drop_p then begin
               copies := !copies - 1;
-              t.dropped <- t.dropped + 1;
-              trace_fault t ~node:dst (Trace.Drop { src })
+              t.dropped <- t.dropped + 1
             end;
             let dup_p = Faults.dup_prob t.faults ~now ~src ~dst in
             if dup_p > 0.0 && Crypto.Rng.float rng < dup_p then begin
               copies := !copies + 1;
-              t.duped <- t.duped + 1;
-              trace_fault t ~node:dst (Trace.Dup { src })
+              t.duped <- t.duped + 1
             end);
         if Int.equal !copies 0 then release t s
         else begin
@@ -250,8 +223,8 @@ let nic_done t s =
   if alive t t.p_src.(s) t.p_inc.(s) then wire t s else release t s
 
 let create engine ~n ~latency ?adversary ?(ns_per_byte = 8)
-    ?(cores = 8) ?(faults = Faults.none) ?(perturb = Perturb.none)
-    ?trace:trace_sink ?dissemination:_ ~cost ~size () =
+    ?(faults = Faults.none) ?(perturb = Perturb.none) ?trace:_
+    ?dissemination:_ ~cost ~size () =
   Faults.validate faults ~n;
   Perturb.validate perturb ~n;
   Option.iter (Adversary.validate ~n) adversary;
@@ -265,7 +238,7 @@ let create engine ~n ~latency ?adversary ?(ns_per_byte = 8)
       size;
       ns_per_byte;
       handlers = Array.make n None;
-      cpus = Array.init n (fun _ -> Cpu.create ~cores engine);
+      cpus = Array.init n (fun _ -> Cpu.create ~cores:8 engine);
       nics = Array.init n (fun _ -> Cpu.create ~kind:Engine.Nic_tx engine);
       crashed = Array.make n false;
       incarnation = Array.make n 0;
@@ -278,7 +251,6 @@ let create engine ~n ~latency ?adversary ?(ns_per_byte = 8)
          else Some (Crypto.Rng.split (Engine.rng engine)));
       perturb;
       wire_seq = 0;
-      trace = trace_sink;
       recover_hooks = Array.make n None;
       link_rng = Crypto.Rng.split (Engine.rng engine);
       p_src = [||];
@@ -324,13 +296,6 @@ let on_recover t ~id hook = t.recover_hooks.(id) <- Some hook
    serializes on [src]'s NIC. *)
 let transmit t ~src ~dst ~bytes msg =
   t.sent <- t.sent + 1;
-  (* Per-message tracing, guarded so the disabled path costs exactly
-     one bitmask test: the [Send] payload is built only when the Net
-     category is subscribed. *)
-  (match t.trace with
-  | Some tr when Trace.enabled tr Trace.Net ->
-      Trace.record tr ~node:src Trace.Net (Trace.Send { dst; bytes })
-  | Some _ | None -> ());
   if Int.equal src dst then
     deliver t (alloc t ~src ~dst ~inc:t.incarnation.(dst) msg)
   else begin

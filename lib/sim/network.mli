@@ -40,27 +40,30 @@ type 'msg t
     them; ROADMAP NODE step 3 deletes both. *)
 type dissemination = All_to_all
 
+(** Vestigial: {!create} ignores its [?trace] argument, and the type
+    has no value. Like {!dissemination}, it remains only because
+    callers outside [lib/] still forward the argument; ROADMAP NODE
+    step 3 deletes both. *)
+type trace = |
+
 (** [create engine ~n ~latency ~cost ~size ()] builds a network of [n]
     endpoints. [cost ~dst msg] is the CPU service time (µs) node [dst]
     pays to process [msg]; [size msg] its wire size in bytes.
-    [ns_per_byte] sets the per-node line rate (default 8 ≈ 1 Gb/s);
-    [cores] the per-node CPU parallelism (default 8, as the paper's
-    16-vCPU machines). [faults] schedules transport/process faults
-    (validated against [n]; default {!Faults.none} keeps the transport
-    perfectly reliable and consumes no extra randomness). [trace]
-    records a {!Trace.Fault} event per drop, duplicate, crash and
-    recovery, and — when the [Net] category is subscribed — a
-    {!Trace.Send} per message handed to the transport. Drop and
-    duplication windows are sampled independently, so the observed
-    drop and duplicate rates each match their configured
-    probabilities. [perturb] (default {!Perturb.none}) adds
-    deterministic extra delays to matching wire messages; the empty
-    spec draws no randomness and schedules nothing, so it leaves the
-    event schedule bit-identical. The wire-entry counter that
-    [Perturb.Delay_nth] addresses advances for every non-self message
-    handed to the wire, even ones a partition or loss window then
-    drops. [adversary] is validated against [n] ({!Adversary.validate}).
-    [dissemination] is ignored (see {!dissemination}). The network
+    [ns_per_byte] sets the per-node line rate (default 8 ≈ 1 Gb/s).
+    Every node's CPU has 8 cores, as the paper's 16-vCPU machines.
+    [faults] schedules transport/process faults (validated against
+    [n]; default {!Faults.none} keeps the transport perfectly reliable
+    and consumes no extra randomness). Drop and duplication windows
+    are sampled independently, so the observed drop and duplicate
+    rates each match their configured probabilities. [perturb]
+    (default {!Perturb.none}) adds deterministic extra delays to
+    matching wire messages; the empty spec draws no randomness and
+    schedules nothing, so it leaves the event schedule bit-identical.
+    The wire-entry counter that [Perturb.Delay_nth] addresses advances
+    for every non-self message handed to the wire, even ones a
+    partition or loss window then drops. [adversary] is validated
+    against [n] ({!Adversary.validate}). [trace] and [dissemination]
+    are ignored (see {!trace} and {!dissemination}). The network
     registers the engine's sink ({!Engine.set_sink}), so an engine
     carries at most one network: a second [create] on it raises
     [Invalid_argument]. *)
@@ -70,10 +73,9 @@ val create :
   latency:Latency.t ->
   ?adversary:Adversary.t ->
   ?ns_per_byte:int ->
-  ?cores:int ->
   ?faults:Faults.plan ->
   ?perturb:Perturb.t ->
-  ?trace:Trace.t ->
+  ?trace:trace ->
   ?dissemination:dissemination ->
   cost:(dst:int -> 'msg -> int) ->
   size:('msg -> int) ->
@@ -121,13 +123,6 @@ val cpu : 'msg t -> int -> Cpu.t
 
 (** Egress NIC of a node (service times are transmission times). *)
 val nic : 'msg t -> int -> Cpu.t
-
-(** [phase_sink t ~node] is node [node]'s phase-tracker sink: it
-    records a {!Trace.Mark} for every opened entry (proposer [node],
-    index = key) and a {!Trace.Span} for every recorded span, under
-    {!Trace.Phase}, into the trace installed at creation, if any, so
-    one trace interleaves transport faults with pipeline progress. *)
-val phase_sink : 'msg t -> node:int -> Metrics.Phases.sink
 
 (** Total messages handed to the transport so far. *)
 val messages_sent : 'msg t -> int

@@ -570,6 +570,10 @@ let test_artifacts_reserialize () =
     (read_checked_in "repro_pompe_partition.json")
     (reserialize "repro_pompe_partition.json");
   Alcotest.(check string)
+    "pompe crash artifact byte-identical"
+    (read_checked_in "repro_pompe_crash.json")
+    (reserialize "repro_pompe_crash.json");
+  Alcotest.(check string)
     "v1 artifact re-written as v2" v1_as_v2
     (reserialize "repro_no_window_check.json")
 

@@ -10,7 +10,7 @@ let () =
       ("secret-sharing", Test_secret_sharing.suite);
       ("merkle", Test_merkle.suite);
       ("sim", Test_sim.suite);
-      ("trace", Test_trace.suite);
+      ("phases", Test_phases.suite);
       ("dbft", Test_dbft.suite);
       ("lyra-units", Test_lyra_units.suite);
       ("predictor", Test_predictor.suite);

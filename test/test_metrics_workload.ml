@@ -70,8 +70,8 @@ let test_table_render () =
 (* ------------------------------------------------------------------ *)
 
 (* propose → mid → done, with two spans ending at [done]. *)
-let tracker ?(sink = Metrics.Phases.no_sink) () =
-  Metrics.Phases.create ~sink
+let tracker () =
+  Metrics.Phases.create
     [ ("first", "propose", "mid"); ("second", "mid", "done"); ("e2e", "propose", "done") ]
 
 let samples ph label =
@@ -116,27 +116,9 @@ let test_phases_entries_freed () =
       Metrics.Phases.stamp ph ~key:3 "decide" ~now:60)
 
 let test_phases_declared_order () =
-  let events = ref [] in
-  let sink =
-    {
-      Metrics.Phases.mark =
-        (fun m key -> events := Printf.sprintf "%s #%d" m key :: !events);
-      span =
-        (fun label ~from_us ->
-          events := Printf.sprintf "%s from %d" label from_us :: !events);
-    }
-  in
-  let ph = tracker ~sink () in
-  Metrics.Phases.start ph ~key:7 ~now:100;
-  Metrics.Phases.stamp ph ~key:7 "mid" ~now:200;
-  Metrics.Phases.stamp ph ~key:7 "done" ~now:300;
-  Alcotest.(check (list string))
-    "sink events"
-    [ "propose #7"; "first from 100"; "second from 200"; "e2e from 100" ]
-    (List.rev !events);
   Alcotest.(check (list string))
     "labels" [ "first"; "second"; "e2e" ]
-    (List.map fst (Metrics.Phases.pairs ph))
+    (List.map fst (Metrics.Phases.pairs (tracker ())))
 
 let test_closed_pool () =
   let e = Sim.Engine.create () in
