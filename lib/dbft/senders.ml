@@ -37,6 +37,8 @@ let add t i =
     true
   end
 
+let copy = Array.copy
+
 let to_list t =
   let rec go acc i =
     if i < 0 then acc else go (if has t i then i :: acc else acc) (i - 1)

@@ -20,3 +20,6 @@ val count : t -> int
 
 (** The ids in ascending order. *)
 val to_list : t -> int list
+
+(** A set with the same ids that later [add]s to [t] do not change. *)
+val copy : t -> t

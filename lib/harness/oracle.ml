@@ -9,20 +9,19 @@ let pp_finding fmt f = Format.fprintf fmt "%s: %s" f.oracle f.detail
 (* ------------------------------------------------------------------ *)
 
 (* Content-aware prefix agreement: logs of (key, digest) pairs must be
-   prefixes of the longest log. Strictly stronger than the result's
-   [prefix_safe] flag, which compares instance keys only — two nodes
-   committing different payloads under one instance id (equivocation)
-   diverge here and nowhere else. *)
+   prefixes of the longest log — the check behind the result's
+   [prefix_safe] flag, here naming the first node that fails it. Two
+   nodes committing different payloads under one instance id
+   (equivocation) diverge here although their keys agree. *)
 let prefix_agreement (r : Scenario.result) =
   let logs = r.Scenario.honest_logs in
   if Array.length logs = 0 then None
   else begin
     let longest = logs.(Scenario.longest logs) in
-    let equal (ka, da) (kb, db) = String.equal ka kb && String.equal da db in
     let bad = ref None in
     Array.iteri
       (fun i l ->
-        if Option.is_none !bad && not (Scenario.is_prefix ~equal l longest) then
+        if Option.is_none !bad && not (Scenario.is_prefix l longest) then
           bad := Some (i, List.length l))
       logs;
     match !bad with

@@ -40,8 +40,8 @@ val censorship_exposure :
 (** [check ~liveness r] — every finding of the graded suite, in suite
     order; [] means the run is clean. The suite is five safety oracles:
     - ["prefix-agreement"]: content-aware prefix agreement over
-      [honest_logs] (keys AND transaction-content digests), which
-      catches equivocation that key-level [prefix_safe] cannot see;
+      [honest_logs] (keys AND transaction-content digests), the check
+      behind [prefix_safe], naming the first honest node that fails;
     - the continuous monitor's first violation;
     - commit durability ([late_accepts] must be 0);
     - BOC-Validity: every decided sequence number within the adapter's

@@ -56,11 +56,16 @@ let pp_result fmt r =
       Format.fprintf fmt ", mev_extracted=%.0fY slippage=%dY"
         m.Workload.Engine.extracted_value_y m.Workload.Engine.victim_slippage_y
 
-let rec is_prefix ~equal la lb =
+(* Entries memoised by [digester] are shared, so most comparisons
+   succeed on [==] before reading a string. *)
+let same_entry ((ka, da) as a) ((kb, db) as b) =
+  a == b || (String.equal ka kb && String.equal da db)
+
+let rec is_prefix la lb =
   match (la, lb) with
   | [], _ -> true
   | _, [] -> false
-  | x :: xs, y :: ys -> equal x y && is_prefix ~equal xs ys
+  | x :: xs, y :: ys -> same_entry x y && is_prefix xs ys
 
 let longest logs =
   let best = ref 0 in
@@ -71,35 +76,39 @@ let longest logs =
 
 (* Keys identify a batch instance; the digest additionally pins its
    transaction contents, so an equivocation that splits payloads under
-   one instance id is visible to content-aware oracles even though
-   [prefix_safe] (keys only) would not see it. Honest nodes mostly
-   commit the same batches, so each digest is memoised by key; a
-   stored one is reused only for the same transactions, field for
-   field. *)
-let content_digests logs =
+   one instance id is visible even though the keys agree. Honest nodes
+   mostly commit the same batches, so each entry is memoised by key: a
+   node that committed the same transactions (the same array, or equal
+   field for field) gets the very (key, digest) pair an earlier node
+   got. *)
+let digester () =
   let memo = Hashtbl.create 1024 in
   let same_txs a b =
-    Int.equal (Array.length a) (Array.length b)
-    && Array.for_all2
-         (fun (x : Lyra.Types.tx) (y : Lyra.Types.tx) ->
-           String.equal x.tx_id y.tx_id && String.equal x.payload y.payload)
-         a b
+    a == b
+    || Int.equal (Array.length a) (Array.length b)
+       && Array.for_all2
+            (fun (x : Lyra.Types.tx) (y : Lyra.Types.tx) ->
+              String.equal x.tx_id y.tx_id && String.equal x.payload y.payload)
+            a b
   in
-  let digest (c : Protocol.committed) =
+  fun (c : Protocol.committed) ->
     match Hashtbl.find_opt memo c.key with
-    | Some (txs, d) when same_txs txs c.txs -> d
+    | Some (txs, entry) when same_txs txs c.txs -> entry
     | _ ->
-        let d =
-          Crypto.Merkle.root_of_leaves
-            (Array.to_list
-               (Array.map
-                  (fun (tx : Lyra.Types.tx) -> tx.tx_id ^ ":" ^ tx.payload)
-                  c.txs))
+        let entry =
+          ( c.key,
+            Crypto.Merkle.root_of_leaves
+              (Array.to_list
+                 (Array.map
+                    (fun (tx : Lyra.Types.tx) -> tx.tx_id ^ ":" ^ tx.payload)
+                    c.txs)) )
         in
-        Hashtbl.replace memo c.key (c.txs, d);
-        d
-  in
-  Array.map (List.map (fun (c : Protocol.committed) -> (c.key, digest c))) logs
+        Hashtbl.replace memo c.key (c.txs, entry);
+        entry
+
+let content_digests logs =
+  let digest = digester () in
+  Array.map (List.map digest) logs
 
 let run ?(seed = 1L) ?warmup_us ?(ns_per_byte = wan_ns_per_byte)
     ?(faults = Sim.Faults.none) ?adversary ?perturb ?profile_bucket_us
@@ -303,20 +312,24 @@ let run ?(seed = 1L) ?warmup_us ?(ns_per_byte = wan_ns_per_byte)
     Array.of_list
       (List.filter (fun i -> P.honest nodes.(i)) (List.init n (fun i -> i)))
   in
-  (* Computed after the run: timing-neutral. *)
-  let outputs = Array.map (fun i -> P.output_log nodes.(i)) honest in
-  let honest_logs = content_digests outputs in
-  let logs = Array.map (List.map fst) honest_logs in
-  (* The first longest honest log: when the run is safe, the decided
-     order every honest log is a prefix of. All-pairs mutual-prefix is
-     equivalent to "every log is a prefix of it" (prefixes of a common
-     list are totally ordered), which is O(n·len), not O(n²·len²). *)
-  let decided, decided_log =
-    if Int.equal (Array.length honest) 0 then ([], [])
-    else
-      let k = longest logs in
-      (logs.(k), outputs.(k))
+  (* Computed after the run: timing-neutral. One node's converted log
+     is live at a time: it is digested, then dropped. The first longest
+     honest log is, when the run is safe, the decided order every
+     honest log is a prefix of. All-pairs mutual-prefix is equivalent
+     to "every log is a prefix of it" (prefixes of a common list are
+     totally ordered), which is O(n·len), not O(n²·len²). *)
+  let honest_logs =
+    let digest = digester () in
+    Array.map (fun i -> List.map digest (P.output_log nodes.(i))) honest
   in
+  let decided_k =
+    if Int.equal (Array.length honest) 0 then None
+    else Some (longest honest_logs)
+  in
+  let decided_entries =
+    match decided_k with None -> [] | Some k -> honest_logs.(k)
+  in
+  let decided = List.map fst decided_entries in
   let seq_bounds = Array.map (fun i -> P.seq_bounds nodes.(i)) honest in
   let final = Array.map (fun node -> P.stats node) nodes in
   let rounds_all = Metrics.Recorder.create () in
@@ -367,6 +380,11 @@ let run ?(seed = 1L) ?warmup_us ?(ns_per_byte = wan_ns_per_byte)
     match !wl_ref with
     | None -> ([], None)
     | Some wl ->
+        let decided_log =
+          match decided_k with
+          | None -> []
+          | Some k -> P.output_log nodes.(honest.(k))
+        in
         let committed_payloads =
           List.concat_map
             (fun (c : Protocol.committed) ->
@@ -409,7 +427,7 @@ let run ?(seed = 1L) ?warmup_us ?(ns_per_byte = wan_ns_per_byte)
     messages = P.net_messages net;
     bytes = P.net_bytes net;
     prefix_safe =
-      Array.for_all (fun l -> is_prefix ~equal:String.equal l decided) logs;
+      Array.for_all (fun l -> is_prefix l decided_entries) honest_logs;
     late_accepts =
       Array.fold_left
         (fun acc i -> acc + final.(i).Protocol.late_accepts)

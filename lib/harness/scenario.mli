@@ -22,7 +22,11 @@ type result = {
   accept_rate : float;  (** accepted / decided own proposals in-window *)
   messages : int;
   bytes : int;
-  prefix_safe : bool;  (** output logs are prefixes of each other *)
+  prefix_safe : bool;
+      (** honest output logs are prefixes of each other, entry by
+          entry in key and content digest ({!is_prefix} over
+          [honest_logs]): one instance key committed with different
+          transactions breaks it *)
   late_accepts : int;  (** safety counter; must be 0 *)
   dropped_msgs : int;  (** messages the fault plan dropped *)
   dup_msgs : int;  (** extra copies the fault plan injected *)
@@ -40,7 +44,9 @@ type result = {
       (** per honest node, the committed log as (key, content digest)
           pairs, oldest first — the digest pins the batch's transaction
           contents so content-level divergence under one instance key
-          is visible to the explorer's oracles *)
+          is visible to [prefix_safe] and the explorer's oracles. Nodes
+          that committed the same transactions under a key share one
+          pair *)
   seq_bounds : (int * int * int) list array;
       (** per honest node, the adapter's per-output (seq, low, high)
           admissibility bounds ([] for height-based protocols) *)
@@ -121,13 +127,14 @@ val run :
 (** [content_digests logs] pairs each committed entry with its
     content digest: the Merkle root of its ["tx_id:payload"] strings,
     as in [result.honest_logs]. Entries that share a key and carry
-    the same transactions are hashed once. *)
+    the same transactions are hashed once and share one pair. *)
 (* lint: allow S005 tests hand-build honest logs to drive the prefix-agreement oracle *)
 val content_digests :
   Protocol.committed list array -> (string * string) list array
 
-(** [is_prefix ~equal a b]: [a] is a prefix of [b]. *)
-val is_prefix : equal:('a -> 'a -> bool) -> 'a list -> 'a list -> bool
+(** [is_prefix a b]: the (key, digest) log [a] is a prefix of [b],
+    entry by entry equal in both key and digest. *)
+val is_prefix : (string * string) list -> (string * string) list -> bool
 
 (** Index of the first longest log of a non-empty array. *)
 val longest : 'a list array -> int

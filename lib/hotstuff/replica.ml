@@ -5,7 +5,7 @@
 module Str_tbl = Hashtbl.Make (String)
 module Int_tbl = Lyra.Types.Int_tbl
 
-type qc = { q_block : string; q_height : int; voters : int list }
+type qc = { q_block : string; q_height : int; voters : Dbft.Senders.t }
 
 type 'cmd block = {
   b_id : string;
@@ -30,7 +30,7 @@ type 'cmd transport = {
   tr_schedule : delay_us:int -> (unit -> unit) -> unit;
 }
 
-let qc_size qc = 48 + (8 * List.length qc.voters)
+let qc_size qc = 48 + (8 * Dbft.Senders.count qc.voters)
 
 let block_size ~cmd_size b =
   96 + qc_size b.justify + List.fold_left (fun acc c -> acc + cmd_size c) 0 b.cmds
@@ -45,7 +45,7 @@ let msg_size ~cmd_size = function
 
 let genesis_id = "genesis"
 
-let genesis_qc = { q_block = genesis_id; q_height = 0; voters = [] }
+let genesis_qc = { q_block = genesis_id; q_height = 0; voters = Dbft.Senders.create 0 }
 
 let genesis =
   { b_id = genesis_id; height = 0; parent = genesis_id; justify = genesis_qc; cmds = []; proposer = 0 }
@@ -129,7 +129,10 @@ let request_catchup t ~via ~missing =
         if Option.is_none (find_block t missing) then begin
           let certifiers =
             List.filter (fun r -> not (Int.equal r t.id))
-              (via.proposer :: List.filter (fun r -> not (Int.equal r via.proposer)) via.justify.voters)
+              (via.proposer
+              :: List.filter
+                   (fun r -> not (Int.equal r via.proposer))
+                   (Dbft.Senders.to_list via.justify.voters))
           in
           if certifiers <> [] then begin
             let dst = List.nth certifiers (c.sent mod List.length certifiers) in
@@ -309,8 +312,10 @@ let on_vote t ~src ~block_id ~height =
     in
     if Dbft.Senders.add voters src && Int.equal (Dbft.Senders.count voters) (t.n - t.f)
     then begin
+      (* A copy: votes that arrive after the quorum must not grow
+         the certificate. *)
       update_high_qc t
-        { q_block = block_id; q_height = height; voters = Dbft.Senders.to_list voters };
+        { q_block = block_id; q_height = height; voters = Dbft.Senders.copy voters };
       enter_view t (height + 1);
       maybe_propose t
     end
@@ -357,7 +362,7 @@ let create tr ~id ~delta_us ~block_capacity ~cmd_id ~cmd_key ~on_commit () =
       blocks = Str_tbl.create 256;
       votes = Str_tbl.create 256;
       new_views = Int_tbl.create 16;
-      pool = Cmd_pool.create ();
+      pool = Cmd_pool.create ~n;
       view_no = 0;
       vheight = 0;
       high_qc = genesis_qc;

@@ -11,7 +11,9 @@
     The module is generic in the command type carried by blocks; Pompē
     instantiates it with sequenced-batch references. *)
 
-type qc = { q_block : string; q_height : int; voters : int list }
+(** A quorum certificate: the block, its height and the replicas whose
+    votes formed it. *)
+type qc = { q_block : string; q_height : int; voters : Dbft.Senders.t }
 
 type 'cmd block = {
   b_id : string;

@@ -22,19 +22,31 @@ module Exec_queue = Set.Make (struct
 end)
 
 (* What a node knows of one batch id, from the first message that
-   names it: the payload once an Order_req brings it, the timestamp
-   this node signed for it ([min_int] until its Ts_resp goes out),
-   whether its Sequenced was admitted, and the payload fetch of a
-   committed batch whose Order_req never arrived: the node last asked
-   ([fetch_from] -1: not fetching) and when the next node is due
-   (both read only while the payload is missing). *)
+   names it: the payload once an Order_req brings it ([no_batch]
+   until then), the timestamp this node signed for it ([min_int]
+   until its Ts_resp goes out) and whether its Sequenced was
+   admitted. *)
 type entry = {
-  mutable batch : Lyra.Types.batch option;
+  mutable batch : Lyra.Types.batch;
   mutable ts_sent : int;
   mutable sequenced : bool;
-  mutable fetch_from : int;
-  mutable fetch_next_at : int;
 }
+
+(* The one "no payload yet" batch, told apart by [==]. *)
+let no_batch =
+  {
+    Lyra.Types.iid = { Lyra.Types.proposer = -1; index = -1 };
+    txs = [||];
+    obf = Lyra.Types.Clear;
+    created_at = 0;
+  }
+
+let has_payload e = not (e.batch == no_batch)
+
+(* The payload fetch of a committed batch whose Order_req never
+   arrived: the node last asked and when the next one is due. A row
+   lives only while the payload is missing. *)
+type fetch = { mutable from : int; mutable next_at : int }
 
 type t = {
   config : Config.t;
@@ -48,6 +60,7 @@ type t = {
   respond_ts : Lyra.Types.batch -> honest:int -> int option;
   mutable replica : Types.cmd Hotstuff.Replica.t option;
   entries : entry Iid_tbl.t;
+  fetches : fetch Iid_tbl.t;  (** fetches in progress *)
   collects : ts_collect Int_tbl.t;  (** per open own proposal index *)
   mutable exec_buffer : Exec_queue.t;
   mutable max_committed_seq : int;
@@ -88,6 +101,8 @@ let mempool_size t = Lyra.Mempool.length t.mempool
 
 let open_collects t = Int_tbl.length t.collects
 
+let open_fetches t = Iid_tbl.length t.fetches
+
 let broadcast t body = Sim.Network.broadcast t.net ~src:t.id body
 
 let send t ~dst body = Sim.Network.send t.net ~src:t.id ~dst body
@@ -109,10 +124,7 @@ let entry t iid =
   match Iid_tbl.find_opt t.entries iid with
   | Some e -> e
   | None ->
-      let e =
-        { batch = None; ts_sent = min_int; sequenced = false; fetch_from = -1;
-          fetch_next_at = 0 }
-      in
+      let e = { batch = no_batch; ts_sent = min_int; sequenced = false } in
       Iid_tbl.replace t.entries iid e;
       e
 
@@ -120,19 +132,28 @@ let entry t iid =
    to the proposer, then each [Config.fetch_base_us] to the next node id
    in turn, skipping this node, until the payload arrives. Every node
    that timestamped the batch holds it, so the walk reaches one. *)
-let fetch_payload t iid e now =
-  if e.fetch_from < 0 || now >= e.fetch_next_at then begin
-    let next i = (i + 1) mod t.config.Config.n in
-    let dst =
-      if e.fetch_from < 0 then iid.Lyra.Types.proposer
-      else
-        let d = next e.fetch_from in
-        if Int.equal d t.id then next d else d
-    in
-    e.fetch_from <- dst;
-    e.fetch_next_at <- now + Config.fetch_base_us;
-    send t ~dst (Types.Order_fetch { iid })
-  end
+let fetch_payload t iid now =
+  let next i = (i + 1) mod t.config.Config.n in
+  let ask dst =
+    send t ~dst (Types.Order_fetch { iid });
+    now + Config.fetch_base_us
+  in
+  match Iid_tbl.find_opt t.fetches iid with
+  | None ->
+      let dst = iid.Lyra.Types.proposer in
+      Iid_tbl.replace t.fetches iid { from = dst; next_at = ask dst }
+  | Some f when now >= f.next_at ->
+      let d = next f.from in
+      let dst = if Int.equal d t.id then next d else d in
+      f.from <- dst;
+      f.next_at <- ask dst
+  | Some _ -> ()
+
+(* The payload of [e] arrived: keep it and end its fetch, if any. *)
+let fill t iid e batch =
+  e.batch <- batch;
+  Iid_tbl.remove t.fetches iid;
+  t.on_observe batch
 
 (* Executes the buffered entries with seq <= [horizon], lowest first.
    A missing payload stops the drain until it arrives; meanwhile the
@@ -143,22 +164,21 @@ let rec drain t horizon =
     let ((seq, iid) as head) = Exec_queue.min_elt t.exec_buffer in
     if seq <= horizon then
       let e = entry t iid in
-      match e.batch with
-      | Some batch ->
-          t.exec_buffer <- Exec_queue.remove head t.exec_buffer;
-          let out = { batch; seq; output_at = Sim.Engine.now t.engine } in
-          t.outputs_rev <- out :: t.outputs_rev;
-          t.output_n <- t.output_n + 1;
-          stamp_own t iid "exec";
-          t.on_output out;
-          drain t horizon
-      | None ->
-          let now = Sim.Engine.now t.engine in
-          Exec_queue.to_seq_from head t.exec_buffer
-          |> Seq.take_while (fun (s, _) -> s <= horizon)
-          |> Seq.iter (fun (_, iid) ->
-                 let e = entry t iid in
-                 if Option.is_none e.batch then fetch_payload t iid e now)
+      if has_payload e then begin
+        t.exec_buffer <- Exec_queue.remove head t.exec_buffer;
+        let out = { batch = e.batch; seq; output_at = Sim.Engine.now t.engine } in
+        t.outputs_rev <- out :: t.outputs_rev;
+        t.output_n <- t.output_n + 1;
+        stamp_own t iid "exec";
+        t.on_output out;
+        drain t horizon
+      end
+      else
+        let now = Sim.Engine.now t.engine in
+        Exec_queue.to_seq_from head t.exec_buffer
+        |> Seq.take_while (fun (s, _) -> s <= horizon)
+        |> Seq.iter (fun (_, iid) ->
+               if not (has_payload (entry t iid)) then fetch_payload t iid now)
   end
 
 let flush_exec t =
@@ -224,36 +244,31 @@ let on_order_req t ~src batch =
   let iid = batch.Lyra.Types.iid in
   if Int.equal iid.Lyra.Types.proposer src then begin
     let e = entry t iid in
-    match e.batch with
-    | None ->
-        e.batch <- Some batch;
-        t.on_observe batch;
-        let honest = Lyra.Ordering_clock.read t.clock in
-        (match t.respond_ts batch ~honest with
-        | Some ts ->
-            e.ts_sent <- ts;
-            send t ~dst:src (Types.Ts_resp { iid; ts })
-        | None -> ());
-        flush_exec t
-    | Some _ ->
-        (* A duplicate Order_req is the proposer retrying because our
-           Ts_resp may have been lost: re-send the original timestamp
-           (the proposer's responder set makes this idempotent). *)
-        if not (Int.equal e.ts_sent min_int) then
-          send t ~dst:src (Types.Ts_resp { iid; ts = e.ts_sent })
+    if not (has_payload e) then begin
+      fill t iid e batch;
+      let honest = Lyra.Ordering_clock.read t.clock in
+      (match t.respond_ts batch ~honest with
+      | Some ts ->
+          e.ts_sent <- ts;
+          send t ~dst:src (Types.Ts_resp { iid; ts })
+      | None -> ());
+      flush_exec t
+    end
+    else if not (Int.equal e.ts_sent min_int) then
+      (* A duplicate Order_req is the proposer retrying because our
+         Ts_resp may have been lost: re-send the original timestamp
+         (the proposer's responder set makes this idempotent). *)
+      send t ~dst:src (Types.Ts_resp { iid; ts = e.ts_sent })
   end
-  else
-    match Iid_tbl.find_opt t.entries iid with
-    | Some ({ batch = None; _ } as e) when e.fetch_from >= 0 ->
-        e.batch <- Some batch;
-        t.on_observe batch;
-        flush_exec t
-    | Some _ | None -> ()
+  else if Iid_tbl.mem t.fetches iid then begin
+    fill t iid (entry t iid) batch;
+    flush_exec t
+  end
 
 let on_order_fetch t ~src iid =
   match Iid_tbl.find_opt t.entries iid with
-  | Some { batch = Some batch; _ } -> send t ~dst:src (Types.Order_req { batch })
-  | Some { batch = None; _ } | None -> ()
+  | Some e when has_payload e -> send t ~dst:src (Types.Order_req { batch = e.batch })
+  | Some _ | None -> ()
 
 (* A crashed node holds its transactions; the recovery hook re-enters. *)
 let rec maybe_propose t =
@@ -378,6 +393,7 @@ let create config net ~id ?(clock_offset_us = 0)
       respond_ts;
       replica = None;
       entries = Iid_tbl.create 128;
+      fetches = Iid_tbl.create 1;
       collects = Int_tbl.create 32;
       exec_buffer = Exec_queue.empty;
       max_committed_seq = 0;

@@ -53,6 +53,10 @@ val committed_height : t -> int
     most [max_inflight]. *)
 val open_collects : t -> int (* lint: allow S005 bounded-state probe for test_pompe *)
 
+(** Payload fetches in progress: committed batches whose payload has
+    not arrived and for which an [Order_fetch] went out. *)
+val open_fetches : t -> int (* lint: allow S005 bounded-state probe for test_pompe *)
+
 (** Client transactions waiting in the {!Lyra.Mempool}. *)
 val mempool_size : t -> int
 

@@ -172,16 +172,28 @@ end
 
 type pool_op = Submit of int | Commit of int list | Take of int
 
+(* A pool of [n] lanes and its operations. Keys are mostly small, so
+   they spread over the lanes and commit out of order within a lane;
+   some are negative, some near [max_int], one is [min_int]. *)
 let gen_pool_ops =
   let open QCheck.Gen in
-  let id = int_bound 40 in
-  list_size (int_range 0 300)
-    (frequency
-       [
-         (5, map (fun i -> Submit i) id);
-         (3, map (fun l -> Commit (List.sort_uniq Int.compare l)) (list_size (int_range 0 6) id));
-         (2, map (fun k -> Take k) (int_range 1 6));
-       ])
+  let id =
+    frequency
+      [
+        (8, int_bound 40);
+        (1, map (fun k -> -1 - k) (int_bound 5));
+        (1, map (fun k -> max_int - k) (int_bound 5));
+        (1, return min_int);
+      ]
+  in
+  pair (int_range 1 7)
+    (list_size (int_range 0 300)
+       (frequency
+          [
+            (5, map (fun i -> Submit i) id);
+            (3, map (fun l -> Commit (List.sort_uniq Int.compare l)) (list_size (int_range 0 6) id));
+            (2, map (fun k -> Take k) (int_range 1 6));
+          ]))
 
 let print_pool_op = function
   | Submit i -> Printf.sprintf "Submit %d" i
@@ -195,10 +207,10 @@ let print_pool_op = function
 let prop_pool_matches_reference =
   QCheck.Test.make ~name:"cmd pool = reversed-list reference; queue ≤ 2·live"
     ~count:500
-    (QCheck.make gen_pool_ops ~print:(fun ops ->
-         String.concat ", " (List.map print_pool_op ops)))
-    (fun ops ->
-      let pool = Hotstuff.Cmd_pool.create () and reference = Reference.create () in
+    (QCheck.make gen_pool_ops ~print:(fun (n, ops) ->
+         Printf.sprintf "n=%d: %s" n (String.concat ", " (List.map print_pool_op ops))))
+    (fun (n, ops) ->
+      let pool = Hotstuff.Cmd_pool.create ~n and reference = Reference.create () in
       let name i = Printf.sprintf "c%d" i in
       List.for_all
         (fun op ->
@@ -220,8 +232,48 @@ let prop_pool_matches_reference =
           && Hotstuff.Cmd_pool.queue_length pool <= 2 * live)
         ops)
 
+(* Committed keys are held one by one only while their lane commits
+   ahead of its order. At n = 5, lanes commit indices 0..11 in order,
+   interleaved across lanes: nothing is held at any point. Committed in
+   a shuffled order, keys are held while gaps remain, and none once
+   every index is in; every key then reads as committed. *)
+let test_pool_watermarks () =
+  let n = 5 and per_lane = 12 in
+  let keys = List.init (n * per_lane) Fun.id in
+  let fill pool = List.iter (fun k -> ignore (Hotstuff.Cmd_pool.submit pool k k : bool)) keys in
+  let in_order = Hotstuff.Cmd_pool.create ~n in
+  fill in_order;
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) "fresh commit" true (Hotstuff.Cmd_pool.commit in_order k);
+      Alcotest.(check int) "in order: none held" 0 (Hotstuff.Cmd_pool.sparse_committed in_order))
+    (* Lane l's index i goes at step i + 2l: lanes overlap. *)
+    (List.sort
+       (fun a b -> compare ((a / n) + (2 * (a mod n)), a) ((b / n) + (2 * (b mod n)), b))
+       keys);
+  let shuffled = Hotstuff.Cmd_pool.create ~n in
+  fill shuffled;
+  let rng = Random.State.make [| 17 |] in
+  let order =
+    List.map snd (List.sort compare (List.map (fun k -> (Random.State.bits rng, k)) keys))
+  in
+  let held = ref 0 in
+  List.iter
+    (fun k ->
+      ignore (Hotstuff.Cmd_pool.commit shuffled k : bool);
+      held := max !held (Hotstuff.Cmd_pool.sparse_committed shuffled))
+    order;
+  Alcotest.(check bool) "shuffled: some held on the way" true (!held > 0);
+  Alcotest.(check int) "shuffled: none held at the end" 0 (Hotstuff.Cmd_pool.sparse_committed shuffled);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) "recommit refused" false (Hotstuff.Cmd_pool.commit shuffled k);
+      Alcotest.(check bool) "resubmit refused" false (Hotstuff.Cmd_pool.submit shuffled k k))
+    keys;
+  Alcotest.(check int) "nothing live" 0 (Hotstuff.Cmd_pool.live shuffled)
+
 let test_msg_sizes () =
-  let qc = { Hotstuff.Replica.q_block = "x"; q_height = 1; voters = [ 0; 1; 2 ] } in
+  let qc = { Hotstuff.Replica.q_block = "x"; q_height = 1; voters = Testutil.senders 4 [ 0; 1; 2 ] } in
   let block =
     {
       Hotstuff.Replica.b_id = "b";
@@ -271,7 +323,7 @@ let test_catchup_source_and_evaluation () =
         b_id = Printf.sprintf "b%d" h;
         height = h;
         parent;
-        justify = { q_block = parent; q_height = h - 1; voters = [ 0; 1; 3 ] };
+        justify = { q_block = parent; q_height = h - 1; voters = Testutil.senders 4 [ 0; 1; 3 ] };
         cmds = [];
         proposer = h mod 4;
       }
@@ -299,7 +351,8 @@ let test_catchup_source_and_evaluation () =
 (* The leader of view 2 at n = 7 (replica 2) certifies block 1 once
    n − f = 5 distinct replicas voted, and the QC it proposes on lists
    exactly those voters in ascending order: repeated votes and a vote
-   for another block count nothing. *)
+   for another block count nothing, and a vote after the quorum leaves
+   the certificate as it was. *)
 let test_qc_voters () =
   let proposals = ref [] in
   let tr =
@@ -322,10 +375,14 @@ let test_qc_voters () =
     [ (6, "b1"); (1, "b1"); (6, "b1"); (4, "b1"); (3, "other"); (1, "b1"); (0, "b1") ];
   Alcotest.(check int) "four voters: no proposal yet" 0 (List.length !proposals);
   vote 5 "b1";
+  vote 3 "b1";
   match !proposals with
   | [ b ] ->
       Alcotest.(check string) "justifies b1" "b1" b.justify.q_block;
-      Alcotest.(check (list int)) "voters ascending" [ 0; 1; 4; 5; 6 ] b.justify.voters
+      Alcotest.(check (list int)) "voters ascending" [ 0; 1; 4; 5; 6 ]
+        (Dbft.Senders.to_list b.justify.voters);
+      Alcotest.(check int) "size counts five voters" (96 + 48 + 40)
+        (Hotstuff.Replica.msg_size ~cmd_size:(fun _ -> 0) (Proposal b))
   | l -> Alcotest.failf "%d proposals" (List.length l)
 
 let suite =
@@ -338,6 +395,7 @@ let suite =
     Alcotest.test_case "msg sizes" `Quick test_msg_sizes;
     Alcotest.test_case "block order newest-first" `Quick test_block_order_newest_first;
     QCheck_alcotest.to_alcotest prop_pool_matches_reference;
+    Alcotest.test_case "cmd pool watermarks" `Quick test_pool_watermarks;
     Alcotest.test_case "catch-up source and evaluation" `Quick test_catchup_source_and_evaluation;
     Alcotest.test_case "QC voters" `Quick test_qc_voters;
   ]

@@ -528,7 +528,8 @@ let commit_foreign h (batches : Lyra.Types.batch list) =
               b_id = Printf.sprintf "b%d" height;
               height;
               parent;
-              justify = { q_block = parent; q_height = height - 1; voters = [ 1; 2; 3 ] };
+              justify =
+                { q_block = parent; q_height = height - 1; voters = Testutil.senders 4 [ 1; 2; 3 ] };
               cmds = (if height = 1 then cmds else []);
               proposer = height mod 4;
             }))
@@ -582,24 +583,30 @@ let test_fetch_walks_every_other_node () =
     (fun gap -> Alcotest.(check int) "200 ms apart" 4 gap)
     (gaps (List.rev !steps));
   Alcotest.(check int) "not executed" 0 (List.length (Pompe.Node.output_log h.node));
+  Alcotest.(check int) "one fetch open" 1 (Pompe.Node.open_fetches h.node);
   h.inject ~src:3 (Order_req { batch });
   Alcotest.(check bool) "relayed copy executed" true (outputs_of h.node = [ batch.iid ]);
   Alcotest.(check int) "no Ts_resp" 0 (ts_resps h);
+  Alcotest.(check int) "fetch closed" 0 (Pompe.Node.open_fetches h.node);
   let observed = ref 0 in
   let h = hand_fed ~on_observe:(fun _ -> incr observed) ~id:0 () in
   h.inject ~src:3 (Order_req { batch });
   Alcotest.(check int) "unfetched copy: no output" 0 (List.length (Pompe.Node.output_log h.node));
   Alcotest.(check int) "unfetched copy: not observed" 0 !observed;
   Alcotest.(check int) "unfetched copy: no Ts_resp" 0 (ts_resps h);
+  Alcotest.(check int) "unfetched copy: no fetch open" 0 (Pompe.Node.open_fetches h.node);
   commit_foreign h [ batch ];
   drain_steps h 4;
   Alcotest.(check (list int)) "payload still fetched" [ 2 ] (fetch_peers h);
   Alcotest.(check int) "still not executed" 0 (List.length (Pompe.Node.output_log h.node))
 
 (* A committed batch whose Order_req never arrived is fetched from its
-   proposer; once the payload arrives the batch executes and no further
-   Order_fetch goes out, to any node, however long the node keeps
-   draining. *)
+   proposer; once the payload arrives the batch executes, its fetch row
+   goes, and no further Order_fetch goes out, to any node, however long
+   the node keeps draining. Late messages for the executed batch are
+   handled as for any held batch: the proposer's retried Order_req gets
+   the timestamp signed on arrival, a relayed copy is ignored, and a
+   Sequenced is admitted once but executes nothing again. *)
 let test_payload_clears_fetch () =
   let h = hand_fed ~id:0 () in
   let batch = foreign_batch ~proposer:2 () in
@@ -607,11 +614,30 @@ let test_payload_clears_fetch () =
   drain_steps h 4;
   Alcotest.(check (list int)) "fetched from the proposer" [ 2 ] (fetch_peers h);
   Alcotest.(check int) "not executed" 0 (List.length (Pompe.Node.output_log h.node));
+  Alcotest.(check int) "one fetch open" 1 (Pompe.Node.open_fetches h.node);
   h.inject ~src:2 (Order_req { batch });
   Alcotest.(check bool) "executed" true (outputs_of h.node = [ batch.iid ]);
+  Alcotest.(check int) "fetch closed" 0 (Pompe.Node.open_fetches h.node);
   (* Long enough for the fetch to have walked every node many times. *)
   drain_steps h 100;
-  Alcotest.(check (list int)) "no further fetch" [ 2 ] (fetch_peers h)
+  Alcotest.(check (list int)) "no further fetch" [ 2 ] (fetch_peers h);
+  let ts_to_proposer () =
+    List.filter_map (function 2, 0, Pompe.Types.Ts_resp { ts; _ } -> Some ts | _ -> None) (h.inbox ())
+  in
+  h.inject ~src:2 (Order_req { batch });
+  h.inject ~src:3 (Order_req { batch });
+  (match ts_to_proposer () with
+  | [ first; again ] -> Alcotest.(check int) "retry: same timestamp" first again
+  | l -> Alcotest.failf "%d Ts_resps to the proposer" (List.length l));
+  Alcotest.(check int) "no Ts_resp to the relay" 2 (ts_resps h);
+  let proofs = List.map (fun signer -> { Pompe.Types.signer; ts = 650_000 }) [ 1; 2; 3 ] in
+  for _ = 1 to 2 do
+    h.inject ~src:2 (Sequenced { iid = batch.iid; seq = 650_000; proofs })
+  done;
+  drain_steps h 4;
+  Alcotest.(check int) "late Sequenced admitted once" 1 (Pompe.Node.sequenced_count h.node);
+  Alcotest.(check bool) "executed once" true (outputs_of h.node = [ batch.iid ]);
+  Alcotest.(check int) "no fetch reopened" 0 (Pompe.Node.open_fetches h.node)
 
 (* Two committed batches miss their payloads. While execution waits on
    the first, the second is fetched too, in the same drain: the payloads
@@ -625,10 +651,13 @@ let test_missing_payloads_fetched_together () =
   drain_steps h 4;
   Alcotest.(check bool) "both fetched from the proposer at once" true
     (fetched_iids h = [ first.iid; second.iid ] && fetch_peers h = [ 2; 2 ]);
+  Alcotest.(check int) "two fetches open" 2 (Pompe.Node.open_fetches h.node);
   h.inject ~src:3 (Order_req { batch = second });
   Alcotest.(check int) "second alone: nothing executed" 0 (List.length (Pompe.Node.output_log h.node));
+  Alcotest.(check int) "second's fetch closed" 1 (Pompe.Node.open_fetches h.node);
   h.inject ~src:1 (Order_req { batch = first });
-  Alcotest.(check bool) "both executed, in order" true (outputs_of h.node = [ first.iid; second.iid ])
+  Alcotest.(check bool) "both executed, in order" true (outputs_of h.node = [ first.iid; second.iid ]);
+  Alcotest.(check int) "no fetch open" 0 (Pompe.Node.open_fetches h.node)
 
 let suite =
   [

@@ -256,6 +256,50 @@ let test_pompe_keys_shared () =
     nodes;
   Alcotest.(check bool) "several batches" true (Hashtbl.length canonical >= 2)
 
+(* [prefix_safe] compares content, not just keys: node 1's log is
+   read back with its first batch's transactions replaced, under the
+   same keys, and the run turns unsafe; the untouched run is safe. *)
+module Split_payload (P : Protocol.NODE) : Protocol.NODE = struct
+  include (P : Protocol.NODE with type net = P.net and type t := P.t)
+
+  type t = { node : P.t; id : int }
+
+  let create net ~id ?on_observe ~on_output () =
+    { node = P.create net ~id ?on_observe ~on_output (); id }
+
+  let start t = P.start t.node
+
+  let submit t ~payload = P.submit t.node ~payload
+
+  let honest t = P.honest t.node
+
+  let seq_bounds t = P.seq_bounds t.node
+
+  let stats t = P.stats t.node
+
+  let output_log t =
+    match P.output_log t.node with
+    | (c : Protocol.committed) :: rest when Int.equal t.id 1 ->
+        let forged =
+          { Lyra.Types.tx_id = "forged"; payload = "forged"; submitted_at = 0; origin = 0 }
+        in
+        { c with txs = [| forged |] } :: rest
+    | log -> log
+end
+
+let test_prefix_safe_sees_content () =
+  let run adapter =
+    Harness.Scenario.run ~seed:7L adapter ~n:4 ~load:(Harness.Scenario.Closed 2)
+      ~duration_us:2_000_000 ()
+  in
+  let plain = run (get "lyra") in
+  let split = run (module Split_payload ((val get "lyra")) : Protocol.NODE) in
+  let keys (r : Harness.Scenario.result) = Array.map (List.map fst) r.honest_logs in
+  Alcotest.(check bool) "untouched run safe" true plain.prefix_safe;
+  Alcotest.(check bool) "node 1 committed" true (plain.honest_logs.(1) <> []);
+  Alcotest.(check bool) "same keys" true (keys plain = keys split);
+  Alcotest.(check bool) "split payload unsafe" false split.prefix_safe
+
 let suite =
   [
     Alcotest.test_case "registry" `Quick test_registry;
@@ -271,4 +315,6 @@ let suite =
       test_key_of_iid_matches_sprintf;
     Alcotest.test_case "pompe keys shared across nodes" `Quick
       test_pompe_keys_shared;
+    Alcotest.test_case "prefix_safe compares content" `Quick
+      test_prefix_safe_sees_content;
   ]

@@ -85,6 +85,12 @@ let logs c =
         (Lyra.Node.output_log node))
     c.nodes
 
+(* The sender set over ids 0..n−1 holding [ids]. *)
+let senders n ids =
+  let set = Dbft.Senders.create n in
+  List.iter (fun i -> ignore (Dbft.Senders.add set i : bool)) ids;
+  set
+
 let is_prefix la lb =
   let rec go = function
     | [], _ -> true
