@@ -42,21 +42,21 @@ let init () =
 (* Σ and σ functions of a 32-bit word. Rotating x right by n is the low
    32 bits of (x lsr n) lor (x lsl (32 − n)), so one mask after the
    xors stands for a mask per rotation. *)
-let big_sigma0 x =
+let[@inline] big_sigma0 x =
   ((x lsr 2) lor (x lsl 30)) lxor ((x lsr 13) lor (x lsl 19))
   lxor ((x lsr 22) lor (x lsl 10))
   land mask
 
-let big_sigma1 x =
+let[@inline] big_sigma1 x =
   ((x lsr 6) lor (x lsl 26)) lxor ((x lsr 11) lor (x lsl 21))
   lxor ((x lsr 25) lor (x lsl 7))
   land mask
 
-let small_sigma0 x =
+let[@inline] small_sigma0 x =
   ((x lsr 7) lor (x lsl 25)) lxor ((x lsr 18) lor (x lsl 14)) lxor (x lsr 3)
   land mask
 
-let small_sigma1 x =
+let[@inline] small_sigma1 x =
   ((x lsr 17) lor (x lsl 15)) lxor ((x lsr 19) lor (x lsl 13)) lxor (x lsr 10)
   land mask
 

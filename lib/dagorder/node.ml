@@ -72,9 +72,8 @@ type t = {
   mutable timer_due : bool;  (** round pacing elapsed since last vertex *)
   mempool : Lyra.Mempool.t;
   mutable next_index : int;
-  mutable next_seq : int;
   mutable own_emitted : int;
-  mutable outputs_rev : output list;
+  log : Dag.delivery Lyra.Output_log.t;
   pending : (int * int, Dag.vertex) Hashtbl.t;
       (** buffered vertices whose parents have not all arrived *)
   missing : (int * int, int) Hashtbl.t;  (** wanted vertex → attempts *)
@@ -94,13 +93,15 @@ type t = {
    tables share the [e2e] column. *)
 let phase_spans = [ ("wave", "propose", "commit"); ("e2e", "propose", "commit") ]
 
-let output_log t = List.rev t.outputs_rev
+let output_log t =
+  Lyra.Output_log.to_list t.log (fun delivery ~seq ~at ->
+      { delivery; seq; output_at = at })
 
 let mempool_size t = Lyra.Mempool.length t.mempool
 
 let own_emitted t = t.own_emitted
 
-let committed_seq t = t.next_seq
+let committed_seq t = Lyra.Output_log.length t.log
 
 let decide_rounds t = t.decide_rounds
 
@@ -127,20 +128,17 @@ let observe_batch t (b : Lyra.Types.batch) =
 let deliver t (ds : Dag.delivery list) =
   List.iter
     (fun (d : Dag.delivery) ->
-      let out =
-        { delivery = d; seq = t.next_seq; output_at = Sim.Engine.now t.engine }
-      in
-      t.next_seq <- t.next_seq + 1;
+      let seq = Lyra.Output_log.length t.log and at = Sim.Engine.now t.engine in
       Metrics.Recorder.record t.decide_rounds
         (float_of_int (d.anchor_round - d.embed_round));
       (if Int.equal d.batch.Lyra.Types.iid.Lyra.Types.proposer t.id then begin
          t.own_emitted <- t.own_emitted + 1;
          Metrics.Phases.stamp t.phases
            ~key:d.batch.Lyra.Types.iid.Lyra.Types.index "commit"
-           ~now:out.output_at
+           ~now:at
        end);
-      t.outputs_rev <- out :: t.outputs_rev;
-      t.on_output out)
+      Lyra.Output_log.append t.log d ~seq ~at;
+      t.on_output { delivery = d; seq; output_at = at })
     ds
 
 let parents_present t (v : Dag.vertex) =
@@ -364,9 +362,8 @@ let create config net ~id ?(clock_offset_us = 0) ?(on_observe = fun _ -> ())
       timer_due = false;
       mempool = Lyra.Mempool.create engine ~node:id ~prefix:"d";
       next_index = 0;
-      next_seq = 0;
       own_emitted = 0;
-      outputs_rev = [];
+      log = Lyra.Output_log.create ();
       pending = Hashtbl.create 64;
       missing = Hashtbl.create 64;
       reported = Hashtbl.create 256;

@@ -73,8 +73,7 @@ type t = {
   on_output : output -> unit;
   censor : Lyra.Types.iid -> bool;
   mutable replica : Lyra.Types.batch Replica.t option;
-  mutable outputs_rev : output list;
-  mutable next_seq : int;
+  log : Lyra.Types.batch Lyra.Output_log.t;
   mutable own_committed : int;
   mempool : Lyra.Mempool.t;
   mutable next_index : int;
@@ -88,7 +87,8 @@ type t = {
    the [e2e] column. *)
 let phase_spans = [ ("consensus", "propose", "commit"); ("e2e", "propose", "commit") ]
 
-let output_log t = List.rev t.outputs_rev
+let output_log t =
+  Lyra.Output_log.to_list t.log (fun batch ~seq ~at -> { batch; seq; output_at = at })
 
 let committed_height t =
   match t.replica with Some r -> Replica.committed_height r | None -> 0
@@ -104,17 +104,14 @@ let phases t = t.phases
 let on_commit t ~height:_ cmds =
   List.iter
     (fun (batch : Lyra.Types.batch) ->
-      let out =
-        { batch; seq = t.next_seq; output_at = Sim.Engine.now t.engine }
-      in
-      t.next_seq <- t.next_seq + 1;
+      let seq = Lyra.Output_log.length t.log and at = Sim.Engine.now t.engine in
       (if Int.equal batch.iid.Lyra.Types.proposer t.id then begin
          t.own_committed <- t.own_committed + 1;
          Metrics.Phases.stamp t.phases ~key:batch.iid.Lyra.Types.index "commit"
-           ~now:out.output_at
+           ~now:at
        end);
-      t.outputs_rev <- out :: t.outputs_rev;
-      t.on_output out)
+      Lyra.Output_log.append t.log batch ~seq ~at;
+      t.on_output { batch; seq; output_at = at })
     cmds
 
 let on_gossip t batch =
@@ -178,8 +175,7 @@ let create config net ~id ?(on_observe = fun _ -> ())
       on_output;
       censor;
       replica = None;
-      outputs_rev = [];
-      next_seq = 0;
+      log = Lyra.Output_log.create ();
       own_committed = 0;
       mempool = Lyra.Mempool.create engine ~node:id ~prefix:"h";
       next_index = 0;

@@ -31,9 +31,15 @@ let create ~n ~f =
 
 let peer_status t ~peer ~locked ~min_pending =
   if peer < 0 || peer >= t.n then invalid_arg "Commit_state.peer_status";
-  t.r.(peer) <- max t.r.(peer) locked;
-  t.s.(peer) <- min_pending;
-  t.prefix_dirty <- true
+  (* Most statuses repeat the last one; only a change can move the
+     prefixes. *)
+  let locked = max t.r.(peer) locked in
+  if not (Int.equal locked t.r.(peer) && Int.equal min_pending t.s.(peer))
+  then begin
+    t.r.(peer) <- locked;
+    t.s.(peer) <- min_pending;
+    t.prefix_dirty <- true
+  end
 
 (* The (2f+1)-th highest entry of an array (index 2f, descending).
    With at most f Byzantine peers, at least f+1 of the 2f+1 highest

@@ -38,6 +38,7 @@ type t = {
   created_at : int;  (** engine time of first contact *)
   (* --- VVB state (round 1) --- *)
   mutable proposal : Types.proposal option;
+  mutable requested : int option;  (** [proposal]'s requested seq *)
   mutable init_seen : bool;
   mutable seq_obs : int option;
   mutable vote1 : vote_bucket list;
@@ -58,6 +59,7 @@ let create env iid ~created_at =
     iid;
     created_at;
     proposal = None;
+    requested = None;
     init_seen = false;
     seq_obs = None;
     vote1 = [];
@@ -76,6 +78,17 @@ let decided t = Dbft.Rounds.decided t.rounds
 let decision_round t = Dbft.Rounds.decision_round t.rounds
 
 let proposal t = t.proposal
+
+let requested_seq t = t.requested
+
+(* Every write of [proposal] goes through here, so [requested] always
+   belongs to the proposal beside it. *)
+let set_proposal t p =
+  t.proposal <- p;
+  t.requested <-
+    (match p with
+    | Some p -> Types.requested_seq ~n:t.env.n ~f:t.env.f p.Types.st
+    | None -> None)
 
 let seq_obs t = t.seq_obs
 
@@ -203,7 +216,7 @@ let on_init t ~src proposal sigma =
           t.seq_obs <- Some s;
           s
     in
-    if t.proposal = None then t.proposal <- Some proposal;
+    if t.proposal = None then set_proposal t (Some proposal);
     let valid =
       t.env.verify_init t.iid proposal sigma && t.env.validate proposal ~seq_obs
     in
@@ -251,14 +264,14 @@ let on_deliver t ~src:_ proposal proof =
   ensure_started t;
   if Types.iid_equal proposal.Types.batch.Types.iid t.iid && t.env.check_deliver proposal proof
   then begin
-    if t.proposal = None then t.proposal <- Some proposal;
+    if t.proposal = None then set_proposal t (Some proposal);
     (* Only the quorum-certified proposal can be delivered with 1; a
        diverging local proposal (equivocating broadcaster) is replaced
        for output purposes — our own vote is already cast and counted
        under the old digest, preserving VVB-Unicity. *)
     (match my_digest t with
     | Some d when not (String.equal d (Types.proposal_digest proposal)) ->
-        t.proposal <- Some proposal
+        set_proposal t (Some proposal)
     | _ -> ());
     deliver_one t proof
   end
@@ -267,7 +280,7 @@ let on_est t ~src ~round ~value proposal =
   ensure_started t;
   (* A late adopter takes m from EST(1) of a round the machine accepts. *)
   (if value = 1 && t.proposal = None && round >= 2 && round <= Dbft.Rounds.max_rounds
-   then t.proposal <- proposal);
+   then set_proposal t proposal);
   Rounds.on_est t ~src ~round value
 
 let on_coord t ~src ~round ~value =
@@ -291,12 +304,12 @@ let revive env iid ~created_at ~value ~decision_round ~round proposal =
   let t =
     {
       (create env iid ~created_at) with
-      proposal;
       rounds =
         Dbft.Rounds.deferred ~self:env.self ~n:env.n ~delta_us:env.delta_us ~value
           ~decision_round ~round;
     }
   in
+  set_proposal t proposal;
   close_vvb t;
   t
 
@@ -335,7 +348,7 @@ let poke t =
 let force_decide t ~value proposal =
   if decided t = None then begin
     (match proposal with
-    | Some _ when t.proposal = None -> t.proposal <- proposal
+    | Some _ when t.proposal = None -> set_proposal t proposal
     | _ -> ());
     Dbft.Rounds.force_decide t.rounds value;
     close_vvb t;

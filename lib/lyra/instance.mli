@@ -105,6 +105,10 @@ val decision_round : t -> int option
 
 val proposal : t -> Types.proposal option
 
+(** {!Types.requested_seq} of {!proposal}, computed once each time the
+    proposal is set or replaced; [None] without a proposal. *)
+val requested_seq : t -> int option
+
 (** Perceived sequence number of this instance at this node, once
     known. *)
 val seq_obs : t -> int option (* lint: allow S005 instance probe for test_vvb *)

@@ -84,8 +84,7 @@ type t = {
   reveals : reveal_state Types.Iid_tbl.t;
   records : commit_record Types.Iid_tbl.t;
   outbox : Types.iid Queue.t;  (** commit order; emitted when revealed *)
-  mutable outputs_rev : output list;
-  mutable output_count : int;
+  log : Types.batch Output_log.t;  (** emitted entries, oldest first *)
   mempool : Mempool.t;
   mutable next_index : int;
   mutable inflight : int;
@@ -131,7 +130,11 @@ let phase_spans =
 
 let config t = t.config
 
-let output_log t = List.rev t.outputs_rev
+let output batch ~seq ~at = { batch; seq; output_at = at }
+
+let output_log t = Output_log.to_list t.log output
+
+let output_count t = Output_log.length t.log
 
 let accepted_count t = Commit_state.accepted_count t.commit
 
@@ -248,10 +251,9 @@ let stamp_own t iid milestone =
 
 (* Append one entry to the output log and announce it. *)
 let emit t batch seq =
-  let out = { batch; seq; output_at = Sim.Engine.now t.engine } in
-  t.outputs_rev <- out :: t.outputs_rev;
-  t.output_count <- t.output_count + 1;
-  t.on_output out
+  let at = Sim.Engine.now t.engine in
+  Output_log.append t.log batch ~seq ~at;
+  t.on_output (output batch ~seq ~at)
 
 (* Checks the shares that arrived before [cipher] did, once. *)
 let check_early r cipher =
@@ -419,11 +421,8 @@ let undecided_blocks t boundary =
          match Types.Iid_tbl.find_opt t.instances iid with
          | Some (Live inst)
            when Instance.decided inst = None && not (Instance.halted inst) -> (
-             match Instance.proposal inst with
-             | Some p -> (
-                 match Types.requested_seq ~n:t.config.n ~f:(f t) p.Types.st with
-                 | Some seq -> seq <= boundary
-                 | None -> false)
+             match Instance.requested_seq inst with
+             | Some seq -> seq <= boundary
              | None -> false)
          | Some _ | None -> false)
        t.unsettled
@@ -901,7 +900,7 @@ let absorb_claim t ~src iid seq =
 let sync_target t =
   let claims = t.sync_scratch in
   Array.blit t.peer_committed 0 claims 0 t.config.n;
-  claims.(t.id) <- t.output_count;
+  claims.(t.id) <- output_count t;
   Order_stat.kth_largest ~scratch:claims claims (f t)
 
 let send_sync_req t =
@@ -914,7 +913,7 @@ let send_sync_req t =
       if !peer < 0 && (not (Int.equal i t.id)) && c >= target then peer := i)
     t.peer_committed;
   if !peer >= 0 then
-    send_body t ~dst:!peer (Types.Sync_req { from_count = t.output_count })
+    send_body t ~dst:!peer (Types.Sync_req { from_count = output_count t })
 
 let start_sync t =
   t.sync_active <- true;
@@ -948,7 +947,7 @@ let end_sync t =
 let sync_tick t =
   if not (Sim.Network.is_crashed t.net t.id) then begin
     let now = Sim.Engine.now t.engine in
-    if sync_target t <= t.output_count then begin
+    if sync_target t <= output_count t then begin
       t.lag_since <- None;
       if t.sync_active then end_sync t
     end
@@ -959,9 +958,9 @@ let sync_tick t =
     end
     else
       match t.lag_since with
-      | Some (since, count) when Int.equal count t.output_count ->
+      | Some (since, count) when Int.equal count (output_count t) ->
           if now - since > Config.sync_patience_us then start_sync t
-      | _ -> t.lag_since <- Some (now, t.output_count)
+      | _ -> t.lag_since <- Some (now, output_count t)
   end
 
 (* Entries taken but not yet emitted, in commit order. *)
@@ -976,23 +975,15 @@ let unemitted_tail t =
 
 let on_sync_req t ~src ~from_count =
   if from_count >= 0 then begin
-    let upto = min t.output_count (from_count + Config.sync_batch) in
-    (* outputs_rev is newest first; walk down collecting the slice
-       [from_count, upto) in ascending order. *)
-    let rec collect acc idx = function
-      | [] -> acc
-      | (o : output) :: rest ->
-          if idx < from_count then acc
-          else
-            let acc = if idx < upto then (o.batch, o.seq) :: acc else acc in
-            collect acc (idx - 1) rest
+    let entries =
+      Output_log.slice t.log ~from:from_count ~len:Config.sync_batch
+        (fun batch ~seq ~at:_ -> (batch, seq))
     in
-    let entries = collect [] (t.output_count - 1) t.outputs_rev in
     send_body t ~dst:src
       (Types.Sync_resp
          {
            from_count;
-           upto = t.output_count;
+           upto = output_count t;
            entries;
            tail = take gossip_cap (unemitted_tail t);
          })
@@ -1015,7 +1006,7 @@ let rec orders_agree a b =
 let on_sync_resp t ~src ~from_count ~upto entries tail =
   (* Apply only an exactly-contiguous slice; anything else is stale
      (an earlier duplicate request) and a fresh pull will follow. *)
-  if t.sync_active && Int.equal from_count t.output_count then begin
+  if t.sync_active && Int.equal from_count (output_count t) then begin
     List.iter (fun (iid, seq) -> absorb_claim t ~src iid seq) tail;
     let ok = ref true in
     List.iter
@@ -1065,11 +1056,11 @@ let on_sync_resp t ~src ~from_count ~upto entries tail =
               emit t batch seq
         end)
       entries;
-    if t.output_count < upto then begin
+    if output_count t < upto then begin
       if !ok then send_sync_req t
     end
     else if
-      Int.equal t.output_count upto
+      Int.equal (output_count t) upto
       && log_length t >= sync_goal t
       && orders_agree (unemitted_tail t) tail
     then end_sync t
@@ -1217,7 +1208,7 @@ let on_message t ~src (msg : Types.msg) =
   isolation_check t ~src ~now;
   absorb_status t ~src msg.status;
   if (not t.sync_active) && now <= t.probation_until
-     && sync_target t > t.output_count
+     && sync_target t > output_count t
   then start_sync t;
   (* Each instance message may settle its instance: retire it after. *)
   match msg.body with
@@ -1364,8 +1355,7 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
       reveals = Types.Iid_tbl.create 32;
       records = Types.Iid_tbl.create 32;
       outbox = Queue.create ();
-      outputs_rev = [];
-      output_count = 0;
+      log = Output_log.create ();
       mempool = Mempool.create engine ~node:id ~prefix:"c";
       next_index = 0;
       inflight = 0;

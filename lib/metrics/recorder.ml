@@ -1,6 +1,8 @@
 (* Two regimes behind one interface. Exact mode appends every sample
    into a growable array (summaries sort on demand) — the default, and
-   all any caller saw before streaming existed. A recorder created
+   all any caller saw before streaming existed. The array starts empty
+   and doubles from its first sample: a cluster holds several recorders
+   per node, and most record few samples or none. A recorder created
    with a finite [cap] converts itself to streaming mode when the
    cap-th sample lands: the retained samples seed a bank of P²
    estimators (p50/p90/p95/p99) plus exact count/sum/min/max, the
@@ -28,7 +30,7 @@ let streamed_quantiles = [| 50.0; 90.0; 95.0; 99.0 |]
 
 let create ?(cap = max_int) () =
   if cap < 8 then invalid_arg "Recorder.create: cap must be >= 8";
-  { cap; data = Array.make (min 1024 cap) 0.0; len = 0; stream = None }
+  { cap; data = [||]; len = 0; stream = None }
 
 let is_streaming t = Option.is_some t.stream
 
@@ -142,4 +144,4 @@ let clear t =
   | None -> ()
   | Some _ ->
       t.stream <- None;
-      t.data <- Array.make (min 1024 t.cap) 0.0
+      t.data <- [||]

@@ -17,7 +17,8 @@ type t
 
 (** [create ?cap ()] — [cap] (default: unbounded) is the number of
     retained samples past which the recorder switches to streaming
-    mode. Raises [Invalid_argument] when [cap < 8]. *)
+    mode. Raises [Invalid_argument] when [cap < 8]. A fresh recorder
+    holds no sample array; the first {!record} allocates one. *)
 val create : ?cap:int -> unit -> t
 
 (** True once the recorder has crossed its cap and dropped its raw

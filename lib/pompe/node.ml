@@ -67,8 +67,7 @@ type t = {
   mutable max_commit_lag_us : int;
       (** worst observed (commit arrival − sequence number): how far
           behind wall clock the ordering+consensus pipeline runs *)
-  mutable outputs_rev : output list;
-  mutable output_n : int;
+  log : Lyra.Types.batch Lyra.Output_log.t;
   mempool : Lyra.Mempool.t;
   mutable next_index : int;
   mutable inflight : int;
@@ -90,7 +89,8 @@ let phase_spans =
     ("e2e", "propose", "exec");
   ]
 
-let output_log t = List.rev t.outputs_rev
+let output_log t =
+  Lyra.Output_log.to_list t.log (fun batch ~seq ~at -> { batch; seq; output_at = at })
 
 let sequenced_count t = t.sequenced
 
@@ -166,11 +166,10 @@ let rec drain t horizon =
       let e = entry t iid in
       if has_payload e then begin
         t.exec_buffer <- Exec_queue.remove head t.exec_buffer;
-        let out = { batch = e.batch; seq; output_at = Sim.Engine.now t.engine } in
-        t.outputs_rev <- out :: t.outputs_rev;
-        t.output_n <- t.output_n + 1;
+        let at = Sim.Engine.now t.engine in
+        Lyra.Output_log.append t.log e.batch ~seq ~at;
         stamp_own t iid "exec";
-        t.on_output out;
+        t.on_output { batch = e.batch; seq; output_at = at };
         drain t horizon
       end
       else
@@ -398,8 +397,7 @@ let create config net ~id ?(clock_offset_us = 0)
       exec_buffer = Exec_queue.empty;
       max_committed_seq = 0;
       max_commit_lag_us = 0;
-      outputs_rev = [];
-      output_n = 0;
+      log = Lyra.Output_log.create ();
       mempool = Lyra.Mempool.create engine ~node:id ~prefix:"p";
       next_index = 0;
       inflight = 0;

@@ -404,6 +404,51 @@ let test_retired_answers_nudge () =
   Alcotest.(check int) "rejected answered 0" (Lyra.Node.own_rejected node) !zeros;
   Alcotest.(check int) "no instance created" 0 (Lyra.Node.live_instances node)
 
+(* A Sync_req is answered with the server's emitted log from
+   [from_count], at most [sync_batch] entries, cut at the log's end: so
+   empty at or past the end, and near [max_int], where [from_count +
+   sync_batch] overflows. Checked against the log read as a list. *)
+let test_sync_slice () =
+  let c = make_cluster 4 in
+  Sim.Engine.run c.engine ~until:1_000_000;
+  for _ = 1 to 30 do
+    submit_round c ~per_node:1;
+    run_for c 100_000
+  done;
+  run_for c 3_000_000;
+  let node = c.nodes.(0) in
+  let entry iid seq = (Printf.sprintf "%d/%d" iid.Lyra.Types.proposer iid.index, seq) in
+  let log =
+    List.map (fun (o : Lyra.Node.output) -> entry o.batch.iid o.seq) (Lyra.Node.output_log node)
+  in
+  let len = List.length log and batch = Lyra.Config.sync_batch in
+  Alcotest.(check bool) (Printf.sprintf "%d entries > a sync batch" len) true (len > batch);
+  let got = capture c 3 in
+  List.iter
+    (fun from_count ->
+      got := [];
+      inject c ~src:3 ~dst:0 (Sync_req { from_count });
+      run_for c 100_000;
+      let name s = Printf.sprintf "from %d: %s" from_count s in
+      let expected = List.filteri (fun i _ -> i >= from_count && i - from_count < batch) log in
+      match
+        List.filter_map
+          (function
+            | 0, Lyra.Types.Sync_resp { from_count; upto; entries; _ } ->
+                Some (from_count, upto, entries)
+            | _ -> None)
+          !got
+      with
+      | [ (f, upto, entries) ] ->
+          Alcotest.(check int) (name "from_count echoed") from_count f;
+          Alcotest.(check int) (name "upto is the log length") len upto;
+          Alcotest.(check (list (pair string int))) (name "entries") expected
+            (List.map (fun ((b : Lyra.Types.batch), seq) -> entry b.iid seq) entries)
+      | _ -> Alcotest.failf "%s" (name "not one Sync_resp"))
+    [ 0; 1; len / 2; len - batch; len - 1; len; len + 1; max_int - batch + 1; max_int ];
+  Alcotest.(check (list (pair string int))) "log unchanged" log
+    (List.map (fun (o : Lyra.Node.output) -> entry o.batch.iid o.seq) (Lyra.Node.output_log node))
+
 (* The predictor's median over 5 samples follows 3 fresh ones. *)
 let test_late_vote_moves_predictor () =
   let c = quiescent_cluster () in
@@ -681,6 +726,7 @@ let suite =
     Alcotest.test_case "reveal quorum" `Quick test_reveal_quorum_required;
     prop_prefix_safety_random;
     Alcotest.test_case "retired answers nudge" `Quick test_retired_answers_nudge;
+    Alcotest.test_case "sync slice = list" `Quick test_sync_slice;
     Alcotest.test_case "late vote moves predictor" `Quick test_late_vote_moves_predictor;
     Alcotest.test_case "help round from retired" `Quick test_help_round_from_retired;
     Alcotest.test_case "late kinds create nothing" `Quick test_late_kinds_create_nothing;

@@ -504,6 +504,75 @@ let prop_pending_map_order =
          Lyra.Types.Iid_map.iter (fun k v -> walked := (k, v) :: !walked) !map;
          List.rev !walked = Sim.Det.sorted_bindings ~cmp:Lyra.Types.iid_compare tbl))
 
+(* The cached prefixes against a recomputation after every status:
+   n = 7, f = 2, so the (2f+1)-th highest. Values come from a small
+   range, so most statuses repeat a peer's last one, and some change
+   only its pending low. *)
+let prop_commit_prefixes_recomputed =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"commit prefixes = recomputed" ~count:300
+       QCheck.(list (triple (int_bound 6) (int_bound 3) (int_bound 3)))
+       (fun ops ->
+         let n = 7 and f = 2 in
+         let cs = Lyra.Commit_state.create ~n ~f in
+         let r = Array.make n 0 and s = Array.make n 0 in
+         let quorum_low a =
+           let d = Array.copy a in
+           Array.sort (fun x y -> Int.compare y x) d;
+           d.(2 * f)
+         in
+         List.for_all
+           (fun (peer, locked, pending) ->
+             let locked = 100 * locked and min_pending = 100 * pending in
+             Lyra.Commit_state.peer_status cs ~peer ~locked ~min_pending;
+             r.(peer) <- max r.(peer) locked;
+             s.(peer) <- min_pending;
+             let want_locked = quorum_low r in
+             Int.equal (Lyra.Commit_state.locked cs) want_locked
+             && Int.equal (Lyra.Commit_state.stable cs) (min want_locked (quorum_low s)))
+           ops))
+
+(* The shared output log against a list of (payload, seq, at) triples,
+   at sizes on both sides of each doubling (8, 16, 32, 64). *)
+let test_output_log_matches_list () =
+  let entry x ~seq ~at = (x, seq, at) in
+  List.iter
+    (fun size ->
+      let log = Lyra.Output_log.create () and model = ref [] in
+      for i = 0 to size - 1 do
+        let x = Printf.sprintf "b%d" i and seq = 3 * i and at = 1_000 + i in
+        Lyra.Output_log.append log x ~seq ~at;
+        model := (x, seq, at) :: !model
+      done;
+      let model = List.rev !model in
+      let name fmt = Printf.ksprintf (fun s -> Printf.sprintf "size %d: %s" size s) fmt in
+      Alcotest.(check int) (name "length") size (Lyra.Output_log.length log);
+      List.iteri
+        (fun i e ->
+          Alcotest.(check (list (triple string int int))) (name "entry %d" i) [ e ]
+            (Lyra.Output_log.slice log ~from:i ~len:1 entry))
+        model;
+      Alcotest.(check (list (triple string int int))) (name "to_list") model
+        (Lyra.Output_log.to_list log entry);
+      List.iter
+        (fun from ->
+          List.iter
+            (fun len ->
+              let expected =
+                List.filteri (fun i _ -> i >= from && i - from < len) model
+              in
+              Alcotest.(check (list (triple string int int)))
+                (name "slice from %d len %d" from len) expected
+                (Lyra.Output_log.slice log ~from ~len entry))
+            [ 0; 1; 3; 64; max_int ])
+        [ 0; 1; size / 2; max 0 (size - 1); size; size + 1; max_int - 1; max_int ];
+      let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+      Alcotest.(check bool) (name "negative from") true
+        (raises (fun () -> Lyra.Output_log.slice log ~from:(-1) ~len:1 entry));
+      Alcotest.(check bool) (name "negative len") true
+        (raises (fun () -> Lyra.Output_log.slice log ~from:0 ~len:(-1) entry)))
+    [ 0; 1; 7; 8; 9; 15; 16; 17; 33; 64; 65; 200 ]
+
 let suite =
   [
     Alcotest.test_case "clock monotone" `Quick test_clock_monotone;
@@ -525,7 +594,9 @@ let suite =
     Alcotest.test_case "commit tie break" `Quick test_commit_state_ordering_ties;
     Alcotest.test_case "commit idempotent" `Quick test_commit_state_idempotent_accept;
     Alcotest.test_case "commit locked monotone" `Quick test_commit_state_locked_monotone;
+    prop_commit_prefixes_recomputed;
     prop_isolation_matches_scan;
     prop_mempool_matches_reference;
     Alcotest.test_case "mempool flush policy" `Quick test_mempool_flush_policy;
+    Alcotest.test_case "output log = list" `Quick test_output_log_matches_list;
   ]

@@ -57,6 +57,60 @@ let test_recorder_grows () =
   Metrics.Recorder.clear r;
   Alcotest.(check int) "cleared" 0 (Metrics.Recorder.count r)
 
+(* A recorder costs a few words until its first sample, then grows
+   by doubling. Against a list reference across the doublings (2, 4,
+   ..., 1 024, 2 048) and across a cap, where it turns streaming on
+   the (cap+1)-th sample as before. *)
+let test_recorder_starts_empty () =
+  List.iter
+    (fun cap ->
+      let r = Metrics.Recorder.create ?cap () in
+      let words =
+        (* lint: allow S001 a read-only size probe: reachable_words takes an Obj.t *)
+        Obj.reachable_words (Obj.repr r)
+      in
+      Alcotest.(check bool) (Printf.sprintf "fresh: %d words < 16" words) true (words < 16))
+    [ None; Some 8; Some 1_000_000 ];
+  List.iter
+    (fun size ->
+      let r = Metrics.Recorder.create () and model = ref [] in
+      for i = 1 to size do
+        let x = float_of_int ((i * 7919) mod 1009) in
+        Metrics.Recorder.record r x;
+        model := x :: !model
+      done;
+      let model = Array.of_list (List.rev !model) in
+      let name s = Printf.sprintf "%d samples: %s" size s in
+      Alcotest.(check int) (name "count") size (Metrics.Recorder.count r);
+      Alcotest.(check (array (float 0.0))) (name "to_array") model
+        (Metrics.Recorder.to_array r);
+      Alcotest.(check (float 1e-9)) (name "mean") (Metrics.Stats.mean model)
+        (Metrics.Recorder.mean r);
+      List.iter
+        (fun p ->
+          Alcotest.(check (float 1e-9)) (name (Printf.sprintf "p%g" p))
+            (Metrics.Stats.percentile p model) (Metrics.Recorder.percentile p r))
+        [ 0.0; 50.0; 95.0; 99.0; 100.0 ])
+    [ 0; 1; 2; 3; 4; 5; 1_023; 1_024; 1_025; 2_049 ];
+  List.iter
+    (fun cap ->
+      let r = Metrics.Recorder.create ~cap () in
+      for i = 1 to cap do
+        Metrics.Recorder.record r (float_of_int i)
+      done;
+      Alcotest.(check bool) (Printf.sprintf "cap %d: exact at cap" cap) false
+        (Metrics.Recorder.is_streaming r);
+      Alcotest.(check int) (Printf.sprintf "cap %d: retained" cap) cap
+        (Metrics.Recorder.retained_samples r);
+      Metrics.Recorder.record r 0.0;
+      Alcotest.(check bool) (Printf.sprintf "cap %d: streaming past cap" cap) true
+        (Metrics.Recorder.is_streaming r);
+      Alcotest.(check int) (Printf.sprintf "cap %d: count" cap) (cap + 1)
+        (Metrics.Recorder.count r);
+      Alcotest.(check (float 1e-9)) (Printf.sprintf "cap %d: min" cap) 0.0
+        (Metrics.Recorder.percentile 0.0 r))
+    [ 8; 9; 16; 1_024; 1_500 ]
+
 let test_table_render () =
   let s =
     Metrics.Table.render ~header:[ "a"; "bb" ] [ [ "1"; "2" ]; [ "333"; "4" ] ]
@@ -386,6 +440,7 @@ let suite =
     Alcotest.test_case "stats edges" `Quick test_stats_edges;
     Alcotest.test_case "stats empty summary" `Quick test_stats_empty_summary;
     Alcotest.test_case "recorder grows" `Quick test_recorder_grows;
+    Alcotest.test_case "recorder starts empty" `Quick test_recorder_starts_empty;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "phases first stamp wins" `Quick test_phases_first_stamp_wins;
     Alcotest.test_case "phases unstamped start" `Quick test_phases_unstamped_start;

@@ -300,6 +300,37 @@ let test_prefix_safe_sees_content () =
   Alcotest.(check bool) "same keys" true (keys plain = keys split);
   Alcotest.(check bool) "split payload unsafe" false split.prefix_safe
 
+(* Words a cluster holds before its first event, per node: after
+   [make_net] and every [create], before [start], after a full major
+   collection. Engine and network shares are included. Only
+   per-node bookkeeping that a node needs before any traffic may grow
+   with n; recorders and output logs allocate on first use. *)
+let words_per_node (module P : Protocol.NODE) ~n =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).live_words
+  in
+  let before = live () in
+  let engine = Sim.Engine.create ~seed:7L () in
+  let net = P.make_net engine ~n ~jitter:0.01 () in
+  let nodes = Array.init n (fun id -> P.create net ~id ~on_output:ignore ()) in
+  let after = live () in
+  ignore (Sys.opaque_identity (engine, net, nodes));
+  (after - before) / n
+
+let test_fixed_memory_per_node () =
+  List.iter
+    (fun (name, bound) ->
+      let words = words_per_node (get name) ~n:100 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d words per node <= %d" name words bound)
+        true (words <= bound))
+    (* Measured at n = 100: lyra 2 491, pompe 1 322, hotstuff 1 093,
+       dag 6 238 (its DAG and vertex tables are presized). When every
+       recorder allocated 1 024 floats at creation they read 9 676,
+       5 426, 3 143 and 9 315. *)
+    [ ("lyra", 3_500); ("pompe", 2_000); ("hotstuff", 1_600); ("dag", 7_500) ]
+
 let suite =
   [
     Alcotest.test_case "registry" `Quick test_registry;
@@ -317,4 +348,5 @@ let suite =
       test_pompe_keys_shared;
     Alcotest.test_case "prefix_safe compares content" `Quick
       test_prefix_safe_sees_content;
+    Alcotest.test_case "fixed memory per node" `Quick test_fixed_memory_per_node;
   ]

@@ -221,6 +221,30 @@ let test_deliver_adopts_certified_proposal () =
   Alcotest.(check bool) "rebroadcast" true
     (List.exists (function Lyra.Types.Deliver _ -> true | _ -> false) w.sent)
 
+(* The requested seq kept beside the proposal follows every write of
+   it: none at first, the INIT's, then the certified proposal's when a
+   DELIVER replaces a diverging one. *)
+let test_requested_seq_follows_proposal () =
+  let w = make_world () in
+  let inst = Lyra.Instance.create (make_env w) iid ~created_at:0 in
+  let requested () = Lyra.Instance.requested_seq inst in
+  let with_st tag st =
+    let p = proposal ~tag () in
+    Lyra.Types.proposal p.Lyra.Types.batch st
+  in
+  let pa = with_st "a" [| Some 1_000; Some 900; Some 1_100; Some 1_200 |]
+  and pb = with_st "b" [| Some 2_000; Some 1_900; Some 2_100; Some 2_200 |] in
+  let want (p : Lyra.Types.proposal) = Lyra.Types.requested_seq ~n ~f:1 p.st in
+  Alcotest.(check (option int)) "no proposal" None (requested ());
+  Lyra.Instance.on_init inst ~src:1 pa None;
+  Alcotest.(check (option int)) "the INIT's" (want pa) (requested ());
+  Lyra.Instance.on_deliver inst ~src:2 pb None;
+  Alcotest.(check (option string)) "replaced"
+    (Some (Lyra.Types.proposal_digest pb))
+    (Option.map Lyra.Types.proposal_digest (Lyra.Instance.proposal inst));
+  Alcotest.(check (option int)) "the DELIVER's" (want pb) (requested ());
+  Alcotest.(check bool) "the seqs differ" true (want pa <> want pb)
+
 let test_expire_forces_zero_vote () =
   (* A process that learned of the instance only via votes eventually
      votes 0 after E = 2Δ (Alg. 1 lines 23–24 / VVB-Obligation). *)
@@ -291,6 +315,8 @@ let suite =
     Alcotest.test_case "duplicate INIT" `Quick test_duplicate_init_ignored;
     Alcotest.test_case "quorum -> decide(1) round 1" `Quick test_quorum_delivers_and_decides_round1;
     Alcotest.test_case "equivocation unicity" `Quick test_equivocation_unicity;
+    Alcotest.test_case "requested seq follows proposal" `Quick
+      test_requested_seq_follows_proposal;
     Alcotest.test_case "vote-0 relay + delivery" `Quick test_vote_zero_relay_and_delivery;
     Alcotest.test_case "round-2 rejection" `Quick test_round2_rejection_decides_zero;
     Alcotest.test_case "deliver adoption" `Quick test_deliver_adopts_certified_proposal;
