@@ -50,15 +50,15 @@ let create ~n ~f () =
   {
     n;
     f;
-    vertices = Hashtbl.create 997;
-    round_sizes = Hashtbl.create 97;
-    votes = Hashtbl.create 97;
+    vertices = Hashtbl.create 16;
+    round_sizes = Hashtbl.create 16;
+    votes = Hashtbl.create 16;
     max_q_round = -1;
     last_wave = -1;
-    in_hist = Hashtbl.create 997;
-    report_times = Hashtbl.create 997;
-    pending_emit = Hashtbl.create 97;
-    emitted = Hashtbl.create 997;
+    in_hist = Hashtbl.create 16;
+    report_times = Hashtbl.create 16;
+    pending_emit = Hashtbl.create 16;
+    emitted = Hashtbl.create 16;
     delivered_rev = [];
     delivered_count = 0;
   }

@@ -364,15 +364,15 @@ let create config net ~id ?(clock_offset_us = 0) ?(on_observe = fun _ -> ())
       next_index = 0;
       own_emitted = 0;
       log = Lyra.Output_log.create ();
-      pending = Hashtbl.create 64;
-      missing = Hashtbl.create 64;
-      reported = Hashtbl.create 256;
+      pending = Hashtbl.create 16;
+      missing = Hashtbl.create 16;
+      reported = Hashtbl.create 16;
       pending_reports = [];
       decide_rounds = Metrics.Recorder.create ();
       phases = Metrics.Phases.create phase_spans;
       fetch_armed = false;
-      covered = Hashtbl.create 997;
-      uncovered = Hashtbl.create 64;
+      covered = Hashtbl.create 16;
+      uncovered = Hashtbl.create 16;
     }
   in
   Sim.Network.register net ~id (fun ~src body -> on_message t ~src body);

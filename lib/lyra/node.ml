@@ -1,24 +1,5 @@
 type output = { batch : Types.batch; seq : int; output_at : int }
 
-type pending_kind = Validated | External
-
-type pending_entry = {
-  p_seq : int;
-  kind : pending_kind;
-  added_at : int;
-  mutable nudged_at : int;  (** last active-repair Nudge for it *)
-}
-
-(* Who has ever gossiped an instance as accepted. Kept outside
-   [pending_entry] so corroboration accumulates across an entry's
-   expiry and re-creation: a claim whose second witness is behind a
-   partition must still corroborate once the partition heals, even if
-   the pending entry lapsed in between. *)
-type claim = {
-  cl_peers : Dbft.Senders.t;  (** distinct claiming peers, over all time *)
-  mutable cl_lapsed : bool;  (** expired uncorroborated at least once *)
-}
-
 (* An entry's reveal quorum, from its first share until it is emitted.
    Each share is checked once: on arrival when the cipher is held,
    else at decryption. *)
@@ -44,15 +25,6 @@ type slot =
   | Live of Instance.t
   | Retired of { value : int; decision_round : int; help_round : int }
 
-(* Tally of Decided notices for an instance this node has not decided
-   itself; adopted once f+1 distinct senders agree on the value. *)
-type decided_tally = {
-  d_senders : Dbft.Senders.t;
-  mutable d_ones : int;
-  mutable d_zeros : int;
-  mutable d_prop : Types.proposal option;
-}
-
 type t = {
   config : Config.t;
   id : int;
@@ -70,16 +42,14 @@ type t = {
   on_output : output -> unit;
   instances : slot Types.Iid_tbl.t;
   mutable live_instances : int;
-  mutable inst_env : Instance.env option;
-      (** shared by every instance, built on first use *)
+  inst_env : Instance.env Lazy.t;  (** shared by every instance *)
   (* Instances possibly still undecided, for the retransmission sweep:
      added at creation, removed on decision and, lazily, once halted. *)
   mutable unsettled : Types.Iid_set.t;
   own_sref : int Types.Int_tbl.t;  (** proposal index → s_ref *)
-  (* Ordered by iid, so the commit check and min-pending walk it in the
-     order a sort of the bindings would give. *)
-  mutable pending : pending_entry Types.Iid_map.t;
-  claims : claim Types.Iid_tbl.t;  (** gossip witnesses per instance *)
+  (* Requested seqs of the instances validated here and not yet
+     decided, ordered by iid like a sort of the bindings. *)
+  mutable pending : int Types.Iid_map.t;
   shares_held : Crypto.Vss.decryption_share Types.Iid_tbl.t;
   reveals : reveal_state Types.Iid_tbl.t;
   records : commit_record Types.Iid_tbl.t;
@@ -91,19 +61,7 @@ type t = {
   mutable started : bool;
   mutable min_pending_dirty : bool;
   mutable min_pending_cache : int;
-  peer_committed : int array;  (** log lengths claimed in statuses *)
-  goal_claims : int array;
-      (** per peer, the log length claimed by its first heartbeat since
-          the sync started; -1 until then *)
-  sync_scratch : int array;  (** [sync_target]'s and [sync_goal]'s selection buffer *)
-  isolation : Isolation.t;
-  mutable probation_until : int;  (** heightened lag sensitivity window *)
-  mutable sync_active : bool;  (** output emission paused, pulling the log *)
-  mutable sync_req_at : int;
-  mutable lag_since : (int * int) option;  (** (since_us, output_count then) *)
-  mutable synced_entries : int;
-  mutable syncs_started : int;
-  decided_votes : decided_tally Types.Iid_tbl.t;
+  recovery : Recovery.t Lazy.t;  (** lazy as its host holds [t]; forced in [create] *)
   mutable late_accepts : int;
   mutable own_accepted : int;
   mutable own_rejected : int;
@@ -140,15 +98,17 @@ let accepted_count t = Commit_state.accepted_count t.commit
 
 let committed_seq t = Commit_state.committed t.commit
 
-let pending_count t = Types.Iid_map.cardinal t.pending
+let recovery t = Lazy.force t.recovery
+
+let pending_count t = Types.Iid_map.cardinal t.pending + Recovery.booked (recovery t)
 
 let mempool_size t = Mempool.length t.mempool
 
 let late_accepts t = t.late_accepts
 
-let synced_entries t = t.synced_entries
+let synced_entries t = Recovery.synced_entries (recovery t)
 
-let syncs_started t = t.syncs_started
+let syncs_started t = Recovery.syncs_started (recovery t)
 
 let decide_rounds t = t.decide_rounds
 
@@ -162,7 +122,7 @@ let distances_known t = Predictor.known_count t.predictor
 
 let live_instances t = t.live_instances
 
-let decided_tallies t = Types.Iid_tbl.length t.decided_votes
+let decided_tallies t = Recovery.tallies (recovery t)
 
 let f t = Config.f t.config
 
@@ -175,29 +135,19 @@ let is_byz t m =
 (* Status piggybacking (Alg. 4 lines 74–78).                           *)
 (* ------------------------------------------------------------------ *)
 
-let gossip_cap = 64
-
 let min_pending_value t =
   if t.min_pending_dirty then begin
     t.min_pending_dirty <- false;
-    t.min_pending_cache <-
-      Types.Iid_map.fold
-        (fun _ e acc -> if e.kind = Validated then min acc e.p_seq else acc)
-        t.pending Types.no_pending
+    t.min_pending_cache <- Types.Iid_map.fold (fun _ seq acc -> min acc seq) t.pending Types.no_pending
   end;
   t.min_pending_cache
-
-let rec take k = function
-  | [] -> []
-  | _ when k = 0 -> []
-  | x :: rest -> x :: take (k - 1) rest
 
 (* The log length: every entry taken into the commit order, emitted or
    still waiting for its reveal, and every entry a sync delivered.
    Records are never removed. *)
 let log_length t = Types.Iid_tbl.length t.records
 
-(* The accepted-set list is heavy (up to gossip_cap entries); riding it
+(* The accepted-set list is heavy (up to 64 entries); riding it
    on every vote would serialize kilobytes per message on the NIC and
    collapse large clusters under synchronized waves. Scalars piggyback
    everywhere (they are what locked/stable need, Alg. 4 lines 83-86);
@@ -216,8 +166,7 @@ let build_status ?(full = false) t : Types.status =
       min_pending = min_pending_value t;
       committed = log_length t;
       accepted_recent =
-        (if full then take gossip_cap (Commit_state.accepted_recent t.commit)
-         else []);
+        (if full then Recovery.capped (Commit_state.accepted_recent t.commit) else []);
     }
 
 let broadcast_body t body =
@@ -273,7 +222,7 @@ let check_early r cipher =
    we commit locally, or the prefix diverges (the compound-fault
    sweep in test_faults fails without the pause). *)
 let rec drain_outbox t =
-  if t.sync_active then ()
+  if Recovery.syncing (recovery t) then ()
   else
   match Queue.peek_opt t.outbox with
   | None -> ()
@@ -340,74 +289,6 @@ let on_reveal t ~src iid share =
 (* Commit (Alg. 4: try-commit).                                        *)
 (* ------------------------------------------------------------------ *)
 
-let pending_blocks_commit t boundary =
-  let now = Sim.Engine.now t.engine in
-  let expiry = 2 * Config.l_us t.config in
-  let blocking = ref false in
-  let expired = ref [] in
-  let nudge_if_due iid e =
-    if
-      now - e.added_at > Config.l_us t.config
-      && now - e.nudged_at > t.config.retransmit_interval_us
-      && not (Sim.Network.is_crashed t.net t.id)
-    then begin
-      e.nudged_at <- now;
-      broadcast_body t (Types.Nudge { iid })
-    end
-  in
-  Types.Iid_map.iter
-    (fun iid e ->
-      if e.p_seq <= boundary then
-        match e.kind with
-        | Validated -> blocking := true
-        | External ->
-            (* A gossiped instance we never decided locally. When the
-               claim is corroborated (f+1 distinct witnesses over all
-               time include a correct node; a local instance means we
-               saw real VVB traffic) the entry is genuinely accepted
-               somewhere and skipping it would fork the log — e.g. we
-               were crashed or partitioned through its whole exchange.
-               Those block for as long as it takes and are actively
-               repaired with a Nudge pull (peers answer Decided; f+1
-               notices settle it). Only uncorroborated claims — a
-               Byzantine gossiper inventing entries to stall the
-               prefix — expire, after 2L; they are nudged too, since
-               an honest answer both corroborates (the notice creates
-               a local instance) and progresses the repair.
-               Invariant: among correct peers every genuine claim is
-               corroborated before it can expire, so the expiry only
-               ever drops an invented entry. Counting every claim as
-               corroborated changes no safety outcome of the FAULT
-               SWEEP (EXPERIMENTS.md); counting only a local instance
-               breaks prefix agreement there. *)
-            let corroborated =
-              Types.Iid_tbl.mem t.instances iid
-              || (match Types.Iid_tbl.find_opt t.claims iid with
-                 | Some c -> Dbft.Senders.count c.cl_peers > Config.f t.config
-                 | None -> false)
-            in
-            if corroborated then begin
-              blocking := true;
-              nudge_if_due iid e
-            end
-            else if now - e.added_at > expiry then begin
-              (match Types.Iid_tbl.find_opt t.claims iid with
-              | Some c -> c.cl_lapsed <- true
-              | None -> ());
-              expired := iid :: !expired
-            end
-            else begin
-              blocking := true;
-              nudge_if_due iid e
-            end)
-    t.pending;
-  if !expired <> [] then begin
-    t.min_pending_dirty <- true;
-    t.pending <-
-      List.fold_left (fun m iid -> Types.Iid_map.remove iid m) t.pending !expired
-  end;
-  !blocking
-
 (* An instance still undecided here whose proposal requests a seq at
    or below the boundary may yet be accepted, so it holds takes the way
    a validated pending entry does. Peers that decide and take it
@@ -457,13 +338,15 @@ let decided t iid =
   | Some (Retired _) -> true
   | None -> false
 
+(* The commit check (Alg. 4 line 90): no validated pending entry, booked
+   gossip claim or undecided instance at or below the boundary. The
+   claim walk runs first and in full, for its Nudges and expiries. *)
 let try_commit t =
   let boundary = Commit_state.committed t.commit in
-  (* An empty pending set blocks nothing: skip its walk. *)
   if
     boundary > 0
-    && (Types.Iid_map.is_empty t.pending
-       || not (pending_blocks_commit t boundary))
+    && (not (Recovery.claims_block (recovery t) boundary))
+    && (not (Types.Iid_map.exists (fun _ seq -> seq <= boundary) t.pending))
     && not (undecided_blocks t boundary)
   then begin
     let taken = Commit_state.take_committable t.commit in
@@ -536,20 +419,12 @@ let validate t (proposal : Types.proposal) ~seq_obs =
      stale min-pending that stalls everyone's stable prefix. *)
   let already_decided = decided t proposal.batch.iid in
   (match requested with
-  | Some s when ok && not already_decided -> (
-      match Types.Iid_map.find_opt proposal.batch.iid t.pending with
-      | Some { kind = Validated; _ } -> ()
-      | Some _ | None ->
-          t.min_pending_dirty <- true;
-          t.pending <-
-            Types.Iid_map.add proposal.batch.iid
-              {
-                p_seq = s;
-                kind = Validated;
-                added_at = Sim.Engine.now t.engine;
-                nudged_at = 0;
-              }
-              t.pending)
+  | Some s when ok && not (already_decided || Types.Iid_map.mem proposal.batch.iid t.pending)
+    ->
+      (* A booked gossip claim for it becomes this validated entry. *)
+      Recovery.unbook (recovery t) proposal.batch.iid;
+      t.min_pending_dirty <- true;
+      t.pending <- Types.Iid_map.add proposal.batch.iid s t.pending
   | Some _ | None -> ());
   ok
 
@@ -651,17 +526,16 @@ let submit t ~payload =
 (* Instance management.                                                *)
 (* ------------------------------------------------------------------ *)
 
-let on_decide t iid ~value ~round proposal =
+let unpend t iid =
   if Types.Iid_map.mem iid t.pending then begin
     t.pending <- Types.Iid_map.remove iid t.pending;
     t.min_pending_dirty <- true
-  end;
+  end
+
+let on_decide t iid ~value ~round proposal =
+  unpend t iid;
   t.unsettled <- Types.Iid_set.remove iid t.unsettled;
-  (* The local decision settles the instance for good; gossip witness
-     bookkeeping and a Decided-notice tally for it are no longer
-     needed. *)
-  Types.Iid_tbl.remove t.claims iid;
-  Types.Iid_tbl.remove t.decided_votes iid;
+  Recovery.forget (recovery t) iid;
   t.decide_rounds |> fun r -> Metrics.Recorder.record r (float_of_int round);
   (if Int.equal iid.Types.proposer t.id then begin
      t.inflight <- max 0 (t.inflight - 1);
@@ -787,13 +661,7 @@ let make_env t : Instance.env =
     on_decide = on_decide t;
   }
 
-let inst_env t =
-  match t.inst_env with
-  | Some env -> env
-  | None ->
-      let env = make_env t in
-      t.inst_env <- Some env;
-      env
+let inst_env t = Lazy.force t.inst_env
 
 (* What a retired instance's proposal was, where it is still read: the
    EST(1) of a help round and a Decided answer of value 1. *)
@@ -831,137 +699,47 @@ let instance_of t iid ~round =
       add_live t iid
         (Instance.create (inst_env t) iid ~created_at:(Sim.Engine.now t.engine))
 
-(* A peer claims [iid] accepted at [seq] (gossip, or a sync server's
-   unemitted tail). Until decided here, the claim books an External
-   pending entry, which holds takes at higher seqs (see
-   [pending_blocks_commit]). *)
-let absorb_claim t ~src iid seq =
-  if not (Commit_state.is_accepted t.commit iid) then begin
-    (* Corroboration: record every distinct peer that ever claimed
-       this entry accepted; f+1 of them include a correct one. *)
-    let cl =
-      match Types.Iid_tbl.find_opt t.claims iid with
-      | Some c -> c
-      | None ->
-          let c = { cl_peers = Dbft.Senders.create t.config.n; cl_lapsed = false } in
-          Types.Iid_tbl.replace t.claims iid c;
-          c
-    in
-    ignore (Dbft.Senders.add cl.cl_peers src : bool);
-    if not (Types.Iid_map.mem iid t.pending) then begin
-      let decided = decided t iid in
-      (* A claim that already expired once is only re-admitted when
-         corroborated, so a lone Byzantine gossiper stalls the prefix
-         for at most one 2L window per invented entry. That bound is
-         argued, not tested. What the compound-fault sweep in
-         test_faults checks is the honest side: no genuine entry
-         expires before it is learned, which would show up as a late
-         accept or a prefix break. *)
-      if
-        (not decided)
-        && ((not cl.cl_lapsed) || Dbft.Senders.count cl.cl_peers > Config.f t.config)
-      then begin
-        t.min_pending_dirty <- true;
-        t.pending <-
-          Types.Iid_map.add iid
-            {
-              p_seq = seq;
-              kind = External;
-              added_at = Sim.Engine.now t.engine;
-              nudged_at = 0;
-            }
-            t.pending
-      end
-    end
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Crash recovery: log sync.                                           *)
-(*                                                                     *)
-(* A node that was crashed (or cut off, or starved by a lossy link)    *)
-(* misses both the BOC traffic of instances decided in its absence and *)
-(* the Reveal shares of entries committed then — neither is            *)
-(* retransmitted by the steady-state protocol, because statuses only   *)
-(* gossip entries not yet taken. The repair is a pull: when the        *)
-(* (f+1)-th highest log length claimed by peers is ahead of our        *)
-(* emitted count (at once in probation, else after sync_patience_us    *)
-(* with no local emission), we pause emission and pull from a peer     *)
-(* claiming that length. It serves the slice of its emitted log past   *)
-(* ours and its tail: the entries it has taken but not yet emitted.    *)
-(* Synced entries bypass the reveal quorum: the serving (correct) peer *)
-(* only serves what it has itself emitted, so the quorum already       *)
-(* formed. Tail entries are read as gossip claims, so an entry we      *)
-(* never heard of holds our takes above it from then on, and we learn  *)
-(* it (and send our Reveal share for it) through the Nudge pull.       *)
+(* The recovery stack's host.                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* At least one of the f+1 highest claims is from a correct process,
-   so the target prefix really exists. *)
-let sync_target t =
-  let claims = t.sync_scratch in
-  Array.blit t.peer_committed 0 claims 0 t.config.n;
-  claims.(t.id) <- output_count t;
-  Order_stat.kth_largest ~scratch:claims claims (f t)
+let view t iid : Recovery.view =
+  match Types.Iid_tbl.find_opt t.instances iid with
+  | None -> Absent
+  | Some (Retired { value; _ }) -> Decided { value; proposal = retired_proposal t iid ~value }
+  | Some (Live inst) -> (
+      match Instance.decided inst with
+      | None -> Undecided
+      | Some value ->
+          Decided { value; proposal = (if value = 1 then Instance.proposal inst else None) })
 
-let send_sync_req t =
-  t.sync_req_at <- Sim.Engine.now t.engine;
-  let target = sync_target t in
-  (* Deterministic choice: lowest-id peer claiming the target prefix. *)
-  let peer = ref (-1) in
-  Array.iteri
-    (fun i c ->
-      if !peer < 0 && (not (Int.equal i t.id)) && c >= target then peer := i)
-    t.peer_committed;
-  if !peer >= 0 then
-    send_body t ~dst:!peer (Types.Sync_req { from_count = output_count t })
+let with_live t iid fn =
+  match Types.Iid_tbl.find_opt t.instances iid with
+  | Some (Live inst) -> fn inst
+  | Some (Retired _) | None -> ()
 
-let start_sync t =
-  t.sync_active <- true;
-  t.syncs_started <- t.syncs_started + 1;
-  Array.fill t.goal_claims 0 t.config.n (-1);
-  send_sync_req t
+let force_decide t iid ~value proposal =
+  with_live t iid (fun inst ->
+      let proposal =
+        match proposal with
+        | None when value = 1 -> Instance.proposal inst
+        | Some _ | None -> proposal
+      in
+      Instance.force_decide inst ~value proposal;
+      retire t iid inst)
 
-(* The sync's goal: the (f+1)-th highest log length claimed in the
-   first heartbeat each peer sent after the sync started (received
-   after it started, to be exact). One of those f+1 is a correct
-   process that had taken that many entries. The goal is fixed by
-   those heartbeats: chasing the live target would keep a node syncing
-   for as long as the cluster keeps taking entries. Unknown (max_int)
-   until f+1 peers have heartbeated. *)
-let sync_goal t =
-  let goal = Order_stat.kth_largest ~scratch:t.sync_scratch t.goal_claims (f t) in
-  if goal < 0 then max_int else goal
-
-let end_sync t =
-  t.sync_active <- false;
-  t.lag_since <- None;
-  try_commit t;
-  drain_outbox t;
-  maybe_propose t
-
-(* Heartbeat-driven lag watchdog. Transient lag is normal (peers take
-   entries a reveal round trip before anyone emits them), so outside
-   probation a sync only starts when the lag persists with zero local
-   progress for the whole patience window — a healthy node always
-   emits again long before that. *)
-let sync_tick t =
-  if not (Sim.Network.is_crashed t.net t.id) then begin
-    let now = Sim.Engine.now t.engine in
-    if sync_target t <= output_count t then begin
-      t.lag_since <- None;
-      if t.sync_active then end_sync t
-    end
-    else if t.sync_active then begin
-      (* Pull in flight; re-request if the response itself was lost or
-         the server had nothing to settle the sync with. *)
-      if now - t.sync_req_at > 2 * t.config.delta_us then send_sync_req t
-    end
-    else
-      match t.lag_since with
-      | Some (since, count) when Int.equal count (output_count t) ->
-          if now - since > Config.sync_patience_us then start_sync t
-      | _ -> t.lag_since <- Some (now, output_count t)
-  end
+(* The live instances not yet known settled, in iid order; the ones
+   found decided or halted are dropped from the set. *)
+let iter_undecided t fn =
+  let settled = ref [] in
+  Types.Iid_set.iter
+    (fun iid ->
+      match Types.Iid_tbl.find_opt t.instances iid with
+      | Some (Live inst) when Instance.decided inst = None && not (Instance.halted inst) ->
+          fn iid ~created_at:(Instance.created_at inst)
+      | Some _ | None -> settled := iid :: !settled)
+    t.unsettled;
+  t.unsettled <- List.fold_left (fun s iid -> Types.Iid_set.remove iid s) t.unsettled !settled
 
 (* Entries taken but not yet emitted, in commit order. *)
 let unemitted_tail t =
@@ -973,257 +751,104 @@ let unemitted_tail t =
     [] t.outbox
   |> List.rev
 
-let on_sync_req t ~src ~from_count =
-  if from_count >= 0 then begin
-    let entries =
-      Output_log.slice t.log ~from:from_count ~len:Config.sync_batch
-        (fun batch ~seq ~at:_ -> (batch, seq))
-    in
-    send_body t ~dst:src
-      (Types.Sync_resp
-         {
-           from_count;
-           upto = output_count t;
-           entries;
-           tail = take gossip_cap (unemitted_tail t);
-         })
-  end
-
-(* Two commit orders that start at the same position agree while
-   neither has an entry where the other has a different one. *)
-let rec orders_agree a b =
-  match (a, b) with
-  | (x, _) :: a, (y, _) :: b -> Types.iid_equal x y && orders_agree a b
-  | _ -> true
-
-(* A sync ends once our log holds the goal's length, the server has
-   emitted nothing past us and its tail agrees with ours: nothing we
-   have taken sits where the server has a different entry, and every
-   entry it has that we lack is now a claim holding our takes.
-   Otherwise we keep pulling. The goal counts taken entries, not
-   emitted ones: after a quorum loss every node is in probation and
-   syncing, and a paused node emits nothing anyone could pull. *)
-let on_sync_resp t ~src ~from_count ~upto entries tail =
-  (* Apply only an exactly-contiguous slice; anything else is stale
-     (an earlier duplicate request) and a fresh pull will follow. *)
-  if t.sync_active && Int.equal from_count (output_count t) then begin
-    List.iter (fun (iid, seq) -> absorb_claim t ~src iid seq) tail;
-    let ok = ref true in
-    List.iter
-      (fun ((batch : Types.batch), seq) ->
-        if !ok then begin
-          let iid = batch.Types.iid in
-          match Types.Iid_tbl.find_opt t.records iid with
-          | Some r when r.emitted ->
-              (* Responder's log diverges from ours — Byzantine server.
-                 Abort; the next tick re-pulls. *)
-              ok := false
-          | existing ->
-              Commit_state.note_committed t.commit iid ~seq;
-              Types.Iid_tbl.remove t.claims iid;
-              (if Types.Iid_map.mem iid t.pending then begin
-                 t.pending <- Types.Iid_map.remove iid t.pending;
-                 t.min_pending_dirty <- true
-               end);
-              let slot = Types.Iid_tbl.find_opt t.instances iid in
-              (match existing with
-              | Some r -> r.emitted <- true
-              | None ->
-                  let c_prop =
-                    match slot with
-                    | Some (Live inst) -> Instance.proposal inst
-                    | Some (Retired _) | None -> None
-                  in
-                  Types.Iid_tbl.replace t.records iid
-                    { c_batch = batch; c_prop; c_seq = seq; emitted = true });
-              (* Settle the local instance if it is still undecided, so
-                 the retransmission sweep stops nudging for it and an
-                 own proposal releases its inflight slot; then retire
-                 it. One never created gets a tombstone, so that no late
-                 message creates it. *)
-              (match slot with
-              | Some (Live inst) ->
-                  if Instance.decided inst = None then
-                    Instance.force_decide inst ~value:1 (Instance.proposal inst);
-                  retire t iid inst
-              | Some (Retired _) -> ()
-              | None ->
-                  Types.Iid_tbl.replace t.instances iid
-                    (Retired { value = 1; decision_round = 0; help_round = 0 }));
-              t.synced_entries <- t.synced_entries + 1;
-              if Int.equal iid.Types.proposer t.id then
-                Metrics.Phases.drop t.phases ~key:iid.Types.index;
-              emit t batch seq
-        end)
-      entries;
-    if output_count t < upto then begin
-      if !ok then send_sync_req t
-    end
-    else if
-      Int.equal (output_count t) upto
-      && log_length t >= sync_goal t
-      && orders_agree (unemitted_tail t) tail
-    then end_sync t
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Lossy-link repair: nudges and decision notices.                     *)
-(* ------------------------------------------------------------------ *)
-
-let on_nudge t ~src iid =
-  match Types.Iid_tbl.find_opt t.instances iid with
-  | None -> ()
-  | Some (Retired { value; _ }) ->
-      send_body t ~dst:src
-        (Types.Decided { iid; value; proposal = retired_proposal t iid ~value })
-  | Some (Live inst) -> (
-      match Instance.decided inst with
-      | Some value ->
-          let proposal = if value = 1 then Instance.proposal inst else None in
-          send_body t ~dst:src (Types.Decided { iid; value; proposal })
+(* A sync server's emitted entry, emitted here in place of the local
+   commit; refused if this node emitted it already. The local instance
+   is settled if still undecided, so the poke sweep stops nudging for
+   it and an own proposal releases its inflight slot, then retired.
+   One never created gets a tombstone, so that no late message creates
+   it. *)
+let adopt_synced t (batch : Types.batch) ~seq =
+  let iid = batch.Types.iid in
+  match Types.Iid_tbl.find_opt t.records iid with
+  | Some r when r.emitted -> false
+  | existing ->
+      Commit_state.note_committed t.commit iid ~seq;
+      unpend t iid;
+      let slot = Types.Iid_tbl.find_opt t.instances iid in
+      (match existing with
+      | Some r -> r.emitted <- true
       | None ->
-          (* Both stuck: re-offer our contribution so quorums re-form. *)
-          Instance.poke inst)
-
-let on_decided t ~src iid ~value proposal =
-  if value = 0 || value = 1 then begin
-    match instance_of t iid ~round:0 with
-    | Retired _ -> ()
-    | Live inst ->
-    if Instance.decided inst = None then begin
-      let tally =
-        match Types.Iid_tbl.find_opt t.decided_votes iid with
-        | Some d -> d
-        | None ->
-            let d =
-              {
-                d_senders = Dbft.Senders.create t.config.n;
-                d_ones = 0;
-                d_zeros = 0;
-                d_prop = None;
-              }
-            in
-            Types.Iid_tbl.replace t.decided_votes iid d;
-            d
-      in
-      if Dbft.Senders.add tally.d_senders src then begin
-        if value = 1 then begin
-          tally.d_ones <- tally.d_ones + 1;
-          if tally.d_prop = None then tally.d_prop <- proposal
-        end
-        else tally.d_zeros <- tally.d_zeros + 1;
-        (* f+1 matching notices contain at least one correct sender.
-           The decision drops the tally ([on_decide]). *)
-        let bar = f t + 1 in
-        if tally.d_ones >= bar then begin
-          let p =
-            match tally.d_prop with
-            | Some _ as p -> p
-            | None -> Instance.proposal inst
+          let c_prop =
+            match slot with
+            | Some (Live inst) -> Instance.proposal inst
+            | Some (Retired _) | None -> None
           in
-          Instance.force_decide inst ~value:1 p;
-          retire t iid inst
-        end
-        else if tally.d_zeros >= bar then begin
-          Instance.force_decide inst ~value:0 None;
-          retire t iid inst
-        end
-      end
-    end
-  end
+          Types.Iid_tbl.replace t.records iid
+            { c_batch = batch; c_prop; c_seq = seq; emitted = true });
+      (match slot with
+      | Some (Live inst) ->
+          if Instance.decided inst = None then force_decide t iid ~value:1 None
+          else retire t iid inst
+      | Some (Retired _) -> ()
+      | None ->
+          Types.Iid_tbl.replace t.instances iid
+            (Retired { value = 1; decision_round = 0; help_round = 0 }));
+      if Int.equal iid.Types.proposer t.id then Metrics.Phases.drop t.phases ~key:iid.Types.index;
+      emit t batch seq;
+      true
 
-(* Periodic sweep: any instance still undecided past the patience gets
-   its state re-broadcast plus a Nudge pulling peers' state. On healthy
-   runs every instance decides well inside the patience, so the sweep
-   sends nothing and the goldens are untouched. It walks only the
-   instances not yet known settled, in iid order, dropping the ones
-   found halted. *)
-let rec retransmit_loop t =
-  (if not (Sim.Network.is_crashed t.net t.id) then begin
-     let now = Sim.Engine.now t.engine in
-     let settled = ref [] in
-     Types.Iid_set.iter
-       (fun iid ->
-         match Types.Iid_tbl.find_opt t.instances iid with
-         | Some (Live inst)
-           when Instance.decided inst = None && not (Instance.halted inst) ->
-             if now - Instance.created_at inst > t.config.retransmit_after_us
-             then begin
-               Instance.poke inst;
-               broadcast_body t (Types.Nudge { iid })
-             end
-         | Some _ | None -> settled := iid :: !settled)
-       t.unsettled;
-     t.unsettled <-
-       List.fold_left (fun s iid -> Types.Iid_set.remove iid s) t.unsettled !settled
-   end);
-  Sim.Engine.schedule t.engine ~delay:t.config.retransmit_interval_us
-    (fun () -> retransmit_loop t)
+let make_host t : Recovery.host =
+  {
+    config = t.config;
+    self = t.id;
+    now = (fun () -> Sim.Engine.now t.engine);
+    crashed = (fun () -> Sim.Network.is_crashed t.net t.id);
+    send = send_body t;
+    broadcast = broadcast_body t;
+    schedule = (fun ~delay_us fn -> Sim.Engine.schedule t.engine ~delay:delay_us fn);
+    output_count = (fun () -> output_count t);
+    log_length = (fun () -> log_length t);
+    accepted = Commit_state.is_accepted t.commit;
+    validated = (fun iid -> Types.Iid_map.mem iid t.pending);
+    instance = view t;
+    contact =
+      (fun iid ->
+        ignore (instance_of t iid ~round:0 : slot);
+        view t iid);
+    poke = (fun iid -> with_live t iid Instance.poke);
+    iter_undecided = iter_undecided t;
+    force_decide = force_decide t;
+    log_slice =
+      (fun ~from ->
+        Output_log.slice t.log ~from ~len:Config.sync_batch (fun batch ~seq ~at:_ ->
+            (batch, seq)));
+    unemitted_tail = (fun () -> unemitted_tail t);
+    adopt = adopt_synced t;
+    resume =
+      (fun () ->
+        try_commit t;
+        drain_outbox t;
+        maybe_propose t);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch.                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let absorb_status t ~src (status : Types.status) =
-  Commit_state.peer_status t.commit ~peer:src ~locked:status.locked_upto
-    ~min_pending:status.min_pending;
-  (* Monotone: reordered deliveries must not shrink a peer's claim. *)
-  if status.committed > t.peer_committed.(src) then
-    t.peer_committed.(src) <- status.committed;
-  (* Gossip is read on every heartbeat, changed or not: a peer rejoining
-     from a partition re-announces an unchanged accepted set, and that
-     re-announcement may be exactly the corroborating witness (or
-     re-creation trigger) for an entry whose pending record lapsed in
-     the meantime. Commits are still attempted from decisions and the
-     heartbeat tick rather than on every message. *)
-  List.iter (fun (iid, seq) -> absorb_claim t ~src iid seq) status.accepted_recent
-
-(* Isolation probation. A node cut off from a quorum (crash, minority
-   partition) may hold a stale view of the log: entries taken in its
-   absence are never gossiped to it (heartbeats only carry entries not
-   yet taken). Once reconnected, fresh statuses can advance its commit
-   boundary past those missed entries and it would emit the log out of
-   order — and the patience-based watchdog is too slow to stop that.
-   So: whenever fewer than a quorum of peers have been heard within
-   isolation_gap_us, open a probation window in which any observed lag
-   starts the sync pull immediately. The lag shows before the node can
-   emit past a missed entry: emitting the next entry takes 2f+1 Reveal
-   shares, at least 2f from peers that took it after the missed one,
-   and each share rides a status whose log-length claim counts the
-   missed entry. With no Byzantine peer that is at least f+1 claims,
-   enough to move the sync target. (Claims of emitted entries only
-   would lose this race: peers that have taken but not yet revealed
-   the missed entry would look level.) Outages shorter than the gap
-   cannot hide a full commit (the commit pipeline alone takes longer),
-   so the window misses nothing. The compound-fault sweep in
-   test_faults checks the outcome: no prefix break and no late accept.
-   On healthy runs every peer heartbeats every 25 ms and the quorum
-   check never fails. *)
-let isolation_check t ~src ~now =
-  if not (Isolation.receive t.isolation ~src ~now) then
-    t.probation_until <- now + Config.isolation_gap_us
+(* Runs [fn] on the live instance a message of round [round] (0: a VVB
+   message) about [iid] goes to. Each instance message may settle its
+   instance: retire it after. *)
+let to_instance t iid ~round fn =
+  match instance_of t iid ~round with
+  | Live inst ->
+      fn inst;
+      retire t iid inst
+  | Retired _ -> ()
 
 let on_message t ~src (msg : Types.msg) =
-  let now = Sim.Engine.now t.engine in
-  isolation_check t ~src ~now;
-  absorb_status t ~src msg.status;
-  if (not t.sync_active) && now <= t.probation_until
-     && sync_target t > output_count t
-  then start_sync t;
-  (* Each instance message may settle its instance: retire it after. *)
+  Commit_state.peer_status t.commit ~peer:src ~locked:msg.status.locked_upto
+    ~min_pending:msg.status.min_pending;
+  Recovery.on_status (recovery t) ~src ~now:(Sim.Engine.now t.engine) msg.status;
   match msg.body with
-  | Types.Init { proposal; share; sigma } -> (
+  | Types.Init { proposal; share; sigma } ->
       let iid = proposal.Types.batch.Types.iid in
       t.on_observe proposal.Types.batch;
-      match instance_of t iid ~round:0 with
-      | Live inst ->
+      to_instance t iid ~round:0 (fun inst ->
           (match share with
           | Some s when not (Types.Iid_tbl.mem t.records iid) ->
               Types.Iid_tbl.replace t.shares_held iid s
           | Some _ | None -> ());
-          Instance.on_init inst ~src proposal sigma;
-          retire t iid inst
-      | Retired _ -> ())
+          Instance.on_init inst ~src proposal sigma)
   | Types.Vote { iid; vote } -> (
       match instance_of t iid ~round:0 with
       | Live inst ->
@@ -1233,41 +858,26 @@ let on_message t ~src (msg : Types.msg) =
           match vote with
           | Types.Vote_one { seq_obs; _ } | Types.Vote_zero { seq_obs } ->
               observe_vote t iid ~src ~seq_obs))
-  | Types.Deliver { iid; proposal; proof } -> (
-      match instance_of t iid ~round:0 with
-      | Live inst ->
-          Instance.on_deliver inst ~src proposal proof;
-          retire t iid inst
-      | Retired _ -> ())
-  | Types.Est { iid; round; value; proposal } -> (
-      match instance_of t iid ~round with
-      | Live inst ->
-          Instance.on_est inst ~src ~round ~value proposal;
-          retire t iid inst
-      | Retired _ -> ())
-  | Types.Coord { iid; round; value } -> (
-      match instance_of t iid ~round with
-      | Live inst ->
-          Instance.on_coord inst ~src ~round ~value;
-          retire t iid inst
-      | Retired _ -> ())
-  | Types.Aux { iid; round; values } -> (
-      match instance_of t iid ~round with
-      | Live inst ->
-          Instance.on_aux inst ~src ~round ~values;
-          retire t iid inst
-      | Retired _ -> ())
+  | Types.Deliver { iid; proposal; proof } ->
+      to_instance t iid ~round:0 (fun inst -> Instance.on_deliver inst ~src proposal proof)
+  | Types.Est { iid; round; value; proposal } ->
+      to_instance t iid ~round (fun inst -> Instance.on_est inst ~src ~round ~value proposal)
+  | Types.Coord { iid; round; value } ->
+      to_instance t iid ~round (fun inst -> Instance.on_coord inst ~src ~round ~value)
+  | Types.Aux { iid; round; values } ->
+      to_instance t iid ~round (fun inst -> Instance.on_aux inst ~src ~round ~values)
   | Types.Reveal { iid; share } -> on_reveal t ~src iid share
   | Types.Heartbeat ->
-      if t.sync_active && t.goal_claims.(src) < 0 && not (Int.equal src t.id)
-      then t.goal_claims.(src) <- msg.status.committed;
+      (* Commits are attempted from decisions and the heartbeat tick
+         rather than on every message. *)
+      Recovery.on_heartbeat (recovery t) ~src ~committed:msg.status.committed;
       try_commit t
-  | Types.Nudge { iid } -> on_nudge t ~src iid
+  | Types.Nudge { iid } -> Recovery.on_nudge (recovery t) ~src iid
   | Types.Decided { iid; value; proposal } ->
-      on_decided t ~src iid ~value proposal
-  | Types.Sync_req { from_count } -> on_sync_req t ~src ~from_count
+      Recovery.on_decided (recovery t) ~src iid ~value proposal
+  | Types.Sync_req { from_count } -> Recovery.on_sync_req (recovery t) ~src ~from_count
   | Types.Sync_resp { from_count; upto; entries; tail } ->
-      on_sync_resp t ~src ~from_count ~upto entries tail
+      Recovery.on_sync_resp (recovery t) ~src ~from_count ~upto entries tail
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle.                                                          *)
@@ -1275,7 +885,7 @@ let on_message t ~src (msg : Types.msg) =
 
 let rec heartbeat_loop t =
   try_commit t;
-  sync_tick t;
+  Recovery.tick (recovery t);
   (* The loop keeps ticking through a crash (local state survives; the
      network layer swallows traffic), but skip the broadcast so the
      send counters reflect reality. *)
@@ -1310,14 +920,14 @@ let start t =
     | Some Misbehavior.Silent -> Sim.Network.crash t.net t.id
     | Some (Misbehavior.Flood { batches_per_sec }) ->
         heartbeat_loop t;
-        retransmit_loop t;
+        Recovery.sweep (recovery t);
         warmup t;
         Sim.Engine.schedule t.engine
           ~delay:(t.config.warmup_proposals * Config.warmup_spacing_us)
           (fun () -> flood_loop t batches_per_sec)
     | _ ->
         heartbeat_loop t;
-        retransmit_loop t;
+        Recovery.sweep (recovery t);
         warmup t
   end
 
@@ -1326,7 +936,7 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
   if config.Config.real_crypto && (keys = None || dir = None) then
     invalid_arg "Node.create: real_crypto requires keys and directory";
   let engine = Sim.Network.engine net in
-  let t =
+  let rec t =
     {
       config;
       id;
@@ -1346,11 +956,10 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
       on_output;
       instances = Types.Iid_tbl.create 64;
       live_instances = 0;
-      inst_env = None;
+      inst_env = lazy (make_env t);
       unsettled = Types.Iid_set.empty;
       own_sref = Types.Int_tbl.create 16;
       pending = Types.Iid_map.empty;
-      claims = Types.Iid_tbl.create 32;
       shares_held = Types.Iid_tbl.create 32;
       reveals = Types.Iid_tbl.create 32;
       records = Types.Iid_tbl.create 32;
@@ -1362,18 +971,7 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
       started = false;
       min_pending_dirty = true;
       min_pending_cache = Types.no_pending;
-      peer_committed = Array.make config.Config.n 0;
-      goal_claims = Array.make config.Config.n (-1);
-      sync_scratch = Array.make config.Config.n 0;
-      isolation =
-        Isolation.create ~n:config.Config.n ~id ~quorum:(Config.quorum config);
-      probation_until = 0;
-      sync_active = false;
-      sync_req_at = 0;
-      lag_since = None;
-      synced_entries = 0;
-      syncs_started = 0;
-      decided_votes = Types.Iid_tbl.create 8;
+      recovery = lazy (Recovery.create (make_host t));
       late_accepts = 0;
       own_accepted = 0;
       own_rejected = 0;
@@ -1381,12 +979,9 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
       phases = Metrics.Phases.create phase_spans;
     }
   in
+  let recovery = recovery t in
   Sim.Network.register net ~id (fun ~src msg -> on_message t ~src msg);
-  (* Batches held in the mempool during a crash flow again on recovery;
-     missed commits are repaired by the sync pull once statuses resume
-     and the lag becomes visible — probation makes that immediate. *)
   Sim.Network.on_recover net ~id (fun () ->
-      t.probation_until <-
-        Sim.Engine.now engine + Config.isolation_gap_us;
+      Recovery.on_recover recovery;
       maybe_propose t);
   t

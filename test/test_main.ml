@@ -17,6 +17,7 @@ let () =
       ("vvb-instance", Test_vvb.suite);
       ("commit-model", Test_commit_model.suite);
       ("lyra-cluster", Test_lyra_cluster.suite);
+      ("lyra-recovery", Test_recovery.suite);
       ("hotstuff", Test_hotstuff.suite);
       ("pompe", Test_pompe.suite);
       ("dagorder", Test_dagorder.suite);
